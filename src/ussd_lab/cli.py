@@ -8,10 +8,7 @@ or a JSON document with the same content; both are deterministic byte
 for byte, use 12 significant digits, and never include timestamps.
 
 Exit codes: 0 on success, 1 when the selftest battery fails, 2 for
-invalid input (the message names the offending field). The
-USSD_LAB_THREADS environment variable caps the worker threads used for
-sweep rows (default: the machine's core count); rows are always emitted
-in input order regardless of thread count.
+invalid input (the message names the offending field).
 """
 
 from __future__ import annotations
@@ -19,14 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .errors import RangeError, UndefinedPhase, UssdLabError
+from .errors import UndefinedPhase, UssdLabError
 from .coherence import (
     closed_form_coherences,
     coherence_band,
@@ -96,29 +91,6 @@ def _write(out, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("USSD_LAB_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise RangeError(f"USSD_LAB_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise RangeError(f"USSD_LAB_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
-def _map_rows(fn, items) -> list:
-    """Order-preserving parallel map; row order never depends on timing."""
-    n = _thread_count()
-    items = list(items)
-    if n == 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 def _meta(args, command: str, **params) -> dict:
@@ -197,7 +169,7 @@ def cmd_fig2(args) -> int:
                "p_suc_gamma_0", "p_suc_gamma_half_pi", "p_suc_gamma_pi"]
     meta = _meta(args, "fig2", p_plus=args.p_plus, abs_alpha=args.alpha,
                  steps=args.steps)
-    _emit(args, meta, columns, _map_rows(row, pts))
+    _emit(args, meta, columns, [row(x) for x in pts])
     return 0
 
 
@@ -226,7 +198,7 @@ def cmd_fig3(args) -> int:
                "band_system_split_min", "band_system_split_max"]
     meta = _meta(args, "fig3", p_plus=args.p_plus, abs_alpha_c=args.alpha_c,
                  steps=args.steps, band_points=args.band_points)
-    _emit(args, meta, columns, _map_rows(row, pts))
+    _emit(args, meta, columns, [row(x) for x in pts])
     return 0
 
 

@@ -332,22 +332,23 @@ def coherence_band(p_plus: float, abs_alpha: float, abs_alpha_c: float,
     k = int(np.argmax(vals))
     lo = gammas[max(k - 1, 0)]
     hi = gammas[min(k + 1, half - 1)]
-    arg, peak = _golden_max(share, float(lo), float(hi))
-    vmax = max(vmax, peak)
+    arg, neg_peak = _golden_min(lambda g: -share(g), float(lo), float(hi))
+    vmax = max(vmax, -neg_peak)
 
     tol_min = vmin + 1e-9 * max(1.0, vmax)
     argmin = tuple(float(g) for g, v in zip(gammas, vals) if v <= tol_min)
     return BandScan(vmin, float(vmax), argmin, float(arg), scan_points)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple:
+def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> tuple:
+    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv * (b - a)
     d = a + inv * (b - a)
     fc, fd = f(c), f(d)
     while b - a > tol:
-        if fc > fd:
+        if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv * (b - a)
             fc = f(c)

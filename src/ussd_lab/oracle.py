@@ -19,9 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import NumericalError, RangeError
-from .coherence import wootters_concurrence
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+from .coherence import _golden_min, wootters_concurrence
 
 
 @dataclass(frozen=True)
@@ -49,26 +47,6 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         return np.linspace(self.lower, self.upper, self.count)
-
-
-def _golden_min(f: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-10) -> tuple:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 @dataclass(frozen=True)
@@ -209,9 +187,9 @@ def decomposition_check(rho_sa, params, inst, strat) -> DecompositionReport:
     """Audit a separability report against the state it claims to split.
 
     Both decomposition vectors are rebuilt from the scalar weights and
-    phases in the report (the vectors stored inside it are ignored), so a
-    wrong phase or weight shows up as a reconstruction residual instead
-    of being copied through.
+    phases in the report (it stores no vectors), so a wrong phase or
+    weight shows up as a reconstruction residual instead of being copied
+    through.
     """
     rho = np.asarray(getattr(rho_sa, "matrix", rho_sa), dtype=complex)
     if rho.shape != (4, 4):

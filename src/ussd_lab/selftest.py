@@ -50,6 +50,7 @@ from .oracle import (
 )
 from .teleport import (
     TeleportInstance,
+    branch_coherences,
     branch_to_ussd,
     enumerate_runs,
     fig4_sweep,
@@ -437,10 +438,9 @@ def _teleport_branch_ledger():
         for mu in (0.5, 1.6, 2.7):
             inst = TeleportInstance(rho, mu, 0.4)
             for b in (0, 1):
-                rec = branch_to_ussd(inst, b)
-                ui = rec.ussd_instance
+                ui = branch_to_ussd(inst, b).ussd_instance
                 led = ledger(coupled_state(ui, separable_strategy(ui)))
-                ct, ca, cg = rec.coherences
+                ct, ca, cg = branch_coherences(inst, b)
                 worst = max(worst,
                             abs(ct - led.c_total),
                             abs(ca - led.bipartite_of("A")),
@@ -451,12 +451,12 @@ def _teleport_branch_ledger():
 
 
 def _smr_maximal_channel():
-    v = abs(square_mean_root(0.0, "total") - math.pi ** 2 / 16.0)
+    v = abs(square_mean_root(0.0)[0] - math.pi ** 2 / 16.0)
     return v, "maximally entangled channel averages to pi^2/16"
 
 
 def _smr_product_channel():
-    v = max(square_mean_root(math.pi / 4, k) for k in ("total", "converted", "retained"))
+    v = max(square_mean_root(math.pi / 4))
     return v, "product channel carries no coherence"
 
 

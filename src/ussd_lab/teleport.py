@@ -170,7 +170,6 @@ class BranchRecord:
     probability: float
     ussd_instance: UssdInstance
     success_probability: float
-    coherences: tuple      # (total, ancilla-vs-rest, genuine), closed form
 
 
 def branch_to_ussd(inst: TeleportInstance, b_outcome: int) -> BranchRecord:
@@ -191,7 +190,6 @@ def branch_to_ussd(inst: TeleportInstance, b_outcome: int) -> BranchRecord:
         probability=branch_probability(inst, b_outcome),
         ussd_instance=ui,
         success_probability=p_suc_max(ui),
-        coherences=branch_coherences(inst, b_outcome),
     )
 
 
@@ -356,48 +354,35 @@ def enumerate_runs(inst: TeleportInstance) -> list:
 # ---------------------------------------------------------------------------
 # averaged coherence bookkeeping
 
-_SMR_KEYS = ("total", "converted", "retained")
+def square_mean_root(channel_angle: float, nodes: int = 64) -> tuple:
+    """Squares of the branch-averaged root coherences, integrated over the
+    Bloch sphere of sent states, as (total, converted, retained).
 
-
-def _branch_triple(angle: float, b_outcome: int, mu: float) -> tuple:
-    """(total, converted, retained) coherence of one branch; 'converted'
-    is the ancilla-vs-rest share, 'retained' the system-environment pair
-    share left behind."""
-    probe = TeleportInstance(angle, mu, 0.0)
-    total, converted, _ = branch_coherences(probe, b_outcome)
-    return total, converted, total - converted
-
-
-def square_mean_root(channel_angle: float, which: str, nodes: int = 64) -> float:
-    """Square of the branch-averaged root coherence, integrated over the
-    Bloch sphere of sent states.
-
-    which selects the coherence share: "total" for the full amount,
-    "converted" for the part moved onto the ancilla cut, "retained" for
-    the system-environment remainder. The azimuthal integral is trivial
-    (integrands are azimuth-free), leaving one polar integral evaluated
-    by Gauss-Legendre; the integrand is analytic in the polar angle, so
-    64 nodes already reach machine precision.
+    "total" is the full amount, "converted" the part moved onto the
+    ancilla cut (the ancilla-vs-rest share) and "retained" the
+    system-environment remainder. All three come from one pass over the
+    branch coherences. The azimuthal integral is trivial (integrands are
+    azimuth-free), leaving one polar integral evaluated by
+    Gauss-Legendre; the integrand is analytic in the polar angle, so 64
+    nodes already reach machine precision.
     """
-    if which not in _SMR_KEYS:
-        raise RangeError(f"which must be one of {_SMR_KEYS}, got {which!r}")
     if not 0.0 <= channel_angle <= _QUARTER_PI + 1e-12:
         raise RangeError(f"channel_angle must lie in [0, pi/4], got {channel_angle!r}")
     if nodes < 2:
         raise RangeError("need at least 2 quadrature nodes")
-    idx = _SMR_KEYS.index(which)
     x, w = np.polynomial.legendre.leggauss(nodes)
     mus = 0.5 * math.pi * (x + 1.0)
-    acc = 0.0
+    acc = np.zeros(3)
     for mu, wt in zip(mus, w):
         probe = TeleportInstance(channel_angle, float(mu), 0.0)
-        val = 0.0
+        val = np.zeros(3)
         for b in (0, 1):
-            c = _branch_triple(channel_angle, b, float(mu))[idx]
-            val += branch_probability(probe, b) * math.sqrt(max(c, 0.0))
+            total, converted, _ = branch_coherences(probe, b)
+            c = np.array([total, converted, total - converted])
+            val += branch_probability(probe, b) * np.sqrt(np.maximum(c, 0.0))
         acc += wt * 0.5 * val * math.sin(mu)
     acc *= 0.5 * math.pi
-    return float(acc * acc)
+    return tuple(float(a) for a in acc * acc)
 
 
 @dataclass(frozen=True)
@@ -423,9 +408,7 @@ def fig4_sweep(tangles, nodes: int = 64) -> list:
             raise RangeError(f"tangle must lie in [0, 1], got {t!r}")
         s = math.sqrt(max(0.0, 1.0 - t))
         angle = 0.5 * math.asin(min(1.0, s))
-        smr_t = square_mean_root(angle, "total", nodes)
-        smr_r = square_mean_root(angle, "retained", nodes)
-        smr_c = square_mean_root(angle, "converted", nodes)
+        smr_t, smr_c, smr_r = square_mean_root(angle, nodes)
         if smr_t > 1e-14:
             share = smr_c / smr_t
         else:

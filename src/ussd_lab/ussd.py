@@ -18,6 +18,7 @@ two sub-states exchanged, which conjugates both overlaps.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -67,6 +68,9 @@ class UssdInstance:
         if self.p_plus > 0.5 + 1e-15:
             raise RangeError("instances must be canonicalized to p_plus <= 1/2; "
                              "use make_instance")
+        for name, value in (("alpha", self.alpha), ("alpha_c", self.alpha_c)):
+            if not cmath.isfinite(value):
+                raise RangeError(f"{name} must be finite, got {value!r}")
         if abs(self.alpha) >= 1.0:
             raise DegenerateOverlap(
                 f"|alpha| = {abs(self.alpha)!r} leaves nothing to discriminate"
@@ -119,10 +123,6 @@ def make_instance(p_plus: float, alpha, alpha_c) -> UssdInstance:
     ac = complex(alpha_c)
     if not 0.0 <= p <= 1.0:
         raise RangeError(f"p_plus must lie in [0, 1], got {p!r}")
-    if abs(a) >= 1.0:
-        raise DegenerateOverlap(f"|alpha| must be < 1, got {abs(a)!r}")
-    if abs(ac) > 1.0 + 1e-15:
-        raise RangeError(f"|alpha_c| must be <= 1, got {abs(ac)!r}")
     if p > 0.5:
         return UssdInstance(1.0 - p, a.conjugate(), ac.conjugate(), swapped=True)
     return UssdInstance(p, a, ac, swapped=False)
@@ -408,8 +408,6 @@ class SeparabilityParams:
     gamma2: float
     beta_star: float
     delta_star: float
-    zeta1: np.ndarray         # subnormalized vectors on (S, A)
-    zeta2: np.ndarray
 
 
 def separability_params(inst: UssdInstance, strat: UssdStrategy) -> SeparabilityParams:
@@ -438,12 +436,11 @@ def separability_params(inst: UssdInstance, strat: UssdStrategy) -> Separability
     if fail < 1e-15:
         # no failure branch: the ancilla never flags, the system-ancilla
         # state is already a product, and every angle choice is separable
-        zero = np.zeros(4, dtype=complex)
         return SeparabilityParams(
             q_plus=qp, q_minus=qm, omega_plus=wp, omega_minus=wm,
             q1_plus=0.0, q1_minus=0.0, gamma1=0.0,
             q2_plus=0.0, q2_minus=0.0, gamma2=g2,
-            beta_star=0.0, delta_star=0.0, zeta1=zero, zeta2=zero.copy(),
+            beta_star=0.0, delta_star=0.0,
         )
 
     c1p = math.sqrt(rp * qp / fail)
@@ -457,16 +454,11 @@ def separability_params(inst: UssdInstance, strat: UssdStrategy) -> Separability
     den = rp * qp * (1.0 - abs(ap) ** 2)
     beta_star = math.atan2(math.sqrt(max(num, 0.0)), math.sqrt(max(den, 0.0)))
     delta_star = g1 % _TWO_PI
-
-    zp, zm = _zeta_vectors(strat)
-    zeta1 = c1p * zp + c1m * np.exp(1j * g1) * zm
-    zeta2 = c2p * zp + c2m * np.exp(1j * g2) * zm
     return SeparabilityParams(
         q_plus=qp, q_minus=qm, omega_plus=wp, omega_minus=wm,
         q1_plus=c1p, q1_minus=c1m, gamma1=g1,
         q2_plus=c2p, q2_minus=c2m, gamma2=g2,
         beta_star=beta_star, delta_star=delta_star,
-        zeta1=zeta1, zeta2=zeta2,
     )
 
 

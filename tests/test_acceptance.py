@@ -21,6 +21,7 @@ from ussd_lab.oracle import GridSpec, grid_min_concurrence, grid_optimize_succes
 from ussd_lab.qcore import PureState
 from ussd_lab.teleport import (
     TeleportInstance,
+    branch_coherences,
     branch_to_ussd,
     enumerate_runs,
     fig4_sweep,
@@ -234,16 +235,15 @@ def test_g09_branch_coherences_and_polar_average():
         for mu in (0.5, 1.6, 2.7):
             inst = TeleportInstance(float(rho), mu, 0.4)
             for b in (0, 1):
-                rec = branch_to_ussd(inst, b)
-                ui = rec.ussd_instance
+                ui = branch_to_ussd(inst, b).ussd_instance
                 led = ledger(coupled_state(ui, separable_strategy(ui)))
-                ct, ca, cg = rec.coherences
+                ct, ca, cg = branch_coherences(inst, b)
                 worst = max(worst, abs(ct - led.c_total),
                             abs(ca - led.bipartite_of("A")),
                             abs(cg - led.c_genuine))
     assert worst < 1e-9
 
-    assert abs(square_mean_root(0.0, "total") - math.pi ** 2 / 16.0) < 1e-8
+    assert abs(square_mean_root(0.0)[0] - math.pi ** 2 / 16.0) < 1e-8
 
     rows = fig4_sweep(np.linspace(0.0, 1.0, 50), nodes=64)
     shares = [r.converted_share for r in rows]

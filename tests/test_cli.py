@@ -2,7 +2,7 @@
 
 import json
 import math
-import os
+import re
 
 import pytest
 
@@ -60,6 +60,14 @@ class TestEval:
     def test_invalid_overlap_is_exit_2(self, tmp_path, capsys):
         assert main(["eval", "--alpha", "1.0"]) == 2
         assert "alpha" in capsys.readouterr().err
+        for argv, field in ((["eval", "--alpha", "nan"], "alpha"),
+                            (["eval", "--alpha-phase", "inf"], "alpha"),
+                            (["fig2", "--alpha", "nan"], "alpha"),
+                            (["eval", "--alpha-c", "nan"], "alpha_c"),
+                            (["fig3", "--alpha-c", "nan"], "alpha_c")):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert re.search(rf"\b{field}\b", err), (argv, err)
 
     def test_invalid_prior_is_exit_2(self, tmp_path, capsys):
         assert main(["eval", "--p-plus", "1.5"]) == 2
@@ -196,17 +204,3 @@ class TestOutputHygiene:
         for row in rows:
             for cell in row:
                 assert cell == f"{float(cell):.12g}"
-
-    def test_thread_env_validation(self, capsys, monkeypatch):
-        monkeypatch.setenv("USSD_LAB_THREADS", "zero")
-        assert main(["fig3", "--steps", "2", "--band-points", "8"]) == 2
-        assert "USSD_LAB_THREADS" in capsys.readouterr().err
-
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("USSD_LAB_THREADS", "1")
-        _, a = run_cli(["fig3", "--steps", "4", "--band-points", "24"],
-                       tmp_path, "a")
-        monkeypatch.setenv("USSD_LAB_THREADS", "4")
-        _, b = run_cli(["fig3", "--steps", "4", "--band-points", "24"],
-                       tmp_path, "b")
-        assert a == b

@@ -174,28 +174,30 @@ class TestRuns:
 
 class TestAverages:
     def test_maximally_entangled_landmark(self):
-        assert abs(square_mean_root(0.0, "total") - math.pi ** 2 / 16) < 1e-12
+        assert abs(square_mean_root(0.0)[0] - math.pi ** 2 / 16) < 1e-12
 
     def test_closed_forms_at_generic_angle(self):
         for rho in (0.2, 0.55):
             s = math.sin(2 * rho)
             scale = math.pi ** 2 / 16
-            assert abs(square_mean_root(rho, "total") - scale * (1 - s * s)) < 1e-12
-            assert abs(square_mean_root(rho, "converted") - scale * 2 * (s - s * s)) < 1e-12
-            assert abs(square_mean_root(rho, "retained") - scale * (1 - s) ** 2) < 1e-12
+            total, converted, retained = square_mean_root(rho)
+            assert abs(total - scale * (1 - s * s)) < 1e-12
+            assert abs(converted - scale * 2 * (s - s * s)) < 1e-12
+            assert abs(retained - scale * (1 - s) ** 2) < 1e-12
 
     def test_product_channel_is_silent(self):
-        for which in ("total", "converted", "retained"):
-            assert square_mean_root(QP, which) == 0.0
+        assert square_mean_root(QP) == (0.0, 0.0, 0.0)
 
-    def test_which_vocabulary(self):
+    def test_argument_validation(self):
         with pytest.raises(RangeError):
-            square_mean_root(0.3, "everything")
+            square_mean_root(QP + 0.1)
+        with pytest.raises(RangeError):
+            square_mean_root(0.3, nodes=1)
 
     def test_quadrature_already_converged(self):
-        a = square_mean_root(0.3, "total", nodes=48)
-        b = square_mean_root(0.3, "total", nodes=96)
-        assert abs(a - b) < 1e-13
+        a = square_mean_root(0.3, nodes=48)
+        b = square_mean_root(0.3, nodes=96)
+        assert max(abs(x - y) for x, y in zip(a, b)) < 1e-13
 
     def test_fig4_profile(self):
         rows = fig4_sweep(np.linspace(0.0, 1.0, 11), nodes=32)
@@ -207,6 +209,12 @@ class TestAverages:
         assert abs(mid.tangle - 0.5) < 1e-15
         assert abs(mid.converted_share - (2 * math.sqrt(2) - 2)) < 1e-12
         assert abs(rows[-1].smr_total - math.pi ** 2 / 16) < 1e-12
+        scale = math.pi ** 2 / 16
+        for r in rows:
+            s = math.sqrt(1 - r.tangle)
+            assert abs(r.smr_total - scale * (1 - s * s)) < 1e-12
+            assert abs(r.smr_converted - scale * 2 * (s - s * s)) < 1e-12
+            assert abs(r.smr_retained - scale * (1 - s) ** 2) < 1e-12
 
     def test_fig4_rejects_bad_tangle(self):
         with pytest.raises(RangeError):

@@ -58,6 +58,12 @@ class TestInstance:
             make_instance(0.3, 1.0, 0.0)
         with pytest.raises(RangeError):
             make_instance(0.3, 0.5, 1.2)
+        # abs(nan) >= 1 is false, so non-finite overlaps need their own check
+        for bad in (math.nan, math.inf, complex(0.0, math.nan)):
+            with pytest.raises(RangeError, match=r"^alpha must be finite"):
+                make_instance(0.3, bad, 0.0)
+            with pytest.raises(RangeError, match=r"^alpha_c must be finite"):
+                make_instance(0.7, 0.5, bad)
 
     def test_majority_prior_is_canonicalized(self):
         inst = make_instance(0.7, 0.4 * np.exp(0.5j), 0.6 * np.exp(0.2j))
