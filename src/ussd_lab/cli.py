@@ -359,6 +359,10 @@ def main(argv=None) -> int:
     if getattr(args, "sample", None) is not None and args.sample < 1:
         print("error: --sample must be a positive count", file=sys.stderr)
         return 2
+    for dest, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            print(f"error: {dest} must be finite, got {value!r}", file=sys.stderr)
+            return 2
     try:
         return args.fn(args)
     except UssdLabError as exc:

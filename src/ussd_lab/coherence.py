@@ -130,9 +130,14 @@ def three_tangle(psi) -> float:
     return t3
 
 
+def _tangle(psi: PureState, q: str) -> float:
+    """One-vs-rest tangle of qubit q: 4 det of its reduced state."""
+    return 4.0 * max(float(np.linalg.det(partial_trace(psi, [q]).matrix).real), 0.0)
+
+
 def _pivot_residual(state: PureState, pivot: str) -> float:
     rest = [q for q in state.register if q != pivot]
-    tau = 4.0 * max(float(np.linalg.det(partial_trace(state, [pivot]).matrix).real), 0.0)
+    tau = _tangle(state, pivot)
     c2 = sum(
         wootters_concurrence(partial_trace(state, [pivot, other]).matrix) ** 2
         for other in rest
@@ -198,9 +203,8 @@ def ledger(psi: PureState) -> CoherenceLedger:
     reg = psi.register
     bipartite = {}
     for q in reg:
-        det = float(np.linalg.det(partial_trace(psi, [q]).matrix).real)
         rest = "".join(x for x in reg if x != q)
-        bipartite[f"{q}:{rest}"] = 4.0 * max(det, 0.0)
+        bipartite[f"{q}:{rest}"] = _tangle(psi, q)
     pairwise = {}
     for x, y in combinations(reg, 2):
         c = wootters_concurrence(partial_trace(psi, [x, y]).matrix)
@@ -310,9 +314,7 @@ def coherence_band(p_plus: float, abs_alpha: float, abs_alpha_c: float,
         inst = make_instance(p_plus, abs_alpha * np.exp(1j * gamma), abs_alpha_c)
         strat = separable_strategy(inst)
         psi = coupled_state(inst, strat)
-        total = 4.0 * max(
-            float(np.linalg.det(partial_trace(psi, ["C"]).matrix).real), 0.0
-        )
+        total = _tangle(psi, "C")
         if total < 1e-30:
             raise NumericalError("total coherence vanished; share undefined")
         c_ca = wootters_concurrence(partial_trace(psi, ["C", "A"]).matrix)

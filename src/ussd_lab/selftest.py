@@ -1,4 +1,5 @@
-"""Built-in verification battery.
+"""The registry of named checks: the package's one statement of what it
+guarantees.
 
 Every check reduces to a single non-negative number compared against a
 tolerance, so a run is summarizable as pass/fail lines and the whole
@@ -6,6 +7,12 @@ battery can be tightened or loosened with one override. The checks mix
 frozen landmark values, closed-form-versus-simulation comparisons, and
 brute-force oracle searches; together they exercise every public result
 of the package.
+
+A check that samples or sweeps takes its seed, count, grid or node
+count as keyword arguments whose defaults are the battery inputs, which
+``run_selftest`` (and ``ussd-lab selftest``) uses. The acceptance suite,
+``tests/test_acceptance.py``, calls the same functions at the battery
+inputs and again at larger acceptance inputs.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from .teleport import (
     fig4_sweep,
     run_teleport,
     square_mean_root,
+    total_success_probability,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -129,21 +137,23 @@ def _normalization_identity():
     return worst, "posterior weights resum to 1 on 50 random instances"
 
 
-def _success_grid_oracle():
-    rng = np.random.default_rng(12)
+def _success_grid_oracle(seed=12, count=6, points=3001):
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for k in range(6):
+    for k in range(count):
         inst = _random_instance(rng, saturated=bool(k % 2))
-        res = grid_optimize_success(inst, GridSpec(0.0, 1.0, 3001, 2))
+        res = grid_optimize_success(inst, GridSpec(0.0, 1.0, points, 2))
         worst = max(worst, abs(res.value - p_suc_max(inst)))
     return worst, "closed-form optimum vs brute-force amplitude search"
 
 
-def _success_born_rule():
-    rng = np.random.default_rng(13)
+def _success_born_rule(seed=13, count=6, saturation=(None,)):
+    """saturation[k % len(saturation)] picks the optimizer case of the
+    k-th instance (None for either)."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(6):
-        inst = _random_instance(rng)
+    for k in range(count):
+        inst = _random_instance(rng, saturation[k % len(saturation)])
         r = run_protocol(inst, optimal_strategy(inst))
         worst = max(worst, abs(r.success_probability - p_suc_max(inst)))
     return worst, "simulated outcome statistics vs closed form"
@@ -162,25 +172,40 @@ def _success_strategy_independent():
     return worst, "failure direction and ancilla ready state do not move P"
 
 
-def _separability_zero():
-    rng = np.random.default_rng(15)
+def _separability_zero(seed=15, count=6):
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for k in range(6):
+    for k in range(count):
         inst = _random_instance(rng, saturated=bool(k % 3 == 0))
         rho = system_ancilla_density(inst, separable_strategy(inst))
         worst = max(worst, wootters_concurrence(rho))
     return worst, "system-ancilla concurrence at the tuned failure direction"
 
 
-def _separability_argmin():
-    inst = make_instance(0.3, 0.45 * np.exp(0.8j), 0.6 * np.exp(0.4j))
-    strat = separable_strategy(inst)
-    par = separability_params(inst, strat)
-    res = grid_min_concurrence(inst, strat,
-                               GridSpec(0.0, math.pi / 2, 25, 2),
-                               GridSpec(0.0, _TWO_PI, 49, 2))
-    v = max(abs(res.beta - par.beta_star), _circ_dist(res.delta, par.delta_star))
-    return v, f"grid argmin vs closed form (residual concurrence {res.value:.2e})"
+def _argmin_instance(seed):
+    """The landmark instance for seed None, else one drawn from seed."""
+    if seed is None:
+        return make_instance(0.3, 0.45 * np.exp(0.8j), 0.6 * np.exp(0.4j))
+    rng = np.random.default_rng(seed)
+    return make_instance(
+        rng.uniform(0.1, 0.45),
+        rng.uniform(0.2, 0.7) * np.exp(1j * rng.uniform(0, _TWO_PI)),
+        rng.uniform(0.3, 0.9) * np.exp(1j * rng.uniform(0, _TWO_PI)))
+
+
+def _separability_argmin(seeds=(None,)):
+    worst = worst_res = 0.0
+    for seed in seeds:
+        inst = _argmin_instance(seed)
+        strat = separable_strategy(inst)
+        par = separability_params(inst, strat)
+        res = grid_min_concurrence(inst, strat,
+                                   GridSpec(0.0, math.pi / 2, 25, 2),
+                                   GridSpec(0.0, _TWO_PI, 49, 2))
+        worst_res = max(worst_res, res.value)
+        worst = max(worst, abs(res.beta - par.beta_star),
+                    _circ_dist(res.delta, par.delta_star), res.value)
+    return worst, f"grid argmin vs closed form (residual concurrence {worst_res:.2e})"
 
 
 def _decomposition_residuals():
@@ -208,10 +233,10 @@ def _decomposition_sensitivity():
     return v, f"perturbing a split phase by 0.1 leaves residual {rep.reconstruction:.2e}"
 
 
-def _conservation():
-    rng = np.random.default_rng(17)
+def _conservation(seed=17, count=20):
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(20):
+    for _ in range(count):
         inst = _random_instance(rng)
         strat = optimal_strategy(inst, beta=rng.uniform(0, math.pi / 2),
                                  delta=rng.uniform(0, _TWO_PI))
@@ -219,13 +244,14 @@ def _conservation():
     return worst, "environment tangle untouched by the system-ancilla coupling"
 
 
-def _closed_form_ledger_grid():
+def _closed_form_ledger_grid(ps=(0.18, 0.33, 0.5), aas=(0.12, 0.45, 0.8),
+                             acs=(0.0, 0.55, 0.9), gs=(0.0, 1.1, math.pi)):
     worst = 0.0
-    for p in (0.18, 0.33, 0.5):
-        for aa in (0.12, 0.45, 0.8):
-            for ac in (0.0, 0.55, 0.9):
-                for g in (0.0, 1.1, math.pi):
-                    inst = make_instance(p, aa * np.exp(1j * 0.6 * g),
+    for p in ps:
+        for aa in aas:
+            for ac in acs:
+                for g in gs:
+                    inst = make_instance(float(p), aa * np.exp(1j * 0.6 * g),
                                          ac * np.exp(1j * 0.4 * g))
                     strat = separable_strategy(inst)
                     led = ledger(coupled_state(inst, strat))
@@ -234,7 +260,8 @@ def _closed_form_ledger_grid():
                                 abs(ct - led.c_total),
                                 abs(ca - led.bipartite_of("A")),
                                 abs(cg - led.c_genuine))
-    return worst, "closed-form coherence triple vs numeric ledger on a 3^4 grid"
+    shape = "x".join(str(len(axis)) for axis in (ps, aas, acs, gs))
+    return worst, f"closed-form coherence triple vs numeric ledger on a {shape} grid"
 
 
 def _retained_pair_identity():
@@ -250,13 +277,17 @@ def _retained_pair_identity():
     return worst, "total minus converted equals the retained pair tangle"
 
 
-def _monogamy_random():
-    rng = np.random.default_rng(18)
+def _monogamy_random(seed=18, count=60):
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(60):
+    for _ in range(count):
         led = ledger(_random_pure(rng))
         worst = max(worst, led.monogamy_residual)
-    return worst, "three monogamy sums agree on 60 random pure states"
+        for x, y, z in (("S", "A", "C"), ("A", "S", "C"), ("C", "S", "A")):
+            residual = led.bipartite_of(x) - led.pair(x, y) - led.pair(x, z)
+            worst = max(worst, abs(residual - led.c_genuine))
+    return worst, (f"three monogamy sums agree and every pivot residual equals "
+                   f"the genuine tangle on {count} random pure states")
 
 
 def _ghz_w_landmarks():
@@ -290,19 +321,19 @@ def _lu_invariance():
     return worst, "every ledger entry survives local basis changes"
 
 
-def _bargmann_equality():
-    rng = np.random.default_rng(20)
+def _bargmann_equality(seed=20, count=20):
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(20):
+    for _ in range(count):
         inst = _random_instance(rng)
         worst = max(worst, _circ_dist(bargmann_phase(inst), _wrap(inst.gamma)))
     return worst, "loop phase equals the summed overlap phase"
 
 
-def _bargmann_gauge():
-    rng = np.random.default_rng(21)
+def _bargmann_gauge(seed=21, count=20):
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(20):
+    for _ in range(count):
         inst = _random_instance(rng)
         emb = canonical_embedding(inst)
         v1 = np.kron(emb.xi, emb.phi)
@@ -317,10 +348,10 @@ def _bargmann_gauge():
     return worst, "loop phase ignores independent rephasings"
 
 
-def _bargmann_teleport_branches():
+def _bargmann_teleport_branches(mus=(0.7, 2.4)):
     worst = 0.0
     for rho in (0.2, 0.6):
-        for mu in (0.7, 2.4):
+        for mu in mus:
             for b in (0, 1):
                 rec = branch_to_ussd(TeleportInstance(rho, mu, 1.3), b)
                 ph = bargmann_phase(rec.ussd_instance)
@@ -345,11 +376,12 @@ def _fig2_limit():
     return v, "out-of-phase success reaches 1 as the environment overlap saturates"
 
 
-def _fig3_share_monotone_interior():
-    tilde = math.sqrt(0.4 / 0.6)
-    aas = np.linspace(0.02, tilde - 0.02, 40)
+_TILDE = math.sqrt(0.4 / 0.6)    # saturation point of the fig3 sweep
+
+
+def _fig3_share_monotone_interior(aas=np.linspace(0.02, _TILDE - 0.02, 40)):
     shares = []
-    for aa in aas:
+    for aa in (a for a in aas if a < _TILDE):
         inst = make_instance(0.4, aa * np.exp(1j * math.pi / 2), 0.8)
         ct, ca, _ = closed_form_coherences(inst, separable_strategy(inst))
         shares.append(ca / ct)
@@ -357,10 +389,9 @@ def _fig3_share_monotone_interior():
     return worst, "converted share grows with overlap below the saturation point"
 
 
-def _fig3_share_saturated():
-    tilde = math.sqrt(0.4 / 0.6)
+def _fig3_share_saturated(aas=np.linspace(_TILDE + 0.01, 0.98, 15)):
     worst = 0.0
-    for aa in np.linspace(tilde + 0.01, 0.98, 15):
+    for aa in (a for a in aas if a >= _TILDE):
         inst = make_instance(0.4, aa * np.exp(1j * math.pi / 2), 0.8)
         ct, ca, _ = closed_form_coherences(inst, separable_strategy(inst))
         worst = max(worst, abs(ca / ct - 1.0))
@@ -379,37 +410,48 @@ def _band_flat():
     return v, "decoupled environment flattens the share profile"
 
 
-def _teleport_total_closed():
+def _teleport_total_closed(rhos=np.linspace(0.0, math.pi / 4, 12)):
     worst = 0.0
-    for rho in np.linspace(0.0, math.pi / 4, 12):
+    for rho in rhos:
+        closed = 1.0 - math.sin(2.0 * rho)
         runs = enumerate_runs(TeleportInstance(float(rho), 1.1, 2.2))
         tot = sum(r.probability for r in runs if r.success)
-        worst = max(worst, abs(tot - (1.0 - math.sin(2.0 * rho))))
-    return worst, "summed success paths equal 1 - sin(2 rho)"
+        worst = max(worst, abs(tot - closed),
+                    abs(total_success_probability(float(rho)) - closed))
+    return worst, "summed success paths and the branch total equal 1 - sin(2 rho)"
 
 
-def _teleport_state_independent():
+def _teleport_state_independent(mus=np.linspace(0.0, math.pi, 5),
+                                nus=np.linspace(0.0, _TWO_PI * (1 - 1e-12), 5)):
+    rho = 0.35
+    closed = 1.0 - math.sin(2.0 * rho)
     worst = 0.0
     base = None
-    for mu in np.linspace(0.0, math.pi, 5):
-        for nu in np.linspace(0.0, _TWO_PI * (1 - 1e-12), 5):
-            inst = TeleportInstance(0.35, float(mu), float(nu))
+    for mu in mus:
+        for nu in nus:
+            inst = TeleportInstance(rho, float(mu), float(nu))
             tot = 0.0
             for b in (0, 1):
                 rec = branch_to_ussd(inst, b)
                 tot += rec.probability * rec.success_probability
             base = tot if base is None else base
-            worst = max(worst, abs(tot - base))
-    return worst, "total success ignores the sent state"
+            worst = max(worst, abs(tot - base), abs(tot - closed))
+    return worst, "total success ignores the sent state and equals 1 - sin(2 rho)"
 
 
-def _teleport_fidelity():
+def _teleport_fidelity(instances=((0.2, 0.8, 0.3), (0.5, 1.9, 4.0),
+                                  (0.7, 2.8, 5.5))):
     worst = 0.0
-    for (rho, mu, nu) in ((0.2, 0.8, 0.3), (0.5, 1.9, 4.0), (0.7, 2.8, 5.5)):
-        for r in enumerate_runs(TeleportInstance(rho, mu, nu)):
+    for (rho, mu, nu) in instances:
+        runs = enumerate_runs(TeleportInstance(rho, mu, nu))
+        worst = max(worst, abs(sum(r.probability for r in runs) - 1.0),
+                    abs(sum(r.probability for r in runs if r.success)
+                        - (1.0 - math.sin(2.0 * rho))))
+        for r in runs:
             if r.success:
                 worst = max(worst, 1.0 - r.fidelity)
-    return worst, "every corrected success path delivers the state exactly"
+    return worst, ("every corrected success path delivers the state exactly; "
+                   "path probabilities sum to 1 and 1 - sin(2 rho)")
 
 
 def _teleport_failure_leak():
@@ -432,11 +474,11 @@ def _teleport_branch_priors():
     return worst, "branch posterior weights are 1/(4 x branch probability)"
 
 
-def _teleport_branch_ledger():
+def _teleport_branch_ledger(rhos=(0.2, 0.45, 0.7)):
     worst = 0.0
-    for rho in (0.2, 0.45, 0.7):
+    for rho in rhos:
         for mu in (0.5, 1.6, 2.7):
-            inst = TeleportInstance(rho, mu, 0.4)
+            inst = TeleportInstance(float(rho), mu, 0.4)
             for b in (0, 1):
                 ui = branch_to_ussd(inst, b).ussd_instance
                 led = ledger(coupled_state(ui, separable_strategy(ui)))
@@ -460,8 +502,8 @@ def _smr_product_channel():
     return v, "product channel carries no coherence"
 
 
-def _fig4_share_profile():
-    rows = fig4_sweep(np.linspace(0.0, 1.0, 21), nodes=32)
+def _fig4_share_profile(tangles=np.linspace(0.0, 1.0, 21), nodes=32):
+    rows = fig4_sweep(tangles, nodes=nodes)
     shares = [r.converted_share for r in rows]
     worst = max(abs(shares[0] - 1.0), abs(shares[-1]))
     for a, b in zip(shares, shares[1:]):
@@ -506,7 +548,7 @@ _CHECKS = (
     ("success_born_rule", 1e-10, _success_born_rule),
     ("success_strategy_independent", 1e-10, _success_strategy_independent),
     ("separability_zero", 1e-10, _separability_zero),
-    ("separability_argmin", 0.14, _separability_argmin),
+    ("separability_argmin", 1e-10, _separability_argmin),
     ("decomposition_residuals", 1e-10, _decomposition_residuals),
     ("decomposition_sensitivity", 1e-12, _decomposition_sensitivity),
     ("conservation", 1e-10, _conservation),
@@ -520,19 +562,19 @@ _CHECKS = (
     ("bargmann_teleport_branches", 1e-10, _bargmann_teleport_branches),
     ("fig2_monotone", 1e-12, _fig2_monotone),
     ("fig2_limit", 1e-6, _fig2_limit),
-    ("fig3_share_monotone_interior", 1e-10, _fig3_share_monotone_interior),
+    ("fig3_share_monotone_interior", 1e-12, _fig3_share_monotone_interior),
     ("fig3_share_saturated", 1e-10, _fig3_share_saturated),
     ("band_argmax", 1e-3, _band_argmax),
     ("band_flat", 1e-10, _band_flat),
     ("teleport_total_closed", 1e-12, _teleport_total_closed),
     ("teleport_state_independent", 1e-12, _teleport_state_independent),
-    ("teleport_fidelity", 1e-10, _teleport_fidelity),
+    ("teleport_fidelity", 1e-12, _teleport_fidelity),
     ("teleport_failure_leak", 1e-12, _teleport_failure_leak),
     ("teleport_branch_priors", 1e-12, _teleport_branch_priors),
     ("teleport_branch_ledger", 1e-9, _teleport_branch_ledger),
     ("smr_maximal_channel", 1e-8, _smr_maximal_channel),
     ("smr_product_channel", 1e-12, _smr_product_channel),
-    ("fig4_share_profile", 1e-9, _fig4_share_profile),
+    ("fig4_share_profile", 1e-12, _fig4_share_profile),
     ("quadrature_table", 1e-12, _quadrature_table),
     ("coupling_unitarity", 1e-10, _coupling_unitarity),
     ("born_sums", 1e-10, _born_sums),
@@ -576,8 +618,10 @@ def run_selftest(tolerance_override: Optional[float] = None,
     tolerance_override, when given, replaces every per-check tolerance;
     only filters checks to those whose name contains the substring.
     """
-    if tolerance_override is not None and tolerance_override <= 0.0:
-        raise RangeError(f"tolerance must be positive, got {tolerance_override!r}")
+    if tolerance_override is not None and not (
+            math.isfinite(tolerance_override) and tolerance_override > 0.0):
+        raise RangeError(
+            f"tolerance must be finite and positive, got {tolerance_override!r}")
     selected = [(n, t, f) for n, t, f in _CHECKS
                 if only is None or only in n]
     if not selected:

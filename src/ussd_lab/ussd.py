@@ -37,11 +37,11 @@ from .qcore import (
     Unitary,
     apply,
     complete_unitary,
-    partial_trace,
     projective_measure,
     reorder,
     tensor,
 )
+from .coherence import _tangle
 from .tolerances import DEFAULT as TOL
 
 _TWO_PI = 2.0 * math.pi
@@ -495,14 +495,8 @@ def total_coherence_conservation(inst: UssdInstance,
                                  strat: UssdStrategy) -> ConservationReport:
     """The environment's tangle with everything else cannot change under
     a coupling that never touches the environment."""
-    chi = build_chi(inst)
-    before = 4.0 * max(
-        float(np.linalg.det(partial_trace(chi, ["C"]).matrix).real), 0.0
-    )
-    psi = coupled_state(inst, strat)
-    after = 4.0 * max(
-        float(np.linalg.det(partial_trace(psi, ["C"]).matrix).real), 0.0
-    )
+    before = _tangle(build_chi(inst), "C")
+    after = _tangle(coupled_state(inst, strat), "C")
     return ConservationReport(before=before, after=after,
                               residual=float(abs(before - after)))
 

@@ -57,14 +57,18 @@ class TestEval:
             if isinstance(v, float):
                 assert v == float(f"{v:.12g}")
 
+    @pytest.mark.filterwarnings("error")
     def test_invalid_overlap_is_exit_2(self, tmp_path, capsys):
         assert main(["eval", "--alpha", "1.0"]) == 2
         assert "alpha" in capsys.readouterr().err
         for argv, field in ((["eval", "--alpha", "nan"], "alpha"),
-                            (["eval", "--alpha-phase", "inf"], "alpha"),
+                            (["eval", "--alpha-phase", "inf"], "alpha_phase"),
+                            (["eval", "--alpha-c-phase", "nan"], "alpha_c_phase"),
                             (["fig2", "--alpha", "nan"], "alpha"),
+                            (["fig2", "--alpha", "inf"], "alpha"),
                             (["eval", "--alpha-c", "nan"], "alpha_c"),
-                            (["fig3", "--alpha-c", "nan"], "alpha_c")):
+                            (["fig3", "--alpha-c", "nan"], "alpha_c"),
+                            (["teleport", "--rho", "nan"], "rho")):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert re.search(rf"\b{field}\b", err), (argv, err)
@@ -183,6 +187,9 @@ class TestSelftest:
     def test_unknown_filter_is_exit_2(self, capsys):
         assert main(["selftest", "--only", "bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
+        for bad in ("inf", "nan"):
+            assert main(["selftest", "--only", "spot", "--tolerance", bad]) == 2
+            assert "tolerance" in capsys.readouterr().err
 
 
 class TestOutputHygiene:
