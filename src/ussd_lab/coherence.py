@@ -16,22 +16,18 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import NumericalError, PartitionError, ShapeError
-from .qcore import DensityMatrix, PureState, partial_trace
+from .errors import (
+    DegenerateOverlap,
+    NumericalError,
+    PartitionError,
+    RangeError,
+    ShapeError,
+)
+from .qcore import DensityMatrix, PureState, partial_trace, reduce_stack
 from .tolerances import DEFAULT as TOL
 
 _SY = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(_SY, _SY).real  # spin-flip kernel, real in this basis
-
-
-def _as_matrix(rho, dim: int) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        m = rho.matrix
-    else:
-        m = np.asarray(rho, dtype=complex)
-    if m.shape != (dim, dim):
-        raise ShapeError(f"expected a {dim}x{dim} matrix, got {m.shape}")
-    return m
 
 
 def _as_vector(psi, dim: int) -> np.ndarray:
@@ -44,25 +40,41 @@ def _as_vector(psi, dim: int) -> np.ndarray:
     return v
 
 
-def wootters_concurrence(rho) -> float:
-    """Concurrence of a two-qubit mixed state.
+def wootters_concurrence(rho):
+    """Concurrence of a two-qubit mixed state, or of each in a stack.
 
-    Works from a rank-revealing factorization rho = V V^dag and takes the
-    singular values of V^T (sy x sy) V. These equal the conventional
-    square-rooted eigenvalues of rho rho~ but remain accurate for the
-    rank-2 states this package produces, where the textbook sqrt(rho)
-    route loses half the available digits.
+    rho is one 4x4 matrix (or DensityMatrix), which gives a float, or a
+    (..., 4, 4) stack, which gives an array of the leading shape; one
+    matrix is a stack of one. Works from a rank-revealing factorization
+    rho = V V^dag and takes the singular values of V^T (sy x sy) V.
+    These equal the conventional square-rooted eigenvalues of rho rho~
+    but remain accurate for the rank-2 states this package produces,
+    where the textbook sqrt(rho) route loses half the available digits.
+    Matrices are grouped by rank, so each factor has the shape it would
+    have on its own and every value is bit-equal to a call on that
+    matrix alone.
     """
-    m = _as_matrix(rho, 4)
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    if m.ndim < 2 or m.shape[-2:] != (4, 4):
+        raise ShapeError(f"expected a 4x4 matrix or a stack of them, got {m.shape}")
+    lead = m.shape[:-2]
+    m = m.reshape(-1, 4, 4)
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
     w = np.clip(w, 0.0, None)
-    keep = w > TOL.rank_cut * max(float(w.max()), 1e-300)
-    if not keep.any():
+    # eigenvalues ascend, so the kept ones are the last `rank` of each row
+    top = w[:, 3:]
+    ranks = (w > TOL.rank_cut * np.where(1e-300 > top, 1e-300, top)).sum(axis=-1)
+    groups = set(ranks.tolist())
+    if 0 in groups:
         raise ShapeError("matrix has zero trace, not a state")
-    fac = v[:, keep] * np.sqrt(w[keep])
-    lam = np.linalg.svd(fac.T @ _YY @ fac, compute_uv=False)
-    lam = np.concatenate([lam, np.zeros(4 - lam.size)])
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    lam = np.zeros((len(m), 4))
+    for r in groups:
+        rows = slice(None) if len(groups) == 1 else np.flatnonzero(ranks == r)
+        fac = v[rows, :, 4 - r:] * np.sqrt(w[rows, None, 4 - r:])
+        lam[rows, :r] = np.linalg.svd(fac.swapaxes(-1, -2) @ _YY @ fac, compute_uv=False)
+    c = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    c = np.where(c > 0.0, c, 0.0)
+    return c.reshape(lead) if lead else float(c[0])
 
 
 def pure_concurrence(psi, part=None) -> float:
@@ -272,6 +284,21 @@ def closed_form_coherences(inst, strat) -> tuple:
     return (float(c_total), float(c_ancilla), float(c_genuine))
 
 
+def closed_form_total_converted(pts) -> tuple:
+    """The total and ancilla-vs-rest entries of closed_form_coherences
+    over a SeparablePoints stack, as two arrays, each entry bit-equal to
+    the scalar triple at the same separable strategy."""
+    aa = np.hypot(pts.alpha.real, pts.alpha.imag)
+    ac = np.hypot(pts.alpha_c.real, pts.alpha_c.imag)
+    mp = np.hypot(pts.alpha_plus.real, pts.alpha_plus.imag)
+    mm = np.hypot(pts.alpha_minus.real, pts.alpha_minus.imag)
+    pref = 4.0 * pts.r_plus * pts.r_minus * (1.0 - ac * ac)
+    c_total = pref * (1.0 - aa) * (1.0 + aa)
+    # a scalar x ** 2 calls pow, which an array square can miss by an ulp
+    c_ancilla = pref * (np.float_power(mp - mm, 2) + 2.0 * aa * (1.0 - aa))
+    return c_total, c_ancilla
+
+
 @dataclass(frozen=True)
 class BandScan:
     """Extremes of the environment-ancilla coherence share over the
@@ -301,29 +328,26 @@ def coherence_band(p_plus: float, abs_alpha: float, abs_alpha_c: float,
     separable failure angles, where the total coherence reduces to the
     environment one-vs-rest tangle; the share is then the pairwise
     environment-ancilla tangle divided by that total. The scan covers
-    [0, pi] (mirror symmetry supplies the rest) and the peak is refined
-    by golden-section search, so the reported argmax does not lean on
-    any closed-form expectation.
-    """
-    from .ussd import coupled_state, make_instance, separable_strategy
+    [0, pi] (mirror symmetry supplies the rest) as one array pass: the
+    scan_points // 2 + 1 phases go through separable_points,
+    coupled_amplitudes, reduce_stack and a (N, 4, 4) wootters_concurrence
+    together. The peak is then refined by golden-section search, each
+    step the same pass on a single phase, so the reported argmax rests on
+    the numeric ledger route and not on any closed-form expectation.
 
+    The share is undefined where the total coherence vanishes: at an
+    extreme prior (p_plus not in (0, 1), RangeError) and at
+    |alpha_c| = 1 (DegenerateOverlap).
+    """
     if scan_points < 8:
         raise ShapeError("scan_points too small to bracket a peak")
-
-    def share(gamma: float) -> float:
-        inst = make_instance(p_plus, abs_alpha * np.exp(1j * gamma), abs_alpha_c)
-        strat = separable_strategy(inst)
-        psi = coupled_state(inst, strat)
-        total = _tangle(psi, "C")
-        if total < 1e-30:
-            raise NumericalError("total coherence vanished; share undefined")
-        c_ca = wootters_concurrence(partial_trace(psi, ["C", "A"]).matrix)
-        # bounded by the pivot sum, so out-of-range values are pure noise
-        return min(max(float(c_ca * c_ca / total), 0.0), 1.0)
+    if not 0.0 < p_plus < 1.0:
+        raise RangeError(f"p_plus must lie in (0, 1) for a phase band, got {p_plus!r}; "
+                         "an extreme prior carries no coherence to share")
 
     half = scan_points // 2 + 1
     gammas = np.linspace(0.0, math.pi, half)
-    vals = np.array([share(g) for g in gammas])
+    vals = _band_share(p_plus, abs_alpha, abs_alpha_c, gammas)
     vmin, vmax = float(vals.min()), float(vals.max())
 
     if vmax - vmin < 1e-12 * max(1.0, vmax):
@@ -334,12 +358,36 @@ def coherence_band(p_plus: float, abs_alpha: float, abs_alpha_c: float,
     k = int(np.argmax(vals))
     lo = gammas[max(k - 1, 0)]
     hi = gammas[min(k + 1, half - 1)]
-    arg, neg_peak = _golden_min(lambda g: -share(g), float(lo), float(hi))
+    arg, neg_peak = _golden_min(
+        lambda g: -float(_band_share(p_plus, abs_alpha, abs_alpha_c, [g])[0]),
+        float(lo), float(hi))
     vmax = max(vmax, -neg_peak)
 
     tol_min = vmin + 1e-9 * max(1.0, vmax)
     argmin = tuple(float(g) for g, v in zip(gammas, vals) if v <= tol_min)
     return BandScan(vmin, float(vmax), argmin, float(arg), scan_points)
+
+
+def _band_share(p_plus, abs_alpha, abs_alpha_c, gammas) -> np.ndarray:
+    """Environment-ancilla share at each phase, on the numeric route."""
+    from .ussd import coupled_amplitudes, separable_points
+
+    pts = separable_points(p_plus, abs_alpha * np.exp(1j * np.asarray(gammas, dtype=float)),
+                           abs_alpha_c)
+    if abs(abs_alpha_c) >= 1.0:
+        raise DegenerateOverlap(
+            f"|alpha_c| = {abs_alpha_c!r}: identical environment states carry "
+            "no coherence, so the band share is undefined")
+    amps = coupled_amplitudes(pts)
+    det = np.linalg.det(reduce_stack(amps, ("S", "A", "C"), ["C"])).real
+    total = 4.0 * np.where(0.0 > det, 0.0, det)
+    if (total < 1e-30).any():
+        raise NumericalError("total coherence vanished; share undefined")
+    c_ca = wootters_concurrence(reduce_stack(amps, ("S", "A", "C"), ["C", "A"]))
+    share = c_ca * c_ca / total
+    # bounded by the pivot sum, so out-of-range values are pure noise
+    share = np.where(0.0 > share, 0.0, share)
+    return np.where(1.0 < share, 1.0, share)
 
 
 def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> tuple:

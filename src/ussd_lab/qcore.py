@@ -91,6 +91,20 @@ class PureState:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
+def _check_density(m: np.ndarray) -> None:
+    """Hermitian, unit-trace and positive-semidefinite checks on one
+    density matrix or on a (..., d, d) stack of them; the first matrix
+    to fail names the fault."""
+    if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > TOL.hermitian:
+        raise ShapeError("density matrix is not Hermitian")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    bad = np.abs(tr.real - 1.0) > TOL.trace_one
+    if bad.any():
+        raise ShapeError(f"density matrix trace {tr[bad].flat[0]!r} != 1")
+    if np.linalg.eigvalsh(m).min() < -TOL.psd_floor:
+        raise ShapeError("density matrix has a negative eigenvalue")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator on a register."""
@@ -105,12 +119,7 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (d, d):
             raise ShapeError(f"register {reg} needs a {d}x{d} matrix, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > TOL.hermitian:
-            raise ShapeError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TOL.trace_one:
-            raise ShapeError(f"density matrix trace {np.trace(m)!r} != 1")
-        if np.linalg.eigvalsh(m).min() < -TOL.psd_floor:
-            raise ShapeError("density matrix has a negative eigenvalue")
+        _check_density(m)
         object.__setattr__(self, "matrix", _frozen_array(m, (d, d)))
 
     @property
@@ -215,15 +224,9 @@ def reorder(psi: PureState, new_register) -> PureState:
     return PureState(new_reg, tens.reshape(-1))
 
 
-def partial_trace(state, keep) -> DensityMatrix:
-    """Reduced density matrix on the kept labels, original order preserved.
-
-    Accepts a PureState or a DensityMatrix. keep must be a nonempty subset
-    of the register; keeping everything is allowed and simply returns the
-    full density matrix.
-    """
+def _split(reg: tuple, keep) -> tuple:
+    """Kept labels in register order, their axes, and the traced axes."""
     keep_set = list(dict.fromkeys(keep))
-    reg = state.register
     for q in keep_set:
         if q not in reg:
             raise UnknownQubit(f"label {q!r} not in register {reg}")
@@ -232,6 +235,18 @@ def partial_trace(state, keep) -> DensityMatrix:
     kept = tuple(q for q in reg if q in keep_set)
     kept_axes = [reg.index(q) for q in kept]
     traced_axes = [i for i in range(len(reg)) if i not in kept_axes]
+    return kept, kept_axes, traced_axes
+
+
+def partial_trace(state, keep) -> DensityMatrix:
+    """Reduced density matrix on the kept labels, original order preserved.
+
+    Accepts a PureState or a DensityMatrix. keep must be a nonempty subset
+    of the register; keeping everything is allowed and simply returns the
+    full density matrix.
+    """
+    reg = state.register
+    kept, kept_axes, traced_axes = _split(reg, keep)
     dk = 2 ** len(kept)
 
     if isinstance(state, PureState):
@@ -254,6 +269,30 @@ def partial_trace(state, keep) -> DensityMatrix:
 
     rho = 0.5 * (rho + rho.conj().T)  # kill round-off asymmetry
     return DensityMatrix(kept, rho)
+
+
+def reduce_stack(amplitudes, register, keep) -> np.ndarray:
+    """Reduced density matrices of a stack of pure states.
+
+    amplitudes is an (N, 2**n) array of normalized state vectors on
+    register; the result is the (N, dk, dk) stack of their reductions to
+    the kept labels, in register order, validated as density matrices.
+    At least one qubit must be traced out. Each matrix is bit-equal to
+    partial_trace of the same PureState: the batched matmul hands BLAS
+    every slice with the strides tensordot gives it for one state.
+    """
+    reg = _checked_register(register)
+    kept, kept_axes, traced_axes = _split(reg, keep)
+    if not traced_axes:
+        raise PartitionError("a reduction must trace out at least one qubit")
+    dk, dt = 2 ** len(kept), 2 ** (len(reg) - len(kept))
+    t = np.asarray(amplitudes, dtype=complex).reshape((-1,) + (2,) * len(reg))
+    ket = t.transpose([0] + [1 + a for a in kept_axes + traced_axes])
+    bra = t.conj().transpose([0] + [1 + a for a in traced_axes + kept_axes])
+    rho = ket.reshape(-1, dk, dt) @ bra.reshape(-1, dt, dk)
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    _check_density(rho)
+    return rho
 
 
 def apply(u: Unitary, psi: PureState, targets=None) -> PureState:

@@ -40,9 +40,10 @@ from .ussd import (
     coupling_unitary,
     make_instance,
     p_suc_max,
+    separable_points,
     separable_strategy,
 )
-from .coherence import closed_form_coherences
+from .coherence import closed_form_coherences, closed_form_total_converted
 
 _E0 = np.array([1.0, 0.0], dtype=complex)
 _E1 = np.array([0.0, 1.0], dtype=complex)
@@ -360,27 +361,38 @@ def square_mean_root(channel_angle: float, nodes: int = 64) -> tuple:
 
     "total" is the full amount, "converted" the part moved onto the
     ancilla cut (the ancilla-vs-rest share) and "retained" the
-    system-environment remainder. All three come from one pass over the
-    branch coherences. The azimuthal integral is trivial (integrands are
-    azimuth-free), leaving one polar integral evaluated by
-    Gauss-Legendre; the integrand is analytic in the polar angle, so 64
-    nodes already reach machine precision.
+    system-environment remainder. The azimuthal integral is trivial
+    (integrands are azimuth-free), leaving one polar integral evaluated
+    by Gauss-Legendre; the integrand is analytic in the polar angle, so
+    64 nodes already reach machine precision. The branch coherences of
+    all nodes x both carrier outcomes come from one array pass, a
+    (nodes, 2) stack through separable_points and
+    closed_form_total_converted; each equals branch_coherences at its
+    node, and the weighted terms are summed node by node in node order.
     """
     if not 0.0 <= channel_angle <= _QUARTER_PI + 1e-12:
         raise RangeError(f"channel_angle must lie in [0, pi/4], got {channel_angle!r}")
     if nodes < 2:
         raise RangeError("need at least 2 quadrature nodes")
+    if abs(channel_angle - _QUARTER_PI) < 1e-12:
+        # degenerate channel: no branch carries coherence
+        return (0.0, 0.0, 0.0)
     x, w = np.polynomial.legendre.leggauss(nodes)
     mus = 0.5 * math.pi * (x + 1.0)
+    signs = np.array([1.0, -1.0])
+    s2, cos_mu = math.sin(2.0 * channel_angle), np.cos(mus)[:, None]
+    # the (nodes, 2) overlaps of _branch_overlaps, broadcast by the kernel
+    pts = separable_points(0.5, signs * s2, cos_mu)
+    total, converted = (c.reshape(nodes, 2) for c in closed_form_total_converted(pts))
+    roots = np.sqrt(np.maximum(np.stack([total, converted, total - converted], -1), 0.0))
+    prob = 0.5 * (1.0 + signs * s2 * cos_mu)             # branch_probability
+    val = np.zeros((nodes, 3))
+    for b in (0, 1):
+        val += prob[:, b, None] * roots[:, b]
+    terms = w[:, None] * 0.5 * val * np.sin(mus)[:, None]
     acc = np.zeros(3)
-    for mu, wt in zip(mus, w):
-        probe = TeleportInstance(channel_angle, float(mu), 0.0)
-        val = np.zeros(3)
-        for b in (0, 1):
-            total, converted, _ = branch_coherences(probe, b)
-            c = np.array([total, converted, total - converted])
-            val += branch_probability(probe, b) * np.sqrt(np.maximum(c, 0.0))
-        acc += wt * 0.5 * val * math.sin(mu)
+    for term in terms:
+        acc += term
     acc *= 0.5 * math.pi
     return tuple(float(a) for a in acc * acc)
 

@@ -469,6 +469,164 @@ def separable_strategy(inst: UssdInstance, ancilla_init=None) -> UssdStrategy:
     return replace(base, beta=params.beta_star, delta=params.delta_star)
 
 
+# ---------------------------------------------------------------------------
+# the separable point over arrays
+#
+# The array chain repeats the scalar chain above operation for operation,
+# so that every float, and the sign of every zero, comes out bit-equal to
+# it. With numpy 2.4.6 on an AVX-512 x86-64 host, three array idioms
+# differ from their scalar forms in the last bit, and are avoided here:
+# - np.abs of a complex array differs from abs(complex) on 35 % of draws;
+#   np.hypot of the parts matches (_abs).
+# - x**2 on an array is a square, where a scalar x ** 2 calls pow; they
+#   differ on about 0.1 % of draws. np.float_power(x, 2) calls pow.
+# - The product of two complex arrays fuses a multiply and an add, where
+#   the scalar product rounds each term; they differ on 44 % of draws.
+#   _cmul forms the scalar product in real arithmetic.
+# A real times a complex factor rounds alike either way, so those stay
+# plain array products, as do the Kronecker products the scalar chain
+# itself forms on arrays (with the same operand broadcast).
+
+_E0 = np.array([1.0, 0.0], dtype=complex)
+_E1 = np.array([0.0, 1.0], dtype=complex)
+_E00, _E10 = np.kron(_E0, _E0), np.kron(_E1, _E0)
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for complex arrays, rounded as a scalar complex product."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    return np.hypot(z.real, z.imag)
+
+
+def _pymax(a, b):
+    """Python's max(a, b) elementwise: b only where b > a."""
+    return np.where(b > a, b, a)
+
+
+def _check(bad, error, message) -> None:
+    """Raise error(message(i)) at the first entry i flagged in bad."""
+    if np.count_nonzero(bad):
+        raise error(message(int(np.flatnonzero(bad)[0])))
+
+
+def _flat(value, shape, dtype) -> np.ndarray:
+    out = np.empty(shape, dtype=dtype)
+    out[...] = value
+    return out.reshape(-1)
+
+
+@dataclass(frozen=True)
+class SeparablePoints:
+    """Instances at their optimal radii and separable failure angles, one
+    array entry per instance: the array form of make_instance followed by
+    separable_strategy. alpha and alpha_c are the canonical overlaps,
+    alpha_plus/alpha_minus the optimal failure overlaps, beta/delta the
+    separable failure angles."""
+
+    alpha: np.ndarray
+    alpha_c: np.ndarray
+    r_plus: np.ndarray
+    r_minus: np.ndarray
+    alpha_plus: np.ndarray
+    alpha_minus: np.ndarray
+    beta: np.ndarray
+    delta: np.ndarray
+
+
+def separable_points(p_plus, alpha, alpha_c) -> SeparablePoints:
+    """make_instance and separable_strategy over broadcast arrays of
+    priors and complex overlaps, with every check of UssdInstance,
+    UssdStrategy and check_pair applied to the whole array; the first
+    entry to fail names the fault. Entries are bit-equal to the scalar
+    chain."""
+    shape = np.broadcast(p_plus, alpha, alpha_c).shape
+    p = _flat(p_plus, shape, float)
+    a, ac = _flat(alpha, shape, complex), _flat(alpha_c, shape, complex)
+    _check(~((0.0 <= p) & (p <= 1.0)), RangeError,
+           lambda i: f"p_plus must lie in [0, 1], got {float(p[i])!r}")
+    swapped = p > 0.5
+    p = np.where(swapped, 1.0 - p, p)
+    a, ac = np.where(swapped, a.conj(), a), np.where(swapped, ac.conj(), ac)
+    for name, z in (("alpha", a), ("alpha_c", ac)):
+        _check(~np.isfinite(z), RangeError,
+               lambda i: f"{name} must be finite, got {complex(z[i])!r}")
+    aa, acm = _abs(a), _abs(ac)
+    _check(aa >= 1.0, DegenerateOverlap,
+           lambda i: f"|alpha| = {float(aa[i])!r} leaves nothing to discriminate")
+    _check(acm > 1.0 + 1e-15, RangeError,
+           lambda i: f"|alpha_c| = {float(acm[i])!r} exceeds 1")
+
+    # r+- and the regime, as the UssdInstance properties
+    ga, gc = np.angle(a), np.angle(ac)
+    den = 1.0 + 2.0 * np.sqrt(p * (1.0 - p)) * aa * acm * np.cos(ga + gc)
+    rp, rm = p / den, (1.0 - p) / den
+    tilde = np.sqrt(p / (1.0 - p))
+    interior = aa < tilde
+
+    # optimal_strategy, with the phase of alpha on the reference side
+    mp = np.where(interior, np.sqrt(aa / np.where(interior, tilde, 1.0)), 1.0)
+    mm = np.where(interior, np.sqrt(aa * tilde), aa)
+    ap, am = mp * np.exp(1j * ga), mm.astype(complex)
+    abs_p, abs_m = _abs(ap), _abs(am)
+    _check((abs_p > 1.0 + 1e-12) | (abs_m > 1.0 + 1e-12), RangeError,
+           lambda i: "failure overlaps cannot exceed unit modulus")
+    prod = ap * am.conj()                             # check_pair
+    _check(_abs(prod - a) > 1e-12, RangeError,
+           lambda i: f"strategy overlaps give {complex(prod[i])!r}, "
+                     f"instance needs {complex(a[i])!r}")
+
+    # separability_params: the combination amplitudes and the angles
+    t_p, t_m = np.sqrt(rp) * ap, np.sqrt(rm) * am
+    amp_p = t_p + t_m * acm * np.exp(-1j * gc)
+    amp_m = t_m + _cmul(t_p * acm, np.exp(+1j * gc))
+    mp2, mm2 = np.float_power(abs_p, 2), np.float_power(abs_m, 2)
+    qp, qm = np.float_power(_abs(amp_p), 2), np.float_power(_abs(amp_m), 2)
+    fail = 1.0 - (rp * (1.0 - mp2) + rm * (1.0 - mm2))
+    num = np.sqrt(_pymax(rm * qm * (1.0 - mm2), 0.0))
+    dnm = np.sqrt(_pymax(rp * qp * (1.0 - mp2), 0.0))
+    # math.atan2 entry by entry: np.arctan2 differs from it in the last bit
+    beta = np.array([math.atan2(y, x) for y, x in zip(num.tolist(), dnm.tolist())])
+    delta = np.remainder(np.angle(amp_p) - np.angle(amp_m), _TWO_PI)
+    flat = fail < 1e-15
+    beta, delta = np.where(flat, 0.0, beta), np.where(flat, 0.0, delta)
+    _check(~((0.0 <= beta) & (beta <= math.pi / 2.0 + 1e-12)), RangeError,
+           lambda i: f"beta must lie in [0, pi/2], got {float(beta[i])!r}")
+    _check(~((0.0 <= delta) & (delta < _TWO_PI + 1e-12)), RangeError,
+           lambda i: f"delta must lie in [0, 2 pi), got {float(delta[i])!r}")
+    return SeparablePoints(alpha=a, alpha_c=ac, r_plus=rp, r_minus=rm,
+                           alpha_plus=ap, alpha_minus=am, beta=beta, delta=delta)
+
+
+def coupled_amplitudes(pts: SeparablePoints) -> np.ndarray:
+    """coupled_state over arrays: the (N, 8) amplitudes on (S, A, C),
+    checked for unit norm as PureState checks them."""
+    n = pts.beta.size
+    eta = np.empty((n, 2), dtype=complex)                # failure_direction
+    eta[:, 0] = np.cos(pts.beta)
+    eta[:, 1] = np.sin(pts.beta) * np.exp(1j * pts.delta)
+    ap, am = pts.alpha_plus[:, None], pts.alpha_minus[:, None]
+    bp = np.sqrt(_pymax(0.0, 1.0 - np.float_power(_abs(ap), 2)))
+    bm = np.sqrt(_pymax(0.0, 1.0 - np.float_power(_abs(am), 2)))
+    eta_a1 = (eta[:, :, None] * _E1).reshape(n, 4)       # np.kron(eta, e1)
+    zp = bp * _E00 + ap * eta_a1
+    zm = bm * _E10 + am * eta_a1
+    phi_bar = np.empty((n, 2), dtype=complex)             # _pair_with_overlap
+    phi_bar[:, 0] = pts.alpha_c.conj()
+    phi_bar[:, 1] = np.sqrt(_pymax(0.0, 1.0 - np.float_power(_abs(pts.alpha_c), 2)))
+    vec = (np.sqrt(pts.r_plus)[:, None] * (zp[:, :, None] * _E0).reshape(n, 8)
+           + np.sqrt(pts.r_minus)[:, None] * (zm[:, :, None] * phi_bar[:, None, :]).reshape(n, 8))
+    nrm2 = np.einsum("ij,ij->i", vec.conj(), vec).real
+    _check(np.abs(nrm2 - 1.0) > TOL.state_norm, ShapeError,
+           lambda i: f"state vector not normalized: ||psi||^2 = {float(nrm2[i])!r}")
+    return vec
+
+
 def system_ancilla_density(inst: UssdInstance, strat: UssdStrategy) -> np.ndarray:
     """Post-coupling reduced density operator of the system-ancilla pair,
     assembled in closed form on register (S, A)."""

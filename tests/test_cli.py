@@ -111,6 +111,18 @@ class TestSweeps:
         for r in rows:
             assert 0.0 <= float(r[i_bmin]) <= float(r[i_bmax]) <= 1.0
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--alpha-c", "1", "alpha_c"),
+        ("--p-plus", "0", "p_plus"),
+        ("--p-plus", "1", "p_plus"),
+    ])
+    def test_fig3_band_edges_name_the_input(self, flag, value, name, capsys):
+        # admissible instances whose total coherence vanishes: the ledger
+        # columns exist but the band share does not
+        assert main(["fig3", "--steps", "3", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "vanished" not in err
+
     def test_fig4_endpoints(self, tmp_path):
         code, text = run_cli(["fig4", "--steps", "5"], tmp_path)
         assert code == 0

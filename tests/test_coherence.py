@@ -18,7 +18,13 @@ from ussd_lab.coherence import (
     wootters_concurrence,
 )
 from ussd_lab.ussd import coupled_state, make_instance, separable_strategy
-from ussd_lab.errors import NumericalError, PartitionError, ShapeError
+from ussd_lab.errors import (
+    DegenerateOverlap,
+    NumericalError,
+    PartitionError,
+    RangeError,
+    ShapeError,
+)
 
 
 def ghz() -> PureState:
@@ -208,3 +214,13 @@ class TestBand:
     def test_scan_needs_points(self):
         with pytest.raises(ShapeError):
             coherence_band(0.4, 0.5, 0.8, scan_points=4)
+
+    @pytest.mark.parametrize("p_plus", [0.0, 1.0, -0.1, 1.5])
+    def test_extreme_prior_is_named(self, p_plus):
+        # no total coherence at an extreme prior, so no share to scan
+        with pytest.raises(RangeError, match="p_plus"):
+            coherence_band(p_plus, 0.5, 0.8, scan_points=16)
+
+    def test_unit_environment_overlap_is_named(self):
+        with pytest.raises(DegenerateOverlap, match="alpha_c"):
+            coherence_band(0.4, 0.5, 1.0, scan_points=16)
