@@ -35,7 +35,6 @@ from .ussd import (
     make_instance,
     p_suc_max,
     separable_strategy,
-    separability_params,
     system_ancilla_density,
     total_coherence_conservation,
 )
@@ -107,7 +106,6 @@ def cmd_eval(args) -> int:
     alpha_c = args.alpha_c * np.exp(1j * args.alpha_c_phase)
     inst = make_instance(args.p_plus, alpha, alpha_c)
     strat = separable_strategy(inst)
-    par = separability_params(inst, strat)
     led = ledger(coupled_state(inst, strat))
     ct, ca, cg = closed_form_coherences(inst, strat)
     led_total = led.c_total
@@ -130,8 +128,8 @@ def cmd_eval(args) -> int:
         ("abs_alpha_plus_opt", abs(strat.alpha_plus)),
         ("abs_alpha_minus_opt", abs(strat.alpha_minus)),
         ("p_suc_max", p_suc_max(inst)),
-        ("beta_star", par.beta_star),
-        ("delta_star", par.delta_star),
+        ("beta_star", strat.beta),
+        ("delta_star", strat.delta),
         ("c_total_closed", ct),
         ("c_total_ledger", led_total),
         ("c_converted_closed", ca),

@@ -265,37 +265,36 @@ def closed_form_coherences(inst, strat) -> tuple:
     numeric ledger only at the optimal radii together with the failure
     angles that make the system-ancilla pair separable; elsewhere they
     are just reference values. Callers comparing against a ledger must
-    evaluate at that point.
+    evaluate at that point. The first two entries are
+    closed_form_total_converted on a stack of one.
     """
-    aa = abs(inst.alpha)
+    from .ussd import SeparablePoints
+
+    c_total, c_ancilla = closed_form_total_converted(SeparablePoints.of(inst, strat))
     ac = abs(inst.alpha_c)
     mp = abs(strat.alpha_plus)
     mm = abs(strat.alpha_minus)
     pref = 4.0 * inst.r_plus * inst.r_minus * (1.0 - ac * ac)
-    # both brackets are rewritten to avoid cancellation as |alpha| -> 1;
-    # the second uses the pair constraint |a+||a-| = |alpha|
-    c_total = pref * (1.0 - aa) * (1.0 + aa)
-    c_ancilla = pref * ((mp - mm) ** 2 + 2.0 * aa * (1.0 - aa))
     bp = math.sqrt(max(1.0 - mp * mp, 0.0))
     bm = math.sqrt(max(1.0 - mm * mm, 0.0))
     amp = (bp * strat.alpha_minus * math.sin(strat.beta) * np.exp(1j * strat.delta)
            + bm * strat.alpha_plus * math.cos(strat.beta))
     c_genuine = pref * float(abs(amp) ** 2)
-    return (float(c_total), float(c_ancilla), float(c_genuine))
+    return (float(c_total[0]), float(c_ancilla[0]), float(c_genuine))
 
 
 def closed_form_total_converted(pts) -> tuple:
     """The total and ancilla-vs-rest entries of closed_form_coherences
-    over a SeparablePoints stack, as two arrays, each entry bit-equal to
-    the scalar triple at the same separable strategy."""
+    over a SeparablePoints stack, as two arrays."""
     aa = np.hypot(pts.alpha.real, pts.alpha.imag)
     ac = np.hypot(pts.alpha_c.real, pts.alpha_c.imag)
     mp = np.hypot(pts.alpha_plus.real, pts.alpha_plus.imag)
     mm = np.hypot(pts.alpha_minus.real, pts.alpha_minus.imag)
     pref = 4.0 * pts.r_plus * pts.r_minus * (1.0 - ac * ac)
+    # both brackets are rewritten to avoid cancellation as |alpha| -> 1;
+    # the second uses the pair constraint |a+||a-| = |alpha|
     c_total = pref * (1.0 - aa) * (1.0 + aa)
-    # a scalar x ** 2 calls pow, which an array square can miss by an ulp
-    c_ancilla = pref * (np.float_power(mp - mm, 2) + 2.0 * aa * (1.0 - aa))
+    c_ancilla = pref * ((mp - mm) ** 2 + 2.0 * aa * (1.0 - aa))
     return c_total, c_ancilla
 
 

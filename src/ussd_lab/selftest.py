@@ -198,13 +198,12 @@ def _separability_argmin(seeds=(None,)):
     for seed in seeds:
         inst = _argmin_instance(seed)
         strat = separable_strategy(inst)
-        par = separability_params(inst, strat)
         res = grid_min_concurrence(inst, strat,
                                    GridSpec(0.0, math.pi / 2, 25, 2),
                                    GridSpec(0.0, _TWO_PI, 49, 2))
         worst_res = max(worst_res, res.value)
-        worst = max(worst, abs(res.beta - par.beta_star),
-                    _circ_dist(res.delta, par.delta_star), res.value)
+        worst = max(worst, abs(res.beta - strat.beta),
+                    _circ_dist(res.delta, strat.delta), res.value)
     return worst, f"grid argmin vs closed form (residual concurrence {worst_res:.2e})"
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -304,14 +304,11 @@ def coupled_state(inst: UssdInstance, strat: UssdStrategy) -> PureState:
 
     This is the closed-form image of the preparation: each sub-state
     branch maps to its coupled image while the environment partner
-    states ride along unchanged (canonical embedding).
+    states ride along unchanged (canonical embedding). It is
+    coupled_amplitudes on a stack of one, for any strategy.
     """
     check_pair(inst, strat)
-    zp, zm = _zeta_vectors(strat)
-    phi, phi_bar = _pair_with_overlap(inst.alpha_c)
-    vec = (math.sqrt(inst.r_plus) * np.kron(zp, phi)
-           + math.sqrt(inst.r_minus) * np.kron(zm, phi_bar))
-    return PureState(("S", "A", "C"), vec)
+    return PureState(("S", "A", "C"), coupled_amplitudes(SeparablePoints.of(inst, strat))[0])
 
 
 def coupling_unitary(inst: UssdInstance, strat: UssdStrategy,
@@ -385,15 +382,14 @@ def run_protocol(inst: UssdInstance, strat: UssdStrategy,
 
 @dataclass(frozen=True)
 class SeparabilityParams:
-    """Two-term decomposition of the system-ancilla state and the failure
-    angles that disentangle the pair.
+    """Two-term decomposition of the system-ancilla state.
 
     The post-coupling system-ancilla density operator always splits into
     exactly two (subnormalized) pure pieces built on the coupled images
     of the sub-states; the combination weights q_plus/q_minus and phases
     omega_plus/omega_minus are functions of the instance and the strategy
-    radii only. beta_star and delta_star are the failure angles at which
-    the system-ancilla concurrence vanishes.
+    radii only. The failure angles at which the system-ancilla
+    concurrence vanishes are separable_strategy's beta and delta.
     """
 
     q_plus: float             # squared moduli of the combination amplitudes
@@ -406,19 +402,13 @@ class SeparabilityParams:
     q2_plus: float            # second piece
     q2_minus: float
     gamma2: float
-    beta_star: float
-    delta_star: float
 
 
 def separability_params(inst: UssdInstance, strat: UssdStrategy) -> SeparabilityParams:
-    """Decompose the system-ancilla state and locate the separable point.
+    """Decompose the system-ancilla state into its two pure pieces.
 
-    The two pieces are evaluated at the strategy's current failure
-    angles (the decomposition holds for any of them); beta_star and
-    delta_star report where the residual system-ancilla entanglement
-    vanishes. Degenerate combination amplitudes (possible when the
-    environment overlap has unit modulus) fall back to the arctangent
-    limits beta_star in {0, pi/2} and delta_star = 0.
+    The pieces are evaluated at the strategy's current failure angles;
+    the decomposition holds for any of them.
     """
     check_pair(inst, strat)
     rp, rm = inst.r_plus, inst.r_minus
@@ -440,7 +430,6 @@ def separability_params(inst: UssdInstance, strat: UssdStrategy) -> Separability
             q_plus=qp, q_minus=qm, omega_plus=wp, omega_minus=wm,
             q1_plus=0.0, q1_minus=0.0, gamma1=0.0,
             q2_plus=0.0, q2_minus=0.0, gamma2=g2,
-            beta_star=0.0, delta_star=0.0,
         )
 
     c1p = math.sqrt(rp * qp / fail)
@@ -448,56 +437,36 @@ def separability_params(inst: UssdInstance, strat: UssdStrategy) -> Separability
     env_gap = math.sqrt(max(0.0, 1.0 - acm * acm))
     c2p = abs(am) * env_gap * math.sqrt(rp * rm / fail)
     c2m = abs(ap) * env_gap * math.sqrt(rp * rm / fail)
-    g1 = wp - wm
-
-    num = rm * qm * (1.0 - abs(am) ** 2)
-    den = rp * qp * (1.0 - abs(ap) ** 2)
-    beta_star = math.atan2(math.sqrt(max(num, 0.0)), math.sqrt(max(den, 0.0)))
-    delta_star = g1 % _TWO_PI
     return SeparabilityParams(
         q_plus=qp, q_minus=qm, omega_plus=wp, omega_minus=wm,
-        q1_plus=c1p, q1_minus=c1m, gamma1=g1,
+        q1_plus=c1p, q1_minus=c1m, gamma1=wp - wm,
         q2_plus=c2p, q2_minus=c2m, gamma2=g2,
-        beta_star=beta_star, delta_star=delta_star,
     )
 
 
 def separable_strategy(inst: UssdInstance, ancilla_init=None) -> UssdStrategy:
-    """Optimal strategy with the failure angles set to the separable point."""
-    base = optimal_strategy(inst, ancilla_init=ancilla_init)
-    params = separability_params(inst, base)
-    return replace(base, beta=params.beta_star, delta=params.delta_star)
+    """Optimal strategy with the failure angles set to the separable point:
+    the kernel of separable_points on a stack of one, taking the
+    canonical instance as it is."""
+    pts = _separable(np.array([inst.p_plus]), np.array([inst.alpha], dtype=complex),
+                     np.array([inst.alpha_c], dtype=complex))
+    return UssdStrategy(alpha_plus=complex(pts.alpha_plus[0]),
+                        alpha_minus=complex(pts.alpha_minus[0]),
+                        beta=float(pts.beta[0]), delta=float(pts.delta[0]),
+                        ancilla_init=ancilla_init)
 
 
 # ---------------------------------------------------------------------------
 # the separable point over arrays
 #
-# The array chain repeats the scalar chain above operation for operation,
-# so that every float, and the sign of every zero, comes out bit-equal to
-# it. With numpy 2.4.6 on an AVX-512 x86-64 host, three array idioms
-# differ from their scalar forms in the last bit, and are avoided here:
-# - np.abs of a complex array differs from abs(complex) on 35 % of draws;
-#   np.hypot of the parts matches (_abs).
-# - x**2 on an array is a square, where a scalar x ** 2 calls pow; they
-#   differ on about 0.1 % of draws. np.float_power(x, 2) calls pow.
-# - The product of two complex arrays fuses a multiply and an add, where
-#   the scalar product rounds each term; they differ on 44 % of draws.
-#   _cmul forms the scalar product in real arithmetic.
-# A real times a complex factor rounds alike either way, so those stay
-# plain array products, as do the Kronecker products the scalar chain
-# itself forms on arrays (with the same operand broadcast).
+# np.abs of a complex array differs from np.hypot of its parts in the last
+# bit on about 35 % of draws (numpy 2.4.6, x86-64). The printed digits of
+# eval, fig3 and selftest follow np.hypot: with np.abs, nine of the goldens
+# under tests/golden move. _abs keeps it.
 
 _E0 = np.array([1.0, 0.0], dtype=complex)
 _E1 = np.array([0.0, 1.0], dtype=complex)
 _E00, _E10 = np.kron(_E0, _E0), np.kron(_E1, _E0)
-
-
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b for complex arrays, rounded as a scalar complex product."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
 
 
 def _abs(z: np.ndarray) -> np.ndarray:
@@ -523,11 +492,13 @@ def _flat(value, shape, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeparablePoints:
-    """Instances at their optimal radii and separable failure angles, one
-    array entry per instance: the array form of make_instance followed by
-    separable_strategy. alpha and alpha_c are the canonical overlaps,
-    alpha_plus/alpha_minus the optimal failure overlaps, beta/delta the
-    separable failure angles."""
+    """Canonical instances with a strategy each, one array entry per
+    instance: what coupled_amplitudes and closed_form_total_converted
+    read. alpha and alpha_c are the canonical overlaps, r_plus/r_minus
+    the branch weights, alpha_plus/alpha_minus the failure overlaps and
+    beta/delta the failure angles. separable_points fills it with the
+    optimal radii and separable angles; of() holds one instance with any
+    strategy."""
 
     alpha: np.ndarray
     alpha_c: np.ndarray
@@ -538,21 +509,34 @@ class SeparablePoints:
     beta: np.ndarray
     delta: np.ndarray
 
+    @classmethod
+    def of(cls, inst: UssdInstance, strat: UssdStrategy) -> "SeparablePoints":
+        """A stack of one: the instance with the strategy as given."""
+        return cls(*(np.array([v], dtype=t) for v, t in (
+            (inst.alpha, complex), (inst.alpha_c, complex),
+            (inst.r_plus, float), (inst.r_minus, float),
+            (strat.alpha_plus, complex), (strat.alpha_minus, complex),
+            (strat.beta, float), (strat.delta, float))))
+
 
 def separable_points(p_plus, alpha, alpha_c) -> SeparablePoints:
     """make_instance and separable_strategy over broadcast arrays of
     priors and complex overlaps, with every check of UssdInstance,
     UssdStrategy and check_pair applied to the whole array; the first
-    entry to fail names the fault. Entries are bit-equal to the scalar
-    chain."""
+    entry to fail names the fault."""
     shape = np.broadcast(p_plus, alpha, alpha_c).shape
     p = _flat(p_plus, shape, float)
     a, ac = _flat(alpha, shape, complex), _flat(alpha_c, shape, complex)
     _check(~((0.0 <= p) & (p <= 1.0)), RangeError,
            lambda i: f"p_plus must lie in [0, 1], got {float(p[i])!r}")
     swapped = p > 0.5
-    p = np.where(swapped, 1.0 - p, p)
-    a, ac = np.where(swapped, a.conj(), a), np.where(swapped, ac.conj(), ac)
+    return _separable(np.where(swapped, 1.0 - p, p), np.where(swapped, a.conj(), a),
+                      np.where(swapped, ac.conj(), ac))
+
+
+def _separable(p, a, ac) -> SeparablePoints:
+    """The separable point of each canonical instance (p <= 1/2 up to the
+    1e-15 UssdInstance allows), without the swap."""
     for name, z in (("alpha", a), ("alpha_c", ac)):
         _check(~np.isfinite(z), RangeError,
                lambda i: f"{name} must be finite, got {complex(z[i])!r}")
@@ -581,17 +565,18 @@ def separable_points(p_plus, alpha, alpha_c) -> SeparablePoints:
            lambda i: f"strategy overlaps give {complex(prod[i])!r}, "
                      f"instance needs {complex(a[i])!r}")
 
-    # separability_params: the combination amplitudes and the angles
+    # the combination amplitudes of separability_params, then the angles
+    # that make the system-ancilla pair separable (both 0 where no
+    # failure branch is left)
     t_p, t_m = np.sqrt(rp) * ap, np.sqrt(rm) * am
     amp_p = t_p + t_m * acm * np.exp(-1j * gc)
-    amp_m = t_m + _cmul(t_p * acm, np.exp(+1j * gc))
-    mp2, mm2 = np.float_power(abs_p, 2), np.float_power(abs_m, 2)
-    qp, qm = np.float_power(_abs(amp_p), 2), np.float_power(_abs(amp_m), 2)
+    amp_m = t_m + t_p * acm * np.exp(+1j * gc)
+    mp2, mm2 = abs_p ** 2, abs_m ** 2
+    qp, qm = _abs(amp_p) ** 2, _abs(amp_m) ** 2
     fail = 1.0 - (rp * (1.0 - mp2) + rm * (1.0 - mm2))
     num = np.sqrt(_pymax(rm * qm * (1.0 - mm2), 0.0))
     dnm = np.sqrt(_pymax(rp * qp * (1.0 - mp2), 0.0))
-    # math.atan2 entry by entry: np.arctan2 differs from it in the last bit
-    beta = np.array([math.atan2(y, x) for y, x in zip(num.tolist(), dnm.tolist())])
+    beta = np.arctan2(num, dnm)
     delta = np.remainder(np.angle(amp_p) - np.angle(amp_m), _TWO_PI)
     flat = fail < 1e-15
     beta, delta = np.where(flat, 0.0, beta), np.where(flat, 0.0, delta)
@@ -604,21 +589,21 @@ def separable_points(p_plus, alpha, alpha_c) -> SeparablePoints:
 
 
 def coupled_amplitudes(pts: SeparablePoints) -> np.ndarray:
-    """coupled_state over arrays: the (N, 8) amplitudes on (S, A, C),
-    checked for unit norm as PureState checks them."""
+    """The (N, 8) amplitudes on (S, A, C) after the coupling, one row per
+    stack entry, checked for unit norm as PureState checks them."""
     n = pts.beta.size
     eta = np.empty((n, 2), dtype=complex)                # failure_direction
     eta[:, 0] = np.cos(pts.beta)
     eta[:, 1] = np.sin(pts.beta) * np.exp(1j * pts.delta)
     ap, am = pts.alpha_plus[:, None], pts.alpha_minus[:, None]
-    bp = np.sqrt(_pymax(0.0, 1.0 - np.float_power(_abs(ap), 2)))
-    bm = np.sqrt(_pymax(0.0, 1.0 - np.float_power(_abs(am), 2)))
+    bp = np.sqrt(_pymax(0.0, 1.0 - _abs(ap) ** 2))
+    bm = np.sqrt(_pymax(0.0, 1.0 - _abs(am) ** 2))
     eta_a1 = (eta[:, :, None] * _E1).reshape(n, 4)       # np.kron(eta, e1)
     zp = bp * _E00 + ap * eta_a1
     zm = bm * _E10 + am * eta_a1
     phi_bar = np.empty((n, 2), dtype=complex)             # _pair_with_overlap
     phi_bar[:, 0] = pts.alpha_c.conj()
-    phi_bar[:, 1] = np.sqrt(_pymax(0.0, 1.0 - np.float_power(_abs(pts.alpha_c), 2)))
+    phi_bar[:, 1] = np.sqrt(_pymax(0.0, 1.0 - _abs(pts.alpha_c) ** 2))
     vec = (np.sqrt(pts.r_plus)[:, None] * (zp[:, :, None] * _E0).reshape(n, 8)
            + np.sqrt(pts.r_minus)[:, None] * (zm[:, :, None] * phi_bar[:, None, :]).reshape(n, 8))
     nrm2 = np.einsum("ij,ij->i", vec.conj(), vec).real

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from ussd_lab import selftest
-from ussd_lab.cli import main
 from ussd_lab.teleport import TeleportInstance, branch_to_ussd
 from ussd_lab.ussd import bargmann_phase
 
@@ -73,23 +72,3 @@ def test_g10_carrier_loop_phases_are_exactly_0_or_pi():
                 seen.add(ph)
     assert seen == {0.0, math.pi}
 
-
-def test_g11_cli_output_is_deterministic(tmp_path):
-    # identical invocations produce byte-identical files, every command
-    cases = [
-        ["eval", "--p-plus", "0.3", "--alpha", "0.45", "--alpha-phase", "0.8",
-         "--alpha-c", "0.6"],
-        ["eval", "--format", "json"],
-        ["fig2", "--steps", "7"],
-        ["fig3", "--steps", "5", "--band-points", "24"],
-        ["fig4", "--steps", "7", "--format", "json"],
-        ["teleport", "--rho", "0.3", "--sample", "500", "--seed", "3"],
-        ["selftest", "--only", "spot"],
-    ]
-    for i, args in enumerate(cases):
-        a = tmp_path / f"{i}a.out"
-        b = tmp_path / f"{i}b.out"
-        assert main([*args, "--out", str(a)]) == 0
-        assert main([*args, "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-        assert len(a.read_bytes()) > 0

@@ -1,12 +1,14 @@
-"""The array chain against the scalar chain, float for float.
+"""Stacks of N against stacks of one, float for float.
 
-separable_points, coupled_amplitudes, reduce_stack and a stacked
-wootters_concurrence must reproduce make_instance -> separable_strategy
--> coupled_state -> partial_trace -> wootters_concurrence bit for bit,
-and so must the band scan and the polar quadrature built on them: the CLI
-prints round-off digits (fig3's band_system_split columns), so "close"
-would still change its output. Floats are compared with ==, and the
-signs of zeros are compared too, since a zero's sign steers np.angle.
+separable_strategy, coupled_state and the total and converted entries
+of closed_form_coherences are the array kernel on a stack of one. A
+stack of N must give each entry the same bits: separable_points' own
+swap against make_instance and the UssdInstance weights, reduce_stack
+against partial_trace, a stacked wootters_concurrence against one matrix
+at a time, and the band scan and the polar quadrature against loops over
+single entries. The CLI prints round-off digits (fig3's
+band_system_split columns), so "close" would still change its output. Floats are compared with ==, and the signs of
+zeros are compared too, since a zero's sign steers np.angle.
 """
 
 import itertools
@@ -19,8 +21,6 @@ from ussd_lab.coherence import (
     _YY,
     BandScan,
     _golden_min,
-    closed_form_coherences,
-    closed_form_total_converted,
     coherence_band,
     wootters_concurrence,
 )
@@ -85,8 +85,7 @@ def scalar_chain(p, a, c):
     psi = coupled_state(inst, strat)
     rho_c = partial_trace(psi, ["C"]).matrix
     rho_ca = partial_trace(psi, ["C", "A"]).matrix
-    return (inst, strat, psi.amplitudes, rho_c, rho_ca,
-            wootters_concurrence(rho_ca), closed_form_coherences(inst, strat))
+    return inst, strat, psi.amplitudes, rho_c, rho_ca, wootters_concurrence(rho_ca)
 
 
 @pytest.fixture(scope="module")
@@ -131,49 +130,11 @@ class TestChain:
         rho_c = reduce_stack(amps, SAC, ["C"])
         rho_ca = reduce_stack(amps, SAC, ["C", "A"])
         conc = wootters_concurrence(rho_ca)
-        for k, (_, _, vec, rc, rca, c, _) in enumerate(refs):
+        for k, (_, _, vec, rc, rca, c) in enumerate(refs):
             assert_same(amps[k], vec)
             assert_same(rho_c[k], rc)
             assert_same(rho_ca[k], rca)
             assert conc[k] == c
-
-    def test_closed_total_and_converted(self, chains):
-        refs, _, pts, _ = chains
-        total, converted = closed_form_total_converted(pts)
-        for k, ref in enumerate(refs):
-            assert (total[k], converted[k]) == ref[6][:2]
-
-    def test_draws_where_square_and_pow_differ(self):
-        # x * x and pow(x, 2) disagree in the last bit on about 0.1 % of
-        # inputs, and a later sum often absorbs the difference: too rarely
-        # for the draws above to meet. Pick, from a large pool, draws where
-        # it shows in 1 - |alpha+|^2 or in (|alpha+| - |alpha-|)^2, so a
-        # square written as x**2 fails here.
-        rng = np.random.default_rng(12)
-        n = 100000
-        p = rng.uniform(0.0, 1.0, n)
-        a = rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(-7.0, 7.0, n))
-        c = rng.uniform(0.0, 1.0, n) * np.exp(1j * rng.uniform(-7.0, 7.0, n))
-        pts = separable_points(p, a, c)
-        mp = np.hypot(pts.alpha_plus.real, pts.alpha_plus.imag)
-        d = mp - np.hypot(pts.alpha_minus.real, pts.alpha_minus.imag)
-        pick = np.flatnonzero((1.0 - mp * mp != 1.0 - np.float_power(mp, 2))
-                              | (d * d != np.float_power(d, 2)))
-        assert pick.size >= 20
-        sub = separable_points(p[pick], a[pick], c[pick])
-        amps = coupled_amplitudes(sub)
-        total, converted = closed_form_total_converted(sub)
-        for k, i in enumerate(pick):
-            _, strat, vec, _, _, _, closed = scalar_chain(p[i], a[i], c[i])
-            assert sub.beta[k] == strat.beta
-            assert_same(amps[k], vec)
-            assert (total[k], converted[k]) == closed[:2]
-
-    def test_inadmissible_draws_fail_alike(self, chains):
-        _, failures, _, _ = chains
-        for (p, a, c), kind in failures:
-            with pytest.raises(kind):
-                coupled_amplitudes(separable_points(p, a, c))
 
     def test_checks_name_the_input(self):
         with pytest.raises(RangeError, match="p_plus"):

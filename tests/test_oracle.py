@@ -66,13 +66,12 @@ class TestConcurrenceSearch:
     def test_argmin_agrees_with_closed_form(self):
         inst = make_instance(0.3, 0.45 * np.exp(0.8j), 0.6 * np.exp(0.4j))
         strat = separable_strategy(inst)
-        par = separability_params(inst, strat)
         res = grid_min_concurrence(inst, strat,
                                    GridSpec(0.0, math.pi / 2, 21, 2),
                                    GridSpec(0.0, 2 * math.pi, 41, 2))
         assert res.value < 1e-9
-        assert abs(res.beta - par.beta_star) < (math.pi / 2) / 20
-        d = abs(res.delta - par.delta_star) % (2 * math.pi)
+        assert abs(res.beta - strat.beta) < (math.pi / 2) / 20
+        d = abs(res.delta - strat.delta) % (2 * math.pi)
         assert min(d, 2 * math.pi - d) < (2 * math.pi) / 40
 
 

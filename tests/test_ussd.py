@@ -11,6 +11,7 @@ from ussd_lab.qcore import partial_trace
 from ussd_lab.coherence import initial_coherence, wootters_concurrence
 from ussd_lab.ussd import (
     Embedding,
+    UssdInstance,
     UssdStrategy,
     bargmann_loop,
     bargmann_phase,
@@ -230,10 +231,9 @@ class TestSeparability:
 
     def test_landmark_angles(self):
         # q+- = 0.16 each, so tan(beta*) = sqrt(0.8*0.16*0.8 / (0.2*0.16*0.2))
-        par = separability_params(make_instance(0.2, 0.4, 0.0),
-                                  separable_strategy(make_instance(0.2, 0.4, 0.0)))
-        assert abs(par.beta_star - math.atan(4.0)) < 1e-14
-        assert abs(par.delta_star) < 1e-14
+        strat = separable_strategy(make_instance(0.2, 0.4, 0.0))
+        assert abs(strat.beta - math.atan(4.0)) < 1e-14
+        assert abs(strat.delta) < 1e-14
 
     def test_weight_partition_is_exact(self):
         rng = np.random.default_rng(6)
@@ -244,15 +244,25 @@ class TestSeparability:
             assert abs(par.q1_minus ** 2 + par.q2_minus ** 2 - inst.r_minus) < 1e-13
 
     def test_saturated_case_flags_along_the_equator(self):
-        inst = make_instance(0.4, 0.9, 0.5)
-        par = separability_params(inst, separable_strategy(inst))
-        assert abs(par.beta_star - math.pi / 2) < 1e-12
+        strat = separable_strategy(make_instance(0.4, 0.9, 0.5))
+        assert abs(strat.beta - math.pi / 2) < 1e-12
 
     def test_vanishing_overlap_has_no_failure_branch(self):
         inst = make_instance(0.3, 0.0, 0.6)
-        par = separability_params(inst, separable_strategy(inst))
+        strat = separable_strategy(inst)
+        par = separability_params(inst, strat)
         assert par.q1_plus == 0.0 and par.q2_plus == 0.0
-        assert par.beta_star == 0.0 and par.delta_star == 0.0
+        assert strat.beta == 0.0 and strat.delta == 0.0
+
+    def test_prior_just_above_one_half_is_not_swapped(self):
+        # UssdInstance admits p_plus up to 1/2 + 1e-15; the strategy must
+        # fit that instance, not its swapped twin
+        inst = UssdInstance(np.nextafter(0.5, 1.0), 0.4 * np.exp(0.7j),
+                            0.6 * np.exp(0.2j))
+        strat = separable_strategy(inst)
+        check_pair(inst, strat)
+        assert total_coherence_conservation(inst, strat).residual < 1e-10
+        assert wootters_concurrence(system_ancilla_density(inst, strat)) < 1e-10
 
     def test_density_assembly_matches_partial_trace(self):
         inst = make_instance(0.35, 0.5 * np.exp(0.2j), 0.6 * np.exp(1.4j))
