@@ -14,6 +14,7 @@ invalid input (the message names the offending field).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -173,16 +174,21 @@ def cmd_fig2(args) -> int:
 
 def cmd_fig3(args) -> int:
     pts = np.minimum(np.linspace(0.0, 1.0, args.steps), _CLIP)
-
-    def row(aa: float):
+    # every row's ledger runs before the band call, so an input that both
+    # reject is reported by the ledger; the fig3_env1 and fig3_p0 goldens
+    # pin which error a failing sweep prints
+    leds = []
+    for aa in pts:
         inst = make_instance(args.p_plus, float(aa) * np.exp(1j * math.pi / 2),
                              args.alpha_c)
-        led = ledger(coupled_state(inst, separable_strategy(inst)))
+        leds.append(ledger(coupled_state(inst, separable_strategy(inst))))
+    scans = coherence_band(args.p_plus, pts, args.alpha_c,
+                           scan_points=args.band_points)
+
+    def row(aa: float, led, scan):
         total = led.c_total
         conv = led.bipartite_of("A")
         ret = led.pair("S", "C")
-        scan = coherence_band(args.p_plus, float(aa), args.alpha_c,
-                              scan_points=args.band_points)
         return [float(aa), total, led.bipartite_of("S"), ret, conv,
                 led.pair("C", "A"),
                 conv / total if total > 0 else None,
@@ -196,7 +202,7 @@ def cmd_fig3(args) -> int:
                "band_system_split_min", "band_system_split_max"]
     meta = _meta(args, "fig3", p_plus=args.p_plus, abs_alpha_c=args.alpha_c,
                  steps=args.steps, band_points=args.band_points)
-    _emit(args, meta, columns, [row(x) for x in pts])
+    _emit(args, meta, columns, [row(*r) for r in zip(pts, leds, scans)])
     return 0
 
 
@@ -345,9 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parse_args leaves a parser as it found it, so main builds one per process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "steps", None) is not None and args.steps < 2:
         print("error: --steps must be at least 2", file=sys.stderr)
         return 2

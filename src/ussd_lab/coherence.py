@@ -318,61 +318,87 @@ class BandScan:
     scan_points: int
 
 
-def coherence_band(p_plus: float, abs_alpha: float, abs_alpha_c: float,
-                   scan_points: int = 720) -> BandScan:
+def coherence_band(p_plus: float, abs_alpha, abs_alpha_c: float,
+                   scan_points: int = 720):
     """Scan the environment-ancilla share of the total coherence over the
     relative phase.
+
+    abs_alpha is one magnitude, which gives a BandScan, or a 1-D stack
+    of them, which gives a tuple of BandScan, one per entry; one
+    magnitude is a stack of one, and every field is bit-equal to a call
+    on that entry alone.
 
     For each gamma the instance is evaluated at its optimal radii and
     separable failure angles, where the total coherence reduces to the
     environment one-vs-rest tangle; the share is then the pairwise
     environment-ancilla tangle divided by that total. The scan covers
-    [0, pi] (mirror symmetry supplies the rest) as one array pass: the
-    scan_points // 2 + 1 phases go through separable_points,
-    coupled_amplitudes, reduce_stack and a (N, 4, 4) wootters_concurrence
-    together. The peak is then refined by golden-section search, each
-    step the same pass on a single phase, so the reported argmax rests on
-    the numeric ledger route and not on any closed-form expectation.
+    [0, pi] (mirror symmetry supplies the rest) as one array pass over
+    every entry: the scan_points // 2 + 1 phases of each go through
+    separable_points, coupled_amplitudes, reduce_stack and a
+    (N, 4, 4) wootters_concurrence together. The peaks are then refined
+    by one golden-section search over all entries in lockstep, each step
+    the same pass on one phase per entry still searching, so the
+    reported argmax rests on the numeric ledger route and not on any
+    closed-form expectation.
 
     The share is undefined where the total coherence vanishes: at an
     extreme prior (p_plus not in (0, 1), RangeError) and at
-    |alpha_c| = 1 (DegenerateOverlap).
+    |alpha_c| = 1 (DegenerateOverlap). An entry of abs_alpha that is
+    not finite (RangeError) or not below 1 in magnitude
+    (DegenerateOverlap) is named by its index.
     """
     if scan_points < 8:
         raise ShapeError("scan_points too small to bracket a peak")
     if not 0.0 < p_plus < 1.0:
         raise RangeError(f"p_plus must lie in (0, 1) for a phase band, got {p_plus!r}; "
                          "an extreme prior carries no coherence to share")
+    given = np.asarray(abs_alpha, dtype=float)
+    if given.ndim > 1:
+        raise ShapeError(f"abs_alpha must be one magnitude or a 1-D stack, got {given.shape}")
+    aa = given.reshape(-1)
+    for i, v in enumerate(aa.tolist()):
+        name = f"abs_alpha[{i}]" if given.ndim else "abs_alpha"
+        if not math.isfinite(v):
+            raise RangeError(f"{name} must be finite, got {v!r}")
+        if abs(v) >= 1.0:
+            raise DegenerateOverlap(f"{name} = {v!r} leaves nothing to discriminate")
+    if aa.size == 0:
+        return ()
 
     half = scan_points // 2 + 1
     gammas = np.linspace(0.0, math.pi, half)
-    vals = _band_share(p_plus, abs_alpha, abs_alpha_c, gammas)
-    vmin, vmax = float(vals.min()), float(vals.max())
+    vals = _band_share(p_plus, aa[:, None], abs_alpha_c, gammas)
+    vmin, vmax = vals.min(axis=1), vals.max(axis=1)
+    # flat profile: every gamma is extremal, report the stationary point
+    flat = vmax - vmin < 1e-12 * np.where(vmax > 1.0, vmax, 1.0)
+    arg = np.full(aa.size, math.acos(max(-1.0, min(1.0, -abs_alpha_c))))
 
-    if vmax - vmin < 1e-12 * max(1.0, vmax):
-        # flat profile: every gamma is extremal, report the stationary point
-        arg = float(math.acos(max(-1.0, min(1.0, -abs_alpha_c))))
-        return BandScan(vmin, vmax, (0.0, math.pi), arg, scan_points)
+    live = np.flatnonzero(~flat)
+    if live.size:
+        k = np.argmax(vals[live], axis=1)
+        peak, neg_peak = _golden_min(
+            lambda rows, g: -_band_share(p_plus, aa[live[rows]], abs_alpha_c, g),
+            gammas[np.maximum(k - 1, 0)], gammas[np.minimum(k + 1, half - 1)])
+        arg[live] = peak
+        vmax[live] = np.where(-neg_peak > vmax[live], -neg_peak, vmax[live])
 
-    k = int(np.argmax(vals))
-    lo = gammas[max(k - 1, 0)]
-    hi = gammas[min(k + 1, half - 1)]
-    arg, neg_peak = _golden_min(
-        lambda g: -float(_band_share(p_plus, abs_alpha, abs_alpha_c, [g])[0]),
-        float(lo), float(hi))
-    vmax = max(vmax, -neg_peak)
-
-    tol_min = vmin + 1e-9 * max(1.0, vmax)
-    argmin = tuple(float(g) for g, v in zip(gammas, vals) if v <= tol_min)
-    return BandScan(vmin, float(vmax), argmin, float(arg), scan_points)
+    tol_min = vmin + 1e-9 * np.where(vmax > 1.0, vmax, 1.0)
+    scans = tuple(
+        BandScan(float(vmin[r]), float(vmax[r]),
+                 (0.0, math.pi) if flat[r] else
+                 tuple(gammas[vals[r] <= tol_min[r]].tolist()),
+                 float(arg[r]), scan_points)
+        for r in range(aa.size))
+    return scans if given.ndim else scans[0]
 
 
 def _band_share(p_plus, abs_alpha, abs_alpha_c, gammas) -> np.ndarray:
-    """Environment-ancilla share at each phase, on the numeric route."""
+    """Environment-ancilla share at each phase, on the numeric route;
+    abs_alpha broadcasts against gammas."""
     from .ussd import coupled_amplitudes, separable_points
 
-    pts = separable_points(p_plus, abs_alpha * np.exp(1j * np.asarray(gammas, dtype=float)),
-                           abs_alpha_c)
+    alpha = abs_alpha * np.exp(1j * np.asarray(gammas, dtype=float))
+    pts = separable_points(p_plus, alpha, abs_alpha_c)
     if abs(abs_alpha_c) >= 1.0:
         raise DegenerateOverlap(
             f"|alpha_c| = {abs_alpha_c!r}: identical environment states carry "
@@ -386,24 +412,41 @@ def _band_share(p_plus, abs_alpha, abs_alpha_c, gammas) -> np.ndarray:
     share = c_ca * c_ca / total
     # bounded by the pivot sum, so out-of-range values are pure noise
     share = np.where(0.0 > share, 0.0, share)
-    return np.where(1.0 < share, 1.0, share)
+    return np.where(1.0 < share, 1.0, share).reshape(np.shape(alpha))
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-10) -> tuple:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
+def _golden_min(f, lo, hi, tol: float = 1e-10) -> tuple:
+    """Golden-section minima of unimodal functions, one per bracket.
+
+    lo and hi are 1-D stacks of brackets, and f(rows, x) returns, for
+    each j, the value at x[j] of the function of bracket rows[j]. All
+    brackets step in lockstep, one call of f per step, and each stops
+    once its own b - a <= tol, so brackets finish at different steps and
+    each visits exactly the points, in order, of a search on it alone.
+    Returns the stacks of midpoints of the final brackets and of f there.
+
+    With scalar lo and hi, f is a function of one float and the result
+    is a pair of floats: a stack of one.
+    """
+    if np.ndim(lo) == 0:
+        x, fx = _golden_min(lambda rows, g: np.array([f(v) for v in g.tolist()]),
+                            np.array([lo], dtype=float), np.array([hi], dtype=float), tol)
+        return float(x[0]), float(fx[0])
     inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - inv * (b - a)
     d = a + inv * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
+    every = np.arange(a.size)
+    both = f(np.concatenate([every, every]), np.concatenate([c, d]))
+    fc, fd = both[:a.size], both[a.size:]
+    while (rows := np.flatnonzero(b - a > tol)).size:
+        left = fc[rows] < fd[rows]
+        r, s = rows[left], rows[~left]
+        b[r], d[r], fd[r] = d[r], c[r], fc[r]
+        c[r] = b[r] - inv * (b[r] - a[r])
+        a[s], c[s], fc[s] = c[s], d[s], fd[s]
+        d[s] = a[s] + inv * (b[s] - a[s])
+        fx = f(rows, np.where(left, c[rows], d[rows]))
+        fc[r], fd[s] = fx[left], fx[~left]
     x = 0.5 * (a + b)
-    return x, f(x)
+    return x, f(every, x)

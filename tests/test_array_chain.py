@@ -6,7 +6,9 @@ stack of N must give each entry the same bits: separable_points' own
 swap against make_instance and the UssdInstance weights, reduce_stack
 against partial_trace, a stacked wootters_concurrence against one matrix
 at a time, and the band scan and the polar quadrature against loops over
-single entries. The CLI prints round-off digits (fig3's
+single entries. coherence_band over a stack of overlaps, and its
+lockstep golden-section search, are held to one call per entry and to
+the one-bracket loop kept here as a reference. The CLI prints round-off digits (fig3's
 band_system_split columns), so "close" would still change its output. Floats are compared with ==, and the signs of
 zeros are compared too, since a zero's sign steers np.angle.
 """
@@ -16,10 +18,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ussd_lab import oracle
 from ussd_lab.coherence import (
     _YY,
     BandScan,
+    _band_share,
     _golden_min,
     coherence_band,
     wootters_concurrence,
@@ -186,6 +192,41 @@ class TestStacks:
             reduce_stack(amps, SAC, SAC)
 
 
+def reference_golden_min(f, lo, hi, tol=1e-10):
+    """Golden-section search on one bracket, as a scalar loop: the
+    reference whose every visited point the stacked _golden_min must
+    repeat."""
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv * (b - a)
+    d = a + inv * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def recording(f, visits):
+    """f, appending each point it is called at to visits."""
+    def g(x):
+        visits.append(x)
+        return f(x)
+    return g
+
+
+def fig3_rows(steps):
+    """The |alpha| column of fig3 --steps steps."""
+    return np.minimum(np.linspace(0.0, 1.0, steps), 1.0 - 1e-9)
+
+
 def reference_band(p_plus, abs_alpha, abs_alpha_c, scan_points):
     """coherence_band's scan and refinement, one scalar-chain share at a time."""
     def share(gamma):
@@ -203,8 +244,8 @@ def reference_band(p_plus, abs_alpha, abs_alpha_c, scan_points):
         arg = float(math.acos(max(-1.0, min(1.0, -abs_alpha_c))))
         return BandScan(vmin, vmax, (0.0, math.pi), arg, scan_points)
     k = int(np.argmax(vals))
-    arg, neg_peak = _golden_min(lambda g: -share(g), float(gammas[max(k - 1, 0)]),
-                                float(gammas[min(k + 1, half - 1)]))
+    arg, neg_peak = reference_golden_min(lambda g: -share(g), float(gammas[max(k - 1, 0)]),
+                                         float(gammas[min(k + 1, half - 1)]))
     vmax = max(vmax, -neg_peak)
     tol_min = vmin + 1e-9 * max(1.0, vmax)
     argmin = tuple(float(g) for g, v in zip(gammas, vals) if v <= tol_min)
@@ -224,6 +265,92 @@ class TestBand:
     def test_band_matches_scalar_reference(self, p_plus, abs_alpha, abs_alpha_c, points):
         got = coherence_band(p_plus, abs_alpha, abs_alpha_c, scan_points=points)
         assert got == reference_band(p_plus, abs_alpha, abs_alpha_c, points)
+
+    @pytest.mark.parametrize("p_plus, abs_alpha_c, points", [
+        (0.4, 0.8, 120),        # fig3 --steps 11 at its defaults
+        (0.4, 0.99999, 16),     # the last row peaks in the end cell k = 0
+        (0.7, 0.55, 120),       # swapped prior
+        (0.9, 0.999, 60),       # mostly flat rows
+    ])
+    def test_fig3_rows_match_one_call_per_row(self, p_plus, abs_alpha_c, points):
+        rows = fig3_rows(11)
+        got = coherence_band(p_plus, rows, abs_alpha_c, scan_points=points)
+        want = tuple(coherence_band(p_plus, float(a), abs_alpha_c, scan_points=points)
+                     for a in rows)
+        assert got == want
+        assert any(s.maximum - s.minimum < 1e-12 for s in want)     # a flat row
+        assert any(s.maximum - s.minimum > 1e-3 for s in want)
+
+    def test_rows_refined_at_different_depths(self):
+        # the first four peak in cell k = 7 of 9; 0.95 peaks at k = 0 but
+        # is flat, and 1 - 1e-9 is refined on the one-cell bracket at k = 0
+        aa = [0.1, 0.3, 0.5, 0.7, 0.95, 1.0 - 1e-9]
+        got = coherence_band(0.4, aa, 0.99999, scan_points=16)
+        assert got == tuple(coherence_band(0.4, a, 0.99999, scan_points=16) for a in aa)
+        assert coherence_band(0.4, aa[:1], 0.99999, scan_points=16) == got[:1]
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(p_plus=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           stack=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=4),
+           abs_alpha_c=st.floats(0.0, 1.0, exclude_max=True),
+           points=st.integers(8, 40))
+    def test_stack_is_its_rows(self, p_plus, stack, abs_alpha_c, points):
+        want, errors = [], []
+        for a in stack:
+            try:
+                want.append(coherence_band(p_plus, a, abs_alpha_c, scan_points=points))
+            except UssdLabError as exc:
+                errors.append(type(exc))
+        if errors:
+            # the stack visits every row's points until one of them fails
+            with pytest.raises(tuple(errors)):
+                coherence_band(p_plus, stack, abs_alpha_c, scan_points=points)
+        else:
+            assert coherence_band(p_plus, stack, abs_alpha_c, scan_points=points) == tuple(want)
+
+
+class TestGoldenSection:
+    def test_band_brackets_visit_the_reference_points(self):
+        p_plus, abs_alpha_c, points = 0.4, 0.99999, 16
+        rows = fig3_rows(11)
+        gammas = np.linspace(0.0, math.pi, points // 2 + 1)
+        k = np.argmax(_band_share(p_plus, rows[:, None], abs_alpha_c, gammas), axis=1)
+        lo = gammas[np.maximum(k - 1, 0)]
+        hi = gammas[np.minimum(k + 1, gammas.size - 1)]
+        visits = [[] for _ in rows]
+
+        def f(idx, g):
+            for i, x in zip(idx.tolist(), g.tolist()):
+                visits[i].append(x)
+            return -_band_share(p_plus, rows[idx], abs_alpha_c, g)
+
+        x, fx = _golden_min(f, lo, hi)
+        for i, a in enumerate(rows.tolist()):
+            want = []
+            share = recording(
+                lambda g: -float(_band_share(p_plus, a, abs_alpha_c, [g])[0]), want)
+            assert (x[i], fx[i]) == reference_golden_min(share, float(lo[i]), float(hi[i]))
+            assert visits[i] == want
+        assert len({len(v) for v in visits}) > 1
+
+    def test_oracle_searches_visit_the_reference_points(self, monkeypatch):
+        tols = []
+
+        def spy(f, lo, hi, tol=1e-10):
+            want, got = [], []
+            expected = reference_golden_min(recording(f, want), lo, hi, tol)
+            result = _golden_min(recording(f, got), lo, hi, tol)
+            assert result == expected and got == want
+            tols.append(tol)
+            return result
+
+        monkeypatch.setattr(oracle, "_golden_min", spy)
+        inst = make_instance(0.3, 0.45 * np.exp(0.8j), 0.6 * np.exp(0.4j))
+        oracle.grid_min_concurrence(inst, separable_strategy(inst),
+                                    oracle.GridSpec(0.0, math.pi / 2, 21, 2),
+                                    oracle.GridSpec(0.0, 2 * math.pi, 41, 2))
+        oracle.grid_optimize_success(inst, oracle.GridSpec(0.0, 1.0, 501, 2))
+        assert len(tols) == 6 and set(tols) == {1e-12}
 
 
 def reference_smr(channel_angle, nodes):

@@ -224,3 +224,18 @@ class TestBand:
     def test_unit_environment_overlap_is_named(self):
         with pytest.raises(DegenerateOverlap, match="alpha_c"):
             coherence_band(0.4, 0.5, 1.0, scan_points=16)
+
+    @pytest.mark.parametrize("abs_alpha, error, name", [
+        ([0.2, float("nan"), 0.4], RangeError, r"abs_alpha\[1\] must be finite"),
+        ([float("inf")], RangeError, r"abs_alpha\[0\] must be finite"),
+        ([0.2, 0.4, 1.0], DegenerateOverlap, r"abs_alpha\[2\] = 1\.0"),
+        ([0.3, -1.5], DegenerateOverlap, r"abs_alpha\[1\] = -1\.5"),
+        (float("nan"), RangeError, r"abs_alpha must be finite"),
+        (1.0, DegenerateOverlap, r"abs_alpha = 1\.0"),
+    ])
+    def test_bad_overlap_entry_is_named(self, abs_alpha, error, name):
+        with pytest.raises(error, match=name):
+            coherence_band(0.4, abs_alpha, 0.8, scan_points=16)
+
+    def test_empty_stack_gives_no_scans(self):
+        assert coherence_band(0.4, [], 0.8, scan_points=16) == ()
