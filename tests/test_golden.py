@@ -66,6 +66,13 @@ CASES = {
     "teleport_seed3": ["teleport", "--rho", "0.3", "--sample", "500",
                        "--seed", "3"],
     "teleport_quarter_pi": ["teleport", "--rho", "0.7853981633974483"],
+    "teleport_quarter_pi_north": ["teleport", "--rho", "0.7853981633974483",
+                                  "--mu", "0"],
+    "teleport_quarter_pi_south": ["teleport", "--rho", "0.7853981633974483",
+                                  "--mu", "3.141592653589793"],
+    "teleport_maximal_south": ["teleport", "--rho", "0", "--mu",
+                               "3.141592653589793", "--sample", "1000",
+                               "--seed", "5"],
     "selftest": ["selftest"],
     "selftest_spot_csv": ["selftest", "--only", "spot", "--format", "csv"],
 }
