@@ -14,7 +14,7 @@ sent state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -121,10 +121,16 @@ def channel_state(channel_angle: float, local_b=None, local_c=None) -> PureState
     return psi
 
 
-def alice_circuit(inst: TeleportInstance) -> PureState:
+def alice_circuit(inst: TeleportInstance, channel_lu=None) -> PureState:
     """State on (S, B, C) after Alice's controlled-NOT (S controls B) and
-    Hadamard on S, ready for the carrier measurement."""
-    psi = tensor(PureState(("S",), inst.input_state()), channel_state(inst.channel_angle))
+    Hadamard on S, ready for the carrier measurement. channel_lu, if given,
+    is the (B, C) pair of unitaries dressing the channel; Alice undoes B's."""
+    u_b, u_c = (None, None) if channel_lu is None else channel_lu
+    psi = tensor(PureState(("S",), inst.input_state()),
+                 channel_state(inst.channel_angle, local_b=u_b, local_c=u_c))
+    if u_b is not None:
+        u_b = np.asarray(u_b, dtype=complex).conj().T
+        psi = apply(Unitary(("B",), u_b), psi, targets=("B",))
     psi = apply(Unitary(("S", "B"), CNOT), psi, targets=("S", "B"))
     psi = apply(Unitary(("S",), HADAMARD), psi, targets=("S",))
     return psi
@@ -242,6 +248,76 @@ class TeleportRun:
     fidelity: float
 
 
+def _branch_runs(inst: TeleportInstance, branches, channel_lu=None) -> list:
+    """Every outcome path of the given carrier branches, in enumeration
+    order. Alice's circuit and the carrier measurement run once; each live
+    branch gets one coupling, one ancilla and one system measurement. A
+    degenerate channel has only failure paths; a dead branch, zero runs."""
+    u_c = None if channel_lu is None else np.asarray(channel_lu[1], dtype=complex)
+    target = inst.input_state() if u_c is None else u_c @ inst.input_state()
+
+    def path(b, s, prob, final, name=None):
+        fid = float(abs(np.vdot(target, final)) ** 2)
+        return TeleportRun(b, s, float(prob), s is not None, final, name, fid)
+
+    def dead(b, s):
+        return TeleportRun(b, s, 0.0, False, None, None, 0.0)
+
+    paths = (None,) if inst.degenerate else (None, 0, 1)
+    carrier = projective_measure(alice_circuit(inst, channel_lu), "B", (_E0, _E1))
+    runs = []
+    for b in branches:
+        _, p_b, post_b = carrier[b]
+        if post_b is None:
+            runs += [dead(b, s) for s in paths]
+            continue
+        psi_sc = factor_out(post_b, "B", _E1 if b else _E0)
+        if inst.degenerate:
+            # product branch state: C never became entangled with S
+            w, v = np.linalg.eigh(partial_trace(psi_sc, ["C"]).matrix)
+            if w[-1] < 1.0 - 1e-9:
+                raise NumericalError("degenerate branch state unexpectedly mixed")
+            runs.append(path(b, None, p_b, v[:, -1]))
+            continue
+        emb = branch_embedding(inst, b)
+        alpha, alpha_c = _branch_overlaps(inst, b)
+        ui = make_instance(0.5, alpha, alpha_c)
+        if u_c is not None:
+            emb = replace(emb, phi=u_c @ emb.phi, phi_bar=u_c @ emb.phi_bar)
+        agreement = abs(np.vdot(build_chi(ui, emb).amplitudes, psi_sc.amplitudes))
+        if agreement < 1.0 - 1e-9:
+            raise NumericalError(
+                f"branch state disagrees with its closed form (|overlap| = {agreement!r})"
+            )
+
+        strat = separable_strategy(ui)
+        psi3 = reorder(tensor(psi_sc, PureState(("A",), strat.ancilla_init)),
+                       ("S", "A", "C"))
+        psi3 = apply(coupling_unitary(ui, strat, embedding=emb), psi3, targets=("S", "A"))
+        (_, p_suc, post_suc), (_, p_fail, post_fail) = \
+            projective_measure(psi3, "A", (_E0, _E1))
+        if post_fail is None:
+            runs.append(dead(b, None))
+        else:
+            rest = factor_out(post_fail, "A", _E1)
+            final = factor_out(rest, "S", strat.failure_direction()).amplitudes
+            runs.append(path(b, None, p_b * p_fail, final))
+        if post_suc is None:
+            runs += [dead(b, 0), dead(b, 1)]
+            continue
+        for s, p_s, post_s in projective_measure(post_suc, "S", (_E0, _E1)):
+            if post_s is None:
+                runs.append(dead(b, s))
+                continue
+            rest = factor_out(post_s, "A", _E0)
+            c_vec = factor_out(rest, "S", _E1 if s else _E0).amplitudes
+            name, mat = _CORRECTIONS[(b, s)]
+            if u_c is not None:
+                mat = u_c @ mat @ u_c.conj().T
+            runs.append(path(b, s, p_b * p_suc * p_s, mat @ c_vec, name))
+    return runs
+
+
 def run_teleport(inst: TeleportInstance, b_outcome: int,
                  s_outcome: Optional[int] = None,
                  channel_lu=None) -> TeleportRun:
@@ -252,104 +328,28 @@ def run_teleport(inst: TeleportInstance, b_outcome: int,
     given, is a pair of single-qubit unitaries dressing the channel's two
     sides; Alice undoes hers before the circuit and Bob's correction is
     conjugated, so the delivered state is his unitary applied to the sent
-    state (the success probabilities do not move).
+    state (the success probabilities do not move). Only branch b_outcome
+    is evolved. Bad outcomes, and success paths of a degenerate channel on
+    either branch, raise before any evolution.
     """
     if b_outcome not in (0, 1):
         raise RangeError(f"b_outcome must be 0 or 1, got {b_outcome!r}")
     if s_outcome not in (None, 0, 1):
         raise RangeError(f"s_outcome must be None, 0 or 1, got {s_outcome!r}")
-    u_b = u_c = None
-    if channel_lu is not None:
-        u_b = np.asarray(channel_lu[0], dtype=complex)
-        u_c = np.asarray(channel_lu[1], dtype=complex)
-
-    phi = inst.input_state()
-    target = phi if u_c is None else u_c @ phi
-
-    psi = tensor(PureState(("S",), phi),
-                 channel_state(inst.channel_angle, local_b=u_b, local_c=u_c))
-    if u_b is not None:
-        psi = apply(Unitary(("B",), u_b.conj().T), psi, targets=("B",))
-    psi = apply(Unitary(("S", "B"), CNOT), psi, targets=("S", "B"))
-    psi = apply(Unitary(("S",), HADAMARD), psi, targets=("S",))
-
-    _, p_b, post_b = projective_measure(psi, "B", (_E0, _E1))[b_outcome]
-    if post_b is None:
-        return TeleportRun(b_outcome, s_outcome, 0.0, False, None, None, 0.0)
-    psi_sc = factor_out(post_b, "B", _E1 if b_outcome else _E0)
-
-    if inst.degenerate:
-        if s_outcome is not None:
-            raise DegenerateOverlap(
-                "channel_angle pi/4: discrimination never succeeds; "
-                "only the failure path (s_outcome=None) exists"
-            )
-        # product branch state: C never became entangled with S
-        rho_c = partial_trace(psi_sc, ["C"]).matrix
-        w, v = np.linalg.eigh(rho_c)
-        if w[-1] < 1.0 - 1e-9:
-            raise NumericalError("degenerate branch state unexpectedly mixed")
-        final = v[:, -1]
-        fid = float(abs(np.vdot(target, final)) ** 2)
-        return TeleportRun(b_outcome, None, float(p_b), False, final, None, fid)
-
-    emb = branch_embedding(inst, b_outcome)
-    alpha, alpha_c = _branch_overlaps(inst, b_outcome)
-    ui = make_instance(0.5, alpha, alpha_c)
-    if u_c is not None:
-        emb = Embedding(xi=emb.xi, xi_bar=emb.xi_bar,
-                        phi=u_c @ emb.phi, phi_bar=u_c @ emb.phi_bar)
-    agreement = abs(np.vdot(build_chi(ui, emb).amplitudes, psi_sc.amplitudes))
-    if agreement < 1.0 - 1e-9:
-        raise NumericalError(
-            f"branch state disagrees with its closed form (|overlap| = {agreement!r})"
+    if inst.degenerate and s_outcome is not None:
+        raise DegenerateOverlap(
+            "channel_angle pi/4: discrimination never succeeds; "
+            "only the failure path (s_outcome=None) exists"
         )
-
-    strat = separable_strategy(ui)
-    psi3 = reorder(tensor(psi_sc, PureState(("A",), strat.ancilla_init)),
-                   ("S", "A", "C"))
-    u_sa = coupling_unitary(ui, strat, embedding=emb)
-    psi3 = apply(u_sa, psi3, targets=("S", "A"))
-    outcomes_a = projective_measure(psi3, "A", (_E0, _E1))
-
-    if s_outcome is None:
-        _, p_fail, post_fail = outcomes_a[1]
-        if post_fail is None:
-            return TeleportRun(b_outcome, None, 0.0, False, None, None, 0.0)
-        rest = factor_out(post_fail, "A", _E1)
-        final = factor_out(rest, "S", strat.failure_direction()).amplitudes
-        fid = float(abs(np.vdot(target, final)) ** 2)
-        return TeleportRun(b_outcome, None, float(p_b * p_fail), False,
-                           final, None, fid)
-
-    _, p_suc, post_suc = outcomes_a[0]
-    if post_suc is None:
-        return TeleportRun(b_outcome, s_outcome, 0.0, False, None, None, 0.0)
-    _, p_s, post_s = projective_measure(post_suc, "S", (_E0, _E1))[s_outcome]
-    if post_s is None:
-        return TeleportRun(b_outcome, s_outcome, 0.0, False, None, None, 0.0)
-    rest = factor_out(post_s, "A", _E0)
-    c_vec = factor_out(rest, "S", _E1 if s_outcome else _E0).amplitudes
-
-    name, mat = _CORRECTIONS[(b_outcome, s_outcome)]
-    if u_c is not None:
-        mat = u_c @ mat @ u_c.conj().T
-    final = mat @ c_vec
-    fid = float(abs(np.vdot(target, final)) ** 2)
-    return TeleportRun(b_outcome, s_outcome, float(p_b * p_suc * p_s), True,
-                       final, name, fid)
+    return next(r for r in _branch_runs(inst, (b_outcome,), channel_lu)
+                if r.s_outcome == s_outcome)
 
 
 def enumerate_runs(inst: TeleportInstance) -> list:
-    """All outcome paths with their joint probabilities (two failure paths
-    plus four success paths, fewer when degenerate)."""
-    runs = []
-    for b in (0, 1):
-        runs.append(run_teleport(inst, b, None))
-        if not inst.degenerate:
-            for s in (0, 1):
-                runs.append(run_teleport(inst, b, s))
-    return runs
+    """All outcome paths with their joint probabilities (per carrier branch
+    failure, then s = 0, 1; failure only when degenerate), from one
+    evolution per carrier branch."""
+    return _branch_runs(inst, (0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,49 @@
-"""Teleportation application: channel, branches, corrections, averages."""
+"""Teleportation application: channel, branches, corrections, averages.
 
+The pipeline evolves each carrier branch once and reads all its outcome
+paths off that state. reference_run_teleport keeps the per-path
+simulation it replaced, and TestSharedEvolution holds every run to it
+field for field, with ==.
+"""
+
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ussd_lab import teleport
 from ussd_lab.coherence import ledger, pure_concurrence
-from ussd_lab.ussd import coupled_state, separable_strategy
+from ussd_lab.errors import NumericalError, UssdLabError
+from ussd_lab.qcore import (
+    CNOT,
+    HADAMARD,
+    PureState,
+    Unitary,
+    apply,
+    factor_out,
+    partial_trace,
+    projective_measure,
+    reorder,
+    tensor,
+)
+from ussd_lab.ussd import (
+    Embedding,
+    build_chi,
+    coupled_state,
+    coupling_unitary,
+    make_instance,
+    separable_strategy,
+)
 from ussd_lab.teleport import (
+    _CORRECTIONS,
+    _E0,
+    _E1,
     TeleportInstance,
+    TeleportRun,
+    _branch_overlaps,
     alice_circuit,
     branch_coherences,
     branch_embedding,
@@ -31,6 +66,145 @@ def haar(rng):
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def reference_run_teleport(inst, b_outcome, s_outcome=None, channel_lu=None):
+    """The per-path simulation the shared branch evolution replaced:
+    Alice's circuit, the carrier measurement, the coupling and the
+    ancilla measurement all run again for every path."""
+    if b_outcome not in (0, 1):
+        raise RangeError(f"b_outcome must be 0 or 1, got {b_outcome!r}")
+    if s_outcome not in (None, 0, 1):
+        raise RangeError(f"s_outcome must be None, 0 or 1, got {s_outcome!r}")
+    u_b = u_c = None
+    if channel_lu is not None:
+        u_b = np.asarray(channel_lu[0], dtype=complex)
+        u_c = np.asarray(channel_lu[1], dtype=complex)
+
+    phi = inst.input_state()
+    target = phi if u_c is None else u_c @ phi
+
+    psi = tensor(PureState(("S",), phi),
+                 channel_state(inst.channel_angle, local_b=u_b, local_c=u_c))
+    if u_b is not None:
+        psi = apply(Unitary(("B",), u_b.conj().T), psi, targets=("B",))
+    psi = apply(Unitary(("S", "B"), CNOT), psi, targets=("S", "B"))
+    psi = apply(Unitary(("S",), HADAMARD), psi, targets=("S",))
+
+    _, p_b, post_b = projective_measure(psi, "B", (_E0, _E1))[b_outcome]
+    if post_b is None:
+        return TeleportRun(b_outcome, s_outcome, 0.0, False, None, None, 0.0)
+    psi_sc = factor_out(post_b, "B", _E1 if b_outcome else _E0)
+
+    if inst.degenerate:
+        if s_outcome is not None:
+            raise DegenerateOverlap(
+                "channel_angle pi/4: discrimination never succeeds; "
+                "only the failure path (s_outcome=None) exists"
+            )
+        rho_c = partial_trace(psi_sc, ["C"]).matrix
+        w, v = np.linalg.eigh(rho_c)
+        if w[-1] < 1.0 - 1e-9:
+            raise NumericalError("degenerate branch state unexpectedly mixed")
+        final = v[:, -1]
+        fid = float(abs(np.vdot(target, final)) ** 2)
+        return TeleportRun(b_outcome, None, float(p_b), False, final, None, fid)
+
+    emb = branch_embedding(inst, b_outcome)
+    alpha, alpha_c = _branch_overlaps(inst, b_outcome)
+    ui = make_instance(0.5, alpha, alpha_c)
+    if u_c is not None:
+        emb = Embedding(xi=emb.xi, xi_bar=emb.xi_bar,
+                        phi=u_c @ emb.phi, phi_bar=u_c @ emb.phi_bar)
+    agreement = abs(np.vdot(build_chi(ui, emb).amplitudes, psi_sc.amplitudes))
+    if agreement < 1.0 - 1e-9:
+        raise NumericalError(
+            f"branch state disagrees with its closed form (|overlap| = {agreement!r})"
+        )
+
+    strat = separable_strategy(ui)
+    psi3 = reorder(tensor(psi_sc, PureState(("A",), strat.ancilla_init)),
+                   ("S", "A", "C"))
+    u_sa = coupling_unitary(ui, strat, embedding=emb)
+    psi3 = apply(u_sa, psi3, targets=("S", "A"))
+    outcomes_a = projective_measure(psi3, "A", (_E0, _E1))
+
+    if s_outcome is None:
+        _, p_fail, post_fail = outcomes_a[1]
+        if post_fail is None:
+            return TeleportRun(b_outcome, None, 0.0, False, None, None, 0.0)
+        rest = factor_out(post_fail, "A", _E1)
+        final = factor_out(rest, "S", strat.failure_direction()).amplitudes
+        fid = float(abs(np.vdot(target, final)) ** 2)
+        return TeleportRun(b_outcome, None, float(p_b * p_fail), False,
+                           final, None, fid)
+
+    _, p_suc, post_suc = outcomes_a[0]
+    if post_suc is None:
+        return TeleportRun(b_outcome, s_outcome, 0.0, False, None, None, 0.0)
+    _, p_s, post_s = projective_measure(post_suc, "S", (_E0, _E1))[s_outcome]
+    if post_s is None:
+        return TeleportRun(b_outcome, s_outcome, 0.0, False, None, None, 0.0)
+    rest = factor_out(post_s, "A", _E0)
+    c_vec = factor_out(rest, "S", _E1 if s_outcome else _E0).amplitudes
+
+    name, mat = _CORRECTIONS[(b_outcome, s_outcome)]
+    if u_c is not None:
+        mat = u_c @ mat @ u_c.conj().T
+    final = mat @ c_vec
+    fid = float(abs(np.vdot(target, final)) ** 2)
+    return TeleportRun(b_outcome, s_outcome, float(p_b * p_suc * p_s), True,
+                       final, name, fid)
+
+
+def reference_enumerate_runs(inst):
+    runs = []
+    for b in (0, 1):
+        runs.append(reference_run_teleport(inst, b, None))
+        if not inst.degenerate:
+            for s in (0, 1):
+                runs.append(reference_run_teleport(inst, b, s))
+    return runs
+
+
+def assert_same_run(got, want):
+    """Every field with ==, the delivered state with np.array_equal."""
+    for field in ("b_outcome", "s_outcome", "probability", "success",
+                  "correction", "fidelity"):
+        assert getattr(got, field) == getattr(want, field), field
+        assert type(getattr(got, field)) is type(getattr(want, field)), field
+    if want.final_c is None:
+        assert got.final_c is None
+    else:
+        assert np.array_equal(got.final_c, want.final_c)
+
+
+def outcome_of(fn, *args, **kwargs):
+    """fn's result, or the type and message of the UssdLabError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except UssdLabError as exc:
+        return (type(exc), str(exc))
+
+
+def assert_matches_reference(inst, lu):
+    """enumerate_runs and every existing run_teleport path, plain and
+    dressed by lu, against the per-path reference."""
+    want, got = (outcome_of(f, inst) for f in (reference_enumerate_runs, enumerate_runs))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_run(g, w)
+    paths = (None,) if inst.degenerate else (None, 0, 1)
+    for b, s, dressing in itertools.product((0, 1), paths, (None, lu)):
+        want = outcome_of(reference_run_teleport, inst, b, s, channel_lu=dressing)
+        got = outcome_of(run_teleport, inst, b, s, channel_lu=dressing)
+        if isinstance(want, tuple):
+            assert got == want, (b, s)
+        else:
+            assert_same_run(got, want)
 
 
 class TestInstanceAndChannel:
@@ -170,6 +344,61 @@ class TestRuns:
             run_teleport(inst, 2)
         with pytest.raises(RangeError):
             run_teleport(inst, 0, 3)
+
+
+class TestSharedEvolution:
+    LU = (haar(np.random.default_rng(41)), haar(np.random.default_rng(42)))
+
+    @pytest.mark.parametrize("rho,mu,nu", itertools.product(
+        (0.0, 0.3, 0.7, QP), (0.0, 1.1, math.pi), (0.0, 2.2)))
+    def test_grid_matches_per_path_reference(self, rho, mu, nu):
+        assert_matches_reference(TeleportInstance(rho, mu, nu), self.LU)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(rho=st.floats(0.0, QP), mu=st.floats(0.0, math.pi),
+           nu=st.floats(0.0, 2 * math.pi, exclude_max=True),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_instance_matches_per_path_reference(self, rho, mu, nu, seed):
+        rng = np.random.default_rng(seed)
+        assert_matches_reference(TeleportInstance(rho, mu, nu), (haar(rng), haar(rng)))
+
+    @pytest.mark.parametrize("mu", (0.0, math.pi))
+    @pytest.mark.parametrize("b", (0, 1))
+    def test_degenerate_pole_success_paths_raise_on_both_branches(self, mu, b):
+        # one carrier branch is dead at each pole; its success paths must
+        # raise like the live branch's, not come back as zero runs
+        inst = TeleportInstance(QP, mu, 0.0)
+        for s in (0, 1):
+            with pytest.raises(DegenerateOverlap, match="only the failure path"):
+                run_teleport(inst, b, s)
+        fail = run_teleport(inst, b, None)
+        assert (fail.s_outcome, fail.success) == (None, False)
+        assert abs(fail.probability - (1.0 if (b == 0) == (mu == 0.0) else 0.0)) < 1e-12
+
+    def test_degenerate_pole_lists_one_run_per_branch(self):
+        for mu in (0.0, math.pi):
+            runs = enumerate_runs(TeleportInstance(QP, mu, 0.0))
+            assert [(r.b_outcome, r.s_outcome) for r in runs] == [(0, None), (1, None)]
+
+    @pytest.mark.parametrize("rho,couplings", ((0.3, 2), (0.0, 2), (QP, 0)))
+    def test_one_evolution_per_carrier_branch(self, monkeypatch, rho, couplings):
+        calls = {"circuit": 0, "coupling": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(teleport, "alice_circuit",
+                            counted("circuit", teleport.alice_circuit))
+        monkeypatch.setattr(teleport, "coupling_unitary",
+                            counted("coupling", teleport.coupling_unitary))
+        enumerate_runs(TeleportInstance(rho, 1.1, 2.2))
+        assert calls == {"circuit": 1, "coupling": couplings}
+        calls.update(circuit=0, coupling=0)
+        run_teleport(TeleportInstance(rho, 1.1, 2.2), 1, None)
+        assert calls == {"circuit": 1, "coupling": couplings // 2}
 
 
 class TestAverages:
