@@ -56,6 +56,10 @@ CASES = {
                    "--band-points", "9"],
     "fig3_env1": ["fig3", "--alpha-c", "1"],
     "fig3_p0": ["fig3", "--p-plus", "0"],
+    "fig3_p_negative": ["fig3", "--p-plus", "-0.1"],
+    "fig3_env_over1": ["fig3", "--alpha-c", "1.5"],
+    "fig3_swapped_edge": ["fig3", "--p-plus", "0.999999", "--alpha-c",
+                          "0.999999999", "--steps", "3"],
     "fig4": ["fig4"],
     "fig4_steps6": ["fig4", "--steps", "6"],
     "fig4_json": ["fig4", "--format", "json"],
