@@ -32,9 +32,11 @@ from .coherence import (
 )
 from .ussd import (
     bargmann_phase,
+    coupled_amplitudes,
     coupled_state,
     make_instance,
     p_suc_max,
+    separable_points,
     separable_strategy,
     system_ancilla_density,
     total_coherence_conservation,
@@ -174,14 +176,12 @@ def cmd_fig2(args) -> int:
 
 def cmd_fig3(args) -> int:
     pts = np.minimum(np.linspace(0.0, 1.0, args.steps), _CLIP)
-    # every row's ledger runs before the band call, so an input that both
-    # reject is reported by the ledger; the fig3_env1 and fig3_p0 goldens
-    # pin which error a failing sweep prints
-    leds = []
-    for aa in pts:
-        inst = make_instance(args.p_plus, float(aa) * np.exp(1j * math.pi / 2),
-                             args.alpha_c)
-        leds.append(ledger(coupled_state(inst, separable_strategy(inst))))
+    # the ledgers run before the band call, so an input that both reject
+    # is reported by the ledger chain; the fig3_p_negative and
+    # fig3_env_over1 goldens pin errors of the chain, fig3_env1 and
+    # fig3_p0 those of the band
+    leds = ledger(coupled_amplitudes(
+        separable_points(args.p_plus, pts * np.exp(1j * math.pi / 2), args.alpha_c)))
     scans = coherence_band(args.p_plus, pts, args.alpha_c,
                            scan_points=args.band_points)
 
@@ -223,8 +223,7 @@ def cmd_teleport(args) -> int:
     rows = []
     for r in runs:
         kind = "success" if r.s_outcome is not None else "failure"
-        rows.append([kind, r.b_outcome,
-                     r.s_outcome if r.s_outcome is not None else None,
+        rows.append([kind, r.b_outcome, r.s_outcome,
                      r.probability, r.fidelity, r.correction])
     total = sum(r.probability for r in runs if r.success)
     closed = 1.0 - math.sin(2.0 * args.rho)

@@ -23,9 +23,10 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .qcore import DensityMatrix, PureState, partial_trace, reduce_stack
+from .qcore import DensityMatrix, PureState, reduce_stack
 from .tolerances import DEFAULT as TOL
 
+_SAC = ("S", "A", "C")
 _SY = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(_SY, _SY).real  # spin-flip kernel, real in this basis
 
@@ -98,9 +99,7 @@ def pure_concurrence(psi, part=None) -> float:
     if labels[0] not in psi.register:
         raise PartitionError(
             f"part {labels[0]!r} is not a register label of {psi.register}")
-    rho = partial_trace(psi, labels).matrix
-    det = float(np.linalg.det(rho).real)
-    return float(2.0 * math.sqrt(max(det, 0.0)))
+    return math.sqrt(_tangles(psi.amplitudes, psi.register, labels[0])[0])
 
 
 def _hyperdet_tangle(v: np.ndarray) -> float:
@@ -129,12 +128,12 @@ def three_tangle(psi) -> float:
     """
     if isinstance(psi, PureState) and psi.n_qubits != 3:
         raise ShapeError("three_tangle needs three qubits")
-    v = _as_vector(psi, 8)
-    t3 = _hyperdet_tangle(v)
-    reg = psi.register if isinstance(psi, PureState) else ("S", "A", "C")
-    state = psi if isinstance(psi, PureState) else PureState(reg, v)
-    for pivot in reg:
-        residual = _pivot_residual(state, pivot)
+    state = psi if isinstance(psi, PureState) else PureState(_SAC, _as_vector(psi, 8))
+    led = ledger(state)
+    t3 = led.c_genuine
+    for pivot in state.register:
+        x, y = [q for q in state.register if q != pivot]
+        residual = led.bipartite_of(pivot) - (led.pair(pivot, x) + led.pair(pivot, y))
         if abs(residual - t3) > TOL.tangle_consistency:
             raise NumericalError(
                 f"tangle routes disagree at pivot {pivot}: {residual!r} vs {t3!r}"
@@ -142,19 +141,11 @@ def three_tangle(psi) -> float:
     return t3
 
 
-def _tangle(psi: PureState, q: str) -> float:
-    """One-vs-rest tangle of qubit q: 4 det of its reduced state."""
-    return 4.0 * max(float(np.linalg.det(partial_trace(psi, [q]).matrix).real), 0.0)
-
-
-def _pivot_residual(state: PureState, pivot: str) -> float:
-    rest = [q for q in state.register if q != pivot]
-    tau = _tangle(state, pivot)
-    c2 = sum(
-        wootters_concurrence(partial_trace(state, [pivot, other]).matrix) ** 2
-        for other in rest
-    )
-    return tau - c2
+def _tangles(amplitudes, register, q: str) -> np.ndarray:
+    """One-vs-rest tangle of qubit q, 4 det of its reduced state, in each
+    row of a stack of state vectors on register."""
+    det = np.linalg.det(reduce_stack(amplitudes, register, [q])).real
+    return 4.0 * np.where(0.0 > det, 0.0, det)
 
 
 @dataclass(frozen=True)
@@ -208,37 +199,44 @@ class CoherenceLedger:
             raise NumericalError(f"genuine tangle off by {gap:.3e} from the sums")
 
 
-def ledger(psi: PureState) -> CoherenceLedger:
-    """Tangle ledger of a three-qubit pure state."""
-    if not isinstance(psi, PureState) or psi.n_qubits != 3:
-        raise ShapeError("ledger needs a three-qubit PureState")
-    reg = psi.register
-    bipartite = {}
-    for q in reg:
-        rest = "".join(x for x in reg if x != q)
-        bipartite[f"{q}:{rest}"] = _tangle(psi, q)
-    pairwise = {}
-    for x, y in combinations(reg, 2):
-        c = wootters_concurrence(partial_trace(psi, [x, y]).matrix)
-        pairwise[f"{x}:{y}"] = c * c
-
-    def other_pair(pivot):
-        x, y = [q for q in reg if q != pivot]
-        return pairwise[f"{x}:{y}"]
-
-    sums = [bipartite[f"{q}:{''.join(x for x in reg if x != q)}"] + other_pair(q)
-            for q in reg]
-    total = float(np.mean(sums))
-    residual = float(max(sums) - min(sums))
-    genuine = _hyperdet_tangle(psi.amplitudes)
-    return CoherenceLedger(
-        register=reg,
-        c_total=total,
-        c_bipartite=bipartite,
-        c_pairwise=pairwise,
-        c_genuine=genuine,
-        monogamy_residual=residual,
-    )
+def ledger(psi):
+    """Tangle ledger of one three-qubit PureState, which gives a
+    CoherenceLedger, or of each row of an (N, 8) amplitude stack on
+    ("S", "A", "C"), which gives a tuple of them; one state is a stack of
+    one. The one-vs-rest tangles are batched determinants, the pairwise
+    ones a stacked wootters_concurrence, and the genuine entry the
+    polynomial invariant of each row.
+    """
+    if isinstance(psi, PureState):
+        reg, amps = psi.register, psi.amplitudes.reshape(1, -1)
+    else:
+        reg, amps = _SAC, np.asarray(psi)
+    if amps.shape[1:] != (8,) or amps.dtype.kind not in "biufc":
+        raise ShapeError("ledger needs a three-qubit PureState or an (N, 8) stack, "
+                         f"got {amps.dtype} of shape {amps.shape}")
+    amps = amps.astype(complex)
+    tau = np.array([_tangles(amps, reg, q) for q in reg])
+    pairs = list(combinations(reg, 2))
+    c = wootters_concurrence(np.concatenate([reduce_stack(amps, reg, p) for p in pairs]))
+    c2 = (c * c).reshape(3, -1)
+    # the pair left over by pivot reg[i] is pairs[2 - i]
+    sums = tau + c2[::-1]
+    total = np.mean(sums, axis=0)
+    residual = sums.max(axis=0) - sums.min(axis=0)
+    bipartite_keys = [f"{q}:{''.join(x for x in reg if x != q)}" for q in reg]
+    pairwise_keys = [f"{x}:{y}" for x, y in pairs]
+    leds = tuple(
+        CoherenceLedger(
+            register=reg,
+            c_total=t,
+            c_bipartite=dict(zip(bipartite_keys, b)),
+            c_pairwise=dict(zip(pairwise_keys, p)),
+            c_genuine=_hyperdet_tangle(v),
+            monogamy_residual=r,
+        )
+        for v, t, b, p, r in zip(amps, total.tolist(), tau.T.tolist(),
+                                 c2.T.tolist(), residual.tolist()))
+    return leds[0] if isinstance(psi, PureState) else leds
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +402,10 @@ def _band_share(p_plus, abs_alpha, abs_alpha_c, gammas) -> np.ndarray:
             f"|alpha_c| = {abs_alpha_c!r}: identical environment states carry "
             "no coherence, so the band share is undefined")
     amps = coupled_amplitudes(pts)
-    det = np.linalg.det(reduce_stack(amps, ("S", "A", "C"), ["C"])).real
-    total = 4.0 * np.where(0.0 > det, 0.0, det)
+    total = _tangles(amps, _SAC, "C")
     if (total < 1e-30).any():
         raise NumericalError("total coherence vanished; share undefined")
-    c_ca = wootters_concurrence(reduce_stack(amps, ("S", "A", "C"), ["C", "A"]))
+    c_ca = wootters_concurrence(reduce_stack(amps, _SAC, ["C", "A"]))
     share = c_ca * c_ca / total
     # bounded by the pivot sum, so out-of-range values are pure noise
     share = np.where(0.0 > share, 0.0, share)

@@ -94,7 +94,9 @@ class PureState:
 def _check_density(m: np.ndarray) -> None:
     """Hermitian, unit-trace and positive-semidefinite checks on one
     density matrix or on a (..., d, d) stack of them; the first matrix
-    to fail names the fault."""
+    to fail names the fault. An empty stack passes."""
+    if m.size == 0:
+        return
     if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > TOL.hermitian:
         raise ShapeError("density matrix is not Hermitian")
     tr = np.trace(m, axis1=-2, axis2=-1)
@@ -157,10 +159,7 @@ class Unitary:
 def basis_state(register, bits) -> PureState:
     """Computational basis state; bits may be a string like "01" or ints."""
     reg = _checked_register(register)
-    if isinstance(bits, str):
-        bit_list = [int(b) for b in bits]
-    else:
-        bit_list = [int(b) for b in bits]
+    bit_list = [int(b) for b in bits]
     if len(bit_list) != len(reg) or any(b not in (0, 1) for b in bit_list):
         raise ShapeError(f"need one bit per qubit of {reg}, got {bits!r}")
     amp = np.zeros(2 ** len(reg), dtype=complex)

@@ -37,12 +37,13 @@ from .ussd import (
     bargmann_phase,
     build_chi,
     canonical_embedding,
-    coupled_state,
+    coupled_amplitudes,
     coupling_unitary,
     make_instance,
     optimal_strategy,
     p_suc_max,
     run_protocol,
+    separable_points,
     separable_strategy,
     separability_params,
     system_ancilla_density,
@@ -243,44 +244,44 @@ def _conservation(seed=17, count=20):
     return worst, "environment tangle untouched by the system-ancilla coupling"
 
 
+def _separable_ledgers(points) -> tuple:
+    """The ledger at the separable point of each (p_plus, alpha, alpha_c),
+    as one stack."""
+    p, a, ac = (np.array(col) for col in zip(*points))
+    return ledger(coupled_amplitudes(separable_points(p, a, ac)))
+
+
 def _closed_form_ledger_grid(ps=(0.18, 0.33, 0.5), aas=(0.12, 0.45, 0.8),
                              acs=(0.0, 0.55, 0.9), gs=(0.0, 1.1, math.pi)):
+    grid = [(float(p), aa * np.exp(1j * 0.6 * g), ac * np.exp(1j * 0.4 * g))
+            for p in ps for aa in aas for ac in acs for g in gs]
     worst = 0.0
-    for p in ps:
-        for aa in aas:
-            for ac in acs:
-                for g in gs:
-                    inst = make_instance(float(p), aa * np.exp(1j * 0.6 * g),
-                                         ac * np.exp(1j * 0.4 * g))
-                    strat = separable_strategy(inst)
-                    led = ledger(coupled_state(inst, strat))
-                    ct, ca, cg = closed_form_coherences(inst, strat)
-                    worst = max(worst,
-                                abs(ct - led.c_total),
-                                abs(ca - led.bipartite_of("A")),
-                                abs(cg - led.c_genuine))
+    for point, led in zip(grid, _separable_ledgers(grid)):
+        inst = make_instance(*point)
+        ct, ca, cg = closed_form_coherences(inst, separable_strategy(inst))
+        worst = max(worst,
+                    abs(ct - led.c_total),
+                    abs(ca - led.bipartite_of("A")),
+                    abs(cg - led.c_genuine))
     shape = "x".join(str(len(axis)) for axis in (ps, aas, acs, gs))
     return worst, f"closed-form coherence triple vs numeric ledger on a {shape} grid"
 
 
 def _retained_pair_identity():
+    grid = [(p, aa * np.exp(0.7j), ac)
+            for p in (0.2, 0.42) for aa in (0.15, 0.6, 0.85) for ac in (0.1, 0.75)]
     worst = 0.0
-    for p in (0.2, 0.42):
-        for aa in (0.15, 0.6, 0.85):
-            for ac in (0.1, 0.75):
-                inst = make_instance(p, aa * np.exp(0.7j), ac)
-                strat = separable_strategy(inst)
-                led = ledger(coupled_state(inst, strat))
-                ct, ca, _ = closed_form_coherences(inst, strat)
-                worst = max(worst, abs((ct - ca) - led.pair("S", "C")))
+    for point, led in zip(grid, _separable_ledgers(grid)):
+        inst = make_instance(*point)
+        ct, ca, _ = closed_form_coherences(inst, separable_strategy(inst))
+        worst = max(worst, abs((ct - ca) - led.pair("S", "C")))
     return worst, "total minus converted equals the retained pair tangle"
 
 
 def _monogamy_random(seed=18, count=60):
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(count):
-        led = ledger(_random_pure(rng))
+    for led in ledger(np.array([_random_pure(rng).amplitudes for _ in range(count)])):
         worst = max(worst, led.monogamy_residual)
         for x, y, z in (("S", "A", "C"), ("A", "S", "C"), ("C", "S", "A")):
             residual = led.bipartite_of(x) - led.pair(x, y) - led.pair(x, z)
@@ -474,20 +475,19 @@ def _teleport_branch_priors():
 
 
 def _teleport_branch_ledger(rhos=(0.2, 0.45, 0.7)):
+    runs = [(TeleportInstance(float(rho), mu, 0.4), b)
+            for rho in rhos for mu in (0.5, 1.6, 2.7) for b in (0, 1)]
+    uis = [branch_to_ussd(inst, b).ussd_instance for inst, b in runs]
     worst = 0.0
-    for rho in rhos:
-        for mu in (0.5, 1.6, 2.7):
-            inst = TeleportInstance(float(rho), mu, 0.4)
-            for b in (0, 1):
-                ui = branch_to_ussd(inst, b).ussd_instance
-                led = ledger(coupled_state(ui, separable_strategy(ui)))
-                ct, ca, cg = branch_coherences(inst, b)
-                worst = max(worst,
-                            abs(ct - led.c_total),
-                            abs(ca - led.bipartite_of("A")),
-                            abs(cg - led.c_genuine),
-                            led.pair("C", "A"),
-                            abs((ct - ca) - led.pair("S", "C")))
+    for (inst, b), led in zip(runs, _separable_ledgers(
+            [(ui.p_plus, ui.alpha, ui.alpha_c) for ui in uis])):
+        ct, ca, cg = branch_coherences(inst, b)
+        worst = max(worst,
+                    abs(ct - led.c_total),
+                    abs(ca - led.bipartite_of("A")),
+                    abs(cg - led.c_genuine),
+                    led.pair("C", "A"),
+                    abs((ct - ca) - led.pair("S", "C")))
     return worst, "branch coherence formulas vs ledgers, incl. vanishing C-A pair"
 
 

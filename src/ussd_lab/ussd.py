@@ -41,7 +41,7 @@ from .qcore import (
     reorder,
     tensor,
 )
-from .coherence import _tangle
+from .coherence import _tangles
 from .tolerances import DEFAULT as TOL
 
 _TWO_PI = 2.0 * math.pi
@@ -638,8 +638,8 @@ def total_coherence_conservation(inst: UssdInstance,
                                  strat: UssdStrategy) -> ConservationReport:
     """The environment's tangle with everything else cannot change under
     a coupling that never touches the environment."""
-    before = _tangle(build_chi(inst), "C")
-    after = _tangle(coupled_state(inst, strat), "C")
+    before, after = (float(_tangles(psi.amplitudes, psi.register, "C")[0])
+                     for psi in (build_chi(inst), coupled_state(inst, strat)))
     return ConservationReport(before=before, after=after,
                               residual=float(abs(before - after)))
 

@@ -8,11 +8,15 @@ against partial_trace, a stacked wootters_concurrence against one matrix
 at a time, and the band scan and the polar quadrature against loops over
 single entries. coherence_band over a stack of overlaps, and its
 lockstep golden-section search, are held to one call per entry and to
-the one-bracket loop kept here as a reference. The CLI prints round-off digits (fig3's
+the one-bracket loop kept here as a reference. The tangle ledger of a
+stack is held to the scalar ledger kept here as a reference, row by row.
+The CLI prints round-off digits (fig3's
 band_system_split columns), so "close" would still change its output. Floats are compared with ==, and the signs of
 zeros are compared too, since a zero's sign steers np.angle.
 """
 
+import contextlib
+import io
 import itertools
 import math
 
@@ -21,22 +25,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ussd_lab import oracle
+from ussd_lab import cli, oracle
 from ussd_lab.coherence import (
     _YY,
     BandScan,
+    CoherenceLedger,
     _band_share,
     _golden_min,
+    _hyperdet_tangle,
     coherence_band,
+    ledger,
     wootters_concurrence,
 )
 from ussd_lab.errors import (
     DegenerateOverlap,
     PartitionError,
     RangeError,
+    ShapeError,
     UssdLabError,
 )
-from ussd_lab.qcore import PureState, partial_trace, reduce_stack
+from ussd_lab.qcore import PureState, basis_state, partial_trace, reduce_stack
 from ussd_lab.teleport import (
     TeleportInstance,
     branch_coherences,
@@ -190,6 +198,13 @@ class TestStacks:
                         assert_same(rho, partial_trace(PureState(reg, a), keep).matrix)
         with pytest.raises(PartitionError):
             reduce_stack(amps, SAC, SAC)
+
+    def test_empty_stacks(self):
+        empty = np.empty((0, 8), dtype=complex)
+        assert reduce_stack(empty, SAC, ["C"]).shape == (0, 2, 2)
+        assert reduce_stack(empty, SAC, ["C", "A"]).shape == (0, 4, 4)
+        assert ledger(empty) == ()
+        assert ledger(coupled_amplitudes(separable_points(0.4, [], 0.8))) == ()
 
 
 def reference_golden_min(f, lo, hi, tol=1e-10):
@@ -376,3 +391,171 @@ class TestQuadrature:
         0.0, math.pi / 4, *np.random.default_rng(8).uniform(0.0, math.pi / 4, 2)])
     def test_square_mean_root_matches_loop(self, angle, nodes):
         assert square_mean_root(angle, nodes) == reference_smr(angle, nodes)
+
+
+def reference_ledger(psi):
+    """The tangle ledger of one PureState, one partial_trace at a time: a
+    one-matrix det per one-vs-rest tangle, a one-matrix
+    wootters_concurrence per pair."""
+    reg = psi.register
+    bipartite = {}
+    for q in reg:
+        rest = "".join(x for x in reg if x != q)
+        det = float(np.linalg.det(partial_trace(psi, [q]).matrix).real)
+        bipartite[f"{q}:{rest}"] = 4.0 * max(det, 0.0)
+    pairwise = {}
+    for x, y in itertools.combinations(reg, 2):
+        c = wootters_concurrence(partial_trace(psi, [x, y]).matrix)
+        pairwise[f"{x}:{y}"] = c * c
+
+    def other_pair(pivot):
+        x, y = [q for q in reg if q != pivot]
+        return pairwise[f"{x}:{y}"]
+
+    sums = [bipartite[f"{q}:{''.join(x for x in reg if x != q)}"] + other_pair(q)
+            for q in reg]
+    return CoherenceLedger(
+        register=reg,
+        c_total=float(np.mean(sums)),
+        c_bipartite=bipartite,
+        c_pairwise=pairwise,
+        c_genuine=_hyperdet_tangle(psi.amplitudes),
+        monogamy_residual=float(max(sums) - min(sums)),
+    )
+
+
+def ledger_fields(led):
+    """Every field of a ledger, keys in order, floats as (value, sign bit)."""
+    def bits(x):
+        assert type(x) is float
+        return x, math.copysign(1.0, x)
+    return (led.register,
+            [(k, bits(v)) for k, v in led.c_bipartite.items()],
+            [(k, bits(v)) for k, v in led.c_pairwise.items()],
+            bits(led.c_total), bits(led.c_genuine), bits(led.monogamy_residual))
+
+
+def assert_same_ledgers(got, states):
+    assert isinstance(got, tuple) and len(got) == len(states)
+    for led, psi in zip(got, states):
+        assert ledger_fields(led) == ledger_fields(reference_ledger(psi))
+
+
+def random_states(seed, count):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(count, 8)) + 1j * rng.normal(size=(count, 8))
+    return amps / np.linalg.norm(amps, axis=1)[:, None]
+
+
+def fig3_ledgers(p_plus, abs_alpha_c, rows):
+    """cmd_fig3's ledgers: the stacked call, and the scalar chain row by row."""
+    stack = ledger(coupled_amplitudes(
+        separable_points(p_plus, rows * np.exp(1j * math.pi / 2), abs_alpha_c)))
+    states = []
+    for aa in rows:
+        inst = make_instance(p_plus, float(aa) * np.exp(1j * math.pi / 2), abs_alpha_c)
+        states.append(coupled_state(inst, separable_strategy(inst)))
+    return stack, states
+
+
+class TestLedger:
+    def test_random_states(self):
+        amps = random_states(31, 400)
+        assert_same_ledgers(ledger(amps), [PureState(SAC, a) for a in amps])
+
+    def test_one_state_is_a_stack_of_one(self):
+        for a in random_states(32, 5):
+            psi = PureState(SAC, a)
+            assert ledger_fields(ledger(psi)) == ledger_fields(reference_ledger(psi))
+            assert ledger_fields(ledger(a[None])[0]) == ledger_fields(ledger(psi))
+        # a permuted register keeps its own labels
+        psi = PureState(("C", "S", "A"), random_states(33, 1)[0])
+        assert ledger_fields(ledger(psi)) == ledger_fields(reference_ledger(psi))
+
+    def test_landmark_states(self):
+        ghz = np.zeros(8, dtype=complex)
+        ghz[0] = ghz[7] = 1 / math.sqrt(2)
+        w = np.zeros(8, dtype=complex)
+        w[1] = w[2] = w[4] = 1 / math.sqrt(3)
+        states = [PureState(SAC, ghz), PureState(SAC, w)]
+        states += [basis_state(SAC, bits) for bits in ("000", "101", "111")]
+        plus = np.full(8, 1 / math.sqrt(8), dtype=complex)
+        states.append(PureState(SAC, plus))
+        assert_same_ledgers(ledger(np.array([s.amplitudes for s in states])), states)
+
+    @pytest.mark.parametrize("steps", [11, 101])
+    @pytest.mark.parametrize("p_plus, abs_alpha_c", [
+        (0.4, 0.8),                   # fig3's defaults
+        (0.7, 0.55),                  # swapped prior
+        (0.5, 0.0),
+        (0.9, 0.999),
+        (0.999999, 0.999999999),      # swapped, next to both edges
+        (0.0, 0.8),                   # an extreme prior: no coherence at all
+    ])
+    def test_fig3_rows(self, steps, p_plus, abs_alpha_c):
+        assert_same_ledgers(*fig3_ledgers(p_plus, abs_alpha_c, fig3_rows(steps)))
+
+    def test_acceptance_grid(self):
+        # the closed_form_ledger_grid acceptance inputs; TestChain holds the
+        # amplitudes to the scalar chain
+        grid = [(float(p), aa * np.exp(1j * 0.6 * g), ac * np.exp(1j * 0.4 * g))
+                for p in np.linspace(0.06, 0.94, 10)
+                for aa in np.linspace(0.05, 0.95, 10)
+                for ac in np.linspace(0.0, 0.95, 10)
+                for g in np.linspace(0.0, 2.0 * math.pi * 7 / 8, 8)]
+        p, a, ac = (np.array(col) for col in zip(*grid))
+        amps = coupled_amplitudes(separable_points(p, a, ac))
+        assert_same_ledgers(ledger(amps), [PureState(SAC, v) for v in amps])
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(rows=st.lists(
+        st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+                  st.lists(st.booleans(), min_size=8, max_size=8),
+                  st.sampled_from([1.0, 1.0, 1.0, 1.0 + 1e-9, 1.2])),
+        min_size=1, max_size=5))
+    def test_stack_is_its_rows(self, rows):
+        """Random rows, some with zeroed amplitudes, some off unit norm."""
+        amps = []
+        for parts, zero, scale in rows:
+            v = np.array(parts[:8]) + 1j * np.array(parts[8:])
+            v[np.array(zero)] = 0.0
+            norm = np.linalg.norm(v)
+            amps.append(v / norm * scale if norm > 1e-3 else basis_state(SAC, "010").amplitudes)
+        amps = np.array(amps)
+        want, errors = [], []
+        for a in amps:
+            try:
+                want.append(ledger(a[None])[0])
+            except UssdLabError as exc:
+                errors.append(type(exc))
+        if errors:
+            with pytest.raises(tuple(errors)):
+                ledger(amps)
+        else:
+            got = ledger(amps)
+            assert [ledger_fields(x) for x in got] == [ledger_fields(x) for x in want]
+            assert_same_ledgers(got, [PureState(SAC, a) for a in amps])
+
+    @pytest.mark.parametrize("bad", [
+        np.full((3, 4), 0.5, dtype=complex),
+        np.zeros((2, 8, 1), dtype=complex),
+        np.zeros(8, dtype=complex),
+        basis_state(("S", "A"), "01"),
+        basis_state(SAC, "000").density(),
+        np.array([["0"] * 8]),
+    ])
+    def test_shape_errors(self, bad):
+        with pytest.raises(ShapeError):
+            ledger(bad)
+
+    def test_fig3_builds_its_ledgers_in_one_call(self, monkeypatch):
+        calls = []
+
+        def counting(psi):
+            calls.append(np.shape(psi))
+            return ledger(psi)
+
+        monkeypatch.setattr(cli, "ledger", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["fig3", "--steps", "11", "--band-points", "16"]) == 0
+        assert calls == [(11, 8)]

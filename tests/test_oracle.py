@@ -1,7 +1,9 @@
 """Brute-force oracles versus the closed-form layer."""
 
+import ast
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -21,7 +23,28 @@ from ussd_lab.ussd import (
     separable_strategy,
     system_ancilla_density,
 )
+from ussd_lab import oracle
 from ussd_lab.errors import NumericalError, RangeError
+
+
+def test_oracle_imports_no_closed_form():
+    """Agreement with the closed forms is evidence only while the oracles
+    do not compute with them: from the package, oracle.py may import the
+    errors, the golden-section search and the concurrence, nothing else."""
+    allowed = {("coherence", "_golden_min"), ("coherence", "wootters_concurrence")}
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text(encoding="utf-8"))
+    seen = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("ussd_lab") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level or
+                                                   (node.module or "").startswith("ussd_lab")):
+            module = (node.module or "").removeprefix("ussd_lab").lstrip(".")
+            for alias in node.names:
+                seen.add((module, alias.name))
+                assert module == "errors" or (module, alias.name) in allowed, \
+                    f"oracle.py imports {alias.name} from {module or 'the package'}"
+    assert ("errors", "NumericalError") in seen
 
 
 class TestGridSpec:

@@ -10,7 +10,6 @@ import pytest
 from ussd_lab.qcore import partial_trace
 from ussd_lab.coherence import initial_coherence, wootters_concurrence
 from ussd_lab.ussd import (
-    Embedding,
     UssdInstance,
     UssdStrategy,
     bargmann_loop,
