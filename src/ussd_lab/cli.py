@@ -109,7 +109,8 @@ def cmd_eval(args) -> int:
     alpha_c = args.alpha_c * np.exp(1j * args.alpha_c_phase)
     inst = make_instance(args.p_plus, alpha, alpha_c)
     strat = separable_strategy(inst)
-    led = ledger(coupled_state(inst, strat))
+    psi = coupled_state(inst, strat)
+    led = ledger(psi)
     ct, ca, cg = closed_form_coherences(inst, strat)
     led_total = led.c_total
     led_conv = led.bipartite_of("A")
@@ -117,7 +118,7 @@ def cmd_eval(args) -> int:
     led_ret = led.pair("S", "C")
     dev = max(abs(ct - led_total), abs(ca - led_conv), abs(cg - led_gen),
               abs((ct - ca) - led_ret))
-    cons = total_coherence_conservation(inst, strat)
+    cons = total_coherence_conservation(inst, psi)
     sep = wootters_concurrence(system_ancilla_density(inst, strat))
     try:
         loop = bargmann_phase(inst)

@@ -255,35 +255,26 @@ def initial_coherence(inst) -> float:
     )
 
 
-def closed_form_coherences(inst, strat) -> tuple:
+def closed_form_coherences(inst, strat=None) -> tuple:
     """Closed-form coherence triple (total, ancilla-vs-rest, genuine).
+
+    inst is a UssdInstance with its strategy, which gives three floats,
+    or a SeparablePoints stack (strat omitted), which gives three arrays,
+    one entry per row; one instance is a stack of one.
 
     The genuine (three-way) entry is an identity over the whole strategy
     family. The total and the ancilla-vs-rest entries reproduce the
     numeric ledger only at the optimal radii together with the failure
     angles that make the system-ancilla pair separable; elsewhere they
     are just reference values. Callers comparing against a ledger must
-    evaluate at that point. The first two entries are
-    closed_form_total_converted on a stack of one.
+    evaluate at that point.
     """
-    from .ussd import SeparablePoints
+    if strat is not None:
+        from .ussd import SeparablePoints
 
-    c_total, c_ancilla = closed_form_total_converted(SeparablePoints.of(inst, strat))
-    ac = abs(inst.alpha_c)
-    mp = abs(strat.alpha_plus)
-    mm = abs(strat.alpha_minus)
-    pref = 4.0 * inst.r_plus * inst.r_minus * (1.0 - ac * ac)
-    bp = math.sqrt(max(1.0 - mp * mp, 0.0))
-    bm = math.sqrt(max(1.0 - mm * mm, 0.0))
-    amp = (bp * strat.alpha_minus * math.sin(strat.beta) * np.exp(1j * strat.delta)
-           + bm * strat.alpha_plus * math.cos(strat.beta))
-    c_genuine = pref * float(abs(amp) ** 2)
-    return (float(c_total[0]), float(c_ancilla[0]), float(c_genuine))
-
-
-def closed_form_total_converted(pts) -> tuple:
-    """The total and ancilla-vs-rest entries of closed_form_coherences
-    over a SeparablePoints stack, as two arrays."""
+        return tuple(float(c[0]) for c in
+                     closed_form_coherences(SeparablePoints.of(inst, strat)))
+    pts = inst
     aa = np.hypot(pts.alpha.real, pts.alpha.imag)
     ac = np.hypot(pts.alpha_c.real, pts.alpha_c.imag)
     mp = np.hypot(pts.alpha_plus.real, pts.alpha_plus.imag)
@@ -293,7 +284,12 @@ def closed_form_total_converted(pts) -> tuple:
     # the second uses the pair constraint |a+||a-| = |alpha|
     c_total = pref * (1.0 - aa) * (1.0 + aa)
     c_ancilla = pref * ((mp - mm) ** 2 + 2.0 * aa * (1.0 - aa))
-    return c_total, c_ancilla
+    bp, bm = (np.sqrt(np.where(0.0 > x, 0.0, x)) for x in (1.0 - mp * mp, 1.0 - mm * mm))
+    amp = (bp * pts.alpha_minus * np.sin(pts.beta) * np.exp(1j * pts.delta)
+           + bm * pts.alpha_plus * np.cos(pts.beta))
+    # float_power is pow(): the square of one instance's formula, to the bit
+    c_genuine = pref * np.float_power(np.hypot(amp.real, amp.imag), 2)
+    return c_total, c_ancilla, c_genuine
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ class PureState:
                 f"register {reg} needs {2 ** len(reg)} amplitudes, got {amp.size}"
             )
         nrm2 = float(np.vdot(amp, amp).real)
-        if abs(nrm2 - 1.0) > TOL.state_norm:
+        if not abs(nrm2 - 1.0) <= TOL.state_norm:     # NaN fails too
             raise ShapeError(f"state vector not normalized: ||psi||^2 = {nrm2!r}")
         object.__setattr__(self, "amplitudes", _frozen_array(amp, amp.size))
 
@@ -94,15 +94,18 @@ class PureState:
 def _check_density(m: np.ndarray) -> None:
     """Hermitian, unit-trace and positive-semidefinite checks on one
     density matrix or on a (..., d, d) stack of them; the first matrix
-    to fail names the fault. An empty stack passes."""
+    to fail names the fault, by its index in a stack. A matrix with a
+    non-finite entry fails the trace test. An empty stack passes."""
     if m.size == 0:
         return
     if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > TOL.hermitian:
         raise ShapeError("density matrix is not Hermitian")
     tr = np.trace(m, axis1=-2, axis2=-1)
-    bad = np.abs(tr.real - 1.0) > TOL.trace_one
+    bad = ~(np.abs(tr.real - 1.0) <= TOL.trace_one)
     if bad.any():
-        raise ShapeError(f"density matrix trace {tr[bad].flat[0]!r} != 1")
+        at = np.argwhere(bad)[0]
+        row = f" at stack index {', '.join(map(str, at))}" if at.size else ""
+        raise ShapeError(f"density matrix trace {complex(tr[tuple(at)])!r} != 1{row}")
     if np.linalg.eigvalsh(m).min() < -TOL.psd_floor:
         raise ShapeError("density matrix has a negative eigenvalue")
 
@@ -276,9 +279,11 @@ def reduce_stack(amplitudes, register, keep) -> np.ndarray:
     amplitudes is an (N, 2**n) array of normalized state vectors on
     register; the result is the (N, dk, dk) stack of their reductions to
     the kept labels, in register order, validated as density matrices.
-    At least one qubit must be traced out. Each matrix is bit-equal to
-    partial_trace of the same PureState: the batched matmul hands BLAS
-    every slice with the strides tensordot gives it for one state.
+    At least one qubit must be traced out, and the first row that is not
+    finite or not normalized is named by its index. Each matrix is
+    bit-equal to partial_trace of the same PureState: the batched matmul
+    hands BLAS every slice with the strides tensordot gives it for one
+    state.
     """
     reg = _checked_register(register)
     kept, kept_axes, traced_axes = _split(reg, keep)
@@ -286,6 +291,9 @@ def reduce_stack(amplitudes, register, keep) -> np.ndarray:
         raise PartitionError("a reduction must trace out at least one qubit")
     dk, dt = 2 ** len(kept), 2 ** (len(reg) - len(kept))
     t = np.asarray(amplitudes, dtype=complex).reshape((-1,) + (2,) * len(reg))
+    finite = np.isfinite(t).all(axis=tuple(range(1, t.ndim)))
+    if not finite.all():
+        raise ShapeError(f"amplitudes not finite at stack index {int(np.argmin(finite))}")
     ket = t.transpose([0] + [1 + a for a in kept_axes + traced_axes])
     bra = t.conj().transpose([0] + [1 + a for a in traced_axes + kept_axes])
     rho = ket.reshape(-1, dk, dt) @ bra.reshape(-1, dt, dk)

@@ -38,6 +38,7 @@ from .ussd import (
     build_chi,
     canonical_embedding,
     coupled_amplitudes,
+    coupled_state,
     coupling_unitary,
     make_instance,
     optimal_strategy,
@@ -58,7 +59,6 @@ from .oracle import (
 )
 from .teleport import (
     TeleportInstance,
-    branch_coherences,
     branch_to_ussd,
     enumerate_runs,
     fig4_sweep,
@@ -240,15 +240,18 @@ def _conservation(seed=17, count=20):
         inst = _random_instance(rng)
         strat = optimal_strategy(inst, beta=rng.uniform(0, math.pi / 2),
                                  delta=rng.uniform(0, _TWO_PI))
-        worst = max(worst, total_coherence_conservation(inst, strat).residual)
+        worst = max(worst, total_coherence_conservation(
+            inst, coupled_state(inst, strat)).residual)
     return worst, "environment tangle untouched by the system-ancilla coupling"
 
 
-def _separable_ledgers(points) -> tuple:
-    """The ledger at the separable point of each (p_plus, alpha, alpha_c),
-    as one stack."""
+def _separable_triples(points) -> tuple:
+    """The closed-form triples and the ledgers at the separable point of
+    each (p_plus, alpha, alpha_c), as two lists from one stack."""
     p, a, ac = (np.array(col) for col in zip(*points))
-    return ledger(coupled_amplitudes(separable_points(p, a, ac)))
+    pts = separable_points(p, a, ac)
+    triples = zip(*(c.tolist() for c in closed_form_coherences(pts)))
+    return list(triples), ledger(coupled_amplitudes(pts))
 
 
 def _closed_form_ledger_grid(ps=(0.18, 0.33, 0.5), aas=(0.12, 0.45, 0.8),
@@ -256,9 +259,7 @@ def _closed_form_ledger_grid(ps=(0.18, 0.33, 0.5), aas=(0.12, 0.45, 0.8),
     grid = [(float(p), aa * np.exp(1j * 0.6 * g), ac * np.exp(1j * 0.4 * g))
             for p in ps for aa in aas for ac in acs for g in gs]
     worst = 0.0
-    for point, led in zip(grid, _separable_ledgers(grid)):
-        inst = make_instance(*point)
-        ct, ca, cg = closed_form_coherences(inst, separable_strategy(inst))
+    for (ct, ca, cg), led in zip(*_separable_triples(grid)):
         worst = max(worst,
                     abs(ct - led.c_total),
                     abs(ca - led.bipartite_of("A")),
@@ -271,9 +272,7 @@ def _retained_pair_identity():
     grid = [(p, aa * np.exp(0.7j), ac)
             for p in (0.2, 0.42) for aa in (0.15, 0.6, 0.85) for ac in (0.1, 0.75)]
     worst = 0.0
-    for point, led in zip(grid, _separable_ledgers(grid)):
-        inst = make_instance(*point)
-        ct, ca, _ = closed_form_coherences(inst, separable_strategy(inst))
+    for (ct, ca, _), led in zip(*_separable_triples(grid)):
         worst = max(worst, abs((ct - ca) - led.pair("S", "C")))
     return worst, "total minus converted equals the retained pair tangle"
 
@@ -379,22 +378,25 @@ def _fig2_limit():
 _TILDE = math.sqrt(0.4 / 0.6)    # saturation point of the fig3 sweep
 
 
+def _fig3_shares(aas) -> list:
+    """The converted share of the fig3 sweep at each |alpha|, from one
+    separable_points stack."""
+    aas = np.asarray(aas, dtype=float)
+    total, converted, _ = closed_form_coherences(
+        separable_points(0.4, aas * np.exp(1j * math.pi / 2), 0.8))
+    return (converted / total).tolist()
+
+
 def _fig3_share_monotone_interior(aas=np.linspace(0.02, _TILDE - 0.02, 40)):
-    shares = []
-    for aa in (a for a in aas if a < _TILDE):
-        inst = make_instance(0.4, aa * np.exp(1j * math.pi / 2), 0.8)
-        ct, ca, _ = closed_form_coherences(inst, separable_strategy(inst))
-        shares.append(ca / ct)
+    shares = _fig3_shares([a for a in aas if a < _TILDE])
     worst = max(max(a - b for a, b in zip(shares, shares[1:])), 0.0)
     return worst, "converted share grows with overlap below the saturation point"
 
 
 def _fig3_share_saturated(aas=np.linspace(_TILDE + 0.01, 0.98, 15)):
     worst = 0.0
-    for aa in (a for a in aas if a >= _TILDE):
-        inst = make_instance(0.4, aa * np.exp(1j * math.pi / 2), 0.8)
-        ct, ca, _ = closed_form_coherences(inst, separable_strategy(inst))
-        worst = max(worst, abs(ca / ct - 1.0))
+    for share in _fig3_shares([a for a in aas if a >= _TILDE]):
+        worst = max(worst, abs(share - 1.0))
     return worst, "above saturation the whole coherence is converted"
 
 
@@ -475,13 +477,11 @@ def _teleport_branch_priors():
 
 
 def _teleport_branch_ledger(rhos=(0.2, 0.45, 0.7)):
-    runs = [(TeleportInstance(float(rho), mu, 0.4), b)
-            for rho in rhos for mu in (0.5, 1.6, 2.7) for b in (0, 1)]
-    uis = [branch_to_ussd(inst, b).ussd_instance for inst, b in runs]
+    uis = [branch_to_ussd(TeleportInstance(float(rho), mu, 0.4), b).ussd_instance
+           for rho in rhos for mu in (0.5, 1.6, 2.7) for b in (0, 1)]
     worst = 0.0
-    for (inst, b), led in zip(runs, _separable_ledgers(
+    for (ct, ca, cg), led in zip(*_separable_triples(
             [(ui.p_plus, ui.alpha, ui.alpha_c) for ui in uis])):
-        ct, ca, cg = branch_coherences(inst, b)
         worst = max(worst,
                     abs(ct - led.c_total),
                     abs(ca - led.bipartite_of("A")),

@@ -43,7 +43,7 @@ from .ussd import (
     separable_points,
     separable_strategy,
 )
-from .coherence import closed_form_coherences, closed_form_total_converted
+from .coherence import closed_form_coherences
 
 _E0 = np.array([1.0, 0.0], dtype=complex)
 _E1 = np.array([0.0, 1.0], dtype=complex)
@@ -367,7 +367,7 @@ def square_mean_root(channel_angle: float, nodes: int = 64) -> tuple:
     64 nodes already reach machine precision. The branch coherences of
     all nodes x both carrier outcomes come from one array pass, a
     (nodes, 2) stack through separable_points and
-    closed_form_total_converted; each equals branch_coherences at its
+    closed_form_coherences; each equals branch_coherences at its
     node, and the weighted terms are summed node by node in node order.
     """
     if not 0.0 <= channel_angle <= _QUARTER_PI + 1e-12:
@@ -383,7 +383,7 @@ def square_mean_root(channel_angle: float, nodes: int = 64) -> tuple:
     s2, cos_mu = math.sin(2.0 * channel_angle), np.cos(mus)[:, None]
     # the (nodes, 2) overlaps of _branch_overlaps, broadcast by the kernel
     pts = separable_points(0.5, signs * s2, cos_mu)
-    total, converted = (c.reshape(nodes, 2) for c in closed_form_total_converted(pts))
+    total, converted, _ = (c.reshape(nodes, 2) for c in closed_form_coherences(pts))
     roots = np.sqrt(np.maximum(np.stack([total, converted, total - converted], -1), 0.0))
     prob = 0.5 * (1.0 + signs * s2 * cos_mu)             # branch_probability
     val = np.zeros((nodes, 3))

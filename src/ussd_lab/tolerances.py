@@ -1,9 +1,10 @@
 """Central tolerance settings.
 
-All numeric guards in the package read from a single Tolerances record so
-that tests and the selftest runner can reason about one set of numbers.
-The defaults reflect what double precision actually delivers for 2- and
-3-qubit linear algebra; none of them are tuned per call site.
+The numeric guards of the package read their thresholds from a single
+Tolerances record; the tolerances of the check battery are written with
+its checks, in selftest._CHECKS. The defaults reflect what double
+precision actually delivers for 2- and 3-qubit linear algebra; none of
+them are tuned per call site.
 """
 
 from dataclasses import dataclass
@@ -25,13 +26,8 @@ class Tolerances:
 
     # protocol-level checks
     overlap: float = 1e-12          # embedding overlap reproduction
-    separability: float = 1e-10     # concurrence at the separable point
-    decomposition: float = 1e-10    # two-term failure-state decomposition residual
-    ledger: float = 1e-9            # closed forms vs numeric tangle accounting
     monogamy: float = 1e-9          # spread of the three tangle sums
     tangle_consistency: float = 1e-9  # polynomial invariant vs residual route
-    phase: float = 1e-10            # geometric phase checks
-    quadrature: float = 1e-8        # fixed-order quadrature truncation
     rank_cut: float = 1e-13         # relative eigenvalue cutoff in factorizations
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -243,24 +243,17 @@ def check_pair(inst: UssdInstance, strat: UssdStrategy) -> None:
 
 def optimal_strategy(inst: UssdInstance, beta: float = 0.0, delta: float = 0.0,
                      ancilla_init=None) -> UssdStrategy:
-    """Failure overlaps minimizing the failure probability.
+    """Failure overlaps minimizing the failure probability: the radii of
+    separable_strategy, with beta and delta passed through untouched
+    (they do not affect the success probability).
 
     In the interior regime both moduli sit strictly inside (0, 1) at the
     geometric-mean split; in the saturated regime the reference overlap
     pins at 1 and the alternative carries all of |alpha|. The overall
     phase is placed on the reference side, leaving the alternative
-    overlap real and nonnegative. beta and delta are passed through
-    untouched; they do not affect the success probability.
+    overlap real and nonnegative.
     """
-    aa = abs(inst.alpha)
-    phase = np.exp(1j * np.angle(inst.alpha))
-    if inst.case == "interior":
-        mp = math.sqrt(aa / inst.tilde_alpha)
-        mm = math.sqrt(aa * inst.tilde_alpha)
-    else:
-        mp, mm = 1.0, aa
-    return UssdStrategy(alpha_plus=mp * phase, alpha_minus=complex(mm),
-                        beta=beta, delta=delta, ancilla_init=ancilla_init)
+    return replace(separable_strategy(inst, ancilla_init), beta=beta, delta=delta)
 
 
 def success_probability(inst: UssdInstance, strat: UssdStrategy) -> float:
@@ -493,9 +486,9 @@ def _flat(value, shape, dtype) -> np.ndarray:
 @dataclass(frozen=True)
 class SeparablePoints:
     """Canonical instances with a strategy each, one array entry per
-    instance: what coupled_amplitudes and closed_form_total_converted
-    read. alpha and alpha_c are the canonical overlaps, r_plus/r_minus
-    the branch weights, alpha_plus/alpha_minus the failure overlaps and
+    instance: what coupled_amplitudes and closed_form_coherences read.
+    alpha and alpha_c are the canonical overlaps, r_plus/r_minus the
+    branch weights, alpha_plus/alpha_minus the failure overlaps and
     beta/delta the failure angles. separable_points fills it with the
     optimal radii and separable angles; of() holds one instance with any
     strategy."""
@@ -635,11 +628,12 @@ class ConservationReport:
 
 
 def total_coherence_conservation(inst: UssdInstance,
-                                 strat: UssdStrategy) -> ConservationReport:
+                                 coupled: PureState) -> ConservationReport:
     """The environment's tangle with everything else cannot change under
-    a coupling that never touches the environment."""
+    a coupling that never touches the environment. coupled is the
+    (S, A, C) state after a coupling of inst, such as coupled_state's."""
     before, after = (float(_tangles(psi.amplitudes, psi.register, "C")[0])
-                     for psi in (build_chi(inst), coupled_state(inst, strat)))
+                     for psi in (build_chi(inst), coupled))
     return ConservationReport(before=before, after=after,
                               residual=float(abs(before - after)))
 

@@ -10,12 +10,16 @@ single entries. coherence_band over a stack of overlaps, and its
 lockstep golden-section search, are held to one call per entry and to
 the one-bracket loop kept here as a reference. The tangle ledger of a
 stack is held to the scalar ledger kept here as a reference, row by row.
-The CLI prints round-off digits (fig3's
-band_system_split columns), so "close" would still change its output. Floats are compared with ==, and the signs of
-zeros are compared too, since a zero's sign steers np.angle.
+The closed-form triple of a stack is held to the scalar triple kept
+here as a reference, and optimal_strategy's radii to the scalar regime
+split. The CLI prints round-off digits (fig3's band_system_split
+columns), so "close" would still change its output. Floats are compared
+with ==, and the signs of zeros are compared too, since a zero's sign
+steers np.angle.
 """
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import math
@@ -25,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ussd_lab import cli, oracle
+from ussd_lab import cli, oracle, selftest
 from ussd_lab.coherence import (
     _YY,
     BandScan,
@@ -33,6 +37,7 @@ from ussd_lab.coherence import (
     _band_share,
     _golden_min,
     _hyperdet_tangle,
+    closed_form_coherences,
     coherence_band,
     ledger,
     wootters_concurrence,
@@ -56,6 +61,7 @@ from ussd_lab.ussd import (
     coupled_amplitudes,
     coupled_state,
     make_instance,
+    optimal_strategy,
     separable_points,
     separable_strategy,
 )
@@ -559,3 +565,160 @@ class TestLedger:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["fig3", "--steps", "11", "--band-points", "16"]) == 0
         assert calls == [(11, 8)]
+
+
+def reference_closed_form(inst, strat):
+    """The closed-form triple of one instance, in scalar arithmetic: the
+    reference every row of the stacked triple must repeat. The squares
+    of the first two entries are products, as numpy's array ** 2 is; the
+    genuine entry's is pow(), as the float ** 2 of a numpy scalar is."""
+    aa, ac = abs(inst.alpha), abs(inst.alpha_c)
+    mp, mm = abs(strat.alpha_plus), abs(strat.alpha_minus)
+    pref = 4.0 * inst.r_plus * inst.r_minus * (1.0 - ac * ac)
+    c_total = pref * (1.0 - aa) * (1.0 + aa)
+    c_ancilla = pref * ((mp - mm) * (mp - mm) + 2.0 * aa * (1.0 - aa))
+    bp = math.sqrt(max(1.0 - mp * mp, 0.0))
+    bm = math.sqrt(max(1.0 - mm * mm, 0.0))
+    amp = (bp * strat.alpha_minus * math.sin(strat.beta) * np.exp(1j * strat.delta)
+           + bm * strat.alpha_plus * math.cos(strat.beta))
+    c_genuine = pref * float(abs(amp) ** 2)
+    return (float(c_total), float(c_ancilla), float(c_genuine))
+
+
+def reference_optimal_radii(inst):
+    """optimal_strategy's failure overlaps, split by regime in scalar
+    arithmetic, with the phase of alpha on the reference side."""
+    aa = abs(inst.alpha)
+    phase = np.exp(1j * np.angle(inst.alpha))
+    if inst.case == "interior":
+        mp, mm = math.sqrt(aa / inst.tilde_alpha), math.sqrt(aa * inst.tilde_alpha)
+    else:
+        mp, mm = 1.0, aa
+    return mp * phase, complex(mm)
+
+
+def bits(x):
+    """A float as (value, sign bit), so that == sees the sign of a zero."""
+    assert type(x) is float
+    return x, math.copysign(1.0, x)
+
+
+def assert_same_triples(got, pairs):
+    """The stacked triple got, three arrays, against the reference triple
+    of each (instance, strategy) pair, cell by cell."""
+    rows = list(zip(*(c.tolist() for c in got)))
+    assert all(c.shape == (len(pairs),) for c in got)
+    assert [tuple(map(bits, r)) for r in rows] == \
+        [tuple(map(bits, reference_closed_form(i, s))) for i, s in pairs]
+
+
+def separable_pairs(points):
+    """(instance, separable strategy) of each (p_plus, alpha, alpha_c),
+    one make_instance at a time."""
+    return [(inst, separable_strategy(inst))
+            for inst in (make_instance(*pt) for pt in points)]
+
+
+class TestClosedForm:
+    def test_edge_draws(self, chains):
+        refs, _, pts, _ = chains
+        assert_same_triples(closed_form_coherences(pts), [r[:2] for r in refs])
+
+    def test_one_instance_is_a_stack_of_one(self, chains):
+        refs, _, _, _ = chains
+        for inst, strat, *_ in refs[::7]:
+            got = closed_form_coherences(inst, strat)
+            assert type(got) is tuple and len(got) == 3
+            assert tuple(map(bits, got)) == tuple(map(bits, reference_closed_form(inst, strat)))
+
+    def test_acceptance_grid(self):
+        grid = [(float(p), aa * np.exp(1j * 0.6 * g), ac * np.exp(1j * 0.4 * g))
+                for p in np.linspace(0.06, 0.94, 10)
+                for aa in np.linspace(0.05, 0.95, 10)
+                for ac in np.linspace(0.0, 0.95, 10)
+                for g in np.linspace(0.0, 2.0 * math.pi * 7 / 8, 8)]
+        p, a, ac = (np.array(col) for col in zip(*grid))
+        assert_same_triples(closed_form_coherences(separable_points(p, a, ac)),
+                            separable_pairs(grid))
+
+    @pytest.mark.parametrize("steps", [11, 101])
+    @pytest.mark.parametrize("p_plus, abs_alpha_c", [
+        (0.4, 0.8), (0.7, 0.55), (0.5, 0.0), (0.9, 0.999),
+        (0.999999, 0.999999999), (0.0, 0.8),
+    ])
+    def test_fig3_rows(self, steps, p_plus, abs_alpha_c):
+        alpha = fig3_rows(steps) * np.exp(1j * math.pi / 2)
+        pts = separable_points(p_plus, alpha, abs_alpha_c)
+        assert_same_triples(closed_form_coherences(pts),
+                            separable_pairs([(p_plus, a, abs_alpha_c) for a in alpha]))
+
+    def test_angles_off_the_separable_point(self, chains):
+        refs, _, pts, _ = chains
+        rng = np.random.default_rng(41)
+        beta = rng.uniform(0.0, math.pi / 2, pts.beta.size)
+        delta = rng.uniform(0.0, 2.0 * math.pi, pts.delta.size)
+        beta[:4], delta[:4] = (0.0, math.pi / 2, 0.0, math.pi / 2), (0.0, 0.0, math.pi, 6.0)
+        moved = dataclasses.replace(pts, beta=beta, delta=delta)
+        assert_same_triples(closed_form_coherences(moved), [
+            (r[0], dataclasses.replace(r[1], beta=b, delta=d))
+            for r, b, d in zip(refs, beta.tolist(), delta.tolist())])
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(rows=st.lists(st.tuples(
+        st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-7.0, 7.0),
+        st.sampled_from([0.0, 0.3, 0.9, 1.0, 1.0 + 1e-9, 1.2]), st.floats(-7.0, 7.0),
+        st.none() | st.tuples(st.floats(0.0, math.pi / 2), st.floats(0.0, 6.28))),
+        min_size=1, max_size=5))
+    def test_stack_is_its_rows(self, rows):
+        """Random rows, some outside the domain, some off the separable
+        point."""
+        points = [(p, a * np.exp(1j * g), c * np.exp(1j * h)) for p, a, g, c, h, _ in rows]
+        want, errors = [], []
+        for pt, (*_, angles) in zip(points, rows):
+            try:
+                inst = make_instance(*pt)
+                strat = separable_strategy(inst)
+                if angles is not None:
+                    strat = dataclasses.replace(strat, beta=angles[0], delta=angles[1])
+                want.append((inst, strat))
+            except UssdLabError as exc:
+                errors.append(type(exc))
+        p, a, c = (np.array(col) for col in zip(*points))
+        if errors:
+            with pytest.raises(tuple(errors)):
+                separable_points(p, a, c)
+            return
+        pts = separable_points(p, a, c)
+        pts = dataclasses.replace(pts, beta=np.array([s.beta for _, s in want]),
+                                  delta=np.array([s.delta for _, s in want]))
+        stacked = closed_form_coherences(pts)
+        assert_same_triples(stacked, want)
+        for (inst, strat), got in zip(want, zip(*(c.tolist() for c in stacked))):
+            assert list(map(bits, got)) == list(map(bits, closed_form_coherences(inst, strat)))
+
+    def test_optimal_radii_are_the_kernels(self, chains):
+        refs, _, _, _ = chains
+        anc = np.array([math.cos(0.4), math.sin(0.4) * np.exp(0.9j)])
+        for inst, strat, *_ in refs:
+            opt = optimal_strategy(inst, beta=0.3, delta=5.0, ancilla_init=anc)
+            for got, sep, ref in zip((opt.alpha_plus, opt.alpha_minus),
+                                     (strat.alpha_plus, strat.alpha_minus),
+                                     reference_optimal_radii(inst)):
+                assert_same(got, sep)
+                assert_same(got, ref)
+            assert (opt.beta, opt.delta) == (0.3, 5.0)
+            assert np.array_equal(opt.ancilla_init, anc)
+
+    @pytest.mark.parametrize("check", [
+        "_closed_form_ledger_grid", "_retained_pair_identity", "_teleport_branch_ledger",
+        "_fig3_share_monotone_interior", "_fig3_share_saturated"])
+    def test_checks_read_one_stack(self, check, monkeypatch):
+        calls = {"separable_points": [], "closed_form_coherences": []}
+        for name, calls_of in calls.items():
+            def counting(*args, _f=getattr(selftest, name), _calls=calls_of):
+                _calls.append(len(args))
+                return _f(*args)
+            monkeypatch.setattr(selftest, name, counting)
+        value, _ = getattr(selftest, check)()
+        assert math.isfinite(value)
+        assert calls == {"separable_points": [3], "closed_form_coherences": [1]}

@@ -1,10 +1,16 @@
 """Register algebra and simulation primitives."""
 
+import dataclasses
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ussd_lab
+from ussd_lab.coherence import ledger
 from ussd_lab.qcore import (
     CNOT,
     HADAMARD,
@@ -18,6 +24,7 @@ from ussd_lab.qcore import (
     factor_out,
     partial_trace,
     projective_measure,
+    reduce_stack,
     reorder,
     tensor,
 )
@@ -28,6 +35,7 @@ from ussd_lab.errors import (
     ShapeError,
     UnknownQubit,
 )
+from ussd_lab.tolerances import Tolerances
 
 
 def bell() -> PureState:
@@ -209,3 +217,49 @@ def test_density_matrix_validation():
         DensityMatrix(("S",), np.array([[0.5, 0.5], [0.2, 0.5]]))
     with pytest.raises(ShapeError):
         DensityMatrix(("S",), np.array([[0.9, 0.0], [0.0, 0.5]]))
+
+
+class TestNonFinite:
+    """A non-finite amplitude fails the norm and trace tests by name,
+    before numpy's linear algebra sees it."""
+
+    SAC = ("S", "A", "C")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_pure_state(self, bad):
+        v = np.zeros(8, dtype=complex)
+        v[0], v[5] = 1.0, bad
+        with pytest.raises(ShapeError, match="not normalized"):
+            PureState(self.SAC, v)
+        with pytest.raises(ShapeError, match="not normalized"):
+            PureState(self.SAC, [bad] * 8)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_stack_names_the_first_bad_row(self, bad):
+        amps = np.zeros((5, 8), dtype=complex)
+        amps[:, 0] = 1.0
+        amps[2, 3] = amps[4, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for keep in (["C"], ["C", "A"]):
+                with pytest.raises(ShapeError, match="stack index 2$"):
+                    reduce_stack(amps, self.SAC, keep)
+            with pytest.raises(ShapeError, match="stack index 2$"):
+                ledger(amps)
+        amps[2:] = amps[0]
+        amps[3] *= 1.2
+        with pytest.raises(ShapeError, match="trace .* != 1 at stack index 3$"):
+            ledger(amps)
+
+    def test_density_matrix(self):
+        with pytest.raises(ShapeError, match="trace"):
+            DensityMatrix(("S",), np.array([[math.nan, 0.0], [0.0, 0.5]]))
+
+
+def test_every_tolerance_is_read():
+    """Each Tolerances field is read as TOL.<field> somewhere in the
+    package, so no knob sits in the record without a guard behind it."""
+    src = "\n".join(f.read_text() for f in Path(ussd_lab.__file__).parent.glob("*.py"))
+    unread = [f.name for f in dataclasses.fields(Tolerances)
+              if not re.search(rf"\bTOL\.{f.name}\b", src)]
+    assert unread == []

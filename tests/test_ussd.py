@@ -260,7 +260,8 @@ class TestSeparability:
                             0.6 * np.exp(0.2j))
         strat = separable_strategy(inst)
         check_pair(inst, strat)
-        assert total_coherence_conservation(inst, strat).residual < 1e-10
+        assert total_coherence_conservation(
+            inst, coupled_state(inst, strat)).residual < 1e-10
         assert wootters_concurrence(system_ancilla_density(inst, strat)) < 1e-10
 
     def test_density_assembly_matches_partial_trace(self):
@@ -278,7 +279,7 @@ class TestConservation:
             inst = random_instance(rng)
             strat = optimal_strategy(inst, beta=rng.uniform(0, math.pi / 2),
                                      delta=rng.uniform(0, 2 * math.pi))
-            rep = total_coherence_conservation(inst, strat)
+            rep = total_coherence_conservation(inst, coupled_state(inst, strat))
             assert rep.residual < 1e-10
             assert abs(rep.before - initial_coherence(inst)) < 1e-12
 
