@@ -12,7 +12,9 @@ evidence rather than tautology.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -36,6 +38,16 @@ class GridSpec:
     refine: int = 2
 
     def __post_init__(self):
+        for name in ("lower", "upper"):
+            if not math.isfinite(getattr(self, name)):
+                raise RangeError(
+                    f"GridSpec.{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("count", "refine"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise RangeError(
+                    f"GridSpec.{name} must be an integer, got {getattr(self, name)!r}") from None
         if not self.upper > self.lower:
             raise RangeError(
                 f"grid bounds must be ordered, got [{self.lower!r}, {self.upper!r}]"
@@ -55,6 +67,18 @@ class SuccessSearchResult:
     value: float
 
 
+def _success_objective(rp: float, rm: float, a: float, m) -> np.ndarray:
+    """Conclusive-outcome probability at each first-sub-state amplitude m
+    (an array, or a float as a 0-d one), -inf outside the domain: m <= 0
+    with a nonzero overlap, or a partner amplitude a/m above 1. a == 0
+    pins the partner at 0 for every m."""
+    m = np.asarray(m, dtype=float)
+    pos = m > 0.0
+    partner = a / np.where(pos, m, math.inf)
+    out = (partner > 1.0 + 1e-12) | (~pos & (a != 0.0))
+    return np.where(out, -math.inf, rp * (1.0 - m * m) + rm * (1.0 - partner * partner))
+
+
 def grid_optimize_success(inst, grid: Optional[GridSpec] = None) -> SuccessSearchResult:
     """Maximize the conclusive-outcome probability by brute force.
 
@@ -72,19 +96,9 @@ def grid_optimize_success(inst, grid: Optional[GridSpec] = None) -> SuccessSearc
     if not hi > lo:
         raise RangeError("search interval is empty for this instance")
 
-    def objective(m: float) -> float:
-        if a == 0.0:
-            partner = 0.0
-        elif m <= 0.0:
-            return -math.inf
-        else:
-            partner = a / m
-        if partner > 1.0 + 1e-12:
-            return -math.inf
-        return rp * (1.0 - m * m) + rm * (1.0 - partner * partner)
-
+    objective = functools.partial(_success_objective, rp, rm, a)
     pts = np.linspace(lo, hi, grid.count)
-    vals = np.array([objective(float(m)) for m in pts])
+    vals = objective(pts)
     i = int(np.argmax(vals))
     best_m, best_v = float(pts[i]), float(vals[i])
     cell = (hi - lo) / (grid.count - 1)
@@ -124,6 +138,35 @@ def _rho_sa(inst, strat, beta: float, delta: float) -> np.ndarray:
     return rho + cross + cross.conj().T
 
 
+def _rho_sa_row(inst, strat, beta: float, deltas: np.ndarray) -> np.ndarray:
+    """The (len(deltas), 4, 4) stack of _rho_sa at one beta, bit for bit.
+
+    The products with e^{i delta} are written in real arithmetic, term by
+    term as numpy's scalar complex product forms them (the sin(beta)
+    factor as sin(beta) + 0j): numpy's array complex multiply can fuse a
+    product into the following sum, which moves last bits.
+    """
+    ap, am = complex(strat.alpha_plus), complex(strat.alpha_minus)
+    bp = math.sqrt(max(0.0, 1.0 - abs(ap) ** 2))
+    bm = math.sqrt(max(0.0, 1.0 - abs(am) ** 2))
+    e0, s = math.cos(beta), math.sin(beta)
+    ph = np.exp(1j * deltas)
+    e1r = s * ph.real - 0.0 * ph.imag
+    e1i = s * ph.imag + 0.0 * ph.real
+    zp = np.zeros((deltas.size, 4), dtype=complex)
+    zm = np.zeros_like(zp)
+    zp[:, 0], zp[:, 1], zm[:, 1], zm[:, 2] = bp, ap * e0, am * e0, bm
+    for z, c in ((zp, ap), (zm, am)):
+        z.real[:, 3] = c.real * e1r - c.imag * e1i
+        z.imag[:, 3] = c.real * e1i + c.imag * e1r
+    rp, rm = float(inst.r_plus), float(inst.r_minus)
+    ac = complex(inst.alpha_c)
+    rho = (rp * (zp[:, :, None] * zp.conj()[:, None, :])
+           + rm * (zm[:, :, None] * zm.conj()[:, None, :]))
+    cross = math.sqrt(rp * rm) * ac * (zp[:, :, None] * zm.conj()[:, None, :])
+    return rho + cross + cross.conj().swapaxes(-1, -2)
+
+
 @dataclass(frozen=True)
 class ConcurrenceSearchResult:
     beta: float
@@ -135,22 +178,23 @@ def grid_min_concurrence(inst, strat_base, beta_grid: GridSpec,
                          delta_grid: GridSpec) -> ConcurrenceSearchResult:
     """Minimize the system-ancilla concurrence over the failure direction.
 
-    Coarse grid over both angles, then alternating golden-section sweeps
-    in each coordinate around the winner. Oracle for the closed-form
-    direction that renders the pair separable.
+    Coarse grid over both angles, one stacked concurrence call per beta
+    row, then alternating golden-section sweeps in each coordinate around
+    the winner. Oracle for the closed-form direction that renders the
+    pair separable.
     """
-    betas = beta_grid.points()
     deltas = delta_grid.points()
 
     def conc(beta: float, delta: float) -> float:
         return wootters_concurrence(_rho_sa(inst, strat_base, beta, delta))
 
+    # first minimum in row-major order, as a point-by-point scan finds it
     best = (math.inf, 0.0, 0.0)
-    for b in betas:
-        for d in deltas:
-            v = conc(float(b), float(d))
-            if v < best[0]:
-                best = (v, float(b), float(d))
+    for b in beta_grid.points().tolist():
+        row = wootters_concurrence(_rho_sa_row(inst, strat_base, b, deltas))
+        j = int(np.argmin(row))
+        if row[j] < best[0]:
+            best = (float(row[j]), b, float(deltas[j]))
     value, beta, delta = best
     bcell = (beta_grid.upper - beta_grid.lower) / (beta_grid.count - 1)
     dcell = (delta_grid.upper - delta_grid.lower) / (delta_grid.count - 1)
@@ -231,6 +275,15 @@ class ConvergenceTable:
         return self.rows[-1].delta
 
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per count
+    and returned read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def quadrature_refine(f: Callable[[float], float],
                       node_counts: Sequence[int] = (8, 16, 32, 64, 128)) -> ConvergenceTable:
     """Integrate f over the polar interval [0, pi] at increasing
@@ -248,7 +301,7 @@ def quadrature_refine(f: Callable[[float], float],
         n = int(n)
         if n < 2:
             raise RangeError(f"node counts must be at least 2, got {n}")
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _gauss_legendre(n)
         mus = 0.5 * math.pi * (x + 1.0)
         vals = np.array([f(float(m)) for m in mus], dtype=float)
         if not np.all(np.isfinite(vals)):

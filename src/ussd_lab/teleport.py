@@ -13,6 +13,7 @@ sent state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -355,6 +356,15 @@ def enumerate_runs(inst: TeleportInstance) -> list:
 # ---------------------------------------------------------------------------
 # averaged coherence bookkeeping
 
+@functools.cache
+def _gauss_legendre(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per count
+    and returned read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def square_mean_root(channel_angle: float, nodes: int = 64) -> tuple:
     """Squares of the branch-averaged root coherences, integrated over the
     Bloch sphere of sent states, as (total, converted, retained).
@@ -377,7 +387,7 @@ def square_mean_root(channel_angle: float, nodes: int = 64) -> tuple:
     if abs(channel_angle - _QUARTER_PI) < 1e-12:
         # degenerate channel: no branch carries coherence
         return (0.0, 0.0, 0.0)
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     mus = 0.5 * math.pi * (x + 1.0)
     signs = np.array([1.0, -1.0])
     s2, cos_mu = math.sin(2.0 * channel_angle), np.cos(mus)[:, None]

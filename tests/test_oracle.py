@@ -1,4 +1,5 @@
-"""Brute-force oracles versus the closed-form layer."""
+"""Brute-force oracles versus the closed-form layer, and the oracles'
+coarse array passes versus their point-by-point scans."""
 
 import ast
 import dataclasses
@@ -55,6 +56,22 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, 1)
         with pytest.raises(RangeError):
             GridSpec(0.0, 1.0, 10, refine=-1)
+
+    @pytest.mark.parametrize("args, field", [
+        ((0.0, math.inf, 10), "upper"),
+        ((-math.inf, 1.0, 10), "lower"),
+        ((math.nan, 1.0, 10), "lower"),
+        ((0.0, 1.0, 2.5), "count"),
+        ((0.0, 1.0, 10.0), "count"),
+        ((0.0, 1.0, 10, 1.5), "refine"),
+    ])
+    def test_rejects_nonfinite_bounds_and_fractional_counts(self, args, field):
+        with pytest.raises(RangeError, match=f"GridSpec.{field} "):
+            GridSpec(*args)
+
+    def test_accepts_numpy_scalars(self):
+        g = GridSpec(np.float64(0.0), np.float64(1.0), np.int64(3), np.int64(0))
+        assert g.points().tolist() == [0.0, 0.5, 1.0]
 
     def test_points_inclusive(self):
         pts = GridSpec(0.0, 1.0, 5).points()
@@ -153,3 +170,194 @@ class TestQuadrature:
             quadrature_refine(math.sin, node_counts=(1,))
         with pytest.raises(RangeError):
             quadrature_refine(math.sin, node_counts=())
+
+
+# ---------------------------------------------------------------------------
+# the coarse scans as array passes, held to the point-by-point scans
+#
+# The point-by-point scans below are the coarse loops the array passes
+# replaced, kept as references with their golden-section refinements.
+# Cells and results are compared with ==: the selftest report prints the
+# oracle's winners, and numpy's array complex multiply (which may fuse a
+# product into a sum) would already move last bits.
+
+def reference_coarse_concurrence(inst, strat, beta_grid, delta_grid):
+    """Every coarse cell, one 4x4 matrix at a time, and the full search
+    result (beta, delta, value) with the refinement."""
+    betas, deltas = beta_grid.points(), delta_grid.points()
+
+    def conc(beta, delta):
+        return oracle.wootters_concurrence(oracle._rho_sa(inst, strat, beta, delta))
+
+    cells = np.empty((betas.size, deltas.size))
+    best = (math.inf, 0.0, 0.0)
+    for i, b in enumerate(betas):
+        for j, d in enumerate(deltas):
+            v = cells[i, j] = conc(float(b), float(d))
+            if v < best[0]:
+                best = (v, float(b), float(d))
+    value, beta, delta = best
+    bcell = (beta_grid.upper - beta_grid.lower) / (beta_grid.count - 1)
+    dcell = (delta_grid.upper - delta_grid.lower) / (delta_grid.count - 1)
+    for _ in range(max(beta_grid.refine, delta_grid.refine)):
+        blo = max(beta_grid.lower, beta - bcell)
+        bhi = min(beta_grid.upper, beta + bcell)
+        beta, value = oracle._golden_min(lambda b: conc(b, delta), blo, bhi, tol=1e-12)
+        dlo = max(delta_grid.lower, delta - dcell)
+        dhi = min(delta_grid.upper, delta + dcell)
+        delta, value = oracle._golden_min(lambda d: conc(beta, d), dlo, dhi, tol=1e-12)
+        bcell = max(bhi - blo, 1e-9) * 1e-2
+        dcell = max(dhi - dlo, 1e-9) * 1e-2
+    return cells, (beta, delta, value)
+
+
+def reference_success_objective(rp, rm, a, m):
+    if a == 0.0:
+        partner = 0.0
+    elif m <= 0.0:
+        return -math.inf
+    else:
+        partner = a / m
+    if partner > 1.0 + 1e-12:
+        return -math.inf
+    return rp * (1.0 - m * m) + rm * (1.0 - partner * partner)
+
+
+def reference_success_search(inst, grid):
+    """grid_optimize_success with the objective evaluated point by point."""
+    rp, rm = float(inst.r_plus), float(inst.r_minus)
+    a = abs(inst.alpha)
+    lo, hi = max(grid.lower, a), min(grid.upper, 1.0)
+
+    def objective(m):
+        return reference_success_objective(rp, rm, a, m)
+
+    pts = np.linspace(lo, hi, grid.count)
+    vals = np.array([objective(float(m)) for m in pts])
+    i = int(np.argmax(vals))
+    best_m, best_v = float(pts[i]), float(vals[i])
+    cell = (hi - lo) / (grid.count - 1)
+    for _ in range(grid.refine):
+        wlo, whi = max(lo, best_m - cell), min(hi, best_m + cell)
+        x, neg = oracle._golden_min(lambda m: -objective(m), wlo, whi, tol=1e-12)
+        if -neg >= best_v:
+            best_m, best_v = x, -neg
+        cell = max((whi - wlo) * 1e-3, 1e-12)
+    return best_m, best_v
+
+
+def _scan_draws(seed, n):
+    """n random instances, edges first: alpha_c = 0, alpha = 0, and
+    saturated instances whose separable beta is pi/2 (delta degenerate)."""
+    rng = np.random.default_rng(seed)
+
+    def phase():
+        return np.exp(1j * rng.uniform(0.0, 2 * math.pi))
+
+    draws = [make_instance(rng.uniform(0.05, 0.5), rng.uniform(0.1, 0.9) * phase(), 0.0),
+             make_instance(rng.uniform(0.05, 0.5), 0.0, rng.uniform(0.1, 0.9) * phase())]
+    while sum(d.case == "saturated" for d in draws) < 3:
+        p = rng.uniform(0.05, 0.3)
+        draws.append(make_instance(p, rng.uniform(math.sqrt(p / (1 - p)), 0.95) * phase(),
+                                   rng.uniform(0.0, 0.95) * phase()))
+    while len(draws) < n:
+        draws.append(make_instance(rng.uniform(0.02, 0.5), rng.uniform(0.0, 0.95) * phase(),
+                                   rng.uniform(0.0, 1.0) * phase()))
+    return draws
+
+
+SCAN_DRAWS = _scan_draws(21, 20)
+BETA_GRID = GridSpec(0.0, math.pi / 2, 25, 2)
+DELTA_GRID = GridSpec(0.0, 2 * math.pi, 49, 2)
+
+
+class TestCoarseScans:
+    def test_draws_cover_the_edges(self):
+        assert any(abs(d.alpha_c) == 0.0 for d in SCAN_DRAWS)
+        assert any(abs(d.alpha) == 0.0 for d in SCAN_DRAWS)
+        assert sum(separable_strategy(d).beta == math.pi / 2 for d in SCAN_DRAWS) >= 3
+
+    @pytest.mark.parametrize("inst", SCAN_DRAWS)
+    def test_concurrence_scan_is_the_point_loop(self, inst):
+        strat = separable_strategy(inst)
+        cells, want = reference_coarse_concurrence(inst, strat, BETA_GRID, DELTA_GRID)
+        deltas = DELTA_GRID.points()
+        for b, ref in zip(BETA_GRID.points().tolist(), cells):
+            row = oracle.wootters_concurrence(oracle._rho_sa_row(inst, strat, b, deltas))
+            assert np.array_equal(row, ref)
+        res = grid_min_concurrence(inst, strat, BETA_GRID, DELTA_GRID)
+        assert (res.beta, res.delta, res.value) == want
+
+    def test_row_stack_is_the_point_matrices(self):
+        deltas = np.concatenate([DELTA_GRID.points(), -DELTA_GRID.points()[1:]])
+        for inst in SCAN_DRAWS:
+            strat = separable_strategy(inst)
+            for b in (0.0, 0.3, math.pi / 2):
+                got = oracle._rho_sa_row(inst, strat, b, deltas)
+                want = np.array([oracle._rho_sa(inst, strat, b, float(d)) for d in deltas])
+                assert np.array_equal(got, want)
+                for part in ("real", "imag"):
+                    assert np.array_equal(np.signbit(getattr(got, part)),
+                                          np.signbit(getattr(want, part)))
+
+    def test_coarse_pass_is_one_stacked_call_per_row(self, monkeypatch):
+        shapes, conc = [], oracle.wootters_concurrence
+
+        def counting(rho):
+            shapes.append(np.shape(rho))
+            return conc(rho)
+
+        monkeypatch.setattr(oracle, "wootters_concurrence", counting)
+        inst = SCAN_DRAWS[-1]
+        grid_min_concurrence(inst, separable_strategy(inst), BETA_GRID, DELTA_GRID)
+        stacked = [s for s in shapes if len(s) == 3]
+        assert stacked == [(49, 4, 4)] * 25
+        assert all(s == (4, 4) for s in shapes if len(s) != 3)
+
+    @pytest.mark.parametrize("inst", SCAN_DRAWS + [make_instance(0.3, 0.0, 0.0)])
+    def test_success_search_is_the_point_loop(self, inst):
+        grid = GridSpec(0.0, 1.0, 3001, 2)
+        res = grid_optimize_success(inst, grid)
+        assert (res.abs_alpha_plus, res.value) == reference_success_search(inst, grid)
+        rp, rm, a = float(inst.r_plus), float(inst.r_minus), abs(inst.alpha)
+        # both domain guards, and the partner's 1e-12 slack at m = a
+        edge = a * np.array([1.0 - 1e-11, 1.0 - 5e-13, 1.0, 1.0 + 1e-13])
+        m = np.concatenate([np.linspace(-0.5, 1.0, 3001), edge])
+        want = [reference_success_objective(rp, rm, a, float(x)) for x in m]
+        assert np.array_equal(oracle._success_objective(rp, rm, a, m), want)
+        assert [float(oracle._success_objective(rp, rm, a, float(x))) for x in m[::100]] \
+            == want[::100]
+
+
+class TestNodeCache:
+    def test_tables_are_read_only(self):
+        x, w = oracle._gauss_legendre(16)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+    def test_one_build_per_node_count(self, monkeypatch):
+        built = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            built.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        oracle._gauss_legendre.cache_clear()
+        try:
+            for _ in range(3):
+                quadrature_refine(math.sin, node_counts=(8, 16, 8))
+            assert sorted(built) == [8, 16]
+        finally:
+            oracle._gauss_legendre.cache_clear()
+
+    def test_cached_tables_give_the_uncached_results(self, monkeypatch):
+        def f(m):
+            return math.sin(m) ** 2 * math.cos(3 * m)
+
+        cached = quadrature_refine(f)
+        monkeypatch.setattr(oracle, "_gauss_legendre",
+                            lambda n: np.polynomial.legendre.leggauss(n))
+        assert quadrature_refine(f) == cached

@@ -450,6 +450,42 @@ class TestAverages:
             fig4_sweep([1.5])
 
 
+class TestNodeCache:
+    def test_tables_are_read_only(self):
+        x, w = teleport._gauss_legendre(64)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_one_build_per_node_count(self, monkeypatch):
+        built = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            built.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        teleport._gauss_legendre.cache_clear()
+        try:
+            for _ in range(2):
+                square_mean_root(0.3, nodes=32)
+                square_mean_root(0.2, nodes=64)
+                fig4_sweep([0.0, 0.4, 1.0], nodes=32)
+            assert sorted(built) == [32, 64]
+        finally:
+            teleport._gauss_legendre.cache_clear()
+
+    def test_cached_tables_give_the_uncached_results(self, monkeypatch):
+        angles, tangles = (0.0, 0.1, 0.3, 0.6), np.linspace(0.0, 1.0, 6)
+        cached = ([square_mean_root(a, n) for a in angles for n in (7, 64)],
+                  fig4_sweep(tangles))
+        monkeypatch.setattr(teleport, "_gauss_legendre",
+                            lambda n: np.polynomial.legendre.leggauss(n))
+        assert cached == ([square_mean_root(a, n) for a in angles for n in (7, 64)],
+                          fig4_sweep(tangles))
+
+
 class TestSampling:
     def test_reproducible(self):
         inst = TeleportInstance(0.3, 1.2, 0.5)
