@@ -112,41 +112,20 @@ def grid_optimize_success(inst, grid: Optional[GridSpec] = None) -> SuccessSearc
     return SuccessSearchResult(abs_alpha_plus=best_m, value=best_v)
 
 
-def _zeta_pair(alpha_plus: complex, alpha_minus: complex,
-               beta: float, delta: float) -> tuple:
-    """Coupled sub-states on the system-ancilla pair, assembled directly.
+def _zeta_rows(alpha_plus: complex, alpha_minus: complex,
+               beta: float, deltas: np.ndarray) -> tuple:
+    """Coupled sub-states on the system-ancilla pair, assembled directly,
+    one row per failure phase in deltas.
 
     Basis order is (system, ancilla) with the system qubit most
     significant; the failure direction is cos(beta), sin(beta) e^{i
-    delta} on the system with the ancilla reading 1.
+    delta} on the system with the ancilla reading 1. The products with
+    e^{i delta} are written in real arithmetic, term by term as numpy's
+    scalar complex product forms them (the sin(beta) factor as sin(beta)
+    + 0j): numpy's array complex multiply can fuse a product into the
+    following sum, which moves last bits.
     """
     ap, am = complex(alpha_plus), complex(alpha_minus)
-    bp = math.sqrt(max(0.0, 1.0 - abs(ap) ** 2))
-    bm = math.sqrt(max(0.0, 1.0 - abs(am) ** 2))
-    e0, e1 = math.cos(beta), math.sin(beta) * np.exp(1j * delta)
-    zp = np.array([bp, ap * e0, 0.0, ap * e1], dtype=complex)
-    zm = np.array([0.0, am * e0, bm, am * e1], dtype=complex)
-    return zp, zm
-
-
-def _rho_sa(inst, strat, beta: float, delta: float) -> np.ndarray:
-    zp, zm = _zeta_pair(strat.alpha_plus, strat.alpha_minus, beta, delta)
-    rp, rm = float(inst.r_plus), float(inst.r_minus)
-    ac = complex(inst.alpha_c)
-    rho = rp * np.outer(zp, zp.conj()) + rm * np.outer(zm, zm.conj())
-    cross = math.sqrt(rp * rm) * ac * np.outer(zp, zm.conj())
-    return rho + cross + cross.conj().T
-
-
-def _rho_sa_row(inst, strat, beta: float, deltas: np.ndarray) -> np.ndarray:
-    """The (len(deltas), 4, 4) stack of _rho_sa at one beta, bit for bit.
-
-    The products with e^{i delta} are written in real arithmetic, term by
-    term as numpy's scalar complex product forms them (the sin(beta)
-    factor as sin(beta) + 0j): numpy's array complex multiply can fuse a
-    product into the following sum, which moves last bits.
-    """
-    ap, am = complex(strat.alpha_plus), complex(strat.alpha_minus)
     bp = math.sqrt(max(0.0, 1.0 - abs(ap) ** 2))
     bm = math.sqrt(max(0.0, 1.0 - abs(am) ** 2))
     e0, s = math.cos(beta), math.sin(beta)
@@ -159,6 +138,12 @@ def _rho_sa_row(inst, strat, beta: float, deltas: np.ndarray) -> np.ndarray:
     for z, c in ((zp, ap), (zm, am)):
         z.real[:, 3] = c.real * e1r - c.imag * e1i
         z.imag[:, 3] = c.real * e1i + c.imag * e1r
+    return zp, zm
+
+
+def _rho_sa_row(inst, strat, beta: float, deltas: np.ndarray) -> np.ndarray:
+    """The (len(deltas), 4, 4) stack of system-ancilla states at one beta."""
+    zp, zm = _zeta_rows(strat.alpha_plus, strat.alpha_minus, beta, deltas)
     rp, rm = float(inst.r_plus), float(inst.r_minus)
     ac = complex(inst.alpha_c)
     rho = (rp * (zp[:, :, None] * zp.conj()[:, None, :])
@@ -186,7 +171,7 @@ def grid_min_concurrence(inst, strat_base, beta_grid: GridSpec,
     deltas = delta_grid.points()
 
     def conc(beta: float, delta: float) -> float:
-        return wootters_concurrence(_rho_sa(inst, strat_base, beta, delta))
+        return wootters_concurrence(_rho_sa_row(inst, strat_base, beta, np.array([delta]))[0])
 
     # first minimum in row-major order, as a point-by-point scan finds it
     best = (math.inf, 0.0, 0.0)
@@ -238,8 +223,8 @@ def decomposition_check(rho_sa, params, inst, strat) -> DecompositionReport:
     rho = np.asarray(getattr(rho_sa, "matrix", rho_sa), dtype=complex)
     if rho.shape != (4, 4):
         raise RangeError(f"expected a 4x4 two-qubit density matrix, got {rho.shape}")
-    zp, zm = _zeta_pair(strat.alpha_plus, strat.alpha_minus,
-                        float(strat.beta), float(strat.delta))
+    zp, zm = (z[0] for z in _zeta_rows(strat.alpha_plus, strat.alpha_minus,
+                                       float(strat.beta), np.array([float(strat.delta)])))
     z1 = params.q1_plus * zp + params.q1_minus * np.exp(1j * params.gamma1) * zm
     z2 = params.q2_plus * zp + params.q2_minus * np.exp(1j * params.gamma2) * zm
     recon = np.outer(z1, z1.conj()) + np.outer(z2, z2.conj())

@@ -181,13 +181,35 @@ class TestQuadrature:
 # oracle's winners, and numpy's array complex multiply (which may fuse a
 # product into a sum) would already move last bits.
 
+def reference_zeta_pair(alpha_plus, alpha_minus, beta, delta):
+    """The coupled sub-states at one failure direction, with scalar
+    complex products."""
+    ap, am = complex(alpha_plus), complex(alpha_minus)
+    bp = math.sqrt(max(0.0, 1.0 - abs(ap) ** 2))
+    bm = math.sqrt(max(0.0, 1.0 - abs(am) ** 2))
+    e0, e1 = math.cos(beta), math.sin(beta) * np.exp(1j * delta)
+    zp = np.array([bp, ap * e0, 0.0, ap * e1], dtype=complex)
+    zm = np.array([0.0, am * e0, bm, am * e1], dtype=complex)
+    return zp, zm
+
+
+def reference_rho_sa(inst, strat, beta, delta):
+    """One system-ancilla state, built as a single 4x4 matrix."""
+    zp, zm = reference_zeta_pair(strat.alpha_plus, strat.alpha_minus, beta, delta)
+    rp, rm = float(inst.r_plus), float(inst.r_minus)
+    ac = complex(inst.alpha_c)
+    rho = rp * np.outer(zp, zp.conj()) + rm * np.outer(zm, zm.conj())
+    cross = math.sqrt(rp * rm) * ac * np.outer(zp, zm.conj())
+    return rho + cross + cross.conj().T
+
+
 def reference_coarse_concurrence(inst, strat, beta_grid, delta_grid):
     """Every coarse cell, one 4x4 matrix at a time, and the full search
     result (beta, delta, value) with the refinement."""
     betas, deltas = beta_grid.points(), delta_grid.points()
 
     def conc(beta, delta):
-        return oracle.wootters_concurrence(oracle._rho_sa(inst, strat, beta, delta))
+        return oracle.wootters_concurrence(reference_rho_sa(inst, strat, beta, delta))
 
     cells = np.empty((betas.size, deltas.size))
     best = (math.inf, 0.0, 0.0)
@@ -266,6 +288,13 @@ def _scan_draws(seed, n):
     return draws
 
 
+def assert_same_bits(got, want):
+    """== on every entry, and the same sign on every zero."""
+    assert np.array_equal(got, want)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+
+
 SCAN_DRAWS = _scan_draws(21, 20)
 BETA_GRID = GridSpec(0.0, math.pi / 2, 25, 2)
 DELTA_GRID = GridSpec(0.0, 2 * math.pi, 49, 2)
@@ -289,16 +318,21 @@ class TestCoarseScans:
         assert (res.beta, res.delta, res.value) == want
 
     def test_row_stack_is_the_point_matrices(self):
-        deltas = np.concatenate([DELTA_GRID.points(), -DELTA_GRID.points()[1:]])
+        """At grid points, negative phases and the separable direction,
+        which decomposition_check reads as a stack of one."""
+        grid = np.concatenate([DELTA_GRID.points(), -DELTA_GRID.points()[1:]])
         for inst in SCAN_DRAWS:
             strat = separable_strategy(inst)
-            for b in (0.0, 0.3, math.pi / 2):
+            deltas = np.append(grid, strat.delta)
+            for b in (0.0, 0.3, math.pi / 2, strat.beta):
                 got = oracle._rho_sa_row(inst, strat, b, deltas)
-                want = np.array([oracle._rho_sa(inst, strat, b, float(d)) for d in deltas])
-                assert np.array_equal(got, want)
-                for part in ("real", "imag"):
-                    assert np.array_equal(np.signbit(getattr(got, part)),
-                                          np.signbit(getattr(want, part)))
+                want = np.array([reference_rho_sa(inst, strat, b, float(d)) for d in deltas])
+                assert_same_bits(got, want)
+                zetas = [reference_zeta_pair(strat.alpha_plus, strat.alpha_minus, b, float(d))
+                         for d in deltas]
+                for got_z, want_z in zip(oracle._zeta_rows(strat.alpha_plus, strat.alpha_minus,
+                                                           b, deltas), zip(*zetas)):
+                    assert_same_bits(got_z, np.array(want_z))
 
     def test_coarse_pass_is_one_stacked_call_per_row(self, monkeypatch):
         shapes, conc = [], oracle.wootters_concurrence
