@@ -80,7 +80,6 @@ from .teleport import (
     TeleportInstance,
     TeleportRun,
     alice_circuit,
-    branch_coherences,
     branch_embedding,
     branch_probability,
     branch_to_ussd,
@@ -132,7 +131,7 @@ __all__ = [
     # teleportation application
     "TeleportInstance", "channel_state", "alice_circuit", "BranchRecord",
     "branch_probability", "branch_embedding", "branch_to_ussd",
-    "branch_coherences", "total_success_probability", "TeleportRun",
+    "total_success_probability", "TeleportRun",
     "run_teleport", "enumerate_runs", "square_mean_root", "Fig4Row",
     "fig4_sweep", "SampleReport", "sample_teleport",
     # oracles

@@ -22,6 +22,7 @@ from .errors import (
     PartitionError,
     RangeError,
     ShapeError,
+    _count,
 )
 from .qcore import DensityMatrix, PureState, reduce_stack
 from .tolerances import DEFAULT as TOL
@@ -242,17 +243,19 @@ def ledger(psi):
 # ---------------------------------------------------------------------------
 # closed forms for the discrimination protocol
 
+def _total(rp, rm, aa, ac) -> tuple:
+    """The prefactor 4 r+ r- (1 - |alpha_c|^2) of the closed forms, and
+    the total coherence, the prefactor times 1 - |alpha|^2."""
+    pref = 4.0 * rp * rm * (1.0 - ac * ac)
+    # (1-aa)(1+aa) stays accurate for aa near 1, unlike 1-aa**2
+    return pref, pref * (1.0 - aa) * (1.0 + aa)
+
+
 def initial_coherence(inst) -> float:
     """Total coherence carried into the protocol by the system-environment
     state: 4 r+ r- (1 - |alpha_c|^2)(1 - |alpha|^2). Exact for every
     admissible instance."""
-    aa = abs(inst.alpha)
-    ac = abs(inst.alpha_c)
-    # (1-aa)(1+aa) stays accurate for aa near 1, unlike 1-aa**2
-    return float(
-        4.0 * inst.r_plus * inst.r_minus
-        * (1.0 - ac * ac) * (1.0 - aa) * (1.0 + aa)
-    )
+    return float(_total(inst.r_plus, inst.r_minus, abs(inst.alpha), abs(inst.alpha_c))[1])
 
 
 def closed_form_coherences(inst, strat=None) -> tuple:
@@ -279,10 +282,9 @@ def closed_form_coherences(inst, strat=None) -> tuple:
     ac = np.hypot(pts.alpha_c.real, pts.alpha_c.imag)
     mp = np.hypot(pts.alpha_plus.real, pts.alpha_plus.imag)
     mm = np.hypot(pts.alpha_minus.real, pts.alpha_minus.imag)
-    pref = 4.0 * pts.r_plus * pts.r_minus * (1.0 - ac * ac)
-    # both brackets are rewritten to avoid cancellation as |alpha| -> 1;
-    # the second uses the pair constraint |a+||a-| = |alpha|
-    c_total = pref * (1.0 - aa) * (1.0 + aa)
+    pref, c_total = _total(pts.r_plus, pts.r_minus, aa, ac)
+    # rewritten, as c_total is, to avoid cancellation as |alpha| -> 1,
+    # with the pair constraint |a+||a-| = |alpha|
     c_ancilla = pref * ((mp - mm) ** 2 + 2.0 * aa * (1.0 - aa))
     bp, bm = (np.sqrt(np.where(0.0 > x, 0.0, x)) for x in (1.0 - mp * mp, 1.0 - mm * mm))
     amp = (bp * pts.alpha_minus * np.sin(pts.beta) * np.exp(1j * pts.delta)
@@ -341,6 +343,7 @@ def coherence_band(p_plus: float, abs_alpha, abs_alpha_c: float,
     not finite (RangeError) or not below 1 in magnitude
     (DegenerateOverlap) is named by its index.
     """
+    scan_points = _count(scan_points, "scan_points")
     if scan_points < 8:
         raise ShapeError("scan_points too small to bracket a peak")
     if not 0.0 < p_plus < 1.0:

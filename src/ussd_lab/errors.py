@@ -4,6 +4,8 @@ Everything derives from UssdLabError so callers can catch library
 failures with a single except clause.
 """
 
+import operator
+
 
 class UssdLabError(Exception):
     """Base class for all errors raised by this package."""
@@ -51,3 +53,11 @@ class RangeError(UssdLabError):
 
 class NumericalError(UssdLabError):
     """Internal cross-check failed beyond its tolerance."""
+
+
+def _count(value, name: str) -> int:
+    """An integer count, or RangeError naming it (int() would cut 2.5)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise RangeError(f"{name} must be an integer, got {value!r}") from None

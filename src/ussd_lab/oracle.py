@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, RangeError
+from .errors import NumericalError, RangeError, _count
 from .coherence import _golden_min, wootters_concurrence
 
 
@@ -43,11 +42,7 @@ class GridSpec:
                 raise RangeError(
                     f"GridSpec.{name} must be finite, got {getattr(self, name)!r}")
         for name in ("count", "refine"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise RangeError(
-                    f"GridSpec.{name} must be an integer, got {getattr(self, name)!r}") from None
+            _count(getattr(self, name), f"GridSpec.{name}")
         if not self.upper > self.lower:
             raise RangeError(
                 f"grid bounds must be ordered, got [{self.lower!r}, {self.upper!r}]"
@@ -282,8 +277,8 @@ def quadrature_refine(f: Callable[[float], float],
         raise RangeError("need at least one node count")
     rows = []
     prev = None
-    for n in node_counts:
-        n = int(n)
+    for i, n in enumerate(node_counts):
+        n = _count(n, f"node_counts[{i}]")
         if n < 2:
             raise RangeError(f"node counts must be at least 2, got {n}")
         x, w = _gauss_legendre(n)

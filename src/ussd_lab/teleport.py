@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateOverlap, NumericalError, RangeError
+from .errors import DegenerateOverlap, NumericalError, RangeError, _count
 from .qcore import (
     CNOT,
     HADAMARD,
@@ -61,6 +61,25 @@ _CORRECTIONS = {
 }
 
 
+def _check_angle(channel_angle) -> None:
+    if not 0.0 <= channel_angle <= _QUARTER_PI + 1e-12:
+        raise RangeError(f"channel_angle must lie in [0, pi/4], got {channel_angle!r}")
+
+
+def _degenerate(channel_angle) -> bool:
+    """True at channel_angle = pi/4, where the two branch sub-states
+    coincide and discrimination is impossible."""
+    return abs(channel_angle - _QUARTER_PI) < 1e-12
+
+
+def _branch_terms(sign, s2, cos_mu) -> tuple:
+    """Probability and overlaps (alpha, alpha_c) of the carrier branch of
+    the given sign (+1 for outcome 0, -1 for outcome 1), from sin 2 rho
+    and cos mu; arrays broadcast."""
+    alpha = sign * s2
+    return 0.5 * (1.0 + alpha * cos_mu), alpha, cos_mu
+
+
 @dataclass(frozen=True)
 class TeleportInstance:
     """Channel angle plus Bloch angles of the state to send.
@@ -75,10 +94,7 @@ class TeleportInstance:
     nu: float
 
     def __post_init__(self):
-        if not 0.0 <= self.channel_angle <= _QUARTER_PI + 1e-12:
-            raise RangeError(
-                f"channel_angle must lie in [0, pi/4], got {self.channel_angle!r}"
-            )
+        _check_angle(self.channel_angle)
         if not 0.0 <= self.mu <= math.pi + 1e-12:
             raise RangeError(f"mu must lie in [0, pi], got {self.mu!r}")
         if not 0.0 <= self.nu < 2.0 * math.pi + 1e-12:
@@ -90,9 +106,7 @@ class TeleportInstance:
 
     @property
     def degenerate(self) -> bool:
-        """True at channel_angle = pi/4, where the two branch sub-states
-        coincide and discrimination is impossible."""
-        return abs(self.channel_angle - _QUARTER_PI) < 1e-12
+        return _degenerate(self.channel_angle)
 
     def input_state(self) -> np.ndarray:
         return np.array(
@@ -108,8 +122,7 @@ def channel_state(channel_angle: float, local_b=None, local_c=None) -> PureState
     paper-facing quantities (tangle, success probabilities) are invariant
     under them, which tests assert.
     """
-    if not 0.0 <= channel_angle <= _QUARTER_PI + 1e-12:
-        raise RangeError(f"channel_angle must lie in [0, pi/4], got {channel_angle!r}")
+    _check_angle(channel_angle)
     c, s = math.cos(channel_angle), math.sin(channel_angle)
     vec = np.zeros(4, dtype=complex)
     vec[0] = (c + s) / math.sqrt(2.0)
@@ -139,16 +152,7 @@ def alice_circuit(inst: TeleportInstance, channel_lu=None) -> PureState:
 
 def branch_probability(inst: TeleportInstance, b_outcome: int) -> float:
     sign = 1.0 if b_outcome == 0 else -1.0
-    return 0.5 * (1.0 + sign * math.sin(2.0 * inst.channel_angle) * math.cos(inst.mu))
-
-
-def _branch_overlaps(inst: TeleportInstance, b_outcome: int) -> tuple:
-    if b_outcome not in (0, 1):
-        raise RangeError(f"b_outcome must be 0 or 1, got {b_outcome!r}")
-    sign = 1.0 if b_outcome == 0 else -1.0
-    alpha = sign * math.sin(2.0 * inst.channel_angle)
-    alpha_c = math.cos(inst.mu)
-    return alpha, alpha_c
+    return _branch_terms(sign, math.sin(2.0 * inst.channel_angle), math.cos(inst.mu))[0]
 
 
 def branch_embedding(inst: TeleportInstance, b_outcome: int) -> Embedding:
@@ -187,33 +191,18 @@ def branch_to_ussd(inst: TeleportInstance, b_outcome: int) -> BranchRecord:
     relative phase of pi. Raises DegenerateOverlap at channel_angle =
     pi/4 where the sub-states coincide.
     """
-    alpha, alpha_c = _branch_overlaps(inst, b_outcome)
+    if b_outcome not in (0, 1):
+        raise RangeError(f"b_outcome must be 0 or 1, got {b_outcome!r}")
     if inst.degenerate:
         raise DegenerateOverlap(
             "channel_angle pi/4 gives |overlap| = 1; discrimination degenerate"
         )
+    sign = 1.0 if b_outcome == 0 else -1.0
+    prob, alpha, alpha_c = _branch_terms(sign, math.sin(2.0 * inst.channel_angle),
+                                         math.cos(inst.mu))
     ui = make_instance(0.5, alpha, alpha_c)
-    return BranchRecord(
-        b_outcome=b_outcome,
-        probability=branch_probability(inst, b_outcome),
-        ussd_instance=ui,
-        success_probability=p_suc_max(ui),
-    )
-
-
-def branch_coherences(inst: TeleportInstance, b_outcome: int) -> tuple:
-    """Coherence triple (total, ancilla-vs-rest, genuine) of the branch at
-    its optimal separable strategy.
-
-    Degenerate channels (angle pi/4) and poles (sin mu = 0) carry no
-    coherence; both return exact zeros.
-    """
-    if inst.degenerate:
-        return (0.0, 0.0, 0.0)
-    alpha, alpha_c = _branch_overlaps(inst, b_outcome)
-    ui = make_instance(0.5, alpha, alpha_c)
-    strat = separable_strategy(ui)
-    return closed_form_coherences(ui, strat)
+    return BranchRecord(b_outcome=b_outcome, probability=prob, ussd_instance=ui,
+                        success_probability=p_suc_max(ui))
 
 
 def total_success_probability(channel_angle: float) -> float:
@@ -222,9 +211,8 @@ def total_success_probability(channel_angle: float) -> float:
     weights and the per-branch success probabilities conspire so that mu
     and nu drop out.
     """
-    if not 0.0 <= channel_angle <= _QUARTER_PI + 1e-12:
-        raise RangeError(f"channel_angle must lie in [0, pi/4], got {channel_angle!r}")
-    if abs(channel_angle - _QUARTER_PI) < 1e-12:
+    _check_angle(channel_angle)
+    if _degenerate(channel_angle):
         return 0.0
     # evaluated at mu = pi/2 where the branches are symmetric; tests sweep
     # the full (mu, nu) grid to confirm the value never moves
@@ -281,8 +269,7 @@ def _branch_runs(inst: TeleportInstance, branches, channel_lu=None) -> list:
             runs.append(path(b, None, p_b, v[:, -1]))
             continue
         emb = branch_embedding(inst, b)
-        alpha, alpha_c = _branch_overlaps(inst, b)
-        ui = make_instance(0.5, alpha, alpha_c)
+        ui = branch_to_ussd(inst, b).ussd_instance
         if u_c is not None:
             emb = replace(emb, phi=u_c @ emb.phi, phi_bar=u_c @ emb.phi_bar)
         agreement = abs(np.vdot(build_chi(ui, emb).amplitudes, psi_sc.amplitudes))
@@ -377,25 +364,25 @@ def square_mean_root(channel_angle: float, nodes: int = 64) -> tuple:
     64 nodes already reach machine precision. The branch coherences of
     all nodes x both carrier outcomes come from one array pass, a
     (nodes, 2) stack through separable_points and
-    closed_form_coherences; each equals branch_coherences at its
-    node, and the weighted terms are summed node by node in node order.
+    closed_form_coherences; each is closed_form_coherences of the
+    node's branch instance at its separable strategy, and the weighted
+    terms are summed node by node in node order.
     """
-    if not 0.0 <= channel_angle <= _QUARTER_PI + 1e-12:
-        raise RangeError(f"channel_angle must lie in [0, pi/4], got {channel_angle!r}")
+    _check_angle(channel_angle)
+    nodes = _count(nodes, "nodes")
     if nodes < 2:
         raise RangeError("need at least 2 quadrature nodes")
-    if abs(channel_angle - _QUARTER_PI) < 1e-12:
+    if _degenerate(channel_angle):
         # degenerate channel: no branch carries coherence
         return (0.0, 0.0, 0.0)
     x, w = _gauss_legendre(nodes)
     mus = 0.5 * math.pi * (x + 1.0)
-    signs = np.array([1.0, -1.0])
-    s2, cos_mu = math.sin(2.0 * channel_angle), np.cos(mus)[:, None]
-    # the (nodes, 2) overlaps of _branch_overlaps, broadcast by the kernel
-    pts = separable_points(0.5, signs * s2, cos_mu)
+    # (nodes, 2) branch terms, broadcast by the kernel
+    prob, alpha, alpha_c = _branch_terms(np.array([1.0, -1.0]), math.sin(2.0 * channel_angle),
+                                         np.cos(mus)[:, None])
+    pts = separable_points(0.5, alpha, alpha_c)
     total, converted, _ = (c.reshape(nodes, 2) for c in closed_form_coherences(pts))
     roots = np.sqrt(np.maximum(np.stack([total, converted, total - converted], -1), 0.0))
-    prob = 0.5 * (1.0 + signs * s2 * cos_mu)             # branch_probability
     val = np.zeros((nodes, 3))
     for b in (0, 1):
         val += prob[:, b, None] * roots[:, b]
@@ -457,6 +444,7 @@ def sample_teleport(inst: TeleportInstance, n: int, seed: int) -> SampleReport:
     success from the per-branch discrimination probability, so this
     samples the same distribution the deterministic enumeration reports.
     """
+    n = _count(n, "n")
     if n < 1:
         raise RangeError(f"sample count must be positive, got {n!r}")
     rng = np.random.default_rng(seed)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -45,6 +46,69 @@ from .coherence import _tangles
 from .tolerances import DEFAULT as TOL
 
 _TWO_PI = 2.0 * math.pi
+
+# The instance arithmetic, one helper per formula, elementwise over arrays;
+# the scalar entry points call each on one instance or a stack of one.
+# np.abs of a complex array differs from np.hypot of its parts in the last
+# bit on about 35 % of draws (numpy 2.4.6, x86-64). The printed digits of
+# eval, fig3 and selftest follow np.hypot: with np.abs, nine of the goldens
+# under tests/golden move. _abs keeps it.
+
+_E0 = np.array([1.0, 0.0], dtype=complex)
+_E1 = np.array([0.0, 1.0], dtype=complex)
+_E00, _E10 = np.kron(_E0, _E0), np.kron(_E1, _E0)
+
+
+def _abs(z: np.ndarray) -> np.ndarray:
+    return np.hypot(z.real, z.imag)
+
+
+def _pymax(a, b):
+    """Python's max(a, b) elementwise: b only where b > a."""
+    return np.where(b > a, b, a)
+
+
+def _weights(p, a, ac) -> tuple:
+    """Branch weights r+-, the prior-ratio threshold tilde_alpha and the
+    interior-regime flag of canonical instances (p <= 1/2)."""
+    aa = _abs(a)
+    den = 1.0 + 2.0 * np.sqrt(p * (1.0 - p)) * aa * _abs(ac) * np.cos(np.angle(a) + np.angle(ac))
+    tilde = np.sqrt(p / (1.0 - p))
+    return p / den, (1.0 - p) / den, tilde, aa < tilde
+
+
+def _combination(rp, rm, ap, am, ac) -> tuple:
+    """Combination amplitudes of the two pure pieces of the
+    system-ancilla state (see separability_params)."""
+    acm, gc = _abs(ac), np.angle(ac)
+    t_p, t_m = np.sqrt(rp) * ap, np.sqrt(rm) * am
+    return t_p + t_m * acm * np.exp(-1j * gc), t_m + t_p * acm * np.exp(+1j * gc)
+
+
+def _zeta(ap, am, beta, delta) -> tuple:
+    """(N, 4) stacks of the images of the two sub-states (with ancilla
+    attached) under the coupling, on register (S, A). Success lands the
+    ancilla on |0> with the system pointing at its flag state; failure
+    funnels both sub-states onto the shared failure direction with the
+    ancilla on |1>."""
+    n = beta.size
+    eta = np.empty((n, 2), dtype=complex)                # failure_direction
+    eta[:, 0] = np.cos(beta)
+    eta[:, 1] = np.sin(beta) * np.exp(1j * delta)
+    ap, am = ap[:, None], am[:, None]
+    bp = np.sqrt(_pymax(0.0, 1.0 - _abs(ap) ** 2))
+    bm = np.sqrt(_pymax(0.0, 1.0 - _abs(am) ** 2))
+    eta_a1 = (eta[:, :, None] * _E1).reshape(n, 4)       # np.kron(eta, e1)
+    return bp * _E00 + ap * eta_a1, bm * _E10 + am * eta_a1
+
+
+def _partner(ov) -> np.ndarray:
+    """(N, 2) stack of the partner vectors v with <v|0> = ov: ov
+    conjugated on |0>, a real nonnegative |1> component."""
+    out = np.empty((ov.size, 2), dtype=complex)
+    out[:, 0] = ov.conj()
+    out[:, 1] = np.sqrt(_pymax(0.0, 1.0 - _abs(ov) ** 2))
+    return out
 
 
 @dataclass(frozen=True)
@@ -83,32 +147,32 @@ class UssdInstance:
         """Total relative phase of the two overlaps."""
         return float(np.angle(self.alpha) + np.angle(self.alpha_c))
 
-    @property
-    def _denominator(self) -> float:
-        return 1.0 + 2.0 * math.sqrt(self.p_plus * (1.0 - self.p_plus)) \
-            * abs(self.alpha) * abs(self.alpha_c) * math.cos(self.gamma)
+    @cached_property
+    def _branch_weights(self) -> tuple:
+        """r_plus, r_minus, tilde_alpha and the interior flag, from
+        _weights once per instance."""
+        rp, rm, tilde, interior = _weights(self.p_plus, self.alpha, self.alpha_c)
+        return float(rp), float(rm), float(tilde), bool(interior)
 
     @property
     def r_plus(self) -> float:
         """Effective weight of the reference branch in the joint state."""
-        return self.p_plus / self._denominator
+        return self._branch_weights[0]
 
     @property
     def r_minus(self) -> float:
-        return (1.0 - self.p_plus) / self._denominator
+        return self._branch_weights[1]
 
     @property
     def tilde_alpha(self) -> float:
         """Prior-ratio threshold separating the two optimal regimes."""
-        if self.p_plus == 1.0:
-            return math.inf
-        return math.sqrt(self.p_plus / (1.0 - self.p_plus))
+        return self._branch_weights[2]
 
     @property
     def case(self) -> str:
         """Optimal-strategy regime: "interior" when both failure overlaps
         can stay below 1, "saturated" when one of them pins at 1."""
-        return "interior" if abs(self.alpha) < self.tilde_alpha else "saturated"
+        return "interior" if self._branch_weights[3] else "saturated"
 
 
 def make_instance(p_plus: float, alpha, alpha_c) -> UssdInstance:
@@ -156,20 +220,12 @@ class Embedding:
                 )
 
 
-def _pair_with_overlap(ov: complex) -> tuple:
-    v0 = np.array([1.0, 0.0], dtype=complex)
-    v1 = np.array([np.conj(ov), math.sqrt(max(0.0, 1.0 - abs(ov) ** 2))],
-                  dtype=complex)
-    return v0, v1
-
-
 def canonical_embedding(inst: UssdInstance) -> Embedding:
     """Reference embedding: each plain vector is |0> and its partner
     carries the overlap in the |0> component with a real, nonnegative
-    |1> component."""
-    xi, xi_bar = _pair_with_overlap(inst.alpha)
-    phi, phi_bar = _pair_with_overlap(inst.alpha_c)
-    return Embedding(xi=xi, xi_bar=xi_bar, phi=phi, phi_bar=phi_bar)
+    |1> component: _partner on the stack (alpha, alpha_c)."""
+    xi_bar, phi_bar = _partner(np.array([inst.alpha, inst.alpha_c], dtype=complex))
+    return Embedding(xi=_E0.copy(), xi_bar=xi_bar, phi=_E0.copy(), phi_bar=phi_bar)
 
 
 def build_chi(inst: UssdInstance, embedding: Optional[Embedding] = None) -> PureState:
@@ -203,6 +259,9 @@ class UssdStrategy:
     ancilla_init: np.ndarray = None
 
     def __post_init__(self):
+        for name in ("alpha_plus", "alpha_minus"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise RangeError(f"{name} must be finite, got {getattr(self, name)!r}")
         if abs(self.alpha_plus) > 1.0 + 1e-12 or abs(self.alpha_minus) > 1.0 + 1e-12:
             raise RangeError("failure overlaps cannot exceed unit modulus")
         if not 0.0 <= self.beta <= math.pi / 2.0 + 1e-12:
@@ -219,7 +278,7 @@ class UssdStrategy:
             if k.size != 2:
                 raise ShapeError("ancilla_init must be a single-qubit vector")
             nrm = float(np.linalg.norm(k))
-            if abs(nrm - 1.0) > 1e-10:
+            if not abs(nrm - 1.0) <= 1e-10:
                 raise RangeError("ancilla_init must be normalized")
         arr = np.array(k, dtype=complex)
         arr.setflags(write=False)
@@ -235,7 +294,7 @@ class UssdStrategy:
 def check_pair(inst: UssdInstance, strat: UssdStrategy) -> None:
     """The two failure overlaps must multiply back to the instance overlap."""
     prod = strat.alpha_plus * np.conj(strat.alpha_minus)
-    if abs(prod - inst.alpha) > 1e-12:
+    if not abs(prod - inst.alpha) <= 1e-12:
         raise RangeError(
             f"strategy overlaps give {prod!r}, instance needs {inst.alpha!r}"
         )
@@ -276,22 +335,6 @@ def p_suc_max(inst: UssdInstance) -> float:
 # ---------------------------------------------------------------------------
 # post-coupling states
 
-def _zeta_vectors(strat: UssdStrategy) -> tuple:
-    """Images of the two sub-states (with ancilla attached) under the
-    coupling, on register (S, A). Success lands the ancilla on |0> with
-    the system pointing at its flag state; failure funnels both
-    sub-states onto the shared failure direction with the ancilla on |1>.
-    """
-    eta = strat.failure_direction()
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
-    bp = math.sqrt(max(0.0, 1.0 - abs(strat.alpha_plus) ** 2))
-    bm = math.sqrt(max(0.0, 1.0 - abs(strat.alpha_minus) ** 2))
-    zeta_p = bp * np.kron(e0, e0) + strat.alpha_plus * np.kron(eta, e1)
-    zeta_m = bm * np.kron(e1, e0) + strat.alpha_minus * np.kron(eta, e1)
-    return zeta_p, zeta_m
-
-
 def coupled_state(inst: UssdInstance, strat: UssdStrategy) -> PureState:
     """Joint state on (S, A, C) after the coupling, assembled directly.
 
@@ -313,7 +356,8 @@ def coupling_unitary(inst: UssdInstance, strat: UssdStrategy,
     emb = embedding if embedding is not None else canonical_embedding(inst)
     emb.validate(inst)
     k = strat.ancilla_init
-    zp, zm = _zeta_vectors(strat)
+    pts = SeparablePoints.of(inst, strat)
+    (zp,), (zm,) = _zeta(pts.alpha_plus, pts.alpha_minus, pts.beta, pts.delta)
     constraints = [
         (np.kron(emb.xi, k), zp),
         (np.kron(emb.xi_bar, k), zm),
@@ -360,11 +404,9 @@ def run_protocol(inst: UssdInstance, strat: UssdStrategy,
     )
     u = coupling_unitary(inst, strat, embedding=emb, seed_basis=seed_basis)
     psi = apply(u, psi0, targets=("S", "A"))
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
     branches = tuple(
         OutcomeRecord(outcome=k, probability=p, state=post)
-        for k, p, post in projective_measure(psi, "A", (e0, e1))
+        for k, p, post in projective_measure(psi, "A", (_E0, _E1))
     )
     return ProtocolResult(instance=inst, strategy=strat, unitary=u,
                           state=psi, outcomes=branches)
@@ -405,12 +447,8 @@ def separability_params(inst: UssdInstance, strat: UssdStrategy) -> Separability
     """
     check_pair(inst, strat)
     rp, rm = inst.r_plus, inst.r_minus
-    ac = inst.alpha_c
-    acm, gc = abs(ac), float(np.angle(ac))
     ap, am = strat.alpha_plus, strat.alpha_minus
-
-    amp_p = math.sqrt(rp) * ap + math.sqrt(rm) * am * acm * np.exp(-1j * gc)
-    amp_m = math.sqrt(rm) * am + math.sqrt(rp) * ap * acm * np.exp(+1j * gc)
+    amp_p, amp_m = _combination(rp, rm, ap, am, inst.alpha_c)
     qp, qm = float(abs(amp_p) ** 2), float(abs(amp_m) ** 2)
     wp, wm = float(np.angle(amp_p)), float(np.angle(amp_m))
     g2 = (float(np.angle(inst.alpha)) - math.pi) % _TWO_PI
@@ -427,6 +465,7 @@ def separability_params(inst: UssdInstance, strat: UssdStrategy) -> Separability
 
     c1p = math.sqrt(rp * qp / fail)
     c1m = math.sqrt(rm * qm / fail)
+    acm = abs(inst.alpha_c)
     env_gap = math.sqrt(max(0.0, 1.0 - acm * acm))
     c2p = abs(am) * env_gap * math.sqrt(rp * rm / fail)
     c2m = abs(ap) * env_gap * math.sqrt(rp * rm / fail)
@@ -451,25 +490,6 @@ def separable_strategy(inst: UssdInstance, ancilla_init=None) -> UssdStrategy:
 
 # ---------------------------------------------------------------------------
 # the separable point over arrays
-#
-# np.abs of a complex array differs from np.hypot of its parts in the last
-# bit on about 35 % of draws (numpy 2.4.6, x86-64). The printed digits of
-# eval, fig3 and selftest follow np.hypot: with np.abs, nine of the goldens
-# under tests/golden move. _abs keeps it.
-
-_E0 = np.array([1.0, 0.0], dtype=complex)
-_E1 = np.array([0.0, 1.0], dtype=complex)
-_E00, _E10 = np.kron(_E0, _E0), np.kron(_E1, _E0)
-
-
-def _abs(z: np.ndarray) -> np.ndarray:
-    return np.hypot(z.real, z.imag)
-
-
-def _pymax(a, b):
-    """Python's max(a, b) elementwise: b only where b > a."""
-    return np.where(b > a, b, a)
-
 
 def _check(bad, error, message) -> None:
     """Raise error(message(i)) at the first entry i flagged in bad."""
@@ -539,31 +559,22 @@ def _separable(p, a, ac) -> SeparablePoints:
     _check(acm > 1.0 + 1e-15, RangeError,
            lambda i: f"|alpha_c| = {float(acm[i])!r} exceeds 1")
 
-    # r+- and the regime, as the UssdInstance properties
-    ga, gc = np.angle(a), np.angle(ac)
-    den = 1.0 + 2.0 * np.sqrt(p * (1.0 - p)) * aa * acm * np.cos(ga + gc)
-    rp, rm = p / den, (1.0 - p) / den
-    tilde = np.sqrt(p / (1.0 - p))
-    interior = aa < tilde
-
+    rp, rm, tilde, interior = _weights(p, a, ac)
     # optimal_strategy, with the phase of alpha on the reference side
     mp = np.where(interior, np.sqrt(aa / np.where(interior, tilde, 1.0)), 1.0)
     mm = np.where(interior, np.sqrt(aa * tilde), aa)
-    ap, am = mp * np.exp(1j * ga), mm.astype(complex)
+    ap, am = mp * np.exp(1j * np.angle(a)), mm.astype(complex)
     abs_p, abs_m = _abs(ap), _abs(am)
     _check((abs_p > 1.0 + 1e-12) | (abs_m > 1.0 + 1e-12), RangeError,
            lambda i: "failure overlaps cannot exceed unit modulus")
     prod = ap * am.conj()                             # check_pair
-    _check(_abs(prod - a) > 1e-12, RangeError,
+    _check(~(_abs(prod - a) <= 1e-12), RangeError,
            lambda i: f"strategy overlaps give {complex(prod[i])!r}, "
                      f"instance needs {complex(a[i])!r}")
 
-    # the combination amplitudes of separability_params, then the angles
-    # that make the system-ancilla pair separable (both 0 where no
-    # failure branch is left)
-    t_p, t_m = np.sqrt(rp) * ap, np.sqrt(rm) * am
-    amp_p = t_p + t_m * acm * np.exp(-1j * gc)
-    amp_m = t_m + t_p * acm * np.exp(+1j * gc)
+    # the angles that make the system-ancilla pair separable (both 0
+    # where no failure branch is left)
+    amp_p, amp_m = _combination(rp, rm, ap, am, ac)
     mp2, mm2 = abs_p ** 2, abs_m ** 2
     qp, qm = _abs(amp_p) ** 2, _abs(amp_m) ** 2
     fail = 1.0 - (rp * (1.0 - mp2) + rm * (1.0 - mm2))
@@ -585,18 +596,8 @@ def coupled_amplitudes(pts: SeparablePoints) -> np.ndarray:
     """The (N, 8) amplitudes on (S, A, C) after the coupling, one row per
     stack entry, checked for unit norm as PureState checks them."""
     n = pts.beta.size
-    eta = np.empty((n, 2), dtype=complex)                # failure_direction
-    eta[:, 0] = np.cos(pts.beta)
-    eta[:, 1] = np.sin(pts.beta) * np.exp(1j * pts.delta)
-    ap, am = pts.alpha_plus[:, None], pts.alpha_minus[:, None]
-    bp = np.sqrt(_pymax(0.0, 1.0 - _abs(ap) ** 2))
-    bm = np.sqrt(_pymax(0.0, 1.0 - _abs(am) ** 2))
-    eta_a1 = (eta[:, :, None] * _E1).reshape(n, 4)       # np.kron(eta, e1)
-    zp = bp * _E00 + ap * eta_a1
-    zm = bm * _E10 + am * eta_a1
-    phi_bar = np.empty((n, 2), dtype=complex)             # _pair_with_overlap
-    phi_bar[:, 0] = pts.alpha_c.conj()
-    phi_bar[:, 1] = np.sqrt(_pymax(0.0, 1.0 - _abs(pts.alpha_c) ** 2))
+    zp, zm = _zeta(pts.alpha_plus, pts.alpha_minus, pts.beta, pts.delta)
+    phi_bar = _partner(pts.alpha_c)
     vec = (np.sqrt(pts.r_plus)[:, None] * (zp[:, :, None] * _E0).reshape(n, 8)
            + np.sqrt(pts.r_minus)[:, None] * (zm[:, :, None] * phi_bar[:, None, :]).reshape(n, 8))
     nrm2 = np.einsum("ij,ij->i", vec.conj(), vec).real
@@ -609,7 +610,8 @@ def system_ancilla_density(inst: UssdInstance, strat: UssdStrategy) -> np.ndarra
     """Post-coupling reduced density operator of the system-ancilla pair,
     assembled in closed form on register (S, A)."""
     check_pair(inst, strat)
-    zp, zm = _zeta_vectors(strat)
+    pts = SeparablePoints.of(inst, strat)
+    (zp,), (zm,) = _zeta(pts.alpha_plus, pts.alpha_minus, pts.beta, pts.delta)
     rp, rm, ac = inst.r_plus, inst.r_minus, inst.alpha_c
     cross = math.sqrt(rp * rm)
     return (rp * np.outer(zp, zp.conj()) + rm * np.outer(zm, zm.conj())

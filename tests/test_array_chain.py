@@ -12,7 +12,13 @@ the one-bracket loop kept here as a reference. The tangle ledger of a
 stack is held to the scalar ledger kept here as a reference, row by row.
 The closed-form triple of a stack is held to the scalar triple kept
 here as a reference, and optimal_strategy's radii to the scalar regime
-split. The CLI prints round-off digits (fig3's band_system_split
+split. The instance arithmetic is written once, in helpers the kernel
+calls on arrays and the scalar entry points on one instance; the scalar
+copies it replaced are kept here as references (reference_weights,
+reference_separability_params, reference_zeta_vectors,
+reference_pair_with_overlap) and TestOneFormula holds the entry points
+to them: with == except the coupled images, partner vectors and what is
+built from them, which may move in the last bit (LAST_BIT). The CLI prints round-off digits (fig3's band_system_split
 columns), so "close" would still change its output. Floats are compared
 with ==, and the signs of zeros are compared too, since a zero's sign
 steers np.angle.
@@ -39,6 +45,7 @@ from ussd_lab.coherence import (
     _hyperdet_tangle,
     closed_form_coherences,
     coherence_band,
+    initial_coherence,
     ledger,
     wootters_concurrence,
 )
@@ -49,22 +56,30 @@ from ussd_lab.errors import (
     ShapeError,
     UssdLabError,
 )
-from ussd_lab.qcore import PureState, basis_state, partial_trace, reduce_stack
+from ussd_lab.qcore import PureState, basis_state, complete_unitary, partial_trace, reduce_stack
 from ussd_lab.teleport import (
     TeleportInstance,
-    branch_coherences,
     branch_probability,
     square_mean_root,
 )
 from ussd_lab.tolerances import DEFAULT as TOL
 from ussd_lab.ussd import (
+    SeparabilityParams,
+    SeparablePoints,
+    _zeta,
+    canonical_embedding,
     coupled_amplitudes,
     coupled_state,
+    coupling_unitary,
     make_instance,
     optimal_strategy,
+    separability_params,
     separable_points,
     separable_strategy,
+    success_probability,
+    system_ancilla_density,
 )
+from test_teleport import reference_branch_coherences
 
 SAC = ("S", "A", "C")
 
@@ -375,7 +390,8 @@ class TestGoldenSection:
 
 
 def reference_smr(channel_angle, nodes):
-    """square_mean_root as a loop over branch_coherences, node by node."""
+    """square_mean_root as a loop over reference_branch_coherences, node
+    by node."""
     x, w = np.polynomial.legendre.leggauss(nodes)
     mus = 0.5 * math.pi * (x + 1.0)
     acc = np.zeros(3)
@@ -383,7 +399,7 @@ def reference_smr(channel_angle, nodes):
         probe = TeleportInstance(channel_angle, float(mu), 0.0)
         val = np.zeros(3)
         for b in (0, 1):
-            total, converted, _ = branch_coherences(probe, b)
+            total, converted, _ = reference_branch_coherences(probe, b)
             c = np.array([total, converted, total - converted])
             val += branch_probability(probe, b) * np.sqrt(np.maximum(c, 0.0))
         acc += wt * 0.5 * val * math.sin(mu)
@@ -722,3 +738,145 @@ class TestClosedForm:
         value, _ = getattr(selftest, check)()
         assert math.isfinite(value)
         assert calls == {"separable_points": [3], "closed_form_coherences": [1]}
+
+
+def reference_weights(inst):
+    """r_plus, r_minus, tilde_alpha and case as scalar arithmetic on one
+    instance."""
+    p = inst.p_plus
+    den = 1.0 + 2.0 * math.sqrt(p * (1.0 - p)) \
+        * abs(inst.alpha) * abs(inst.alpha_c) * math.cos(inst.gamma)
+    tilde = math.sqrt(p / (1.0 - p))
+    case = "interior" if abs(inst.alpha) < tilde else "saturated"
+    return p / den, (1.0 - p) / den, tilde, case
+
+
+def reference_separability_params(inst, strat):
+    """separability_params with its combination amplitudes in scalar
+    arithmetic."""
+    rp, rm = inst.r_plus, inst.r_minus
+    ac = inst.alpha_c
+    acm, gc = abs(ac), float(np.angle(ac))
+    ap, am = strat.alpha_plus, strat.alpha_minus
+    amp_p = math.sqrt(rp) * ap + math.sqrt(rm) * am * acm * np.exp(-1j * gc)
+    amp_m = math.sqrt(rm) * am + math.sqrt(rp) * ap * acm * np.exp(+1j * gc)
+    qp, qm = float(abs(amp_p) ** 2), float(abs(amp_m) ** 2)
+    wp, wm = float(np.angle(amp_p)), float(np.angle(amp_m))
+    g2 = (float(np.angle(inst.alpha)) - math.pi) % (2.0 * math.pi)
+    fail = 1.0 - success_probability(inst, strat)
+    if fail < 1e-15:
+        return SeparabilityParams(qp, qm, wp, wm, 0.0, 0.0, 0.0, 0.0, 0.0, g2)
+    env_gap = math.sqrt(max(0.0, 1.0 - acm * acm))
+    return SeparabilityParams(
+        qp, qm, wp, wm, math.sqrt(rp * qp / fail), math.sqrt(rm * qm / fail), wp - wm,
+        abs(am) * env_gap * math.sqrt(rp * rm / fail),
+        abs(ap) * env_gap * math.sqrt(rp * rm / fail), g2)
+
+
+def reference_zeta_vectors(strat):
+    """The coupled images zeta+- of one strategy, built from np.kron."""
+    eta = strat.failure_direction()
+    e0 = np.array([1.0, 0.0], dtype=complex)
+    e1 = np.array([0.0, 1.0], dtype=complex)
+    bp = math.sqrt(max(0.0, 1.0 - abs(strat.alpha_plus) ** 2))
+    bm = math.sqrt(max(0.0, 1.0 - abs(strat.alpha_minus) ** 2))
+    return (bp * np.kron(e0, e0) + strat.alpha_plus * np.kron(eta, e1),
+            bm * np.kron(e1, e0) + strat.alpha_minus * np.kron(eta, e1))
+
+
+def reference_pair_with_overlap(ov):
+    """|0> and its partner v with <v|0> = ov, one overlap at a time."""
+    v0 = np.array([1.0, 0.0], dtype=complex)
+    v1 = np.array([np.conj(ov), math.sqrt(max(0.0, 1.0 - abs(ov) ** 2))], dtype=complex)
+    return v0, v1
+
+
+def reference_initial_coherence(inst):
+    aa, ac = abs(inst.alpha), abs(inst.alpha_c)
+    return float(4.0 * inst.r_plus * inst.r_minus * (1.0 - ac * ac) * (1.0 - aa) * (1.0 + aa))
+
+
+def formula_draws(seed=12, n=3000):
+    """(instance, strategy) pairs: priors at 0, 1/2 and 1 (canonical 0)
+    and inside, above 1/2 too; |alpha_c| at 0 and 1 and inside; random
+    phases; optimal_strategy with random failure angles."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for k in range(n):
+        p = (0.0, 0.5, 1.0)[k % 5] if k % 5 < 3 else rng.uniform(0.0, 1.0)
+        acm = (0.0, 1.0)[k % 2] if k % 7 == 0 else rng.uniform(0.0, 1.0)
+        inst = make_instance(p, rng.uniform(0.0, 0.999) * np.exp(1j * rng.uniform(0.0, 7.0)),
+                             acm * np.exp(1j * rng.uniform(0.0, 7.0)))
+        draws.append((inst, optimal_strategy(inst, beta=rng.uniform(0.0, math.pi / 2),
+                                             delta=rng.uniform(0.0, 2.0 * math.pi))))
+    return draws
+
+
+# the merged zeta and partner vectors square with numpy's x * x where the
+# scalar forms took Python's pow(); the two differ in the last bit on a
+# small share of draws
+LAST_BIT = 2.5e-16
+
+
+def assert_close(got, want):
+    assert np.shape(got) == np.shape(want)
+    assert np.max(np.abs(np.asarray(got) - np.asarray(want))) <= LAST_BIT
+
+
+class TestOneFormula:
+    @pytest.fixture(scope="class")
+    def draws(self):
+        draws = formula_draws()
+        assert {i.case for i, _ in draws} == {"interior", "saturated"}
+        assert {i.p_plus for i, _ in draws} >= {0.0, 0.5}
+        return draws
+
+    def test_weights_and_regime(self, draws):
+        for inst, _ in draws:
+            assert (inst.r_plus, inst.r_minus, inst.tilde_alpha, inst.case) \
+                == reference_weights(inst)
+
+    def test_weights_are_computed_once(self, monkeypatch):
+        from ussd_lab import ussd
+        calls = []
+        weights = ussd._weights
+        monkeypatch.setattr(ussd, "_weights", lambda *a: calls.append(a) or weights(*a))
+        inst = make_instance(0.3, 0.4, 0.2)
+        for _ in range(3):
+            inst.r_plus, inst.r_minus, inst.tilde_alpha, inst.case
+        assert len(calls) == 1
+
+    def test_separability_params(self, draws):
+        for inst, strat in draws:
+            assert separability_params(inst, strat) == reference_separability_params(inst, strat)
+
+    def test_initial_coherence(self, draws):
+        for inst, _ in draws:
+            assert initial_coherence(inst) == reference_initial_coherence(inst)
+
+    def test_zeta_and_embedding(self, draws):
+        for inst, strat in draws:
+            pts = SeparablePoints.of(inst, strat)
+            got = _zeta(pts.alpha_plus, pts.alpha_minus, pts.beta, pts.delta)
+            for (z,), want in zip(got, reference_zeta_vectors(strat)):
+                assert_close(z, want)
+            emb = canonical_embedding(inst)
+            xi, xi_bar = reference_pair_with_overlap(inst.alpha)
+            phi, phi_bar = reference_pair_with_overlap(inst.alpha_c)
+            assert_same(emb.xi, xi)
+            assert_same(emb.phi, phi)
+            assert_close(emb.xi_bar, xi_bar)
+            assert_close(emb.phi_bar, phi_bar)
+
+    def test_density_and_unitary(self, draws):
+        for inst, strat in draws:
+            zp, zm = reference_zeta_vectors(strat)
+            rp, rm, ac = inst.r_plus, inst.r_minus, inst.alpha_c
+            rho = (rp * np.outer(zp, zp.conj()) + rm * np.outer(zm, zm.conj())
+                   + math.sqrt(rp * rm) * (ac * np.outer(zp, zm.conj())
+                                           + np.conj(ac) * np.outer(zm, zp.conj())))
+            assert_close(system_ancilla_density(inst, strat), rho)
+            xi, xi_bar = reference_pair_with_overlap(inst.alpha)
+            k = strat.ancilla_init
+            u = complete_unitary([(np.kron(xi, k), zp), (np.kron(xi_bar, k), zm)])
+            assert_close(coupling_unitary(inst, strat).matrix, u.matrix)

@@ -215,6 +215,11 @@ class TestBand:
         with pytest.raises(ShapeError):
             coherence_band(0.4, 0.5, 0.8, scan_points=4)
 
+    @pytest.mark.parametrize("scan_points", [8.5, 16.0, None])
+    def test_scan_points_must_be_an_integer(self, scan_points):
+        with pytest.raises(RangeError, match=r"^scan_points must be an integer"):
+            coherence_band(0.4, 0.5, 0.8, scan_points=scan_points)
+
     @pytest.mark.parametrize("p_plus", [0.0, 1.0, -0.1, 1.5])
     def test_extreme_prior_is_named(self, p_plus):
         # no total coherence at an extreme prior, so no share to scan

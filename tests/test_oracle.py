@@ -168,6 +168,15 @@ class TestQuadrature:
     def test_node_count_validation(self):
         with pytest.raises(RangeError):
             quadrature_refine(math.sin, node_counts=(1,))
+
+    @pytest.mark.parametrize("counts, name", [
+        ((8.7, 16), r"node_counts\[0\]"), ((8, 16.0), r"node_counts\[1\]")])
+    def test_non_integer_node_count_is_named(self, counts, name):
+        # int() would have cut 8.7 to 8 nodes without a word
+        with pytest.raises(RangeError, match=rf"^{name} must be an integer"):
+            quadrature_refine(math.sin, node_counts=counts)
+        t = quadrature_refine(math.sin, node_counts=(np.int64(8), 16))
+        assert [r.nodes for r in t.rows] == [8, 16]
         with pytest.raises(RangeError):
             quadrature_refine(math.sin, node_counts=())
 

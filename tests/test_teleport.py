@@ -3,11 +3,14 @@
 The pipeline evolves each carrier branch once and reads all its outcome
 paths off that state. reference_run_teleport keeps the per-path
 simulation it replaced, and TestSharedEvolution holds every run to it
-field for field, with ==.
+field for field, with ==. reference_branch_coherences is the scalar
+branch triple that square_mean_root's array pass replaced, and
+reference_branch_probability the scalar branch weight.
 """
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ussd_lab import teleport
-from ussd_lab.coherence import ledger, pure_concurrence
+from ussd_lab.coherence import closed_form_coherences, ledger, pure_concurrence
 from ussd_lab.errors import NumericalError, UssdLabError
 from ussd_lab.qcore import (
     CNOT,
@@ -43,9 +46,7 @@ from ussd_lab.teleport import (
     _E1,
     TeleportInstance,
     TeleportRun,
-    _branch_overlaps,
     alice_circuit,
-    branch_coherences,
     branch_embedding,
     branch_probability,
     branch_to_ussd,
@@ -66,6 +67,26 @@ def haar(rng):
     z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def reference_branch_probability(inst, b_outcome):
+    sign = 1.0 if b_outcome == 0 else -1.0
+    return 0.5 * (1.0 + sign * math.sin(2.0 * inst.channel_angle) * math.cos(inst.mu))
+
+
+def reference_branch_instance(inst, b_outcome):
+    sign = 1.0 if b_outcome == 0 else -1.0
+    return make_instance(0.5, sign * math.sin(2.0 * inst.channel_angle), math.cos(inst.mu))
+
+
+def reference_branch_coherences(inst, b_outcome):
+    """Coherence triple (total, ancilla-vs-rest, genuine) of the branch at
+    its optimal separable strategy, one instance at a time. Degenerate
+    channels (angle pi/4) give exact zeros."""
+    if inst.degenerate:
+        return (0.0, 0.0, 0.0)
+    ui = reference_branch_instance(inst, b_outcome)
+    return closed_form_coherences(ui, separable_strategy(ui))
 
 
 def reference_run_teleport(inst, b_outcome, s_outcome=None, channel_lu=None):
@@ -111,8 +132,7 @@ def reference_run_teleport(inst, b_outcome, s_outcome=None, channel_lu=None):
         return TeleportRun(b_outcome, None, float(p_b), False, final, None, fid)
 
     emb = branch_embedding(inst, b_outcome)
-    alpha, alpha_c = _branch_overlaps(inst, b_outcome)
-    ui = make_instance(0.5, alpha, alpha_c)
+    ui = reference_branch_instance(inst, b_outcome)
     if u_c is not None:
         emb = Embedding(xi=emb.xi, xi_bar=emb.xi_bar,
                         phi=u_c @ emb.phi, phi_bar=u_c @ emb.phi_bar)
@@ -216,6 +236,22 @@ class TestInstanceAndChannel:
         with pytest.raises(RangeError):
             TeleportInstance(0.3, 0.5, 7.0)
 
+    @pytest.mark.parametrize("angle", [-0.1, QP + 1e-9, math.nan])
+    def test_one_channel_angle_check(self, angle):
+        calls = (lambda: TeleportInstance(angle, 0.5, 0.5), lambda: channel_state(angle),
+                 lambda: total_success_probability(angle), lambda: square_mean_root(angle))
+        for call in calls:
+            with pytest.raises(RangeError, match=re.escape(
+                    f"channel_angle must lie in [0, pi/4], got {angle!r}")):
+                call()
+
+    @pytest.mark.parametrize("angle", [QP, QP - 5e-13, QP + 5e-13])
+    def test_one_degeneracy_test(self, angle):
+        assert TeleportInstance(angle, 0.5, 0.5).degenerate
+        assert total_success_probability(angle) == 0.0
+        assert square_mean_root(angle) == (0.0, 0.0, 0.0)
+        assert not TeleportInstance(QP - 2e-12, 0.5, 0.5).degenerate
+
     def test_channel_tangle(self):
         for rho in (0.0, 0.2, 0.6, QP):
             ch = channel_state(rho)
@@ -238,6 +274,19 @@ class TestBranches:
     def test_probabilities_sum_to_one(self):
         inst = TeleportInstance(0.25, 1.3, 0.4)
         assert abs(branch_probability(inst, 0) + branch_probability(inst, 1) - 1) < 1e-15
+
+    def test_branch_terms_are_the_scalar_forms(self):
+        rng = np.random.default_rng(12)
+        angles = [0.0, QP, *rng.uniform(0.0, QP, 1500)]
+        mus = [0.0, math.pi, *rng.uniform(0.0, math.pi, 1500)]
+        for rho, mu in zip(angles, mus):
+            inst = TeleportInstance(rho, mu, 0.0)
+            for b in (0, 1):
+                assert branch_probability(inst, b) == reference_branch_probability(inst, b)
+                if not inst.degenerate:
+                    rec = branch_to_ussd(inst, b)
+                    assert rec.probability == reference_branch_probability(inst, b)
+                    assert rec.ussd_instance == reference_branch_instance(inst, b)
 
     def test_reduction_weights(self):
         # the equal-prior reduction puts weight 1/(4 P_b) on each sub-state
@@ -269,16 +318,18 @@ class TestBranches:
         for b in (0, 1):
             ui = branch_to_ussd(inst, b).ussd_instance
             led = ledger(coupled_state(ui, separable_strategy(ui)))
-            ct, ca, cg = branch_coherences(inst, b)
+            ct, ca, cg = reference_branch_coherences(inst, b)
             assert abs(ct - led.c_total) < 1e-12
             assert abs(ca - led.bipartite_of("A")) < 1e-12
             assert abs(cg - led.c_genuine) < 1e-12
             assert led.pair("C", "A") < 1e-12
 
     def test_pole_and_degenerate_coherences_vanish(self):
-        assert branch_coherences(TeleportInstance(QP, 1.0, 0.0), 0) == (0.0, 0.0, 0.0)
-        for v in branch_coherences(TeleportInstance(0.3, 0.0, 0.0), 0):
+        assert reference_branch_coherences(TeleportInstance(QP, 1.0, 0.0), 0) == (0.0, 0.0, 0.0)
+        for v in reference_branch_coherences(TeleportInstance(0.3, 0.0, 0.0), 0):
             assert abs(v) < 1e-15
+        # square_mean_root's array pass agrees at the two ends of the channel
+        assert square_mean_root(QP) == (0.0, 0.0, 0.0)
 
 
 class TestRuns:
@@ -423,6 +474,16 @@ class TestAverages:
         with pytest.raises(RangeError):
             square_mean_root(0.3, nodes=1)
 
+    @pytest.mark.parametrize("nodes", [2.5, 64.0, "64", None])
+    def test_non_integer_node_count(self, nodes):
+        with pytest.raises(RangeError, match=r"^nodes must be an integer"):
+            square_mean_root(0.3, nodes=nodes)
+        with pytest.raises(RangeError, match=r"^nodes must be an integer"):
+            fig4_sweep([0.5], nodes=nodes)
+
+    def test_integer_types_are_counts(self):
+        assert square_mean_root(0.3, nodes=np.int64(32)) == square_mean_root(0.3, nodes=32)
+
     def test_quadrature_already_converged(self):
         a = square_mean_root(0.3, nodes=48)
         b = square_mean_root(0.3, nodes=96)
@@ -505,3 +566,6 @@ class TestSampling:
     def test_count_validation(self):
         with pytest.raises(RangeError):
             sample_teleport(TeleportInstance(0.3, 1.0, 1.0), 0, seed=1)
+        for n in (2.5, 100.0):
+            with pytest.raises(RangeError, match=r"^n must be an integer"):
+                sample_teleport(TeleportInstance(0.3, 1.0, 1.0), n, seed=0)

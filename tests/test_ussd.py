@@ -3,6 +3,7 @@ conservation, and the loop phase."""
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -89,7 +90,8 @@ class TestInstance:
 
     def test_landmark_weights(self):
         inst = make_instance(0.5, 0.4 * np.exp(1j * math.pi), 0.8)
-        assert abs(inst._denominator - 0.68) < 1e-15
+        # the r+- denominator, read through the public weights
+        assert abs(inst.p_plus / inst.r_plus - 0.68) < 1e-15
         assert abs(inst.r_plus - 0.5 / 0.68) < 1e-14
 
 
@@ -131,6 +133,25 @@ class TestStrategy:
             UssdStrategy(0.5, 0.5, delta=-0.1)
         with pytest.raises(RangeError):
             UssdStrategy(1.2, 0.5)
+
+    @pytest.mark.parametrize("field", ["alpha_plus", "alpha_minus"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan),
+                                     complex(-math.inf, 0.5)])
+    def test_non_finite_overlap_is_named(self, field, bad):
+        # abs(nan) > 1 is false, so the modulus check alone lets it through
+        with pytest.raises(RangeError, match=rf"^{field} must be finite"):
+            UssdStrategy(**{"alpha_plus": 0.5, "alpha_minus": 0.5, field: bad})
+
+    def test_non_finite_ancilla_rejected(self):
+        for bad in ([math.nan, 0.0], [1.0, complex(0.0, math.inf)]):
+            with pytest.raises(RangeError, match="ancilla_init must be normalized"):
+                UssdStrategy(0.5, 0.5, ancilla_init=bad)
+
+    def test_check_pair_fails_a_nan_product(self):
+        inst = make_instance(0.3, 0.25, 0.0)
+        for ap, am in ((math.nan, 0.5), (0.5, complex(math.nan, 0.0))):
+            with pytest.raises(RangeError, match="strategy overlaps give"):
+                check_pair(inst, types.SimpleNamespace(alpha_plus=ap, alpha_minus=am))
 
     def test_interior_optimum_landmark(self):
         strat = optimal_strategy(make_instance(0.2, 0.4, 0.0))
