@@ -205,7 +205,9 @@ def tensor(a, b):
         shared = set(a.register) & set(b.register)
         if shared:
             raise RegisterClash(f"labels {sorted(shared)} appear on both factors")
-        return PureState(a.register + b.register, np.kron(a.amplitudes, b.amplitudes))
+        # np.kron of two vectors, without its general-shape overhead
+        vec = (a.amplitudes[:, None] * b.amplitudes).reshape(-1)
+        return PureState(a.register + b.register, vec)
     if isinstance(a, Unitary) and isinstance(b, Unitary):
         shared = set(a.register) & set(b.register)
         if shared:

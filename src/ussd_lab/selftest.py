@@ -335,8 +335,8 @@ def _bargmann_gauge(seed=21, count=20):
     for _ in range(count):
         inst = _random_instance(rng)
         emb = canonical_embedding(inst)
-        v1 = np.kron(emb.xi, emb.phi)
-        v3 = np.kron(emb.xi_bar, emb.phi_bar)
+        v1 = (emb.xi[:, None] * emb.phi).reshape(-1)
+        v3 = (emb.xi_bar[:, None] * emb.phi_bar).reshape(-1)
         v2 = build_chi(inst, emb).amplitudes
         base = bargmann_loop(v1, v2, v3)
         th = rng.uniform(0, _TWO_PI, size=3)

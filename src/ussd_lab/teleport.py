@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateOverlap, NumericalError, RangeError, _count
+from .errors import DegenerateOverlap, NumericalError, RangeError, ShapeError, _count
 from .qcore import (
     CNOT,
     HADAMARD,
@@ -28,23 +28,22 @@ from .qcore import (
     PureState,
     Unitary,
     apply,
-    factor_out,
     partial_trace,
     projective_measure,
-    reorder,
     tensor,
 )
 from .ussd import (
     Embedding,
     UssdInstance,
+    _check,
     build_chi,
     coupling_unitary,
     make_instance,
     p_suc_max,
     separable_points,
-    separable_strategy,
 )
 from .coherence import closed_form_coherences
+from .tolerances import DEFAULT as TOL
 
 _E0 = np.array([1.0, 0.0], dtype=complex)
 _E1 = np.array([0.0, 1.0], dtype=complex)
@@ -64,6 +63,22 @@ _CORRECTIONS = {
 def _check_angle(channel_angle) -> None:
     if not 0.0 <= channel_angle <= _QUARTER_PI + 1e-12:
         raise RangeError(f"channel_angle must lie in [0, pi/4], got {channel_angle!r}")
+
+
+def _sign(b_outcome) -> float:
+    """+1 for carrier outcome 0, -1 for outcome 1; any other outcome
+    raises RangeError."""
+    if b_outcome not in (0, 1):
+        raise RangeError(f"b_outcome must be 0 or 1, got {b_outcome!r}")
+    return 1.0 if b_outcome == 0 else -1.0
+
+
+def _nodes(nodes) -> int:
+    """A quadrature node count: an integer of at least 2."""
+    nodes = _count(nodes, "nodes")
+    if nodes < 2:
+        raise RangeError("need at least 2 quadrature nodes")
+    return nodes
 
 
 def _degenerate(channel_angle) -> bool:
@@ -151,8 +166,8 @@ def alice_circuit(inst: TeleportInstance, channel_lu=None) -> PureState:
 
 
 def branch_probability(inst: TeleportInstance, b_outcome: int) -> float:
-    sign = 1.0 if b_outcome == 0 else -1.0
-    return _branch_terms(sign, math.sin(2.0 * inst.channel_angle), math.cos(inst.mu))[0]
+    return _branch_terms(_sign(b_outcome), math.sin(2.0 * inst.channel_angle),
+                         math.cos(inst.mu))[0]
 
 
 def branch_embedding(inst: TeleportInstance, b_outcome: int) -> Embedding:
@@ -163,11 +178,11 @@ def branch_embedding(inst: TeleportInstance, b_outcome: int) -> Embedding:
     a bit flip on the minus branch.
     """
     rho = inst.channel_angle
-    sign = 1.0 if b_outcome == 0 else -1.0
+    sign = _sign(b_outcome)
     xi = np.array([math.cos(rho), sign * math.sin(rho)], dtype=complex)
     xi_bar = PAULI["X"] @ xi
     phi = inst.input_state()
-    if b_outcome == 0:
+    if sign > 0:
         c_plain, c_bar = phi, PAULI["Z"] @ phi
     else:
         c_plain, c_bar = PAULI["X"] @ phi, PAULI["X"] @ PAULI["Z"] @ phi
@@ -191,13 +206,11 @@ def branch_to_ussd(inst: TeleportInstance, b_outcome: int) -> BranchRecord:
     relative phase of pi. Raises DegenerateOverlap at channel_angle =
     pi/4 where the sub-states coincide.
     """
-    if b_outcome not in (0, 1):
-        raise RangeError(f"b_outcome must be 0 or 1, got {b_outcome!r}")
+    sign = _sign(b_outcome)
     if inst.degenerate:
         raise DegenerateOverlap(
             "channel_angle pi/4 gives |overlap| = 1; discrimination degenerate"
         )
-    sign = 1.0 if b_outcome == 0 else -1.0
     prob, alpha, alpha_c = _branch_terms(sign, math.sin(2.0 * inst.channel_angle),
                                          math.cos(inst.mu))
     ui = make_instance(0.5, alpha, alpha_c)
@@ -237,72 +250,147 @@ class TeleportRun:
     fidelity: float
 
 
+def _unit_rows(stack, mask, bs) -> None:
+    """PureState's norm check on the rows of a stack that mask selects,
+    naming the carrier branch (bs[row]) of the first row to fail."""
+    flat = stack.reshape(len(stack), -1)
+    nrm2 = np.einsum("ij,ij->i", flat.conj(), flat).real
+    _check(mask & ~(np.abs(nrm2 - 1.0) <= TOL.state_norm), ShapeError,
+           lambda i: f"state vector not normalized on carrier branch {bs[i]}: "
+                     f"||psi||^2 = {float(nrm2[i])!r}")
+
+
+def _factored(rest, mask, bs, label) -> np.ndarray:
+    """factor_out's last step on a stack: each row of rest holds a state's
+    amplitudes with qubit label projected onto its known outcome, and is
+    divided by its own norm. On the rows mask selects the norm must be 1
+    within 1e-9 (else the qubit was entangled with the rest) and the
+    quotient a unit vector; other rows carry no meaning."""
+    nrm = np.array([np.linalg.norm(r) for r in rest])
+    _check(mask & (np.abs(nrm - 1.0) > 1e-9), ShapeError,
+           lambda i: f"qubit {label!r} is not in the stated product state "
+                     f"on carrier branch {bs[i]}")
+    out = rest / np.where(mask, nrm, 1.0).reshape((-1,) + (1,) * (rest.ndim - 1))
+    _unit_rows(out, mask, bs)
+    return out
+
+
+def _measured(t, axis, mask, bs) -> tuple:
+    """projective_measure in the computational basis, on the qubit at
+    axis of every row of the stack t that mask selects: the outcome
+    probabilities (2, n), the live outcomes (2, n), those of a selected
+    row with probability 1e-15 or more, and the post-states (2, n, ...)
+    with the measured qubit collapsed to each outcome."""
+    comps = np.moveaxis(t, axis, 0)            # (2, n, ...), one slice per outcome
+    probs = np.array([[float(np.vdot(c, c).real) for c in comp] for comp in comps])
+    total = probs[0] + probs[1]
+    _check(mask & (np.abs(total - 1.0) > 1e-10), NumericalError,
+           lambda i: f"outcome probabilities sum to {float(total[i])!r} "
+                     f"on carrier branch {bs[i]}")
+    live = mask & (probs >= 1e-15)
+    post = np.zeros((2,) + t.shape, dtype=complex)
+    for k in (0, 1):
+        scale = np.sqrt(np.where(live[k], probs[k], 1.0))
+        np.moveaxis(post[k], axis, 0)[k] = comps[k] / scale.reshape((-1,) + (1,) * (t.ndim - 2))
+        _unit_rows(post[k], live[k], bs)
+    return probs, live, post
+
+
 def _branch_runs(inst: TeleportInstance, branches, channel_lu=None) -> list:
     """Every outcome path of the given carrier branches, in enumeration
-    order. Alice's circuit and the carrier measurement run once; each live
-    branch gets one coupling, one ancilla and one system measurement. A
-    degenerate channel has only failure paths; a dead branch, zero runs."""
+    order. Alice's circuit and the carrier measurement run once, then
+    the live branches evolve together in _live_runs. A degenerate
+    channel has only failure paths; a dead branch or outcome gives
+    zero-probability runs."""
+    carrier = projective_measure(alice_circuit(inst, channel_lu), "B", (_E0, _E1))
+    live = [b for b in branches if carrier[b][2] is not None]
+    runs = _live_runs(inst, live, carrier, channel_lu) if live else {}
+    paths = (None,) if inst.degenerate else (None, 0, 1)
+    return [runs[(b, s)] if (b, s) in runs else TeleportRun(b, s, 0.0, False, None, None, 0.0)
+            for b in branches for s in paths]
+
+
+def _live_runs(inst: TeleportInstance, live, carrier, channel_lu) -> dict:
+    """The runs of the live carrier branches, keyed by (b, s), from one
+    pass over their stack: one separable_points call, each branch's own
+    completed coupling unitary applied by one batched matmul, and the
+    ancilla measurement, both factor-outs, the system measurement and
+    Bob's corrections as array expressions on the (n, 2, 2, 2) tensor on
+    (S, A, C). Dead outcomes are masked per row and get no run.
+
+    Each run is bit-equal to the chain of qcore primitives on one branch
+    (tests/test_teleport.py keeps it as reference_run_teleport): the
+    slices and products here are exact, the batched matmuls hand BLAS
+    each row as the primitive hands it one state, and each np.vdot and
+    np.linalg.norm runs per row, on the array shape the primitive gives
+    it, so it sums in the same order."""
     u_c = None if channel_lu is None else np.asarray(channel_lu[1], dtype=complex)
     target = inst.input_state() if u_c is None else u_c @ inst.input_state()
+    runs = {}
 
     def path(b, s, prob, final, name=None):
         fid = float(abs(np.vdot(target, final)) ** 2)
-        return TeleportRun(b, s, float(prob), s is not None, final, name, fid)
+        runs[(b, s)] = TeleportRun(b, s, float(prob), s is not None, final, name, fid)
 
-    def dead(b, s):
-        return TeleportRun(b, s, 0.0, False, None, None, 0.0)
-
-    paths = (None,) if inst.degenerate else (None, 0, 1)
-    carrier = projective_measure(alice_circuit(inst, channel_lu), "B", (_E0, _E1))
-    runs = []
-    for b in branches:
-        _, p_b, post_b = carrier[b]
-        if post_b is None:
-            runs += [dead(b, s) for s in paths]
-            continue
-        psi_sc = factor_out(post_b, "B", _E1 if b else _E0)
-        if inst.degenerate:
+    n = len(live)
+    every = np.ones(n, dtype=bool)
+    p_b = [carrier[b][1] for b in live]
+    # (n, 2, 2) on (S, C): each branch's slice of its own carrier outcome
+    psi_sc = _factored(np.array([carrier[b][2].as_tensor()[:, b, :] for b in live]),
+                       every, live, "B")
+    if inst.degenerate:
+        for i, b in enumerate(live):
             # product branch state: C never became entangled with S
-            w, v = np.linalg.eigh(partial_trace(psi_sc, ["C"]).matrix)
+            w, v = np.linalg.eigh(partial_trace(PureState(("S", "C"), psi_sc[i]), ["C"]).matrix)
             if w[-1] < 1.0 - 1e-9:
-                raise NumericalError("degenerate branch state unexpectedly mixed")
-            runs.append(path(b, None, p_b, v[:, -1]))
-            continue
+                raise NumericalError(f"degenerate branch state unexpectedly mixed "
+                                     f"on carrier branch {b}")
+            path(b, None, p_b[i], v[:, -1])
+        return runs
+
+    _, alpha, alpha_c = _branch_terms(np.array([_sign(b) for b in live]),
+                                      math.sin(2.0 * inst.channel_angle), math.cos(inst.mu))
+    pts = separable_points(0.5, alpha, alpha_c)
+    us, etas = [], []
+    for i, b in enumerate(live):
+        ui, strat = make_instance(0.5, alpha[i], alpha_c), pts.strategy(i)
         emb = branch_embedding(inst, b)
-        ui = branch_to_ussd(inst, b).ussd_instance
         if u_c is not None:
             emb = replace(emb, phi=u_c @ emb.phi, phi_bar=u_c @ emb.phi_bar)
-        agreement = abs(np.vdot(build_chi(ui, emb).amplitudes, psi_sc.amplitudes))
+        agreement = abs(np.vdot(build_chi(ui, emb).amplitudes, psi_sc[i]))
         if agreement < 1.0 - 1e-9:
             raise NumericalError(
-                f"branch state disagrees with its closed form (|overlap| = {agreement!r})"
+                f"branch state disagrees with its closed form on carrier branch {b} "
+                f"(|overlap| = {agreement!r})"
             )
+        us.append(coupling_unitary(ui, strat, embedding=emb).matrix)
+        etas.append(strat.failure_direction())
 
-        strat = separable_strategy(ui)
-        psi3 = reorder(tensor(psi_sc, PureState(("A",), strat.ancilla_init)),
-                       ("S", "A", "C"))
-        psi3 = apply(coupling_unitary(ui, strat, embedding=emb), psi3, targets=("S", "A"))
-        (_, p_suc, post_suc), (_, p_fail, post_fail) = \
-            projective_measure(psi3, "A", (_E0, _E1))
-        if post_fail is None:
-            runs.append(dead(b, None))
-        else:
-            rest = factor_out(post_fail, "A", _E1)
-            final = factor_out(rest, "S", strat.failure_direction()).amplitudes
-            runs.append(path(b, None, p_b * p_fail, final))
-        if post_suc is None:
-            runs += [dead(b, 0), dead(b, 1)]
-            continue
-        for s, p_s, post_s in projective_measure(post_suc, "S", (_E0, _E1)):
-            if post_s is None:
-                runs.append(dead(b, s))
-                continue
-            rest = factor_out(post_s, "A", _E0)
-            c_vec = factor_out(rest, "S", _E1 if s else _E0).amplitudes
-            name, mat = _CORRECTIONS[(b, s)]
-            if u_c is not None:
-                mat = u_c @ mat @ u_c.conj().T
-            runs.append(path(b, s, p_b * p_suc * p_s, mat @ c_vec, name))
+    psi3 = np.zeros((n, 2, 2, 2), dtype=complex)      # (S, A, C), ancilla in |0>
+    psi3[:, :, 0] = psi_sc
+    psi3 = (np.stack(us) @ psi3.reshape(n, 4, 2)).reshape(n, 2, 2, 2)
+    _unit_rows(psi3, every, live)
+    p_a, ok_a, (post_suc, post_fail) = _measured(psi3, 2, every, live)
+
+    # failure: drop the ancilla, then the system along the failure direction
+    rest = _factored(post_fail[:, :, 1], ok_a[1], live, "A")
+    along = (np.stack(etas).conj()[:, None, :] @ rest)[:, 0, :]
+    final = _factored(along, ok_a[1], live, "S")
+    for i in np.flatnonzero(ok_a[1]):
+        path(live[i], None, p_b[i] * p_a[1, i], final[i])
+
+    # success: measure the system, drop the ancilla and the system, correct
+    p_s, ok_s, post_s = _measured(post_suc, 1, ok_a[0], live)
+    for s in (0, 1):
+        rest = _factored(post_s[s][:, :, 0], ok_s[s], live, "A")
+        c_vec = _factored(rest[:, s], ok_s[s], live, "S")
+        mats = np.stack([_CORRECTIONS[(b, s)][1] for b in live])
+        if u_c is not None:
+            mats = u_c @ mats @ u_c.conj().T
+        final = (mats @ c_vec[:, :, None])[:, :, 0]
+        for i in np.flatnonzero(ok_s[s]):
+            b = live[i]
+            path(b, s, p_b[i] * p_a[0, i] * p_s[s, i], final[i], _CORRECTIONS[(b, s)][0])
     return runs
 
 
@@ -320,8 +408,7 @@ def run_teleport(inst: TeleportInstance, b_outcome: int,
     is evolved. Bad outcomes, and success paths of a degenerate channel on
     either branch, raise before any evolution.
     """
-    if b_outcome not in (0, 1):
-        raise RangeError(f"b_outcome must be 0 or 1, got {b_outcome!r}")
+    _sign(b_outcome)
     if s_outcome not in (None, 0, 1):
         raise RangeError(f"s_outcome must be None, 0 or 1, got {s_outcome!r}")
     if inst.degenerate and s_outcome is not None:
@@ -336,7 +423,7 @@ def run_teleport(inst: TeleportInstance, b_outcome: int,
 def enumerate_runs(inst: TeleportInstance) -> list:
     """All outcome paths with their joint probabilities (per carrier branch
     failure, then s = 0, 1; failure only when degenerate), from one
-    evolution per carrier branch."""
+    pass over the stack of both carrier branches."""
     return _branch_runs(inst, (0, 1))
 
 
@@ -369,9 +456,7 @@ def square_mean_root(channel_angle: float, nodes: int = 64) -> tuple:
     terms are summed node by node in node order.
     """
     _check_angle(channel_angle)
-    nodes = _count(nodes, "nodes")
-    if nodes < 2:
-        raise RangeError("need at least 2 quadrature nodes")
+    nodes = _nodes(nodes)
     if _degenerate(channel_angle):
         # degenerate channel: no branch carries coherence
         return (0.0, 0.0, 0.0)
@@ -410,6 +495,7 @@ def fig4_sweep(tangles, nodes: int = 64) -> list:
     quantity vanishes and the share is filled in by its continuity limit
     (the ratio depends only on the channel angle).
     """
+    nodes = _nodes(nodes)
     rows = []
     for t in tangles:
         t = float(t)
@@ -443,10 +529,14 @@ def sample_teleport(inst: TeleportInstance, n: int, seed: int) -> SampleReport:
     Carrier outcomes are drawn from their exact branch probabilities and
     success from the per-branch discrimination probability, so this
     samples the same distribution the deterministic enumeration reports.
+    n is a positive integer and seed a non-negative one.
     """
     n = _count(n, "n")
     if n < 1:
         raise RangeError(f"sample count must be positive, got {n!r}")
+    seed = _count(seed, "seed")
+    if seed < 0:
+        raise RangeError(f"seed must be non-negative, got {seed!r}")
     rng = np.random.default_rng(seed)
     p_minus = branch_probability(inst, 1)
     if inst.degenerate:

@@ -232,8 +232,8 @@ def build_chi(inst: UssdInstance, embedding: Optional[Embedding] = None) -> Pure
     """Joint system-environment preparation on register (S, C)."""
     emb = embedding if embedding is not None else canonical_embedding(inst)
     emb.validate(inst)
-    vec = (math.sqrt(inst.r_plus) * np.kron(emb.xi, emb.phi)
-           + math.sqrt(inst.r_minus) * np.kron(emb.xi_bar, emb.phi_bar))
+    vec = (math.sqrt(inst.r_plus) * (emb.xi[:, None] * emb.phi).reshape(-1)
+           + math.sqrt(inst.r_minus) * (emb.xi_bar[:, None] * emb.phi_bar).reshape(-1))
     return PureState(("S", "C"), vec)
 
 
@@ -359,8 +359,8 @@ def coupling_unitary(inst: UssdInstance, strat: UssdStrategy,
     pts = SeparablePoints.of(inst, strat)
     (zp,), (zm,) = _zeta(pts.alpha_plus, pts.alpha_minus, pts.beta, pts.delta)
     constraints = [
-        (np.kron(emb.xi, k), zp),
-        (np.kron(emb.xi_bar, k), zm),
+        ((emb.xi[:, None] * k).reshape(-1), zp),
+        ((emb.xi_bar[:, None] * k).reshape(-1), zm),
     ]
     u = complete_unitary(constraints, seed_basis=seed_basis)
     return Unitary(("S", "A"), u.matrix)
@@ -480,12 +480,8 @@ def separable_strategy(inst: UssdInstance, ancilla_init=None) -> UssdStrategy:
     """Optimal strategy with the failure angles set to the separable point:
     the kernel of separable_points on a stack of one, taking the
     canonical instance as it is."""
-    pts = _separable(np.array([inst.p_plus]), np.array([inst.alpha], dtype=complex),
-                     np.array([inst.alpha_c], dtype=complex))
-    return UssdStrategy(alpha_plus=complex(pts.alpha_plus[0]),
-                        alpha_minus=complex(pts.alpha_minus[0]),
-                        beta=float(pts.beta[0]), delta=float(pts.delta[0]),
-                        ancilla_init=ancilla_init)
+    return _separable(np.array([inst.p_plus]), np.array([inst.alpha], dtype=complex),
+                      np.array([inst.alpha_c], dtype=complex)).strategy(0, ancilla_init)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +526,13 @@ class SeparablePoints:
             (inst.r_plus, float), (inst.r_minus, float),
             (strat.alpha_plus, complex), (strat.alpha_minus, complex),
             (strat.beta, float), (strat.delta, float))))
+
+    def strategy(self, i: int, ancilla_init=None) -> UssdStrategy:
+        """The strategy of entry i, as a UssdStrategy."""
+        return UssdStrategy(alpha_plus=complex(self.alpha_plus[i]),
+                            alpha_minus=complex(self.alpha_minus[i]),
+                            beta=float(self.beta[i]), delta=float(self.delta[i]),
+                            ancilla_init=ancilla_init)
 
 
 def separable_points(p_plus, alpha, alpha_c) -> SeparablePoints:
@@ -679,7 +682,7 @@ def bargmann_phase(inst: UssdInstance) -> float:
     if inst.p_plus <= 0.0 or inst.p_plus >= 1.0:
         raise UndefinedPhase("extreme prior collapses the loop")
     emb = canonical_embedding(inst)
-    v1 = np.kron(emb.xi, emb.phi)
-    v3 = np.kron(emb.xi_bar, emb.phi_bar)
+    v1 = (emb.xi[:, None] * emb.phi).reshape(-1)
+    v3 = (emb.xi_bar[:, None] * emb.phi_bar).reshape(-1)
     v2 = build_chi(inst, emb).amplitudes
     return bargmann_loop(v1, v2, v3)

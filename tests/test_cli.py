@@ -168,6 +168,13 @@ class TestTeleport:
         assert main(["teleport", "--rho", "2.0"]) == 2
         assert "channel_angle" in capsys.readouterr().err
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        assert main(["teleport", "--rho", "0.3", "--mu", "1", "--nu", "0",
+                     "--sample", "10", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be non-negative")
+        assert "Traceback" not in err
+
 
 class TestSelftest:
     def test_filtered_json_report(self, tmp_path):

@@ -1,7 +1,7 @@
 """Teleportation application: channel, branches, corrections, averages.
 
-The pipeline evolves each carrier branch once and reads all its outcome
-paths off that state. reference_run_teleport keeps the per-path
+The pipeline evolves both carrier branches in one stacked pass and reads
+all outcome paths off it. reference_run_teleport keeps the per-path
 simulation it replaced, and TestSharedEvolution holds every run to it
 field for field, with ==. reference_branch_coherences is the scalar
 branch triple that square_mean_root's array pass replaced, and
@@ -288,6 +288,13 @@ class TestBranches:
                     assert rec.probability == reference_branch_probability(inst, b)
                     assert rec.ussd_instance == reference_branch_instance(inst, b)
 
+    @pytest.mark.parametrize("b", (7, 2, -1))
+    def test_bad_outcome_rejected_by_every_branch_function(self, b):
+        inst = TeleportInstance(0.3, 1.0, 0.0)
+        for fn in (branch_probability, branch_embedding, branch_to_ussd, run_teleport):
+            with pytest.raises(RangeError, match=r"^b_outcome must be 0 or 1"):
+                fn(inst, b)
+
     def test_reduction_weights(self):
         # the equal-prior reduction puts weight 1/(4 P_b) on each sub-state
         inst = TeleportInstance(0.3, 0.9, 2.2)
@@ -433,7 +440,9 @@ class TestSharedEvolution:
 
     @pytest.mark.parametrize("rho,couplings", ((0.3, 2), (0.0, 2), (QP, 0)))
     def test_one_evolution_per_carrier_branch(self, monkeypatch, rho, couplings):
-        calls = {"circuit": 0, "coupling": 0}
+        # one pass over the stack of branches: one separable_points call
+        # (none when degenerate) and one measurement, the carrier's
+        calls = dict.fromkeys(("circuit", "coupling", "points", "measure"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -445,11 +454,17 @@ class TestSharedEvolution:
                             counted("circuit", teleport.alice_circuit))
         monkeypatch.setattr(teleport, "coupling_unitary",
                             counted("coupling", teleport.coupling_unitary))
+        monkeypatch.setattr(teleport, "separable_points",
+                            counted("points", teleport.separable_points))
+        monkeypatch.setattr(teleport, "projective_measure",
+                            counted("measure", teleport.projective_measure))
+        points = 1 if couplings else 0
         enumerate_runs(TeleportInstance(rho, 1.1, 2.2))
-        assert calls == {"circuit": 1, "coupling": couplings}
-        calls.update(circuit=0, coupling=0)
+        assert calls == {"circuit": 1, "coupling": couplings, "points": points, "measure": 1}
+        calls.update(dict.fromkeys(calls, 0))
         run_teleport(TeleportInstance(rho, 1.1, 2.2), 1, None)
-        assert calls == {"circuit": 1, "coupling": couplings // 2}
+        assert calls == {"circuit": 1, "coupling": couplings // 2, "points": points,
+                         "measure": 1}
 
 
 class TestAverages:
@@ -471,15 +486,20 @@ class TestAverages:
     def test_argument_validation(self):
         with pytest.raises(RangeError):
             square_mean_root(QP + 0.1)
-        with pytest.raises(RangeError):
+        for tangles in ([0.5], []):
+            with pytest.raises(RangeError, match=r"^need at least 2 quadrature nodes"):
+                fig4_sweep(tangles, nodes=1)
+        with pytest.raises(RangeError, match=r"^need at least 2 quadrature nodes"):
             square_mean_root(0.3, nodes=1)
 
     @pytest.mark.parametrize("nodes", [2.5, 64.0, "64", None])
     def test_non_integer_node_count(self, nodes):
         with pytest.raises(RangeError, match=r"^nodes must be an integer"):
             square_mean_root(0.3, nodes=nodes)
-        with pytest.raises(RangeError, match=r"^nodes must be an integer"):
-            fig4_sweep([0.5], nodes=nodes)
+        # checked before the loop, so an empty sweep rejects it too
+        for tangles in ([0.5], []):
+            with pytest.raises(RangeError, match=r"^nodes must be an integer"):
+                fig4_sweep(tangles, nodes=nodes)
 
     def test_integer_types_are_counts(self):
         assert square_mean_root(0.3, nodes=np.int64(32)) == square_mean_root(0.3, nodes=32)
@@ -569,3 +589,14 @@ class TestSampling:
         for n in (2.5, 100.0):
             with pytest.raises(RangeError, match=r"^n must be an integer"):
                 sample_teleport(TeleportInstance(0.3, 1.0, 1.0), n, seed=0)
+
+    @pytest.mark.parametrize("seed,message", [
+        (2.5, r"^seed must be an integer"), ("7", r"^seed must be an integer"),
+        (None, r"^seed must be an integer"), (-1, r"^seed must be non-negative")])
+    def test_seed_validation(self, seed, message):
+        with pytest.raises(RangeError, match=message):
+            sample_teleport(TeleportInstance(0.3, 1.0, 1.0), 10, seed=seed)
+
+    def test_integer_types_are_seeds(self):
+        inst = TeleportInstance(0.3, 1.2, 0.5)
+        assert sample_teleport(inst, 300, seed=np.int64(5)) == sample_teleport(inst, 300, seed=5)
