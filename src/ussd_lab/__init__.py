@@ -6,7 +6,6 @@ application built on top of it.
 __version__ = "0.1.0"
 
 from .errors import (
-    BasisError,
     DegenerateOverlap,
     EmbeddingError,
     NotIsometric,
@@ -108,7 +107,7 @@ __all__ = [
     "__version__",
     # errors
     "UssdLabError", "RegisterClash", "UnknownQubit", "ShapeError",
-    "BasisError", "NotIsometric", "DegenerateOverlap", "UndefinedPhase",
+    "NotIsometric", "DegenerateOverlap", "UndefinedPhase",
     "EmbeddingError", "PartitionError", "RangeError", "NumericalError",
     # tolerances
     "Tolerances", "DEFAULT_TOLERANCES",

@@ -6,6 +6,8 @@ failures with a single except clause.
 
 import operator
 
+import numpy as np
+
 
 class UssdLabError(Exception):
     """Base class for all errors raised by this package."""
@@ -21,10 +23,6 @@ class UnknownQubit(UssdLabError):
 
 class ShapeError(UssdLabError):
     """Array dimensions inconsistent with the declared register."""
-
-
-class BasisError(UssdLabError):
-    """Measurement basis is not orthonormal."""
 
 
 class NotIsometric(UssdLabError):
@@ -61,3 +59,9 @@ def _count(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise RangeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check(bad, error, message) -> None:
+    """Raise error(message(i)) at the first entry i flagged in bad."""
+    if np.count_nonzero(bad):
+        raise error(message(int(np.flatnonzero(bad)[0])))

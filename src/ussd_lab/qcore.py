@@ -10,18 +10,19 @@ algebra is dense and eager.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    BasisError,
     NotIsometric,
     NumericalError,
     PartitionError,
     RegisterClash,
     ShapeError,
     UnknownQubit,
+    _check,
 )
 from .tolerances import DEFAULT as TOL
 
@@ -151,7 +152,8 @@ class Unitary:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (d, d):
             raise ShapeError(f"register {reg} needs a {d}x{d} matrix, got {m.shape}")
-        if np.max(np.abs(m.conj().T @ m - np.eye(d))) > TOL.unitary:
+        if not (np.isfinite(m).all()
+                and np.max(np.abs(m.conj().T @ m - np.eye(d))) <= TOL.unitary):
             raise ShapeError("matrix is not unitary")
         object.__setattr__(self, "matrix", _frozen_array(m, (d, d)))
 
@@ -326,61 +328,92 @@ def apply(u: Unitary, psi: PureState, targets=None) -> PureState:
     return PureState(psi.register, t.reshape(-1))
 
 
-def projective_measure(psi: PureState, target: str, basis) -> list:
-    """Measure one qubit in a supplied orthonormal basis.
+# ---------------------------------------------------------------------------
+# computational-basis measurement, on stacks of states
 
-    basis is a pair of length-2 vectors (or single-qubit PureStates).
-    Returns a list of (outcome, probability, post_state) with outcome 0, 1
-    in basis order. A zero-probability outcome carries post_state None.
+def _nowhere(i) -> str:
+    return ""
+
+
+def unit_rows(stack, mask, where=_nowhere) -> None:
+    """PureState's norm check on the rows of a stack that mask selects.
+    The first row to fail is named by where(i), a suffix to the message
+    (none by default)."""
+    flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
+    nrm2 = np.einsum("ij,ij->i", flat.conj(), flat).real
+    _check(mask & ~(np.abs(nrm2 - 1.0) <= TOL.state_norm), ShapeError,
+           lambda i: f"state vector not normalized{where(i)}: "
+                     f"||psi||^2 = {float(nrm2[i])!r}")
+
+
+def measure_rows(t, axis, mask, where=_nowhere) -> tuple:
+    """Measure, in the computational basis, the qubit at axis of every
+    row of the stack t that mask selects. Returns the outcome
+    probabilities (2, n), the live outcomes (2, n), those of a selected
+    row with probability 1e-15 or more, and the post-states (2, n, ...)
+    with the measured qubit collapsed to each live outcome (zero rows
+    elsewhere). The probabilities of a selected row must sum to 1 within
+    1e-10; where(i) names a failing row as in unit_rows."""
+    comps = np.moveaxis(t, axis, 0)            # (2, n, ...), one slice per outcome
+    probs = np.array([[float(np.vdot(c, c).real) for c in comp] for comp in comps])
+    total = probs[0] + probs[1]
+    _check(mask & ~(np.abs(total - 1.0) <= 1e-10), NumericalError,
+           lambda i: f"outcome probabilities sum to {float(total[i])!r}{where(i)}")
+    live = mask & (probs >= 1e-15)
+    post = np.zeros((2,) + t.shape, dtype=complex)
+    for k in (0, 1):
+        scale = np.sqrt(np.where(live[k], probs[k], 1.0))
+        np.moveaxis(post[k], axis, 0)[k] = comps[k] / scale.reshape((-1,) + (1,) * (t.ndim - 2))
+        unit_rows(post[k], live[k], where)
+    return probs, live, post
+
+
+def factor_rows(rest, mask, label, where=_nowhere) -> np.ndarray:
+    """factor_out's last step on a stack: each row of rest holds a state's
+    amplitudes already contracted with the known outcome of qubit label,
+    and is divided by its own norm. On the rows mask selects the norm
+    must be 1 within 1e-9 (else the qubit was entangled with the rest)
+    and the quotient a unit vector; other rows carry no meaning. where(i)
+    names a failing row as in unit_rows."""
+    nrm = np.array([np.linalg.norm(r) for r in rest])
+    _check(mask & ~(np.abs(nrm - 1.0) <= 1e-9), ShapeError,
+           lambda i: f"qubit {label!r} is not in the stated product state{where(i)}")
+    out = rest / np.where(mask, nrm, 1.0).reshape((-1,) + (1,) * (rest.ndim - 1))
+    unit_rows(out, mask, where)
+    return out
+
+
+def projective_measure(psi: PureState, target: str) -> list:
+    """Measure one qubit in the computational basis: measure_rows on a
+    stack of one. Returns a list of (outcome, probability, post_state)
+    for outcomes 0 and 1; a zero-probability outcome carries post_state
+    None.
     """
-    vecs = []
-    for b in basis:
-        v = b.amplitudes if isinstance(b, PureState) else np.asarray(b, dtype=complex)
-        v = v.reshape(-1)
-        if v.size != 2:
-            raise BasisError("measurement basis vectors must be single qubit")
-        vecs.append(v)
-    if len(vecs) != 2:
-        raise BasisError("need exactly two basis vectors")
-    g00 = abs(np.vdot(vecs[0], vecs[0]) - 1.0)
-    g11 = abs(np.vdot(vecs[1], vecs[1]) - 1.0)
-    g01 = abs(np.vdot(vecs[0], vecs[1]))
-    if max(g00, g11, g01) > 1e-12:
-        raise BasisError("measurement basis is not orthonormal")
-
-    axis = psi.axis_of(target)
-    t = psi.as_tensor()
-    results = []
-    for k, v in enumerate(vecs):
-        # amplitude of outcome k, then re-insert the collapsed qubit
-        comp = np.tensordot(v.conj(), t, axes=([0], [axis]))
-        prob = float(np.vdot(comp, comp).real)
-        if prob < 1e-15:
-            results.append((k, prob, None))
-            continue
-        post = np.tensordot(v, comp / np.sqrt(prob), axes=0)
-        post = np.moveaxis(post, 0, axis)
-        results.append((k, prob, PureState(psi.register, post.reshape(-1))))
-    total = sum(p for _, p, _ in results)
-    if abs(total - 1.0) > 1e-10:
-        raise NumericalError(f"outcome probabilities sum to {total!r}")
-    return results
+    probs, live, post = measure_rows(psi.as_tensor()[None], 1 + psi.axis_of(target),
+                                     np.ones(1, dtype=bool))
+    return [(k, float(probs[k, 0]),
+             PureState(psi.register, post[k, 0].reshape(-1)) if live[k, 0] else None)
+            for k in (0, 1)]
 
 
 def factor_out(psi: PureState, label: str, outcome_vec) -> PureState:
-    """Remove a qubit known to sit in a product state outcome_vec.
+    """Remove a qubit known to sit in a product state outcome_vec, a
+    finite single-qubit vector: factor_rows on a stack of one.
 
     Used after a projective collapse to drop the measured qubit. Raises
     ShapeError if the qubit is actually entangled with the rest.
     """
     v = np.asarray(outcome_vec, dtype=complex).reshape(-1)
     axis = psi.axis_of(label)
+    if v.size != 2:
+        raise ShapeError(f"outcome vector of qubit {label!r} must hold 2 amplitudes, "
+                         f"got {v.size}")
+    if not np.isfinite(v).all():
+        raise ShapeError(f"outcome vector of qubit {label!r} is not finite")
     rest = np.tensordot(v.conj(), psi.as_tensor(), axes=([0], [axis]))
-    nrm = np.linalg.norm(rest)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ShapeError(f"qubit {label!r} is not in the stated product state")
+    (out,) = factor_rows(rest[None], np.ones(1, dtype=bool), label)
     new_reg = tuple(q for q in psi.register if q != label)
-    return PureState(new_reg, rest.reshape(-1) / nrm)
+    return PureState(new_reg, out.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +446,7 @@ def complete_unitary(constraints, seed_basis=None) -> Unitary:
     if not constraints:
         raise ShapeError("need at least one constraint pair")
     ins, outs, reg = [], [], None
-    for pair in constraints:
+    for k, pair in enumerate(constraints):
         if len(pair) != 2:
             raise ShapeError("constraints must be (input, output) pairs")
         vin, vout = pair
@@ -428,6 +461,8 @@ def complete_unitary(constraints, seed_basis=None) -> Unitary:
             vout = vout.amplitudes
         ins.append(np.asarray(vin, dtype=complex).reshape(-1))
         outs.append(np.asarray(vout, dtype=complex).reshape(-1))
+        if not (np.isfinite(ins[-1]).all() and np.isfinite(outs[-1]).all()):
+            raise ShapeError(f"constraint pair {k} is not finite")
     d = ins[0].size
     if any(v.size != d for v in ins + outs):
         raise ShapeError("constraint vectors have mismatched dimensions")
@@ -441,7 +476,7 @@ def complete_unitary(constraints, seed_basis=None) -> Unitary:
     gram_in = np.array([[np.vdot(a, b) for b in ins] for a in ins])
     gram_out = np.array([[np.vdot(a, b) for b in outs] for a in outs])
     mism = float(np.max(np.abs(gram_in - gram_out)))
-    if mism > TOL.gram:
+    if not mism <= TOL.gram:
         raise NotIsometric(
             f"input/output Gram matrices differ by {mism:.3e} (> {TOL.gram:g})"
         )
@@ -489,6 +524,6 @@ def complete_unitary(constraints, seed_basis=None) -> Unitary:
     worst = max(
         float(np.linalg.norm(u @ vin - vout)) for vin, vout in zip(ins, outs)
     )
-    if worst > TOL.mapping:
+    if not worst <= TOL.mapping:
         raise NumericalError(f"completed unitary misses a constraint by {worst:.3e}")
     return Unitary(reg, u)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateOverlap, NumericalError, RangeError, ShapeError, _count
+from .errors import DegenerateOverlap, NumericalError, RangeError, _count
 from .qcore import (
     CNOT,
     HADAMARD,
@@ -28,14 +28,16 @@ from .qcore import (
     PureState,
     Unitary,
     apply,
+    factor_rows,
+    measure_rows,
     partial_trace,
     projective_measure,
     tensor,
+    unit_rows,
 )
 from .ussd import (
     Embedding,
     UssdInstance,
-    _check,
     build_chi,
     coupling_unitary,
     make_instance,
@@ -43,10 +45,7 @@ from .ussd import (
     separable_points,
 )
 from .coherence import closed_form_coherences
-from .tolerances import DEFAULT as TOL
 
-_E0 = np.array([1.0, 0.0], dtype=complex)
-_E1 = np.array([0.0, 1.0], dtype=complex)
 _QUARTER_PI = math.pi / 4.0
 
 # Bob's correction for (carrier outcome, system outcome). The minus-branch
@@ -250,59 +249,13 @@ class TeleportRun:
     fidelity: float
 
 
-def _unit_rows(stack, mask, bs) -> None:
-    """PureState's norm check on the rows of a stack that mask selects,
-    naming the carrier branch (bs[row]) of the first row to fail."""
-    flat = stack.reshape(len(stack), -1)
-    nrm2 = np.einsum("ij,ij->i", flat.conj(), flat).real
-    _check(mask & ~(np.abs(nrm2 - 1.0) <= TOL.state_norm), ShapeError,
-           lambda i: f"state vector not normalized on carrier branch {bs[i]}: "
-                     f"||psi||^2 = {float(nrm2[i])!r}")
-
-
-def _factored(rest, mask, bs, label) -> np.ndarray:
-    """factor_out's last step on a stack: each row of rest holds a state's
-    amplitudes with qubit label projected onto its known outcome, and is
-    divided by its own norm. On the rows mask selects the norm must be 1
-    within 1e-9 (else the qubit was entangled with the rest) and the
-    quotient a unit vector; other rows carry no meaning."""
-    nrm = np.array([np.linalg.norm(r) for r in rest])
-    _check(mask & (np.abs(nrm - 1.0) > 1e-9), ShapeError,
-           lambda i: f"qubit {label!r} is not in the stated product state "
-                     f"on carrier branch {bs[i]}")
-    out = rest / np.where(mask, nrm, 1.0).reshape((-1,) + (1,) * (rest.ndim - 1))
-    _unit_rows(out, mask, bs)
-    return out
-
-
-def _measured(t, axis, mask, bs) -> tuple:
-    """projective_measure in the computational basis, on the qubit at
-    axis of every row of the stack t that mask selects: the outcome
-    probabilities (2, n), the live outcomes (2, n), those of a selected
-    row with probability 1e-15 or more, and the post-states (2, n, ...)
-    with the measured qubit collapsed to each outcome."""
-    comps = np.moveaxis(t, axis, 0)            # (2, n, ...), one slice per outcome
-    probs = np.array([[float(np.vdot(c, c).real) for c in comp] for comp in comps])
-    total = probs[0] + probs[1]
-    _check(mask & (np.abs(total - 1.0) > 1e-10), NumericalError,
-           lambda i: f"outcome probabilities sum to {float(total[i])!r} "
-                     f"on carrier branch {bs[i]}")
-    live = mask & (probs >= 1e-15)
-    post = np.zeros((2,) + t.shape, dtype=complex)
-    for k in (0, 1):
-        scale = np.sqrt(np.where(live[k], probs[k], 1.0))
-        np.moveaxis(post[k], axis, 0)[k] = comps[k] / scale.reshape((-1,) + (1,) * (t.ndim - 2))
-        _unit_rows(post[k], live[k], bs)
-    return probs, live, post
-
-
 def _branch_runs(inst: TeleportInstance, branches, channel_lu=None) -> list:
     """Every outcome path of the given carrier branches, in enumeration
     order. Alice's circuit and the carrier measurement run once, then
     the live branches evolve together in _live_runs. A degenerate
     channel has only failure paths; a dead branch or outcome gives
     zero-probability runs."""
-    carrier = projective_measure(alice_circuit(inst, channel_lu), "B", (_E0, _E1))
+    carrier = projective_measure(alice_circuit(inst, channel_lu), "B")
     live = [b for b in branches if carrier[b][2] is not None]
     runs = _live_runs(inst, live, carrier, channel_lu) if live else {}
     paths = (None,) if inst.degenerate else (None, 0, 1)
@@ -313,17 +266,19 @@ def _branch_runs(inst: TeleportInstance, branches, channel_lu=None) -> list:
 def _live_runs(inst: TeleportInstance, live, carrier, channel_lu) -> dict:
     """The runs of the live carrier branches, keyed by (b, s), from one
     pass over their stack: one separable_points call, each branch's own
-    completed coupling unitary applied by one batched matmul, and the
-    ancilla measurement, both factor-outs, the system measurement and
-    Bob's corrections as array expressions on the (n, 2, 2, 2) tensor on
-    (S, A, C). Dead outcomes are masked per row and get no run.
+    completed coupling unitary applied by one batched matmul, the ancilla
+    measurement, both factor-outs and the system measurement by qcore's
+    stacked kernel (measure_rows, factor_rows) on the (n, 2, 2, 2) tensor
+    on (S, A, C), and Bob's corrections as array expressions. Dead
+    outcomes are masked per row and get no run; a failed check names its
+    carrier branch.
 
-    Each run is bit-equal to the chain of qcore primitives on one branch
-    (tests/test_teleport.py keeps it as reference_run_teleport): the
-    slices and products here are exact, the batched matmuls hand BLAS
-    each row as the primitive hands it one state, and each np.vdot and
-    np.linalg.norm runs per row, on the array shape the primitive gives
-    it, so it sums in the same order."""
+    Each run is bit-equal to the per-path chain of per-state measurements
+    and factor-outs on one branch (tests/test_teleport.py keeps it as
+    reference_run_teleport): the slices and products here are exact, the
+    batched matmuls hand BLAS each row as the chain hands it one state,
+    and each np.vdot and np.linalg.norm runs per row, on the array shape
+    the chain gives it, so it sums in the same order."""
     u_c = None if channel_lu is None else np.asarray(channel_lu[1], dtype=complex)
     target = inst.input_state() if u_c is None else u_c @ inst.input_state()
     runs = {}
@@ -335,9 +290,13 @@ def _live_runs(inst: TeleportInstance, live, carrier, channel_lu) -> dict:
     n = len(live)
     every = np.ones(n, dtype=bool)
     p_b = [carrier[b][1] for b in live]
+
+    def where(i):
+        return f" on carrier branch {live[i]}"
+
     # (n, 2, 2) on (S, C): each branch's slice of its own carrier outcome
-    psi_sc = _factored(np.array([carrier[b][2].as_tensor()[:, b, :] for b in live]),
-                       every, live, "B")
+    psi_sc = factor_rows(np.array([carrier[b][2].as_tensor()[:, b, :] for b in live]),
+                         every, "B", where)
     if inst.degenerate:
         for i, b in enumerate(live):
             # product branch state: C never became entangled with S
@@ -369,21 +328,21 @@ def _live_runs(inst: TeleportInstance, live, carrier, channel_lu) -> dict:
     psi3 = np.zeros((n, 2, 2, 2), dtype=complex)      # (S, A, C), ancilla in |0>
     psi3[:, :, 0] = psi_sc
     psi3 = (np.stack(us) @ psi3.reshape(n, 4, 2)).reshape(n, 2, 2, 2)
-    _unit_rows(psi3, every, live)
-    p_a, ok_a, (post_suc, post_fail) = _measured(psi3, 2, every, live)
+    unit_rows(psi3, every, where)
+    p_a, ok_a, (post_suc, post_fail) = measure_rows(psi3, 2, every, where)
 
     # failure: drop the ancilla, then the system along the failure direction
-    rest = _factored(post_fail[:, :, 1], ok_a[1], live, "A")
+    rest = factor_rows(post_fail[:, :, 1], ok_a[1], "A", where)
     along = (np.stack(etas).conj()[:, None, :] @ rest)[:, 0, :]
-    final = _factored(along, ok_a[1], live, "S")
+    final = factor_rows(along, ok_a[1], "S", where)
     for i in np.flatnonzero(ok_a[1]):
         path(live[i], None, p_b[i] * p_a[1, i], final[i])
 
     # success: measure the system, drop the ancilla and the system, correct
-    p_s, ok_s, post_s = _measured(post_suc, 1, ok_a[0], live)
+    p_s, ok_s, post_s = measure_rows(post_suc, 1, ok_a[0], where)
     for s in (0, 1):
-        rest = _factored(post_s[s][:, :, 0], ok_s[s], live, "A")
-        c_vec = _factored(rest[:, s], ok_s[s], live, "S")
+        rest = factor_rows(post_s[s][:, :, 0], ok_s[s], "A", where)
+        c_vec = factor_rows(rest[:, s], ok_s[s], "S", where)
         mats = np.stack([_CORRECTIONS[(b, s)][1] for b in live])
         if u_c is not None:
             mats = u_c @ mats @ u_c.conj().T

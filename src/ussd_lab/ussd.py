@@ -32,6 +32,7 @@ from .errors import (
     RangeError,
     ShapeError,
     UndefinedPhase,
+    _check,
 )
 from .qcore import (
     PureState,
@@ -41,6 +42,7 @@ from .qcore import (
     projective_measure,
     reorder,
     tensor,
+    unit_rows,
 )
 from .coherence import _tangles
 from .tolerances import DEFAULT as TOL
@@ -406,7 +408,7 @@ def run_protocol(inst: UssdInstance, strat: UssdStrategy,
     psi = apply(u, psi0, targets=("S", "A"))
     branches = tuple(
         OutcomeRecord(outcome=k, probability=p, state=post)
-        for k, p, post in projective_measure(psi, "A", (_E0, _E1))
+        for k, p, post in projective_measure(psi, "A")
     )
     return ProtocolResult(instance=inst, strategy=strat, unitary=u,
                           state=psi, outcomes=branches)
@@ -486,12 +488,6 @@ def separable_strategy(inst: UssdInstance, ancilla_init=None) -> UssdStrategy:
 
 # ---------------------------------------------------------------------------
 # the separable point over arrays
-
-def _check(bad, error, message) -> None:
-    """Raise error(message(i)) at the first entry i flagged in bad."""
-    if np.count_nonzero(bad):
-        raise error(message(int(np.flatnonzero(bad)[0])))
-
 
 def _flat(value, shape, dtype) -> np.ndarray:
     out = np.empty(shape, dtype=dtype)
@@ -603,9 +599,7 @@ def coupled_amplitudes(pts: SeparablePoints) -> np.ndarray:
     phi_bar = _partner(pts.alpha_c)
     vec = (np.sqrt(pts.r_plus)[:, None] * (zp[:, :, None] * _E0).reshape(n, 8)
            + np.sqrt(pts.r_minus)[:, None] * (zm[:, :, None] * phi_bar[:, None, :]).reshape(n, 8))
-    nrm2 = np.einsum("ij,ij->i", vec.conj(), vec).real
-    _check(np.abs(nrm2 - 1.0) > TOL.state_norm, ShapeError,
-           lambda i: f"state vector not normalized: ||psi||^2 = {float(nrm2[i])!r}")
+    unit_rows(vec, np.ones(n, dtype=bool))
     return vec
 
 

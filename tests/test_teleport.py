@@ -2,15 +2,19 @@
 
 The pipeline evolves both carrier branches in one stacked pass and reads
 all outcome paths off it. reference_run_teleport keeps the per-path
-simulation it replaced, and TestSharedEvolution holds every run to it
-field for field, with ==. reference_branch_coherences is the scalar
-branch triple that square_mean_root's array pass replaced, and
-reference_branch_probability the scalar branch weight.
+simulation it replaced, built on reference_projective_measure and
+reference_factor_out, the measurement in a supplied basis and the
+factor-out that qcore's stacked kernel replaced; TestSharedEvolution
+holds every run to it field for field, with ==, and TestMeasurementKernel
+holds the kernel to the two references. reference_branch_coherences is
+the scalar branch triple that square_mean_root's array pass replaced,
+and reference_branch_probability the scalar branch weight.
 """
 
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from hypothesis import strategies as st
 
 from ussd_lab import teleport
 from ussd_lab.coherence import closed_form_coherences, ledger, pure_concurrence
-from ussd_lab.errors import NumericalError, UssdLabError
+from ussd_lab.errors import NumericalError, ShapeError, UssdLabError
 from ussd_lab.qcore import (
     CNOT,
     HADAMARD,
@@ -27,10 +31,13 @@ from ussd_lab.qcore import (
     Unitary,
     apply,
     factor_out,
+    factor_rows,
+    measure_rows,
     partial_trace,
     projective_measure,
     reorder,
     tensor,
+    unit_rows,
 )
 from ussd_lab.ussd import (
     Embedding,
@@ -42,8 +49,6 @@ from ussd_lab.ussd import (
 )
 from ussd_lab.teleport import (
     _CORRECTIONS,
-    _E0,
-    _E1,
     TeleportInstance,
     TeleportRun,
     alice_circuit,
@@ -61,6 +66,8 @@ from ussd_lab.teleport import (
 from ussd_lab.errors import DegenerateOverlap, RangeError
 
 QP = math.pi / 4
+_E0 = np.array([1.0, 0.0], dtype=complex)
+_E1 = np.array([0.0, 1.0], dtype=complex)
 
 
 def haar(rng):
@@ -89,6 +96,69 @@ def reference_branch_coherences(inst, b_outcome):
     return closed_form_coherences(ui, separable_strategy(ui))
 
 
+def reference_projective_measure(psi: PureState, target: str, basis) -> list:
+    """Measure one qubit in a supplied orthonormal basis.
+
+    basis is a pair of length-2 vectors (or single-qubit PureStates).
+    Returns a list of (outcome, probability, post_state) with outcome 0, 1
+    in basis order. A zero-probability outcome carries post_state None.
+
+    (projective_measure before it became measure_rows on a stack of one.
+    The basis checks raise ValueError here: the package has no basis
+    error type any more.)
+    """
+    vecs = []
+    for b in basis:
+        v = b.amplitudes if isinstance(b, PureState) else np.asarray(b, dtype=complex)
+        v = v.reshape(-1)
+        if v.size != 2:
+            raise ValueError("measurement basis vectors must be single qubit")
+        vecs.append(v)
+    if len(vecs) != 2:
+        raise ValueError("need exactly two basis vectors")
+    g00 = abs(np.vdot(vecs[0], vecs[0]) - 1.0)
+    g11 = abs(np.vdot(vecs[1], vecs[1]) - 1.0)
+    g01 = abs(np.vdot(vecs[0], vecs[1]))
+    if max(g00, g11, g01) > 1e-12:
+        raise ValueError("measurement basis is not orthonormal")
+
+    axis = psi.axis_of(target)
+    t = psi.as_tensor()
+    results = []
+    for k, v in enumerate(vecs):
+        # amplitude of outcome k, then re-insert the collapsed qubit
+        comp = np.tensordot(v.conj(), t, axes=([0], [axis]))
+        prob = float(np.vdot(comp, comp).real)
+        if prob < 1e-15:
+            results.append((k, prob, None))
+            continue
+        post = np.tensordot(v, comp / np.sqrt(prob), axes=0)
+        post = np.moveaxis(post, 0, axis)
+        results.append((k, prob, PureState(psi.register, post.reshape(-1))))
+    total = sum(p for _, p, _ in results)
+    if abs(total - 1.0) > 1e-10:
+        raise NumericalError(f"outcome probabilities sum to {total!r}")
+    return results
+
+
+def reference_factor_out(psi: PureState, label: str, outcome_vec) -> PureState:
+    """Remove a qubit known to sit in a product state outcome_vec.
+
+    Used after a projective collapse to drop the measured qubit. Raises
+    ShapeError if the qubit is actually entangled with the rest.
+
+    (factor_out before it became factor_rows on a stack of one.)
+    """
+    v = np.asarray(outcome_vec, dtype=complex).reshape(-1)
+    axis = psi.axis_of(label)
+    rest = np.tensordot(v.conj(), psi.as_tensor(), axes=([0], [axis]))
+    nrm = np.linalg.norm(rest)
+    if abs(nrm - 1.0) > 1e-9:
+        raise ShapeError(f"qubit {label!r} is not in the stated product state")
+    new_reg = tuple(q for q in psi.register if q != label)
+    return PureState(new_reg, rest.reshape(-1) / nrm)
+
+
 def reference_run_teleport(inst, b_outcome, s_outcome=None, channel_lu=None):
     """The per-path simulation the shared branch evolution replaced:
     Alice's circuit, the carrier measurement, the coupling and the
@@ -112,10 +182,10 @@ def reference_run_teleport(inst, b_outcome, s_outcome=None, channel_lu=None):
     psi = apply(Unitary(("S", "B"), CNOT), psi, targets=("S", "B"))
     psi = apply(Unitary(("S",), HADAMARD), psi, targets=("S",))
 
-    _, p_b, post_b = projective_measure(psi, "B", (_E0, _E1))[b_outcome]
+    _, p_b, post_b = reference_projective_measure(psi, "B", (_E0, _E1))[b_outcome]
     if post_b is None:
         return TeleportRun(b_outcome, s_outcome, 0.0, False, None, None, 0.0)
-    psi_sc = factor_out(post_b, "B", _E1 if b_outcome else _E0)
+    psi_sc = reference_factor_out(post_b, "B", _E1 if b_outcome else _E0)
 
     if inst.degenerate:
         if s_outcome is not None:
@@ -147,14 +217,14 @@ def reference_run_teleport(inst, b_outcome, s_outcome=None, channel_lu=None):
                    ("S", "A", "C"))
     u_sa = coupling_unitary(ui, strat, embedding=emb)
     psi3 = apply(u_sa, psi3, targets=("S", "A"))
-    outcomes_a = projective_measure(psi3, "A", (_E0, _E1))
+    outcomes_a = reference_projective_measure(psi3, "A", (_E0, _E1))
 
     if s_outcome is None:
         _, p_fail, post_fail = outcomes_a[1]
         if post_fail is None:
             return TeleportRun(b_outcome, None, 0.0, False, None, None, 0.0)
-        rest = factor_out(post_fail, "A", _E1)
-        final = factor_out(rest, "S", strat.failure_direction()).amplitudes
+        rest = reference_factor_out(post_fail, "A", _E1)
+        final = reference_factor_out(rest, "S", strat.failure_direction()).amplitudes
         fid = float(abs(np.vdot(target, final)) ** 2)
         return TeleportRun(b_outcome, None, float(p_b * p_fail), False,
                            final, None, fid)
@@ -162,11 +232,11 @@ def reference_run_teleport(inst, b_outcome, s_outcome=None, channel_lu=None):
     _, p_suc, post_suc = outcomes_a[0]
     if post_suc is None:
         return TeleportRun(b_outcome, s_outcome, 0.0, False, None, None, 0.0)
-    _, p_s, post_s = projective_measure(post_suc, "S", (_E0, _E1))[s_outcome]
+    _, p_s, post_s = reference_projective_measure(post_suc, "S", (_E0, _E1))[s_outcome]
     if post_s is None:
         return TeleportRun(b_outcome, s_outcome, 0.0, False, None, None, 0.0)
-    rest = factor_out(post_s, "A", _E0)
-    c_vec = factor_out(rest, "S", _E1 if s_outcome else _E0).amplitudes
+    rest = reference_factor_out(post_s, "A", _E0)
+    c_vec = reference_factor_out(rest, "S", _E1 if s_outcome else _E0).amplitudes
 
     name, mat = _CORRECTIONS[(b_outcome, s_outcome)]
     if u_c is not None:
@@ -396,6 +466,16 @@ class TestRuns:
         assert abs(pf.probability - df.probability) < 1e-12
         assert abs(pf.fidelity - df.fidelity) < 1e-10
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_dressing_is_not_unitary(self, bad):
+        inst = TeleportInstance(0.3, 1.0, 1.0)
+        u = np.array([[bad, 0.0], [0.0, 1.0]])
+        for lu in ((u, np.eye(2)), (np.eye(2), u)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ShapeError, match="^matrix is not unitary$"):
+                    run_teleport(inst, 0, 0, channel_lu=lu)
+
     def test_outcome_validation(self):
         inst = TeleportInstance(0.3, 1.0, 1.0)
         with pytest.raises(RangeError):
@@ -465,6 +545,157 @@ class TestSharedEvolution:
         run_teleport(TeleportInstance(rho, 1.1, 2.2), 1, None)
         assert calls == {"circuit": 1, "coupling": couplings // 2, "points": points,
                          "measure": 1}
+
+
+def kernel_draws(rng, n_qubits, count):
+    """Normalized amplitude vectors on n_qubits: complex Gaussian, real
+    with either sign, sparse (exact zeros, so zero-probability outcomes),
+    signed basis states, and one amplitude shrunk to 1e-9 (an outcome
+    below the 1e-15 cut that is not exactly zero)."""
+    d = 2 ** n_qubits
+    out = []
+    for i in range(count):
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        kind = i % 5
+        if kind == 1:
+            z = rng.standard_normal(d) * rng.choice([1.0, -1.0, 1j, -1j]) + 0.0
+        elif kind == 2:
+            z = z * (rng.random(d) < 0.5)
+            z[rng.integers(d)] += 1.0
+        elif kind == 3:
+            z = np.zeros(d, dtype=complex)
+            z[rng.integers(d)] = rng.choice([1.0, -1.0, 1j, -1j, complex(-1.0, -0.0)])
+        elif kind == 4:
+            z[rng.integers(d)] *= 1e-9
+        out.append(z / np.linalg.norm(z))
+    return out
+
+
+def same_bytes(a, b) -> bool:
+    """Equal dtype, shape and bytes: signs of zero count."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMeasurementKernel:
+    """qcore's stacked computational-basis kernel against the per-state
+    references it replaced, and stacks against stacks of one.
+
+    Probabilities, factor-outs and stacks are held byte for byte. A
+    post-state of projective_measure is held by value: the reference
+    builds it as a BLAS outer product with its basis vector, which
+    leaves -0.0 in the collapsed slot for some 2-qubit states and turns
+    -0.0 into +0.0 in the kept slot, where the kernel writes +0.0 and
+    copies the kept amplitudes. No value differs."""
+
+    LABELS = ("S", "A", "C")
+
+    @pytest.mark.parametrize("n_qubits", (1, 2, 3))
+    def test_projective_measure_matches_reference(self, n_qubits):
+        rng = np.random.default_rng(140 + n_qubits)
+        dead = 0
+        for z in kernel_draws(rng, n_qubits, 400):
+            psi = PureState(self.LABELS[:n_qubits], z)
+            for target in psi.register:
+                got = projective_measure(psi, target)
+                want = reference_projective_measure(psi, target, (_E0, _E1))
+                assert [k for k, _, _ in got] == [k for k, _, _ in want] == [0, 1]
+                for (k, p, post), (_, p_ref, post_ref) in zip(got, want):
+                    assert type(p) is float and same_bytes(p, p_ref)
+                    if post_ref is None:
+                        assert post is None
+                        dead += 1
+                        continue
+                    assert post.register == post_ref.register
+                    assert np.array_equal(post.amplitudes, post_ref.amplitudes)
+                    collapsed = np.moveaxis(post.as_tensor(), psi.axis_of(target), 0)[1 - k]
+                    assert same_bytes(collapsed, np.zeros_like(collapsed))
+        assert dead > 100
+
+    @pytest.mark.parametrize("n_qubits", (2, 3))
+    def test_factor_out_matches_reference(self, n_qubits):
+        rng = np.random.default_rng(150 + n_qubits)
+        reg = self.LABELS[:n_qubits]
+        for z in kernel_draws(rng, n_qubits, 300):
+            psi = PureState(reg, z)
+            for target in reg:
+                # the collapsed posts of both outcomes, dropped along them
+                for k, _, post in projective_measure(psi, target):
+                    if post is not None:
+                        got = factor_out(post, target, (_E0, _E1)[k])
+                        want = reference_factor_out(post, target, (_E0, _E1)[k])
+                        assert got.register == want.register
+                        assert same_bytes(got.amplitudes, want.amplitudes)
+                # along a random vector: a product state, and psi itself,
+                # whose qubit is in general entangled with the rest
+                u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                u /= np.linalg.norm(u)
+                rest = kernel_draws(rng, n_qubits - 1, 5)[rng.integers(5)]
+                prod = reorder(tensor(PureState((target,), u),
+                                      PureState(tuple(q for q in reg if q != target), rest)), reg)
+                for state in (prod, psi):
+                    got = outcome_of(factor_out, state, target, u)
+                    want = outcome_of(reference_factor_out, state, target, u)
+                    if isinstance(want, tuple):
+                        assert got == want
+                    else:
+                        assert got.register == want.register
+                        assert same_bytes(got.amplitudes, want.amplitudes)
+
+    def test_stacks_match_rows(self):
+        rng = np.random.default_rng(160)
+        for n_rows in (1, 2, 5, 9):
+            t = np.array(kernel_draws(rng, 3, n_rows)).reshape(n_rows, 2, 2, 2)
+            mask = rng.random(n_rows) < 0.7
+            for axis in (1, 2, 3):
+                probs, live, post = measure_rows(t, axis, mask)
+                for i in range(n_rows):
+                    p1, l1, q1 = measure_rows(t[i:i + 1], axis, mask[i:i + 1])
+                    assert same_bytes(probs[:, i:i + 1], p1)
+                    assert same_bytes(live[:, i:i + 1], l1)
+                    assert same_bytes(post[:, i:i + 1], q1)
+                for k in (0, 1):
+                    # each live row, contracted along its outcome, factors out
+                    rest = np.moveaxis(post[k], axis, 0)[k]
+                    out = factor_rows(rest, live[k], "S")
+                    for i in range(n_rows):
+                        assert same_bytes(out[i:i + 1],
+                                          factor_rows(rest[i:i + 1], live[k, i:i + 1], "S"))
+
+    def test_empty_stacks(self):
+        none = np.zeros(0, dtype=bool)
+        probs, live, post = measure_rows(np.zeros((0, 2, 2), dtype=complex), 2, none)
+        assert probs.shape == live.shape == (2, 0)
+        assert post.shape == (2, 0, 2, 2)
+        assert factor_rows(np.zeros((0, 2, 2), dtype=complex), none, "A").shape == (0, 2, 2)
+        unit_rows(np.zeros((0, 8), dtype=complex), none)
+
+    def test_messages(self):
+        # no suffix: PureState's own message; a suffix names the row
+        stack = np.zeros((3, 4), dtype=complex)
+        stack[:, 0] = 1.0
+        stack[1, 1] = stack[2, 1] = 0.5
+        with pytest.raises(ShapeError, match=re.escape(
+                "state vector not normalized: ||psi||^2 = 1.25")) as exc:
+            unit_rows(stack, np.ones(3, dtype=bool))
+        with pytest.raises(ShapeError) as ref:
+            PureState(("S", "A"), stack[1])
+        assert str(exc.value) == str(ref.value)
+        with pytest.raises(ShapeError, match=re.escape(
+                "state vector not normalized on row 2: ||psi||^2 = 1.25")):
+            unit_rows(stack, np.array([True, False, True]), lambda i: f" on row {i}")
+        with pytest.raises(NumericalError, match=re.escape(
+                "outcome probabilities sum to 1.25 on row 1")):
+            measure_rows(stack.reshape(3, 2, 2), 1, np.ones(3, dtype=bool),
+                         lambda i: f" on row {i}")
+        stack[2, 1] = math.nan
+        with pytest.raises(NumericalError, match=re.escape(
+                "outcome probabilities sum to nan on row 2")):
+            measure_rows(stack.reshape(3, 2, 2), 1, np.array([True, False, True]),
+                         lambda i: f" on row {i}")
+        with pytest.raises(ShapeError, match=re.escape(
+                "qubit 'A' is not in the stated product state on row 1")):
+            factor_rows(stack[:, :2], np.ones(3, dtype=bool), "A", lambda i: f" on row {i}")
 
 
 class TestAverages:
