@@ -43,7 +43,6 @@ from .coherence import (
     coherence_band,
     initial_coherence,
     ledger,
-    pure_concurrence,
     three_tangle,
     wootters_concurrence,
 )
@@ -116,7 +115,7 @@ __all__ = [
     "basis_state", "tensor", "reorder", "partial_trace", "apply",
     "projective_measure", "factor_out", "complete_unitary",
     # coherence accounting
-    "wootters_concurrence", "pure_concurrence", "three_tangle",
+    "wootters_concurrence", "three_tangle",
     "CoherenceLedger", "ledger", "initial_coherence",
     "closed_form_coherences", "BandScan", "coherence_band",
     # discrimination protocol

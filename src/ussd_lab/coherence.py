@@ -19,7 +19,6 @@ import numpy as np
 from .errors import (
     DegenerateOverlap,
     NumericalError,
-    PartitionError,
     RangeError,
     ShapeError,
     _count,
@@ -30,16 +29,6 @@ from .tolerances import DEFAULT as TOL
 _SAC = ("S", "A", "C")
 _SY = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(_SY, _SY).real  # spin-flip kernel, real in this basis
-
-
-def _as_vector(psi, dim: int) -> np.ndarray:
-    if isinstance(psi, PureState):
-        v = psi.amplitudes
-    else:
-        v = np.asarray(psi, dtype=complex).reshape(-1)
-    if v.size != dim:
-        raise ShapeError(f"expected a length-{dim} vector, got {v.size}")
-    return v
 
 
 def wootters_concurrence(rho):
@@ -79,30 +68,6 @@ def wootters_concurrence(rho):
     return c.reshape(lead) if lead else float(c[0])
 
 
-def pure_concurrence(psi, part=None) -> float:
-    """Concurrence of a pure state across a bipartition.
-
-    With part=None, psi must be a two-qubit vector (subnormalized vectors
-    are accepted; the value then scales with the squared norm, which is
-    the convention used for heralded branches). Otherwise part names one
-    qubit of a PureState and the cut is that qubit against the rest.
-    """
-    if part is None:
-        v = _as_vector(psi, 4)
-        return float(2.0 * abs(v[0] * v[3] - v[1] * v[2]))
-    labels = [part] if isinstance(part, str) else list(part)
-    if not isinstance(psi, PureState):
-        raise ShapeError("a labeled partition needs a PureState")
-    if len(labels) == 0 or len(labels) >= psi.n_qubits:
-        raise PartitionError("partition must be nonempty and proper")
-    if len(labels) != 1:
-        raise PartitionError("only single-qubit cuts are supported")
-    if labels[0] not in psi.register:
-        raise PartitionError(
-            f"part {labels[0]!r} is not a register label of {psi.register}")
-    return math.sqrt(_tangles(psi.amplitudes, psi.register, labels[0])[0])
-
-
 def _hyperdet_tangle(v: np.ndarray) -> float:
     """Residual tripartite tangle via the degree-4 polynomial invariant."""
     a = {format(i, "03b"): v[i] for i in range(8)}
@@ -129,7 +94,7 @@ def three_tangle(psi) -> float:
     """
     if isinstance(psi, PureState) and psi.n_qubits != 3:
         raise ShapeError("three_tangle needs three qubits")
-    state = psi if isinstance(psi, PureState) else PureState(_SAC, _as_vector(psi, 8))
+    state = psi if isinstance(psi, PureState) else PureState(_SAC, psi)
     led = ledger(state)
     t3 = led.c_genuine
     for pivot in state.register:

@@ -152,7 +152,9 @@ class Unitary:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (d, d):
             raise ShapeError(f"register {reg} needs a {d}x{d} matrix, got {m.shape}")
-        if not (np.isfinite(m).all()
+        # entries of a unitary lie in the unit disc; a bound before the
+        # product keeps NaN and overflow out of it
+        if not (np.max(np.abs(m)) <= 1.0 + TOL.unitary
                 and np.max(np.abs(m.conj().T @ m - np.eye(d))) <= TOL.unitary):
             raise ShapeError("matrix is not unitary")
         object.__setattr__(self, "matrix", _frozen_array(m, (d, d)))
@@ -244,37 +246,14 @@ def _split(reg: tuple, keep) -> tuple:
     return kept, kept_axes, traced_axes
 
 
-def partial_trace(state, keep) -> DensityMatrix:
-    """Reduced density matrix on the kept labels, original order preserved.
-
-    Accepts a PureState or a DensityMatrix. keep must be a nonempty subset
-    of the register; keeping everything is allowed and simply returns the
-    full density matrix.
-    """
-    reg = state.register
-    kept, kept_axes, traced_axes = _split(reg, keep)
-    dk = 2 ** len(kept)
-
-    if isinstance(state, PureState):
-        t = state.as_tensor()
-        rho = np.tensordot(t, t.conj(), axes=(traced_axes, traced_axes))
-        rho = rho.reshape(dk, dk)
-    elif isinstance(state, DensityMatrix):
-        n = len(reg)
-        t = state.matrix.reshape((2,) * (2 * n))
-        # pair each traced ket axis with its bra partner
-        letters = "abcdefgh"
-        ket = list(letters[:n])
-        bra = list(letters[n:2 * n])
-        for ax in traced_axes:
-            bra[ax] = ket[ax]
-        out = "".join(ket[ax] for ax in kept_axes) + "".join(bra[ax] for ax in kept_axes)
-        rho = np.einsum("".join(ket + bra) + "->" + out, t).reshape(dk, dk)
-    else:
-        raise ShapeError("partial_trace expects a PureState or DensityMatrix")
-
-    rho = 0.5 * (rho + rho.conj().T)  # kill round-off asymmetry
-    return DensityMatrix(kept, rho)
+def partial_trace(psi: PureState, keep) -> DensityMatrix:
+    """Reduced density matrix of a PureState on the kept labels, in
+    register order: reduce_stack on a stack of one. keep must leave at
+    least one qubit on each side."""
+    if not isinstance(psi, PureState):
+        raise ShapeError("partial_trace expects a PureState")
+    kept, _, _ = _split(psi.register, keep)
+    return DensityMatrix(kept, reduce_stack(psi.amplitudes[None], psi.register, keep)[0])
 
 
 def reduce_stack(amplitudes, register, keep) -> np.ndarray:
@@ -285,9 +264,10 @@ def reduce_stack(amplitudes, register, keep) -> np.ndarray:
     the kept labels, in register order, validated as density matrices.
     At least one qubit must be traced out, and the first row that is not
     finite or not normalized is named by its index. Each matrix is
-    bit-equal to partial_trace of the same PureState: the batched matmul
-    hands BLAS every slice with the strides tensordot gives it for one
-    state.
+    bit-equal to a tensordot of one state with its conjugate over the
+    traced axes (tests/test_array_chain.py keeps that route as
+    reference_partial_trace): the batched matmul hands BLAS every slice
+    with the strides tensordot gives it for one state.
     """
     reg = _checked_register(register)
     kept, kept_axes, traced_axes = _split(reg, keep)
@@ -431,50 +411,42 @@ def _mgs_step(vec, basis):
     return w, coeffs
 
 
-def complete_unitary(constraints, seed_basis=None) -> Unitary:
-    """Build a unitary that maps each input vector to its output vector.
+def complete_unitary(register, constraints, seed_basis=None) -> Unitary:
+    """Build a unitary on register that maps each input vector to its
+    output vector.
 
-    constraints is a sequence of (input, output) pairs of PureStates on a
-    common register (plain vectors of matching dimension work too). The two
-    Gram matrices must agree within the gram tolerance, otherwise no
-    isometry exists and NotIsometric is raised. The rest of the operator is
-    fixed deterministically by Gram-Schmidt over seed_basis (canonical
-    basis vectors in index order when omitted), so repeated calls return
-    the same matrix. Downstream observables must not depend on the
+    constraints is a sequence of (input, output) pairs of vectors of
+    2**len(register) amplitudes. The two Gram matrices must agree within
+    the gram tolerance, otherwise no isometry exists and NotIsometric is
+    raised. The rest of the operator is fixed deterministically by
+    Gram-Schmidt over seed_basis (vectors of the same size; canonical
+    basis vectors in index order follow), so repeated calls return the
+    same matrix. Downstream observables must not depend on the
     completion; tests exercise that with alternative seeds.
     """
+    reg = _checked_register(register)
+    d = 2 ** len(reg)
     if not constraints:
         raise ShapeError("need at least one constraint pair")
-    ins, outs, reg = [], [], None
+    ins, outs = [], []
     for k, pair in enumerate(constraints):
         if len(pair) != 2:
             raise ShapeError("constraints must be (input, output) pairs")
-        vin, vout = pair
-        if isinstance(vin, PureState):
-            reg = vin.register if reg is None else reg
-            if vin.register != reg:
-                raise ShapeError("constraint inputs live on different registers")
-            vin = vin.amplitudes
-        if isinstance(vout, PureState):
-            if reg is not None and vout.register != reg:
-                raise ShapeError("constraint outputs live on a different register")
-            vout = vout.amplitudes
-        ins.append(np.asarray(vin, dtype=complex).reshape(-1))
-        outs.append(np.asarray(vout, dtype=complex).reshape(-1))
+        ins.append(np.asarray(pair[0], dtype=complex).reshape(-1))
+        outs.append(np.asarray(pair[1], dtype=complex).reshape(-1))
+        if ins[-1].size != d or outs[-1].size != d:
+            raise ShapeError(f"constraint pair {k} does not hold {d}-amplitude vectors "
+                             f"for register {reg}")
         if not (np.isfinite(ins[-1]).all() and np.isfinite(outs[-1]).all()):
             raise ShapeError(f"constraint pair {k} is not finite")
-    d = ins[0].size
-    if any(v.size != d for v in ins + outs):
-        raise ShapeError("constraint vectors have mismatched dimensions")
-    if reg is None:
-        # fall back to a register of the right width for raw vectors
-        n = int(np.log2(d))
-        if 2 ** n != d or not 1 <= n <= 3:
-            raise ShapeError(f"dimension {d} is not a small qubit register")
-        reg = tuple(KNOWN_LABELS[:n])
 
     gram_in = np.array([[np.vdot(a, b) for b in ins] for a in ins])
     gram_out = np.array([[np.vdot(a, b) for b in outs] for a in outs])
+    # by Cauchy-Schwarz the squared norms bound every Gram entry
+    huge = ~(np.isfinite(np.diagonal(gram_in)) & np.isfinite(np.diagonal(gram_out)))
+    if huge.any():
+        raise ShapeError(f"constraint pair {int(np.argmax(huge))} overflows: "
+                         "its squared norm is not finite")
     mism = float(np.max(np.abs(gram_in - gram_out)))
     if not mism <= TOL.gram:
         raise NotIsometric(
@@ -496,11 +468,8 @@ def complete_unitary(constraints, seed_basis=None) -> Unitary:
         q_in.append(w / nrm)
         q_out.append(wo / nrm_o)
 
-    seeds = []
-    if seed_basis is not None:
-        for s in seed_basis:
-            s = s.amplitudes if isinstance(s, PureState) else np.asarray(s, dtype=complex)
-            seeds.append(s.reshape(-1))
+    seeds = [] if seed_basis is None else [np.asarray(s, dtype=complex).reshape(-1)
+                                           for s in seed_basis]
     seeds.extend(np.eye(d, dtype=complex)[k] for k in range(d))
 
     def complete(basis):

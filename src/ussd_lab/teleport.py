@@ -13,7 +13,6 @@ sent state.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -45,6 +44,7 @@ from .ussd import (
     separable_points,
 )
 from .coherence import closed_form_coherences
+from .oracle import _gauss_legendre
 
 _QUARTER_PI = math.pi / 4.0
 
@@ -81,9 +81,11 @@ def _nodes(nodes) -> int:
 
 
 def _degenerate(channel_angle) -> bool:
-    """True at channel_angle = pi/4, where the two branch sub-states
-    coincide and discrimination is impossible."""
-    return abs(channel_angle - _QUARTER_PI) < 1e-12
+    """True where sin 2 channel_angle rounds to 1: at pi/4 the two
+    branch sub-states coincide and discrimination is impossible, and
+    within about 5.3e-9 of it the branch overlap +/- sin 2 rho is 1 in
+    floating point, which no discrimination instance admits."""
+    return math.sin(2.0 * channel_angle) >= 1.0
 
 
 def _branch_terms(sign, s2, cos_mu) -> tuple:
@@ -388,15 +390,6 @@ def enumerate_runs(inst: TeleportInstance) -> list:
 
 # ---------------------------------------------------------------------------
 # averaged coherence bookkeeping
-
-@functools.cache
-def _gauss_legendre(n: int) -> tuple:
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per count
-    and returned read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
 
 def square_mean_root(channel_angle: float, nodes: int = 64) -> tuple:
     """Squares of the branch-averaged root coherences, integrated over the

@@ -364,8 +364,7 @@ def coupling_unitary(inst: UssdInstance, strat: UssdStrategy,
         ((emb.xi[:, None] * k).reshape(-1), zp),
         ((emb.xi_bar[:, None] * k).reshape(-1), zm),
     ]
-    u = complete_unitary(constraints, seed_basis=seed_basis)
-    return Unitary(("S", "A"), u.matrix)
+    return complete_unitary(("S", "A"), constraints, seed_basis=seed_basis)
 
 
 @dataclass(frozen=True)

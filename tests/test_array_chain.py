@@ -4,7 +4,9 @@ separable_strategy, coupled_state and the total and converted entries
 of closed_form_coherences are the array kernel on a stack of one. A
 stack of N must give each entry the same bits: separable_points' own
 swap against make_instance and the UssdInstance weights, reduce_stack
-against partial_trace, a stacked wootters_concurrence against one matrix
+against reference_partial_trace (the tensordot route partial_trace took
+before it became reduce_stack on a stack of one, kept here), a stacked
+wootters_concurrence against one matrix
 at a time, and the band scan and the polar quadrature against loops over
 single entries. coherence_band over a stack of overlaps, and its
 lockstep golden-section search, are held to one call per entry and to
@@ -56,7 +58,16 @@ from ussd_lab.errors import (
     ShapeError,
     UssdLabError,
 )
-from ussd_lab.qcore import PureState, basis_state, complete_unitary, partial_trace, reduce_stack
+from ussd_lab import qcore
+from ussd_lab.qcore import (
+    DensityMatrix,
+    PureState,
+    _split,
+    basis_state,
+    complete_unitary,
+    partial_trace,
+    reduce_stack,
+)
 from ussd_lab.teleport import (
     TeleportInstance,
     branch_probability,
@@ -114,12 +125,26 @@ def edge_draws(seed=11, n_random=120):
     return draws
 
 
+def reference_partial_trace(state, keep):
+    """Reduced density matrix of one PureState on the kept labels by a
+    tensordot over the traced axes: the route partial_trace took before
+    it became reduce_stack on a stack of one."""
+    reg = state.register
+    kept, kept_axes, traced_axes = _split(reg, keep)
+    dk = 2 ** len(kept)
+    t = state.as_tensor()
+    rho = np.tensordot(t, t.conj(), axes=(traced_axes, traced_axes))
+    rho = rho.reshape(dk, dk)
+    rho = 0.5 * (rho + rho.conj().T)  # kill round-off asymmetry
+    return DensityMatrix(kept, rho)
+
+
 def scalar_chain(p, a, c):
     inst = make_instance(p, a, c)
     strat = separable_strategy(inst)
     psi = coupled_state(inst, strat)
-    rho_c = partial_trace(psi, ["C"]).matrix
-    rho_ca = partial_trace(psi, ["C", "A"]).matrix
+    rho_c = reference_partial_trace(psi, ["C"]).matrix
+    rho_ca = reference_partial_trace(psi, ["C", "A"]).matrix
     return inst, strat, psi.amplitudes, rho_c, rho_ca, wootters_concurrence(rho_ca)
 
 
@@ -216,9 +241,39 @@ class TestStacks:
                 for keep in itertools.permutations(reg, k):
                     got = reduce_stack(amps, reg, keep)
                     for a, rho in zip(amps, got):
-                        assert_same(rho, partial_trace(PureState(reg, a), keep).matrix)
+                        assert_same(rho, reference_partial_trace(PureState(reg, a), keep).matrix)
         with pytest.raises(PartitionError):
             reduce_stack(amps, SAC, SAC)
+
+    def test_partial_trace_every_proper_keep(self):
+        rng = np.random.default_rng(16)
+        for reg in (("A",), ("C", "S"), ("S", "A"), SAC, ("B", "C", "S")):
+            for _ in range(12):
+                v = rng.normal(size=2 ** len(reg)) + 1j * rng.normal(size=2 ** len(reg))
+                psi = PureState(reg, v / np.linalg.norm(v))
+                for k in range(1, len(reg)):
+                    for keep in itertools.permutations(reg, k):
+                        got, want = partial_trace(psi, keep), reference_partial_trace(psi, keep)
+                        assert got.register == want.register
+                        assert_same(got.matrix, want.matrix)
+                # keeping every qubit is no reduction, so a one-qubit
+                # state has no proper keep at all
+                with pytest.raises(PartitionError):
+                    partial_trace(psi, reg)
+
+    def test_one_reduction_per_partial_trace(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1:])
+            return reduce_stack(*args)
+
+        monkeypatch.setattr(qcore, "reduce_stack", counting)
+        inst = make_instance(0.4, 0.3, 0.5)
+        psi = coupled_state(inst, separable_strategy(inst))
+        for keep in (["C"], ["A", "S"], ["S", "C"]):
+            partial_trace(psi, keep)
+        assert calls == [(SAC, ["C"]), (SAC, ["A", "S"]), (SAC, ["S", "C"])]
 
     def test_empty_stacks(self):
         empty = np.empty((0, 8), dtype=complex)
@@ -268,8 +323,9 @@ def reference_band(p_plus, abs_alpha, abs_alpha_c, scan_points):
     def share(gamma):
         inst = make_instance(p_plus, abs_alpha * np.exp(1j * gamma), abs_alpha_c)
         psi = coupled_state(inst, separable_strategy(inst))
-        total = 4.0 * max(float(np.linalg.det(partial_trace(psi, ["C"]).matrix).real), 0.0)
-        c_ca = wootters_concurrence(partial_trace(psi, ["C", "A"]).matrix)
+        total = 4.0 * max(float(np.linalg.det(reference_partial_trace(psi, ["C"]).matrix).real),
+                          0.0)
+        c_ca = wootters_concurrence(reference_partial_trace(psi, ["C", "A"]).matrix)
         return min(max(float(c_ca * c_ca / total), 0.0), 1.0)
 
     half = scan_points // 2 + 1
@@ -416,18 +472,18 @@ class TestQuadrature:
 
 
 def reference_ledger(psi):
-    """The tangle ledger of one PureState, one partial_trace at a time: a
-    one-matrix det per one-vs-rest tangle, a one-matrix
+    """The tangle ledger of one PureState, one reference_partial_trace
+    at a time: a one-matrix det per one-vs-rest tangle, a one-matrix
     wootters_concurrence per pair."""
     reg = psi.register
     bipartite = {}
     for q in reg:
         rest = "".join(x for x in reg if x != q)
-        det = float(np.linalg.det(partial_trace(psi, [q]).matrix).real)
+        det = float(np.linalg.det(reference_partial_trace(psi, [q]).matrix).real)
         bipartite[f"{q}:{rest}"] = 4.0 * max(det, 0.0)
     pairwise = {}
     for x, y in itertools.combinations(reg, 2):
-        c = wootters_concurrence(partial_trace(psi, [x, y]).matrix)
+        c = wootters_concurrence(reference_partial_trace(psi, [x, y]).matrix)
         pairwise[f"{x}:{y}"] = c * c
 
     def other_pair(pivot):
@@ -878,5 +934,5 @@ class TestOneFormula:
             assert_close(system_ancilla_density(inst, strat), rho)
             xi, xi_bar = reference_pair_with_overlap(inst.alpha)
             k = strat.ancilla_init
-            u = complete_unitary([(np.kron(xi, k), zp), (np.kron(xi_bar, k), zm)])
+            u = complete_unitary(("S", "A"), [(np.kron(xi, k), zp), (np.kron(xi_bar, k), zm)])
             assert_close(coupling_unitary(inst, strat).matrix, u.matrix)

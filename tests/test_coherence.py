@@ -13,7 +13,6 @@ from ussd_lab.coherence import (
     coherence_band,
     initial_coherence,
     ledger,
-    pure_concurrence,
     three_tangle,
     wootters_concurrence,
 )
@@ -21,7 +20,6 @@ from ussd_lab.ussd import coupled_state, make_instance, separable_strategy
 from ussd_lab.errors import (
     DegenerateOverlap,
     NumericalError,
-    PartitionError,
     RangeError,
     ShapeError,
 )
@@ -64,22 +62,20 @@ class TestWootters:
 
 
 class TestPureConcurrence:
+    """Concurrence of pure states, through wootters_concurrence of the
+    projector and through the tangle ledger."""
+
     def test_matches_mixed_formula(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             v /= np.linalg.norm(v)
-            psi = PureState(("S", "A"), v)
-            assert abs(pure_concurrence(psi) -
-                       wootters_concurrence(np.outer(v, v.conj()))) < 1e-10
+            # Wootters' formula on a pure state: 2 |ad - bc|
+            pure = 2.0 * abs(v[0] * v[3] - v[1] * v[2])
+            assert abs(wootters_concurrence(np.outer(v, v.conj())) - pure) < 1e-10
 
     def test_single_label_cut(self):
-        psi = ghz()
-        assert abs(pure_concurrence(psi, part="S") - 1.0) < 1e-12
-
-    def test_partition_rules(self):
-        with pytest.raises(PartitionError):
-            pure_concurrence(ghz(), part="SA")
+        assert abs(ledger(ghz()).bipartite_of("S") - 1.0) < 1e-12
 
 
 class TestThreeTangle:

@@ -31,6 +31,7 @@ from ussd_lab.qcore import (
 )
 from ussd_lab.errors import (
     NotIsometric,
+    PartitionError,
     RegisterClash,
     ShapeError,
     UnknownQubit,
@@ -104,10 +105,14 @@ class TestPartialTrace:
         assert red.register == ("S", "A")
         assert np.allclose(red.matrix, np.kron(np.eye(2) / 2, np.diag([1.0, 0.0])))
 
-    def test_density_matrix_input(self):
-        dm = bell().density()
-        red = partial_trace(dm, ["C"])
-        assert np.allclose(red.matrix, np.eye(2) / 2)
+    def test_proper_keeps_of_pure_states_only(self):
+        # keeping everything traces nothing, so it is not a reduction
+        with pytest.raises(PartitionError):
+            partial_trace(bell(), ["S", "C"])
+        with pytest.raises(PartitionError):
+            partial_trace(basis_state(("S",), (0,)), ["S"])
+        with pytest.raises(ShapeError, match="^partial_trace expects a PureState$"):
+            partial_trace(bell().density(), ["C"])
 
 
 class TestApply:
@@ -133,7 +138,9 @@ class TestApply:
         with pytest.raises(ShapeError):
             Unitary(("S",), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    # an entry past the unit disc would overflow the product test
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan),
+                                     1e200, -1e155j])
     def test_non_finite_matrix_is_not_unitary(self, bad):
         for reg, m in ((("S",), np.array([[bad, 0.0], [0.0, 1.0]])),
                        (("S", "A"), np.full((4, 4), bad))):
@@ -203,7 +210,7 @@ class TestCompleteUnitary:
         b = np.array([0, 0, 1, 0], dtype=complex)
         ta = np.array([0.6, 0.8j, 0, 0], dtype=complex)
         tb = np.array([0, 0, 0.8, -0.6j], dtype=complex)
-        u = complete_unitary([(a, ta), (b, tb)])
+        u = complete_unitary(("S", "A"), [(a, ta), (b, tb)])
         m = u.matrix
         assert np.max(np.abs(m.conj().T @ m - np.eye(4))) < 1e-10
         assert np.max(np.abs(m @ a - ta)) < 1e-10
@@ -214,7 +221,7 @@ class TestCompleteUnitary:
         b = np.array([0, 1], dtype=complex)
         t = np.array([1, 0], dtype=complex)
         with pytest.raises(NotIsometric):
-            complete_unitary([(a, t), (b, t)])
+            complete_unitary(("S",), [(a, t), (b, t)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_non_finite_constraint_named(self, bad):
@@ -224,15 +231,36 @@ class TestCompleteUnitary:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ShapeError, match="^constraint pair 1 is not finite$"):
-                    complete_unitary(pairs)
+                    complete_unitary(("S", "A"), pairs)
+
+    def test_overflow_named(self):
+        a, b = np.eye(4, dtype=complex)[:2]
+        big = np.array([0, 0, 1e200, 0], dtype=complex)
+        for reg, pairs in ((("S",), [(np.array([1e200, 0]), np.array([1e200, 0]))]),
+                           (("S", "A"), [(a, a), (b, big)]),
+                           (("S", "A"), [(a, a), (big, b)])):
+            k = len(pairs) - 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ShapeError, match=f"^constraint pair {k} overflows: "):
+                    complete_unitary(reg, pairs)
+
+    def test_register_sets_the_dimension(self):
+        a = np.array([1, 0, 0, 0], dtype=complex)
+        u = complete_unitary(("C", "S"), [(a, a[::-1])])
+        assert u.register == ("C", "S")
+        with pytest.raises(ShapeError, match="^constraint pair 0 does not hold 2-amplitude"):
+            complete_unitary(("S",), [(a, a)])
+        with pytest.raises(UnknownQubit):
+            complete_unitary(("S", "X"), [(a, a)])
 
     def test_completion_seed_does_not_move_constraints(self):
         rng = np.random.default_rng(5)
         a = np.array([1, 0, 0, 0], dtype=complex)
         ta = np.array([0, 1, 0, 0], dtype=complex)
-        u1 = complete_unitary([(a, ta)])
+        u1 = complete_unitary(("S", "A"), [(a, ta)])
         seed = [np.array([0, 0, 1j, 0], dtype=complex)]
-        u2 = complete_unitary([(a, ta)], seed_basis=seed)
+        u2 = complete_unitary(("S", "A"), [(a, ta)], seed_basis=seed)
         assert np.max(np.abs(u1.matrix @ a - u2.matrix @ a)) < 1e-10
         z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         z /= np.linalg.norm(z)

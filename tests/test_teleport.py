@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ussd_lab import teleport
-from ussd_lab.coherence import closed_form_coherences, ledger, pure_concurrence
+from ussd_lab.coherence import closed_form_coherences, ledger, wootters_concurrence
 from ussd_lab.errors import NumericalError, ShapeError, UssdLabError
 from ussd_lab.qcore import (
     CNOT,
@@ -33,7 +33,6 @@ from ussd_lab.qcore import (
     factor_out,
     factor_rows,
     measure_rows,
-    partial_trace,
     projective_measure,
     reorder,
     tensor,
@@ -193,7 +192,9 @@ def reference_run_teleport(inst, b_outcome, s_outcome=None, channel_lu=None):
                 "channel_angle pi/4: discrimination never succeeds; "
                 "only the failure path (s_outcome=None) exists"
             )
-        rho_c = partial_trace(psi_sc, ["C"]).matrix
+        from test_array_chain import reference_partial_trace
+
+        rho_c = reference_partial_trace(psi_sc, ["C"]).matrix
         w, v = np.linalg.eigh(rho_c)
         if w[-1] < 1.0 - 1e-9:
             raise NumericalError("degenerate branch state unexpectedly mixed")
@@ -320,19 +321,31 @@ class TestInstanceAndChannel:
         assert TeleportInstance(angle, 0.5, 0.5).degenerate
         assert total_success_probability(angle) == 0.0
         assert square_mean_root(angle) == (0.0, 0.0, 0.0)
-        assert not TeleportInstance(QP - 2e-12, 0.5, 0.5).degenerate
+        # degenerate wherever sin 2 rho rounds to 1, the overlap no
+        # discrimination instance admits
+        assert TeleportInstance(QP - 2e-12, 0.5, 0.5).degenerate
+        assert TeleportInstance(QP - 1e-9, 0.5, 0.5).degenerate
+        assert not TeleportInstance(QP - 1e-7, 0.5, 0.5).degenerate
+
+    @pytest.mark.parametrize("d", [2e-12, 1e-11, 1e-9])
+    @pytest.mark.parametrize("mu", [0.0, 0.3, math.pi])
+    def test_near_pole_lists_failure_paths_only(self, d, mu):
+        runs = enumerate_runs(TeleportInstance(QP - d, mu, 0.0))
+        assert [(r.b_outcome, r.s_outcome, r.success) for r in runs] \
+            == [(0, None, False), (1, None, False)]
+        assert abs(sum(r.probability for r in runs) - 1.0) < 1e-12
 
     def test_channel_tangle(self):
         for rho in (0.0, 0.2, 0.6, QP):
             ch = channel_state(rho)
             assert abs(np.linalg.norm(ch.amplitudes) - 1) < 1e-12
-            tangle = pure_concurrence(ch) ** 2
+            tangle = wootters_concurrence(ch.density()) ** 2
             assert abs(tangle - math.cos(2 * rho) ** 2) < 1e-12
 
     def test_local_dressing_keeps_the_tangle(self):
         rng = np.random.default_rng(31)
         ch = channel_state(0.3, local_b=haar(rng), local_c=haar(rng))
-        assert abs(pure_concurrence(ch) - math.cos(0.6)) < 1e-12
+        assert abs(wootters_concurrence(ch.density()) - math.cos(0.6)) < 1e-12
 
     def test_circuit_register(self):
         psi = alice_circuit(TeleportInstance(0.3, 1.0, 2.0))
