@@ -24,14 +24,10 @@ from .qcore import (
     CNOT,
     HADAMARD,
     PAULI,
-    DensityMatrix,
     PureState,
     Unitary,
     apply,
-    basis_state,
     complete_unitary,
-    factor_out,
-    partial_trace,
     projective_measure,
     reorder,
     tensor,
@@ -111,9 +107,8 @@ __all__ = [
     # tolerances
     "Tolerances", "DEFAULT_TOLERANCES",
     # state/register layer
-    "PureState", "DensityMatrix", "Unitary", "PAULI", "HADAMARD", "CNOT",
-    "basis_state", "tensor", "reorder", "partial_trace", "apply",
-    "projective_measure", "factor_out", "complete_unitary",
+    "PureState", "Unitary", "PAULI", "HADAMARD", "CNOT",
+    "tensor", "reorder", "apply", "projective_measure", "complete_unitary",
     # coherence accounting
     "wootters_concurrence", "three_tangle",
     "CoherenceLedger", "ledger", "initial_coherence",

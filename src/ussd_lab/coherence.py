@@ -23,7 +23,7 @@ from .errors import (
     ShapeError,
     _count,
 )
-from .qcore import DensityMatrix, PureState, reduce_stack
+from .qcore import PureState, reduce_stack
 from .tolerances import DEFAULT as TOL
 
 _SAC = ("S", "A", "C")
@@ -34,9 +34,9 @@ _YY = np.kron(_SY, _SY).real  # spin-flip kernel, real in this basis
 def wootters_concurrence(rho):
     """Concurrence of a two-qubit mixed state, or of each in a stack.
 
-    rho is one 4x4 matrix (or DensityMatrix), which gives a float, or a
-    (..., 4, 4) stack, which gives an array of the leading shape; one
-    matrix is a stack of one. Works from a rank-revealing factorization
+    rho is one 4x4 matrix, which gives a float, or a (..., 4, 4) stack,
+    which gives an array of the leading shape; one matrix is a stack of
+    one. Works from a rank-revealing factorization
     rho = V V^dag and takes the singular values of V^T (sy x sy) V.
     These equal the conventional square-rooted eigenvalues of rho rho~
     but remain accurate for the rank-2 states this package produces,
@@ -45,7 +45,7 @@ def wootters_concurrence(rho):
     have on its own and every value is bit-equal to a call on that
     matrix alone.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    m = np.asarray(rho, dtype=complex)
     if m.ndim < 2 or m.shape[-2:] != (4, 4):
         raise ShapeError(f"expected a 4x4 matrix or a stack of them, got {m.shape}")
     lead = m.shape[:-2]
@@ -367,8 +367,13 @@ def _band_share(p_plus, abs_alpha, abs_alpha_c, gammas) -> np.ndarray:
             "no coherence, so the band share is undefined")
     amps = coupled_amplitudes(pts)
     total = _tangles(amps, _SAC, "C")
-    if (total < 1e-30).any():
-        raise NumericalError("total coherence vanished; share undefined")
+    vanished = total < 1e-30
+    if vanished.any():
+        i = int(np.argmax(vanished))
+        aa, g = (float(np.broadcast_to(x, np.shape(alpha)).flat[i]) for x in (abs_alpha, gammas))
+        raise NumericalError(
+            f"total coherence vanished at p_plus = {float(p_plus)!r}, |alpha| = {aa!r}, "
+            f"|alpha_c| = {float(abs_alpha_c)!r}, gamma = {g!r}; share undefined")
     c_ca = wootters_concurrence(reduce_stack(amps, _SAC, ["C", "A"]))
     share = c_ca * c_ca / total
     # bounded by the pivot sum, so out-of-range values are pure noise

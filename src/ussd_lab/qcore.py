@@ -71,10 +71,6 @@ class PureState:
     def n_qubits(self) -> int:
         return len(self.register)
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
     def axis_of(self, label: str) -> int:
         if label not in self.register:
             raise UnknownQubit(f"label {label!r} not in register {self.register}")
@@ -83,24 +79,17 @@ class PureState:
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape((2,) * self.n_qubits)
 
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.register, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def overlap(self, other: "PureState") -> complex:
-        if self.register != other.register:
-            raise ShapeError("overlap needs identical registers")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def _check_density(m: np.ndarray) -> None:
-    """Hermitian, unit-trace and positive-semidefinite checks on one
-    density matrix or on a (..., d, d) stack of them; the first matrix
-    to fail names the fault, by its index in a stack. A matrix with a
-    non-finite entry fails the trace test. An empty stack passes."""
+    """Unit-trace and positive-semidefinite checks on one Hermitian
+    matrix or on a (..., d, d) stack of them; the first matrix to fail
+    the trace test is named by its index in a stack. A non-finite
+    diagonal entry fails the trace test. An empty stack passes.
+    Hermiticity is not tested: reduce_stack, the only caller, hands over
+    0.5 * (rho + rho^H), whose entries equal the conjugates of their
+    transposes exactly."""
     if m.size == 0:
         return
-    if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > TOL.hermitian:
-        raise ShapeError("density matrix is not Hermitian")
     tr = np.trace(m, axis1=-2, axis2=-1)
     bad = ~(np.abs(tr.real - 1.0) <= TOL.trace_one)
     if bad.any():
@@ -109,33 +98,6 @@ def _check_density(m: np.ndarray) -> None:
         raise ShapeError(f"density matrix trace {complex(tr[tuple(at)])!r} != 1{row}")
     if np.linalg.eigvalsh(m).min() < -TOL.psd_floor:
         raise ShapeError("density matrix has a negative eigenvalue")
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator on a register."""
-
-    register: tuple
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        reg = _checked_register(self.register)
-        object.__setattr__(self, "register", reg)
-        d = 2 ** len(reg)
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (d, d):
-            raise ShapeError(f"register {reg} needs a {d}x{d} matrix, got {m.shape}")
-        _check_density(m)
-        object.__setattr__(self, "matrix", _frozen_array(m, (d, d)))
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.register)
-
-    def axis_of(self, label: str) -> int:
-        if label not in self.register:
-            raise UnknownQubit(f"label {label!r} not in register {self.register}")
-        return self.register.index(label)
 
 
 @dataclass(frozen=True)
@@ -161,21 +123,7 @@ class Unitary:
 
 
 # ---------------------------------------------------------------------------
-# constructors and fixed gates
-
-def basis_state(register, bits) -> PureState:
-    """Computational basis state; bits may be a string like "01" or ints."""
-    reg = _checked_register(register)
-    bit_list = [int(b) for b in bits]
-    if len(bit_list) != len(reg) or any(b not in (0, 1) for b in bit_list):
-        raise ShapeError(f"need one bit per qubit of {reg}, got {bits!r}")
-    amp = np.zeros(2 ** len(reg), dtype=complex)
-    idx = 0
-    for b in bit_list:
-        idx = (idx << 1) | b
-    amp[idx] = 1.0
-    return PureState(reg, amp)
-
+# fixed gates
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -199,25 +147,20 @@ CNOT = np.array(
 # ---------------------------------------------------------------------------
 # register plumbing
 
-def tensor(a, b):
-    """Kronecker product of two PureStates or two Unitaries.
+def tensor(a: PureState, b: PureState) -> PureState:
+    """Kronecker product of two PureStates.
 
     Registers concatenate left to right, so the left argument supplies the
     more significant bits. Overlapping labels raise RegisterClash.
     """
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        shared = set(a.register) & set(b.register)
-        if shared:
-            raise RegisterClash(f"labels {sorted(shared)} appear on both factors")
-        # np.kron of two vectors, without its general-shape overhead
-        vec = (a.amplitudes[:, None] * b.amplitudes).reshape(-1)
-        return PureState(a.register + b.register, vec)
-    if isinstance(a, Unitary) and isinstance(b, Unitary):
-        shared = set(a.register) & set(b.register)
-        if shared:
-            raise RegisterClash(f"labels {sorted(shared)} appear on both factors")
-        return Unitary(a.register + b.register, np.kron(a.matrix, b.matrix))
-    raise ShapeError("tensor expects two PureStates or two Unitaries")
+    if not (isinstance(a, PureState) and isinstance(b, PureState)):
+        raise ShapeError("tensor expects two PureStates")
+    shared = set(a.register) & set(b.register)
+    if shared:
+        raise RegisterClash(f"labels {sorted(shared)} appear on both factors")
+    # np.kron of two vectors, without its general-shape overhead
+    vec = (a.amplitudes[:, None] * b.amplitudes).reshape(-1)
+    return PureState(a.register + b.register, vec)
 
 
 def reorder(psi: PureState, new_register) -> PureState:
@@ -244,16 +187,6 @@ def _split(reg: tuple, keep) -> tuple:
     kept_axes = [reg.index(q) for q in kept]
     traced_axes = [i for i in range(len(reg)) if i not in kept_axes]
     return kept, kept_axes, traced_axes
-
-
-def partial_trace(psi: PureState, keep) -> DensityMatrix:
-    """Reduced density matrix of a PureState on the kept labels, in
-    register order: reduce_stack on a stack of one. keep must leave at
-    least one qubit on each side."""
-    if not isinstance(psi, PureState):
-        raise ShapeError("partial_trace expects a PureState")
-    kept, _, _ = _split(psi.register, keep)
-    return DensityMatrix(kept, reduce_stack(psi.amplitudes[None], psi.register, keep)[0])
 
 
 def reduce_stack(amplitudes, register, keep) -> np.ndarray:
@@ -349,9 +282,9 @@ def measure_rows(t, axis, mask, where=_nowhere) -> tuple:
 
 
 def factor_rows(rest, mask, label, where=_nowhere) -> np.ndarray:
-    """factor_out's last step on a stack: each row of rest holds a state's
-    amplitudes already contracted with the known outcome of qubit label,
-    and is divided by its own norm. On the rows mask selects the norm
+    """Drop a measured qubit from each row of a stack: each row of rest
+    holds a state's amplitudes already contracted with the known outcome
+    of qubit label, and is divided by its own norm. On the rows mask selects the norm
     must be 1 within 1e-9 (else the qubit was entangled with the rest)
     and the quotient a unit vector; other rows carry no meaning. where(i)
     names a failing row as in unit_rows."""
@@ -374,26 +307,6 @@ def projective_measure(psi: PureState, target: str) -> list:
     return [(k, float(probs[k, 0]),
              PureState(psi.register, post[k, 0].reshape(-1)) if live[k, 0] else None)
             for k in (0, 1)]
-
-
-def factor_out(psi: PureState, label: str, outcome_vec) -> PureState:
-    """Remove a qubit known to sit in a product state outcome_vec, a
-    finite single-qubit vector: factor_rows on a stack of one.
-
-    Used after a projective collapse to drop the measured qubit. Raises
-    ShapeError if the qubit is actually entangled with the rest.
-    """
-    v = np.asarray(outcome_vec, dtype=complex).reshape(-1)
-    axis = psi.axis_of(label)
-    if v.size != 2:
-        raise ShapeError(f"outcome vector of qubit {label!r} must hold 2 amplitudes, "
-                         f"got {v.size}")
-    if not np.isfinite(v).all():
-        raise ShapeError(f"outcome vector of qubit {label!r} is not finite")
-    rest = np.tensordot(v.conj(), psi.as_tensor(), axes=([0], [axis]))
-    (out,) = factor_rows(rest[None], np.ones(1, dtype=bool), label)
-    new_reg = tuple(q for q in psi.register if q != label)
-    return PureState(new_reg, out.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

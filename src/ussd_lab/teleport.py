@@ -29,8 +29,8 @@ from .qcore import (
     apply,
     factor_rows,
     measure_rows,
-    partial_trace,
     projective_measure,
+    reduce_stack,
     tensor,
     unit_rows,
 )
@@ -302,7 +302,7 @@ def _live_runs(inst: TeleportInstance, live, carrier, channel_lu) -> dict:
     if inst.degenerate:
         for i, b in enumerate(live):
             # product branch state: C never became entangled with S
-            w, v = np.linalg.eigh(partial_trace(PureState(("S", "C"), psi_sc[i]), ["C"]).matrix)
+            w, v = np.linalg.eigh(reduce_stack(psi_sc[i][None], ("S", "C"), ["C"])[0])
             if w[-1] < 1.0 - 1e-9:
                 raise NumericalError(f"degenerate branch state unexpectedly mixed "
                                      f"on carrier branch {b}")

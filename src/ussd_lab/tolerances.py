@@ -14,7 +14,6 @@ from dataclasses import dataclass
 class Tolerances:
     # state and operator validation
     state_norm: float = 1e-12       # |  ||psi||^2 - 1 |
-    hermitian: float = 1e-12        # max |rho - rho^dag|
     trace_one: float = 1e-12        # |tr rho - 1|
     psd_floor: float = 1e-12        # eigenvalues may dip this far below 0
     unitary: float = 1e-12          # max |U^dag U - 1|

@@ -4,8 +4,8 @@ separable_strategy, coupled_state and the total and converted entries
 of closed_form_coherences are the array kernel on a stack of one. A
 stack of N must give each entry the same bits: separable_points' own
 swap against make_instance and the UssdInstance weights, reduce_stack
-against reference_partial_trace (the tensordot route partial_trace took
-before it became reduce_stack on a stack of one, kept here), a stacked
+against reference_partial_trace (the tensordot route the one-state
+partial_trace took before reduce_stack replaced it, kept here), a stacked
 wootters_concurrence against one matrix
 at a time, and the band scan and the polar quadrature against loops over
 single entries. coherence_band over a stack of overlaps, and its
@@ -58,14 +58,10 @@ from ussd_lab.errors import (
     ShapeError,
     UssdLabError,
 )
-from ussd_lab import qcore
 from ussd_lab.qcore import (
-    DensityMatrix,
     PureState,
     _split,
-    basis_state,
     complete_unitary,
-    partial_trace,
     reduce_stack,
 )
 from ussd_lab.teleport import (
@@ -90,6 +86,7 @@ from ussd_lab.ussd import (
     success_probability,
     system_ancilla_density,
 )
+from test_qcore import basis_state
 from test_teleport import reference_branch_coherences
 
 SAC = ("S", "A", "C")
@@ -126,25 +123,24 @@ def edge_draws(seed=11, n_random=120):
 
 
 def reference_partial_trace(state, keep):
-    """Reduced density matrix of one PureState on the kept labels by a
-    tensordot over the traced axes: the route partial_trace took before
-    it became reduce_stack on a stack of one."""
+    """Reduced density matrix of one PureState on the kept labels, in
+    register order, by a tensordot over the traced axes: the route the
+    one-state partial_trace took before reduce_stack replaced it."""
     reg = state.register
     kept, kept_axes, traced_axes = _split(reg, keep)
     dk = 2 ** len(kept)
     t = state.as_tensor()
     rho = np.tensordot(t, t.conj(), axes=(traced_axes, traced_axes))
     rho = rho.reshape(dk, dk)
-    rho = 0.5 * (rho + rho.conj().T)  # kill round-off asymmetry
-    return DensityMatrix(kept, rho)
+    return 0.5 * (rho + rho.conj().T)  # kill round-off asymmetry
 
 
 def scalar_chain(p, a, c):
     inst = make_instance(p, a, c)
     strat = separable_strategy(inst)
     psi = coupled_state(inst, strat)
-    rho_c = reference_partial_trace(psi, ["C"]).matrix
-    rho_ca = reference_partial_trace(psi, ["C", "A"]).matrix
+    rho_c = reference_partial_trace(psi, ["C"])
+    rho_ca = reference_partial_trace(psi, ["C", "A"])
     return inst, strat, psi.amplitudes, rho_c, rho_ca, wootters_concurrence(rho_ca)
 
 
@@ -240,12 +236,17 @@ class TestStacks:
             for k in range(1, len(reg)):
                 for keep in itertools.permutations(reg, k):
                     got = reduce_stack(amps, reg, keep)
+                    # exactly Hermitian, which is why _check_density
+                    # does not test it
+                    assert np.array_equal(got, got.conj().swapaxes(-1, -2))
                     for a, rho in zip(amps, got):
-                        assert_same(rho, reference_partial_trace(PureState(reg, a), keep).matrix)
+                        assert_same(rho, reference_partial_trace(PureState(reg, a), keep))
         with pytest.raises(PartitionError):
             reduce_stack(amps, SAC, SAC)
 
     def test_partial_trace_every_proper_keep(self):
+        """The one-state partial trace is reduce_stack on a stack of one
+        PureState's amplitudes, for every register size from one qubit."""
         rng = np.random.default_rng(16)
         for reg in (("A",), ("C", "S"), ("S", "A"), SAC, ("B", "C", "S")):
             for _ in range(12):
@@ -253,27 +254,13 @@ class TestStacks:
                 psi = PureState(reg, v / np.linalg.norm(v))
                 for k in range(1, len(reg)):
                     for keep in itertools.permutations(reg, k):
-                        got, want = partial_trace(psi, keep), reference_partial_trace(psi, keep)
-                        assert got.register == want.register
-                        assert_same(got.matrix, want.matrix)
+                        got = reduce_stack(psi.amplitudes[None], psi.register, keep)
+                        assert got.shape == (1, 2 ** k, 2 ** k)
+                        assert_same(got[0], reference_partial_trace(psi, keep))
                 # keeping every qubit is no reduction, so a one-qubit
                 # state has no proper keep at all
                 with pytest.raises(PartitionError):
-                    partial_trace(psi, reg)
-
-    def test_one_reduction_per_partial_trace(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args[1:])
-            return reduce_stack(*args)
-
-        monkeypatch.setattr(qcore, "reduce_stack", counting)
-        inst = make_instance(0.4, 0.3, 0.5)
-        psi = coupled_state(inst, separable_strategy(inst))
-        for keep in (["C"], ["A", "S"], ["S", "C"]):
-            partial_trace(psi, keep)
-        assert calls == [(SAC, ["C"]), (SAC, ["A", "S"]), (SAC, ["S", "C"])]
+                    reduce_stack(psi.amplitudes[None], psi.register, reg)
 
     def test_empty_stacks(self):
         empty = np.empty((0, 8), dtype=complex)
@@ -323,9 +310,9 @@ def reference_band(p_plus, abs_alpha, abs_alpha_c, scan_points):
     def share(gamma):
         inst = make_instance(p_plus, abs_alpha * np.exp(1j * gamma), abs_alpha_c)
         psi = coupled_state(inst, separable_strategy(inst))
-        total = 4.0 * max(float(np.linalg.det(reference_partial_trace(psi, ["C"]).matrix).real),
+        total = 4.0 * max(float(np.linalg.det(reference_partial_trace(psi, ["C"])).real),
                           0.0)
-        c_ca = wootters_concurrence(reference_partial_trace(psi, ["C", "A"]).matrix)
+        c_ca = wootters_concurrence(reference_partial_trace(psi, ["C", "A"]))
         return min(max(float(c_ca * c_ca / total), 0.0), 1.0)
 
     half = scan_points // 2 + 1
@@ -479,11 +466,11 @@ def reference_ledger(psi):
     bipartite = {}
     for q in reg:
         rest = "".join(x for x in reg if x != q)
-        det = float(np.linalg.det(reference_partial_trace(psi, [q]).matrix).real)
+        det = float(np.linalg.det(reference_partial_trace(psi, [q])).real)
         bipartite[f"{q}:{rest}"] = 4.0 * max(det, 0.0)
     pairwise = {}
     for x, y in itertools.combinations(reg, 2):
-        c = wootters_concurrence(reference_partial_trace(psi, [x, y]).matrix)
+        c = wootters_concurrence(reference_partial_trace(psi, [x, y]))
         pairwise[f"{x}:{y}"] = c * c
 
     def other_pair(pivot):
@@ -619,7 +606,7 @@ class TestLedger:
         np.zeros((2, 8, 1), dtype=complex),
         np.zeros(8, dtype=complex),
         basis_state(("S", "A"), "01"),
-        basis_state(SAC, "000").density(),
+        basis_state(SAC, "000").as_tensor(),
         np.array([["0"] * 8]),
     ])
     def test_shape_errors(self, bad):

@@ -123,6 +123,14 @@ class TestSweeps:
         err = capsys.readouterr().err
         assert name in err and "vanished" not in err
 
+    def test_vanished_share_names_the_row(self, capsys):
+        # admissible, but at a prior of 1e-9 the total coherence of the
+        # |alpha| = 1 - 1e-9 row underflows; the message names that row
+        assert main(["fig3", "--p-plus", "1e-9", "--alpha-c", "0.5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: total coherence vanished at p_plus = 1e-09, |alpha| = 0.999999999, "
+            "|alpha_c| = 0.5, gamma = 0.0; share undefined\n")
+
     def test_fig4_endpoints(self, tmp_path):
         code, text = run_cli(["fig4", "--steps", "5"], tmp_path)
         assert code == 0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ussd_lab.qcore import PureState, Unitary, apply, basis_state, tensor
+from ussd_lab.qcore import PureState, Unitary, apply, tensor
 from ussd_lab.coherence import (
     BandScan,
     CoherenceLedger,
@@ -23,6 +23,7 @@ from ussd_lab.errors import (
     RangeError,
     ShapeError,
 )
+from test_qcore import basis_state
 
 
 def ghz() -> PureState:

@@ -30,7 +30,6 @@ from ussd_lab.qcore import (
     PureState,
     Unitary,
     apply,
-    factor_out,
     factor_rows,
     measure_rows,
     projective_measure,
@@ -63,6 +62,7 @@ from ussd_lab.teleport import (
     total_success_probability,
 )
 from ussd_lab.errors import DegenerateOverlap, RangeError
+from test_qcore import factor_one
 
 QP = math.pi / 4
 _E0 = np.array([1.0, 0.0], dtype=complex)
@@ -146,7 +146,7 @@ def reference_factor_out(psi: PureState, label: str, outcome_vec) -> PureState:
     Used after a projective collapse to drop the measured qubit. Raises
     ShapeError if the qubit is actually entangled with the rest.
 
-    (factor_out before it became factor_rows on a stack of one.)
+    (The one-state factor_out before qcore's factor_rows replaced it.)
     """
     v = np.asarray(outcome_vec, dtype=complex).reshape(-1)
     axis = psi.axis_of(label)
@@ -194,7 +194,7 @@ def reference_run_teleport(inst, b_outcome, s_outcome=None, channel_lu=None):
             )
         from test_array_chain import reference_partial_trace
 
-        rho_c = reference_partial_trace(psi_sc, ["C"]).matrix
+        rho_c = reference_partial_trace(psi_sc, ["C"])
         w, v = np.linalg.eigh(rho_c)
         if w[-1] < 1.0 - 1e-9:
             raise NumericalError("degenerate branch state unexpectedly mixed")
@@ -339,13 +339,14 @@ class TestInstanceAndChannel:
         for rho in (0.0, 0.2, 0.6, QP):
             ch = channel_state(rho)
             assert abs(np.linalg.norm(ch.amplitudes) - 1) < 1e-12
-            tangle = wootters_concurrence(ch.density()) ** 2
+            tangle = wootters_concurrence(np.outer(ch.amplitudes, ch.amplitudes.conj())) ** 2
             assert abs(tangle - math.cos(2 * rho) ** 2) < 1e-12
 
     def test_local_dressing_keeps_the_tangle(self):
         rng = np.random.default_rng(31)
         ch = channel_state(0.3, local_b=haar(rng), local_c=haar(rng))
-        assert abs(wootters_concurrence(ch.density()) - math.cos(0.6)) < 1e-12
+        rho = np.outer(ch.amplitudes, ch.amplitudes.conj())
+        assert abs(wootters_concurrence(rho) - math.cos(0.6)) < 1e-12
 
     def test_circuit_register(self):
         psi = alice_circuit(TeleportInstance(0.3, 1.0, 2.0))
@@ -635,7 +636,7 @@ class TestMeasurementKernel:
                 # the collapsed posts of both outcomes, dropped along them
                 for k, _, post in projective_measure(psi, target):
                     if post is not None:
-                        got = factor_out(post, target, (_E0, _E1)[k])
+                        got = factor_one(post, target, (_E0, _E1)[k])
                         want = reference_factor_out(post, target, (_E0, _E1)[k])
                         assert got.register == want.register
                         assert same_bytes(got.amplitudes, want.amplitudes)
@@ -647,7 +648,7 @@ class TestMeasurementKernel:
                 prod = reorder(tensor(PureState((target,), u),
                                       PureState(tuple(q for q in reg if q != target), rest)), reg)
                 for state in (prod, psi):
-                    got = outcome_of(factor_out, state, target, u)
+                    got = outcome_of(factor_one, state, target, u)
                     want = outcome_of(reference_factor_out, state, target, u)
                     if isinstance(want, tuple):
                         assert got == want

@@ -8,7 +8,6 @@ import types
 import numpy as np
 import pytest
 
-from ussd_lab.qcore import partial_trace
 from ussd_lab.coherence import initial_coherence, wootters_concurrence
 from ussd_lab.ussd import (
     UssdInstance,
@@ -36,6 +35,7 @@ from ussd_lab.errors import (
     RangeError,
     UndefinedPhase,
 )
+from test_qcore import reduce_one
 
 
 def random_instance(rng, saturated=None):
@@ -113,7 +113,7 @@ class TestEmbedding:
     def test_chi_reduces_to_initial_coherence(self):
         inst = make_instance(0.35, 0.45 * np.exp(0.3j), 0.7 * np.exp(2.0j))
         chi = build_chi(inst)
-        det = np.linalg.det(partial_trace(chi, ["C"]).matrix).real
+        det = np.linalg.det(reduce_one(chi, ["C"])).real
         assert abs(4 * det - initial_coherence(inst)) < 1e-12
 
 
@@ -207,7 +207,7 @@ class TestProtocol:
         strat = optimal_strategy(inst, beta=0.8, delta=1.9)
         res = run_protocol(inst, strat)
         fail_state = res.outcomes[1].state
-        red = partial_trace(fail_state, ["S"]).matrix
+        red = reduce_one(fail_state, ["S"])
         eta = strat.failure_direction()
         assert abs(float(np.real(eta.conj() @ red @ eta)) - 1.0) < 1e-10
 
@@ -289,7 +289,7 @@ class TestSeparability:
         inst = make_instance(0.35, 0.5 * np.exp(0.2j), 0.6 * np.exp(1.4j))
         strat = separable_strategy(inst)
         direct = system_ancilla_density(inst, strat)
-        traced = partial_trace(coupled_state(inst, strat), ["S", "A"]).matrix
+        traced = reduce_one(coupled_state(inst, strat), ["S", "A"])
         assert np.max(np.abs(direct - traced)) < 1e-12
 
 
