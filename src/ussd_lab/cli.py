@@ -24,13 +24,17 @@ import numpy as np
 from . import __version__
 from .errors import UndefinedPhase, UssdLabError
 from .coherence import (
+    _total,
     closed_form_coherences,
     coherence_band,
-    initial_coherence,
     ledger,
     wootters_concurrence,
 )
 from .ussd import (
+    _canonical,
+    _overlap_moduli,
+    _p_suc,
+    _weights,
     bargmann_phase,
     coupled_amplitudes,
     coupled_state,
@@ -64,10 +68,11 @@ def _r12(x):
 
 
 def _csv_cell(v) -> str:
+    """One CSV cell: floats at 12 significant digits, zero unsigned."""
     if v is None:
         return ""
     if isinstance(v, float):
-        return f"{_r12(v):.12g}"
+        return "0" if v == 0.0 else f"{v:.12g}"
     return str(v)
 
 
@@ -157,21 +162,20 @@ def cmd_eval(args) -> int:
 
 def cmd_fig2(args) -> int:
     pts = np.minimum(np.linspace(0.0, 1.0, args.steps), _CLIP)
-
-    def row(ac: float):
-        cells = [float(ac)]
-        insts = [make_instance(args.p_plus, args.alpha * np.exp(1j * g), float(ac))
-                 for g in (0.0, math.pi / 2, math.pi)]
-        cells.extend(initial_coherence(i) for i in insts)
-        cells.extend(p_suc_max(i) for i in insts)
-        return cells
-
+    # one instance per |alpha_c| (row) and phase (column), flattened row
+    # by row: a failing check names the instance a loop over rows meets first
+    alpha = args.alpha * np.exp(1j * np.array([0.0, math.pi / 2, math.pi]))
+    p, a, ac = _canonical(args.p_plus, alpha, pts[:, None])
+    aa, acm = _overlap_moduli(a, ac)
+    rp, rm, _, interior = _weights(p, a, ac)
+    cells = (pts[:, None], _total(rp, rm, aa, acm)[1].reshape(-1, 3),
+             _p_suc(rp, rm, aa, interior).reshape(-1, 3))
     columns = ["abs_alpha_c",
                "c_total_gamma_0", "c_total_gamma_half_pi", "c_total_gamma_pi",
                "p_suc_gamma_0", "p_suc_gamma_half_pi", "p_suc_gamma_pi"]
     meta = _meta(args, "fig2", p_plus=args.p_plus, abs_alpha=args.alpha,
                  steps=args.steps)
-    _emit(args, meta, columns, [row(x) for x in pts])
+    _emit(args, meta, columns, np.hstack(cells).tolist())
     return 0
 
 

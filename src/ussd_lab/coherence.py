@@ -297,10 +297,10 @@ def coherence_band(p_plus: float, abs_alpha, abs_alpha_c: float,
     every entry: the scan_points // 2 + 1 phases of each go through
     separable_points, coupled_amplitudes, reduce_stack and a
     (N, 4, 4) wootters_concurrence together. The peaks are then refined
-    by one golden-section search over all entries in lockstep, each step
-    the same pass on one phase per entry still searching, so the
-    reported argmax rests on the numeric ledger route and not on any
-    closed-form expectation.
+    by one golden-section search over all entries in lockstep, two steps
+    per call, each call the same pass on up to three phases per entry
+    still searching, so the reported argmax rests on the numeric ledger
+    route and not on any closed-form expectation.
 
     The share is undefined where the total coherence vanishes: at an
     extreme prior (p_plus not in (0, 1), RangeError) and at
@@ -386,33 +386,52 @@ def _golden_min(f, lo, hi, tol: float = 1e-10) -> tuple:
 
     lo and hi are 1-D stacks of brackets, and f(rows, x) returns, for
     each j, the value at x[j] of the function of bracket rows[j]. All
-    brackets step in lockstep, one call of f per step, and each stops
+    brackets step in lockstep, two steps per call of f, and each stops
     once its own b - a <= tol, so brackets finish at different steps and
-    each visits exactly the points, in order, of a search on it alone.
-    Returns the stacks of midpoints of the final brackets and of f there.
+    each makes exactly the decisions of a search on it alone, and
+    returns the same point and value. Returns the stacks of midpoints of
+    the final brackets and of f there.
 
-    With scalar lo and hi, f is a function of one float and the result
-    is a pair of floats: a stack of one.
+    A step's comparison is known before its call, so its new point is
+    fixed; the next step's point waits on the value there, so f takes
+    both of its candidates in the same call, three rows per bracket.
+    Those speculative points lie inside the current bracket, and an
+    error f raises at the one the search does not take still propagates.
     """
-    if np.ndim(lo) == 0:
-        x, fx = _golden_min(lambda rows, g: np.array([f(v) for v in g.tolist()]),
-                            np.array([lo], dtype=float), np.array([hi], dtype=float), tol)
-        return float(x[0]), float(fx[0])
     inv = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def lower(a, b):
+        return b - inv * (b - a)
+
+    def upper(a, b):
+        return a + inv * (b - a)
+
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
+    c, d = lower(a, b), upper(a, b)
     every = np.arange(a.size)
     both = f(np.concatenate([every, every]), np.concatenate([c, d]))
     fc, fd = both[:a.size], both[a.size:]
-    while (rows := np.flatnonzero(b - a > tol)).size:
+
+    def step(rows):
+        """One step on rows by their known comparison; the mask of those
+        that kept the left part."""
         left = fc[rows] < fd[rows]
         r, s = rows[left], rows[~left]
         b[r], d[r], fd[r] = d[r], c[r], fc[r]
-        c[r] = b[r] - inv * (b[r] - a[r])
+        c[r] = lower(a[r], b[r])
         a[s], c[s], fc[s] = c[s], d[s], fd[s]
-        d[s] = a[s] + inv * (b[s] - a[s])
-        fx = f(rows, np.where(left, c[rows], d[rows]))
-        fc[r], fd[s] = fx[left], fx[~left]
+        d[s] = upper(a[s], b[s])
+        return left
+
+    while (rows := np.flatnonzero(b - a > tol)).size:
+        left = step(rows)
+        two = rows[b[rows] - a[rows] > tol]
+        n, m = rows.size, two.size
+        fx = f(np.concatenate([rows, two, two]),
+               np.concatenate([np.where(left, c[rows], d[rows]),
+                               lower(a[two], d[two]), upper(c[two], b[two])]))
+        fc[rows[left]], fd[rows[~left]] = fx[:n][left], fx[:n][~left]
+        left = step(two)
+        fc[two[left]], fd[two[~left]] = fx[n:n + m][left], fx[n + m:][~left]
     x = 0.5 * (a + b)
     return x, f(every, x)

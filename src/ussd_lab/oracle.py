@@ -56,6 +56,13 @@ class GridSpec:
         return np.linspace(self.lower, self.upper, self.count)
 
 
+def _refine(f, lo: float, hi: float) -> tuple:
+    """Golden-section minimum of f on [lo, hi] to 1e-12, as floats: the
+    point and f there. f takes a 1-D array of points."""
+    x, fx = _golden_min(lambda _, pts: f(pts), np.array([lo]), np.array([hi]), tol=1e-12)
+    return float(x[0]), float(fx[0])
+
+
 @dataclass(frozen=True)
 class SuccessSearchResult:
     abs_alpha_plus: float
@@ -100,7 +107,7 @@ def grid_optimize_success(inst, grid: Optional[GridSpec] = None) -> SuccessSearc
     for _ in range(grid.refine):
         wlo = max(lo, best_m - cell)
         whi = min(hi, best_m + cell)
-        x, neg = _golden_min(lambda m: -objective(m), wlo, whi, tol=1e-12)
+        x, neg = _refine(lambda m: -objective(m), wlo, whi)
         if -neg >= best_v:
             best_m, best_v = x, -neg
         cell = max((whi - wlo) * 1e-3, 1e-12)
@@ -160,14 +167,11 @@ def grid_min_concurrence(inst, strat_base, beta_grid: GridSpec,
 
     Coarse grid over both angles, one stacked concurrence call per beta
     row, then alternating golden-section sweeps in each coordinate around
-    the winner. Oracle for the closed-form direction that renders the
-    pair separable.
+    the winner, each evaluation of a sweep one stacked concurrence call
+    on up to three points. Oracle for the closed-form direction that
+    renders the pair separable.
     """
     deltas = delta_grid.points()
-
-    def conc(beta: float, delta: float) -> float:
-        return wootters_concurrence(_rho_sa_row(inst, strat_base, beta, np.array([delta]))[0])
-
     # first minimum in row-major order, as a point-by-point scan finds it
     best = (math.inf, 0.0, 0.0)
     for b in beta_grid.points().tolist():
@@ -182,10 +186,13 @@ def grid_min_concurrence(inst, strat_base, beta_grid: GridSpec,
     for _ in range(rounds):
         blo = max(beta_grid.lower, beta - bcell)
         bhi = min(beta_grid.upper, beta + bcell)
-        beta, value = _golden_min(lambda b: conc(b, delta), blo, bhi, tol=1e-12)
+        beta, value = _refine(lambda bs: wootters_concurrence(np.concatenate(
+            [_rho_sa_row(inst, strat_base, b, np.array([delta])) for b in bs.tolist()])),
+            blo, bhi)
         dlo = max(delta_grid.lower, delta - dcell)
         dhi = min(delta_grid.upper, delta + dcell)
-        delta, value = _golden_min(lambda d: conc(beta, d), dlo, dhi, tol=1e-12)
+        delta, value = _refine(
+            lambda ds: wootters_concurrence(_rho_sa_row(inst, strat_base, beta, ds)), dlo, dhi)
         bcell = max(bhi - blo, 1e-9) * 1e-2
         dcell = max(dhi - dlo, 1e-9) * 1e-2
     return ConcurrenceSearchResult(beta=beta, delta=delta, value=value)

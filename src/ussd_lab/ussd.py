@@ -325,13 +325,16 @@ def success_probability(inst: UssdInstance, strat: UssdStrategy) -> float:
     return float(inst.r_plus * (1.0 - mp2) + inst.r_minus * (1.0 - mm2))
 
 
+def _p_suc(rp, rm, aa, interior) -> np.ndarray:
+    """Optimal success probability of each instance: the interior and
+    the saturated closed form, picked by the regime flag."""
+    return np.where(interior, rp + rm - 2.0 * np.sqrt(rp * rm) * aa, rm * (1.0 - aa * aa))
+
+
 def p_suc_max(inst: UssdInstance) -> float:
     """Optimal success probability in closed form."""
-    aa = abs(inst.alpha)
-    if inst.case == "interior":
-        return float(inst.r_plus + inst.r_minus
-                     - 2.0 * math.sqrt(inst.r_plus * inst.r_minus) * aa)
-    return float(inst.r_minus * (1.0 - aa * aa))
+    rp, rm, _, interior = inst._branch_weights
+    return float(_p_suc(rp, rm, abs(inst.alpha), interior))
 
 
 # ---------------------------------------------------------------------------
@@ -535,19 +538,25 @@ def separable_points(p_plus, alpha, alpha_c) -> SeparablePoints:
     priors and complex overlaps, with every check of UssdInstance,
     UssdStrategy and check_pair applied to the whole array; the first
     entry to fail names the fault."""
+    return _separable(*_canonical(p_plus, alpha, alpha_c))
+
+
+def _canonical(p_plus, alpha, alpha_c) -> tuple:
+    """make_instance's prior check and swap over broadcast arrays: flat
+    arrays of canonical priors (p <= 1/2) and overlaps, in C order."""
     shape = np.broadcast(p_plus, alpha, alpha_c).shape
     p = _flat(p_plus, shape, float)
     a, ac = _flat(alpha, shape, complex), _flat(alpha_c, shape, complex)
     _check(~((0.0 <= p) & (p <= 1.0)), RangeError,
            lambda i: f"p_plus must lie in [0, 1], got {float(p[i])!r}")
     swapped = p > 0.5
-    return _separable(np.where(swapped, 1.0 - p, p), np.where(swapped, a.conj(), a),
-                      np.where(swapped, ac.conj(), ac))
+    return (np.where(swapped, 1.0 - p, p), np.where(swapped, a.conj(), a),
+            np.where(swapped, ac.conj(), ac))
 
 
-def _separable(p, a, ac) -> SeparablePoints:
-    """The separable point of each canonical instance (p <= 1/2 up to the
-    1e-15 UssdInstance allows), without the swap."""
+def _overlap_moduli(a, ac) -> tuple:
+    """|alpha| and |alpha_c| of each instance, after UssdInstance's
+    overlap checks on the whole array."""
     for name, z in (("alpha", a), ("alpha_c", ac)):
         _check(~np.isfinite(z), RangeError,
                lambda i: f"{name} must be finite, got {complex(z[i])!r}")
@@ -556,7 +565,13 @@ def _separable(p, a, ac) -> SeparablePoints:
            lambda i: f"|alpha| = {float(aa[i])!r} leaves nothing to discriminate")
     _check(acm > 1.0 + 1e-15, RangeError,
            lambda i: f"|alpha_c| = {float(acm[i])!r} exceeds 1")
+    return aa, acm
 
+
+def _separable(p, a, ac) -> SeparablePoints:
+    """The separable point of each canonical instance (p <= 1/2 up to the
+    1e-15 UssdInstance allows), without the swap."""
+    aa, _ = _overlap_moduli(a, ac)
     rp, rm, tilde, interior = _weights(p, a, ac)
     # optimal_strategy, with the phase of alpha on the reference side
     mp = np.where(interior, np.sqrt(aa / np.where(interior, tilde, 1.0)), 1.0)

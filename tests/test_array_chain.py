@@ -10,8 +10,11 @@ wootters_concurrence against one matrix
 at a time, and the band scan and the polar quadrature against loops over
 single entries. coherence_band over a stack of overlaps, and its
 lockstep golden-section search, are held to one call per entry and to
-the one-bracket loop kept here as a reference. The tangle ledger of a
-stack is held to the scalar ledger kept here as a reference, row by row.
+the one-bracket loop kept here as a reference, whose every decision the
+search, two steps per call, must repeat. fig2's array pass is held to
+the row-by-row loop it replaced, kept here as reference_fig2_rows. The
+tangle ledger of a stack is held to the scalar ledger kept here as a
+reference, row by row.
 The closed-form triple of a stack is held to the scalar triple kept
 here as a reference, and optimal_strategy's radii to the scalar regime
 split. The instance arithmetic is written once, in helpers the kernel
@@ -37,7 +40,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ussd_lab import cli, oracle, selftest
+from ussd_lab import cli, coherence, oracle, selftest
 from ussd_lab.coherence import (
     _YY,
     BandScan,
@@ -53,6 +56,7 @@ from ussd_lab.coherence import (
 )
 from ussd_lab.errors import (
     DegenerateOverlap,
+    NumericalError,
     PartitionError,
     RangeError,
     ShapeError,
@@ -80,6 +84,7 @@ from ussd_lab.ussd import (
     coupling_unitary,
     make_instance,
     optimal_strategy,
+    p_suc_max,
     separability_params,
     separable_points,
     separable_strategy,
@@ -271,9 +276,9 @@ class TestStacks:
 
 
 def reference_golden_min(f, lo, hi, tol=1e-10):
-    """Golden-section search on one bracket, as a scalar loop: the
-    reference whose every visited point the stacked _golden_min must
-    repeat."""
+    """Golden-section search on one bracket, as a scalar loop, one call
+    of f per point: the reference whose every decision, point and result
+    the stacked _golden_min must repeat."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv * (b - a)
@@ -298,6 +303,38 @@ def recording(f, visits):
         visits.append(x)
         return f(x)
     return g
+
+
+def grouping(f, n):
+    """A stacked objective f(rows, x) for n brackets, and the per-bracket
+    lists of the points each call of it was given for that bracket."""
+    groups = [[] for _ in range(n)]
+
+    def g(rows, x):
+        for i in range(n):
+            groups[i].append([])
+        for i, v in zip(rows.tolist(), x.tolist()):
+            groups[i][-1].append(v)
+        return f(rows, x)
+    return g, groups
+
+
+def assert_reference_visits(groups, want):
+    """groups holds the points one bracket's search sent to f, a list per
+    call; want is the reference's points, in order. A call brings one
+    point per step: the first step's, then the two candidates of the
+    second. The candidate the search took is want's next point, so want
+    is an ordered subsequence of the visits, and every extra visit is a
+    second-step candidate the search did not take."""
+    kept = []
+    for g in filter(None, groups):
+        if len(g) == 3:
+            took = want[len(kept) + 1]
+            assert took in g[1:]
+            kept += [g[0], took]
+        else:
+            kept += g
+    assert kept == want
 
 
 def fig3_rows(steps):
@@ -396,32 +433,29 @@ class TestGoldenSection:
         k = np.argmax(_band_share(p_plus, rows[:, None], abs_alpha_c, gammas), axis=1)
         lo = gammas[np.maximum(k - 1, 0)]
         hi = gammas[np.minimum(k + 1, gammas.size - 1)]
-        visits = [[] for _ in rows]
-
-        def f(idx, g):
-            for i, x in zip(idx.tolist(), g.tolist()):
-                visits[i].append(x)
-            return -_band_share(p_plus, rows[idx], abs_alpha_c, g)
-
+        f, groups = grouping(lambda idx, g: -_band_share(p_plus, rows[idx], abs_alpha_c, g),
+                             rows.size)
         x, fx = _golden_min(f, lo, hi)
         for i, a in enumerate(rows.tolist()):
             want = []
             share = recording(
                 lambda g: -float(_band_share(p_plus, a, abs_alpha_c, [g])[0]), want)
             assert (x[i], fx[i]) == reference_golden_min(share, float(lo[i]), float(hi[i]))
-            assert visits[i] == want
-        assert len({len(v) for v in visits}) > 1
+            assert_reference_visits(groups[i], want)
+        assert len({sum(map(len, g)) for g in groups}) > 1
 
     def test_oracle_searches_visit_the_reference_points(self, monkeypatch):
         tols = []
 
         def spy(f, lo, hi, tol=1e-10):
-            want, got = [], []
-            expected = reference_golden_min(recording(f, want), lo, hi, tol)
-            result = _golden_min(recording(f, got), lo, hi, tol)
-            assert result == expected and got == want
+            def one(x):
+                return float(f(np.zeros(1, dtype=int), np.array([x]))[0])
+
+            expected = reference_golden_min(one, float(lo[0]), float(hi[0]), tol)
+            x, fx = _golden_min(f, lo, hi, tol)
+            assert (np.shape(lo), x[0], fx[0]) == ((1,), *expected)
             tols.append(tol)
-            return result
+            return x, fx
 
         monkeypatch.setattr(oracle, "_golden_min", spy)
         inst = make_instance(0.3, 0.45 * np.exp(0.8j), 0.6 * np.exp(0.4j))
@@ -430,6 +464,72 @@ class TestGoldenSection:
                                     oracle.GridSpec(0.0, 2 * math.pi, 41, 2))
         oracle.grid_optimize_success(inst, oracle.GridSpec(0.0, 1.0, 501, 2))
         assert len(tols) == 6 and set(tols) == {1e-12}
+
+    def test_fig3_band_makes_25_share_calls(self, monkeypatch):
+        share, calls = coherence._band_share, []
+
+        def counting(*args):
+            calls.append(args)
+            return share(*args)
+
+        monkeypatch.setattr(coherence, "_band_share", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["fig3", "--steps", "11"]) == 0
+        # the scan, the start points, 22 calls of two steps and the midpoints
+        assert len(calls) == 25
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_calls_per_search_are_bounded(self, seed):
+        """At most ceil(s / 2) + 2 calls of f, where s is the number of
+        steps the reference takes, and every point inside the search's
+        own bracket, speculative ones included."""
+        rng = np.random.default_rng(seed)
+        n = 6
+        lo = rng.uniform(-2.0, 1.0, n)
+        hi = lo + 10.0 ** rng.uniform(-9.0, 1.0, n)
+        top = rng.uniform(lo - 0.5, hi + 0.5)
+        tol = 10.0 ** rng.uniform(-12.0, -6.0)
+        calls = []
+
+        def f(rows, x):
+            calls.append(rows.size)
+            return (x - top[rows]) * (x - top[rows])
+        stacked, groups = grouping(f, n)
+        x, fx = _golden_min(stacked, lo, hi, tol)
+        bounds = []
+        for i in range(n):
+            want = []
+            one = recording(lambda v: (v - top[i]) * (v - top[i]), want)
+            assert (x[i], fx[i]) == reference_golden_min(one, lo[i], hi[i], tol)
+            assert_reference_visits(groups[i], want)
+            assert all(lo[i] <= v <= hi[i] for g in groups[i] for v in g)
+            # two start points, one per step, the midpoint
+            bounds.append(math.ceil((len(want) - 3) / 2) + 2)
+            assert sum(map(bool, groups[i])) <= bounds[-1]
+        assert len(calls) <= max(bounds)
+        assert max(calls) <= 3 * n
+
+    def test_error_at_an_untaken_candidate_propagates(self):
+        """The search evaluates both second-step candidates, so f's error
+        at the one it does not take still reaches the caller, although
+        the one-point reference never calls f there."""
+        def f(_, x):
+            return (x - 3.0) * (x - 3.0)
+
+        stacked, groups = grouping(f, 1)
+        _golden_min(stacked, np.array([2.0]), np.array([4.0]))
+        want = []
+        reference_golden_min(recording(lambda v: (v - 3.0) * (v - 3.0), want), 2.0, 4.0)
+        untaken = [v for g in groups[0] for v in g if v not in want]
+        assert untaken
+
+        def failing(rows, x):
+            if untaken[0] in x.tolist():
+                raise NumericalError("no value here")
+            return f(rows, x)
+
+        with pytest.raises(NumericalError):
+            _golden_min(failing, np.array([2.0]), np.array([4.0]))
 
 
 def reference_smr(channel_angle, nodes):
@@ -839,6 +939,15 @@ def reference_initial_coherence(inst):
     return float(4.0 * inst.r_plus * inst.r_minus * (1.0 - ac * ac) * (1.0 - aa) * (1.0 + aa))
 
 
+def reference_p_suc_max(inst):
+    """p_suc_max as it read before its formula moved into ussd._p_suc."""
+    aa = abs(inst.alpha)
+    if inst.case == "interior":
+        return float(inst.r_plus + inst.r_minus
+                     - 2.0 * math.sqrt(inst.r_plus * inst.r_minus) * aa)
+    return float(inst.r_minus * (1.0 - aa * aa))
+
+
 def formula_draws(seed=12, n=3000):
     """(instance, strategy) pairs: priors at 0, 1/2 and 1 (canonical 0)
     and inside, above 1/2 too; |alpha_c| at 0 and 1 and inside; random
@@ -897,6 +1006,10 @@ class TestOneFormula:
         for inst, _ in draws:
             assert initial_coherence(inst) == reference_initial_coherence(inst)
 
+    def test_p_suc_max(self, draws):
+        for inst, _ in draws:
+            assert p_suc_max(inst) == reference_p_suc_max(inst)
+
     def test_zeta_and_embedding(self, draws):
         for inst, strat in draws:
             pts = SeparablePoints.of(inst, strat)
@@ -923,3 +1036,53 @@ class TestOneFormula:
             k = strat.ancilla_init
             u = complete_unitary(("S", "A"), [(np.kron(xi, k), zp), (np.kron(xi_bar, k), zm)])
             assert_close(coupling_unitary(inst, strat).matrix, u.matrix)
+
+
+def reference_fig2_rows(p_plus, abs_alpha, steps):
+    """fig2's rows as the scalar loop built them, one make_instance and
+    two closed forms per cell."""
+    def row(ac: float):
+        cells = [float(ac)]
+        insts = [make_instance(p_plus, abs_alpha * np.exp(1j * g), float(ac))
+                 for g in (0.0, math.pi / 2, math.pi)]
+        cells.extend(initial_coherence(i) for i in insts)
+        cells.extend(p_suc_max(i) for i in insts)
+        return cells
+
+    return [row(x) for x in np.minimum(np.linspace(0.0, 1.0, steps), 1.0 - 1e-9)]
+
+
+def fig2_draws(seed=17, n=200):
+    """(p_plus, alpha, steps): priors at 0, 1/2 and 1, inside and above
+    1/2 (swapped); |alpha| at 0, inside and within 1e-9 to 1e-1 of 1,
+    either sign; 2, 7 or 101 steps."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for k in range(n):
+        p = (0.0, 0.5, 1.0, rng.uniform(0.0, 1.0), rng.uniform(0.5, 1.0))[k % 5]
+        a = (0.0, rng.uniform(0.0, 1.0), 1.0 - 10.0 ** rng.uniform(-9.0, -1.0))[k % 3]
+        draws.append((p, a if k % 7 else -a, (2, 7, 101)[k % 11 % 3]))
+    return draws
+
+
+class TestFig2:
+    def test_array_pass_is_the_scalar_loop(self, monkeypatch):
+        emitted = []
+        monkeypatch.setattr(cli, "_emit", lambda args, meta, columns, rows: emitted.append(rows))
+        draws = fig2_draws()
+        assert {p > 0.5 for p, _, _ in draws} == {False, True}
+        for p, a, steps in draws:
+            assert cli.main(["fig2", "--p-plus", repr(p), "--alpha", repr(a),
+                             "--steps", str(steps)]) == 0
+            got = emitted.pop()
+            assert got == reference_fig2_rows(p, a, steps)
+            assert all(type(c) is float for row in got for c in row)
+
+    @pytest.mark.parametrize("p_plus, abs_alpha", [
+        (1.5, 0.4), (-0.1, 0.4), (0.2, 1.0), (0.7, -1.0), (0.2, 1.0 + 1e-12), (1.5, 1.0)])
+    def test_errors_are_the_scalar_loops(self, p_plus, abs_alpha, capsys):
+        with pytest.raises(UssdLabError) as want:
+            reference_fig2_rows(p_plus, abs_alpha, 3)
+        assert cli.main(["fig2", "--p-plus", repr(p_plus), "--alpha", repr(abs_alpha),
+                         "--steps", "3"]) == 2
+        assert capsys.readouterr().err == f"error: {want.value}\n"

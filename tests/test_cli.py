@@ -6,8 +6,10 @@ import re
 
 import pytest
 
+import numpy as np
+
 from ussd_lab import __version__
-from ussd_lab.cli import main
+from ussd_lab.cli import _csv_cell, _r12, main
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -145,6 +147,14 @@ class TestSweeps:
         assert main(["fig2", "--steps", "1"]) == 2
         assert "steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "1.0", "|alpha| = 1.0 leaves nothing to discriminate"),
+        ("--p-plus", "1.5", "p_plus must lie in [0, 1], got 1.5"),
+    ])
+    def test_fig2_rejects_the_instance(self, flag, value, message, tmp_path, capsys):
+        assert run_cli(["fig2", flag, value], tmp_path) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestTeleport:
     def test_paths_and_totals(self, tmp_path):
@@ -238,3 +248,17 @@ class TestOutputHygiene:
         for row in rows:
             for cell in row:
                 assert cell == f"{float(cell):.12g}"
+
+    def test_csv_cell_is_the_rounded_format(self):
+        """One format per float cell gives the text of rounding to 12
+        digits first and formatting the result: on random bit patterns,
+        signed zeros, infinities, NaN, subnormals and 12-digit ties."""
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64).tolist()
+        values += rng.uniform(-1e3, 1e3, 5000).tolist()
+        values += [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2e-308,
+                   1.0000000000005, 2.5000000000005e-7, 0.1234567890125, 9.999999999995e99,
+                   -9.9999999999995, 1e-9, 1.0 - 1e-9]
+        for v in values:
+            assert _csv_cell(v) == f"{_r12(v):.12g}", v

@@ -26,6 +26,7 @@ from ussd_lab.ussd import (
 )
 from ussd_lab import oracle
 from ussd_lab.errors import NumericalError, RangeError
+from test_array_chain import reference_golden_min
 
 
 def test_oracle_imports_no_closed_form():
@@ -185,7 +186,9 @@ class TestQuadrature:
 # the coarse scans as array passes, held to the point-by-point scans
 #
 # The point-by-point scans below are the coarse loops the array passes
-# replaced, kept as references with their golden-section refinements.
+# replaced, kept as references with their golden-section refinements,
+# which run the one-bracket scalar reference_golden_min, not the search
+# under test.
 # Cells and results are compared with ==: the selftest report prints the
 # oracle's winners, and numpy's array complex multiply (which may fuse a
 # product into a sum) would already move last bits.
@@ -233,10 +236,10 @@ def reference_coarse_concurrence(inst, strat, beta_grid, delta_grid):
     for _ in range(max(beta_grid.refine, delta_grid.refine)):
         blo = max(beta_grid.lower, beta - bcell)
         bhi = min(beta_grid.upper, beta + bcell)
-        beta, value = oracle._golden_min(lambda b: conc(b, delta), blo, bhi, tol=1e-12)
+        beta, value = reference_golden_min(lambda b: conc(b, delta), blo, bhi, tol=1e-12)
         dlo = max(delta_grid.lower, delta - dcell)
         dhi = min(delta_grid.upper, delta + dcell)
-        delta, value = oracle._golden_min(lambda d: conc(beta, d), dlo, dhi, tol=1e-12)
+        delta, value = reference_golden_min(lambda d: conc(beta, d), dlo, dhi, tol=1e-12)
         bcell = max(bhi - blo, 1e-9) * 1e-2
         dcell = max(dhi - dlo, 1e-9) * 1e-2
     return cells, (beta, delta, value)
@@ -270,7 +273,7 @@ def reference_success_search(inst, grid):
     cell = (hi - lo) / (grid.count - 1)
     for _ in range(grid.refine):
         wlo, whi = max(lo, best_m - cell), min(hi, best_m + cell)
-        x, neg = oracle._golden_min(lambda m: -objective(m), wlo, whi, tol=1e-12)
+        x, neg = reference_golden_min(lambda m: -objective(m), wlo, whi, tol=1e-12)
         if -neg >= best_v:
             best_m, best_v = x, -neg
         cell = max((whi - wlo) * 1e-3, 1e-12)
@@ -353,9 +356,10 @@ class TestCoarseScans:
         monkeypatch.setattr(oracle, "wootters_concurrence", counting)
         inst = SCAN_DRAWS[-1]
         grid_min_concurrence(inst, separable_strategy(inst), BETA_GRID, DELTA_GRID)
-        stacked = [s for s in shapes if len(s) == 3]
-        assert stacked == [(49, 4, 4)] * 25
-        assert all(s == (4, 4) for s in shapes if len(s) != 3)
+        assert shapes[:25] == [(49, 4, 4)] * 25
+        # the refinement: up to three points per call of its searches
+        assert len(shapes) > 25
+        assert all(len(s) == 3 and 1 <= s[0] <= 3 for s in shapes[25:])
 
     @pytest.mark.parametrize("inst", SCAN_DRAWS + [make_instance(0.3, 0.0, 0.0)])
     def test_success_search_is_the_point_loop(self, inst):
