@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .errors import (
     DegenerateOverlap,
     EmbeddingError,
-    NotIsometric,
     NumericalError,
     PartitionError,
     RangeError,
@@ -27,7 +26,6 @@ from .qcore import (
     PureState,
     Unitary,
     apply,
-    complete_unitary,
     projective_measure,
     reorder,
     tensor,
@@ -102,13 +100,13 @@ __all__ = [
     "__version__",
     # errors
     "UssdLabError", "RegisterClash", "UnknownQubit", "ShapeError",
-    "NotIsometric", "DegenerateOverlap", "UndefinedPhase",
-    "EmbeddingError", "PartitionError", "RangeError", "NumericalError",
+    "DegenerateOverlap", "UndefinedPhase", "EmbeddingError",
+    "PartitionError", "RangeError", "NumericalError",
     # tolerances
     "Tolerances", "DEFAULT_TOLERANCES",
     # state/register layer
     "PureState", "Unitary", "PAULI", "HADAMARD", "CNOT",
-    "tensor", "reorder", "apply", "projective_measure", "complete_unitary",
+    "tensor", "reorder", "apply", "projective_measure",
     # coherence accounting
     "wootters_concurrence", "three_tangle",
     "CoherenceLedger", "ledger", "initial_coherence",

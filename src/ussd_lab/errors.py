@@ -25,10 +25,6 @@ class ShapeError(UssdLabError):
     """Array dimensions inconsistent with the declared register."""
 
 
-class NotIsometric(UssdLabError):
-    """Unitary completion constraints do not preserve inner products."""
-
-
 class DegenerateOverlap(UssdLabError):
     """State overlap of unit modulus: the two inputs cannot be told apart."""
 

@@ -222,9 +222,13 @@ def decomposition_check(rho_sa, params, inst, strat) -> DecompositionReport:
     weight shows up as a reconstruction residual instead of being copied
     through.
     """
-    rho = np.asarray(getattr(rho_sa, "matrix", rho_sa), dtype=complex)
-    if rho.shape != (4, 4):
-        raise RangeError(f"expected a 4x4 two-qubit density matrix, got {rho.shape}")
+    try:
+        rho = np.asarray(rho_sa)
+    except ValueError:                      # a ragged nesting of sequences
+        rho = np.asarray(None)
+    if rho.shape != (4, 4) or not np.issubdtype(rho.dtype, np.number):
+        raise RangeError("expected a numeric 4x4 two-qubit density matrix, got "
+                         f"{type(rho_sa).__name__} of shape {rho.shape}")
     zp, zm = (z[0] for z in _zeta_rows(strat.alpha_plus, strat.alpha_minus,
                                        float(strat.beta), np.array([float(strat.delta)])))
     z1 = params.q1_plus * zp + params.q1_minus * np.exp(1j * params.gamma1) * zm
@@ -238,7 +242,7 @@ def decomposition_check(rho_sa, params, inst, strat) -> DecompositionReport:
         reconstruction=float(np.max(np.abs(recon - rho))),
         weight_plus=abs(params.q1_plus ** 2 + params.q2_plus ** 2 - rp),
         weight_minus=abs(params.q1_minus ** 2 + params.q2_minus ** 2 - rm),
-        cross=abs(cross_built - cross_target),
+        cross=float(abs(cross_built - cross_target)),
     )
 
 

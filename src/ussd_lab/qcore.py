@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    NotIsometric,
     NumericalError,
     PartitionError,
     RegisterClash,
@@ -307,105 +306,3 @@ def projective_measure(psi: PureState, target: str) -> list:
     return [(k, float(probs[k, 0]),
              PureState(psi.register, post[k, 0].reshape(-1)) if live[k, 0] else None)
             for k in (0, 1)]
-
-
-# ---------------------------------------------------------------------------
-# unitary completion
-
-def _mgs_step(vec, basis):
-    """Project vec out of span(basis) with two Gram-Schmidt sweeps."""
-    w = vec.copy()
-    coeffs = np.zeros(len(basis), dtype=complex)
-    for _ in range(2):
-        for j, q in enumerate(basis):
-            c = np.vdot(q, w)
-            coeffs[j] += c
-            w = w - c * q
-    return w, coeffs
-
-
-def complete_unitary(register, constraints, seed_basis=None) -> Unitary:
-    """Build a unitary on register that maps each input vector to its
-    output vector.
-
-    constraints is a sequence of (input, output) pairs of vectors of
-    2**len(register) amplitudes. The two Gram matrices must agree within
-    the gram tolerance, otherwise no isometry exists and NotIsometric is
-    raised. The rest of the operator is fixed deterministically by
-    Gram-Schmidt over seed_basis (vectors of the same size; canonical
-    basis vectors in index order follow), so repeated calls return the
-    same matrix. Downstream observables must not depend on the
-    completion; tests exercise that with alternative seeds.
-    """
-    reg = _checked_register(register)
-    d = 2 ** len(reg)
-    if not constraints:
-        raise ShapeError("need at least one constraint pair")
-    ins, outs = [], []
-    for k, pair in enumerate(constraints):
-        if len(pair) != 2:
-            raise ShapeError("constraints must be (input, output) pairs")
-        ins.append(np.asarray(pair[0], dtype=complex).reshape(-1))
-        outs.append(np.asarray(pair[1], dtype=complex).reshape(-1))
-        if ins[-1].size != d or outs[-1].size != d:
-            raise ShapeError(f"constraint pair {k} does not hold {d}-amplitude vectors "
-                             f"for register {reg}")
-        if not (np.isfinite(ins[-1]).all() and np.isfinite(outs[-1]).all()):
-            raise ShapeError(f"constraint pair {k} is not finite")
-
-    gram_in = np.array([[np.vdot(a, b) for b in ins] for a in ins])
-    gram_out = np.array([[np.vdot(a, b) for b in outs] for a in outs])
-    # by Cauchy-Schwarz the squared norms bound every Gram entry
-    huge = ~(np.isfinite(np.diagonal(gram_in)) & np.isfinite(np.diagonal(gram_out)))
-    if huge.any():
-        raise ShapeError(f"constraint pair {int(np.argmax(huge))} overflows: "
-                         "its squared norm is not finite")
-    mism = float(np.max(np.abs(gram_in - gram_out)))
-    if not mism <= TOL.gram:
-        raise NotIsometric(
-            f"input/output Gram matrices differ by {mism:.3e} (> {TOL.gram:g})"
-        )
-
-    q_in, q_out = [], []
-    for vin, vout in zip(ins, outs):
-        w, coeffs = _mgs_step(vin, q_in)
-        nrm = float(np.linalg.norm(w))
-        if nrm < TOL.completion_drop:
-            # linearly dependent input; its output must follow automatically
-            implied = sum(c * qo for c, qo in zip(coeffs, q_out))
-            if float(np.linalg.norm(vout - implied)) > 1e-6:
-                raise NotIsometric("dependent input mapped to an inconsistent output")
-            continue
-        wo = vout - sum(c * qo for c, qo in zip(coeffs, q_out))
-        nrm_o = float(np.linalg.norm(wo))
-        q_in.append(w / nrm)
-        q_out.append(wo / nrm_o)
-
-    seeds = [] if seed_basis is None else [np.asarray(s, dtype=complex).reshape(-1)
-                                           for s in seed_basis]
-    seeds.extend(np.eye(d, dtype=complex)[k] for k in range(d))
-
-    def complete(basis):
-        out = list(basis)
-        for s in seeds:
-            if len(out) == d:
-                break
-            w, _ = _mgs_step(s, out)
-            nrm = float(np.linalg.norm(w))
-            if nrm < TOL.completion_drop:
-                continue
-            out.append(w / nrm)
-        if len(out) != d:
-            raise NumericalError("could not complete an orthonormal basis")
-        return out
-
-    q_in = complete(q_in)
-    q_out = complete(q_out)
-    u = sum(np.outer(qo, qi.conj()) for qi, qo in zip(q_in, q_out))
-
-    worst = max(
-        float(np.linalg.norm(u @ vin - vout)) for vin, vout in zip(ins, outs)
-    )
-    if not worst <= TOL.mapping:
-        raise NumericalError(f"completed unitary misses a constraint by {worst:.3e}")
-    return Unitary(reg, u)

@@ -268,7 +268,7 @@ def _branch_runs(inst: TeleportInstance, branches, channel_lu=None) -> list:
 def _live_runs(inst: TeleportInstance, live, carrier, channel_lu) -> dict:
     """The runs of the live carrier branches, keyed by (b, s), from one
     pass over their stack: one separable_points call, each branch's own
-    completed coupling unitary applied by one batched matmul, the ancilla
+    closed-form coupling unitary applied by one batched matmul, the ancilla
     measurement, both factor-outs and the system measurement by qcore's
     stacked kernel (measure_rows, factor_rows) on the (n, 2, 2, 2) tensor
     on (S, A, C), and Bob's corrections as array expressions. Dead

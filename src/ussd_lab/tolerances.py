@@ -4,7 +4,8 @@ The numeric guards of the package read their thresholds from a single
 Tolerances record; the tolerances of the check battery are written with
 its checks, in selftest._CHECKS. The defaults reflect what double
 precision actually delivers for 2- and 3-qubit linear algebra; none of
-them are tuned per call site.
+them are tuned per call site. Every field is read somewhere in the
+package (tests/test_surface.py checks that).
 """
 
 from dataclasses import dataclass
@@ -18,9 +19,7 @@ class Tolerances:
     psd_floor: float = 1e-12        # eigenvalues may dip this far below 0
     unitary: float = 1e-12          # max |U^dag U - 1|
 
-    # unitary completion
-    gram: float = 1e-10             # input vs output Gram matrix mismatch
-    completion_drop: float = 1e-8   # residual below which a seed vector is skipped
+    # coupling unitary
     mapping: float = 1e-10          # | U in_k - out_k |
 
     # protocol-level checks

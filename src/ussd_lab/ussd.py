@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     DegenerateOverlap,
     EmbeddingError,
+    NumericalError,
     RangeError,
     ShapeError,
     UndefinedPhase,
@@ -38,7 +39,6 @@ from .qcore import (
     PureState,
     Unitary,
     apply,
-    complete_unitary,
     projective_measure,
     reorder,
     tensor,
@@ -352,22 +352,53 @@ def coupled_state(inst: UssdInstance, strat: UssdStrategy) -> PureState:
     return PureState(("S", "A", "C"), coupled_amplitudes(SeparablePoints.of(inst, strat))[0])
 
 
+def _perp(v) -> np.ndarray:
+    """The unit vector (-conj(v1), conj(v0)) orthogonal to v/|v|."""
+    v = v / np.linalg.norm(v)
+    return np.array([-np.conj(v[1]), np.conj(v[0])])
+
+
 def coupling_unitary(inst: UssdInstance, strat: UssdStrategy,
-                     embedding: Optional[Embedding] = None,
-                     seed_basis=None) -> Unitary:
-    """Two-qubit coupling on (S, A) built by unitary completion from the
-    two defining constraints."""
+                     embedding: Optional[Embedding] = None) -> Unitary:
+    """Two-qubit coupling on (S, A) that maps xi (x) k to zeta+ and
+    xi_bar (x) k to zeta- (Chefles, Phys. Lett. A 239, 1998), k the
+    ancilla's initial state.
+
+    U sends the orthonormal frame (xi k, xi' k, xi k', xi' k'), where x'
+    is _perp(x), to the frame (zeta+, w, c, eta' (x) |1>). Both are
+    written in closed form, so nothing near-parallel is subtracted as
+    |alpha| -> 1. In the orthonormal coordinates (|00>, |10>,
+    eta (x) |1>), v = zeta- - s zeta+ with s = <zeta+|zeta-> reads
+    (-s b+, b-, a- b+^2), since a- - s a+ = a- b+^2; w is v/|v| with the
+    phase that makes U xi_bar k = s zeta+ + <xi'|xi_bar> w reproduce
+    zeta-, and c is the conjugated cross product of zeta+ and w. A miss
+    of either constraint beyond the mapping tolerance raises
+    NumericalError.
+    """
     check_pair(inst, strat)
     emb = embedding if embedding is not None else canonical_embedding(inst)
     emb.validate(inst)
-    k = strat.ancilla_init
+    ap, am = strat.alpha_plus, strat.alpha_minus
     pts = SeparablePoints.of(inst, strat)
     (zp,), (zm,) = _zeta(pts.alpha_plus, pts.alpha_minus, pts.beta, pts.delta)
-    constraints = [
-        ((emb.xi[:, None] * k).reshape(-1), zp),
-        ((emb.xi_bar[:, None] * k).reshape(-1), zm),
-    ]
-    return complete_unitary(("S", "A"), constraints, seed_basis=seed_basis)
+    bp, bm = zp[0].real, zm[2].real
+    eta = strat.failure_direction()
+    zeta_p = np.array([bp, 0.0, ap])
+    v = np.array([-np.conj(ap) * am * bp, bm, am * bp * bp])
+    y = np.vdot(_perp(emb.xi), emb.xi_bar)
+    w = v / np.linalg.norm(v) * (np.conj(y) / abs(y))
+    coords = np.stack([zeta_p, w, np.cross(zeta_p, w).conj()], axis=1)
+    frame = np.stack([_E00, _E10, (eta[:, None] * _E1).reshape(-1)], axis=1)
+    outs = np.column_stack([frame @ coords, (_perp(eta)[:, None] * _E1).reshape(-1)])
+    xi, k = (x / np.linalg.norm(x) for x in (emb.xi, strat.ancilla_init))
+    ins = np.stack([(a[:, None] * b).reshape(-1)
+                    for b in (k, _perp(k)) for a in (xi, _perp(xi))], axis=1)
+    u = outs @ ins.conj().T
+    worst = max(float(np.linalg.norm(u @ (x[:, None] * strat.ancilla_init).reshape(-1) - z))
+                for x, z in ((emb.xi, zp), (emb.xi_bar, zm)))
+    if not worst <= TOL.mapping:
+        raise NumericalError(f"coupling unitary misses a constraint by {worst:.3e}")
+    return Unitary(("S", "A"), u)
 
 
 @dataclass(frozen=True)
@@ -393,9 +424,8 @@ class ProtocolResult:
 
 
 def run_protocol(inst: UssdInstance, strat: UssdStrategy,
-                 embedding: Optional[Embedding] = None,
-                 seed_basis=None) -> ProtocolResult:
-    """Simulate the protocol end to end through the completed unitary.
+                 embedding: Optional[Embedding] = None) -> ProtocolResult:
+    """Simulate the protocol end to end through the coupling unitary.
 
     The preparation is embedded, the ancilla attached in its initial
     state, the coupling applied, and the ancilla measured in the
@@ -406,7 +436,7 @@ def run_protocol(inst: UssdInstance, strat: UssdStrategy,
     psi0 = reorder(
         tensor(chi, PureState(("A",), strat.ancilla_init)), ("S", "A", "C")
     )
-    u = coupling_unitary(inst, strat, embedding=emb, seed_basis=seed_basis)
+    u = coupling_unitary(inst, strat, embedding=emb)
     psi = apply(u, psi0, targets=("S", "A"))
     branches = tuple(
         OutcomeRecord(outcome=k, probability=p, state=post)

@@ -65,7 +65,6 @@ from ussd_lab.errors import (
 from ussd_lab.qcore import (
     PureState,
     _split,
-    complete_unitary,
     reduce_stack,
 )
 from ussd_lab.teleport import (
@@ -1032,10 +1031,18 @@ class TestOneFormula:
                    + math.sqrt(rp * rm) * (ac * np.outer(zp, zm.conj())
                                            + np.conj(ac) * np.outer(zm, zp.conj())))
             assert_close(system_ancilla_density(inst, strat), rho)
+            # the coupling is fixed on span(xi k, xi_bar k) only; off it
+            # any unitary completion is as good as another. The image of
+            # xi_bar k passes through the normalization of its part
+            # orthogonal to xi k, of norm sqrt(1 - |alpha|^2), which scales
+            # its last-bit error up by the inverse
             xi, xi_bar = reference_pair_with_overlap(inst.alpha)
             k = strat.ancilla_init
-            u = complete_unitary(("S", "A"), [(np.kron(xi, k), zp), (np.kron(xi_bar, k), zm)])
-            assert_close(coupling_unitary(inst, strat).matrix, u.matrix)
+            u = coupling_unitary(inst, strat).matrix
+            assert_close(u @ np.kron(xi, k), zp)
+            gap = math.sqrt(1.0 - abs(inst.alpha) ** 2)
+            assert np.max(np.abs(u @ np.kron(xi_bar, k) - zm)) <= 2 * LAST_BIT / gap
+            assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 8 * LAST_BIT
 
 
 def reference_fig2_rows(p_plus, abs_alpha, steps):

@@ -173,6 +173,16 @@ class TestTeleport:
         for rec in table["success"]:
             assert float(rec["fidelity"]) == 1.0
 
+    def test_nearly_degenerate_channel(self, tmp_path, capsys):
+        # 1 - sin 2 rho = 2e-10: the branch overlaps sit within 1e-10 of 1,
+        # where a Gram-Schmidt completion of the coupling lost unitarity
+        code, text = run_cli(["teleport", "--rho", "0.7853881633974483",
+                              "--mu", "0.3"], tmp_path)
+        assert (code, capsys.readouterr().err) == (0, "")
+        table = {r[0]: float(r[3]) for r in parse_csv(text)[2]
+                 if r[0] in ("total_success", "closed_form")}
+        assert abs(table["total_success"] - table["closed_form"]) < 1e-12
+
     def test_sampling_is_seeded(self, tmp_path):
         args = ["teleport", "--rho", "0.3", "--sample", "800", "--seed", "7"]
         _, a = run_cli(args, tmp_path, "a")

@@ -26,6 +26,7 @@ from ussd_lab.ussd import (
 )
 from ussd_lab import oracle
 from ussd_lab.errors import NumericalError, RangeError
+from ussd_lab.qcore import Unitary
 from test_array_chain import reference_golden_min
 
 
@@ -146,6 +147,19 @@ class TestDecomposition:
         inst, strat, par, _ = self._setup()
         with pytest.raises(RangeError):
             decomposition_check(np.eye(2), par, inst, strat)
+
+    @pytest.mark.parametrize("bad", [Unitary(("S", "A"), np.eye(4)), "rho", None,
+                                     [[1.0] * 4] * 3 + [[1.0]], np.eye(4, dtype=bool)])
+    def test_only_a_numeric_matrix_is_read(self, bad):
+        inst, strat, par, _ = self._setup()
+        with pytest.raises(RangeError, match="^expected a numeric 4x4 two-qubit density"):
+            decomposition_check(bad, par, inst, strat)
+
+    def test_report_fields_are_floats(self):
+        inst, strat, par, rho = self._setup()
+        rep = decomposition_check(rho.tolist(), par, inst, strat)
+        assert [type(getattr(rep, f.name)) for f in dataclasses.fields(rep)] == [float] * 4
+        assert rep.worst < 1e-12
 
 
 class TestQuadrature:

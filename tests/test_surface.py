@@ -3,7 +3,9 @@
 A name deleted from a module must leave __all__ with it, and README's
 "typical session" must keep running and printing what it says. Every
 qcore name the package exports must have a caller in the package, so
-the state layer holds only what the numeric route uses.
+the state layer holds only what the numeric route uses; likewise every
+exported error class must be raised (tests/test_qcore.py holds every
+Tolerances field to a reader).
 """
 
 import ast
@@ -13,6 +15,7 @@ import pathlib
 import re
 
 import ussd_lab
+from ussd_lab.errors import UssdLabError
 
 README = pathlib.Path(__file__).parents[1] / "README.md"
 SRC = pathlib.Path(__file__).parents[1] / "src" / "ussd_lab"
@@ -23,6 +26,10 @@ def qcore_imports(path) -> set:
     return {alias.name for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "qcore"
             for alias in node.names}
+
+
+def src_trees() -> list:
+    return [ast.parse(f.read_text()) for f in SRC.glob("*.py")]
 
 
 def test_every_export_resolves_once():
@@ -36,6 +43,25 @@ def test_every_qcore_export_has_a_caller():
     used = set().union(*(qcore_imports(f) for f in SRC.glob("*.py") if f.name != "__init__.py"))
     assert "PureState" in exported
     assert sorted(exported - used) == []
+
+
+def test_every_error_class_is_raised():
+    """Each exported error class is raised in the package, by `raise X`,
+    `raise X(...)` or `_check(..., X, ...)`; the base class is only
+    caught."""
+    exported = {n for n in ussd_lab.__all__ if isinstance(getattr(ussd_lab, n), type)
+                and issubclass(getattr(ussd_lab, n), UssdLabError)}
+    raised = set()
+    for node in (n for tree in src_trees() for n in ast.walk(tree)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised |= {exc.id} if isinstance(exc, ast.Name) else set()
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "_check" and len(node.args) > 1
+              and isinstance(node.args[1], ast.Name)):
+            raised.add(node.args[1].id)
+    assert "RangeError" in raised and "NumericalError" in raised
+    assert sorted(exported - raised) == ["UssdLabError"]
 
 
 def test_readme_typical_session_runs():

@@ -451,6 +451,24 @@ class TestRuns:
             tot = sum(r.probability for r in runs if r.success)
             assert abs(tot - (1 - math.sin(2 * rho))) < 1e-12
 
+    @pytest.mark.parametrize("mu", [0.3, 1.5])
+    def test_near_pole_sweep(self, mu):
+        """d = pi/4 - rho over 400 log-spaced points in [1e-10, 10^-1.5]:
+        no coupling fails its unitarity check. The 73 typed mapping misses
+        left, at d from 5.3e-9 to 4.6e-7, come from the branch embedding
+        and the branch instance disagreeing in floating point."""
+        missed = []
+        for d in np.logspace(-10, -1.5, 400):
+            try:
+                runs = enumerate_runs(TeleportInstance(QP - d, mu, 0.0))
+            except NumericalError as exc:
+                assert str(exc).startswith("coupling unitary misses a constraint by ")
+                missed.append(d)
+                continue
+            assert abs(sum(r.probability for r in runs) - 1.0) < 1e-10
+        assert len(missed) == 73
+        assert 5.3e-9 < min(missed) and max(missed) < 4.7e-7
+
     def test_half_tangle_landmark(self):
         # channel tangle 1/2 succeeds with probability 1 - sqrt(2)/2
         angle = 0.5 * math.asin(math.sqrt(0.5))

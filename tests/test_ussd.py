@@ -32,6 +32,7 @@ from ussd_lab.ussd import (
 from ussd_lab.errors import (
     DegenerateOverlap,
     EmbeddingError,
+    NumericalError,
     RangeError,
     UndefinedPhase,
 )
@@ -225,14 +226,60 @@ class TestProtocol:
         m = u.matrix
         assert np.max(np.abs(m.conj().T @ m - np.eye(4))) < 1e-10
 
-    def test_observables_ignore_completion_seed(self):
-        inst = make_instance(0.3, 0.5, 0.6)
-        strat = optimal_strategy(inst)
-        seed = [np.array([0, 0.6, 0.8, 0], dtype=complex)]
-        r1 = run_protocol(inst, strat)
-        r2 = run_protocol(inst, strat, seed_basis=seed)
-        for o1, o2 in zip(r1.outcomes, r2.outcomes):
-            assert abs(o1.probability - o2.probability) < 1e-12
+    def test_observables_ignore_the_completion(self, monkeypatch):
+        """The coupling is fixed on P = span(xi k, xi_bar k) only: U (P + W Q),
+        with W a random unitary on the range of Q = 1 - P, is as good a
+        coupling and gives the same outcome probabilities."""
+        from ussd_lab import ussd
+        from ussd_lab.qcore import Unitary
+        rng = np.random.default_rng(8)
+        for _ in range(6):
+            inst = random_instance(rng)
+            anc = np.exp(1j * rng.uniform(0, 2 * math.pi, 2)) * [math.cos(0.7), math.sin(0.7)]
+            strat = optimal_strategy(inst, beta=rng.uniform(0, math.pi / 2),
+                                     delta=rng.uniform(0, 2 * math.pi), ancilla_init=anc)
+            emb = canonical_embedding(inst)
+            pair = np.stack([np.kron(emb.xi, anc), np.kron(emb.xi_bar, anc)], axis=1)
+            basis = np.linalg.qr(pair, mode="complete")[0]
+            p = basis[:, :2] @ basis[:, :2].conj().T
+            w = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+            rest = basis[:, 2:] @ w @ basis[:, 2:].conj().T
+            plain = run_protocol(inst, strat)
+            monkeypatch.setattr(ussd, "coupling_unitary", lambda *a, **k: Unitary(
+                ("S", "A"), coupling_unitary(*a, **k).matrix @ (p + rest)))
+            other = run_protocol(inst, strat)
+            monkeypatch.undo()
+            assert np.max(np.abs(other.unitary.matrix - plain.unitary.matrix)) > 1e-3
+            for o1, o2 in zip(plain.outcomes, other.outcomes):
+                assert abs(o1.probability - o2.probability) < 1e-12
+
+    def test_nearly_identical_states(self):
+        """1 - |alpha| = 10^U(-12, -3): the coupling is unitary on every
+        draw, and the Born route meets p_suc_max. Below 1 - |alpha| = 5e-12
+        the constraint data themselves can disagree by more than the
+        mapping tolerance: the parts of zeta- and xi_bar orthogonal to
+        zeta+ and xi, both of norm about sqrt(1 - |alpha|^2) as floats,
+        differ in norm by up to 1.6e-10, and no unitary maps both pairs
+        closer than half that. Such a draw raises the mapping check's
+        typed error."""
+        rng = np.random.default_rng(3)
+        missed = []
+        for _ in range(600):
+            gap = 10.0 ** rng.uniform(-12, -3)
+            p = 0.5 if rng.random() < 0.5 else rng.uniform(0.05, 0.95)
+            inst = make_instance(p, (1.0 - gap) * np.exp(1j * rng.uniform(-math.pi, math.pi)),
+                                 rng.uniform(-0.95, 0.95))
+            strat = separable_strategy(inst)
+            try:
+                res = run_protocol(inst, strat)
+            except NumericalError as exc:
+                assert str(exc).startswith("coupling unitary misses a constraint by ")
+                missed.append(gap)
+                continue
+            m = res.unitary.matrix
+            assert np.max(np.abs(m.conj().T @ m - np.eye(4))) <= 1e-12
+            assert abs(res.success_probability - p_suc_max(inst)) < 1e-10
+        assert len(missed) <= 2 and all(g < 5e-12 for g in missed)
 
 
 class TestSeparability:
