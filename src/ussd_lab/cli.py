@@ -100,7 +100,7 @@ def _write(out, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _meta(args, command: str, **params) -> dict:
+def _meta(command: str, **params) -> dict:
     meta = {"tool": "ussd-lab", "version": __version__, "command": command}
     meta.update(params)
     return meta
@@ -153,7 +153,7 @@ def cmd_eval(args) -> int:
         ("separability_concurrence", sep),
         ("loop_phase", loop),
     ]
-    meta = _meta(args, "eval", p_plus=args.p_plus, abs_alpha=args.alpha,
+    meta = _meta("eval", p_plus=args.p_plus, abs_alpha=args.alpha,
                  alpha_phase=args.alpha_phase, abs_alpha_c=args.alpha_c,
                  alpha_c_phase=args.alpha_c_phase)
     _emit(args, meta, ["quantity", "value"], rows)
@@ -173,7 +173,7 @@ def cmd_fig2(args) -> int:
     columns = ["abs_alpha_c",
                "c_total_gamma_0", "c_total_gamma_half_pi", "c_total_gamma_pi",
                "p_suc_gamma_0", "p_suc_gamma_half_pi", "p_suc_gamma_pi"]
-    meta = _meta(args, "fig2", p_plus=args.p_plus, abs_alpha=args.alpha,
+    meta = _meta("fig2", p_plus=args.p_plus, abs_alpha=args.alpha,
                  steps=args.steps)
     _emit(args, meta, columns, np.hstack(cells).tolist())
     return 0
@@ -205,7 +205,7 @@ def cmd_fig3(args) -> int:
                "c_converted", "c_env_ancilla_pair", "share_converted",
                "share_retained", "band_env_ancilla_min", "band_env_ancilla_max",
                "band_system_split_min", "band_system_split_max"]
-    meta = _meta(args, "fig3", p_plus=args.p_plus, abs_alpha_c=args.alpha_c,
+    meta = _meta("fig3", p_plus=args.p_plus, abs_alpha_c=args.alpha_c,
                  steps=args.steps, band_points=args.band_points)
     _emit(args, meta, columns, [row(*r) for r in zip(pts, leds, scans)])
     return 0
@@ -218,7 +218,7 @@ def cmd_fig4(args) -> int:
             for r in fig4_sweep(pts)]
     columns = ["tangle", "smr_total", "smr_retained", "smr_converted",
                "converted_share"]
-    _emit(args, _meta(args, "fig4", steps=args.steps), columns, rows)
+    _emit(args, _meta("fig4", steps=args.steps), columns, rows)
     return 0
 
 
@@ -234,7 +234,7 @@ def cmd_teleport(args) -> int:
     closed = 1.0 - math.sin(2.0 * args.rho)
     rows.append(["total_success", None, None, total, None, None])
     rows.append(["closed_form", None, None, closed, None, None])
-    meta = _meta(args, "teleport", rho=args.rho, mu=args.mu, nu=args.nu)
+    meta = _meta("teleport", rho=args.rho, mu=args.mu, nu=args.nu)
     if args.sample is not None:
         rep = sample_teleport(inst, args.sample, args.seed)
         rows.append(["sampled_rate", None, None, rep.empirical_rate, None, None])
@@ -248,7 +248,7 @@ def cmd_teleport(args) -> int:
 
 def cmd_selftest(args) -> int:
     report = run_selftest(tolerance_override=args.tolerance, only=args.only)
-    meta = _meta(args, "selftest", n_passed=report.n_passed,
+    meta = _meta("selftest", n_passed=report.n_passed,
                  n_failed=report.n_failed, passed=report.passed)
     if args.tolerance is not None:
         meta["tolerance"] = args.tolerance

@@ -80,13 +80,13 @@ class PureState:
 
 
 def _check_density(m: np.ndarray) -> None:
-    """Unit-trace and positive-semidefinite checks on one Hermitian
-    matrix or on a (..., d, d) stack of them; the first matrix to fail
-    the trace test is named by its index in a stack. A non-finite
-    diagonal entry fails the trace test. An empty stack passes.
-    Hermiticity is not tested: reduce_stack, the only caller, hands over
-    0.5 * (rho + rho^H), whose entries equal the conjugates of their
-    transposes exactly."""
+    """Unit-trace check on one matrix or on a (..., d, d) stack of them;
+    the first matrix to fail is named by its index in a stack. A
+    non-finite diagonal entry fails. An empty stack passes. Nothing else
+    is tested: reduce_stack, the only caller, hands over 0.5 * (rho + rho^H),
+    whose entries equal the conjugates of their transposes exactly, and
+    rho = K K^H of a finite row, positive semidefinite up to rounding of
+    about (d + 2) unit roundoffs once its trace is 1."""
     if m.size == 0:
         return
     tr = np.trace(m, axis1=-2, axis2=-1)
@@ -95,8 +95,6 @@ def _check_density(m: np.ndarray) -> None:
         at = np.argwhere(bad)[0]
         row = f" at stack index {', '.join(map(str, at))}" if at.size else ""
         raise ShapeError(f"density matrix trace {complex(tr[tuple(at)])!r} != 1{row}")
-    if np.linalg.eigvalsh(m).min() < -TOL.psd_floor:
-        raise ShapeError("density matrix has a negative eigenvalue")
 
 
 @dataclass(frozen=True)
@@ -265,7 +263,9 @@ def measure_rows(t, axis, mask, where=_nowhere) -> tuple:
     row with probability 1e-15 or more, and the post-states (2, n, ...)
     with the measured qubit collapsed to each live outcome (zero rows
     elsewhere). The probabilities of a selected row must sum to 1 within
-    1e-10; where(i) names a failing row as in unit_rows."""
+    1e-10; where(i) names a failing row as in unit_rows. A non-finite row
+    fails that test, and a post-state is its slice over its own norm, so
+    its norm is not checked again."""
     comps = np.moveaxis(t, axis, 0)            # (2, n, ...), one slice per outcome
     probs = np.array([[float(np.vdot(c, c).real) for c in comp] for comp in comps])
     total = probs[0] + probs[1]
@@ -276,7 +276,6 @@ def measure_rows(t, axis, mask, where=_nowhere) -> tuple:
     for k in (0, 1):
         scale = np.sqrt(np.where(live[k], probs[k], 1.0))
         np.moveaxis(post[k], axis, 0)[k] = comps[k] / scale.reshape((-1,) + (1,) * (t.ndim - 2))
-        unit_rows(post[k], live[k], where)
     return probs, live, post
 
 
@@ -284,15 +283,14 @@ def factor_rows(rest, mask, label, where=_nowhere) -> np.ndarray:
     """Drop a measured qubit from each row of a stack: each row of rest
     holds a state's amplitudes already contracted with the known outcome
     of qubit label, and is divided by its own norm. On the rows mask selects the norm
-    must be 1 within 1e-9 (else the qubit was entangled with the rest)
-    and the quotient a unit vector; other rows carry no meaning. where(i)
-    names a failing row as in unit_rows."""
+    must be 1 within 1e-9 (else the qubit was entangled with the rest),
+    which a non-finite row fails; the quotient is then a unit vector and
+    is not checked again. Other rows carry no meaning. where(i) names a
+    failing row as in unit_rows."""
     nrm = np.array([np.linalg.norm(r) for r in rest])
     _check(mask & ~(np.abs(nrm - 1.0) <= 1e-9), ShapeError,
            lambda i: f"qubit {label!r} is not in the stated product state{where(i)}")
-    out = rest / np.where(mask, nrm, 1.0).reshape((-1,) + (1,) * (rest.ndim - 1))
-    unit_rows(out, mask, where)
-    return out
+    return rest / np.where(mask, nrm, 1.0).reshape((-1,) + (1,) * (rest.ndim - 1))
 
 
 def projective_measure(psi: PureState, target: str) -> list:

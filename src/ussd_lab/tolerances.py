@@ -5,7 +5,8 @@ Tolerances record; the tolerances of the check battery are written with
 its checks, in selftest._CHECKS. The defaults reflect what double
 precision actually delivers for 2- and 3-qubit linear algebra; none of
 them are tuned per call site. Every field is read somewhere in the
-package (tests/test_surface.py checks that).
+package (tests/test_qcore.py::test_every_tolerance_is_read checks
+that).
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,6 @@ class Tolerances:
     # state and operator validation
     state_norm: float = 1e-12       # |  ||psi||^2 - 1 |
     trace_one: float = 1e-12        # |tr rho - 1|
-    psd_floor: float = 1e-12        # eigenvalues may dip this far below 0
     unitary: float = 1e-12          # max |U^dag U - 1|
 
     # coupling unitary

@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ussd_lab import cli, coherence, oracle, selftest
@@ -65,6 +65,8 @@ from ussd_lab.errors import (
 from ussd_lab.qcore import (
     PureState,
     _split,
+    factor_rows,
+    measure_rows,
     reduce_stack,
 )
 from ussd_lab.teleport import (
@@ -1093,3 +1095,67 @@ class TestFig2:
         assert cli.main(["fig2", "--p-plus", repr(p_plus), "--alpha", repr(abs_alpha),
                          "--steps", "3"]) == 2
         assert capsys.readouterr().err == f"error: {want.value}\n"
+
+
+# an admissible instance, edges weighted: priors 0, 1/2 and the next float
+# above 1/2 (swapped), 1 - |alpha| down to 1e-12, |alpha_c| at 0 and 1
+_instances = st.tuples(
+    st.sampled_from([0.0, 0.5, math.nextafter(0.5, 1.0)]) | st.floats(0.0, 1.0),
+    st.floats(-12.0, 0.0).map(lambda e: 1.0 - 10.0 ** e) | st.floats(0.0, 1.0 - 1e-12),
+    st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    st.floats(-7.0, 7.0), st.floats(-7.0, 7.0))
+
+
+@st.composite
+def _unit_row(draw):
+    """A normalized 3-qubit amplitude row: entangled, or a product of
+    three qubits, each with one amplitude scaled down to as little as
+    1e-8 so that an outcome probability reaches 1e-16."""
+    parts = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        row = np.array(draw(st.lists(parts, min_size=16, max_size=16)))
+        row = row[:8] + 1j * row[8:]
+    else:
+        row = np.ones(1, dtype=complex)
+        for _ in range(3):
+            q = np.array(draw(st.lists(parts, min_size=4, max_size=4)))
+            q = q[:2] + 1j * q[2:]
+            q[draw(st.integers(0, 1))] *= 10.0 ** -draw(st.floats(0.0, 8.0))
+            row = np.kron(row, q)
+    nrm = np.linalg.norm(row)
+    assume(nrm > 1e-3)
+    return row / nrm
+
+
+class TestBuiltByConstruction:
+    """What separable_points, reduce_stack, measure_rows and factor_rows
+    build holds its invariants 100 times inside the tolerances of the
+    checks they no longer apply to their own outputs (1e-12 each)."""
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(draws=st.lists(_instances, min_size=1, max_size=8))
+    def test_separable_points(self, draws):
+        p, aa, acm, g, gc = np.array(draws).T
+        pts = separable_points(p, aa * np.exp(1j * g), acm * np.exp(1j * gc))
+        assert np.abs(pts.alpha_plus).max() <= 1.0 + 1e-14
+        assert np.abs(pts.alpha_minus).max() <= 1.0 + 1e-14
+        assert np.abs(pts.alpha_plus * pts.alpha_minus.conj() - pts.alpha).max() <= 1e-14
+        assert ((0.0 <= pts.beta) & (pts.beta <= math.pi / 2)).all()
+        assert ((0.0 <= pts.delta) & (pts.delta <= 2.0 * math.pi)).all()
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(rows=st.lists(_unit_row(), min_size=1, max_size=6))
+    def test_reductions_and_measurements(self, rows):
+        amps = np.array(rows)
+        for k in range(1, 3):
+            for keep in itertools.combinations(SAC, k):
+                assert np.linalg.eigvalsh(reduce_stack(amps, SAC, keep)).min() >= -1e-14
+        t = amps.reshape(-1, 2, 2, 2)
+        mask = np.ones(len(t), dtype=bool)
+        for axis in (1, 2, 3):
+            _, live, post = measure_rows(t, axis, mask)
+            for k in (0, 1):
+                rest = factor_rows(np.take(post[k], k, axis=axis), live[k], "S")
+                for out in (post[k], rest):
+                    flat = out.reshape(len(t), -1)[live[k]]
+                    assert np.abs(np.linalg.norm(flat, axis=1) ** 2 - 1.0).max(initial=0.0) <= 1e-14
