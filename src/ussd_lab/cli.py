@@ -8,7 +8,8 @@ or a JSON document with the same content; both are deterministic byte
 for byte, use 12 significant digits, and never include timestamps.
 
 Exit codes: 0 on success, 1 when the selftest battery fails, 2 for
-invalid input (the message names the offending field).
+invalid input (the message names the offending field) and for an
+internal numeric failure.
 """
 
 from __future__ import annotations
@@ -374,6 +375,17 @@ def main(argv=None) -> int:
         if isinstance(value, float) and not math.isfinite(value):
             print(f"error: {dest} must be finite, got {value!r}", file=sys.stderr)
             return 2
+    # a negative magnitude would silently become a phase of pi, and so
+    # would -0.0, which is the magnitude 0
+    for dest in ("alpha", "alpha_c"):
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        if value < 0.0:
+            print(f"error: --{dest.replace('_', '-')} must be a non-negative magnitude, "
+                  f"got {value!r}", file=sys.stderr)
+            return 2
+        setattr(args, dest, abs(value))
     try:
         return args.fn(args)
     except UssdLabError as exc:

@@ -50,11 +50,14 @@ class NumericalError(UssdLabError):
 
 
 def _count(value, name: str) -> int:
-    """An integer count, or RangeError naming it (int() would cut 2.5)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise RangeError(f"{name} must be an integer, got {value!r}") from None
+    """An integer count, or RangeError naming it (int() would cut 2.5,
+    and operator.index would take True as 1)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise RangeError(f"{name} must be an integer, got {value!r}")
 
 
 def _check(bad, error, message) -> None:

@@ -15,7 +15,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from collections.abc import Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -69,11 +70,12 @@ class SuccessSearchResult:
     value: float
 
 
-def _success_objective(rp: float, rm: float, a: float, m) -> np.ndarray:
+def _success_objective(rp, rm, a, m) -> np.ndarray:
     """Conclusive-outcome probability at each first-sub-state amplitude m
     (an array, or a float as a 0-d one), -inf outside the domain: m <= 0
     with a nonzero overlap, or a partner amplitude a/m above 1. a == 0
-    pins the partner at 0 for every m."""
+    pins the partner at 0 for every m. rp, rm and a broadcast against m,
+    one instance per entry."""
     m = np.asarray(m, dtype=float)
     pos = m > 0.0
     partner = a / np.where(pos, m, math.inf)
@@ -81,77 +83,116 @@ def _success_objective(rp: float, rm: float, a: float, m) -> np.ndarray:
     return np.where(out, -math.inf, rp * (1.0 - m * m) + rm * (1.0 - partner * partner))
 
 
-def grid_optimize_success(inst, grid: Optional[GridSpec] = None) -> SuccessSearchResult:
+def grid_optimize_success(inst, grid: Optional[GridSpec] = None):
     """Maximize the conclusive-outcome probability by brute force.
 
     Scans the flagged-by-ancilla amplitude for the first sub-state over a
     dense grid (the partner amplitude is pinned by the overlap
     constraint), then golden-sections around the grid winner. Used as the
     oracle for the closed-form optimum.
+
+    inst is one instance, which gives a SuccessSearchResult, or a
+    sequence of them, which gives a tuple of results. The coarse scan is
+    one array pass over every instance's grid, and each refinement round
+    one lockstep golden-section search over one bracket per instance, so
+    each result equals a call on that instance alone.
     """
     if grid is None:
         grid = GridSpec(0.0, 1.0, 10000, 2)
-    rp, rm = float(inst.r_plus), float(inst.r_minus)
-    a = abs(inst.alpha)
-    lo = max(grid.lower, a)
-    hi = min(grid.upper, 1.0)
-    if not hi > lo:
-        raise RangeError("search interval is empty for this instance")
+    single = not isinstance(inst, Sequence)
+    insts = [inst] if single else list(inst)
+    if not insts:
+        return ()
+    rp = np.array([float(i.r_plus) for i in insts])
+    rm = np.array([float(i.r_minus) for i in insts])
+    a = np.array([abs(i.alpha) for i in insts])
+    lo = np.where(a > grid.lower, a, grid.lower)
+    hi = np.full(a.size, min(grid.upper, 1.0))
+    empty = np.flatnonzero(~(hi > lo))
+    if empty.size:
+        raise RangeError("search interval is empty for this instance"
+                         + ("" if single else f" (inst[{int(empty[0])}])"))
 
-    objective = functools.partial(_success_objective, rp, rm, a)
-    pts = np.linspace(lo, hi, grid.count)
-    vals = objective(pts)
-    i = int(np.argmax(vals))
-    best_m, best_v = float(pts[i]), float(vals[i])
+    pts = np.array([np.linspace(l, h, grid.count) for l, h in zip(lo.tolist(), hi.tolist())])
+    vals = _success_objective(rp[:, None], rm[:, None], a[:, None], pts)
+    i = np.argmax(vals, axis=1)
+    rows = np.arange(a.size)
+    best_m, best_v = pts[rows, i], vals[rows, i]
     cell = (hi - lo) / (grid.count - 1)
     for _ in range(grid.refine):
-        wlo = max(lo, best_m - cell)
-        whi = min(hi, best_m + cell)
-        x, neg = _refine(lambda m: -objective(m), wlo, whi)
-        if -neg >= best_v:
-            best_m, best_v = x, -neg
-        cell = max((whi - wlo) * 1e-3, 1e-12)
-    return SuccessSearchResult(abs_alpha_plus=best_m, value=best_v)
+        wlo = np.where(best_m - cell > lo, best_m - cell, lo)
+        whi = np.where(best_m + cell < hi, best_m + cell, hi)
+        x, neg = _golden_min(lambda r, m: -_success_objective(rp[r], rm[r], a[r], m),
+                             wlo, whi, tol=1e-12)
+        better = -neg >= best_v
+        best_m, best_v = np.where(better, x, best_m), np.where(better, -neg, best_v)
+        cell = (whi - wlo) * 1e-3
+        cell = np.where(cell > 1e-12, cell, 1e-12)
+    results = tuple(SuccessSearchResult(abs_alpha_plus=m, value=v)
+                    for m, v in zip(best_m.tolist(), best_v.tolist()))
+    return results[0] if single else results
 
 
 def _zeta_rows(alpha_plus: complex, alpha_minus: complex,
-               beta: float, deltas: np.ndarray) -> tuple:
+               betas: np.ndarray, deltas: np.ndarray) -> tuple:
     """Coupled sub-states on the system-ancilla pair, assembled directly,
-    one row per failure phase in deltas.
+    one row per failure direction (betas[k], deltas[k]).
 
     Basis order is (system, ancilla) with the system qubit most
     significant; the failure direction is cos(beta), sin(beta) e^{i
-    delta} on the system with the ancilla reading 1. The products with
-    e^{i delta} are written in real arithmetic, term by term as numpy's
-    scalar complex product forms them (the sin(beta) factor as sin(beta)
-    + 0j): numpy's array complex multiply can fuse a product into the
-    following sum, which moves last bits.
+    delta} on the system with the ancilla reading 1. cos(beta) and
+    sin(beta) are taken per entry with math.cos and math.sin, and the
+    products with them and with e^{i delta} are written in real
+    arithmetic, term by term as Python's and numpy's scalar complex
+    products form them (cos(beta) as cos(beta) + 0j, sin(beta) as
+    sin(beta) + 0j): numpy's array complex multiply can fuse a product
+    into the following sum, which moves last bits.
     """
     ap, am = complex(alpha_plus), complex(alpha_minus)
     bp = math.sqrt(max(0.0, 1.0 - abs(ap) ** 2))
     bm = math.sqrt(max(0.0, 1.0 - abs(am) ** 2))
-    e0, s = math.cos(beta), math.sin(beta)
+    betas = betas.tolist()
+    e0 = np.array([math.cos(b) for b in betas])
+    s = np.array([math.sin(b) for b in betas])
     ph = np.exp(1j * deltas)
     e1r = s * ph.real - 0.0 * ph.imag
     e1i = s * ph.imag + 0.0 * ph.real
     zp = np.zeros((deltas.size, 4), dtype=complex)
     zm = np.zeros_like(zp)
-    zp[:, 0], zp[:, 1], zm[:, 1], zm[:, 2] = bp, ap * e0, am * e0, bm
+    zp[:, 0], zm[:, 2] = bp, bm
     for z, c in ((zp, ap), (zm, am)):
+        z.real[:, 1] = c.real * e0 - c.imag * 0.0
+        z.imag[:, 1] = c.real * 0.0 + c.imag * e0
         z.real[:, 3] = c.real * e1r - c.imag * e1i
         z.imag[:, 3] = c.real * e1i + c.imag * e1r
     return zp, zm
 
 
-def _rho_sa_row(inst, strat, beta: float, deltas: np.ndarray) -> np.ndarray:
-    """The (len(deltas), 4, 4) stack of system-ancilla states at one beta."""
-    zp, zm = _zeta_rows(strat.alpha_plus, strat.alpha_minus, beta, deltas)
+def _rho_sa_row(inst, strat, betas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """The (len(deltas), 4, 4) stack of system-ancilla states, one per
+    failure direction (betas[k], deltas[k]).
+
+    The stack is built in place, in two arrays. The complex weight of
+    the cross term multiplies from the left, as in the point-wise
+    c * outer: numpy rounds a product of two complex factors differently
+    when their order is swapped, and it swaps them itself when it turns
+    c * (unnamed temporary above 256 KiB) into an in-place multiply, so
+    a large stack written that way would no longer equal its rows.
+    Scaling by the real weights and the sums round the same in any
+    order."""
+    zp, zm = _zeta_rows(strat.alpha_plus, strat.alpha_minus, betas, deltas)
     rp, rm = float(inst.r_plus), float(inst.r_minus)
     ac = complex(inst.alpha_c)
-    rho = (rp * (zp[:, :, None] * zp.conj()[:, None, :])
-           + rm * (zm[:, :, None] * zm.conj()[:, None, :]))
-    cross = math.sqrt(rp * rm) * ac * (zp[:, :, None] * zm.conj()[:, None, :])
-    return rho + cross + cross.conj().swapaxes(-1, -2)
+    rho = zp[:, :, None] * zp.conj()[:, None, :]
+    rho *= rp
+    outer = zm[:, :, None] * zm.conj()[:, None, :]
+    outer *= rm
+    rho += outer
+    np.multiply(zp[:, :, None], zm.conj()[:, None, :], out=outer)
+    np.multiply(math.sqrt(rp * rm) * ac, outer, out=outer)
+    rho += outer
+    rho += np.conjugate(outer, out=outer).swapaxes(-1, -2)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -165,34 +206,30 @@ def grid_min_concurrence(inst, strat_base, beta_grid: GridSpec,
                          delta_grid: GridSpec) -> ConcurrenceSearchResult:
     """Minimize the system-ancilla concurrence over the failure direction.
 
-    Coarse grid over both angles, one stacked concurrence call per beta
-    row, then alternating golden-section sweeps in each coordinate around
-    the winner, each evaluation of a sweep one stacked concurrence call
-    on up to three points. Oracle for the closed-form direction that
+    Coarse grid over both angles as one stacked concurrence call, then
+    alternating golden-section sweeps in each coordinate around the
+    winner, each evaluation of a sweep one stacked concurrence call on
+    up to three points. Oracle for the closed-form direction that
     renders the pair separable.
     """
-    deltas = delta_grid.points()
+    betas, deltas = beta_grid.points(), delta_grid.points()
+    cells = wootters_concurrence(_rho_sa_row(
+        inst, strat_base, np.repeat(betas, deltas.size), np.tile(deltas, betas.size)))
     # first minimum in row-major order, as a point-by-point scan finds it
-    best = (math.inf, 0.0, 0.0)
-    for b in beta_grid.points().tolist():
-        row = wootters_concurrence(_rho_sa_row(inst, strat_base, b, deltas))
-        j = int(np.argmin(row))
-        if row[j] < best[0]:
-            best = (float(row[j]), b, float(deltas[j]))
-    value, beta, delta = best
+    i, j = divmod(int(np.argmin(cells)), deltas.size)
+    value, beta, delta = float(cells[i * deltas.size + j]), float(betas[i]), float(deltas[j])
     bcell = (beta_grid.upper - beta_grid.lower) / (beta_grid.count - 1)
     dcell = (delta_grid.upper - delta_grid.lower) / (delta_grid.count - 1)
     rounds = max(beta_grid.refine, delta_grid.refine)
     for _ in range(rounds):
         blo = max(beta_grid.lower, beta - bcell)
         bhi = min(beta_grid.upper, beta + bcell)
-        beta, value = _refine(lambda bs: wootters_concurrence(np.concatenate(
-            [_rho_sa_row(inst, strat_base, b, np.array([delta])) for b in bs.tolist()])),
-            blo, bhi)
+        beta, value = _refine(lambda bs: wootters_concurrence(
+            _rho_sa_row(inst, strat_base, bs, np.full(bs.size, delta))), blo, bhi)
         dlo = max(delta_grid.lower, delta - dcell)
         dhi = min(delta_grid.upper, delta + dcell)
-        delta, value = _refine(
-            lambda ds: wootters_concurrence(_rho_sa_row(inst, strat_base, beta, ds)), dlo, dhi)
+        delta, value = _refine(lambda ds: wootters_concurrence(
+            _rho_sa_row(inst, strat_base, np.full(ds.size, beta), ds)), dlo, dhi)
         bcell = max(bhi - blo, 1e-9) * 1e-2
         dcell = max(dhi - dlo, 1e-9) * 1e-2
     return ConcurrenceSearchResult(beta=beta, delta=delta, value=value)
@@ -230,7 +267,8 @@ def decomposition_check(rho_sa, params, inst, strat) -> DecompositionReport:
         raise RangeError("expected a numeric 4x4 two-qubit density matrix, got "
                          f"{type(rho_sa).__name__} of shape {rho.shape}")
     zp, zm = (z[0] for z in _zeta_rows(strat.alpha_plus, strat.alpha_minus,
-                                       float(strat.beta), np.array([float(strat.delta)])))
+                                       np.array([float(strat.beta)]),
+                                       np.array([float(strat.delta)])))
     z1 = params.q1_plus * zp + params.q1_minus * np.exp(1j * params.gamma1) * zm
     z2 = params.q2_plus * zp + params.q2_minus * np.exp(1j * params.gamma2) * zm
     recon = np.outer(z1, z1.conj()) + np.outer(z2, z2.conj())

@@ -33,6 +33,10 @@ from .coherence import (
     wootters_concurrence,
 )
 from .ussd import (
+    _canonical,
+    _overlap_moduli,
+    _p_suc,
+    _weights,
     bargmann_loop,
     bargmann_phase,
     build_chi,
@@ -140,10 +144,9 @@ def _normalization_identity():
 
 def _success_grid_oracle(seed=12, count=6, points=3001):
     rng = np.random.default_rng(seed)
+    insts = [_random_instance(rng, saturated=bool(k % 2)) for k in range(count)]
     worst = 0.0
-    for k in range(count):
-        inst = _random_instance(rng, saturated=bool(k % 2))
-        res = grid_optimize_success(inst, GridSpec(0.0, 1.0, points, 2))
+    for inst, res in zip(insts, grid_optimize_success(insts, GridSpec(0.0, 1.0, points, 2))):
         worst = max(worst, abs(res.value - p_suc_max(inst)))
     return worst, "closed-form optimum vs brute-force amplitude search"
 
@@ -175,11 +178,13 @@ def _success_strategy_independent():
 
 def _separability_zero(seed=15, count=6):
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    rhos = []
     for k in range(count):
         inst = _random_instance(rng, saturated=bool(k % 3 == 0))
-        rho = system_ancilla_density(inst, separable_strategy(inst))
-        worst = max(worst, wootters_concurrence(rho))
+        rhos.append(system_ancilla_density(inst, separable_strategy(inst)))
+    worst = 0.0
+    for c in wootters_concurrence(np.array(rhos)).tolist():
+        worst = max(worst, c)
     return worst, "system-ancilla concurrence at the tuned failure direction"
 
 
@@ -303,14 +308,16 @@ def _ghz_w_landmarks():
 
 def _lu_invariance():
     rng = np.random.default_rng(19)
-    worst = 0.0
+    states = []
     for _ in range(10):
         psi = _random_pure(rng)
-        led = ledger(psi)
         rotated = psi
         for lab in psi.register:
             rotated = apply(Unitary((lab,), _haar_unitary(rng)), rotated)
-        led2 = ledger(rotated)
+        states += [psi.amplitudes, rotated.amplitudes]
+    leds = ledger(np.array(states))
+    worst = 0.0
+    for led, led2 in zip(leds[::2], leds[1::2]):
         worst = max(worst, abs(led.c_total - led2.c_total),
                     abs(led.c_genuine - led2.c_genuine),
                     max(abs(led.c_bipartite[k] - led2.c_bipartite[k])
@@ -359,9 +366,12 @@ def _bargmann_teleport_branches(mus=(0.7, 2.4)):
 
 
 def _fig2_monotone():
+    # fig2's array pass: one row per |alpha_c|, columns gamma = 0 and pi
     acs = np.linspace(0.0, 1.0 - 1e-9, 101)
-    p0 = [p_suc_max(make_instance(0.2, 0.4, ac)) for ac in acs]
-    ppi = [p_suc_max(make_instance(0.2, -0.4, ac)) for ac in acs]
+    p, alpha, alpha_c = _canonical(0.2, np.array([0.4, -0.4]), acs[:, None])
+    aa, _ = _overlap_moduli(alpha, alpha_c)
+    rp, rm, _, interior = _weights(p, alpha, alpha_c)
+    p0, ppi = _p_suc(rp, rm, aa, interior).reshape(-1, 2).T.tolist()
     worst = 0.0
     for a, b in zip(p0, p0[1:]):
         worst = max(worst, b - a)          # must not increase

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateOverlap, NumericalError, RangeError, _count
+from .errors import DegenerateOverlap, NumericalError, RangeError, ShapeError, _count
 from .qcore import (
     CNOT,
     HADAMARD,
@@ -59,9 +59,9 @@ _CORRECTIONS = {
 }
 
 
-def _check_angle(channel_angle) -> None:
+def _check_angle(channel_angle, name: str = "channel_angle") -> None:
     if not 0.0 <= channel_angle <= _QUARTER_PI + 1e-12:
-        raise RangeError(f"channel_angle must lie in [0, pi/4], got {channel_angle!r}")
+        raise RangeError(f"{name} must lie in [0, pi/4], got {channel_angle!r}")
 
 
 def _sign(b_outcome) -> float:
@@ -391,7 +391,7 @@ def enumerate_runs(inst: TeleportInstance) -> list:
 # ---------------------------------------------------------------------------
 # averaged coherence bookkeeping
 
-def square_mean_root(channel_angle: float, nodes: int = 64) -> tuple:
+def square_mean_root(channel_angle, nodes: int = 64) -> tuple:
     """Squares of the branch-averaged root coherences, integrated over the
     Bloch sphere of sent states, as (total, converted, retained).
 
@@ -400,35 +400,53 @@ def square_mean_root(channel_angle: float, nodes: int = 64) -> tuple:
     system-environment remainder. The azimuthal integral is trivial
     (integrands are azimuth-free), leaving one polar integral evaluated
     by Gauss-Legendre; the integrand is analytic in the polar angle, so
-    64 nodes already reach machine precision. The branch coherences of
-    all nodes x both carrier outcomes come from one array pass, a
-    (nodes, 2) stack through separable_points and
+    64 nodes already reach machine precision.
+
+    channel_angle is one angle, which gives one triple, or a 1-D stack,
+    which gives a tuple of triples. The branch coherences of all angles
+    x nodes x both carrier outcomes come from one array pass, an
+    (angles, nodes, 2) stack through separable_points and
     closed_form_coherences; each is closed_form_coherences of the
-    node's branch instance at its separable strategy, and the weighted
-    terms are summed node by node in node order.
+    node's branch instance at its separable strategy, and each angle's
+    weighted terms are summed node by node in node order, so each
+    triple equals a call on that angle alone.
     """
-    _check_angle(channel_angle)
+    if np.ndim(channel_angle) == 0:
+        _check_angle(channel_angle)
+        return square_mean_root(np.array([channel_angle], dtype=float), nodes)[0]
+    angles = np.asarray(channel_angle, dtype=float)
+    if angles.ndim != 1:
+        raise ShapeError("channel_angle must be one angle or a 1-D stack, "
+                         f"got shape {angles.shape}")
+    angles = angles.tolist()
+    for i, angle in enumerate(angles):
+        _check_angle(angle, f"channel_angle[{i}]")
     nodes = _nodes(nodes)
-    if _degenerate(channel_angle):
-        # degenerate channel: no branch carries coherence
-        return (0.0, 0.0, 0.0)
+    # a degenerate channel carries no coherence on either branch
+    live = [i for i, angle in enumerate(angles) if not _degenerate(angle)]
+    out = [(0.0, 0.0, 0.0)] * len(angles)
+    if not live:
+        return tuple(out)
     x, w = _gauss_legendre(nodes)
     mus = 0.5 * math.pi * (x + 1.0)
-    # (nodes, 2) branch terms, broadcast by the kernel
-    prob, alpha, alpha_c = _branch_terms(np.array([1.0, -1.0]), math.sin(2.0 * channel_angle),
+    s2 = np.array([math.sin(2.0 * angles[i]) for i in live])
+    # (angles, nodes, 2) branch terms, broadcast by the kernel
+    prob, alpha, alpha_c = _branch_terms(np.array([1.0, -1.0]), s2[:, None, None],
                                          np.cos(mus)[:, None])
     pts = separable_points(0.5, alpha, alpha_c)
-    total, converted, _ = (c.reshape(nodes, 2) for c in closed_form_coherences(pts))
+    total, converted, _ = (c.reshape(prob.shape) for c in closed_form_coherences(pts))
     roots = np.sqrt(np.maximum(np.stack([total, converted, total - converted], -1), 0.0))
-    val = np.zeros((nodes, 3))
+    val = np.zeros((len(live), nodes, 3))
     for b in (0, 1):
-        val += prob[:, b, None] * roots[:, b]
+        val += prob[..., b, None] * roots[..., b, :]
     terms = w[:, None] * 0.5 * val * np.sin(mus)[:, None]
-    acc = np.zeros(3)
-    for term in terms:
-        acc += term
+    acc = np.zeros((len(live), 3))
+    for k in range(nodes):
+        acc += terms[:, k]
     acc *= 0.5 * math.pi
-    return tuple(float(a) for a in acc * acc)
+    for i, triple in zip(live, (acc * acc).tolist()):
+        out[i] = tuple(triple)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -445,17 +463,22 @@ def fig4_sweep(tangles, nodes: int = 64) -> list:
 
     converted_share is the converted-to-total ratio; at tangle 0 every
     quantity vanishes and the share is filled in by its continuity limit
-    (the ratio depends only on the channel angle).
+    (the ratio depends only on the channel angle). Every tangle is
+    checked, in order, before the one square_mean_root call over the
+    whole sweep.
     """
     nodes = _nodes(nodes)
-    rows = []
+    ts, ss, angles = [], [], []
     for t in tangles:
         t = float(t)
         if not 0.0 <= t <= 1.0:
             raise RangeError(f"tangle must lie in [0, 1], got {t!r}")
         s = math.sqrt(max(0.0, 1.0 - t))
-        angle = 0.5 * math.asin(min(1.0, s))
-        smr_t, smr_c, smr_r = square_mean_root(angle, nodes)
+        ts.append(t)
+        ss.append(s)
+        angles.append(0.5 * math.asin(min(1.0, s)))
+    rows = []
+    for t, s, (smr_t, smr_c, smr_r) in zip(ts, ss, square_mean_root(np.array(angles), nodes)):
         if smr_t > 1e-14:
             share = smr_c / smr_t
         else:

@@ -34,13 +34,14 @@ import dataclasses
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ussd_lab import cli, coherence, oracle, selftest
+from ussd_lab import cli, coherence, oracle, selftest, teleport
 from ussd_lab.coherence import (
     _YY,
     BandScan,
@@ -72,6 +73,7 @@ from ussd_lab.qcore import (
 from ussd_lab.teleport import (
     TeleportInstance,
     branch_probability,
+    fig4_sweep,
     square_mean_root,
 )
 from ussd_lab.tolerances import DEFAULT as TOL
@@ -552,11 +554,35 @@ def reference_smr(channel_angle, nodes):
 
 
 class TestQuadrature:
+    def test_stack_validation(self):
+        assert square_mean_root(np.array([]), 8) == ()
+        with pytest.raises(RangeError, match=re.escape(
+                "channel_angle[1] must lie in [0, pi/4], got 1.0")):
+            square_mean_root(np.array([0.1, 1.0, -1.0]))
+        with pytest.raises(ShapeError, match=r"^channel_angle must be one angle or a 1-D"):
+            square_mean_root(np.zeros((2, 2)))
+        with pytest.raises(RangeError, match=r"^tangle must lie in \[0, 1\], got 1.5$"):
+            fig4_sweep([0.5, 1.5, -1.0])
+
     @pytest.mark.parametrize("nodes", [2, 7, 32, 64])
     @pytest.mark.parametrize("angle", [
         0.0, math.pi / 4, *np.random.default_rng(8).uniform(0.0, math.pi / 4, 2)])
     def test_square_mean_root_matches_loop(self, angle, nodes):
         assert square_mean_root(angle, nodes) == reference_smr(angle, nodes)
+
+    @pytest.mark.parametrize("nodes", [7, 64])
+    def test_stack_is_its_angles(self, nodes):
+        """One call over a stack of angles, the product channel among
+        them, gives each angle the triple of a call on it alone, signs
+        of zeros included."""
+        angles = np.concatenate([[0.0, math.pi / 4, math.pi / 4 - 1e-9],
+                                 np.random.default_rng(9).uniform(0.0, math.pi / 4, 12)])
+        got = square_mean_root(angles, nodes)
+        assert isinstance(got, tuple) and len(got) == angles.size
+        for angle, triple in zip(angles.tolist(), got):
+            want = square_mean_root(angle, nodes)
+            assert [x.hex() for x in triple] == [x.hex() for x in want] \
+                == [x.hex() for x in reference_smr(angle, nodes)]
 
 
 def reference_ledger(psi):
@@ -883,6 +909,24 @@ class TestClosedForm:
         assert math.isfinite(value)
         assert calls == {"separable_points": [3], "closed_form_coherences": [1]}
 
+    @pytest.mark.parametrize("check, module, kernel", [
+        ("_success_grid_oracle", selftest, "grid_optimize_success"),
+        ("_lu_invariance", selftest, "ledger"),
+        ("_separability_zero", selftest, "wootters_concurrence"),
+        ("_fig2_monotone", selftest, "_p_suc"),
+        ("_fig4_share_profile", teleport, "square_mean_root")])
+    def test_restacked_checks_make_one_kernel_call(self, check, module, kernel, monkeypatch):
+        calls = []
+
+        def counting(*args, _f=getattr(module, kernel), **kwargs):
+            calls.append(len(args[0]) if isinstance(args[0], (list, np.ndarray)) else 1)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(module, kernel, counting)
+        value, _ = getattr(selftest, check)()
+        assert math.isfinite(value)
+        assert len(calls) == 1 and calls[0] > 1
+
 
 def reference_weights(inst):
     """r_plus, r_minus, tilde_alpha and case as scalar arithmetic on one
@@ -1064,7 +1108,8 @@ def reference_fig2_rows(p_plus, abs_alpha, steps):
 def fig2_draws(seed=17, n=200):
     """(p_plus, alpha, steps): priors at 0, 1/2 and 1, inside and above
     1/2 (swapped); |alpha| at 0, inside and within 1e-9 to 1e-1 of 1,
-    either sign; 2, 7 or 101 steps."""
+    either sign (the CLI refuses a negative one; -0.0 is a magnitude);
+    2, 7 or 101 steps."""
     rng = np.random.default_rng(seed)
     draws = []
     for k in range(n):
@@ -1080,15 +1125,21 @@ class TestFig2:
         monkeypatch.setattr(cli, "_emit", lambda args, meta, columns, rows: emitted.append(rows))
         draws = fig2_draws()
         assert {p > 0.5 for p, _, _ in draws} == {False, True}
+        assert any(a < 0.0 for _, a, _ in draws)
+        assert any(a == 0.0 and math.copysign(1.0, a) < 0.0 for _, a, _ in draws)
         for p, a, steps in draws:
-            assert cli.main(["fig2", "--p-plus", repr(p), "--alpha", repr(a),
-                             "--steps", str(steps)]) == 0
+            code = cli.main(["fig2", "--p-plus", repr(p), "--alpha", repr(a),
+                             "--steps", str(steps)])
+            if a < 0.0:
+                assert code == 2 and not emitted
+                continue
+            assert code == 0
             got = emitted.pop()
             assert got == reference_fig2_rows(p, a, steps)
             assert all(type(c) is float for row in got for c in row)
 
     @pytest.mark.parametrize("p_plus, abs_alpha", [
-        (1.5, 0.4), (-0.1, 0.4), (0.2, 1.0), (0.7, -1.0), (0.2, 1.0 + 1e-12), (1.5, 1.0)])
+        (1.5, 0.4), (-0.1, 0.4), (0.2, 1.0), (0.7, 1.0), (0.2, 1.0 + 1e-12), (1.5, 1.0)])
     def test_errors_are_the_scalar_loops(self, p_plus, abs_alpha, capsys):
         with pytest.raises(UssdLabError) as want:
             reference_fig2_rows(p_plus, abs_alpha, 3)

@@ -75,6 +75,25 @@ class TestEval:
             err = capsys.readouterr().err
             assert re.search(rf"\b{field}\b", err), (argv, err)
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--alpha", "-0.4"], ["fig2", "--alpha", "-0.4"],
+        ["eval", "--alpha-c", "-0.4"], ["fig3", "--alpha-c", "-0.4"],
+        ["fig3", "--alpha-c=-1e-300"]])
+    def test_negative_magnitude_is_exit_2(self, argv, tmp_path, capsys):
+        # read as is, it would be a magnitude with a phase of pi
+        flag, _, value = "=".join(argv[1:]).partition("=")
+        assert run_cli(argv, tmp_path) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: {flag} must be a non-negative magnitude, got {float(value)!r}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--alpha", "-0.0"], ["fig2", "--alpha", "-0.0", "--steps", "3"],
+        ["eval", "--alpha-c", "-0.0"], ["fig3", "--alpha-c", "-0.0", "--steps", "3"]])
+    def test_negative_zero_is_a_magnitude(self, argv, tmp_path):
+        code, text = run_cli(argv, tmp_path)
+        plus = run_cli([a.replace("-0.0", "0.0") for a in argv], tmp_path, "plus")
+        assert (code, text) == plus and code == 0
+
     def test_invalid_prior_is_exit_2(self, tmp_path, capsys):
         assert main(["eval", "--p-plus", "1.5"]) == 2
         assert "p" in capsys.readouterr().err

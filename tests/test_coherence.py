@@ -212,7 +212,7 @@ class TestBand:
         with pytest.raises(ShapeError):
             coherence_band(0.4, 0.5, 0.8, scan_points=4)
 
-    @pytest.mark.parametrize("scan_points", [8.5, 16.0, None])
+    @pytest.mark.parametrize("scan_points", [8.5, 16.0, None, True, np.True_])
     def test_scan_points_must_be_an_integer(self, scan_points):
         with pytest.raises(RangeError, match=r"^scan_points must be an integer"):
             coherence_band(0.4, 0.5, 0.8, scan_points=scan_points)

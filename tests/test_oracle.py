@@ -3,8 +3,10 @@ coarse array passes versus their point-by-point scans."""
 
 import ast
 import dataclasses
+import itertools
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +68,10 @@ class TestGridSpec:
         ((0.0, 1.0, 2.5), "count"),
         ((0.0, 1.0, 10.0), "count"),
         ((0.0, 1.0, 10, 1.5), "refine"),
+        ((0.0, 1.0, True), "count"),
+        ((0.0, 1.0, np.True_), "count"),
+        ((0.0, 1.0, 5, True), "refine"),
+        ((0.0, 1.0, 5, False), "refine"),
     ])
     def test_rejects_nonfinite_bounds_and_fractional_counts(self, args, field):
         with pytest.raises(RangeError, match=f"GridSpec.{field} "):
@@ -185,7 +191,8 @@ class TestQuadrature:
             quadrature_refine(math.sin, node_counts=(1,))
 
     @pytest.mark.parametrize("counts, name", [
-        ((8.7, 16), r"node_counts\[0\]"), ((8, 16.0), r"node_counts\[1\]")])
+        ((8.7, 16), r"node_counts\[0\]"), ((8, 16.0), r"node_counts\[1\]"),
+        ((True, 16), r"node_counts\[0\]"), ((8, np.True_), r"node_counts\[1\]")])
     def test_non_integer_node_count_is_named(self, counts, name):
         # int() would have cut 8.7 to 8 nodes without a word
         with pytest.raises(RangeError, match=rf"^{name} must be an integer"):
@@ -326,6 +333,12 @@ BETA_GRID = GridSpec(0.0, math.pi / 2, 25, 2)
 DELTA_GRID = GridSpec(0.0, 2 * math.pi, 49, 2)
 
 
+def coarse_pairs():
+    """The (beta, delta) pairs of the coarse grid, row-major."""
+    betas, deltas = BETA_GRID.points(), DELTA_GRID.points()
+    return np.repeat(betas, deltas.size), np.tile(deltas, betas.size)
+
+
 class TestCoarseScans:
     def test_draws_cover_the_edges(self):
         assert any(abs(d.alpha_c) == 0.0 for d in SCAN_DRAWS)
@@ -336,31 +349,44 @@ class TestCoarseScans:
     def test_concurrence_scan_is_the_point_loop(self, inst):
         strat = separable_strategy(inst)
         cells, want = reference_coarse_concurrence(inst, strat, BETA_GRID, DELTA_GRID)
-        deltas = DELTA_GRID.points()
-        for b, ref in zip(BETA_GRID.points().tolist(), cells):
-            row = oracle.wootters_concurrence(oracle._rho_sa_row(inst, strat, b, deltas))
-            assert np.array_equal(row, ref)
+        betas, deltas = coarse_pairs()
+        got = oracle.wootters_concurrence(oracle._rho_sa_row(inst, strat, betas, deltas))
+        assert np.array_equal(got, cells.reshape(-1))
         res = grid_min_concurrence(inst, strat, BETA_GRID, DELTA_GRID)
         assert (res.beta, res.delta, res.value) == want
 
     def test_row_stack_is_the_point_matrices(self):
-        """At grid points, negative phases and the separable direction,
-        which decomposition_check reads as a stack of one."""
+        """Paired (beta, delta) rows at grid points, negative phases and
+        the separable direction, which decomposition_check reads as a
+        stack of one, in one call per draw."""
         grid = np.concatenate([DELTA_GRID.points(), -DELTA_GRID.points()[1:]])
         for inst in SCAN_DRAWS:
             strat = separable_strategy(inst)
-            deltas = np.append(grid, strat.delta)
-            for b in (0.0, 0.3, math.pi / 2, strat.beta):
-                got = oracle._rho_sa_row(inst, strat, b, deltas)
-                want = np.array([reference_rho_sa(inst, strat, b, float(d)) for d in deltas])
-                assert_same_bits(got, want)
-                zetas = [reference_zeta_pair(strat.alpha_plus, strat.alpha_minus, b, float(d))
-                         for d in deltas]
-                for got_z, want_z in zip(oracle._zeta_rows(strat.alpha_plus, strat.alpha_minus,
-                                                           b, deltas), zip(*zetas)):
-                    assert_same_bits(got_z, np.array(want_z))
+            betas, deltas = (np.array(x) for x in zip(*itertools.product(
+                (0.0, 0.3, math.pi / 2, strat.beta), np.append(grid, strat.delta).tolist())))
+            got = oracle._rho_sa_row(inst, strat, betas, deltas)
+            want = np.array([reference_rho_sa(inst, strat, b, d)
+                             for b, d in zip(betas.tolist(), deltas.tolist())])
+            assert_same_bits(got, want)
+            zetas = [reference_zeta_pair(strat.alpha_plus, strat.alpha_minus, b, d)
+                     for b, d in zip(betas.tolist(), deltas.tolist())]
+            for got_z, want_z in zip(oracle._zeta_rows(strat.alpha_plus, strat.alpha_minus,
+                                                       betas, deltas), zip(*zetas)):
+                assert_same_bits(got_z, np.array(want_z))
 
-    def test_coarse_pass_is_one_stacked_call_per_row(self, monkeypatch):
+    @pytest.mark.parametrize("inst", SCAN_DRAWS[:4])
+    def test_coarse_stack_is_the_point_matrices(self, inst):
+        """The coarse stack is above the 256 KiB at which numpy turns a
+        product with a temporary into an in-place multiply, operands
+        swapped."""
+        strat = separable_strategy(inst)
+        betas, deltas = coarse_pairs()
+        got = oracle._rho_sa_row(inst, strat, betas, deltas)
+        assert got.nbytes > 256 * 1024
+        assert_same_bits(got, np.array([reference_rho_sa(inst, strat, b, d) for b, d
+                                        in zip(betas.tolist(), deltas.tolist())]))
+
+    def test_coarse_pass_is_one_stacked_call(self, monkeypatch):
         shapes, conc = [], oracle.wootters_concurrence
 
         def counting(rho):
@@ -370,10 +396,10 @@ class TestCoarseScans:
         monkeypatch.setattr(oracle, "wootters_concurrence", counting)
         inst = SCAN_DRAWS[-1]
         grid_min_concurrence(inst, separable_strategy(inst), BETA_GRID, DELTA_GRID)
-        assert shapes[:25] == [(49, 4, 4)] * 25
+        assert shapes[0] == (25 * 49, 4, 4)
         # the refinement: up to three points per call of its searches
-        assert len(shapes) > 25
-        assert all(len(s) == 3 and 1 <= s[0] <= 3 for s in shapes[25:])
+        assert len(shapes) > 1
+        assert all(len(s) == 3 and 1 <= s[0] <= 3 for s in shapes[1:])
 
     @pytest.mark.parametrize("inst", SCAN_DRAWS + [make_instance(0.3, 0.0, 0.0)])
     def test_success_search_is_the_point_loop(self, inst):
@@ -388,6 +414,43 @@ class TestCoarseScans:
         assert np.array_equal(oracle._success_objective(rp, rm, a, m), want)
         assert [float(oracle._success_objective(rp, rm, a, float(x))) for x in m[::100]] \
             == want[::100]
+
+
+class TestSuccessStack:
+    INSTANCES = SCAN_DRAWS + [make_instance(0.3, 0.0, 0.0)]
+
+    def test_list_is_its_instances(self):
+        """One lockstep search over every instance gives each the result
+        of a search on it alone, and of the point-by-point reference."""
+        grid = GridSpec(0.0, 1.0, 3001, 2)
+        got = grid_optimize_success(self.INSTANCES, grid)
+        assert isinstance(got, tuple) and len(got) == len(self.INSTANCES)
+        for inst, res in zip(self.INSTANCES, got):
+            want = grid_optimize_success(inst, grid)
+            assert [x.hex() for x in (res.abs_alpha_plus, res.value)] \
+                == [x.hex() for x in (want.abs_alpha_plus, want.value)] \
+                == [x.hex() for x in reference_success_search(inst, grid)]
+
+    def test_one_golden_section_call_per_round(self, monkeypatch):
+        brackets, search = [], oracle._golden_min
+
+        def counting(f, lo, hi, tol=1e-10):
+            brackets.append(len(lo))
+            return search(f, lo, hi, tol)
+
+        monkeypatch.setattr(oracle, "_golden_min", counting)
+        grid_optimize_success(self.INSTANCES, GridSpec(0.0, 1.0, 501, 3))
+        assert brackets == [len(self.INSTANCES)] * 3
+
+    def test_sequences_and_errors(self):
+        grid = GridSpec(0.0, 0.5, 201, 1)
+        inst, beyond = make_instance(0.2, 0.4, 0.0), make_instance(0.2, 0.6, 0.0)
+        assert grid_optimize_success([], grid) == ()
+        assert grid_optimize_success((inst,), grid) == (grid_optimize_success(inst, grid),)
+        with pytest.raises(RangeError, match=r"^search interval is empty for this instance$"):
+            grid_optimize_success(beyond, grid)
+        with pytest.raises(RangeError, match=re.escape("empty for this instance (inst[1])")):
+            grid_optimize_success([inst, beyond, beyond], grid)
 
 
 class TestNodeCache:

@@ -755,7 +755,7 @@ class TestAverages:
         with pytest.raises(RangeError, match=r"^need at least 2 quadrature nodes"):
             square_mean_root(0.3, nodes=1)
 
-    @pytest.mark.parametrize("nodes", [2.5, 64.0, "64", None])
+    @pytest.mark.parametrize("nodes", [2.5, 64.0, "64", None, True, np.True_])
     def test_non_integer_node_count(self, nodes):
         with pytest.raises(RangeError, match=r"^nodes must be an integer"):
             square_mean_root(0.3, nodes=nodes)
@@ -849,13 +849,15 @@ class TestSampling:
     def test_count_validation(self):
         with pytest.raises(RangeError):
             sample_teleport(TeleportInstance(0.3, 1.0, 1.0), 0, seed=1)
-        for n in (2.5, 100.0):
+        for n in (2.5, 100.0, True, np.True_):
             with pytest.raises(RangeError, match=r"^n must be an integer"):
                 sample_teleport(TeleportInstance(0.3, 1.0, 1.0), n, seed=0)
 
     @pytest.mark.parametrize("seed,message", [
         (2.5, r"^seed must be an integer"), ("7", r"^seed must be an integer"),
-        (None, r"^seed must be an integer"), (-1, r"^seed must be non-negative")])
+        (None, r"^seed must be an integer"), (-1, r"^seed must be non-negative"),
+        (True, r"^seed must be an integer"), (False, r"^seed must be an integer"),
+        (np.False_, r"^seed must be an integer")])
     def test_seed_validation(self, seed, message):
         with pytest.raises(RangeError, match=message):
             sample_teleport(TeleportInstance(0.3, 1.0, 1.0), 10, seed=seed)
