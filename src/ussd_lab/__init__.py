@@ -9,7 +9,6 @@ from .errors import (
     DegenerateOverlap,
     EmbeddingError,
     NumericalError,
-    PartitionError,
     RangeError,
     RegisterClash,
     ShapeError,
@@ -62,7 +61,7 @@ from .ussd import (
     separability_params,
     separable_strategy,
     success_probability,
-    system_ancilla_density,
+    system_ancilla_factor,
     total_coherence_conservation,
 )
 from .teleport import (
@@ -101,7 +100,7 @@ __all__ = [
     # errors
     "UssdLabError", "RegisterClash", "UnknownQubit", "ShapeError",
     "DegenerateOverlap", "UndefinedPhase", "EmbeddingError",
-    "PartitionError", "RangeError", "NumericalError",
+    "RangeError", "NumericalError",
     # tolerances
     "Tolerances", "DEFAULT_TOLERANCES",
     # state/register layer
@@ -116,7 +115,7 @@ __all__ = [
     "build_chi", "UssdStrategy", "check_pair", "optimal_strategy",
     "success_probability", "p_suc_max", "coupled_state", "coupling_unitary",
     "OutcomeRecord", "ProtocolResult", "run_protocol", "SeparabilityParams",
-    "separability_params", "separable_strategy", "system_ancilla_density",
+    "separability_params", "separable_strategy", "system_ancilla_factor",
     "ConservationReport", "total_coherence_conservation", "bargmann_loop",
     "bargmann_phase",
     # teleportation application

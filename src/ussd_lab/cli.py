@@ -43,7 +43,7 @@ from .ussd import (
     p_suc_max,
     separable_points,
     separable_strategy,
-    system_ancilla_density,
+    system_ancilla_factor,
     total_coherence_conservation,
 )
 from .teleport import (
@@ -125,7 +125,7 @@ def cmd_eval(args) -> int:
     dev = max(abs(ct - led_total), abs(ca - led_conv), abs(cg - led_gen),
               abs((ct - ca) - led_ret))
     cons = total_coherence_conservation(inst, psi)
-    sep = wootters_concurrence(system_ancilla_density(inst, strat))
+    sep = wootters_concurrence(system_ancilla_factor(psi))
     try:
         loop = bargmann_phase(inst)
     except UndefinedPhase:

@@ -23,7 +23,7 @@ from .errors import (
     ShapeError,
     _count,
 )
-from .qcore import PureState, reduce_stack
+from .qcore import PureState, unit_rows
 from .tolerances import DEFAULT as TOL
 
 _SAC = ("S", "A", "C")
@@ -31,41 +31,28 @@ _SY = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(_SY, _SY).real  # spin-flip kernel, real in this basis
 
 
-def wootters_concurrence(rho):
-    """Concurrence of a two-qubit mixed state, or of each in a stack.
+def wootters_concurrence(factor):
+    """Concurrence of a two-qubit mixed state, or of each in a stack,
+    from a factor V of the state, rho = V V^dag.
 
-    rho is one 4x4 matrix, which gives a float, or a (..., 4, 4) stack,
-    which gives an array of the leading shape; one matrix is a stack of
-    one. Works from a rank-revealing factorization
-    rho = V V^dag and takes the singular values of V^T (sy x sy) V.
-    These equal the conventional square-rooted eigenvalues of rho rho~
-    but remain accurate for the rank-2 states this package produces,
-    where the textbook sqrt(rho) route loses half the available digits.
-    Matrices are grouped by rank, so each factor has the shape it would
-    have on its own and every value is bit-equal to a call on that
-    matrix alone.
+    factor is one 4 x r matrix, which gives a float, or a (..., 4, r)
+    stack, which gives an array of the leading shape; one matrix is a
+    stack of one. The singular values of V^T (sy x sy) V are the
+    square-rooted eigenvalues of rho rho~ (Uhlmann, PRA 62, 032307), and
+    the concurrence is the largest minus the sum of the rest, clipped at
+    0 (Wootters, PRL 80, 2245). They do not change when V is multiplied
+    on the right by a unitary, so any factor serves: the amplitudes of a
+    pure state, reshaped to kept x traced labels, are one. A rank-r
+    state needs no eigendecomposition and no rank cut, and no digits
+    are lost to a square root.
     """
-    m = np.asarray(rho, dtype=complex)
-    if m.ndim < 2 or m.shape[-2:] != (4, 4):
-        raise ShapeError(f"expected a 4x4 matrix or a stack of them, got {m.shape}")
-    lead = m.shape[:-2]
-    m = m.reshape(-1, 4, 4)
-    w, v = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
-    w = np.clip(w, 0.0, None)
-    # eigenvalues ascend, so the kept ones are the last `rank` of each row
-    top = w[:, 3:]
-    ranks = (w > TOL.rank_cut * np.where(1e-300 > top, 1e-300, top)).sum(axis=-1)
-    groups = set(ranks.tolist())
-    if 0 in groups:
-        raise ShapeError("matrix has zero trace, not a state")
-    lam = np.zeros((len(m), 4))
-    for r in groups:
-        rows = slice(None) if len(groups) == 1 else np.flatnonzero(ranks == r)
-        fac = v[rows, :, 4 - r:] * np.sqrt(w[rows, None, 4 - r:])
-        lam[rows, :r] = np.linalg.svd(fac.swapaxes(-1, -2) @ _YY @ fac, compute_uv=False)
-    c = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    v = np.asarray(factor, dtype=complex)
+    if v.ndim < 2 or v.shape[-2] != 4 or v.shape[-1] == 0:
+        raise ShapeError(f"expected a 4 x r factor or a stack of them, got {v.shape}")
+    lam = np.linalg.svd(v.swapaxes(-1, -2) @ _YY @ v, compute_uv=False)
+    c = lam[..., 0] - lam[..., 1:].sum(axis=-1)
     c = np.where(c > 0.0, c, 0.0)
-    return c.reshape(lead) if lead else float(c[0])
+    return c if v.ndim > 2 else float(c)
 
 
 def _hyperdet_tangle(v: np.ndarray) -> float:
@@ -107,11 +94,27 @@ def three_tangle(psi) -> float:
     return t3
 
 
+def _factor(amplitudes, register, keep) -> np.ndarray:
+    """Each row of an (N, 2**n) stack of state vectors on register,
+    reshaped to its kept labels (in register order) x the traced ones:
+    the (N, 2**k, 2**(n-k)) stack of factors V of the reduced states
+    rho = V V^dag."""
+    kept = [i for i, q in enumerate(register) if q in keep]
+    traced = [i for i, q in enumerate(register) if q not in keep]
+    t = amplitudes.reshape((-1,) + (2,) * len(register))
+    return t.transpose([0] + [1 + i for i in kept + traced]).reshape(
+        len(t), 2 ** len(kept), 2 ** len(traced))
+
+
 def _tangles(amplitudes, register, q: str) -> np.ndarray:
     """One-vs-rest tangle of qubit q, 4 det of its reduced state, in each
-    row of a stack of state vectors on register."""
-    det = np.linalg.det(reduce_stack(amplitudes, register, [q])).real
-    return 4.0 * np.where(0.0 > det, 0.0, det)
+    row of a stack of state vectors on register. With W the 2 x 2**(n-1)
+    factor of that state, det(W W^dag) is the sum of |W0j W1k - W0k W1j|^2
+    over j < k (Cauchy-Binet), so it cannot go negative."""
+    w = _factor(amplitudes, register, [q])
+    j, k = np.triu_indices(w.shape[-1], 1)
+    minor = w[:, 0, j] * w[:, 1, k] - w[:, 0, k] * w[:, 1, j]
+    return 4.0 * (minor.real * minor.real + minor.imag * minor.imag).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -169,9 +172,11 @@ def ledger(psi):
     """Tangle ledger of one three-qubit PureState, which gives a
     CoherenceLedger, or of each row of an (N, 8) amplitude stack on
     ("S", "A", "C"), which gives a tuple of them; one state is a stack of
-    one. The one-vs-rest tangles are batched determinants, the pairwise
-    ones a stacked wootters_concurrence, and the genuine entry the
-    polynomial invariant of each row.
+    one. The one-vs-rest tangles are sums of squared 2 x 2 minors of each
+    row's factors, the pairwise ones one stacked wootters_concurrence of
+    its (kept pair) x (traced qubit) factors, and the genuine entry the
+    polynomial invariant of each row. A row that is not finite or not
+    normalized is named by its stack index.
     """
     if isinstance(psi, PureState):
         reg, amps = psi.register, psi.amplitudes.reshape(1, -1)
@@ -181,9 +186,10 @@ def ledger(psi):
         raise ShapeError("ledger needs a three-qubit PureState or an (N, 8) stack, "
                          f"got {amps.dtype} of shape {amps.shape}")
     amps = amps.astype(complex)
+    unit_rows(amps, np.ones(len(amps), dtype=bool), lambda i: f" at stack index {i}")
     tau = np.array([_tangles(amps, reg, q) for q in reg])
     pairs = list(combinations(reg, 2))
-    c = wootters_concurrence(np.concatenate([reduce_stack(amps, reg, p) for p in pairs]))
+    c = wootters_concurrence(np.concatenate([_factor(amps, reg, p) for p in pairs]))
     c2 = (c * c).reshape(3, -1)
     # the pair left over by pivot reg[i] is pairs[2 - i]
     sums = tau + c2[::-1]
@@ -295,8 +301,8 @@ def coherence_band(p_plus: float, abs_alpha, abs_alpha_c: float,
     environment-ancilla tangle divided by that total. The scan covers
     [0, pi] (mirror symmetry supplies the rest) as one array pass over
     every entry: the scan_points // 2 + 1 phases of each go through
-    separable_points, coupled_amplitudes, reduce_stack and a
-    (N, 4, 4) wootters_concurrence together. The peaks are then refined
+    separable_points, coupled_amplitudes and an (N, 4, 2) factor
+    wootters_concurrence together. The peaks are then refined
     by one golden-section search over all entries in lockstep, two steps
     per call, each call the same pass on up to three phases per entry
     still searching, so the reported argmax rests on the numeric ledger
@@ -356,29 +362,36 @@ def coherence_band(p_plus: float, abs_alpha, abs_alpha_c: float,
 
 def _band_share(p_plus, abs_alpha, abs_alpha_c, gammas) -> np.ndarray:
     """Environment-ancilla share at each phase, on the numeric route;
-    abs_alpha broadcasts against gammas."""
+    p_plus, abs_alpha, abs_alpha_c and gammas broadcast together, and the
+    entry that fails is named by its inputs."""
     from .ussd import coupled_amplitudes, separable_points
 
-    alpha = abs_alpha * np.exp(1j * np.asarray(gammas, dtype=float))
-    pts = separable_points(p_plus, alpha, abs_alpha_c)
-    if abs(abs_alpha_c) >= 1.0:
+    gammas = np.asarray(gammas, dtype=float)
+    pts = separable_points(p_plus, abs_alpha * np.exp(1j * gammas), abs_alpha_c)
+    shape = np.broadcast_shapes(*map(np.shape, (p_plus, abs_alpha, abs_alpha_c, gammas)))
+
+    def at(i) -> tuple:
+        return tuple(float(np.broadcast_to(x, shape).flat[i])
+                     for x in (p_plus, abs_alpha, abs_alpha_c, gammas))
+
+    unit = np.abs(np.broadcast_to(abs_alpha_c, shape)) >= 1.0
+    if unit.any():
         raise DegenerateOverlap(
-            f"|alpha_c| = {abs_alpha_c!r}: identical environment states carry "
-            "no coherence, so the band share is undefined")
+            f"|alpha_c| = {at(int(np.argmax(unit)))[2]!r}: identical environment states "
+            "carry no coherence, so the band share is undefined")
     amps = coupled_amplitudes(pts)
     total = _tangles(amps, _SAC, "C")
     vanished = total < 1e-30
     if vanished.any():
-        i = int(np.argmax(vanished))
-        aa, g = (float(np.broadcast_to(x, np.shape(alpha)).flat[i]) for x in (abs_alpha, gammas))
+        p, aa, ac, g = at(int(np.argmax(vanished)))
         raise NumericalError(
-            f"total coherence vanished at p_plus = {float(p_plus)!r}, |alpha| = {aa!r}, "
-            f"|alpha_c| = {float(abs_alpha_c)!r}, gamma = {g!r}; share undefined")
-    c_ca = wootters_concurrence(reduce_stack(amps, _SAC, ["C", "A"]))
+            f"total coherence vanished at p_plus = {p!r}, |alpha| = {aa!r}, "
+            f"|alpha_c| = {ac!r}, gamma = {g!r}; share undefined")
+    c_ca = wootters_concurrence(_factor(amps, _SAC, ["C", "A"]))
     share = c_ca * c_ca / total
     # bounded by the pivot sum, so out-of-range values are pure noise
     share = np.where(0.0 > share, 0.0, share)
-    return np.where(1.0 < share, 1.0, share).reshape(np.shape(alpha))
+    return np.where(1.0 < share, 1.0, share).reshape(shape)
 
 
 def _golden_min(f, lo, hi, tol: float = 1e-10) -> tuple:

@@ -37,10 +37,6 @@ class EmbeddingError(UssdLabError):
     """Concrete state vectors do not reproduce the declared overlaps."""
 
 
-class PartitionError(UssdLabError):
-    """Bipartition request that is empty or covers the whole register."""
-
-
 class RangeError(UssdLabError):
     """Parameter outside its admissible interval."""
 

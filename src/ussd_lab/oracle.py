@@ -169,30 +169,21 @@ def _zeta_rows(alpha_plus: complex, alpha_minus: complex,
 
 
 def _rho_sa_row(inst, strat, betas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """The (len(deltas), 4, 4) stack of system-ancilla states, one per
-    failure direction (betas[k], deltas[k]).
-
-    The stack is built in place, in two arrays. The complex weight of
-    the cross term multiplies from the left, as in the point-wise
-    c * outer: numpy rounds a product of two complex factors differently
-    when their order is swapped, and it swaps them itself when it turns
-    c * (unnamed temporary above 256 KiB) into an in-place multiply, so
-    a large stack written that way would no longer equal its rows.
-    Scaling by the real weights and the sums round the same in any
-    order."""
+    """The (len(deltas), 4, 2) stack of factors V of the system-ancilla
+    states rho_SA = V V^dag, one per failure direction (betas[k],
+    deltas[k]): the columns sqrt(r+) zeta+ + sqrt(r-) conj(alpha_c) zeta-
+    and sqrt(r-) sqrt(1 - |alpha_c|^2) zeta-, with 1 - |alpha_c|^2 as
+    (1 - |alpha_c|)(1 + |alpha_c|). Each column is a real or complex
+    scalar times a named row stack, plus such a product, so every row
+    rounds as it would on its own."""
     zp, zm = _zeta_rows(strat.alpha_plus, strat.alpha_minus, betas, deltas)
     rp, rm = float(inst.r_plus), float(inst.r_minus)
     ac = complex(inst.alpha_c)
-    rho = zp[:, :, None] * zp.conj()[:, None, :]
-    rho *= rp
-    outer = zm[:, :, None] * zm.conj()[:, None, :]
-    outer *= rm
-    rho += outer
-    np.multiply(zp[:, :, None], zm.conj()[:, None, :], out=outer)
-    np.multiply(math.sqrt(rp * rm) * ac, outer, out=outer)
-    rho += outer
-    rho += np.conjugate(outer, out=outer).swapaxes(-1, -2)
-    return rho
+    mod = abs(ac)
+    v = np.empty(zp.shape + (2,), dtype=complex)
+    v[:, :, 0] = math.sqrt(rp) * zp + math.sqrt(rm) * ac.conjugate() * zm
+    v[:, :, 1] = math.sqrt(rm) * math.sqrt((1.0 - mod) * (1.0 + mod)) * zm
+    return v
 
 
 @dataclass(frozen=True)
@@ -251,21 +242,23 @@ class DecompositionReport:
                    self.weight_minus, self.cross)
 
 
-def decomposition_check(rho_sa, params, inst, strat) -> DecompositionReport:
+def decomposition_check(factor, params, inst, strat) -> DecompositionReport:
     """Audit a separability report against the state it claims to split.
 
-    Both decomposition vectors are rebuilt from the scalar weights and
-    phases in the report (it stores no vectors), so a wrong phase or
-    weight shows up as a reconstruction residual instead of being copied
+    The state is given by a 4 x r factor V, rho_SA = V V^dag. Both
+    decomposition vectors are rebuilt from the scalar weights and phases
+    in the report (it stores no vectors), so a wrong phase or weight
+    shows up as a reconstruction residual instead of being copied
     through.
     """
     try:
-        rho = np.asarray(rho_sa)
+        v = np.asarray(factor)
     except ValueError:                      # a ragged nesting of sequences
-        rho = np.asarray(None)
-    if rho.shape != (4, 4) or not np.issubdtype(rho.dtype, np.number):
-        raise RangeError("expected a numeric 4x4 two-qubit density matrix, got "
-                         f"{type(rho_sa).__name__} of shape {rho.shape}")
+        v = np.asarray(None)
+    if v.ndim != 2 or v.shape[0] != 4 or not np.issubdtype(v.dtype, np.number):
+        raise RangeError("expected a numeric 4 x r factor of a two-qubit state, got "
+                         f"{type(factor).__name__} of shape {v.shape}")
+    rho = v @ v.conj().T
     zp, zm = (z[0] for z in _zeta_rows(strat.alpha_plus, strat.alpha_minus,
                                        np.array([float(strat.beta)]),
                                        np.array([float(strat.delta)])))

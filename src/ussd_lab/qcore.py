@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     NumericalError,
-    PartitionError,
     RegisterClash,
     ShapeError,
     UnknownQubit,
@@ -77,24 +76,6 @@ class PureState:
 
     def as_tensor(self) -> np.ndarray:
         return self.amplitudes.reshape((2,) * self.n_qubits)
-
-
-def _check_density(m: np.ndarray) -> None:
-    """Unit-trace check on one matrix or on a (..., d, d) stack of them;
-    the first matrix to fail is named by its index in a stack. A
-    non-finite diagonal entry fails. An empty stack passes. Nothing else
-    is tested: reduce_stack, the only caller, hands over 0.5 * (rho + rho^H),
-    whose entries equal the conjugates of their transposes exactly, and
-    rho = K K^H of a finite row, positive semidefinite up to rounding of
-    about (d + 2) unit roundoffs once its trace is 1."""
-    if m.size == 0:
-        return
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    bad = ~(np.abs(tr.real - 1.0) <= TOL.trace_one)
-    if bad.any():
-        at = np.argwhere(bad)[0]
-        row = f" at stack index {', '.join(map(str, at))}" if at.size else ""
-        raise ShapeError(f"density matrix trace {complex(tr[tuple(at)])!r} != 1{row}")
 
 
 @dataclass(frozen=True)
@@ -170,50 +151,6 @@ def reorder(psi: PureState, new_register) -> PureState:
     perm = [psi.register.index(q) for q in new_reg]
     tens = psi.as_tensor().transpose(perm)
     return PureState(new_reg, tens.reshape(-1))
-
-
-def _split(reg: tuple, keep) -> tuple:
-    """Kept labels in register order, their axes, and the traced axes."""
-    keep_set = list(dict.fromkeys(keep))
-    for q in keep_set:
-        if q not in reg:
-            raise UnknownQubit(f"label {q!r} not in register {reg}")
-    if not keep_set:
-        raise PartitionError("must keep at least one qubit")
-    kept = tuple(q for q in reg if q in keep_set)
-    kept_axes = [reg.index(q) for q in kept]
-    traced_axes = [i for i in range(len(reg)) if i not in kept_axes]
-    return kept, kept_axes, traced_axes
-
-
-def reduce_stack(amplitudes, register, keep) -> np.ndarray:
-    """Reduced density matrices of a stack of pure states.
-
-    amplitudes is an (N, 2**n) array of normalized state vectors on
-    register; the result is the (N, dk, dk) stack of their reductions to
-    the kept labels, in register order, validated as density matrices.
-    At least one qubit must be traced out, and the first row that is not
-    finite or not normalized is named by its index. Each matrix is
-    bit-equal to a tensordot of one state with its conjugate over the
-    traced axes (tests/test_array_chain.py keeps that route as
-    reference_partial_trace): the batched matmul hands BLAS every slice
-    with the strides tensordot gives it for one state.
-    """
-    reg = _checked_register(register)
-    kept, kept_axes, traced_axes = _split(reg, keep)
-    if not traced_axes:
-        raise PartitionError("a reduction must trace out at least one qubit")
-    dk, dt = 2 ** len(kept), 2 ** (len(reg) - len(kept))
-    t = np.asarray(amplitudes, dtype=complex).reshape((-1,) + (2,) * len(reg))
-    finite = np.isfinite(t).all(axis=tuple(range(1, t.ndim)))
-    if not finite.all():
-        raise ShapeError(f"amplitudes not finite at stack index {int(np.argmin(finite))}")
-    ket = t.transpose([0] + [1 + a for a in kept_axes + traced_axes])
-    bra = t.conj().transpose([0] + [1 + a for a in traced_axes + kept_axes])
-    rho = ket.reshape(-1, dk, dt) @ bra.reshape(-1, dt, dk)
-    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
-    _check_density(rho)
-    return rho
 
 
 def apply(u: Unitary, psi: PureState, targets=None) -> PureState:

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import RangeError
 from .qcore import PureState, Unitary, apply
 from .coherence import (
+    _band_share,
     closed_form_coherences,
     coherence_band,
     ledger,
@@ -51,7 +52,7 @@ from .ussd import (
     separable_points,
     separable_strategy,
     separability_params,
-    system_ancilla_density,
+    system_ancilla_factor,
     total_coherence_conservation,
 )
 from .oracle import (
@@ -178,12 +179,12 @@ def _success_strategy_independent():
 
 def _separability_zero(seed=15, count=6):
     rng = np.random.default_rng(seed)
-    rhos = []
+    factors = []
     for k in range(count):
         inst = _random_instance(rng, saturated=bool(k % 3 == 0))
-        rhos.append(system_ancilla_density(inst, separable_strategy(inst)))
+        factors.append(system_ancilla_factor(coupled_state(inst, separable_strategy(inst))))
     worst = 0.0
-    for c in wootters_concurrence(np.array(rhos)).tolist():
+    for c in wootters_concurrence(np.array(factors)).tolist():
         worst = max(worst, c)
     return worst, "system-ancilla concurrence at the tuned failure direction"
 
@@ -220,7 +221,7 @@ def _decomposition_residuals():
         inst = _random_instance(rng)
         strat = separable_strategy(inst)
         par = separability_params(inst, strat)
-        rep = decomposition_check(system_ancilla_density(inst, strat),
+        rep = decomposition_check(system_ancilla_factor(coupled_state(inst, strat)),
                                   par, inst, strat)
         worst = max(worst, rep.worst)
     return worst, "rank-two split rebuilt from scalars matches the state"
@@ -232,7 +233,7 @@ def _decomposition_sensitivity():
     strat = separable_strategy(inst)
     par = separability_params(inst, strat)
     bad = dataclasses.replace(par, gamma2=par.gamma2 + 0.1)
-    rep = decomposition_check(system_ancilla_density(inst, strat),
+    rep = decomposition_check(system_ancilla_factor(coupled_state(inst, strat)),
                               bad, inst, strat)
     v = 0.0 if rep.reconstruction > 1e-3 else 1e-3 - rep.reconstruction
     return v, f"perturbing a split phase by 0.1 leaves residual {rep.reconstruction:.2e}"
@@ -416,6 +417,30 @@ def _band_argmax():
     return v, "environment-ancilla share peaks where cos gamma = -|alpha_c|"
 
 
+def _edge_box(rng, count) -> tuple:
+    """count draws of (p_plus, |alpha|, |alpha_c|, gamma): each of the
+    first three at the end 1e-9 inside its range (0 for the moduli) a
+    quarter of the time each, uniform otherwise; gamma uniform."""
+    def edged(lo, hi):
+        pick = rng.integers(0, 4, count)
+        return np.where(pick == 0, lo, np.where(pick == 1, hi, rng.uniform(lo, hi, count)))
+
+    return (edged(1e-9, 1.0 - 1e-9), edged(0.0, 1.0 - 1e-9), edged(0.0, 1.0 - 1e-9),
+            rng.uniform(0.0, _TWO_PI, count))
+
+
+def _band_share_closed(seed=24, count=1000):
+    """The band's share on the numeric route against the closed forms,
+    tau_CA / tau_C|SA = (c_ancilla - c_genuine) / c_total, over one
+    _edge_box stack: at the separable point tau_SA = 0, so
+    Coffman-Kundu-Wootters monogamy leaves tau_CA = tau_A|SC - tau_SAC."""
+    p, aa, ac, g = _edge_box(np.random.default_rng(seed), count)
+    share = _band_share(p, aa, ac, g)
+    total, ancilla, genuine = closed_form_coherences(separable_points(p, aa * np.exp(1j * g), ac))
+    worst = float(np.max(np.abs(share - (ancilla - genuine) / total)))
+    return worst, f"numeric band share vs closed forms on {count} edge-weighted points"
+
+
 def _band_flat():
     scan = coherence_band(0.3, 0.5, 0.0, scan_points=240)
     v = max(scan.maximum - scan.minimum, abs(scan.argmax - math.pi / 2))
@@ -575,6 +600,7 @@ _CHECKS = (
     ("fig3_share_saturated", 1e-10, _fig3_share_saturated),
     ("band_argmax", 1e-3, _band_argmax),
     ("band_flat", 1e-10, _band_flat),
+    ("band_share_closed", 1e-9, _band_share_closed),
     ("teleport_total_closed", 1e-12, _teleport_total_closed),
     ("teleport_state_independent", 1e-12, _teleport_state_independent),
     ("teleport_fidelity", 1e-12, _teleport_fidelity),

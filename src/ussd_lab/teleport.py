@@ -30,7 +30,6 @@ from .qcore import (
     factor_rows,
     measure_rows,
     projective_measure,
-    reduce_stack,
     tensor,
     unit_rows,
 )
@@ -301,8 +300,9 @@ def _live_runs(inst: TeleportInstance, live, carrier, channel_lu) -> dict:
                          every, "B", where)
     if inst.degenerate:
         for i, b in enumerate(live):
-            # product branch state: C never became entangled with S
-            w, v = np.linalg.eigh(reduce_stack(psi_sc[i][None], ("S", "C"), ["C"])[0])
+            # product branch state: C never became entangled with S;
+            # rho_C of the (S, C) amplitudes m is m^T conj(m)
+            w, v = np.linalg.eigh(psi_sc[i].T @ psi_sc[i].conj())
             if w[-1] < 1.0 - 1e-9:
                 raise NumericalError(f"degenerate branch state unexpectedly mixed "
                                      f"on carrier branch {b}")

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 class Tolerances:
     # state and operator validation
     state_norm: float = 1e-12       # |  ||psi||^2 - 1 |
-    trace_one: float = 1e-12        # |tr rho - 1|
     unitary: float = 1e-12          # max |U^dag U - 1|
 
     # coupling unitary
@@ -26,7 +25,6 @@ class Tolerances:
     overlap: float = 1e-12          # embedding overlap reproduction
     monogamy: float = 1e-9          # spread of the three tangle sums
     tangle_consistency: float = 1e-9  # polynomial invariant vs residual route
-    rank_cut: float = 1e-13         # relative eigenvalue cutoff in factorizations
 
 
 DEFAULT = Tolerances()

@@ -44,7 +44,7 @@ from .qcore import (
     tensor,
     unit_rows,
 )
-from .coherence import _tangles
+from .coherence import _factor, _tangles
 from .tolerances import DEFAULT as TOL
 
 _TWO_PI = 2.0 * math.pi
@@ -640,17 +640,13 @@ def coupled_amplitudes(pts: SeparablePoints) -> np.ndarray:
     return vec
 
 
-def system_ancilla_density(inst: UssdInstance, strat: UssdStrategy) -> np.ndarray:
-    """Post-coupling reduced density operator of the system-ancilla pair,
-    assembled in closed form on register (S, A)."""
-    check_pair(inst, strat)
-    pts = SeparablePoints.of(inst, strat)
-    (zp,), (zm,) = _zeta(pts.alpha_plus, pts.alpha_minus, pts.beta, pts.delta)
-    rp, rm, ac = inst.r_plus, inst.r_minus, inst.alpha_c
-    cross = math.sqrt(rp * rm)
-    return (rp * np.outer(zp, zp.conj()) + rm * np.outer(zm, zm.conj())
-            + cross * (ac * np.outer(zp, zm.conj())
-                       + np.conj(ac) * np.outer(zm, zp.conj())))
+def system_ancilla_factor(coupled: PureState) -> np.ndarray:
+    """The 4 x 2 factor V of the system-ancilla state rho_SA = V V^dag of
+    a coupled (S, A, C) state, such as coupled_state's: its amplitudes
+    with the (S, A) pair as the row and the environment as the column
+    index. Column 0 is sqrt(r+) zeta+ + sqrt(r-) conj(alpha_c) zeta-,
+    column 1 sqrt(r-) sqrt(1 - |alpha_c|^2) zeta-."""
+    return _factor(coupled.amplitudes[None], coupled.register, ("S", "A"))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ ACCEPTANCE = {
     "monogamy_random": {"seed": 105, "count": 1000},
     "fig3_share_monotone_interior": {"aas": OPEN_END},
     "fig3_share_saturated": {"aas": OPEN_END},
+    "band_share_closed": {"seed": 111, "count": 20000},
     "teleport_total_closed": {"rhos": np.linspace(0.0, math.pi / 4, 100)},
     "teleport_state_independent": {
         "mus": np.linspace(0.0, math.pi, 20),

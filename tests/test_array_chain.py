@@ -3,18 +3,21 @@
 separable_strategy, coupled_state and the total and converted entries
 of closed_form_coherences are the array kernel on a stack of one. A
 stack of N must give each entry the same bits: separable_points' own
-swap against make_instance and the UssdInstance weights, reduce_stack
-against reference_partial_trace (the tensordot route the one-state
-partial_trace took before reduce_stack replaced it, kept here), a stacked
-wootters_concurrence against one matrix
-at a time, and the band scan and the polar quadrature against loops over
-single entries. coherence_band over a stack of overlaps, and its
+swap against make_instance and the UssdInstance weights, the reduced
+states of coherence._factor's factors against reference_partial_trace
+(the tensordot route of the one-state partial trace, kept here), a
+stacked wootters_concurrence against one factor at a time and, at a
+stated tolerance, against wootters_one (the eigendecomposition route it
+replaced, kept here), and the band scan and the polar quadrature
+against loops over single entries. coherence_band over a stack of
+overlaps, and its
 lockstep golden-section search, are held to one call per entry and to
 the one-bracket loop kept here as a reference, whose every decision the
 search, two steps per call, must repeat. fig2's array pass is held to
 the row-by-row loop it replaced, kept here as reference_fig2_rows. The
-tangle ledger of a stack is held to the scalar ledger kept here as a
-reference, row by row.
+tangle ledger of a stack is held to its rows with ==, and to the
+eigendecomposition-route ledger kept here as a reference at a stated
+tolerance, row by row.
 The closed-form triple of a stack is held to the scalar triple kept
 here as a reference, and optimal_strategy's radii to the scalar regime
 split. The instance arithmetic is written once, in helpers the kernel
@@ -47,8 +50,10 @@ from ussd_lab.coherence import (
     BandScan,
     CoherenceLedger,
     _band_share,
+    _factor,
     _golden_min,
     _hyperdet_tangle,
+    _tangles,
     closed_form_coherences,
     coherence_band,
     initial_coherence,
@@ -58,25 +63,17 @@ from ussd_lab.coherence import (
 from ussd_lab.errors import (
     DegenerateOverlap,
     NumericalError,
-    PartitionError,
     RangeError,
     ShapeError,
     UssdLabError,
 )
-from ussd_lab.qcore import (
-    PureState,
-    _split,
-    factor_rows,
-    measure_rows,
-    reduce_stack,
-)
+from ussd_lab.qcore import PureState, factor_rows, measure_rows
 from ussd_lab.teleport import (
     TeleportInstance,
     branch_probability,
     fig4_sweep,
     square_mean_root,
 )
-from ussd_lab.tolerances import DEFAULT as TOL
 from ussd_lab.ussd import (
     SeparabilityParams,
     SeparablePoints,
@@ -92,7 +89,7 @@ from ussd_lab.ussd import (
     separable_points,
     separable_strategy,
     success_probability,
-    system_ancilla_density,
+    system_ancilla_factor,
 )
 from test_qcore import basis_state
 from test_teleport import reference_branch_coherences
@@ -132,10 +129,11 @@ def edge_draws(seed=11, n_random=120):
 
 def reference_partial_trace(state, keep):
     """Reduced density matrix of one PureState on the kept labels, in
-    register order, by a tensordot over the traced axes: the route the
-    one-state partial_trace took before reduce_stack replaced it."""
+    register order, by a tensordot over the traced axes: the route of
+    the one-state partial trace before the package moved to factors."""
     reg = state.register
-    kept, kept_axes, traced_axes = _split(reg, keep)
+    kept = [q for q in reg if q in keep]
+    traced_axes = [i for i, q in enumerate(reg) if q not in keep]
     dk = 2 ** len(kept)
     t = state.as_tensor()
     rho = np.tensordot(t, t.conj(), axes=(traced_axes, traced_axes))
@@ -143,13 +141,24 @@ def reference_partial_trace(state, keep):
     return 0.5 * (rho + rho.conj().T)  # kill round-off asymmetry
 
 
+def reference_factor(state, keep):
+    """One PureState's factor of its reduction to keep, by a transpose
+    of its tensor: kept axes (in register order) as rows, the rest as
+    columns."""
+    reg = state.register
+    axes = ([i for i, q in enumerate(reg) if q in keep]
+            + [i for i, q in enumerate(reg) if q not in keep])
+    k = sum(q in keep for q in reg)
+    return state.as_tensor().transpose(axes).reshape(2 ** k, -1)
+
+
 def scalar_chain(p, a, c):
     inst = make_instance(p, a, c)
     strat = separable_strategy(inst)
     psi = coupled_state(inst, strat)
-    rho_c = reference_partial_trace(psi, ["C"])
-    rho_ca = reference_partial_trace(psi, ["C", "A"])
-    return inst, strat, psi.amplitudes, rho_c, rho_ca, wootters_concurrence(rho_ca)
+    f_c = reference_factor(psi, ["C"])
+    f_ca = reference_factor(psi, ["C", "A"])
+    return inst, strat, psi.amplitudes, f_c, f_ca, wootters_concurrence(f_ca)
 
 
 @pytest.fixture(scope="module")
@@ -191,13 +200,13 @@ class TestChain:
 
     def test_amplitudes_reductions_and_concurrence(self, chains):
         refs, _, _, amps = chains
-        rho_c = reduce_stack(amps, SAC, ["C"])
-        rho_ca = reduce_stack(amps, SAC, ["C", "A"])
-        conc = wootters_concurrence(rho_ca)
-        for k, (_, _, vec, rc, rca, c) in enumerate(refs):
+        f_c = _factor(amps, SAC, ["C"])
+        f_ca = _factor(amps, SAC, ["C", "A"])
+        conc = wootters_concurrence(f_ca)
+        for k, (_, _, vec, fc, fca, c) in enumerate(refs):
             assert_same(amps[k], vec)
-            assert_same(rho_c[k], rc)
-            assert_same(rho_ca[k], rca)
+            assert_same(f_c[k], fc)
+            assert_same(f_ca[k], fca)
             assert conc[k] == c
 
     def test_checks_name_the_input(self):
@@ -212,68 +221,95 @@ class TestChain:
 
 
 def wootters_one(m):
-    """The one-matrix factorization, written out as a fixed reference."""
+    """Concurrence of one density matrix by the eigendecomposition route
+    the factor kernel replaced, written out as a fixed reference: a
+    factor from the eigenvectors whose eigenvalues pass a relative cut
+    of 1e-13, then the singular values of its V^T (sy x sy) V."""
     w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
     w = np.clip(w, 0.0, None)
-    keep = w > TOL.rank_cut * max(float(w.max()), 1e-300)
+    keep = w > 1e-13 * max(float(w.max()), 1e-300)
     fac = v[:, keep] * np.sqrt(w[keep])
     lam = np.linalg.svd(fac.T @ _YY @ fac, compute_uv=False)
     lam = np.concatenate([lam, np.zeros(4 - lam.size)])
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
+# absolute, on concurrences and tangles in [0, 4/3]: about 450 unit
+# roundoffs, against 1e-15 or so measured between the two routes
+ROUTES = 1e-13
+
+
 class TestStacks:
     def test_wootters_stack_of_mixed_ranks(self):
+        """Random mixed states of rank 1 to 4, each a 4 x r factor padded
+        with zero columns to 4 x 4: the stack equals its factors one at a
+        time, and the unpadded factor, the factor times a random unitary
+        and the eigendecomposition route of V V^dag agree within ROUTES."""
         rng = np.random.default_rng(5)
-        mats = []
-        for rank in (1, 2, 3, 4) * 12:
+        facs, ranks = [], (1, 2, 3, 4) * 12
+        for rank in ranks:
             g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
-            rho = g @ g.conj().T
-            mats.append(rho / np.trace(rho).real)
-        mats = np.array(mats)
-        stacked = wootters_concurrence(mats.reshape(6, 8, 4, 4))
+            facs.append(np.pad(g / np.linalg.norm(g), ((0, 0), (0, 4 - rank))))
+        facs = np.array(facs)
+        stacked = wootters_concurrence(facs.reshape(6, 8, 4, 4))
         assert stacked.shape == (6, 8)
-        for got, m in zip(stacked.reshape(-1), mats):
-            assert got == wootters_one(m) == wootters_concurrence(m)
+        assert (stacked > 0.0).any() and (stacked == 0.0).any()
+        for got, f, rank in zip(stacked.reshape(-1).tolist(), facs, ranks):
+            assert got == wootters_concurrence(f)
+            for other in (wootters_concurrence(f[:, :rank]),
+                          wootters_concurrence(f[:, :rank] @ selftest._haar_unitary(rng, rank)),
+                          wootters_one(f @ f.conj().T)):
+                assert abs(other - got) <= ROUTES
+
+    def test_factor_shapes(self):
+        assert wootters_concurrence(np.array([[1.0], [0.0], [0.0], [0.0]])) == 0.0
+        for bad in (np.zeros(4), np.zeros((3, 2)), np.zeros((4, 0)), np.zeros((2, 4, 4, 0))):
+            with pytest.raises(ShapeError, match="4 x r factor"):
+                wootters_concurrence(bad)
 
     def test_reduce_stack_every_proper_keep(self):
+        """_factor on a stack of 40 rows is reference_factor on each row,
+        whatever order the keep is given in, and its V V^dag is the
+        tensordot partial trace within a unit roundoff, for every proper
+        keep of every register size from two qubits."""
         rng = np.random.default_rng(6)
         for reg in (("S", "A"), SAC, ("C", "S", "A")):
             amps = rng.normal(size=(40, 2 ** len(reg))) + 1j * rng.normal(size=(40, 2 ** len(reg)))
             amps /= np.linalg.norm(amps, axis=1)[:, None]
             for k in range(1, len(reg)):
                 for keep in itertools.permutations(reg, k):
-                    got = reduce_stack(amps, reg, keep)
-                    # exactly Hermitian, which is why _check_density
-                    # does not test it
-                    assert np.array_equal(got, got.conj().swapaxes(-1, -2))
-                    for a, rho in zip(amps, got):
-                        assert_same(rho, reference_partial_trace(PureState(reg, a), keep))
-        with pytest.raises(PartitionError):
-            reduce_stack(amps, SAC, SAC)
+                    got = _factor(amps, reg, keep)
+                    assert got.shape == (40, 2 ** k, 2 ** (len(reg) - k))
+                    for a, f in zip(amps, got):
+                        psi = PureState(reg, a)
+                        assert_same(f, reference_factor(psi, keep))
+                        rho = f @ f.conj().T
+                        assert np.max(np.abs(rho - reference_partial_trace(psi, keep))) <= 1.2e-16
 
     def test_partial_trace_every_proper_keep(self):
-        """The one-state partial trace is reduce_stack on a stack of one
-        PureState's amplitudes, for every register size from one qubit."""
+        """The factor of one PureState's reduction is _factor on a stack
+        of one: reference_factor, with V V^dag the tensordot partial
+        trace within a unit roundoff, for every proper keep of every
+        register size from two qubits."""
         rng = np.random.default_rng(16)
-        for reg in (("A",), ("C", "S"), ("S", "A"), SAC, ("B", "C", "S")):
+        for reg in (("C", "S"), ("S", "A"), SAC, ("B", "C", "S")):
             for _ in range(12):
                 v = rng.normal(size=2 ** len(reg)) + 1j * rng.normal(size=2 ** len(reg))
                 psi = PureState(reg, v / np.linalg.norm(v))
                 for k in range(1, len(reg)):
                     for keep in itertools.permutations(reg, k):
-                        got = reduce_stack(psi.amplitudes[None], psi.register, keep)
-                        assert got.shape == (1, 2 ** k, 2 ** k)
-                        assert_same(got[0], reference_partial_trace(psi, keep))
-                # keeping every qubit is no reduction, so a one-qubit
-                # state has no proper keep at all
-                with pytest.raises(PartitionError):
-                    reduce_stack(psi.amplitudes[None], psi.register, reg)
+                        got = _factor(psi.amplitudes[None], psi.register, keep)
+                        assert got.shape == (1, 2 ** k, 2 ** (len(reg) - k))
+                        assert_same(got[0], reference_factor(psi, keep))
+                        rho = got[0] @ got[0].conj().T
+                        assert np.max(np.abs(rho - reference_partial_trace(psi, keep))) <= 1.2e-16
 
     def test_empty_stacks(self):
         empty = np.empty((0, 8), dtype=complex)
-        assert reduce_stack(empty, SAC, ["C"]).shape == (0, 2, 2)
-        assert reduce_stack(empty, SAC, ["C", "A"]).shape == (0, 4, 4)
+        assert _factor(empty, SAC, ["C"]).shape == (0, 2, 4)
+        assert _factor(empty, SAC, ["C", "A"]).shape == (0, 4, 2)
+        assert _tangles(empty, SAC, "C").shape == (0,)
+        assert wootters_concurrence(_factor(empty, SAC, ["C", "A"])).shape == (0,)
         assert ledger(empty) == ()
         assert ledger(coupled_amplitudes(separable_points(0.4, [], 0.8))) == ()
 
@@ -346,13 +382,15 @@ def fig3_rows(steps):
 
 
 def reference_band(p_plus, abs_alpha, abs_alpha_c, scan_points):
-    """coherence_band's scan and refinement, one scalar-chain share at a time."""
+    """coherence_band's scan and refinement, one scalar-chain share at a
+    time: the environment tangle of one coupled state and the
+    concurrence of its reference_factor, each a kernel call on one
+    state."""
     def share(gamma):
         inst = make_instance(p_plus, abs_alpha * np.exp(1j * gamma), abs_alpha_c)
         psi = coupled_state(inst, separable_strategy(inst))
-        total = 4.0 * max(float(np.linalg.det(reference_partial_trace(psi, ["C"])).real),
-                          0.0)
-        c_ca = wootters_concurrence(reference_partial_trace(psi, ["C", "A"]))
+        total = float(_tangles(psi.amplitudes[None], SAC, "C")[0])
+        c_ca = wootters_concurrence(reference_factor(psi, ["C", "A"]))
         return min(max(float(c_ca * c_ca / total), 0.0), 1.0)
 
     half = scan_points // 2 + 1
@@ -586,9 +624,10 @@ class TestQuadrature:
 
 
 def reference_ledger(psi):
-    """The tangle ledger of one PureState, one reference_partial_trace
-    at a time: a one-matrix det per one-vs-rest tangle, a one-matrix
-    wootters_concurrence per pair."""
+    """The tangle ledger of one PureState by the eigendecomposition
+    route the factor kernels replaced, one reference_partial_trace at a
+    time: a one-matrix det per one-vs-rest tangle, wootters_one per
+    pair. It is held to the kernel within ROUTES, not bit for bit."""
     reg = psi.register
     bipartite = {}
     for q in reg:
@@ -597,7 +636,7 @@ def reference_ledger(psi):
         bipartite[f"{q}:{rest}"] = 4.0 * max(det, 0.0)
     pairwise = {}
     for x, y in itertools.combinations(reg, 2):
-        c = wootters_concurrence(reference_partial_trace(psi, [x, y]))
+        c = wootters_one(reference_partial_trace(psi, [x, y]))
         pairwise[f"{x}:{y}"] = c * c
 
     def other_pair(pivot):
@@ -627,10 +666,23 @@ def ledger_fields(led):
             bits(led.c_total), bits(led.c_genuine), bits(led.monogamy_residual))
 
 
+def assert_close_ledgers(got, want):
+    """Same keys in the same order, every entry within ROUTES."""
+    def entries(led):
+        return ([led.c_total, led.c_genuine, led.monogamy_residual]
+                + list(led.c_bipartite.values()) + list(led.c_pairwise.values()))
+    assert (got.register, list(got.c_bipartite), list(got.c_pairwise)) == (
+        want.register, list(want.c_bipartite), list(want.c_pairwise))
+    assert max(abs(x - y) for x, y in zip(entries(got), entries(want))) <= ROUTES
+
+
 def assert_same_ledgers(got, states):
+    """A stacked ledger is the ledger of each state alone, bit for bit,
+    and the eigendecomposition route's within ROUTES."""
     assert isinstance(got, tuple) and len(got) == len(states)
     for led, psi in zip(got, states):
-        assert ledger_fields(led) == ledger_fields(reference_ledger(psi))
+        assert ledger_fields(led) == ledger_fields(ledger(psi))
+        assert_close_ledgers(led, reference_ledger(psi))
 
 
 def random_states(seed, count):
@@ -658,11 +710,11 @@ class TestLedger:
     def test_one_state_is_a_stack_of_one(self):
         for a in random_states(32, 5):
             psi = PureState(SAC, a)
-            assert ledger_fields(ledger(psi)) == ledger_fields(reference_ledger(psi))
+            assert_close_ledgers(ledger(psi), reference_ledger(psi))
             assert ledger_fields(ledger(a[None])[0]) == ledger_fields(ledger(psi))
         # a permuted register keeps its own labels
         psi = PureState(("C", "S", "A"), random_states(33, 1)[0])
-        assert ledger_fields(ledger(psi)) == ledger_fields(reference_ledger(psi))
+        assert_close_ledgers(ledger(psi), reference_ledger(psi))
 
     def test_landmark_states(self):
         ghz = np.zeros(8, dtype=complex)
@@ -1076,7 +1128,13 @@ class TestOneFormula:
             rho = (rp * np.outer(zp, zp.conj()) + rm * np.outer(zm, zm.conj())
                    + math.sqrt(rp * rm) * (ac * np.outer(zp, zm.conj())
                                            + np.conj(ac) * np.outer(zm, zp.conj())))
-            assert_close(system_ancilla_density(inst, strat), rho)
+            # the factor's columns: the environment reads 0 and 1
+            ref = np.stack([math.sqrt(rp) * zp + math.sqrt(rm) * np.conj(ac) * zm,
+                            math.sqrt(rm) * math.sqrt(1.0 - abs(ac) ** 2) * zm], axis=-1)
+            v = system_ancilla_factor(coupled_state(inst, strat))
+            assert_close(v, ref)
+            # V V^dag takes one rounding more per entry than rho's sum
+            assert np.max(np.abs(v @ v.conj().T - rho)) <= 4 * LAST_BIT
             # the coupling is fixed on span(xi k, xi_bar k) only; off it
             # any unitary completion is as good as another. The image of
             # xi_bar k passes through the normalization of its part
@@ -1179,8 +1237,8 @@ def _unit_row(draw):
 
 
 class TestBuiltByConstruction:
-    """What separable_points, reduce_stack, measure_rows and factor_rows
-    build holds its invariants 100 times inside the tolerances of the
+    """What separable_points, coherence._factor, measure_rows and
+    factor_rows build holds its invariants 100 times inside the tolerances of the
     checks they no longer apply to their own outputs (1e-12 each)."""
 
     @settings(max_examples=100, deadline=None, database=None)
@@ -1200,7 +1258,8 @@ class TestBuiltByConstruction:
         amps = np.array(rows)
         for k in range(1, 3):
             for keep in itertools.combinations(SAC, k):
-                assert np.linalg.eigvalsh(reduce_stack(amps, SAC, keep)).min() >= -1e-14
+                v = _factor(amps, SAC, keep)
+                assert np.linalg.eigvalsh(v @ v.conj().swapaxes(-1, -2)).min() >= -1e-14
         t = amps.reshape(-1, 2, 2, 2)
         mask = np.ones(len(t), dtype=bool)
         for axis in (1, 2, 3):

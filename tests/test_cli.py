@@ -145,12 +145,28 @@ class TestSweeps:
         assert name in err and "vanished" not in err
 
     def test_vanished_share_names_the_row(self, capsys):
-        # admissible, but at a prior of 1e-9 the total coherence of the
-        # |alpha| = 1 - 1e-9 row underflows; the message names that row
-        assert main(["fig3", "--p-plus", "1e-9", "--alpha-c", "0.5"]) == 2
+        # admissible, but at a prior of 1e-25 the total coherence of the
+        # |alpha| = 1 - 1e-9 row, about 6e-34, is below the 1e-30 cut;
+        # the message names that row
+        assert main(["fig3", "--p-plus", "1e-25", "--alpha-c", "0.5"]) == 2
         assert capsys.readouterr().err == (
-            "error: total coherence vanished at p_plus = 1e-09, |alpha| = 0.999999999, "
+            "error: total coherence vanished at p_plus = 1e-25, |alpha| = 0.999999999, "
             "|alpha_c| = 0.5, gamma = 0.0; share undefined\n")
+
+    def test_small_prior_keeps_its_total(self, tmp_path):
+        # at a prior of 1e-9 the last row's total, 6e-18, is far above the
+        # cut; the ledger total is the closed form 4p(1-p)(1-|a_c|^2)(1-|a|^2)
+        # (gamma = pi/2, so r+ = p)
+        code, text = run_cli(["fig3", "--p-plus", "1e-9", "--alpha-c", "0.5"], tmp_path)
+        assert code == 0
+        meta, columns, rows = parse_csv(text)
+        p = 1e-9
+        aas = np.minimum(np.linspace(0.0, 1.0, int(meta["steps"])), 1.0 - 1e-9)
+        for aa, row in zip(aas.tolist(), rows):
+            got = {k: float(v) for k, v in zip(columns, row)}
+            want = 4.0 * p * (1.0 - p) * 0.75 * (1.0 - aa) * (1.0 + aa)
+            assert abs(got["c_total"] - want) <= 1e-7 * want
+            assert got["share_converted"] <= 1.0 + 1e-9
 
     def test_fig4_endpoints(self, tmp_path):
         code, text = run_cli(["fig4", "--steps", "5"], tmp_path)

@@ -16,7 +16,14 @@ from ussd_lab.coherence import (
     three_tangle,
     wootters_concurrence,
 )
-from ussd_lab.ussd import coupled_state, make_instance, separable_strategy
+from ussd_lab.selftest import _edge_box
+from ussd_lab.ussd import (
+    coupled_amplitudes,
+    coupled_state,
+    make_instance,
+    separable_points,
+    separable_strategy,
+)
 from ussd_lab.errors import (
     DegenerateOverlap,
     NumericalError,
@@ -39,32 +46,35 @@ def w_state() -> PureState:
 
 
 class TestWootters:
+    """Mixed states given by a 4 x r factor V, rho = V V^dag."""
+
     def test_bell_is_maximal(self):
         v = np.array([1, 0, 0, 1]) / math.sqrt(2)
-        rho = np.outer(v, v)
-        assert abs(wootters_concurrence(rho) - 1.0) < 1e-12
+        assert abs(wootters_concurrence(v[:, None]) - 1.0) < 1e-12
 
     def test_product_is_zero(self):
-        assert wootters_concurrence(np.diag([1.0, 0, 0, 0])) < 1e-12
+        assert wootters_concurrence(np.eye(4)[:, :1]) < 1e-12
 
     def test_isotropic_mixture(self):
-        # concurrence (3p - 1)/2 for a Bell state mixed with white noise
-        v = np.array([1, 0, 0, 1]) / math.sqrt(2)
-        for p, expect in ((0.9, 0.85), (0.5, 0.25), (0.2, 0.0)):
-            rho = p * np.outer(v, v) + (1 - p) * np.eye(4) / 4
-            assert abs(wootters_concurrence(rho) - expect) < 1e-12
+        # concurrence (3p - 1)/2 for a Bell state mixed with white noise:
+        # the isotropic state of Phi+ and the Werner state of the singlet
+        for bell in (np.array([1, 0, 0, 1]), np.array([0, 1, -1, 0])):
+            for p, expect in ((0.9, 0.85), (0.5, 0.25), (0.2, 0.0)):
+                fac = np.hstack([math.sqrt(p / 2) * bell[:, None],
+                                 math.sqrt((1 - p) / 4) * np.eye(4)])
+                assert abs(wootters_concurrence(fac) - expect) < 1e-12
 
     def test_rank_deficient_mixture_is_clean(self):
         # rank-2 mixture, where a square-root route loses half the digits
         a = np.array([1, 0, 0, 1]) / math.sqrt(2)
         b = np.array([0, 1, 1, 0]) / math.sqrt(2)
-        rho = 0.7 * np.outer(a, a) + 0.3 * np.outer(b, b)
-        assert abs(wootters_concurrence(rho) - 0.4) < 1e-12
+        fac = np.stack([math.sqrt(0.7) * a, math.sqrt(0.3) * b], axis=-1)
+        assert abs(wootters_concurrence(fac) - 0.4) < 1e-12
 
 
 class TestPureConcurrence:
     """Concurrence of pure states, through wootters_concurrence of the
-    projector and through the tangle ledger."""
+    state vector as a 4 x 1 factor and through the tangle ledger."""
 
     def test_matches_mixed_formula(self):
         rng = np.random.default_rng(3)
@@ -73,7 +83,7 @@ class TestPureConcurrence:
             v /= np.linalg.norm(v)
             # Wootters' formula on a pure state: 2 |ad - bc|
             pure = 2.0 * abs(v[0] * v[3] - v[1] * v[2])
-            assert abs(wootters_concurrence(np.outer(v, v.conj())) - pure) < 1e-10
+            assert abs(wootters_concurrence(v[:, None]) - pure) < 1e-10
 
     def test_single_label_cut(self):
         assert abs(ledger(ghz()).bipartite_of("S") - 1.0) < 1e-12
@@ -241,3 +251,23 @@ class TestBand:
 
     def test_empty_stack_gives_no_scans(self):
         assert coherence_band(0.4, [], 0.8, scan_points=16) == ()
+
+
+class TestEdgeBox:
+    """The ledger at the separable point of band_share_closed's edge box,
+    where p_plus, |alpha| and |alpha_c| sit 1e-9 inside their ends."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_ledger_total_is_the_initial_coherence(self, seed):
+        p, aa, ac, g = _edge_box(np.random.default_rng(seed), 2000)
+        alpha = aa * np.exp(1j * g)
+        leds = ledger(coupled_amplitudes(separable_points(p, alpha, ac)))
+        for led, args in zip(leds, zip(p.tolist(), alpha.tolist(), ac.tolist())):
+            want = initial_coherence(make_instance(*args))
+            # 1e-7, plus what the coupled amplitudes lose as |alpha| -> 1:
+            # their overlap holds about a unit roundoff against
+            # 1 - |alpha|^2 (1.1e-7 measured at |alpha| = 1 - 1e-9)
+            bound = 1e-7 + 2.3e-16 / (1.0 - abs(args[1]))
+            assert abs(led.c_total - want) <= bound * want
+            for share in (led.bipartite_of("A"), led.pair("S", "C")):
+                assert share <= (1.0 + 1e-9) * led.c_total

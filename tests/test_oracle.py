@@ -19,12 +19,13 @@ from ussd_lab.oracle import (
     quadrature_refine,
 )
 from ussd_lab.ussd import (
+    coupled_state,
     make_instance,
     optimal_strategy,
     p_suc_max,
     separability_params,
     separable_strategy,
-    system_ancilla_density,
+    system_ancilla_factor,
 )
 from ussd_lab import oracle
 from ussd_lab.errors import NumericalError, RangeError
@@ -128,24 +129,24 @@ class TestDecomposition:
         inst = make_instance(0.35, 0.5 * np.exp(0.5j), 0.7 * np.exp(0.9j))
         strat = separable_strategy(inst)
         par = separability_params(inst, strat)
-        rho = system_ancilla_density(inst, strat)
-        return inst, strat, par, rho
+        fac = system_ancilla_factor(coupled_state(inst, strat))
+        return inst, strat, par, fac
 
     def test_valid_report_has_tiny_residuals(self):
-        inst, strat, par, rho = self._setup()
-        rep = decomposition_check(rho, par, inst, strat)
+        inst, strat, par, fac = self._setup()
+        rep = decomposition_check(fac, par, inst, strat)
         assert rep.worst < 1e-12
 
     def test_perturbed_phase_is_caught(self):
-        inst, strat, par, rho = self._setup()
+        inst, strat, par, fac = self._setup()
         bad = dataclasses.replace(par, gamma2=par.gamma2 + 0.1)
-        rep = decomposition_check(rho, bad, inst, strat)
+        rep = decomposition_check(fac, bad, inst, strat)
         assert rep.reconstruction > 1e-3
 
     def test_perturbed_weight_is_caught(self):
-        inst, strat, par, rho = self._setup()
+        inst, strat, par, fac = self._setup()
         bad = dataclasses.replace(par, q1_plus=par.q1_plus + 0.01)
-        rep = decomposition_check(rho, bad, inst, strat)
+        rep = decomposition_check(fac, bad, inst, strat)
         assert rep.weight_plus > 1e-4
         assert rep.reconstruction > 1e-4
 
@@ -158,12 +159,12 @@ class TestDecomposition:
                                      [[1.0] * 4] * 3 + [[1.0]], np.eye(4, dtype=bool)])
     def test_only_a_numeric_matrix_is_read(self, bad):
         inst, strat, par, _ = self._setup()
-        with pytest.raises(RangeError, match="^expected a numeric 4x4 two-qubit density"):
+        with pytest.raises(RangeError, match="^expected a numeric 4 x r factor"):
             decomposition_check(bad, par, inst, strat)
 
     def test_report_fields_are_floats(self):
-        inst, strat, par, rho = self._setup()
-        rep = decomposition_check(rho.tolist(), par, inst, strat)
+        inst, strat, par, fac = self._setup()
+        rep = decomposition_check(fac.tolist(), par, inst, strat)
         assert [type(getattr(rep, f.name)) for f in dataclasses.fields(rep)] == [float] * 4
         assert rep.worst < 1e-12
 
@@ -227,17 +228,18 @@ def reference_zeta_pair(alpha_plus, alpha_minus, beta, delta):
 
 
 def reference_rho_sa(inst, strat, beta, delta):
-    """One system-ancilla state, built as a single 4x4 matrix."""
+    """The factor V of one system-ancilla state, rho_SA = V V^dag, built
+    as a single 4 x 2 matrix, column by column."""
     zp, zm = reference_zeta_pair(strat.alpha_plus, strat.alpha_minus, beta, delta)
     rp, rm = float(inst.r_plus), float(inst.r_minus)
     ac = complex(inst.alpha_c)
-    rho = rp * np.outer(zp, zp.conj()) + rm * np.outer(zm, zm.conj())
-    cross = math.sqrt(rp * rm) * ac * np.outer(zp, zm.conj())
-    return rho + cross + cross.conj().T
+    env1 = math.sqrt((1.0 - abs(ac)) * (1.0 + abs(ac)))
+    return np.stack([math.sqrt(rp) * zp + math.sqrt(rm) * ac.conjugate() * zm,
+                     math.sqrt(rm) * env1 * zm], axis=-1)
 
 
 def reference_coarse_concurrence(inst, strat, beta_grid, delta_grid):
-    """Every coarse cell, one 4x4 matrix at a time, and the full search
+    """Every coarse cell, one 4 x 2 factor at a time, and the full search
     result (beta, delta, value) with the refinement."""
     betas, deltas = beta_grid.points(), delta_grid.points()
 
@@ -376,27 +378,27 @@ class TestCoarseScans:
 
     @pytest.mark.parametrize("inst", SCAN_DRAWS[:4])
     def test_coarse_stack_is_the_point_matrices(self, inst):
-        """The coarse stack is above the 256 KiB at which numpy turns a
-        product with a temporary into an in-place multiply, operands
-        swapped."""
+        """The coarse pairs four times over, so that the (N, 4) products
+        are above the 256 KiB at which numpy turns an operation on a
+        temporary into an in-place one, operands swapped."""
         strat = separable_strategy(inst)
-        betas, deltas = coarse_pairs()
+        betas, deltas = (np.tile(x, 4) for x in coarse_pairs())
         got = oracle._rho_sa_row(inst, strat, betas, deltas)
-        assert got.nbytes > 256 * 1024
+        assert got[:, :, 0].nbytes > 256 * 1024
         assert_same_bits(got, np.array([reference_rho_sa(inst, strat, b, d) for b, d
                                         in zip(betas.tolist(), deltas.tolist())]))
 
     def test_coarse_pass_is_one_stacked_call(self, monkeypatch):
         shapes, conc = [], oracle.wootters_concurrence
 
-        def counting(rho):
-            shapes.append(np.shape(rho))
-            return conc(rho)
+        def counting(fac):
+            shapes.append(np.shape(fac))
+            return conc(fac)
 
         monkeypatch.setattr(oracle, "wootters_concurrence", counting)
         inst = SCAN_DRAWS[-1]
         grid_min_concurrence(inst, separable_strategy(inst), BETA_GRID, DELTA_GRID)
-        assert shapes[0] == (25 * 49, 4, 4)
+        assert shapes[0] == (25 * 49, 4, 2)
         # the refinement: up to three points per call of its searches
         assert len(shapes) > 1
         assert all(len(s) == 3 and 1 <= s[0] <= 3 for s in shapes[1:])

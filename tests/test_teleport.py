@@ -192,10 +192,9 @@ def reference_run_teleport(inst, b_outcome, s_outcome=None, channel_lu=None):
                 "channel_angle pi/4: discrimination never succeeds; "
                 "only the failure path (s_outcome=None) exists"
             )
-        from test_array_chain import reference_partial_trace
-
-        rho_c = reference_partial_trace(psi_sc, ["C"])
-        w, v = np.linalg.eigh(rho_c)
+        # rho_C of the (S, C) amplitudes m is m^T conj(m)
+        m = psi_sc.as_tensor()
+        w, v = np.linalg.eigh(m.T @ m.conj())
         if w[-1] < 1.0 - 1e-9:
             raise NumericalError("degenerate branch state unexpectedly mixed")
         final = v[:, -1]
@@ -339,14 +338,13 @@ class TestInstanceAndChannel:
         for rho in (0.0, 0.2, 0.6, QP):
             ch = channel_state(rho)
             assert abs(np.linalg.norm(ch.amplitudes) - 1) < 1e-12
-            tangle = wootters_concurrence(np.outer(ch.amplitudes, ch.amplitudes.conj())) ** 2
+            tangle = wootters_concurrence(ch.amplitudes[:, None]) ** 2
             assert abs(tangle - math.cos(2 * rho) ** 2) < 1e-12
 
     def test_local_dressing_keeps_the_tangle(self):
         rng = np.random.default_rng(31)
         ch = channel_state(0.3, local_b=haar(rng), local_c=haar(rng))
-        rho = np.outer(ch.amplitudes, ch.amplitudes.conj())
-        assert abs(wootters_concurrence(rho) - math.cos(0.6)) < 1e-12
+        assert abs(wootters_concurrence(ch.amplitudes[:, None]) - math.cos(0.6)) < 1e-12
 
     def test_circuit_register(self):
         psi = alice_circuit(TeleportInstance(0.3, 1.0, 2.0))

@@ -26,7 +26,7 @@ from ussd_lab.ussd import (
     separability_params,
     separable_strategy,
     success_probability,
-    system_ancilla_density,
+    system_ancilla_factor,
     total_coherence_conservation,
 )
 from ussd_lab.errors import (
@@ -36,6 +36,7 @@ from ussd_lab.errors import (
     RangeError,
     UndefinedPhase,
 )
+from test_array_chain import reference_partial_trace
 from test_qcore import reduce_one
 
 
@@ -287,14 +288,14 @@ class TestSeparability:
         rng = np.random.default_rng(4)
         for _ in range(8):
             inst = random_instance(rng)
-            rho = system_ancilla_density(inst, separable_strategy(inst))
-            assert wootters_concurrence(rho) < 1e-10
+            fac = system_ancilla_factor(coupled_state(inst, separable_strategy(inst)))
+            assert wootters_concurrence(fac) < 1e-10
 
     def test_generic_direction_stays_entangled(self):
         inst = make_instance(0.3, 0.5 * np.exp(0.8j), 0.6)
         strat = separable_strategy(inst)
         off = dataclasses.replace(strat, beta=max(strat.beta - 0.4, 0.0))
-        assert wootters_concurrence(system_ancilla_density(inst, off)) > 1e-3
+        assert wootters_concurrence(system_ancilla_factor(coupled_state(inst, off))) > 1e-3
 
     def test_landmark_angles(self):
         # q+- = 0.16 each, so tan(beta*) = sqrt(0.8*0.16*0.8 / (0.2*0.16*0.2))
@@ -328,16 +329,18 @@ class TestSeparability:
                             0.6 * np.exp(0.2j))
         strat = separable_strategy(inst)
         check_pair(inst, strat)
-        assert total_coherence_conservation(
-            inst, coupled_state(inst, strat)).residual < 1e-10
-        assert wootters_concurrence(system_ancilla_density(inst, strat)) < 1e-10
+        psi = coupled_state(inst, strat)
+        assert total_coherence_conservation(inst, psi).residual < 1e-10
+        assert wootters_concurrence(system_ancilla_factor(psi)) < 1e-10
 
     def test_density_assembly_matches_partial_trace(self):
         inst = make_instance(0.35, 0.5 * np.exp(0.2j), 0.6 * np.exp(1.4j))
         strat = separable_strategy(inst)
-        direct = system_ancilla_density(inst, strat)
-        traced = reduce_one(coupled_state(inst, strat), ["S", "A"])
-        assert np.max(np.abs(direct - traced)) < 1e-12
+        psi = coupled_state(inst, strat)
+        v = system_ancilla_factor(psi)
+        assert v.shape == (4, 2)
+        # rows on (S, A), columns on C: the tensordot partial trace
+        assert np.max(np.abs(v @ v.conj().T - reference_partial_trace(psi, ["S", "A"]))) < 1e-12
 
 
 class TestConservation:
