@@ -24,10 +24,6 @@ from .qcore import (
     PAULI,
     PureState,
     Unitary,
-    apply,
-    projective_measure,
-    reorder,
-    tensor,
 )
 from .coherence import (
     BandScan,
@@ -105,7 +101,6 @@ __all__ = [
     "Tolerances", "DEFAULT_TOLERANCES",
     # state/register layer
     "PureState", "Unitary", "PAULI", "HADAMARD", "CNOT",
-    "tensor", "reorder", "apply", "projective_measure",
     # coherence accounting
     "wootters_concurrence", "three_tangle",
     "CoherenceLedger", "ledger", "initial_coherence",

@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -282,6 +283,9 @@ def _add_output_flags(p) -> None:
                    help="write to a file instead of stdout")
 
 
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ussd-lab",
@@ -353,6 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output format (default json)")
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(fn=cmd_selftest)
+    # argparse takes only plain decimals such as -0.4 for negative numbers
+    # and reads -1e-300 or -inf as an unknown flag; any token that starts
+    # with a minus and a digit, a point and a digit, inf or nan is a value
+    # here (no option of this parser starts with a single minus and those)
+    for parser in sub.choices.values():
+        parser._negative_number_matcher = _NEGATIVE_NUMBER
     return ap
 
 

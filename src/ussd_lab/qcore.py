@@ -92,11 +92,7 @@ class Unitary:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (d, d):
             raise ShapeError(f"register {reg} needs a {d}x{d} matrix, got {m.shape}")
-        # entries of a unitary lie in the unit disc; a bound before the
-        # product keeps NaN and overflow out of it
-        if not (np.max(np.abs(m)) <= 1.0 + TOL.unitary
-                and np.max(np.abs(m.conj().T @ m - np.eye(d))) <= TOL.unitary):
-            raise ShapeError("matrix is not unitary")
+        unitary_rows(m[None], np.ones(1, dtype=bool))
         object.__setattr__(self, "matrix", _frozen_array(m, (d, d)))
 
 
@@ -123,63 +119,28 @@ CNOT = np.array(
 
 
 # ---------------------------------------------------------------------------
-# register plumbing
-
-def tensor(a: PureState, b: PureState) -> PureState:
-    """Kronecker product of two PureStates.
-
-    Registers concatenate left to right, so the left argument supplies the
-    more significant bits. Overlapping labels raise RegisterClash.
-    """
-    if not (isinstance(a, PureState) and isinstance(b, PureState)):
-        raise ShapeError("tensor expects two PureStates")
-    shared = set(a.register) & set(b.register)
-    if shared:
-        raise RegisterClash(f"labels {sorted(shared)} appear on both factors")
-    # np.kron of two vectors, without its general-shape overhead
-    vec = (a.amplitudes[:, None] * b.amplitudes).reshape(-1)
-    return PureState(a.register + b.register, vec)
-
-
-def reorder(psi: PureState, new_register) -> PureState:
-    """Permute the register of a state; same physics, new index order."""
-    new_reg = tuple(new_register)
-    if sorted(new_reg) != sorted(psi.register):
-        raise UnknownQubit(
-            f"reorder target {new_reg} is not a permutation of {psi.register}"
-        )
-    perm = [psi.register.index(q) for q in new_reg]
-    tens = psi.as_tensor().transpose(perm)
-    return PureState(new_reg, tens.reshape(-1))
-
-
-def apply(u: Unitary, psi: PureState, targets=None) -> PureState:
-    """Apply a unitary to the given target labels of a state.
-
-    targets defaults to u.register and must match its size; every target
-    must be present in psi.register. The state keeps its register order.
-    """
-    tg = tuple(targets) if targets is not None else u.register
-    if len(set(tg)) != len(tg):
-        raise RegisterClash(f"duplicate target label in {tg}")
-    if 2 ** len(tg) != u.matrix.shape[0]:
-        raise ShapeError(
-            f"unitary on {u.register} cannot act on {len(tg)} target qubits"
-        )
-    axes = [psi.axis_of(q) for q in tg]
-    n = psi.n_qubits
-    t = psi.as_tensor()
-    t = np.moveaxis(t, axes, range(len(tg)))
-    t = (u.matrix @ t.reshape(2 ** len(tg), -1)).reshape((2,) * n)
-    t = np.moveaxis(t, range(len(tg)), axes)
-    return PureState(psi.register, t.reshape(-1))
-
-
-# ---------------------------------------------------------------------------
 # computational-basis measurement, on stacks of states
 
 def _nowhere(i) -> str:
     return ""
+
+
+def vdot_rows(a, b) -> np.ndarray:
+    """np.vdot of each row pair of two (n, d) stacks, from one batched
+    matmul: numpy hands each (1, d) @ (d, 1) product to the BLAS dot that
+    np.vdot calls, so entry i equals np.vdot(a[i], b[i]) bit for bit
+    (numpy 2.4.6 with OpenBLAS; a sum in another order would not)."""
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def norm_rows(x) -> np.ndarray:
+    """np.linalg.norm of each row of an (n, ...) stack, read in C order:
+    the square root of the dot of the real parts plus that of the
+    imaginary parts, each dot a batched matmul as in vdot_rows."""
+    flat = x.reshape(len(x), math.prod(x.shape[1:]))
+    re, im = flat.real, flat.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None])[:, 0, 0]
+                   + (im[:, None, :] @ im[:, :, None])[:, 0, 0])
 
 
 def unit_rows(stack, mask, where=_nowhere) -> None:
@@ -193,6 +154,36 @@ def unit_rows(stack, mask, where=_nowhere) -> None:
                      f"||psi||^2 = {float(nrm2[i])!r}")
 
 
+def apply_rows(u, t, axes, where=_nowhere) -> np.ndarray:
+    """Apply the unitary u (one matrix, or a stack of one per row) to the
+    qubit axes of every row of the stack t (axis 0 counts rows; axes
+    name the qubits in u's order), contracted as on one state vector:
+    the axes moved to the front, u times the (2**k, rest) matrix. Each
+    result row must be a unit vector (unit_rows); the rows keep their
+    axis order."""
+    k = len(axes)
+    m = np.moveaxis(t, axes, range(1, k + 1))
+    shape = m.shape
+    m = (u @ m.reshape(len(t), 2 ** k, -1)).reshape(shape)
+    out = np.moveaxis(m, range(1, k + 1), axes)
+    unit_rows(out, np.ones(len(t), dtype=bool), where)
+    return out
+
+
+def unitary_rows(stack, mask, where=_nowhere) -> None:
+    """Unitary's check on the (n, d, d) matrices of a stack that mask
+    selects: max |U^dag U - 1| within TOL.unitary. Entries of a unitary
+    lie in the unit disc; that bound is tested first, and a row that
+    fails it (NaN included) is left out of the product, which keeps NaN
+    and overflow out of it. where(i) names a failing row as in
+    unit_rows."""
+    inside = np.abs(stack).max(axis=(1, 2), initial=0.0) <= 1.0 + TOL.unitary
+    m = stack if inside.all() else np.where(inside[:, None, None], stack, 0.0)
+    dev = np.abs(m.conj().swapaxes(1, 2) @ m - np.eye(stack.shape[-1])).max(axis=(1, 2), initial=0.0)
+    _check(mask & ~(inside & (dev <= TOL.unitary)), ShapeError,
+           lambda i: f"matrix is not unitary{where(i)}")
+
+
 def measure_rows(t, axis, mask, where=_nowhere) -> tuple:
     """Measure, in the computational basis, the qubit at axis of every
     row of the stack t that mask selects. Returns the outcome
@@ -203,8 +194,10 @@ def measure_rows(t, axis, mask, where=_nowhere) -> tuple:
     1e-10; where(i) names a failing row as in unit_rows. A non-finite row
     fails that test, and a post-state is its slice over its own norm, so
     its norm is not checked again."""
-    comps = np.moveaxis(t, axis, 0)            # (2, n, ...), one slice per outcome
-    probs = np.array([[float(np.vdot(c, c).real) for c in comp] for comp in comps])
+    slot = [(slice(None),) * axis + (k,) for k in (0, 1)]
+    comps = [t[at] for at in slot]             # (n, ...), one slice per outcome
+    probs = np.array([vdot_rows(flat, flat).real
+                      for flat in (c.reshape(len(c), math.prod(c.shape[1:])) for c in comps)])
     total = probs[0] + probs[1]
     _check(mask & ~(np.abs(total - 1.0) <= 1e-10), NumericalError,
            lambda i: f"outcome probabilities sum to {float(total[i])!r}{where(i)}")
@@ -212,7 +205,7 @@ def measure_rows(t, axis, mask, where=_nowhere) -> tuple:
     post = np.zeros((2,) + t.shape, dtype=complex)
     for k in (0, 1):
         scale = np.sqrt(np.where(live[k], probs[k], 1.0))
-        np.moveaxis(post[k], axis, 0)[k] = comps[k] / scale.reshape((-1,) + (1,) * (t.ndim - 2))
+        post[k][slot[k]] = comps[k] / scale.reshape((-1,) + (1,) * (t.ndim - 2))
     return probs, live, post
 
 
@@ -224,20 +217,7 @@ def factor_rows(rest, mask, label, where=_nowhere) -> np.ndarray:
     which a non-finite row fails; the quotient is then a unit vector and
     is not checked again. Other rows carry no meaning. where(i) names a
     failing row as in unit_rows."""
-    nrm = np.array([np.linalg.norm(r) for r in rest])
+    nrm = norm_rows(rest)
     _check(mask & ~(np.abs(nrm - 1.0) <= 1e-9), ShapeError,
            lambda i: f"qubit {label!r} is not in the stated product state{where(i)}")
     return rest / np.where(mask, nrm, 1.0).reshape((-1,) + (1,) * (rest.ndim - 1))
-
-
-def projective_measure(psi: PureState, target: str) -> list:
-    """Measure one qubit in the computational basis: measure_rows on a
-    stack of one. Returns a list of (outcome, probability, post_state)
-    for outcomes 0 and 1; a zero-probability outcome carries post_state
-    None.
-    """
-    probs, live, post = measure_rows(psi.as_tensor()[None], 1 + psi.axis_of(target),
-                                     np.ones(1, dtype=bool))
-    return [(k, float(probs[k, 0]),
-             PureState(psi.register, post[k, 0].reshape(-1)) if live[k, 0] else None)
-            for k in (0, 1)]

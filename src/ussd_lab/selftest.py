@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import RangeError
-from .qcore import PureState, Unitary, apply
+from .qcore import PureState, apply_rows, unitary_rows
 from .coherence import (
     _band_share,
     closed_form_coherences,
@@ -34,7 +34,9 @@ from .coherence import (
     wootters_concurrence,
 )
 from .ussd import (
+    SeparablePoints,
     _canonical,
+    _environment_tangles,
     _overlap_moduli,
     _p_suc,
     _weights,
@@ -42,6 +44,7 @@ from .ussd import (
     bargmann_phase,
     build_chi,
     canonical_embedding,
+    check_pair,
     coupled_amplitudes,
     coupled_state,
     coupling_unitary,
@@ -53,7 +56,6 @@ from .ussd import (
     separable_strategy,
     separability_params,
     system_ancilla_factor,
-    total_coherence_conservation,
 )
 from .oracle import (
     GridSpec,
@@ -156,23 +158,23 @@ def _success_born_rule(seed=13, count=6, saturation=(None,)):
     """saturation[k % len(saturation)] picks the optimizer case of the
     k-th instance (None for either)."""
     rng = np.random.default_rng(seed)
+    insts = [_random_instance(rng, saturation[k % len(saturation)]) for k in range(count)]
     worst = 0.0
-    for k in range(count):
-        inst = _random_instance(rng, saturation[k % len(saturation)])
-        r = run_protocol(inst, optimal_strategy(inst))
+    for inst, r in zip(insts, run_protocol(insts, [optimal_strategy(i) for i in insts])):
         worst = max(worst, abs(r.success_probability - p_suc_max(inst)))
     return worst, "simulated outcome statistics vs closed form"
 
 
 def _success_strategy_independent():
     rng = np.random.default_rng(14)
-    worst = 0.0
+    anc = np.array([math.cos(0.4), math.sin(0.4) * np.exp(0.9j)])
+    insts, strats = [], []
     for _ in range(5):
-        inst = _random_instance(rng)
-        anc = np.array([math.cos(0.4), math.sin(0.4) * np.exp(0.9j)])
-        strat = optimal_strategy(inst, beta=rng.uniform(0, math.pi / 2),
-                                 delta=rng.uniform(0, _TWO_PI), ancilla_init=anc)
-        r = run_protocol(inst, strat)
+        insts.append(_random_instance(rng))
+        strats.append(optimal_strategy(insts[-1], beta=rng.uniform(0, math.pi / 2),
+                                       delta=rng.uniform(0, _TWO_PI), ancilla_init=anc))
+    worst = 0.0
+    for inst, r in zip(insts, run_protocol(insts, strats)):
         worst = max(worst, abs(r.success_probability - p_suc_max(inst)))
     return worst, "failure direction and ancilla ready state do not move P"
 
@@ -240,14 +242,22 @@ def _decomposition_sensitivity():
 
 
 def _conservation(seed=17, count=20):
+    """total_coherence_conservation over one stack: the environment's
+    tangle in each preparation and in the coupled_amplitudes stack of
+    the (instance, strategy) pairs, from one _environment_tangles call."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    insts, strats = [], []
     for _ in range(count):
-        inst = _random_instance(rng)
-        strat = optimal_strategy(inst, beta=rng.uniform(0, math.pi / 2),
-                                 delta=rng.uniform(0, _TWO_PI))
-        worst = max(worst, total_coherence_conservation(
-            inst, coupled_state(inst, strat)).residual)
+        insts.append(_random_instance(rng))
+        strats.append(optimal_strategy(insts[-1], beta=rng.uniform(0, math.pi / 2),
+                                       delta=rng.uniform(0, _TWO_PI)))
+    for inst, strat in zip(insts, strats):
+        check_pair(inst, strat)
+    before, after = _environment_tangles(np.array([build_chi(i).amplitudes for i in insts]),
+                                         coupled_amplitudes(SeparablePoints.of(insts, strats)))
+    worst = 0.0
+    for residual in np.abs(before - after).tolist():
+        worst = max(worst, residual)
     return worst, "environment tangle untouched by the system-ancilla coupling"
 
 
@@ -309,14 +319,17 @@ def _ghz_w_landmarks():
 
 def _lu_invariance():
     rng = np.random.default_rng(19)
-    states = []
+    states, us = [], []
     for _ in range(10):
-        psi = _random_pure(rng)
-        rotated = psi
-        for lab in psi.register:
-            rotated = apply(Unitary((lab,), _haar_unitary(rng)), rotated)
-        states += [psi.amplitudes, rotated.amplitudes]
-    leds = ledger(np.array(states))
+        states.append(_random_pure(rng).amplitudes)
+        us.append([_haar_unitary(rng) for _ in range(3)])
+    us = np.array(us)
+    unitary_rows(us.reshape(30, 2, 2), np.ones(30, dtype=bool))
+    psi = np.array(states).reshape(10, 2, 2, 2)
+    rotated = psi
+    for axis, u in enumerate(us.swapaxes(0, 1), start=1):
+        rotated = apply_rows(u, rotated, (axis,))
+    leds = ledger(np.stack([psi.reshape(10, 8), rotated.reshape(10, 8)], axis=1).reshape(20, 8))
     worst = 0.0
     for led, led2 in zip(leds[::2], leds[1::2]):
         worst = max(worst, abs(led.c_total - led2.c_total),
@@ -449,9 +462,9 @@ def _band_flat():
 
 def _teleport_total_closed(rhos=np.linspace(0.0, math.pi / 4, 12)):
     worst = 0.0
-    for rho in rhos:
+    for rho, runs in zip(rhos, enumerate_runs([TeleportInstance(float(rho), 1.1, 2.2)
+                                               for rho in rhos])):
         closed = 1.0 - math.sin(2.0 * rho)
-        runs = enumerate_runs(TeleportInstance(float(rho), 1.1, 2.2))
         tot = sum(r.probability for r in runs if r.success)
         worst = max(worst, abs(tot - closed),
                     abs(total_success_probability(float(rho)) - closed))
@@ -479,8 +492,8 @@ def _teleport_state_independent(mus=np.linspace(0.0, math.pi, 5),
 def _teleport_fidelity(instances=((0.2, 0.8, 0.3), (0.5, 1.9, 4.0),
                                   (0.7, 2.8, 5.5))):
     worst = 0.0
-    for (rho, mu, nu) in instances:
-        runs = enumerate_runs(TeleportInstance(rho, mu, nu))
+    for (rho, _, _), runs in zip(instances, enumerate_runs([TeleportInstance(*i)
+                                                            for i in instances])):
         worst = max(worst, abs(sum(r.probability for r in runs) - 1.0),
                     abs(sum(r.probability for r in runs if r.success)
                         - (1.0 - math.sin(2.0 * rho))))
@@ -553,11 +566,9 @@ def _quadrature_table():
 
 def _coupling_unitarity():
     rng = np.random.default_rng(22)
+    insts = [_random_instance(rng) for _ in range(5)]
     worst = 0.0
-    for _ in range(5):
-        inst = _random_instance(rng)
-        strat = separable_strategy(inst)
-        u = coupling_unitary(inst, strat)
+    for u in coupling_unitary(insts, [separable_strategy(i) for i in insts]):
         m = u.matrix
         worst = max(worst, float(np.max(np.abs(m.conj().T @ m - np.eye(4)))))
     return worst, "completed coupling is unitary"

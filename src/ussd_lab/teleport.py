@@ -14,30 +14,36 @@ sent state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateOverlap, NumericalError, RangeError, ShapeError, _count
+from .errors import DegenerateOverlap, NumericalError, RangeError, ShapeError, _check, _count
 from .qcore import (
     CNOT,
     HADAMARD,
     PAULI,
     PureState,
     Unitary,
-    apply,
+    _nowhere,
+    apply_rows,
     factor_rows,
     measure_rows,
-    projective_measure,
-    tensor,
     unit_rows,
+    unitary_rows,
+    vdot_rows,
 )
 from .ussd import (
     Embedding,
     UssdInstance,
-    build_chi,
-    coupling_unitary,
+    _E0,
+    _abs,
+    _check_embeddings,
+    _check_mapping,
+    _chi_rows,
+    _coupling,
+    _eta,
     make_instance,
     p_suc_max,
     separable_points,
@@ -124,11 +130,29 @@ class TeleportInstance:
         return _degenerate(self.channel_angle)
 
     def input_state(self) -> np.ndarray:
-        return np.array(
-            [math.cos(self.mu / 2.0),
-             math.sin(self.mu / 2.0) * np.exp(1j * self.nu)],
-            dtype=complex,
-        )
+        """The state to send: _inputs on a stack of one."""
+        return _inputs([self])[0]
+
+
+def _dressings(local_b, local_c) -> tuple:
+    """The two optional single-qubit dressings as checked 2 x 2 matrices
+    (None stays None)."""
+    return tuple(None if u is None else Unitary((q,), np.asarray(u, dtype=complex)).matrix
+                 for q, u in (("B", local_b), ("C", local_c)))
+
+
+def _channel_rows(angles, u_b, u_c, where) -> np.ndarray:
+    """(n, 2, 2) channel states on (B, C), one per angle, each dressed by
+    the checked matrices u_b and u_c where given."""
+    c, s = np.cos(angles), np.sin(angles)
+    ch = np.zeros((angles.size, 2, 2), dtype=complex)
+    ch[:, 0, 0] = (c + s) / math.sqrt(2.0)
+    ch[:, 1, 1] = (c - s) / math.sqrt(2.0)
+    unit_rows(ch, np.ones(angles.size, dtype=bool), where)
+    for axis, u in ((1, u_b), (2, u_c)):
+        if u is not None:
+            ch = apply_rows(u, ch, (axis,), where)
+    return ch
 
 
 def channel_state(channel_angle: float, local_b=None, local_c=None) -> PureState:
@@ -138,31 +162,40 @@ def channel_state(channel_angle: float, local_b=None, local_c=None) -> PureState
     under them, which tests assert.
     """
     _check_angle(channel_angle)
-    c, s = math.cos(channel_angle), math.sin(channel_angle)
-    vec = np.zeros(4, dtype=complex)
-    vec[0] = (c + s) / math.sqrt(2.0)
-    vec[3] = (c - s) / math.sqrt(2.0)
-    psi = PureState(("B", "C"), vec)
-    if local_b is not None:
-        psi = apply(Unitary(("B",), np.asarray(local_b, dtype=complex)), psi)
-    if local_c is not None:
-        psi = apply(Unitary(("C",), np.asarray(local_c, dtype=complex)), psi)
-    return psi
+    ch = _channel_rows(np.array([float(channel_angle)]), *_dressings(local_b, local_c),
+                       _nowhere)
+    return PureState(("B", "C"), ch[0].reshape(-1))
+
+
+def _inputs(insts) -> np.ndarray:
+    """(n, 2) stack of the states to send."""
+    mu = np.array([i.mu for i in insts])
+    nu = np.array([i.nu for i in insts])
+    return np.stack([np.cos(mu / 2.0) + 0j, np.sin(mu / 2.0) * np.exp(1j * nu)], axis=1)
+
+
+def _alice(insts, channel_lu, where) -> np.ndarray:
+    """(n, 2, 2, 2) states on (S, B, C) after Alice's circuit, one per
+    instance: the sent state times the (dressed) channel, Alice's undoing
+    of B's dressing, the controlled-NOT (S controls B) and the Hadamard on
+    S, each gate checked by unit_rows."""
+    u_b, u_c = _dressings(*((None, None) if channel_lu is None else channel_lu))
+    n = len(insts)
+    ch = _channel_rows(np.array([i.channel_angle for i in insts]), u_b, u_c, where)
+    psi = (_inputs(insts)[:, :, None] * ch.reshape(n, 1, 4)).reshape(n, 2, 2, 2)
+    unit_rows(psi, np.ones(n, dtype=bool), where)
+    if u_b is not None:
+        psi = apply_rows(u_b.conj().T, psi, (2,), where)
+    psi = apply_rows(CNOT, psi, (1, 2), where)
+    return apply_rows(HADAMARD, psi, (1,), where)
 
 
 def alice_circuit(inst: TeleportInstance, channel_lu=None) -> PureState:
     """State on (S, B, C) after Alice's controlled-NOT (S controls B) and
     Hadamard on S, ready for the carrier measurement. channel_lu, if given,
-    is the (B, C) pair of unitaries dressing the channel; Alice undoes B's."""
-    u_b, u_c = (None, None) if channel_lu is None else channel_lu
-    psi = tensor(PureState(("S",), inst.input_state()),
-                 channel_state(inst.channel_angle, local_b=u_b, local_c=u_c))
-    if u_b is not None:
-        u_b = np.asarray(u_b, dtype=complex).conj().T
-        psi = apply(Unitary(("B",), u_b), psi, targets=("B",))
-    psi = apply(Unitary(("S", "B"), CNOT), psi, targets=("S", "B"))
-    psi = apply(Unitary(("S",), HADAMARD), psi, targets=("S",))
-    return psi
+    is the (B, C) pair of unitaries dressing the channel; Alice undoes B's.
+    The stacked circuit on a stack of one."""
+    return PureState(("S", "B", "C"), _alice([inst], channel_lu, _nowhere)[0].reshape(-1))
 
 
 def branch_probability(inst: TeleportInstance, b_outcome: int) -> float:
@@ -170,23 +203,33 @@ def branch_probability(inst: TeleportInstance, b_outcome: int) -> float:
                          math.cos(inst.mu))[0]
 
 
+def _matvec(m, v) -> np.ndarray:
+    """m @ v[i] for each row of the (n, 2) stack v (m one matrix or a
+    stack of them)."""
+    return (m @ v[:, :, None])[:, :, 0]
+
+
+def _branch_vectors(rho, sign, phi) -> tuple:
+    """The four embedding vectors (xi, xi_bar, phi, phi_bar) of
+    branch_embedding as (n, 2) stacks, from arrays of channel angles,
+    branch signs and (n, 2) sent states."""
+    xi = np.stack([np.cos(rho), sign * np.sin(rho)], axis=1).astype(complex)
+    plus = (sign > 0)[:, None]
+    x_phi = _matvec(PAULI["X"], phi)
+    return (xi, _matvec(PAULI["X"], xi), np.where(plus, phi, x_phi),
+            np.where(plus, _matvec(PAULI["Z"], phi), _matvec(PAULI["X"] @ PAULI["Z"], phi)))
+
+
 def branch_embedding(inst: TeleportInstance, b_outcome: int) -> Embedding:
     """Concrete sub-states left on (S, C) by carrier outcome b.
 
     The system pair is a tilted qubit and its spin-flip; the environment
     pair is the sent state and its phase-flipped copy, both conjugated by
-    a bit flip on the minus branch.
+    a bit flip on the minus branch. _branch_vectors on a stack of one.
     """
-    rho = inst.channel_angle
-    sign = _sign(b_outcome)
-    xi = np.array([math.cos(rho), sign * math.sin(rho)], dtype=complex)
-    xi_bar = PAULI["X"] @ xi
-    phi = inst.input_state()
-    if sign > 0:
-        c_plain, c_bar = phi, PAULI["Z"] @ phi
-    else:
-        c_plain, c_bar = PAULI["X"] @ phi, PAULI["X"] @ PAULI["Z"] @ phi
-    return Embedding(xi=xi, xi_bar=xi_bar, phi=c_plain, phi_bar=c_bar)
+    vecs = _branch_vectors(np.array([inst.channel_angle]), np.array([_sign(b_outcome)]),
+                           inst.input_state()[None])
+    return Embedding(*(v[0] for v in vecs))
 
 
 @dataclass(frozen=True)
@@ -250,108 +293,134 @@ class TeleportRun:
     fidelity: float
 
 
-def _branch_runs(inst: TeleportInstance, branches, channel_lu=None) -> list:
-    """Every outcome path of the given carrier branches, in enumeration
-    order. Alice's circuit and the carrier measurement run once, then
-    the live branches evolve together in _live_runs. A degenerate
-    channel has only failure paths; a dead branch or outcome gives
-    zero-probability runs."""
-    carrier = projective_measure(alice_circuit(inst, channel_lu), "B")
-    live = [b for b in branches if carrier[b][2] is not None]
-    runs = _live_runs(inst, live, carrier, channel_lu) if live else {}
-    paths = (None,) if inst.degenerate else (None, 0, 1)
-    return [runs[(b, s)] if (b, s) in runs else TeleportRun(b, s, 0.0, False, None, None, 0.0)
-            for b in branches for s in paths]
+def _branch_runs(insts, branches, channel_lu=None, single=True) -> list:
+    """Every outcome path of the given carrier branches of each instance,
+    as one list per instance in enumeration order, from one pass over the
+    (instances x branches) stack.
+
+    Alice's circuit and the carrier measurement run on the stack of
+    instances; the live carrier branches of all of them then evolve
+    together in _live_runs. A degenerate channel has only failure paths;
+    a dead branch or outcome gives zero-probability runs. A failed check
+    names its carrier branch, and its instance when insts came as a
+    sequence (single False)."""
+    n = len(insts)
+
+    def tag(j):
+        return "" if single else f" (inst[{j}])"
+
+    p_b, live_b, post_b = measure_rows(_alice(insts, channel_lu, tag), 2,
+                                       np.ones(n, dtype=bool), tag)
+    rows = [(j, b) for j in range(n) for b in branches if live_b[b, j]]
+    runs = _live_runs(insts, rows, p_b, post_b, channel_lu, tag) if rows else {}
+    return [[runs.get((j, b, s), TeleportRun(b, s, 0.0, False, None, None, 0.0))
+             for b in branches for s in ((None,) if inst.degenerate else (None, 0, 1))]
+            for j, inst in enumerate(insts)]
 
 
-def _live_runs(inst: TeleportInstance, live, carrier, channel_lu) -> dict:
-    """The runs of the live carrier branches, keyed by (b, s), from one
-    pass over their stack: one separable_points call, each branch's own
-    closed-form coupling unitary applied by one batched matmul, the ancilla
-    measurement, both factor-outs and the system measurement by qcore's
-    stacked kernel (measure_rows, factor_rows) on the (n, 2, 2, 2) tensor
-    on (S, A, C), and Bob's corrections as array expressions. Dead
-    outcomes are masked per row and get no run; a failed check names its
-    carrier branch.
+def _live_runs(insts, rows, p_b, post_b, channel_lu, tag) -> dict:
+    """The runs of the live carrier branches rows, (instance, branch)
+    pairs, keyed by (instance, b, s), from one pass over their stack.
+    Rows of degenerate instances give their failure path from one
+    batched eigh of rho_C. The others take one separable_points call
+    and one _coupling, the coupling applied by one batched matmul, the
+    ancilla measurement, both factor-outs and the system measurement by
+    qcore's stacked kernel (measure_rows, factor_rows) on the
+    (n, 2, 2, 2) tensor on (S, A, C), and Bob's corrections as array
+    expressions. Dead outcomes are masked per row and get no run.
 
     Each run is bit-equal to the per-path chain of per-state measurements
     and factor-outs on one branch (tests/test_teleport.py keeps it as
     reference_run_teleport): the slices and products here are exact, the
     batched matmuls hand BLAS each row as the chain hands it one state,
-    and each np.vdot and np.linalg.norm runs per row, on the array shape
-    the chain gives it, so it sums in the same order."""
-    u_c = None if channel_lu is None else np.asarray(channel_lu[1], dtype=complex)
-    target = inst.input_state() if u_c is None else u_c @ inst.input_state()
-    runs = {}
-
-    def path(b, s, prob, final, name=None):
-        fid = float(abs(np.vdot(target, final)) ** 2)
-        runs[(b, s)] = TeleportRun(b, s, float(prob), s is not None, final, name, fid)
-
-    n = len(live)
-    every = np.ones(n, dtype=bool)
-    p_b = [carrier[b][1] for b in live]
+    and vdot_rows and norm_rows give each row np.vdot's and
+    np.linalg.norm's bits."""
+    jj = np.array([j for j, _ in rows])
+    bb = np.array([b for _, b in rows])
+    n = len(rows)
 
     def where(i):
-        return f" on carrier branch {live[i]}"
+        return f" on carrier branch {bb[i]}{tag(jj[i])}"
 
-    # (n, 2, 2) on (S, C): each branch's slice of its own carrier outcome
-    psi_sc = factor_rows(np.array([carrier[b][2].as_tensor()[:, b, :] for b in live]),
-                         every, "B", where)
-    if inst.degenerate:
-        for i, b in enumerate(live):
-            # product branch state: C never became entangled with S;
-            # rho_C of the (S, C) amplitudes m is m^T conj(m)
-            w, v = np.linalg.eigh(psi_sc[i].T @ psi_sc[i].conj())
-            if w[-1] < 1.0 - 1e-9:
-                raise NumericalError(f"degenerate branch state unexpectedly mixed "
-                                     f"on carrier branch {b}")
-            path(b, None, p_b[i], v[:, -1])
+    u_c = None if channel_lu is None else np.asarray(channel_lu[1], dtype=complex)
+    phi = _inputs(insts)
+    target = phi if u_c is None else _matvec(u_c, phi)
+    runs = {}
+
+    def add(idx, s, prob, final, names=None):
+        """The runs of path s on the rows idx, with their probabilities
+        and delivered states (aligned with idx) and correction names."""
+        fid = np.float_power(_abs(vdot_rows(target[jj[idx]], final)), 2)
+        for r, i in enumerate(idx.tolist()):
+            runs[(int(jj[i]), int(bb[i]), s)] = TeleportRun(
+                int(bb[i]), s, float(prob[r]), s is not None, final[r],
+                None if names is None else names[r], float(fid[r]))
+
+    # (n, 2, 2) on (S, C): each row's slice of its own carrier outcome
+    psi_sc = factor_rows(post_b[bb, jj][np.arange(n), :, bb, :], np.ones(n, dtype=bool), "B", where)
+    prob_b = p_b[bb, jj]
+    degenerate = np.array([insts[j].degenerate for j in jj.tolist()])
+    # product branch state: C never became entangled with S; rho_C of
+    # the (S, C) amplitudes m is m^T conj(m)
+    deg = np.flatnonzero(degenerate)
+    if deg.size:
+        w, v = np.linalg.eigh(psi_sc[deg].swapaxes(1, 2) @ psi_sc[deg].conj())
+        _check(w[:, -1] < 1.0 - 1e-9, NumericalError,
+               lambda i: f"degenerate branch state unexpectedly mixed{where(deg[i])}")
+        add(deg, None, prob_b[deg], v[:, :, -1])
+    live = np.flatnonzero(~degenerate)
+    if not live.size:
         return runs
+    jj, bb, psi_sc, prob_b = jj[live], bb[live], psi_sc[live], prob_b[live]
+    n = live.size
+    every = np.ones(n, dtype=bool)
 
-    _, alpha, alpha_c = _branch_terms(np.array([_sign(b) for b in live]),
-                                      math.sin(2.0 * inst.channel_angle), math.cos(inst.mu))
+    rho = np.array([insts[j].channel_angle for j in jj.tolist()])
+    sign = np.where(bb == 0, 1.0, -1.0)
+    _, alpha, alpha_c = _branch_terms(sign, np.sin(2.0 * rho),
+                                      np.cos(np.array([insts[j].mu for j in jj.tolist()])))
     pts = separable_points(0.5, alpha, alpha_c)
-    us, etas = [], []
-    for i, b in enumerate(live):
-        ui, strat = make_instance(0.5, alpha[i], alpha_c), pts.strategy(i)
-        emb = branch_embedding(inst, b)
-        if u_c is not None:
-            emb = replace(emb, phi=u_c @ emb.phi, phi_bar=u_c @ emb.phi_bar)
-        agreement = abs(np.vdot(build_chi(ui, emb).amplitudes, psi_sc[i]))
-        if agreement < 1.0 - 1e-9:
-            raise NumericalError(
-                f"branch state disagrees with its closed form on carrier branch {b} "
-                f"(|overlap| = {agreement!r})"
-            )
-        us.append(coupling_unitary(ui, strat, embedding=emb).matrix)
-        etas.append(strat.failure_direction())
+    xi, xi_bar, phi_c, phi_bar = _branch_vectors(rho, sign, phi[jj])
+    if u_c is not None:
+        phi_c, phi_bar = _matvec(u_c, phi_c), _matvec(u_c, phi_bar)
+    _check_embeddings(xi, xi_bar, phi_c, phi_bar, pts.alpha, pts.alpha_c, where)
+    chi = _chi_rows(pts.r_plus, pts.r_minus, xi, xi_bar, phi_c, phi_bar)
+    agreement = _abs(vdot_rows(chi, psi_sc.reshape(n, 4)))
+    us, miss = _coupling(pts, xi, xi_bar, np.broadcast_to(_E0, (n, 2)))
+    # each row's checks in the order the per-branch chain meets them
+    for i in range(n):
+        PureState(("S", "C"), chi[i])
+        if agreement[i] < 1.0 - 1e-9:
+            raise NumericalError(f"branch state disagrees with its closed form{where(i)} "
+                                 f"(|overlap| = {agreement[i]!r})")
+        _check_mapping(miss[i:i + 1], lambda _: tag(jj[i]))
+    unitary_rows(us, every, where)
 
     psi3 = np.zeros((n, 2, 2, 2), dtype=complex)      # (S, A, C), ancilla in |0>
     psi3[:, :, 0] = psi_sc
-    psi3 = (np.stack(us) @ psi3.reshape(n, 4, 2)).reshape(n, 2, 2, 2)
+    psi3 = (us @ psi3.reshape(n, 4, 2)).reshape(n, 2, 2, 2)
     unit_rows(psi3, every, where)
     p_a, ok_a, (post_suc, post_fail) = measure_rows(psi3, 2, every, where)
 
     # failure: drop the ancilla, then the system along the failure direction
     rest = factor_rows(post_fail[:, :, 1], ok_a[1], "A", where)
-    along = (np.stack(etas).conj()[:, None, :] @ rest)[:, 0, :]
+    along = (_eta(pts.beta, pts.delta).conj()[:, None, :] @ rest)[:, 0, :]
     final = factor_rows(along, ok_a[1], "S", where)
-    for i in np.flatnonzero(ok_a[1]):
-        path(live[i], None, p_b[i] * p_a[1, i], final[i])
+    idx = np.flatnonzero(ok_a[1])
+    add(idx, None, (prob_b * p_a[1])[idx], final[idx])
 
     # success: measure the system, drop the ancilla and the system, correct
     p_s, ok_s, post_s = measure_rows(post_suc, 1, ok_a[0], where)
     for s in (0, 1):
         rest = factor_rows(post_s[s][:, :, 0], ok_s[s], "A", where)
         c_vec = factor_rows(rest[:, s], ok_s[s], "S", where)
-        mats = np.stack([_CORRECTIONS[(b, s)][1] for b in live])
+        mats = np.stack([_CORRECTIONS[(b, s)][1] for b in bb.tolist()])
         if u_c is not None:
             mats = u_c @ mats @ u_c.conj().T
         final = (mats @ c_vec[:, :, None])[:, :, 0]
-        for i in np.flatnonzero(ok_s[s]):
-            b = live[i]
-            path(b, s, p_b[i] * p_a[0, i] * p_s[s, i], final[i], _CORRECTIONS[(b, s)][0])
+        idx = np.flatnonzero(ok_s[s])
+        add(idx, s, (prob_b * p_a[0] * p_s[s])[idx], final[idx],
+            [_CORRECTIONS[(b, s)][0] for b in bb[idx].tolist()])
     return runs
 
 
@@ -377,15 +446,23 @@ def run_teleport(inst: TeleportInstance, b_outcome: int,
             "channel_angle pi/4: discrimination never succeeds; "
             "only the failure path (s_outcome=None) exists"
         )
-    return next(r for r in _branch_runs(inst, (b_outcome,), channel_lu)
+    return next(r for r in _branch_runs([inst], (b_outcome,), channel_lu)[0]
                 if r.s_outcome == s_outcome)
 
 
-def enumerate_runs(inst: TeleportInstance) -> list:
+def enumerate_runs(inst):
     """All outcome paths with their joint probabilities (per carrier branch
     failure, then s = 0, 1; failure only when degenerate), from one
-    pass over the stack of both carrier branches."""
-    return _branch_runs(inst, (0, 1))
+    pass over the stack of both carrier branches.
+
+    inst is one TeleportInstance, which gives a list of runs, or a
+    sequence of them, which gives a tuple of such lists from one pass
+    over the (instances x branches) stack; each list equals a call on
+    that instance alone."""
+    if isinstance(inst, TeleportInstance):
+        return _branch_runs([inst], (0, 1))[0]
+    insts = list(inst)
+    return tuple(_branch_runs(insts, (0, 1), single=False)) if insts else ()
 
 
 # ---------------------------------------------------------------------------

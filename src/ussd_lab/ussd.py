@@ -38,11 +38,11 @@ from .errors import (
 from .qcore import (
     PureState,
     Unitary,
-    apply,
-    projective_measure,
-    reorder,
-    tensor,
+    _nowhere,
+    measure_rows,
+    norm_rows,
     unit_rows,
+    vdot_rows,
 )
 from .coherence import _factor, _tangles
 from .tolerances import DEFAULT as TOL
@@ -87,6 +87,14 @@ def _combination(rp, rm, ap, am, ac) -> tuple:
     return t_p + t_m * acm * np.exp(-1j * gc), t_m + t_p * acm * np.exp(+1j * gc)
 
 
+def _eta(beta, delta) -> np.ndarray:
+    """(N, 2) failure directions cos(beta) |0> + sin(beta) e^{i delta} |1>."""
+    eta = np.empty((beta.size, 2), dtype=complex)
+    eta[:, 0] = np.cos(beta)
+    eta[:, 1] = np.sin(beta) * np.exp(1j * delta)
+    return eta
+
+
 def _zeta(ap, am, beta, delta) -> tuple:
     """(N, 4) stacks of the images of the two sub-states (with ancilla
     attached) under the coupling, on register (S, A). Success lands the
@@ -94,9 +102,7 @@ def _zeta(ap, am, beta, delta) -> tuple:
     funnels both sub-states onto the shared failure direction with the
     ancilla on |1>."""
     n = beta.size
-    eta = np.empty((n, 2), dtype=complex)                # failure_direction
-    eta[:, 0] = np.cos(beta)
-    eta[:, 1] = np.sin(beta) * np.exp(1j * delta)
+    eta = _eta(beta, delta)
     ap, am = ap[:, None], am[:, None]
     bp = np.sqrt(_pymax(0.0, 1.0 - _abs(ap) ** 2))
     bm = np.sqrt(_pymax(0.0, 1.0 - _abs(am) ** 2))
@@ -207,36 +213,76 @@ class Embedding:
     phi_bar: np.ndarray
 
     def validate(self, inst: UssdInstance) -> None:
-        pairs = (
-            ("system", self.xi_bar, self.xi, inst.alpha),
-            ("environment", self.phi_bar, self.phi, inst.alpha_c),
-        )
-        for name, bar, plain, target in pairs:
-            for v in (bar, plain):
-                if abs(np.vdot(v, v) - 1.0) > TOL.overlap * 10:
-                    raise EmbeddingError(f"{name} vector not normalized")
-            got = complex(np.vdot(bar, plain))
-            if abs(got - target) > TOL.overlap * 10:
-                raise EmbeddingError(
-                    f"{name} overlap {got!r} does not match instance {target!r}"
-                )
+        """_check_embeddings on a stack of one."""
+        _check_embeddings(*self.rows(), np.array([inst.alpha]), np.array([inst.alpha_c]))
+
+    def rows(self) -> tuple:
+        """(xi, xi_bar, phi, phi_bar) as stacks of one, the (1, 2) rows
+        the stacked kernels read."""
+        return tuple(np.asarray(v, dtype=complex).reshape(1, -1)
+                     for v in (self.xi, self.xi_bar, self.phi, self.phi_bar))
+
+
+def _check_embeddings(xi, xi_bar, phi, phi_bar, alpha, alpha_c, where=_nowhere) -> None:
+    """Each row of the (N, 2) vector stacks must be a unit vector, and
+    each pair must reproduce its instance overlap, within 10 TOL.overlap;
+    the first row to fail raises EmbeddingError, named by where(i). The
+    six inner products of every row are one vdot_rows call, so a row's
+    values are those of np.vdot on its vectors."""
+    n = len(xi)
+    dots = vdot_rows(np.concatenate((xi_bar, xi, phi_bar, phi, xi_bar, phi_bar)),
+                     np.concatenate((xi_bar, xi, phi_bar, phi, xi, phi))).reshape(6, n)
+    dev = dots - 1.0
+    dev[4], dev[5] = dots[4] - alpha, dots[5] - alpha_c
+    bad = np.abs(dev) > TOL.overlap * 10
+    if not bad.any():
+        return
+    for k, name in enumerate(("system", "environment")):
+        for v in (2 * k, 2 * k + 1):
+            _check(bad[v], EmbeddingError, lambda i: f"{name} vector not normalized{where(i)}")
+        _check(bad[4 + k], EmbeddingError,
+               lambda i: f"{name} overlap {complex(dots[4 + k, i])!r} does not match "
+                         f"instance {complex((alpha, alpha_c)[k][i])!r}{where(i)}")
 
 
 def canonical_embedding(inst: UssdInstance) -> Embedding:
     """Reference embedding: each plain vector is |0> and its partner
     carries the overlap in the |0> component with a real, nonnegative
-    |1> component: _partner on the stack (alpha, alpha_c)."""
-    xi_bar, phi_bar = _partner(np.array([inst.alpha, inst.alpha_c], dtype=complex))
-    return Embedding(xi=_E0.copy(), xi_bar=xi_bar, phi=_E0.copy(), phi_bar=phi_bar)
+    |1> component: _canonical_rows on a stack of one."""
+    return Embedding(*(v[0] for v in _canonical_rows(np.array([inst.alpha]),
+                                                     np.array([inst.alpha_c]))))
+
+
+def _canonical_rows(alpha, alpha_c) -> tuple:
+    """canonical_embedding's (xi, xi_bar, phi, phi_bar) as (N, 2) stacks,
+    one row per pair of overlaps."""
+    n = alpha.size
+    e0 = np.zeros((2 * n, 2), dtype=complex)
+    e0[:, 0] = 1.0
+    bars = _partner(np.concatenate([alpha, alpha_c]))
+    return e0[:n], bars[:n], e0[n:], bars[n:]
+
+
+def _kron_rows(a, b) -> np.ndarray:
+    """np.kron of each row pair of two vector stacks."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), a.shape[1] * b.shape[1])
+
+
+def _chi_rows(r_plus, r_minus, xi, xi_bar, phi, phi_bar) -> np.ndarray:
+    """(N, 4) preparations on (S, C), one per row of the (N, 2) vector
+    stacks: sqrt(r+) xi phi + sqrt(r-) xi_bar phi_bar, unchecked."""
+    return (np.sqrt(r_plus)[:, None] * _kron_rows(xi, phi)
+            + np.sqrt(r_minus)[:, None] * _kron_rows(xi_bar, phi_bar))
 
 
 def build_chi(inst: UssdInstance, embedding: Optional[Embedding] = None) -> PureState:
-    """Joint system-environment preparation on register (S, C)."""
-    emb = embedding if embedding is not None else canonical_embedding(inst)
-    emb.validate(inst)
-    vec = (math.sqrt(inst.r_plus) * (emb.xi[:, None] * emb.phi).reshape(-1)
-           + math.sqrt(inst.r_minus) * (emb.xi_bar[:, None] * emb.phi_bar).reshape(-1))
-    return PureState(("S", "C"), vec)
+    """Joint system-environment preparation on register (S, C):
+    _check_embeddings and _chi_rows on a stack of one."""
+    a, ac = np.array([inst.alpha]), np.array([inst.alpha_c])
+    vecs = _canonical_rows(a, ac) if embedding is None else embedding.rows()
+    _check_embeddings(*vecs, a, ac)
+    return PureState(("S", "C"), _chi_rows(np.array([inst.r_plus]), np.array([inst.r_minus]),
+                                           *vecs)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +333,8 @@ class UssdStrategy:
         object.__setattr__(self, "ancilla_init", arr)
 
     def failure_direction(self) -> np.ndarray:
-        return np.array(
-            [math.cos(self.beta), math.sin(self.beta) * np.exp(1j * self.delta)],
-            dtype=complex,
-        )
+        """_eta on a stack of one."""
+        return _eta(np.array([self.beta]), np.array([self.delta]))[0]
 
 
 def check_pair(inst: UssdInstance, strat: UssdStrategy) -> None:
@@ -352,53 +396,118 @@ def coupled_state(inst: UssdInstance, strat: UssdStrategy) -> PureState:
     return PureState(("S", "A", "C"), coupled_amplitudes(SeparablePoints.of(inst, strat))[0])
 
 
-def _perp(v) -> np.ndarray:
-    """The unit vector (-conj(v1), conj(v0)) orthogonal to v/|v|."""
-    v = v / np.linalg.norm(v)
-    return np.array([-np.conj(v[1]), np.conj(v[0])])
+def _flip(v) -> np.ndarray:
+    """(-conj(v1), conj(v0)) of each row of an (N, 2) stack: orthogonal to
+    the row, with its norm."""
+    out = np.empty_like(v)
+    out[:, 0] = -v[:, 1].conj()
+    out[:, 1] = v[:, 0].conj()
+    return out
 
 
-def coupling_unitary(inst: UssdInstance, strat: UssdStrategy,
-                     embedding: Optional[Embedding] = None) -> Unitary:
-    """Two-qubit coupling on (S, A) that maps xi (x) k to zeta+ and
-    xi_bar (x) k to zeta- (Chefles, Phys. Lett. A 239, 1998), k the
-    ancilla's initial state.
+def _coupling(pts, xi, xi_bar, k) -> tuple:
+    """Couplings on (S, A), one per entry of the stack pts, with (N, 2)
+    stacks of the system vectors xi, xi_bar and the ancilla's initial
+    state k: the (N, 4, 4) unitaries U with U xi k = zeta+ and
+    U xi_bar k = zeta- (Chefles, Phys. Lett. A 239, 1998), and each row's
+    larger miss |U x k - zeta| of the two, unchecked.
 
     U sends the orthonormal frame (xi k, xi' k, xi k', xi' k'), where x'
-    is _perp(x), to the frame (zeta+, w, c, eta' (x) |1>). Both are
+    is _flip(x/|x|), to the frame (zeta+, w, c, eta' (x) |1>). Both are
     written in closed form, so nothing near-parallel is subtracted as
     |alpha| -> 1. In the orthonormal coordinates (|00>, |10>,
     eta (x) |1>), v = zeta- - s zeta+ with s = <zeta+|zeta-> reads
     (-s b+, b-, a- b+^2), since a- - s a+ = a- b+^2; w is v/|v| with the
     phase that makes U xi_bar k = s zeta+ + <xi'|xi_bar> w reproduce
-    zeta-, and c is the conjugated cross product of zeta+ and w. A miss
-    of either constraint beyond the mapping tolerance raises
-    NumericalError.
-    """
-    check_pair(inst, strat)
-    emb = embedding if embedding is not None else canonical_embedding(inst)
-    emb.validate(inst)
-    ap, am = strat.alpha_plus, strat.alpha_minus
-    pts = SeparablePoints.of(inst, strat)
-    (zp,), (zm,) = _zeta(pts.alpha_plus, pts.alpha_minus, pts.beta, pts.delta)
-    bp, bm = zp[0].real, zm[2].real
-    eta = strat.failure_direction()
-    zeta_p = np.array([bp, 0.0, ap])
-    v = np.array([-np.conj(ap) * am * bp, bm, am * bp * bp])
-    y = np.vdot(_perp(emb.xi), emb.xi_bar)
-    w = v / np.linalg.norm(v) * (np.conj(y) / abs(y))
-    coords = np.stack([zeta_p, w, np.cross(zeta_p, w).conj()], axis=1)
-    frame = np.stack([_E00, _E10, (eta[:, None] * _E1).reshape(-1)], axis=1)
-    outs = np.column_stack([frame @ coords, (_perp(eta)[:, None] * _E1).reshape(-1)])
-    xi, k = (x / np.linalg.norm(x) for x in (emb.xi, strat.ancilla_init))
-    ins = np.stack([(a[:, None] * b).reshape(-1)
-                    for b in (k, _perp(k)) for a in (xi, _perp(xi))], axis=1)
-    u = outs @ ins.conj().T
-    worst = max(float(np.linalg.norm(u @ (x[:, None] * strat.ancilla_init).reshape(-1) - z))
-                for x, z in ((emb.xi, zp), (emb.xi_bar, zm)))
-    if not worst <= TOL.mapping:
-        raise NumericalError(f"coupling unitary misses a constraint by {worst:.3e}")
-    return Unitary(("S", "A"), u)
+    zeta-, and c is the conjugated cross product of zeta+ and w.
+
+    Each row equals the kernel on that row alone. Norms and inner
+    products are norm_rows and vdot_rows, and the one product of two
+    complex entries, conj(a+) a-, is written in real arithmetic: numpy
+    rounds a complex array product with fused multiply-adds, a product of
+    complex scalars without."""
+    n = pts.beta.size
+    ap, am = pts.alpha_plus, pts.alpha_minus
+    zp, zm = _zeta(ap, am, pts.beta, pts.delta)
+    bp, bm = zp[:, 0].real, zm[:, 2].real
+    eta = _eta(pts.beta, pts.delta)
+    # x' = _flip(x / |x|); xi and k are normalized first, so their primes
+    # divide by the norm of the normalized vector
+    nx, nk, ne = norm_rows(np.concatenate([xi, k, eta])).reshape(3, n, 1)
+    xi_n, k_n = xi / nx, k / nk
+    nxn, nkn = norm_rows(np.concatenate([xi_n, k_n])).reshape(2, n, 1)
+    zeta_p = np.zeros((n, 3), dtype=complex)
+    zeta_p[:, 0], zeta_p[:, 2] = bp, ap
+    v = np.empty((n, 3), dtype=complex)
+    v[:, 0].real = (-ap.real * am.real - ap.imag * am.imag) * bp      # -conj(a+) a- b+
+    v[:, 0].imag = (-ap.real * am.imag + ap.imag * am.real) * bp
+    v[:, 1], v[:, 2] = bm, am * bp * bp
+    y = vdot_rows(_flip(xi_n), xi_bar)
+    w = v / norm_rows(v)[:, None] * (np.conj(y) / _abs(y))[:, None]
+    frame = np.zeros((n, 4, 3), dtype=complex)      # columns |00>, |10>, eta (x) |1>
+    frame[:, 0, 0] = frame[:, 2, 1] = 1.0
+    frame[:, :, 2] = _kron_rows(eta, _E1[None])
+    coords = np.empty((n, 3, 3), dtype=complex)
+    coords[:, :, 0], coords[:, :, 1] = zeta_p, w
+    for r, p, q in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):     # conj(zeta+ x w), as np.cross
+        coords[:, r, 2] = (zeta_p[:, p] * w[:, q] - zeta_p[:, q] * w[:, p]).conj()
+    outs = np.empty((n, 4, 4), dtype=complex)
+    outs[:, :, :3] = frame @ coords
+    outs[:, :, 3] = _kron_rows(_flip(eta / ne), _E1[None])
+    ins = np.empty((n, 4, 4), dtype=complex)
+    for c, (a, b) in enumerate((a, b) for b in (k_n, _flip(k_n / nkn))
+                               for a in (xi_n, _flip(xi_n / nxn))):
+        ins[:, :, c] = _kron_rows(a, b)
+    u = outs @ ins.conj().swapaxes(1, 2)
+    miss = norm_rows(np.concatenate([(u @ _kron_rows(x, k)[:, :, None])[:, :, 0] - z
+                                     for x, z in ((xi, zp), (xi_bar, zm))])).reshape(2, n)
+    return u, np.maximum(miss[0], miss[1])
+
+
+def _check_mapping(miss, where=_nowhere) -> None:
+    _check(~(miss <= TOL.mapping), NumericalError,
+           lambda i: f"coupling unitary misses a constraint by {miss[i]:.3e}{where(i)}")
+
+
+def _pairs(inst, strat, embedding) -> tuple:
+    """One instance, strategy and embedding (None for the canonical one),
+    or equal-length sequences of instances and strategies, which take
+    the canonical embeddings: (single, instances, strategies, the
+    embeddings as four (N, 2) stacks, where), where(i) naming entry i of
+    a sequence. Every pair meets check_pair."""
+    single = isinstance(inst, UssdInstance)
+    insts, strats = ([inst], [strat]) if single else (list(inst), list(strat))
+    if len(insts) != len(strats):
+        raise ShapeError(f"{len(insts)} instances but {len(strats)} strategies")
+    if not single and embedding is not None:
+        raise ShapeError("a sequence of instances takes the canonical embeddings")
+    for i, st in zip(insts, strats):
+        check_pair(i, st)
+    if embedding is not None:
+        return single, insts, strats, embedding.rows(), _nowhere
+    vecs = _canonical_rows(np.array([i.alpha for i in insts], dtype=complex),
+                           np.array([i.alpha_c for i in insts], dtype=complex))
+    return single, insts, strats, vecs, (_nowhere if single else (lambda i: f" (inst[{i}])"))
+
+
+def coupling_unitary(inst, strat, embedding=None):
+    """Two-qubit coupling on (S, A) that maps xi (x) k to zeta+ and
+    xi_bar (x) k to zeta-, k the ancilla's initial state: _coupling after
+    check_pair and the embedding checks. A miss of either constraint
+    beyond the mapping tolerance raises NumericalError.
+
+    One instance and strategy give a Unitary; equal-length sequences
+    (with the canonical embeddings) give a tuple of them from one stack,
+    each equal to a call on that pair alone."""
+    single, insts, strats, (xi, xi_bar, phi, phi_bar), where = _pairs(inst, strat, embedding)
+    if not insts:
+        return ()
+    pts = SeparablePoints.of(insts, strats)
+    _check_embeddings(xi, xi_bar, phi, phi_bar, pts.alpha, pts.alpha_c, where)
+    u, miss = _coupling(pts, xi, xi_bar, np.array([st.ancilla_init for st in strats]))
+    _check_mapping(miss, where)
+    us = tuple(Unitary(("S", "A"), m) for m in u)
+    return us[0] if single else us
 
 
 @dataclass(frozen=True)
@@ -423,27 +532,49 @@ class ProtocolResult:
         return self.outcomes[0].probability
 
 
-def run_protocol(inst: UssdInstance, strat: UssdStrategy,
-                 embedding: Optional[Embedding] = None) -> ProtocolResult:
+def run_protocol(inst, strat, embedding=None):
     """Simulate the protocol end to end through the coupling unitary.
 
     The preparation is embedded, the ancilla attached in its initial
     state, the coupling applied, and the ancilla measured in the
     computational basis. Outcome 0 heralds success.
+
+    inst and strat are one instance and its strategy, which gives a
+    ProtocolResult, or equal-length sequences of them, which give a tuple
+    of results with the canonical embeddings. The stack runs in
+    one pass: every embedding check, the preparations (_chi_rows), the
+    couplings (_coupling), one batched matmul and one measure_rows, each
+    check naming the entry at fault; each result equals a call on that
+    pair alone. The Born statistics never read coupled_amplitudes.
     """
-    emb = embedding if embedding is not None else canonical_embedding(inst)
-    chi = build_chi(inst, emb)
-    psi0 = reorder(
-        tensor(chi, PureState(("A",), strat.ancilla_init)), ("S", "A", "C")
-    )
-    u = coupling_unitary(inst, strat, embedding=emb)
-    psi = apply(u, psi0, targets=("S", "A"))
-    branches = tuple(
-        OutcomeRecord(outcome=k, probability=p, state=post)
-        for k, p, post in projective_measure(psi, "A")
-    )
-    return ProtocolResult(instance=inst, strategy=strat, unitary=u,
-                          state=psi, outcomes=branches)
+    single, insts, strats, (xi, xi_bar, phi, phi_bar), where = _pairs(inst, strat, embedding)
+    if not insts:
+        return ()
+    n = len(insts)
+    every = np.ones(n, dtype=bool)
+    pts = SeparablePoints.of(insts, strats)
+    _check_embeddings(xi, xi_bar, phi, phi_bar, pts.alpha, pts.alpha_c, where)
+    chi = _chi_rows(pts.r_plus, pts.r_minus, xi, xi_bar, phi, phi_bar)
+    k = np.array([st.ancilla_init for st in strats])
+    for stack in (chi, k):
+        unit_rows(stack, every, where)
+    # (S, A, C) = chi (x) k with the ancilla moved between S and C
+    psi0 = (chi[:, :, None] * k[:, None, :]).reshape(n, 2, 2, 2).transpose(0, 1, 3, 2)
+    unit_rows(psi0, every, where)
+    u, miss = _coupling(pts, xi, xi_bar, k)
+    _check_mapping(miss, where)
+    psi = (u @ psi0.reshape(n, 4, 2)).reshape(n, 2, 2, 2)
+    unit_rows(psi, every, where)
+    probs, live, post = measure_rows(psi, 2, every, where)
+    sac = ("S", "A", "C")
+    results = tuple(ProtocolResult(
+        instance=insts[i], strategy=strats[i], unitary=Unitary(("S", "A"), u[i]),
+        state=PureState(sac, psi[i].reshape(-1)),
+        outcomes=tuple(OutcomeRecord(outcome=o, probability=float(probs[o, i]),
+                                     state=PureState(sac, post[o, i].reshape(-1))
+                                     if live[o, i] else None) for o in (0, 1)))
+        for i in range(n))
+    return results[0] if single else results
 
 
 # ---------------------------------------------------------------------------
@@ -547,13 +678,15 @@ class SeparablePoints:
     delta: np.ndarray
 
     @classmethod
-    def of(cls, inst: UssdInstance, strat: UssdStrategy) -> "SeparablePoints":
-        """A stack of one: the instance with the strategy as given."""
-        return cls(*(np.array([v], dtype=t) for v, t in (
-            (inst.alpha, complex), (inst.alpha_c, complex),
-            (inst.r_plus, float), (inst.r_minus, float),
-            (strat.alpha_plus, complex), (strat.alpha_minus, complex),
-            (strat.beta, float), (strat.delta, float))))
+    def of(cls, inst, strat) -> "SeparablePoints":
+        """Instances with their strategies as given: one pair, a stack of
+        one, or equal-length sequences of each, one entry per pair."""
+        insts, strats = ((inst,), (strat,)) if isinstance(inst, UssdInstance) else (inst, strat)
+        return cls(*(np.array(v, dtype=t) for v, t in (
+            ([i.alpha for i in insts], complex), ([i.alpha_c for i in insts], complex),
+            ([i.r_plus for i in insts], float), ([i.r_minus for i in insts], float),
+            ([s.alpha_plus for s in strats], complex), ([s.alpha_minus for s in strats], complex),
+            ([s.beta for s in strats], float), ([s.delta for s in strats], float))))
 
     def strategy(self, i: int, ancilla_init=None) -> UssdStrategy:
         """The strategy of entry i, as a UssdStrategy."""
@@ -664,10 +797,24 @@ def total_coherence_conservation(inst: UssdInstance,
     """The environment's tangle with everything else cannot change under
     a coupling that never touches the environment. coupled is the
     (S, A, C) state after a coupling of inst, such as coupled_state's."""
-    before, after = (float(_tangles(psi.amplitudes, psi.register, "C")[0])
-                     for psi in (build_chi(inst), coupled))
+    before, after = _environment_tangles(build_chi(inst).amplitudes[None],
+                                         coupled.amplitudes[None], coupled.register)[:, 0].tolist()
     return ConservationReport(before=before, after=after,
                               residual=float(abs(before - after)))
+
+
+def _environment_tangles(chi, coupled, register=("S", "A", "C")) -> np.ndarray:
+    """The environment's one-vs-rest tangle in each row of an (N, 4)
+    stack of preparations on (S, C) and of an (N, 8) stack of coupled
+    states on register, as a (2, N) array from one _tangles call. Each
+    preparation enters with the ancilla attached in |0>, which adds only
+    exact zeros to its Cauchy-Binet sum, so its tangle is the two-qubit
+    one bit for bit."""
+    n = len(chi)
+    prep = np.zeros((n, 2, 2, 2), dtype=complex)      # (S, A, C)
+    prep[:, :, 0] = chi.reshape(n, 2, 2)
+    prep = prep.transpose([0] + [1 + "SAC".index(q) for q in register]).reshape(n, 8)
+    return _tangles(np.concatenate([prep, coupled]), register, "C").reshape(2, n)
 
 
 def bargmann_loop(psi1, psi2, psi3) -> float:
@@ -708,8 +855,6 @@ def bargmann_phase(inst: UssdInstance) -> float:
     """
     if inst.p_plus <= 0.0 or inst.p_plus >= 1.0:
         raise UndefinedPhase("extreme prior collapses the loop")
-    emb = canonical_embedding(inst)
-    v1 = (emb.xi[:, None] * emb.phi).reshape(-1)
-    v3 = (emb.xi_bar[:, None] * emb.phi_bar).reshape(-1)
-    v2 = build_chi(inst, emb).amplitudes
-    return bargmann_loop(v1, v2, v3)
+    xi, xi_bar, phi, phi_bar = _canonical_rows(np.array([inst.alpha]), np.array([inst.alpha_c]))
+    return bargmann_loop(_kron_rows(xi, phi)[0], build_chi(inst).amplitudes,
+                         _kron_rows(xi_bar, phi_bar)[0])

@@ -1,5 +1,6 @@
 """Command-line contract: formats, determinism, exit codes."""
 
+import itertools
 import json
 import math
 import re
@@ -9,7 +10,7 @@ import pytest
 import numpy as np
 
 from ussd_lab import __version__
-from ussd_lab.cli import _csv_cell, _r12, main
+from ussd_lab.cli import _csv_cell, _r12, build_parser, main
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -70,7 +71,9 @@ class TestEval:
                             (["fig2", "--alpha", "inf"], "alpha"),
                             (["eval", "--alpha-c", "nan"], "alpha_c"),
                             (["fig3", "--alpha-c", "nan"], "alpha_c"),
-                            (["teleport", "--rho", "nan"], "rho")):
+                            (["teleport", "--rho", "nan"], "rho"),
+                            (["eval", "--alpha", "-inf"], "alpha"),
+                            (["teleport", "--nu", "-NaN"], "nu")):
             assert main(argv) == 2, argv
             err = capsys.readouterr().err
             assert re.search(rf"\b{field}\b", err), (argv, err)
@@ -78,13 +81,27 @@ class TestEval:
     @pytest.mark.parametrize("argv", [
         ["eval", "--alpha", "-0.4"], ["fig2", "--alpha", "-0.4"],
         ["eval", "--alpha-c", "-0.4"], ["fig3", "--alpha-c", "-0.4"],
-        ["fig3", "--alpha-c=-1e-300"]])
+        ["fig3", "--alpha-c=-1e-300"], ["fig3", "--alpha-c", "-1e-300"],
+        ["eval", "--alpha", "-1E-5"], ["fig2", "--alpha", "-.5e1"]])
     def test_negative_magnitude_is_exit_2(self, argv, tmp_path, capsys):
-        # read as is, it would be a magnitude with a phase of pi
+        # read as is, it would be a magnitude with a phase of pi; an
+        # exponent-form value reaches the check when space-separated too
         flag, _, value = "=".join(argv[1:]).partition("=")
         assert run_cli(argv, tmp_path) == (2, "")
         assert capsys.readouterr().err == (
             f"error: {flag} must be a non-negative magnitude, got {float(value)!r}\n")
+
+    def test_every_float_option_reads_exponent_negatives(self):
+        """Every float option of every subcommand takes -1e-300, -1E-5,
+        -.5e1 and -inf as its value, space-separated as with =."""
+        sub = next(a for a in build_parser()._actions if a.choices)
+        options = [(cmd, a) for cmd, p in sub.choices.items() for a in p._actions
+                   if a.type is float]
+        assert len(options) == 13
+        for (cmd, action), value in itertools.product(options, ("-1e-300", "-1E-5", "-.5e1", "-inf")):
+            for argv in ([cmd, action.option_strings[0], value],
+                         [cmd, f"{action.option_strings[0]}={value}"]):
+                assert getattr(build_parser().parse_args(argv), action.dest) == float(value)
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--alpha", "-0.0"], ["fig2", "--alpha", "-0.0", "--steps", "3"],

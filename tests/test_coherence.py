@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ussd_lab.qcore import PureState, Unitary, apply, tensor
+from ussd_lab.qcore import PureState, apply_rows
 from ussd_lab.coherence import (
     BandScan,
     CoherenceLedger,
@@ -30,7 +30,7 @@ from ussd_lab.errors import (
     RangeError,
     ShapeError,
 )
-from test_qcore import basis_state
+from test_qcore import basis_state, reference_tensor
 
 
 def ghz() -> PureState:
@@ -101,12 +101,13 @@ class TestThreeTangle:
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         psi = PureState(("S", "A", "C"), v / np.linalg.norm(v))
         t0 = three_tangle(psi)
-        for lab in psi.register:
+        t = psi.as_tensor()[None]
+        for axis in (1, 2, 3):
             z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             q, r = np.linalg.qr(z)
             q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-            psi = apply(Unitary((lab,), q), psi)
-        assert abs(three_tangle(psi) - t0) < 1e-10
+            t = apply_rows(q, t, (axis,))
+        assert abs(three_tangle(PureState(psi.register, t.reshape(-1))) - t0) < 1e-10
 
 
 class TestLedger:
@@ -132,8 +133,8 @@ class TestLedger:
         assert all(abs(v - 4.0 / 9.0) < 1e-12 for v in led.c_pairwise.values())
 
     def test_product_state_is_empty(self):
-        psi = tensor(basis_state(("S",), (0,)),
-                     tensor(basis_state(("A",), (1,)), basis_state(("C",), (0,))))
+        psi = reference_tensor(basis_state(("S",), (0,)),
+                               reference_tensor(basis_state(("A",), (1,)), basis_state(("C",), (0,))))
         led = ledger(psi)
         assert led.c_total < 1e-12 and led.c_genuine < 1e-12
 

@@ -1,4 +1,11 @@
-"""Register algebra and simulation primitives."""
+"""Register algebra and simulation primitives.
+
+reference_tensor, reference_reorder and reference_apply keep the
+one-state register plumbing that the stacked kernels (apply_rows and
+plain array products) replaced; the per-path teleport reference in
+tests/test_teleport.py is built on them, and TestTensorReorder holds
+them to their definitions.
+"""
 
 import ast
 import dataclasses
@@ -17,11 +24,9 @@ from ussd_lab.qcore import (
     PAULI,
     PureState,
     Unitary,
-    apply,
+    apply_rows,
     factor_rows,
-    projective_measure,
-    reorder,
-    tensor,
+    measure_rows,
 )
 from ussd_lab.errors import (
     RegisterClash,
@@ -46,6 +51,36 @@ def factor_one(psi: PureState, label: str, outcome_vec) -> PureState:
                         axes=([0], [psi.axis_of(label)]))
     (out,) = factor_rows(rest[None], np.ones(1, dtype=bool), label)
     return PureState(tuple(q for q in psi.register if q != label), out.reshape(-1))
+
+
+def reference_tensor(a: PureState, b: PureState) -> PureState:
+    """Kronecker product of two PureStates; the left argument supplies
+    the more significant bits, and overlapping labels raise RegisterClash.
+    (qcore.tensor before the Born route went to stacks.)"""
+    shared = set(a.register) & set(b.register)
+    if shared:
+        raise RegisterClash(f"labels {sorted(shared)} appear on both factors")
+    return PureState(a.register + b.register, (a.amplitudes[:, None] * b.amplitudes).reshape(-1))
+
+
+def reference_reorder(psi: PureState, new_register) -> PureState:
+    """Permute the register of a state (qcore.reorder, likewise)."""
+    new_reg = tuple(new_register)
+    if sorted(new_reg) != sorted(psi.register):
+        raise UnknownQubit(f"reorder target {new_reg} is not a permutation of {psi.register}")
+    perm = [psi.register.index(q) for q in new_reg]
+    return PureState(new_reg, psi.as_tensor().transpose(perm).reshape(-1))
+
+
+def reference_apply(u: Unitary, psi: PureState, targets=None) -> PureState:
+    """Apply a unitary to target labels of one state (qcore.apply,
+    likewise): the targets moved to the front, u times the reshaped
+    tensor, moved back."""
+    tg = tuple(targets) if targets is not None else u.register
+    axes = [psi.axis_of(q) for q in tg]
+    t = np.moveaxis(psi.as_tensor(), axes, range(len(tg)))
+    t = (u.matrix @ t.reshape(2 ** len(tg), -1)).reshape((2,) * psi.n_qubits)
+    return PureState(psi.register, np.moveaxis(t, range(len(tg)), axes).reshape(-1))
 
 
 def fidelity(a: PureState, b: PureState) -> float:
@@ -77,18 +112,20 @@ class TestPureState:
 class TestTensorReorder:
     def test_register_clash(self):
         with pytest.raises(RegisterClash):
-            tensor(basis_state(("S",), (0,)), basis_state(("S",), (1,)))
+            PureState(("S", "S"), [1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(RegisterClash):
+            reference_tensor(basis_state(("S",), (0,)), basis_state(("S",), (1,)))
 
     def test_reorder_roundtrip(self):
-        psi = tensor(bell(), basis_state(("A",), (1,)))
-        flipped = reorder(psi, ("A", "C", "S"))
-        back = reorder(flipped, ("S", "C", "A"))
+        psi = reference_tensor(bell(), basis_state(("A",), (1,)))
+        flipped = reference_reorder(psi, ("A", "C", "S"))
+        back = reference_reorder(flipped, ("S", "C", "A"))
         assert flipped.register == ("A", "C", "S")
         assert np.allclose(back.amplitudes, psi.amplitudes)
 
     def test_reorder_moves_amplitudes(self):
         psi = basis_state(("S", "C"), (0, 1))
-        assert np.argmax(np.abs(reorder(psi, ("C", "S")).amplitudes)) == 2
+        assert np.argmax(np.abs(reference_reorder(psi, ("C", "S")).amplitudes)) == 2
 
 
 def reduce_one(psi: PureState, keep) -> np.ndarray:
@@ -103,34 +140,57 @@ class TestPartialTrace:
         assert np.allclose(reduce_one(bell(), ["S"]), np.eye(2) / 2)
 
     def test_product_marginal_is_pure(self):
-        psi = tensor(basis_state(("A",), (1,)), bell())
+        psi = reference_tensor(basis_state(("A",), (1,)), bell())
         assert np.allclose(reduce_one(psi, ["A"]), np.diag([0.0, 1.0]))
 
     def test_keep_order_follows_register(self):
         # kept labels come back in register order, not caller order
-        psi = tensor(bell(), basis_state(("A",), (0,)))
+        psi = reference_tensor(bell(), basis_state(("A",), (0,)))
         red = reduce_one(psi, ["A", "S"])
         assert np.allclose(red, np.kron(np.eye(2) / 2, np.diag([1.0, 0.0])))
 
 
+def stack_of_one(psi: PureState) -> np.ndarray:
+    return psi.as_tensor()[None]
+
+
 class TestApply:
+    """apply_rows on stacks of one, axes counted from the stack axis, and
+    a stack against its rows."""
+
     def test_hadamard_on_named_target(self):
-        psi = basis_state(("S", "C"), (0, 0))
-        out = apply(Unitary(("S",), HADAMARD), psi)
+        t = stack_of_one(basis_state(("S", "C"), (0, 0)))
+        out = apply_rows(HADAMARD, t, (1,))
         expect = np.array([1, 0, 1, 0]) / math.sqrt(2)
-        assert np.allclose(out.amplitudes, expect)
+        assert np.allclose(out.reshape(-1), expect)
+        assert np.array_equal(out[0].reshape(-1), reference_apply(
+            Unitary(("S",), HADAMARD), basis_state(("S", "C"), (0, 0))).amplitudes)
 
     def test_bell_from_circuit(self):
-        psi = basis_state(("S", "C"), (0, 0))
-        psi = apply(Unitary(("S",), HADAMARD), psi)
-        psi = apply(Unitary(("S", "C"), CNOT), psi)
-        assert abs(fidelity(psi, bell()) - 1.0) < 1e-12
+        t = stack_of_one(basis_state(("S", "C"), (0, 0)))
+        t = apply_rows(CNOT, apply_rows(HADAMARD, t, (1,)), (1, 2))
+        assert abs(fidelity(PureState(("S", "C"), t.reshape(-1)), bell()) - 1.0) < 1e-12
 
     def test_control_is_first_label(self):
         # CNOT with control C: |01> on (S, C) must flip S
-        psi = basis_state(("S", "C"), (0, 1))
-        out = apply(Unitary(("C", "S"), CNOT), psi, targets=("C", "S"))
-        assert abs(fidelity(out, basis_state(("S", "C"), (1, 1))) - 1) < 1e-12
+        out = apply_rows(CNOT, stack_of_one(basis_state(("S", "C"), (0, 1))), (2, 1))
+        assert abs(fidelity(PureState(("S", "C"), out.reshape(-1)),
+                            basis_state(("S", "C"), (1, 1))) - 1) < 1e-12
+
+    def test_stack_matches_rows_and_reference(self):
+        rng = np.random.default_rng(9)
+        v = rng.standard_normal((7, 8)) + 1j * rng.standard_normal((7, 8))
+        t = (v / np.linalg.norm(v, axis=1)[:, None]).reshape(7, 2, 2, 2)
+        us = np.linalg.qr(rng.standard_normal((7, 4, 4)) + 1j * rng.standard_normal((7, 4, 4)))[0]
+        reg = ("S", "A", "C")
+        for axes in ((1, 2), (3, 1), (2, 3)):
+            out = apply_rows(us, t, axes)
+            for i in range(7):
+                assert np.array_equal(out[i:i + 1], apply_rows(us[i], t[i:i + 1], axes))
+                want = reference_apply(Unitary(tuple(reg[a - 1] for a in axes), us[i]),
+                                       PureState(reg, t[i].reshape(-1)),
+                                       tuple(reg[a - 1] for a in axes))
+                assert np.array_equal(out[i].reshape(-1), want.amplitudes)
 
     def test_unitarity_checked(self):
         with pytest.raises(ShapeError):
@@ -149,31 +209,34 @@ class TestApply:
 
 
 class TestMeasurement:
+    """measure_rows on stacks of one."""
+
     def test_probabilities_and_posts(self):
-        out = projective_measure(bell(), "S")
-        assert [k for k, _, _ in out] == [0, 1]
-        for _, p, post in out:
-            assert abs(p - 0.5) < 1e-12
-            assert post.register == ("S", "C")
+        probs, live, post = measure_rows(stack_of_one(bell()), 1, np.ones(1, dtype=bool))
+        assert live.tolist() == [[True], [True]]
+        assert np.allclose(probs, 0.5, rtol=0.0, atol=1e-12)
+        assert post.shape == (2, 1, 2, 2)
         # post state of outcome 0 is |00>
-        assert abs(fidelity(out[0][2], basis_state(("S", "C"), (0, 0))) - 1) < 1e-12
+        assert abs(fidelity(PureState(("S", "C"), post[0, 0].reshape(-1)),
+                            basis_state(("S", "C"), (0, 0))) - 1) < 1e-12
 
     def test_impossible_outcome_has_no_post(self):
-        psi = basis_state(("S",), (0,))
-        out = projective_measure(psi, "S")
-        assert out[1][1] == 0.0 and out[1][2] is None
+        probs, live, post = measure_rows(stack_of_one(basis_state(("S",), (0,))), 1,
+                                         np.ones(1, dtype=bool))
+        assert probs[1, 0] == 0.0 and not live[1, 0]
+        assert not post[1].any()
 
 
 class TestFactorOut:
     def test_drops_product_qubit(self):
-        psi = tensor(basis_state(("A",), (1,)), bell())
+        psi = reference_tensor(basis_state(("A",), (1,)), bell())
         rest = factor_one(psi, "A", np.array([0.0, 1.0]))
         assert rest.register == ("S", "C")
         assert abs(fidelity(rest, bell()) - 1) < 1e-12
 
     def test_phase_travels_to_remainder(self):
         vec = np.exp(0.7j) * np.array([0.0, 1.0])
-        psi = tensor(PureState(("A",), vec), basis_state(("S",), (0,)))
+        psi = reference_tensor(PureState(("A",), vec), basis_state(("S",), (0,)))
         rest = factor_one(psi, "A", np.array([0.0, 1.0]))
         assert abs(rest.amplitudes[0] - np.exp(0.7j)) < 1e-12
 

@@ -45,6 +45,17 @@ def test_every_qcore_export_has_a_caller():
     assert sorted(exported - used) == []
 
 
+def test_every_qcore_function_has_a_caller():
+    """Each public function qcore defines is imported by another module
+    of the package: the one-state tensor, reorder, apply and
+    projective_measure went when their last caller did."""
+    defined = {node.name for node in ast.parse((SRC / "qcore.py").read_text()).body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set().union(*(qcore_imports(f) for f in SRC.glob("*.py") if f.name != "qcore.py"))
+    assert {"apply_rows", "measure_rows"} <= defined
+    assert sorted(defined - used) == []
+
+
 def test_every_error_class_is_raised():
     """Each exported error class is raised in the package, by `raise X`,
     `raise X(...)` or `_check(..., X, ...)`; the base class is only
@@ -74,3 +85,31 @@ def test_readme_typical_session_runs():
     assert first == "0.68"
     total, closed = map(float, second.split())
     assert abs(total - closed) < 1e-12
+
+
+def reachable(entries) -> set:
+    """Names of the qcore, ussd and teleport top-level functions and
+    classes that the entries reach by name, the entries included."""
+    defs = {node.name: node for f in ("qcore.py", "ussd.py", "teleport.py")
+            for node in ast.parse((SRC / f).read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    seen, todo = set(), list(entries)
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        todo += [n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)]
+    return seen
+
+
+def test_born_route_never_reads_the_coupled_amplitudes():
+    """The Born statistics are an independent route: the simulated
+    protocol and teleport circuit reach the coupling kernel and the
+    measurement kernel, never the closed-form coupled state."""
+    route = reachable(["run_protocol", "coupling_unitary", "enumerate_runs", "run_teleport"])
+    assert {"_coupling", "_chi_rows", "_live_runs", "_alice", "measure_rows",
+            "factor_rows"} <= route
+    assert "coupled_amplitudes" not in route
+    # the walk does find it where it is named
+    assert "coupled_amplitudes" in reachable(["coupled_state"])

@@ -29,12 +29,8 @@ from ussd_lab.qcore import (
     HADAMARD,
     PureState,
     Unitary,
-    apply,
     factor_rows,
     measure_rows,
-    projective_measure,
-    reorder,
-    tensor,
     unit_rows,
 )
 from ussd_lab.ussd import (
@@ -62,7 +58,12 @@ from ussd_lab.teleport import (
     total_success_probability,
 )
 from ussd_lab.errors import DegenerateOverlap, RangeError
-from test_qcore import factor_one
+from test_qcore import (
+    factor_one,
+    reference_apply as apply,
+    reference_reorder as reorder,
+    reference_tensor as tensor,
+)
 
 QP = math.pi / 4
 _E0 = np.array([1.0, 0.0], dtype=complex)
@@ -138,6 +139,17 @@ def reference_projective_measure(psi: PureState, target: str, basis) -> list:
     if abs(total - 1.0) > 1e-10:
         raise NumericalError(f"outcome probabilities sum to {total!r}")
     return results
+
+
+def measure_one(psi: PureState, target: str) -> list:
+    """measure_rows on a stack of one, as (outcome, probability,
+    post_state) for outcomes 0 and 1, post_state None for a dead outcome
+    (the list qcore.projective_measure returned)."""
+    probs, live, post = measure_rows(psi.as_tensor()[None], 1 + psi.axis_of(target),
+                                     np.ones(1, dtype=bool))
+    return [(k, float(probs[k, 0]),
+             PureState(psi.register, post[k, 0].reshape(-1)) if live[k, 0] else None)
+            for k in (0, 1)]
 
 
 def reference_factor_out(psi: PureState, label: str, outcome_vec) -> PureState:
@@ -514,6 +526,93 @@ class TestRuns:
             run_teleport(inst, 0, 3)
 
 
+def teleport_instance(draw):
+    """A channel angle with weight on the degenerate end (pi/4 and within
+    the 5.3e-9 window where sin 2 rho rounds to 1) and on the poles
+    mu = 0, pi, where one carrier branch is dead."""
+    rho = draw(st.one_of(st.floats(0.0, QP), st.sampled_from([QP, QP - 1e-12, QP - 4e-9, 0.0])))
+    mu = draw(st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi])))
+    return TeleportInstance(rho, mu, draw(st.floats(0.0, 2 * math.pi, exclude_max=True)))
+
+
+class TestStacks:
+    """enumerate_runs, and the stacked pass with a channel dressing, on
+    sequences of instances: each entry equals the call on its instance
+    alone, run for run with ==."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.lists(st.composite(teleport_instance)(), min_size=1, max_size=6))
+    def test_enumerate_runs_sequence_matches_instances(self, insts):
+        alone = [outcome_of(enumerate_runs, i) for i in insts]
+        if any(isinstance(r, tuple) for r in alone):
+            with pytest.raises(UssdLabError):
+                enumerate_runs(insts)
+            return
+        together = enumerate_runs(insts)
+        assert isinstance(together, tuple) and len(together) == len(insts)
+        for got, want in zip(together, alone):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_same_run(g, w)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(st.lists(st.composite(teleport_instance)(), min_size=1, max_size=4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_dressed_stack_matches_run_teleport(self, insts, seed):
+        rng = np.random.default_rng(seed)
+        lu = (haar(rng), haar(rng))
+        alone = [outcome_of(teleport._branch_runs, [i], (0, 1), lu) for i in insts]
+        if any(isinstance(r, tuple) for r in alone):
+            with pytest.raises(UssdLabError):
+                teleport._branch_runs(insts, (0, 1), lu, single=False)
+            return
+        for runs, inst in zip(teleport._branch_runs(insts, (0, 1), lu, single=False), insts):
+            paths = (None,) if inst.degenerate else (None, 0, 1)
+            assert len(runs) == 2 * len(paths)
+            for r in runs:
+                assert_same_run(r, run_teleport(inst, r.b_outcome, r.s_outcome, channel_lu=lu))
+
+    def test_empty_and_named(self):
+        assert enumerate_runs([]) == ()
+        # a mapping miss of the near-pole sweep, named by its entry
+        near = TeleportInstance(QP - 5.3157421898741785e-09, 0.3, 0.0)
+        with pytest.raises(NumericalError, match=r"^coupling unitary misses a constraint by "
+                                                 r"1\.044e-08$"):
+            enumerate_runs(near)
+        with pytest.raises(NumericalError, match=r" by 1\.044e-08 \(inst\[1\]\)$"):
+            enumerate_runs([TeleportInstance(0.3, 0.3, 0.0), near])
+
+
+class TestDegenerateBranch:
+    """At rho = pi/4 the channel is |00> on (B, C) (its dressed version
+    u_b (x) u_c |00>): C never meets the sent state, so the only path,
+    failure, delivers |0> (u_c |0>) up to phase, with fidelity
+    cos^2(mu/2), on each carrier branch with probability cos^2(mu/2)
+    and sin^2(mu/2). Checked from this closed form, not from the
+    per-path reference."""
+
+    @pytest.mark.parametrize("rho", [QP, QP - 1e-12, QP - 4e-9])
+    def test_failure_delivers_the_carrier_free_state(self, rho):
+        rng = np.random.default_rng(61)
+        for mu in (0.0, 0.4, 1.3, math.pi / 2, 2.2, 3.0, math.pi):
+            inst = TeleportInstance(rho, mu, rng.uniform(0.0, 2 * math.pi))
+            assert inst.degenerate
+            c2, s2 = math.cos(mu / 2) ** 2, math.sin(mu / 2) ** 2
+            for lu in (None, (haar(rng), haar(rng))):
+                home = _E0 if lu is None else lu[1][:, 0]
+                runs = (enumerate_runs(inst) if lu is None else
+                        [run_teleport(inst, b, None, channel_lu=lu) for b in (0, 1)])
+                assert [(r.b_outcome, r.s_outcome, r.success) for r in runs] \
+                    == [(0, None, False), (1, None, False)]
+                for r, p in zip(runs, (c2, s2)):
+                    assert abs(r.probability - p) < 1e-12
+                    if r.final_c is None:
+                        assert p < 1e-15
+                        continue
+                    assert abs(abs(np.vdot(home, r.final_c)) - 1.0) < 1e-12
+                    assert abs(r.fidelity - c2) < 1e-12
+
+
 class TestSharedEvolution:
     LU = (haar(np.random.default_rng(41)), haar(np.random.default_rng(42)))
 
@@ -550,31 +649,36 @@ class TestSharedEvolution:
 
     @pytest.mark.parametrize("rho,couplings", ((0.3, 2), (0.0, 2), (QP, 0)))
     def test_one_evolution_per_carrier_branch(self, monkeypatch, rho, couplings):
-        # one pass over the stack of branches: one separable_points call
-        # (none when degenerate) and one measurement, the carrier's
-        calls = dict.fromkeys(("circuit", "coupling", "points", "measure"), 0)
+        # one pass over the stack of branches, and over a stack of
+        # instances: one circuit, one separable_points call and one
+        # _coupling call over every coupled branch (none when
+        # degenerate), and three measure_rows calls (carrier, ancilla,
+        # system; the carrier's alone when degenerate)
+        calls = dict.fromkeys(("circuit", "coupling", "rows", "points", "measure"), 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "coupling":
+                    calls["rows"] += args[0].beta.size
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(teleport, "alice_circuit",
-                            counted("circuit", teleport.alice_circuit))
-        monkeypatch.setattr(teleport, "coupling_unitary",
-                            counted("coupling", teleport.coupling_unitary))
-        monkeypatch.setattr(teleport, "separable_points",
-                            counted("points", teleport.separable_points))
-        monkeypatch.setattr(teleport, "projective_measure",
-                            counted("measure", teleport.projective_measure))
+        for name, attr in (("circuit", "_alice"), ("coupling", "_coupling"),
+                           ("points", "separable_points"), ("measure", "measure_rows")):
+            monkeypatch.setattr(teleport, attr, counted(name, getattr(teleport, attr)))
         points = 1 if couplings else 0
-        enumerate_runs(TeleportInstance(rho, 1.1, 2.2))
-        assert calls == {"circuit": 1, "coupling": couplings, "points": points, "measure": 1}
+        measures = 3 if couplings else 1
+        for copies in (1, 3):
+            calls.update(dict.fromkeys(calls, 0))
+            insts = [TeleportInstance(rho, 1.1, 2.2)] * copies
+            enumerate_runs(insts if copies > 1 else insts[0])
+            assert calls == {"circuit": 1, "coupling": points, "rows": couplings * copies,
+                             "points": points, "measure": measures}
         calls.update(dict.fromkeys(calls, 0))
         run_teleport(TeleportInstance(rho, 1.1, 2.2), 1, None)
-        assert calls == {"circuit": 1, "coupling": couplings // 2, "points": points,
-                         "measure": 1}
+        assert calls == {"circuit": 1, "coupling": points, "rows": couplings // 2,
+                         "points": points, "measure": measures}
 
 
 def kernel_draws(rng, n_qubits, count):
@@ -611,8 +715,10 @@ class TestMeasurementKernel:
     """qcore's stacked computational-basis kernel against the per-state
     references it replaced, and stacks against stacks of one.
 
-    Probabilities, factor-outs and stacks are held byte for byte. A
-    post-state of projective_measure is held by value: the reference
+    test_projective_measure_matches_reference holds measure_rows on a
+    stack of one (measure_one, the former qcore.projective_measure) to
+    the reference. Probabilities, factor-outs and stacks are held byte
+    for byte. A post-state of measure_one is held by value: the reference
     builds it as a BLAS outer product with its basis vector, which
     leaves -0.0 in the collapsed slot for some 2-qubit states and turns
     -0.0 into +0.0 in the kept slot, where the kernel writes +0.0 and
@@ -627,7 +733,7 @@ class TestMeasurementKernel:
         for z in kernel_draws(rng, n_qubits, 400):
             psi = PureState(self.LABELS[:n_qubits], z)
             for target in psi.register:
-                got = projective_measure(psi, target)
+                got = measure_one(psi, target)
                 want = reference_projective_measure(psi, target, (_E0, _E1))
                 assert [k for k, _, _ in got] == [k for k, _, _ in want] == [0, 1]
                 for (k, p, post), (_, p_ref, post_ref) in zip(got, want):
@@ -650,7 +756,7 @@ class TestMeasurementKernel:
             psi = PureState(reg, z)
             for target in reg:
                 # the collapsed posts of both outcomes, dropped along them
-                for k, _, post in projective_measure(psi, target):
+                for k, _, post in measure_one(psi, target):
                     if post is not None:
                         got = factor_one(post, target, (_E0, _E1)[k])
                         want = reference_factor_out(post, target, (_E0, _E1)[k])

@@ -7,6 +7,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ussd_lab.coherence import initial_coherence, wootters_concurrence
 from ussd_lab.ussd import (
@@ -34,7 +36,9 @@ from ussd_lab.errors import (
     EmbeddingError,
     NumericalError,
     RangeError,
+    ShapeError,
     UndefinedPhase,
+    UssdLabError,
 )
 from test_array_chain import reference_partial_trace
 from test_qcore import reduce_one
@@ -232,7 +236,7 @@ class TestProtocol:
         with W a random unitary on the range of Q = 1 - P, is as good a
         coupling and gives the same outcome probabilities."""
         from ussd_lab import ussd
-        from ussd_lab.qcore import Unitary
+        kernel = ussd._coupling
         rng = np.random.default_rng(8)
         for _ in range(6):
             inst = random_instance(rng)
@@ -246,8 +250,8 @@ class TestProtocol:
             w = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
             rest = basis[:, 2:] @ w @ basis[:, 2:].conj().T
             plain = run_protocol(inst, strat)
-            monkeypatch.setattr(ussd, "coupling_unitary", lambda *a, **k: Unitary(
-                ("S", "A"), coupling_unitary(*a, **k).matrix @ (p + rest)))
+            monkeypatch.setattr(ussd, "_coupling", lambda *a: (
+                lambda u, miss: (u @ (p + rest), miss))(*kernel(*a)))
             other = run_protocol(inst, strat)
             monkeypatch.undo()
             assert np.max(np.abs(other.unitary.matrix - plain.unitary.matrix)) > 1e-3
@@ -281,6 +285,81 @@ class TestProtocol:
             assert np.max(np.abs(m.conj().T @ m - np.eye(4))) <= 1e-12
             assert abs(res.success_probability - p_suc_max(inst)) < 1e-10
         assert len(missed) <= 2 and all(g < 5e-12 for g in missed)
+
+
+def protocol_pair(draw):
+    """One (instance, strategy) pair: any prior, |alpha| up to 1 - 1e-9,
+    any phases, and a strategy at the optimal radii with any failure
+    angles and, half the time, a random ancilla ready state."""
+    inst = make_instance(draw(st.floats(0.0, 1.0)),
+                         draw(st.floats(0.0, 1.0 - 1e-9)) * np.exp(1j * draw(st.floats(0.0, 6.3))),
+                         draw(st.floats(0.0, 1.0)) * np.exp(1j * draw(st.floats(0.0, 6.3))))
+    anc = None
+    if draw(st.booleans()):
+        theta, ph0, ph1 = (draw(st.floats(0.0, 6.3)) for _ in range(3))
+        anc = np.array([math.cos(theta) * np.exp(1j * ph0), math.sin(theta) * np.exp(1j * ph1)])
+    return inst, optimal_strategy(inst, beta=draw(st.floats(0.0, math.pi / 2)),
+                                  delta=draw(st.floats(0.0, 2 * math.pi, exclude_max=True)),
+                                  ancilla_init=anc)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UssdLabError as exc:
+        return (type(exc), str(exc))
+
+
+class TestStacks:
+    """run_protocol and coupling_unitary on sequences: each entry equals
+    the call on its pair alone, with ==."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.lists(st.composite(protocol_pair)(), min_size=1, max_size=5))
+    def test_run_protocol_sequence_matches_pairs(self, pairs):
+        insts, strats = (list(x) for x in zip(*pairs))
+        alone = [outcome(run_protocol, i, s) for i, s in pairs]
+        if any(isinstance(r, tuple) for r in alone):
+            with pytest.raises(UssdLabError):
+                run_protocol(insts, strats)
+            return
+        together = run_protocol(insts, strats)
+        assert isinstance(together, tuple) and len(together) == len(alone)
+        for got, want in zip(together, alone):
+            assert got.instance == want.instance and got.strategy is want.strategy
+            assert np.array_equal(got.unitary.matrix, want.unitary.matrix)
+            assert np.array_equal(got.state.amplitudes, want.state.amplitudes)
+            for g, w in zip(got.outcomes, want.outcomes):
+                assert (g.outcome, g.probability) == (w.outcome, w.probability)
+                assert (g.state is None) == (w.state is None)
+                if w.state is not None:
+                    assert np.array_equal(g.state.amplitudes, w.state.amplitudes)
+        for got, (i, s) in zip(coupling_unitary(insts, strats), pairs):
+            assert np.array_equal(got.matrix, coupling_unitary(i, s).matrix)
+
+    def test_sequences_name_the_entry(self):
+        inst = make_instance(0.3, 0.5, 0.4)
+        good = optimal_strategy(inst)
+        bad = dataclasses.replace(good, alpha_minus=0.9 * good.alpha_minus)
+        assert run_protocol([], []) == ()
+        with pytest.raises(ShapeError, match="2 instances but 1 strategies"):
+            run_protocol([inst, inst], [good])
+        with pytest.raises(RangeError, match="^strategy overlaps give"):
+            run_protocol([inst, inst], [good, bad])
+        # a mapping miss of test_nearly_identical_states, named by its entry
+        near = make_instance(0.5, (1.0 - 2.3313544596923562e-12) * np.exp(-0.8924824311519712j),
+                             0.14043918621836649)
+        for fn in (coupling_unitary, run_protocol):
+            with pytest.raises(NumericalError, match=r"misses a constraint by 1\.028e-10$"):
+                fn(near, separable_strategy(near))
+            with pytest.raises(NumericalError, match=r" by 1\.028e-10 \(inst\[1\]\)$"):
+                fn([inst, near], [good, separable_strategy(near)])
+        emb = canonical_embedding(inst)
+        off = dataclasses.replace(emb, xi_bar=np.array([0.6, 0.8], dtype=complex))
+        with pytest.raises(EmbeddingError, match=r"does not match instance \(0\.5\+0j\)$"):
+            run_protocol(inst, good, off)
+        with pytest.raises(ShapeError, match="takes the canonical embeddings"):
+            run_protocol([inst], [good], [emb])
 
 
 class TestSeparability:
