@@ -219,6 +219,46 @@ class TestChain:
         with pytest.raises(RangeError, match="alpha_c"):
             separable_points(0.2, 0.3, 1.0 + 1e-9)
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: separable_points([0.2, 0.3, 1.5, 2.5], 0.3, 0.4),
+         RangeError, "p_plus must lie in [0, 1], got 1.5"),
+        (lambda: separable_points([0.2, 0.7, -0.25], 0.3, 0.4),
+         RangeError, "p_plus must lie in [0, 1], got -0.25"),
+        (lambda: separable_points(0.2, [0.3, complex(0.1, math.inf), complex("nan")], 0.4),
+         RangeError, "alpha must be finite, got (0.1+infj)"),
+        (lambda: separable_points(0.2, 0.3, [0.4, 0.5, complex(-math.inf, 0.2), math.nan]),
+         RangeError, "alpha_c must be finite, got (-inf+0.2j)"),
+        (lambda: separable_points(0.2, [0.3, 0.5, 1.5, 1.0], 0.4),
+         DegenerateOverlap, "|alpha| = 1.5 leaves nothing to discriminate"),
+        (lambda: separable_points([0.2, 0.8], [0.3, -1.0j], 0.4),
+         DegenerateOverlap, "|alpha| = 1.0 leaves nothing to discriminate"),
+        (lambda: separable_points(0.2, 0.3, [0.4, 1.0, 1.25j, 2.0]),
+         RangeError, "|alpha_c| = 1.25 exceeds 1"),
+        (lambda: _band_share(0.3, np.array([[0.2], [0.5], [0.7]]),
+                             np.array([[0.1], [-1.0], [1.0]]), np.linspace(0.0, 3.0, 4)),
+         DegenerateOverlap, "|alpha_c| = -1.0: identical environment states carry no "
+                            "coherence, so the band share is undefined"),
+        (lambda: _band_share(0.3, np.array([0.2, 0.5]), 1.0, np.array([0.0, 1.0])),
+         DegenerateOverlap, "|alpha_c| = 1.0: identical environment states carry no "
+                            "coherence, so the band share is undefined"),
+        (lambda: _band_share(np.array([[0.3], [1e-300], [1e-310]]), 0.5, 0.4,
+                             np.array([0.0, 1.0])),
+         NumericalError, "total coherence vanished at p_plus = 1e-300, |alpha| = 0.5, "
+                         "|alpha_c| = 0.4, gamma = 0.0; share undefined"),
+        (lambda: coherence_band(0.3, [0.2, 0.5, math.nan, math.inf], 0.4, 16),
+         RangeError, "abs_alpha[2] must be finite, got nan"),
+        (lambda: coherence_band(0.3, [0.2, -1.0, 2.0], 0.4, 16),
+         DegenerateOverlap, "abs_alpha[1] = -1.0 leaves nothing to discriminate"),
+    ], ids=["p_plus_high", "p_plus_low", "alpha_finite", "alpha_c_finite", "abs_alpha_beyond_1",
+            "abs_alpha_1", "abs_alpha_c", "band_alpha_c_stack", "band_alpha_c_scalar",
+            "band_vanished", "band_not_finite", "band_abs_alpha"])
+    def test_stack_checks_name_the_entry(self, call, error, message):
+        """The first bad entry of a stack, never its first entry, is the
+        one the message names, word for word."""
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
 
 def wootters_one(m):
     """Concurrence of one density matrix by the eigendecomposition route
