@@ -34,7 +34,7 @@ from .coherence import (
 )
 from .ussd import (
     _canonical,
-    _overlap_moduli,
+    _overlaps,
     _p_suc,
     _weights,
     bargmann_phase,
@@ -168,8 +168,8 @@ def cmd_fig2(args) -> int:
     # by row: a failing check names the instance a loop over rows meets first
     alpha = args.alpha * np.exp(1j * np.array([0.0, math.pi / 2, math.pi]))
     p, a, ac = _canonical(args.p_plus, alpha, pts[:, None])
-    aa, acm = _overlap_moduli(a, ac)
-    rp, rm, _, interior = _weights(p, a, ac)
+    aa, ga, acm, gc = _overlaps(a, ac)
+    rp, rm, _, interior = _weights(p, aa, ga, acm, gc)
     cells = (pts[:, None], _total(rp, rm, aa, acm)[1].reshape(-1, 3),
              _p_suc(rp, rm, aa, interior).reshape(-1, 3))
     columns = ["abs_alpha_c",

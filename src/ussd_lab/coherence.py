@@ -10,6 +10,7 @@ of the package calls intrinsic coherence.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -28,7 +29,9 @@ from .tolerances import DEFAULT as TOL
 
 _SAC = ("S", "A", "C")
 _SY = np.array([[0, -1j], [1j, 0]])
-_YY = np.kron(_SY, _SY).real  # spin-flip kernel, real in this basis
+# spin-flip kernel, real in this basis; held complex (zero imaginary
+# parts), as a matmul with a complex factor would cast it on every call
+_YY = np.kron(_SY, _SY).real.astype(complex)
 
 
 def wootters_concurrence(factor):
@@ -50,7 +53,8 @@ def wootters_concurrence(factor):
     if v.ndim < 2 or v.shape[-2] != 4 or v.shape[-1] == 0:
         raise ShapeError(f"expected a 4 x r factor or a stack of them, got {v.shape}")
     lam = np.linalg.svd(v.swapaxes(-1, -2) @ _YY @ v, compute_uv=False)
-    c = lam[..., 0] - lam[..., 1:].sum(axis=-1)
+    # the sum of one value is that value, bit for bit
+    c = lam[..., 0] - (lam[..., 1] if lam.shape[-1] == 2 else lam[..., 1:].sum(axis=-1))
     c = np.where(c > 0.0, c, 0.0)
     return c if v.ndim > 2 else float(c)
 
@@ -99,11 +103,28 @@ def _factor(amplitudes, register, keep) -> np.ndarray:
     reshaped to its kept labels (in register order) x the traced ones:
     the (N, 2**k, 2**(n-k)) stack of factors V of the reduced states
     rho = V V^dag."""
+    tensor, order, rows, cols = _factor_axes(tuple(register), tuple(keep))
+    t = amplitudes.reshape(tensor)
+    return t.transpose(order).reshape(len(t), rows, cols)
+
+
+@functools.cache
+def _factor_axes(register, keep) -> tuple:
+    """_factor's tensor shape, axis order and factor dimensions for one
+    register and kept set, worked out once per pair."""
     kept = [i for i, q in enumerate(register) if q in keep]
     traced = [i for i, q in enumerate(register) if q not in keep]
-    t = amplitudes.reshape((-1,) + (2,) * len(register))
-    return t.transpose([0] + [1 + i for i in kept + traced]).reshape(
-        len(t), 2 ** len(kept), 2 ** len(traced))
+    return ((-1,) + (2,) * len(register), (0, *(1 + i for i in kept + traced)),
+            2 ** len(kept), 2 ** len(traced))
+
+
+@functools.cache
+def _column_pairs(n: int) -> tuple:
+    """np.triu_indices(n, 1), the column pairs j < k, built once per
+    count and returned read-only."""
+    j, k = np.triu_indices(n, 1)
+    j.flags.writeable = k.flags.writeable = False
+    return j, k
 
 
 def _tangles(amplitudes, register, q: str) -> np.ndarray:
@@ -112,7 +133,7 @@ def _tangles(amplitudes, register, q: str) -> np.ndarray:
     factor of that state, det(W W^dag) is the sum of |W0j W1k - W0k W1j|^2
     over j < k (Cauchy-Binet), so it cannot go negative."""
     w = _factor(amplitudes, register, [q])
-    j, k = np.triu_indices(w.shape[-1], 1)
+    j, k = _column_pairs(w.shape[-1])
     minor = w[:, 0, j] * w[:, 1, k] - w[:, 0, k] * w[:, 1, j]
     return 4.0 * (minor.real * minor.real + minor.imag * minor.imag).sum(axis=-1)
 
@@ -186,7 +207,7 @@ def ledger(psi):
         raise ShapeError("ledger needs a three-qubit PureState or an (N, 8) stack, "
                          f"got {amps.dtype} of shape {amps.shape}")
     amps = amps.astype(complex)
-    unit_rows(amps, np.ones(len(amps), dtype=bool), lambda i: f" at stack index {i}")
+    unit_rows(amps, True, lambda i: f" at stack index {i}")
     tau = np.array([_tangles(amps, reg, q) for q in reg])
     pairs = list(combinations(reg, 2))
     c = wootters_concurrence(np.concatenate([_factor(amps, reg, p) for p in pairs]))
@@ -366,23 +387,23 @@ def _band_share(p_plus, abs_alpha, abs_alpha_c, gammas) -> np.ndarray:
     entry that fails is named by its inputs."""
     from .ussd import coupled_amplitudes, separable_points
 
-    gammas = np.asarray(gammas, dtype=float)
-    pts = separable_points(p_plus, abs_alpha * np.exp(1j * gammas), abs_alpha_c)
-    shape = np.broadcast_shapes(*map(np.shape, (p_plus, abs_alpha, abs_alpha_c, gammas)))
+    alpha = abs_alpha * np.exp(1j * np.asarray(gammas, dtype=float))
+    pts = separable_points(p_plus, alpha, abs_alpha_c)
+    shape = np.broadcast(p_plus, alpha, abs_alpha_c).shape
 
     def at(i) -> tuple:
         return tuple(float(np.broadcast_to(x, shape).flat[i])
                      for x in (p_plus, abs_alpha, abs_alpha_c, gammas))
 
-    unit = np.abs(np.broadcast_to(abs_alpha_c, shape)) >= 1.0
-    if unit.any():
+    unit = np.abs(abs_alpha_c) >= 1.0
+    if np.count_nonzero(unit):
         raise DegenerateOverlap(
-            f"|alpha_c| = {at(int(np.argmax(unit)))[2]!r}: identical environment states "
-            "carry no coherence, so the band share is undefined")
+            f"|alpha_c| = {at(int(np.argmax(np.broadcast_to(unit, shape))))[2]!r}: "
+            "identical environment states carry no coherence, so the band share is undefined")
     amps = coupled_amplitudes(pts)
     total = _tangles(amps, _SAC, "C")
     vanished = total < 1e-30
-    if vanished.any():
+    if np.count_nonzero(vanished):
         p, aa, ac, g = at(int(np.argmax(vanished)))
         raise NumericalError(
             f"total coherence vanished at p_plus = {p!r}, |alpha| = {aa!r}, "
@@ -410,41 +431,46 @@ def _golden_min(f, lo, hi, tol: float = 1e-10) -> tuple:
     both of its candidates in the same call, three rows per bracket.
     Those speculative points lie inside the current bracket, and an
     error f raises at the one the search does not take still propagates.
+
+    Each bracket is kept as a list [a, b, c, d, f(c), f(d)] of floats: a
+    step is a few scalar assignments, where on arrays it is some thirty
+    gathers and scatters for the handful of brackets a search holds.
+    The arithmetic is IEEE either way, so every point is bit-equal.
     """
     inv = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def lower(a, b):
-        return b - inv * (b - a)
-
-    def upper(a, b):
-        return a + inv * (b - a)
-
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c, d = lower(a, b), upper(a, b)
+    c, d = b - inv * (b - a), a + inv * (b - a)
     every = np.arange(a.size)
-    both = f(np.concatenate([every, every]), np.concatenate([c, d]))
-    fc, fd = both[:a.size], both[a.size:]
+    both = f(np.concatenate([every, every]), np.concatenate([c, d])).tolist()
+    brackets = [list(t) for t in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist(),
+                                     both[:a.size], both[a.size:])]
 
-    def step(rows):
-        """One step on rows by their known comparison; the mask of those
-        that kept the left part."""
-        left = fc[rows] < fd[rows]
-        r, s = rows[left], rows[~left]
-        b[r], d[r], fd[r] = d[r], c[r], fc[r]
-        c[r] = lower(a[r], b[r])
-        a[s], c[s], fc[s] = c[s], d[s], fd[s]
-        d[s] = upper(a[s], b[s])
-        return left
+    def step(t) -> int:
+        """One step of bracket t by its known comparison; the slot of the
+        value its new point needs, 4 (its new c) or 5 (its new d)."""
+        a, b, c, d, fc, fd = t
+        if fc < fd:
+            t[1], t[2], t[3], t[5] = d, d - inv * (d - a), c, fc
+            return 4
+        t[0], t[2], t[3], t[4] = c, d, c + inv * (b - c), fd
+        return 5
 
-    while (rows := np.flatnonzero(b - a > tol)).size:
-        left = step(rows)
-        two = rows[b[rows] - a[rows] > tol]
-        n, m = rows.size, two.size
-        fx = f(np.concatenate([rows, two, two]),
-               np.concatenate([np.where(left, c[rows], d[rows]),
-                               lower(a[two], d[two]), upper(c[two], b[two])]))
-        fc[rows[left]], fd[rows[~left]] = fx[:n][left], fx[:n][~left]
-        left = step(two)
-        fc[two[left]], fd[two[~left]] = fx[n:n + m][left], fx[n + m:][~left]
+    rows = [i for i, t in enumerate(brackets) if t[1] - t[0] > tol]
+    while rows:
+        slots = [step(brackets[i]) for i in rows]
+        two = [i for i in rows if brackets[i][1] - brackets[i][0] > tol]
+        n, m = len(rows), len(two)
+        # the points the first step took, then both candidates of the next
+        x = [brackets[i][s - 2] for i, s in zip(rows, slots)]
+        x += [t[3] - inv * (t[3] - t[0]) for t in map(brackets.__getitem__, two)]
+        x += [t[2] + inv * (t[1] - t[2]) for t in map(brackets.__getitem__, two)]
+        fx = f(np.array(rows + two + two), np.array(x)).tolist()
+        for i, s, v in zip(rows, slots, fx):
+            brackets[i][s] = v
+        for i, v in zip(two, zip(fx[n:n + m], fx[n + m:])):
+            s = step(brackets[i])
+            brackets[i][s] = v[s - 4]
+        rows = [i for i in two if brackets[i][1] - brackets[i][0] > tol]
+    a, b = np.array([t[:2] for t in brackets], dtype=float).reshape(-1, 2).T
     x = 0.5 * (a + b)
     return x, f(every, x)

@@ -144,9 +144,9 @@ def norm_rows(x) -> np.ndarray:
 
 
 def unit_rows(stack, mask, where=_nowhere) -> None:
-    """PureState's norm check on the rows of a stack that mask selects.
-    The first row to fail is named by where(i), a suffix to the message
-    (none by default)."""
+    """PureState's norm check on the rows of a stack that mask, one flag
+    per row or True for all, selects. The first row to fail is named by
+    where(i), a suffix to the message (none by default)."""
     flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
     nrm2 = np.einsum("ij,ij->i", flat.conj(), flat).real
     _check(mask & ~(np.abs(nrm2 - 1.0) <= TOL.state_norm), ShapeError,

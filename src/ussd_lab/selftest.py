@@ -37,7 +37,7 @@ from .ussd import (
     SeparablePoints,
     _canonical,
     _environment_tangles,
-    _overlap_moduli,
+    _overlaps,
     _p_suc,
     _weights,
     bargmann_loop,
@@ -383,8 +383,8 @@ def _fig2_monotone():
     # fig2's array pass: one row per |alpha_c|, columns gamma = 0 and pi
     acs = np.linspace(0.0, 1.0 - 1e-9, 101)
     p, alpha, alpha_c = _canonical(0.2, np.array([0.4, -0.4]), acs[:, None])
-    aa, _ = _overlap_moduli(alpha, alpha_c)
-    rp, rm, _, interior = _weights(p, alpha, alpha_c)
+    aa, ga, acm, gc = _overlaps(alpha, alpha_c)
+    rp, rm, _, interior = _weights(p, aa, ga, acm, gc)
     p0, ppi = _p_suc(rp, rm, aa, interior).reshape(-1, 2).T.tolist()
     worst = 0.0
     for a, b in zip(p0, p0[1:]):

@@ -65,24 +65,31 @@ def _abs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
+def _polar(z) -> tuple:
+    """_abs(z) and np.angle(z), the arctan2 np.angle calls, of a complex
+    value or array."""
+    return np.hypot(z.real, z.imag), np.arctan2(z.imag, z.real)
+
+
 def _pymax(a, b):
     """Python's max(a, b) elementwise: b only where b > a."""
     return np.where(b > a, b, a)
 
 
-def _weights(p, a, ac) -> tuple:
+def _weights(p, aa, ga, acm, gc) -> tuple:
     """Branch weights r+-, the prior-ratio threshold tilde_alpha and the
-    interior-regime flag of canonical instances (p <= 1/2)."""
-    aa = _abs(a)
-    den = 1.0 + 2.0 * np.sqrt(p * (1.0 - p)) * aa * _abs(ac) * np.cos(np.angle(a) + np.angle(ac))
-    tilde = np.sqrt(p / (1.0 - p))
-    return p / den, (1.0 - p) / den, tilde, aa < tilde
+    interior-regime flag of canonical instances (p <= 1/2), from the
+    moduli and phases of the overlaps (_polar of alpha, then alpha_c)."""
+    q = 1.0 - p
+    den = 1.0 + 2.0 * np.sqrt(p * q) * aa * acm * np.cos(ga + gc)
+    tilde = np.sqrt(p / q)
+    return p / den, q / den, tilde, aa < tilde
 
 
-def _combination(rp, rm, ap, am, ac) -> tuple:
+def _combination(rp, rm, ap, am, acm, gc) -> tuple:
     """Combination amplitudes of the two pure pieces of the
-    system-ancilla state (see separability_params)."""
-    acm, gc = _abs(ac), np.angle(ac)
+    system-ancilla state (see separability_params); acm and gc are the
+    modulus and phase of alpha_c."""
     t_p, t_m = np.sqrt(rp) * ap, np.sqrt(rm) * am
     return t_p + t_m * acm * np.exp(-1j * gc), t_m + t_p * acm * np.exp(+1j * gc)
 
@@ -159,7 +166,7 @@ class UssdInstance:
     def _branch_weights(self) -> tuple:
         """r_plus, r_minus, tilde_alpha and the interior flag, from
         _weights once per instance."""
-        rp, rm, tilde, interior = _weights(self.p_plus, self.alpha, self.alpha_c)
+        rp, rm, tilde, interior = _weights(self.p_plus, *_polar(self.alpha), *_polar(self.alpha_c))
         return float(rp), float(rm), float(tilde), bool(interior)
 
     @property
@@ -325,8 +332,9 @@ class UssdStrategy:
             k = np.asarray(k, dtype=complex).reshape(-1)
             if k.size != 2:
                 raise ShapeError("ancilla_init must be a single-qubit vector")
-            nrm = float(np.linalg.norm(k))
-            if not abs(nrm - 1.0) <= 1e-10:
+            # PureState's bound on ||k||^2, which run_protocol applies
+            nrm2 = float(np.vdot(k, k).real)
+            if not abs(nrm2 - 1.0) <= TOL.state_norm:
                 raise RangeError("ancilla_init must be normalized")
         arr = np.array(k, dtype=complex)
         arr.setflags(write=False)
@@ -613,7 +621,7 @@ def separability_params(inst: UssdInstance, strat: UssdStrategy) -> Separability
     check_pair(inst, strat)
     rp, rm = inst.r_plus, inst.r_minus
     ap, am = strat.alpha_plus, strat.alpha_minus
-    amp_p, amp_m = _combination(rp, rm, ap, am, inst.alpha_c)
+    amp_p, amp_m = _combination(rp, rm, ap, am, *_polar(inst.alpha_c))
     qp, qm = float(abs(amp_p) ** 2), float(abs(amp_m) ** 2)
     wp, wm = float(np.angle(amp_p)), float(np.angle(amp_m))
     g2 = (float(np.angle(inst.alpha)) - math.pi) % _TWO_PI
@@ -721,42 +729,45 @@ def _canonical(p_plus, alpha, alpha_c) -> tuple:
             np.where(swapped, ac.conj(), ac))
 
 
-def _overlap_moduli(a, ac) -> tuple:
-    """|alpha| and |alpha_c| of each instance, after UssdInstance's
-    overlap checks on the whole array."""
-    for name, z in (("alpha", a), ("alpha_c", ac)):
-        _check(~np.isfinite(z), RangeError,
-               lambda i: f"{name} must be finite, got {complex(z[i])!r}")
+def _overlaps(a, ac) -> tuple:
+    """_polar of alpha, then of alpha_c, of each instance, after
+    UssdInstance's overlap checks on the whole array. A modulus is inf
+    or NaN where its overlap is not finite, so one test passes every
+    admissible array; the checks name the first fault of any other."""
     aa, acm = _abs(a), _abs(ac)
-    _check(aa >= 1.0, DegenerateOverlap,
-           lambda i: f"|alpha| = {float(aa[i])!r} leaves nothing to discriminate")
-    _check(acm > 1.0 + 1e-15, RangeError,
-           lambda i: f"|alpha_c| = {float(acm[i])!r} exceeds 1")
-    return aa, acm
+    if np.count_nonzero((aa < 1.0) & (acm <= 1.0 + 1e-15)) < aa.size:
+        for name, z in (("alpha", a), ("alpha_c", ac)):
+            _check(~np.isfinite(z), RangeError,
+                   lambda i: f"{name} must be finite, got {complex(z[i])!r}")
+        _check(aa >= 1.0, DegenerateOverlap,
+               lambda i: f"|alpha| = {float(aa[i])!r} leaves nothing to discriminate")
+        _check(acm > 1.0 + 1e-15, RangeError,
+               lambda i: f"|alpha_c| = {float(acm[i])!r} exceeds 1")
+    return aa, np.arctan2(a.imag, a.real), acm, np.arctan2(ac.imag, ac.real)
 
 
 def _separable(p, a, ac) -> SeparablePoints:
     """The separable point of each canonical instance (p <= 1/2 up to the
     1e-15 UssdInstance allows), without the swap."""
-    aa, _ = _overlap_moduli(a, ac)
-    rp, rm, tilde, interior = _weights(p, a, ac)
+    aa, ga, acm, gc = _overlaps(a, ac)
+    rp, rm, tilde, interior = _weights(p, aa, ga, acm, gc)
     # optimal_strategy, with the phase of alpha on the reference side
     mp = np.where(interior, np.sqrt(aa / np.where(interior, tilde, 1.0)), 1.0)
     mm = np.where(interior, np.sqrt(aa * tilde), aa)
-    ap, am = mp * np.exp(1j * np.angle(a)), mm.astype(complex)
+    ap, am = mp * np.exp(1j * ga), mm.astype(complex)
 
     # the angles that make the system-ancilla pair separable (both 0
-    # where no failure branch is left)
-    amp_p, amp_m = _combination(rp, rm, ap, am, ac)
-    mp2, mm2 = _abs(ap) ** 2, _abs(am) ** 2
-    qp, qm = _abs(amp_p) ** 2, _abs(amp_m) ** 2
-    fail = 1.0 - (rp * (1.0 - mp2) + rm * (1.0 - mm2))
-    num = np.sqrt(_pymax(rm * qm * (1.0 - mm2), 0.0))
-    dnm = np.sqrt(_pymax(rp * qp * (1.0 - mp2), 0.0))
+    # where no failure branch is left); |alpha_-| is mm, real and >= 0
+    (abs_p, wp), (abs_m, wm) = (_polar(x) for x in _combination(rp, rm, ap, am, acm, gc))
+    gp, gm = 1.0 - _abs(ap) ** 2, 1.0 - mm ** 2
+    fail = 1.0 - (rp * gp + rm * gm)
+    num = np.sqrt(_pymax(rm * abs_m ** 2 * gm, 0.0))
+    dnm = np.sqrt(_pymax(rp * abs_p ** 2 * gp, 0.0))
     beta = np.arctan2(num, dnm)
-    delta = np.remainder(np.angle(amp_p) - np.angle(amp_m), _TWO_PI)
+    delta = np.remainder(wp - wm, _TWO_PI)
     flat = fail < 1e-15
-    beta, delta = np.where(flat, 0.0, beta), np.where(flat, 0.0, delta)
+    if np.count_nonzero(flat):
+        beta, delta = np.where(flat, 0.0, beta), np.where(flat, 0.0, delta)
     return SeparablePoints(alpha=a, alpha_c=ac, r_plus=rp, r_minus=rm,
                            alpha_plus=ap, alpha_minus=am, beta=beta, delta=delta)
 
@@ -769,7 +780,7 @@ def coupled_amplitudes(pts: SeparablePoints) -> np.ndarray:
     phi_bar = _partner(pts.alpha_c)
     vec = (np.sqrt(pts.r_plus)[:, None] * (zp[:, :, None] * _E0).reshape(n, 8)
            + np.sqrt(pts.r_minus)[:, None] * (zm[:, :, None] * phi_bar[:, None, :]).reshape(n, 8))
-    unit_rows(vec, np.ones(n, dtype=bool))
+    unit_rows(vec, True)
     return vec
 
 

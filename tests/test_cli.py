@@ -1,9 +1,13 @@
 """Command-line contract: formats, determinism, exit codes."""
 
+import contextlib
+import importlib.util
+import io
 import itertools
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +118,32 @@ class TestEval:
     def test_invalid_prior_is_exit_2(self, tmp_path, capsys):
         assert main(["eval", "--p-plus", "1.5"]) == 2
         assert "p" in capsys.readouterr().err
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded from its file under a private name."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_eval_guard_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_eval_workload_ops_exit_zero(seed):
+    """Every op of the benchmark's eval round but the near-cancellation
+    one is an admissible instance, so it must exit 0: a changed bit near
+    a norm or range check shows here first. The near-cancellation op is
+    left alone; its exit code is not part of this contract."""
+    workloads = bench_workloads()
+    for op in workloads.eval_round(seed):
+        for argv in op:
+            if argv == workloads.NEAR_CANCELLATION:
+                continue
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(list(argv))
+            assert code == 0, (argv, err.getvalue())
 
 
 class TestSweeps:

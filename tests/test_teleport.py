@@ -451,6 +451,33 @@ class TestRuns:
         assert r.fidelity < 0.999
         assert abs(np.linalg.norm(r.final_c) - 1.0) < 1e-10
 
+    def test_failure_path_delivers_the_closed_form_state(self):
+        """The failure path's C state, derived without _live_runs: the
+        coupling sends xi|0> and xi_bar|0> to b+|00> + a+ eta|1> and
+        b-|10> + a- eta|1>, so ancilla outcome 1 leaves the system on eta
+        and C in sqrt(r+) a+ phi + sqrt(r-) a- phi_bar, read off the
+        branch embedding, the branch instance and its separable strategy.
+        It must match every failure run up to a global phase, on a plain
+        and on a dressed channel."""
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            inst = TeleportInstance(rng.uniform(0.0, 0.75), rng.uniform(0.0, math.pi),
+                                    rng.uniform(0.0, 2 * math.pi))
+            lu = (haar(rng), haar(rng))
+            runs = enumerate_runs(inst)
+            for b in (0, 1):
+                ui = branch_to_ussd(inst, b).ussd_instance
+                strat = separable_strategy(ui)
+                emb = branch_embedding(inst, b)
+                for u_c, run in ((np.eye(2), runs[3 * b]),
+                                 (lu[1], run_teleport(inst, b, None, channel_lu=lu))):
+                    assert run.s_outcome is None and run.b_outcome == b
+                    want = (math.sqrt(ui.r_plus) * strat.alpha_plus * (u_c @ emb.phi)
+                            + math.sqrt(ui.r_minus) * strat.alpha_minus * (u_c @ emb.phi_bar))
+                    want /= np.linalg.norm(want)
+                    phase = np.vdot(want, run.final_c)
+                    assert np.abs(run.final_c - phase / abs(phase) * want).max() < 1e-11
+
     def test_enumeration_covers_probability_one(self):
         runs = enumerate_runs(TeleportInstance(0.45, 2.0, 1.0))
         assert abs(sum(r.probability for r in runs) - 1.0) < 1e-10

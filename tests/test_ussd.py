@@ -153,6 +153,13 @@ class TestStrategy:
             with pytest.raises(RangeError, match="ancilla_init must be normalized"):
                 UssdStrategy(0.5, 0.5, ancilla_init=bad)
 
+    def test_ancilla_held_to_the_protocols_norm_bound(self):
+        inst = make_instance(0.3, 0.5, 0.4)
+        with pytest.raises(RangeError, match="^ancilla_init must be normalized$"):
+            optimal_strategy(inst, ancilla_init=[1 + 2e-11, 0])
+        strat = optimal_strategy(inst, ancilla_init=[1 + 2e-13, 0])
+        assert abs(run_protocol(inst, strat).success_probability - p_suc_max(inst)) < 1e-12
+
     def test_check_pair_fails_a_nan_product(self):
         inst = make_instance(0.3, 0.25, 0.0)
         for ap, am in ((math.nan, 0.5), (0.5, complex(math.nan, 0.0))):
