@@ -29,9 +29,7 @@ from .tolerances import DEFAULT as TOL
 
 _SAC = ("S", "A", "C")
 _SY = np.array([[0, -1j], [1j, 0]])
-# spin-flip kernel, real in this basis; held complex (zero imaginary
-# parts), as a matmul with a complex factor would cast it on every call
-_YY = np.kron(_SY, _SY).real.astype(complex)
+_YY = np.kron(_SY, _SY).real.astype(complex)  # spin-flip kernel, real, cast once
 
 
 def wootters_concurrence(factor):
@@ -53,7 +51,6 @@ def wootters_concurrence(factor):
     if v.ndim < 2 or v.shape[-2] != 4 or v.shape[-1] == 0:
         raise ShapeError(f"expected a 4 x r factor or a stack of them, got {v.shape}")
     lam = np.linalg.svd(v.swapaxes(-1, -2) @ _YY @ v, compute_uv=False)
-    # the sum of one value is that value, bit for bit
     c = lam[..., 0] - (lam[..., 1] if lam.shape[-1] == 2 else lam[..., 1:].sum(axis=-1))
     c = np.where(c > 0.0, c, 0.0)
     return c if v.ndim > 2 else float(c)
@@ -61,17 +58,13 @@ def wootters_concurrence(factor):
 
 def _hyperdet_tangle(v: np.ndarray) -> float:
     """Residual tripartite tangle via the degree-4 polynomial invariant."""
-    a = {format(i, "03b"): v[i] for i in range(8)}
-    d1 = (a["000"] ** 2 * a["111"] ** 2 + a["001"] ** 2 * a["110"] ** 2
-          + a["010"] ** 2 * a["101"] ** 2 + a["100"] ** 2 * a["011"] ** 2)
-    d2 = (a["000"] * a["111"] * a["011"] * a["100"]
-          + a["000"] * a["111"] * a["101"] * a["010"]
-          + a["000"] * a["111"] * a["110"] * a["001"]
-          + a["011"] * a["100"] * a["101"] * a["010"]
-          + a["011"] * a["100"] * a["110"] * a["001"]
-          + a["101"] * a["010"] * a["110"] * a["001"])
-    d3 = (a["000"] * a["110"] * a["101"] * a["011"]
-          + a["111"] * a["001"] * a["010"] * a["100"])
+    a000, a001, a010, a011, a100, a101, a110, a111 = v
+    d1 = (a000 ** 2 * a111 ** 2 + a001 ** 2 * a110 ** 2
+          + a010 ** 2 * a101 ** 2 + a100 ** 2 * a011 ** 2)
+    d2 = (a000 * a111 * a011 * a100 + a000 * a111 * a101 * a010
+          + a000 * a111 * a110 * a001 + a011 * a100 * a101 * a010
+          + a011 * a100 * a110 * a001 + a101 * a010 * a110 * a001)
+    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
     return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
 
 
@@ -103,38 +96,34 @@ def _factor(amplitudes, register, keep) -> np.ndarray:
     reshaped to its kept labels (in register order) x the traced ones:
     the (N, 2**k, 2**(n-k)) stack of factors V of the reduced states
     rho = V V^dag."""
-    tensor, order, rows, cols = _factor_axes(tuple(register), tuple(keep))
-    t = amplitudes.reshape(tensor)
-    return t.transpose(order).reshape(len(t), rows, cols)
-
-
-@functools.cache
-def _factor_axes(register, keep) -> tuple:
-    """_factor's tensor shape, axis order and factor dimensions for one
-    register and kept set, worked out once per pair."""
     kept = [i for i, q in enumerate(register) if q in keep]
     traced = [i for i, q in enumerate(register) if q not in keep]
-    return ((-1,) + (2,) * len(register), (0, *(1 + i for i in kept + traced)),
-            2 ** len(kept), 2 ** len(traced))
+    t = amplitudes.reshape((-1,) + (2,) * len(register))
+    return t.transpose([0] + [1 + i for i in kept + traced]).reshape(
+        len(t), 2 ** len(kept), 2 ** len(traced))
 
 
 @functools.cache
-def _column_pairs(n: int) -> tuple:
-    """np.triu_indices(n, 1), the column pairs j < k, built once per
-    count and returned read-only."""
-    j, k = np.triu_indices(n, 1)
-    j.flags.writeable = k.flags.writeable = False
-    return j, k
+def _minor_entries(register, q: str) -> np.ndarray:
+    """The flat positions of W0j, W1k, W0k and W1j (rows) in a state
+    vector on register, over j < k, W the factor of qubit q: built once
+    per register and qubit, and returned read-only."""
+    w = _factor(np.arange(2 ** len(register))[None], register, [q])[0]
+    j, k = np.triu_indices(w.shape[-1], 1)
+    entries = np.stack([w[0, j], w[1, k], w[0, k], w[1, j]])
+    entries.flags.writeable = False
+    return entries
 
 
 def _tangles(amplitudes, register, q: str) -> np.ndarray:
     """One-vs-rest tangle of qubit q, 4 det of its reduced state, in each
-    row of a stack of state vectors on register. With W the 2 x 2**(n-1)
-    factor of that state, det(W W^dag) is the sum of |W0j W1k - W0k W1j|^2
-    over j < k (Cauchy-Binet), so it cannot go negative."""
-    w = _factor(amplitudes, register, [q])
-    j, k = _column_pairs(w.shape[-1])
-    minor = w[:, 0, j] * w[:, 1, k] - w[:, 0, k] * w[:, 1, j]
+    row of an (N, 2**n) stack of state vectors on register. With W the
+    2 x 2**(n-1) factor of that state, det(W W^dag) is the sum of
+    |W0j W1k - W0k W1j|^2 over j < k (Cauchy-Binet), so it cannot go
+    negative. The entries are gathered from the rows as from W."""
+    w0j, w1k, w0k, w1j = _minor_entries(tuple(register), q)
+    a = amplitudes
+    minor = a[:, w0j] * a[:, w1k] - a[:, w0k] * a[:, w1j]
     return 4.0 * (minor.real * minor.real + minor.imag * minor.imag).sum(axis=-1)
 
 
@@ -270,10 +259,8 @@ def closed_form_coherences(inst, strat=None) -> tuple:
         return tuple(float(c[0]) for c in
                      closed_form_coherences(SeparablePoints.of(inst, strat)))
     pts = inst
-    aa = np.hypot(pts.alpha.real, pts.alpha.imag)
-    ac = np.hypot(pts.alpha_c.real, pts.alpha_c.imag)
-    mp = np.hypot(pts.alpha_plus.real, pts.alpha_plus.imag)
-    mm = np.hypot(pts.alpha_minus.real, pts.alpha_minus.imag)
+    aa, ac, mp, mm = (np.hypot(z.real, z.imag)
+                      for z in (pts.alpha, pts.alpha_c, pts.alpha_plus, pts.alpha_minus))
     pref, c_total = _total(pts.r_plus, pts.r_minus, aa, ac)
     # rewritten, as c_total is, to avoid cancellation as |alpha| -> 1,
     # with the pair constraint |a+||a-| = |alpha|
@@ -431,19 +418,15 @@ def _golden_min(f, lo, hi, tol: float = 1e-10) -> tuple:
     both of its candidates in the same call, three rows per bracket.
     Those speculative points lie inside the current bracket, and an
     error f raises at the one the search does not take still propagates.
-
-    Each bracket is kept as a list [a, b, c, d, f(c), f(d)] of floats: a
-    step is a few scalar assignments, where on arrays it is some thirty
-    gathers and scatters for the handful of brackets a search holds.
-    The arithmetic is IEEE either way, so every point is bit-equal.
+    A bracket is kept as a list [a, b, c, d, f(c), f(d)] of floats.
     """
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c, d = b - inv * (b - a), a + inv * (b - a)
     every = np.arange(a.size)
     both = f(np.concatenate([every, every]), np.concatenate([c, d])).tolist()
-    brackets = [list(t) for t in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist(),
-                                     both[:a.size], both[a.size:])]
+    br = [list(t) for t in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist(),
+                               both[:a.size], both[a.size:])]
 
     def step(t) -> int:
         """One step of bracket t by its known comparison; the slot of the
@@ -455,22 +438,21 @@ def _golden_min(f, lo, hi, tol: float = 1e-10) -> tuple:
         t[0], t[2], t[3], t[4] = c, d, c + inv * (b - c), fd
         return 5
 
-    rows = [i for i, t in enumerate(brackets) if t[1] - t[0] > tol]
+    rows = [i for i, t in enumerate(br) if t[1] - t[0] > tol]
     while rows:
-        slots = [step(brackets[i]) for i in rows]
-        two = [i for i in rows if brackets[i][1] - brackets[i][0] > tol]
-        n, m = len(rows), len(two)
+        slots = [step(br[i]) for i in rows]
+        two = [i for i in rows if br[i][1] - br[i][0] > tol]
         # the points the first step took, then both candidates of the next
-        x = [brackets[i][s - 2] for i, s in zip(rows, slots)]
-        x += [t[3] - inv * (t[3] - t[0]) for t in map(brackets.__getitem__, two)]
-        x += [t[2] + inv * (t[1] - t[2]) for t in map(brackets.__getitem__, two)]
-        fx = f(np.array(rows + two + two), np.array(x)).tolist()
+        fx = f(np.array(rows + two + two),
+               np.array([br[i][s - 2] for i, s in zip(rows, slots)]
+                        + [br[i][3] - inv * (br[i][3] - br[i][0]) for i in two]
+                        + [br[i][2] + inv * (br[i][1] - br[i][2]) for i in two])).tolist()
         for i, s, v in zip(rows, slots, fx):
-            brackets[i][s] = v
-        for i, v in zip(two, zip(fx[n:n + m], fx[n + m:])):
-            s = step(brackets[i])
-            brackets[i][s] = v[s - 4]
-        rows = [i for i in two if brackets[i][1] - brackets[i][0] > tol]
-    a, b = np.array([t[:2] for t in brackets], dtype=float).reshape(-1, 2).T
+            br[i][s] = v
+        for i, v in zip(two, zip(fx[len(rows):], fx[len(rows) + len(two):])):
+            s = step(br[i])
+            br[i][s] = v[s - 4]
+        rows = [i for i in two if br[i][1] - br[i][0] > tol]
+    a, b = np.array([t[:2] for t in br], dtype=float).reshape(-1, 2).T
     x = 0.5 * (a + b)
     return x, f(every, x)

@@ -66,8 +66,7 @@ def _abs(z: np.ndarray) -> np.ndarray:
 
 
 def _polar(z) -> tuple:
-    """_abs(z) and np.angle(z), the arctan2 np.angle calls, of a complex
-    value or array."""
+    """_abs(z) and np.angle(z) of a complex value or array."""
     return np.hypot(z.real, z.imag), np.arctan2(z.imag, z.real)
 
 
@@ -78,8 +77,7 @@ def _pymax(a, b):
 
 def _weights(p, aa, ga, acm, gc) -> tuple:
     """Branch weights r+-, the prior-ratio threshold tilde_alpha and the
-    interior-regime flag of canonical instances (p <= 1/2), from the
-    moduli and phases of the overlaps (_polar of alpha, then alpha_c)."""
+    interior-regime flag of canonical instances (p <= 1/2), from _overlaps."""
     q = 1.0 - p
     den = 1.0 + 2.0 * np.sqrt(p * q) * aa * acm * np.cos(ga + gc)
     tilde = np.sqrt(p / q)
@@ -87,9 +85,8 @@ def _weights(p, aa, ga, acm, gc) -> tuple:
 
 
 def _combination(rp, rm, ap, am, acm, gc) -> tuple:
-    """Combination amplitudes of the two pure pieces of the
-    system-ancilla state (see separability_params); acm and gc are the
-    modulus and phase of alpha_c."""
+    """Combination amplitudes of the two pure pieces of the system-ancilla
+    state (see separability_params); acm, gc: _polar of alpha_c."""
     t_p, t_m = np.sqrt(rp) * ap, np.sqrt(rm) * am
     return t_p + t_m * acm * np.exp(-1j * gc), t_m + t_p * acm * np.exp(+1j * gc)
 
@@ -725,16 +722,17 @@ def _canonical(p_plus, alpha, alpha_c) -> tuple:
     _check(~((0.0 <= p) & (p <= 1.0)), RangeError,
            lambda i: f"p_plus must lie in [0, 1], got {float(p[i])!r}")
     swapped = p > 0.5
+    if not np.count_nonzero(swapped):
+        return p, a, ac
     return (np.where(swapped, 1.0 - p, p), np.where(swapped, a.conj(), a),
             np.where(swapped, ac.conj(), ac))
 
 
 def _overlaps(a, ac) -> tuple:
-    """_polar of alpha, then of alpha_c, of each instance, after
-    UssdInstance's overlap checks on the whole array. A modulus is inf
-    or NaN where its overlap is not finite, so one test passes every
-    admissible array; the checks name the first fault of any other."""
-    aa, acm = _abs(a), _abs(ac)
+    """_polar of alpha, then of alpha_c, after UssdInstance's overlap
+    checks on the whole array; a modulus is inf or NaN where its overlap
+    is not finite, so one test passes every admissible array."""
+    (aa, ga), (acm, gc) = _polar(a), _polar(ac)
     if np.count_nonzero((aa < 1.0) & (acm <= 1.0 + 1e-15)) < aa.size:
         for name, z in (("alpha", a), ("alpha_c", ac)):
             _check(~np.isfinite(z), RangeError,
@@ -743,7 +741,7 @@ def _overlaps(a, ac) -> tuple:
                lambda i: f"|alpha| = {float(aa[i])!r} leaves nothing to discriminate")
         _check(acm > 1.0 + 1e-15, RangeError,
                lambda i: f"|alpha_c| = {float(acm[i])!r} exceeds 1")
-    return aa, np.arctan2(a.imag, a.real), acm, np.arctan2(ac.imag, ac.real)
+    return aa, ga, acm, gc
 
 
 def _separable(p, a, ac) -> SeparablePoints:
