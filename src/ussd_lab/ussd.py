@@ -108,8 +108,7 @@ def _zeta(ap, am, beta, delta) -> tuple:
     n = beta.size
     eta = _eta(beta, delta)
     ap, am = ap[:, None], am[:, None]
-    bp = np.sqrt(_pymax(0.0, 1.0 - _abs(ap) ** 2))
-    bm = np.sqrt(_pymax(0.0, 1.0 - _abs(am) ** 2))
+    bp, bm = np.sqrt(_pymax(0.0, 1.0 - _abs(np.concatenate([ap, am])) ** 2)).reshape(2, n, 1)
     eta_a1 = (eta[:, :, None] * _E1).reshape(n, 4)       # np.kron(eta, e1)
     return bp * _E00 + ap * eta_a1, bm * _E10 + am * eta_a1
 
