@@ -259,8 +259,10 @@ def closed_form_coherences(inst, strat=None) -> tuple:
         return tuple(float(c[0]) for c in
                      closed_form_coherences(SeparablePoints.of(inst, strat)))
     pts = inst
-    aa, ac, mp, mm = (np.hypot(z.real, z.imag)
-                      for z in (pts.alpha, pts.alpha_c, pts.alpha_plus, pts.alpha_minus))
+    aa = np.hypot(pts.alpha.real, pts.alpha.imag)
+    ac = np.hypot(pts.alpha_c.real, pts.alpha_c.imag)
+    mp = np.hypot(pts.alpha_plus.real, pts.alpha_plus.imag)
+    mm = np.hypot(pts.alpha_minus.real, pts.alpha_minus.imag)
     pref, c_total = _total(pts.r_plus, pts.r_minus, aa, ac)
     # rewritten, as c_total is, to avoid cancellation as |alpha| -> 1,
     # with the pair constraint |a+||a-| = |alpha|
