@@ -105,9 +105,8 @@ def _factor(amplitudes, register, keep) -> np.ndarray:
 
 @functools.cache
 def _minor_entries(register, q: str) -> np.ndarray:
-    """The flat positions of W0j, W1k, W0k and W1j (rows) in a state
-    vector on register, over j < k, W the factor of qubit q: built once
-    per register and qubit, and returned read-only."""
+    """Flat positions of W0j, W1k, W0k, W1j (rows) over j < k, W the factor
+    of qubit q in a state vector on register; built once, read-only."""
     w = _factor(np.arange(2 ** len(register))[None], register, [q])[0]
     j, k = np.triu_indices(w.shape[-1], 1)
     entries = np.stack([w[0, j], w[1, k], w[0, k], w[1, j]])
@@ -120,7 +119,7 @@ def _tangles(amplitudes, register, q: str) -> np.ndarray:
     row of an (N, 2**n) stack of state vectors on register. With W the
     2 x 2**(n-1) factor of that state, det(W W^dag) is the sum of
     |W0j W1k - W0k W1j|^2 over j < k (Cauchy-Binet), so it cannot go
-    negative. The entries are gathered from the rows as from W."""
+    negative."""
     w0j, w1k, w0k, w1j = _minor_entries(tuple(register), q)
     a = amplitudes
     minor = a[:, w0j] * a[:, w1k] - a[:, w0k] * a[:, w1j]
@@ -431,8 +430,7 @@ def _golden_min(f, lo, hi, tol: float = 1e-10) -> tuple:
                                both[:a.size], both[a.size:])]
 
     def step(t) -> int:
-        """One step of bracket t by its known comparison; the slot of the
-        value its new point needs, 4 (its new c) or 5 (its new d)."""
+        """Step bracket t by its known comparison; 4 if its new point is c, 5 if d."""
         a, b, c, d, fc, fd = t
         if fc < fd:
             t[1], t[2], t[3], t[5] = d, d - inv * (d - a), c, fc
