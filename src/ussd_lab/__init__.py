@@ -16,8 +16,6 @@ from .errors import (
     UnknownQubit,
     UssdLabError,
 )
-from .tolerances import DEFAULT as DEFAULT_TOLERANCES
-from .tolerances import Tolerances
 from .qcore import (
     CNOT,
     HADAMARD,
@@ -97,8 +95,6 @@ __all__ = [
     "UssdLabError", "RegisterClash", "UnknownQubit", "ShapeError",
     "DegenerateOverlap", "UndefinedPhase", "EmbeddingError",
     "RangeError", "NumericalError",
-    # tolerances
-    "Tolerances", "DEFAULT_TOLERANCES",
     # state/register layer
     "PureState", "Unitary", "PAULI", "HADAMARD", "CNOT",
     # coherence accounting

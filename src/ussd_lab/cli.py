@@ -26,17 +26,13 @@ import numpy as np
 from . import __version__
 from .errors import UndefinedPhase, UssdLabError
 from .coherence import (
-    _total,
     closed_form_coherences,
     coherence_band,
     ledger,
     wootters_concurrence,
 )
 from .ussd import (
-    _canonical,
-    _overlaps,
-    _p_suc,
-    _weights,
+    _fig2_cells,
     bargmann_phase,
     coupled_amplitudes,
     coupled_state,
@@ -167,11 +163,8 @@ def cmd_fig2(args) -> int:
     # one instance per |alpha_c| (row) and phase (column), flattened row
     # by row: a failing check names the instance a loop over rows meets first
     alpha = args.alpha * np.exp(1j * np.array([0.0, math.pi / 2, math.pi]))
-    p, a, ac = _canonical(args.p_plus, alpha, pts[:, None])
-    aa, ga, acm, gc = _overlaps(a, ac)
-    rp, rm, _, interior = _weights(p, aa, ga, acm, gc)
-    cells = (pts[:, None], _total(rp, rm, aa, acm)[1].reshape(-1, 3),
-             _p_suc(rp, rm, aa, interior).reshape(-1, 3))
+    c_total, p_suc = _fig2_cells(args.p_plus, alpha, pts[:, None])
+    cells = (pts[:, None], c_total.reshape(-1, 3), p_suc.reshape(-1, 3))
     columns = ["abs_alpha_c",
                "c_total_gamma_0", "c_total_gamma_half_pi", "c_total_gamma_pi",
                "p_suc_gamma_0", "p_suc_gamma_half_pi", "p_suc_gamma_pi"]

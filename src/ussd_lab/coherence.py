@@ -25,9 +25,9 @@ from .errors import (
     _count,
 )
 from .qcore import PureState, unit_rows
-from .tolerances import DEFAULT as TOL
 
 _SAC = ("S", "A", "C")
+_TANGLE_CONSISTENCY = 1e-9      # polynomial invariant vs the residual route
 _SY = np.array([[0, -1j], [1j, 0]])
 _YY = np.kron(_SY, _SY).real.astype(complex)  # spin-flip kernel, real, cast once
 
@@ -84,7 +84,7 @@ def three_tangle(psi) -> float:
     for pivot in state.register:
         x, y = [q for q in state.register if q != pivot]
         residual = led.bipartite_of(pivot) - (led.pair(pivot, x) + led.pair(pivot, y))
-        if abs(residual - t3) > TOL.tangle_consistency:
+        if abs(residual - t3) > _TANGLE_CONSISTENCY:
             raise NumericalError(
                 f"tangle routes disagree at pivot {pivot}: {residual!r} vs {t3!r}"
             )
@@ -168,12 +168,12 @@ class CoherenceLedger:
             raise NumericalError(f"ledger entry outside [0, 1]: {entries}")
         if not (lo <= self.c_total <= 2.0 + 1e-10):
             raise NumericalError(f"total coherence out of range: {self.c_total!r}")
-        if self.monogamy_residual > TOL.monogamy:
+        if self.monogamy_residual > 1e-9:
             raise NumericalError(
                 f"monogamy sums spread by {self.monogamy_residual:.3e}"
             )
         gap = abs(self.c_genuine - (self.c_total - sum(self.c_pairwise.values())))
-        if gap > TOL.tangle_consistency:
+        if gap > _TANGLE_CONSISTENCY:
             raise NumericalError(f"genuine tangle off by {gap:.3e} from the sums")
 
 
@@ -347,8 +347,9 @@ def coherence_band(p_plus: float, abs_alpha, abs_alpha_c: float,
     vals = _band_share(p_plus, aa[:, None], abs_alpha_c, gammas)
     vmin, vmax = vals.min(axis=1), vals.max(axis=1)
     # flat profile: every gamma is extremal, report the stationary point
-    flat = vmax - vmin < 1e-12 * np.where(vmax > 1.0, vmax, 1.0)
-    arg = np.full(aa.size, math.acos(max(-1.0, min(1.0, -abs_alpha_c))))
+    # (a share lies in [0, 1], and _band_share has refused |alpha_c| >= 1)
+    flat = vmax - vmin < 1e-12
+    arg = np.full(aa.size, math.acos(-abs_alpha_c))
 
     live = np.flatnonzero(~flat)
     if live.size:
@@ -359,7 +360,7 @@ def coherence_band(p_plus: float, abs_alpha, abs_alpha_c: float,
         arg[live] = peak
         vmax[live] = np.where(-neg_peak > vmax[live], -neg_peak, vmax[live])
 
-    tol_min = vmin + 1e-9 * np.where(vmax > 1.0, vmax, 1.0)
+    tol_min = vmin + 1e-9
     scans = tuple(
         BandScan(float(vmin[r]), float(vmax[r]),
                  (0.0, math.pi) if flat[r] else
@@ -398,8 +399,8 @@ def _band_share(p_plus, abs_alpha, abs_alpha_c, gammas) -> np.ndarray:
             f"|alpha_c| = {ac!r}, gamma = {g!r}; share undefined")
     c_ca = wootters_concurrence(_factor(amps, _SAC, ["C", "A"]))
     share = c_ca * c_ca / total
-    # bounded by the pivot sum, so out-of-range values are pure noise
-    share = np.where(0.0 > share, 0.0, share)
+    # at most 1 by the pivot sum, so a larger value is noise; c_ca >= 0
+    # and total > 0, so share >= 0
     return np.where(1.0 < share, 1.0, share).reshape(shape)
 
 

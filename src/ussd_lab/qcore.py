@@ -22,9 +22,10 @@ from .errors import (
     UnknownQubit,
     _check,
 )
-from .tolerances import DEFAULT as TOL
 
 KNOWN_LABELS = ("S", "C", "A", "B")
+
+_STATE_NORM = 1e-12     # | ||psi||^2 - 1 | of a state vector
 
 
 def _checked_register(register) -> tuple:
@@ -61,7 +62,7 @@ class PureState:
                 f"register {reg} needs {2 ** len(reg)} amplitudes, got {amp.size}"
             )
         nrm2 = float(np.vdot(amp, amp).real)
-        if not abs(nrm2 - 1.0) <= TOL.state_norm:     # NaN fails too
+        if not abs(nrm2 - 1.0) <= _STATE_NORM:     # NaN fails too
             raise ShapeError(f"state vector not normalized: ||psi||^2 = {nrm2!r}")
         object.__setattr__(self, "amplitudes", _frozen_array(amp, amp.size))
 
@@ -149,7 +150,7 @@ def unit_rows(stack, mask, where=_nowhere) -> None:
     where(i), a suffix to the message (none by default)."""
     flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
     nrm2 = np.einsum("ij,ij->i", flat.conj(), flat).real
-    _check(mask & ~(np.abs(nrm2 - 1.0) <= TOL.state_norm), ShapeError,
+    _check(mask & ~(np.abs(nrm2 - 1.0) <= _STATE_NORM), ShapeError,
            lambda i: f"state vector not normalized{where(i)}: "
                      f"||psi||^2 = {float(nrm2[i])!r}")
 
@@ -172,15 +173,15 @@ def apply_rows(u, t, axes, where=_nowhere) -> np.ndarray:
 
 def unitary_rows(stack, mask, where=_nowhere) -> None:
     """Unitary's check on the (n, d, d) matrices of a stack that mask
-    selects: max |U^dag U - 1| within TOL.unitary. Entries of a unitary
+    selects: max |U^dag U - 1| within 1e-12. Entries of a unitary
     lie in the unit disc; that bound is tested first, and a row that
     fails it (NaN included) is left out of the product, which keeps NaN
     and overflow out of it. where(i) names a failing row as in
     unit_rows."""
-    inside = np.abs(stack).max(axis=(1, 2), initial=0.0) <= 1.0 + TOL.unitary
+    inside = np.abs(stack).max(axis=(1, 2), initial=0.0) <= 1.0 + 1e-12
     m = stack if inside.all() else np.where(inside[:, None, None], stack, 0.0)
     dev = np.abs(m.conj().swapaxes(1, 2) @ m - np.eye(stack.shape[-1])).max(axis=(1, 2), initial=0.0)
-    _check(mask & ~(inside & (dev <= TOL.unitary)), ShapeError,
+    _check(mask & ~(inside & (dev <= 1e-12)), ShapeError,
            lambda i: f"matrix is not unitary{where(i)}")
 
 

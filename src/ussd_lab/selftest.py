@@ -35,11 +35,8 @@ from .coherence import (
 )
 from .ussd import (
     SeparablePoints,
-    _canonical,
     _environment_tangles,
-    _overlaps,
-    _p_suc,
-    _weights,
+    _fig2_cells,
     bargmann_loop,
     bargmann_phase,
     build_chi,
@@ -382,10 +379,7 @@ def _bargmann_teleport_branches(mus=(0.7, 2.4)):
 def _fig2_monotone():
     # fig2's array pass: one row per |alpha_c|, columns gamma = 0 and pi
     acs = np.linspace(0.0, 1.0 - 1e-9, 101)
-    p, alpha, alpha_c = _canonical(0.2, np.array([0.4, -0.4]), acs[:, None])
-    aa, ga, acm, gc = _overlaps(alpha, alpha_c)
-    rp, rm, _, interior = _weights(p, aa, ga, acm, gc)
-    p0, ppi = _p_suc(rp, rm, aa, interior).reshape(-1, 2).T.tolist()
+    p0, ppi = _fig2_cells(0.2, np.array([0.4, -0.4]), acs[:, None])[1].reshape(-1, 2).T.tolist()
     worst = 0.0
     for a, b in zip(p0, p0[1:]):
         worst = max(worst, b - a)          # must not increase

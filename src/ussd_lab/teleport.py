@@ -550,10 +550,10 @@ def fig4_sweep(tangles, nodes: int = 64) -> list:
         t = float(t)
         if not 0.0 <= t <= 1.0:
             raise RangeError(f"tangle must lie in [0, 1], got {t!r}")
-        s = math.sqrt(max(0.0, 1.0 - t))
+        s = math.sqrt(1.0 - t)
         ts.append(t)
         ss.append(s)
-        angles.append(0.5 * math.asin(min(1.0, s)))
+        angles.append(0.5 * math.asin(s))
     rows = []
     for t, s, (smr_t, smr_c, smr_r) in zip(ts, ss, square_mean_root(np.array(angles), nodes)):
         if smr_t > 1e-14:

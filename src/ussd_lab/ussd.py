@@ -44,8 +44,7 @@ from .qcore import (
     unit_rows,
     vdot_rows,
 )
-from .coherence import _factor, _tangles
-from .tolerances import DEFAULT as TOL
+from .coherence import _factor, _tangles, _total
 
 _TWO_PI = 2.0 * math.pi
 
@@ -68,6 +67,15 @@ def _abs(z: np.ndarray) -> np.ndarray:
 def _polar(z) -> tuple:
     """_abs(z) and np.angle(z) of a complex value or array."""
     return np.hypot(z.real, z.imag), np.arctan2(z.imag, z.real)
+
+
+def _modulus(z: complex) -> float:
+    """abs(z), or inf where abs raises OverflowError: np.hypot, the
+    modulus of the stacked route, returns inf there."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def _pymax(a, b):
@@ -146,12 +154,11 @@ class UssdInstance:
         for name, value in (("alpha", self.alpha), ("alpha_c", self.alpha_c)):
             if not cmath.isfinite(value):
                 raise RangeError(f"{name} must be finite, got {value!r}")
-        if abs(self.alpha) >= 1.0:
-            raise DegenerateOverlap(
-                f"|alpha| = {abs(self.alpha)!r} leaves nothing to discriminate"
-            )
-        if abs(self.alpha_c) > 1.0 + 1e-15:
-            raise RangeError(f"|alpha_c| = {abs(self.alpha_c)!r} exceeds 1")
+        aa, acm = _modulus(self.alpha), _modulus(self.alpha_c)
+        if aa >= 1.0:
+            raise DegenerateOverlap(f"|alpha| = {aa!r} leaves nothing to discriminate")
+        if acm > 1.0 + 1e-15:
+            raise RangeError(f"|alpha_c| = {acm!r} exceeds 1")
 
     @property
     def gamma(self) -> float:
@@ -228,7 +235,7 @@ class Embedding:
 
 def _check_embeddings(xi, xi_bar, phi, phi_bar, alpha, alpha_c, where=_nowhere) -> None:
     """Each row of the (N, 2) vector stacks must be a unit vector, and
-    each pair must reproduce its instance overlap, within 10 TOL.overlap;
+    each pair must reproduce its instance overlap, within 1e-11;
     the first row to fail raises EmbeddingError, named by where(i). The
     six inner products of every row are one vdot_rows call, so a row's
     values are those of np.vdot on its vectors."""
@@ -237,7 +244,7 @@ def _check_embeddings(xi, xi_bar, phi, phi_bar, alpha, alpha_c, where=_nowhere) 
                      np.concatenate((xi_bar, xi, phi_bar, phi, xi, phi))).reshape(6, n)
     dev = dots - 1.0
     dev[4], dev[5] = dots[4] - alpha, dots[5] - alpha_c
-    bad = np.abs(dev) > TOL.overlap * 10
+    bad = np.abs(dev) > 1e-11
     if not bad.any():
         return
     for k, name in enumerate(("system", "environment")):
@@ -328,10 +335,10 @@ class UssdStrategy:
             k = np.asarray(k, dtype=complex).reshape(-1)
             if k.size != 2:
                 raise ShapeError("ancilla_init must be a single-qubit vector")
-            # PureState's bound on ||k||^2, which run_protocol applies
-            nrm2 = float(np.vdot(k, k).real)
-            if not abs(nrm2 - 1.0) <= TOL.state_norm:
-                raise RangeError("ancilla_init must be normalized")
+            try:
+                unit_rows(k[None], True)        # run_protocol's check on k
+            except ShapeError:
+                raise RangeError("ancilla_init must be normalized") from None
         arr = np.array(k, dtype=complex)
         arr.setflags(write=False)
         object.__setattr__(self, "ancilla_init", arr)
@@ -469,7 +476,7 @@ def _coupling(pts, xi, xi_bar, k) -> tuple:
 
 
 def _check_mapping(miss, where=_nowhere) -> None:
-    _check(~(miss <= TOL.mapping), NumericalError,
+    _check(~(miss <= 1e-10), NumericalError,
            lambda i: f"coupling unitary misses a constraint by {miss[i]:.3e}{where(i)}")
 
 
@@ -713,13 +720,17 @@ def separable_points(p_plus, alpha, alpha_c) -> SeparablePoints:
 
 
 def _canonical(p_plus, alpha, alpha_c) -> tuple:
-    """make_instance's prior check and swap over broadcast arrays: flat
-    arrays of canonical priors (p <= 1/2) and overlaps, in C order."""
+    """make_instance's swap over broadcast arrays: flat arrays of
+    canonical priors (p <= 1/2) and overlaps, in C order. One test passes
+    every admissible prior; where it fails, make_instance rejects the
+    first entry that fails it."""
     shape = np.broadcast(p_plus, alpha, alpha_c).shape
     p = _flat(p_plus, shape, float)
     a, ac = _flat(alpha, shape, complex), _flat(alpha_c, shape, complex)
-    _check(~((0.0 <= p) & (p <= 1.0)), RangeError,
-           lambda i: f"p_plus must lie in [0, 1], got {float(p[i])!r}")
+    ok = (0.0 <= p) & (p <= 1.0)
+    if np.count_nonzero(ok) < p.size:
+        i = int(np.argmin(ok))
+        make_instance(p[i], a[i], ac[i])
     swapped = p > 0.5
     if not np.count_nonzero(swapped):
         return p, a, ac
@@ -727,26 +738,33 @@ def _canonical(p_plus, alpha, alpha_c) -> tuple:
             np.where(swapped, ac.conj(), ac))
 
 
-def _overlaps(a, ac) -> tuple:
-    """_polar of alpha, then of alpha_c, after UssdInstance's overlap
-    checks on the whole array; a modulus is inf or NaN where its overlap
-    is not finite, so one test passes every admissible array."""
+def _overlaps(p, a, ac) -> tuple:
+    """_polar of alpha, then of alpha_c, of canonical instances with
+    priors p. A modulus is inf or NaN where its overlap is not finite, so
+    one test passes every admissible array; where it fails, UssdInstance
+    rejects the first entry that fails it."""
     (aa, ga), (acm, gc) = _polar(a), _polar(ac)
-    if np.count_nonzero((aa < 1.0) & (acm <= 1.0 + 1e-15)) < aa.size:
-        for name, z in (("alpha", a), ("alpha_c", ac)):
-            _check(~np.isfinite(z), RangeError,
-                   lambda i: f"{name} must be finite, got {complex(z[i])!r}")
-        _check(aa >= 1.0, DegenerateOverlap,
-               lambda i: f"|alpha| = {float(aa[i])!r} leaves nothing to discriminate")
-        _check(acm > 1.0 + 1e-15, RangeError,
-               lambda i: f"|alpha_c| = {float(acm[i])!r} exceeds 1")
+    ok = (aa < 1.0) & (acm <= 1.0 + 1e-15)
+    if np.count_nonzero(ok) < aa.size:
+        i = int(np.argmin(ok))
+        UssdInstance(float(p[i]), complex(a[i]), complex(ac[i]))
     return aa, ga, acm, gc
+
+
+def _fig2_cells(p_plus, alpha, alpha_c) -> tuple:
+    """make_instance over broadcast arrays, then the total coherence and
+    the optimal success probability of each instance, flat in C order:
+    the pass that fig2 prints and the battery's fig2 check reads."""
+    p, a, ac = _canonical(p_plus, alpha, alpha_c)
+    aa, ga, acm, gc = _overlaps(p, a, ac)
+    rp, rm, _, interior = _weights(p, aa, ga, acm, gc)
+    return _total(rp, rm, aa, acm)[1], _p_suc(rp, rm, aa, interior)
 
 
 def _separable(p, a, ac) -> SeparablePoints:
     """The separable point of each canonical instance (p <= 1/2 up to the
     1e-15 UssdInstance allows), without the swap."""
-    aa, ga, acm, gc = _overlaps(a, ac)
+    aa, ga, acm, gc = _overlaps(p, a, ac)
     rp, rm, tilde, interior = _weights(p, aa, ga, acm, gc)
     # optimal_strategy, with the phase of alpha on the reference side
     mp = np.where(interior, np.sqrt(aa / np.where(interior, tilde, 1.0)), 1.0)

@@ -44,7 +44,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ussd_lab import cli, coherence, oracle, selftest, teleport
+from ussd_lab import cli, coherence, oracle, selftest, teleport, ussd
 from ussd_lab.coherence import (
     _YY,
     BandScan,
@@ -176,6 +176,31 @@ def chains():
     return refs, failures, pts, amps
 
 
+# entries at the edges of make_instance's checks: priors at 0, 1/2 and 1
+# and 1 ulp either side, moduli of alpha at 1 and of alpha_c at 1 + 1e-15
+# and 1 ulp either side, inf and NaN. Phases stay where cos(gamma) >= -0.71,
+# away from gamma = pi, where the r+- denominator cancels as |alpha| and
+# |alpha_c| go to 1 (and turns negative with |alpha_c| above 1).
+_edge_priors = st.sampled_from(
+    [0.0, -5e-324, 5e-324, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+     1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), math.nan]) | st.floats(0.0, 1.0)
+_ALPHA_EDGES = [1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), math.inf, math.nan]
+_ALPHA_C_EDGES = [1.0 + 1e-15, math.nextafter(1.0 + 1e-15, 0.0), math.nextafter(1.0 + 1e-15, 2.0),
+                  1.0, math.inf, math.nan]
+
+
+def _edge_overlaps(edges, forms):
+    """Complex overlaps with an edge or a uniform modulus m, in one of
+    the forms: m ("re"), i m ("im") or m e^{i theta}, theta in [0, pi/4]
+    ("phase")."""
+    def build(m, form, theta):
+        if form == "phase":
+            return complex(m * math.cos(theta), m * math.sin(theta))
+        return complex(0.0, m) if form == "im" else complex(m, 0.0)
+    return st.builds(build, st.sampled_from(edges) | st.floats(0.0, 1.0),
+                     st.sampled_from(forms), st.floats(0.0, 0.25 * math.pi))
+
+
 class TestChain:
     def test_draws_cover_the_edges(self, chains):
         refs, failures, _, _ = chains
@@ -258,6 +283,36 @@ class TestChain:
         with pytest.raises(error) as info:
             call()
         assert str(info.value) == message
+
+    def test_stack_names_its_first_failing_entry(self):
+        """Among the overlaps, the first entry to fail is named, whichever
+        check it fails."""
+        with pytest.raises(DegenerateOverlap) as info:
+            separable_points(0.2, [1.5, 0.3, 0.3], [0.4, 0.4, math.nan])
+        assert str(info.value) == "|alpha| = 1.5 leaves nothing to discriminate"
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.tuples(_edge_priors, _edge_overlaps(_ALPHA_EDGES, ["re", "im", "phase"]),
+                              _edge_overlaps(_ALPHA_C_EDGES, ["re", "phase"])),
+                    min_size=1, max_size=6))
+    def test_stack_raises_as_its_entries_do(self, entries):
+        """A stack raises iff make_instance raises on one of its entries,
+        with that entry's error and message: the first entry whose prior
+        fails if any does (priors are checked first on the whole stack),
+        else the first entry that fails."""
+        def verdict(call):
+            try:
+                call()
+            except UssdLabError as exc:
+                return type(exc), str(exc)
+            return None
+
+        scalar = [verdict(lambda e=e: make_instance(*e)) for e in entries]
+        failing = ([i for i, (p, _, _) in enumerate(entries) if not 0.0 <= p <= 1.0]
+                   or [i for i, v in enumerate(scalar) if v is not None])
+        ps, alphas, alpha_cs = (np.array(c) for c in zip(*entries))
+        assert verdict(lambda: separable_points(ps, alphas, alpha_cs)) \
+            == (scalar[failing[0]] if failing else None)
 
 
 def wootters_one(m):
@@ -1005,7 +1060,7 @@ class TestClosedForm:
         ("_success_grid_oracle", selftest, "grid_optimize_success"),
         ("_lu_invariance", selftest, "ledger"),
         ("_separability_zero", selftest, "wootters_concurrence"),
-        ("_fig2_monotone", selftest, "_p_suc"),
+        ("_fig2_monotone", ussd, "_p_suc"),
         ("_fig4_share_profile", teleport, "square_mean_root")])
     def test_restacked_checks_make_one_kernel_call(self, check, module, kernel, monkeypatch):
         calls = []
@@ -1126,7 +1181,6 @@ class TestOneFormula:
                 == reference_weights(inst)
 
     def test_weights_are_computed_once(self, monkeypatch):
-        from ussd_lab import ussd
         calls = []
         weights = ussd._weights
         monkeypatch.setattr(ussd, "_weights", lambda *a: calls.append(a) or weights(*a))

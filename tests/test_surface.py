@@ -4,8 +4,8 @@ A name deleted from a module must leave __all__ with it, and README's
 "typical session" must keep running and printing what it says. Every
 qcore name the package exports must have a caller in the package, so
 the state layer holds only what the numeric route uses; likewise every
-exported error class must be raised (tests/test_qcore.py holds every
-Tolerances field to a reader).
+exported error class must be raised. The package exports no tolerance
+record: each guard's bound is written at its check.
 """
 
 import ast

@@ -26,11 +26,13 @@ from ussd_lab.ussd import (
     p_suc_max,
     run_protocol,
     separability_params,
+    separable_points,
     separable_strategy,
     success_probability,
     system_ancilla_factor,
     total_coherence_conservation,
 )
+from ussd_lab.qcore import unit_rows
 from ussd_lab.errors import (
     DegenerateOverlap,
     EmbeddingError,
@@ -71,6 +73,37 @@ class TestInstance:
                 make_instance(0.3, bad, 0.0)
             with pytest.raises(RangeError, match=r"^alpha_c must be finite"):
                 make_instance(0.7, 0.5, bad)
+
+    def test_overlap_bounds_are_exact(self):
+        """|alpha| < 1 and |alpha_c| <= 1 + 1e-15 to the last bit, on one
+        instance and on a stack, either side of the prior's swap."""
+        edge = 1.0 + 1e-15
+        for p in (0.3, 0.7):
+            make_instance(p, math.nextafter(1.0, 0.0), edge)
+            separable_points(p, [0.5, math.nextafter(1.0, 0.0)], [edge, edge])
+            for call in (lambda: make_instance(p, 1.0j, 0.2),
+                         lambda: separable_points(p, [0.5, 1.0j], 0.2)):
+                with pytest.raises(DegenerateOverlap, match=r"^\|alpha\| = 1\.0 leaves"):
+                    call()
+            beyond = math.nextafter(edge, 2.0)
+            for call in (lambda: make_instance(p, 0.5, beyond),
+                         lambda: separable_points(p, 0.5, [0.2, beyond])):
+                with pytest.raises(RangeError, match=rf"^\|alpha_c\| = {beyond!r} exceeds 1$"):
+                    call()
+
+    def test_overflowing_modulus_is_out_of_range(self):
+        """abs() of a finite complex can overflow; the instance then
+        reports the modulus inf, as a stack's np.hypot does."""
+        huge = complex(1.5e308, 1.5e308)
+        for alpha, alpha_c, error, message in (
+                (huge, 0.4, DegenerateOverlap, "|alpha| = inf leaves nothing to discriminate"),
+                (0.3, huge, RangeError, "|alpha_c| = inf exceeds 1")):
+            with pytest.raises(error) as info:
+                make_instance(0.2, alpha, alpha_c)
+            assert str(info.value) == message
+            with np.errstate(over="ignore"), pytest.raises(error) as info:
+                separable_points(0.2, [0.5, alpha], alpha_c)
+            assert str(info.value) == message
 
     def test_majority_prior_is_canonicalized(self):
         inst = make_instance(0.7, 0.4 * np.exp(0.5j), 0.6 * np.exp(0.2j))
@@ -159,6 +192,34 @@ class TestStrategy:
             optimal_strategy(inst, ancilla_init=[1 + 2e-11, 0])
         strat = optimal_strategy(inst, ancilla_init=[1 + 2e-13, 0])
         assert abs(run_protocol(inst, strat).success_probability - p_suc_max(inst)) < 1e-12
+
+    def test_ready_state_checked_as_run_protocol_checks_it(self):
+        """The strategy checks k with run_protocol's unit_rows, so no k
+        builds a strategy that run_protocol then refuses. For this k the
+        two sums differ by one ulp and the 1e-12 bound falls between
+        them: ||k||^2 - 1 is 9.9987e-13 by np.vdot, 1.00009e-12 by
+        einsum."""
+        inst = make_instance(0.3, 0.5, 0.4)
+        k = [0.9427531687011531 + 0j, -0.28667615285847353 + 0.17039145015874552j]
+        with pytest.raises(RangeError, match="^ancilla_init must be normalized$"):
+            optimal_strategy(inst, ancilla_init=k)
+        # ready states at the bound: each verdict is the stacked check's
+        rng = np.random.default_rng(25)
+        ks = rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2))
+        ks *= np.sqrt((1.0 + rng.uniform(-2e-12, 2e-12, 300))
+                      / np.einsum("ij,ij->i", ks.conj(), ks).real)[:, None]
+        built = []
+        for i, row in enumerate(ks):
+            only = np.arange(len(ks)) == i
+            try:
+                built.append(optimal_strategy(inst, ancilla_init=row))
+            except RangeError:
+                with pytest.raises(ShapeError, match="not normalized"):
+                    unit_rows(ks, only)
+            else:
+                unit_rows(ks, only)
+        assert 0 < len(built) < len(ks)
+        assert len(run_protocol([inst] * len(built), built)) == len(built)
 
     def test_check_pair_fails_a_nan_product(self):
         inst = make_instance(0.3, 0.25, 0.0)
