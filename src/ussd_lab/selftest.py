@@ -24,9 +24,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import RangeError
-from .qcore import PureState, apply_rows, unitary_rows
+from .qcore import PureState, apply_rows, unit_rows, unitary_rows
 from .coherence import (
     _band_share,
+    _factor,
     closed_form_coherences,
     coherence_band,
     ledger,
@@ -37,10 +38,10 @@ from .ussd import (
     SeparablePoints,
     _environment_tangles,
     _fig2_cells,
+    _loop_states,
+    _preparations,
     bargmann_loop,
     bargmann_phase,
-    build_chi,
-    canonical_embedding,
     check_pair,
     coupled_amplitudes,
     coupled_state,
@@ -157,33 +158,51 @@ def _success_born_rule(seed=13, count=6, saturation=(None,)):
     rng = np.random.default_rng(seed)
     insts = [_random_instance(rng, saturation[k % len(saturation)]) for k in range(count)]
     worst = 0.0
-    for inst, r in zip(insts, run_protocol(insts, [optimal_strategy(i) for i in insts])):
+    for inst, r in zip(insts, run_protocol(insts, optimal_strategy(insts))):
         worst = max(worst, abs(r.success_probability - p_suc_max(inst)))
     return worst, "simulated outcome statistics vs closed form"
+
+
+def _drawn_strategies(rng, count, ancilla_init=None) -> tuple:
+    """count instances, each drawn with its failure angles beta, delta,
+    and their optimal strategies from one stack."""
+    insts, betas, deltas = [], [], []
+    for _ in range(count):
+        insts.append(_random_instance(rng))
+        betas.append(rng.uniform(0, math.pi / 2))
+        deltas.append(rng.uniform(0, _TWO_PI))
+    return insts, optimal_strategy(insts, betas, deltas, ancilla_init)
 
 
 def _success_strategy_independent():
     rng = np.random.default_rng(14)
     anc = np.array([math.cos(0.4), math.sin(0.4) * np.exp(0.9j)])
-    insts, strats = [], []
-    for _ in range(5):
-        insts.append(_random_instance(rng))
-        strats.append(optimal_strategy(insts[-1], beta=rng.uniform(0, math.pi / 2),
-                                       delta=rng.uniform(0, _TWO_PI), ancilla_init=anc))
+    insts, strats = _drawn_strategies(rng, 5, anc)
     worst = 0.0
     for inst, r in zip(insts, run_protocol(insts, strats)):
         worst = max(worst, abs(r.success_probability - p_suc_max(inst)))
     return worst, "failure direction and ancilla ready state do not move P"
 
 
+def _coupled(insts, strats) -> np.ndarray:
+    """coupled_state of each pair, as one (N, 8) stack on (S, A, C):
+    check_pair on every pair, then one coupled_amplitudes call."""
+    for inst, strat in zip(insts, strats):
+        check_pair(inst, strat)
+    return coupled_amplitudes(SeparablePoints.of(insts, strats))
+
+
+def _sa_factors(insts, strats) -> np.ndarray:
+    """system_ancilla_factor of each pair's coupled state, as one
+    (N, 4, 2) stack."""
+    return _factor(_coupled(insts, strats), ("S", "A", "C"), ("S", "A"))
+
+
 def _separability_zero(seed=15, count=6):
     rng = np.random.default_rng(seed)
-    factors = []
-    for k in range(count):
-        inst = _random_instance(rng, saturated=bool(k % 3 == 0))
-        factors.append(system_ancilla_factor(coupled_state(inst, separable_strategy(inst))))
+    insts = [_random_instance(rng, saturated=bool(k % 3 == 0)) for k in range(count)]
     worst = 0.0
-    for c in wootters_concurrence(np.array(factors)).tolist():
+    for c in wootters_concurrence(_sa_factors(insts, separable_strategy(insts))).tolist():
         worst = max(worst, c)
     return worst, "system-ancilla concurrence at the tuned failure direction"
 
@@ -215,13 +234,11 @@ def _separability_argmin(seeds=(None,)):
 
 def _decomposition_residuals():
     rng = np.random.default_rng(16)
+    insts = [_random_instance(rng) for _ in range(6)]
+    strats = separable_strategy(insts)
     worst = 0.0
-    for _ in range(6):
-        inst = _random_instance(rng)
-        strat = separable_strategy(inst)
-        par = separability_params(inst, strat)
-        rep = decomposition_check(system_ancilla_factor(coupled_state(inst, strat)),
-                                  par, inst, strat)
+    for inst, strat, factor in zip(insts, strats, _sa_factors(insts, strats)):
+        rep = decomposition_check(factor, separability_params(inst, strat), inst, strat)
         worst = max(worst, rep.worst)
     return worst, "rank-two split rebuilt from scalars matches the state"
 
@@ -243,15 +260,10 @@ def _conservation(seed=17, count=20):
     tangle in each preparation and in the coupled_amplitudes stack of
     the (instance, strategy) pairs, from one _environment_tangles call."""
     rng = np.random.default_rng(seed)
-    insts, strats = [], []
-    for _ in range(count):
-        insts.append(_random_instance(rng))
-        strats.append(optimal_strategy(insts[-1], beta=rng.uniform(0, math.pi / 2),
-                                       delta=rng.uniform(0, _TWO_PI)))
-    for inst, strat in zip(insts, strats):
-        check_pair(inst, strat)
-    before, after = _environment_tangles(np.array([build_chi(i).amplitudes for i in insts]),
-                                         coupled_amplitudes(SeparablePoints.of(insts, strats)))
+    insts, strats = _drawn_strategies(rng, count)
+    chi = _preparations(insts)[1]
+    unit_rows(chi, True)
+    before, after = _environment_tangles(chi, _coupled(insts, strats))
     worst = 0.0
     for residual in np.abs(before - after).tolist():
         worst = max(worst, residual)
@@ -340,39 +352,36 @@ def _lu_invariance():
 
 def _bargmann_equality(seed=20, count=20):
     rng = np.random.default_rng(seed)
+    insts = [_random_instance(rng) for _ in range(count)]
     worst = 0.0
-    for _ in range(count):
-        inst = _random_instance(rng)
-        worst = max(worst, _circ_dist(bargmann_phase(inst), _wrap(inst.gamma)))
+    for inst, ph in zip(insts, bargmann_phase(insts)):
+        worst = max(worst, _circ_dist(ph, _wrap(inst.gamma)))
     return worst, "loop phase equals the summed overlap phase"
 
 
 def _bargmann_gauge(seed=21, count=20):
+    """Each instance's loop, as bargmann_phase builds it, and again with
+    the three states rephased by angles drawn after the instance: one
+    bargmann_loop call over both stacks."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    insts, th = [], []
     for _ in range(count):
-        inst = _random_instance(rng)
-        emb = canonical_embedding(inst)
-        v1 = (emb.xi[:, None] * emb.phi).reshape(-1)
-        v3 = (emb.xi_bar[:, None] * emb.phi_bar).reshape(-1)
-        v2 = build_chi(inst, emb).amplitudes
-        base = bargmann_loop(v1, v2, v3)
-        th = rng.uniform(0, _TWO_PI, size=3)
-        redone = bargmann_loop(np.exp(1j * th[0]) * v1,
-                               np.exp(1j * th[1]) * v2,
-                               np.exp(1j * th[2]) * v3)
-        worst = max(worst, _circ_dist(base, redone))
+        insts.append(_random_instance(rng))
+        th.append(rng.uniform(0, _TWO_PI, size=3))
+    loop = np.array(_loop_states(insts))
+    turned = np.exp(1j * np.array(th).T)[:, :, None] * loop
+    base, redone = bargmann_loop(*np.concatenate([loop, turned], axis=1)).reshape(2, -1).tolist()
+    worst = 0.0
+    for a, b in zip(base, redone):
+        worst = max(worst, _circ_dist(a, b))
     return worst, "loop phase ignores independent rephasings"
 
 
 def _bargmann_teleport_branches(mus=(0.7, 2.4)):
+    recs = _branch_records([TeleportInstance(rho, mu, 1.3) for rho in (0.2, 0.6) for mu in mus])
     worst = 0.0
-    for rho in (0.2, 0.6):
-        for mu in mus:
-            for b in (0, 1):
-                rec = branch_to_ussd(TeleportInstance(rho, mu, 1.3), b)
-                ph = bargmann_phase(rec.ussd_instance)
-                worst = max(worst, min(_circ_dist(ph, 0.0), _circ_dist(ph, math.pi)))
+    for ph in bargmann_phase([rec.ussd_instance for rec in recs]):
+        worst = max(worst, min(_circ_dist(ph, 0.0), _circ_dist(ph, math.pi)))
     return worst, "carrier branches carry loop phase 0 or pi exactly"
 
 
@@ -454,14 +463,20 @@ def _band_flat():
     return v, "decoupled environment flattens the share profile"
 
 
+def _branch_records(insts) -> tuple:
+    """branch_to_ussd of carrier outcomes 0 and 1 of each instance, in
+    that order, from one call."""
+    return branch_to_ussd([i for i in insts for _ in (0, 1)], [0, 1] * len(insts))
+
+
 def _teleport_total_closed(rhos=np.linspace(0.0, math.pi / 4, 12)):
     worst = 0.0
-    for rho, runs in zip(rhos, enumerate_runs([TeleportInstance(float(rho), 1.1, 2.2)
-                                               for rho in rhos])):
+    for rho, runs, total in zip(rhos, enumerate_runs([TeleportInstance(float(rho), 1.1, 2.2)
+                                                      for rho in rhos]),
+                                total_success_probability(np.asarray(rhos, dtype=float))):
         closed = 1.0 - math.sin(2.0 * rho)
         tot = sum(r.probability for r in runs if r.success)
-        worst = max(worst, abs(tot - closed),
-                    abs(total_success_probability(float(rho)) - closed))
+        worst = max(worst, abs(tot - closed), abs(total - closed))
     return worst, "summed success paths and the branch total equal 1 - sin(2 rho)"
 
 
@@ -469,17 +484,15 @@ def _teleport_state_independent(mus=np.linspace(0.0, math.pi, 5),
                                 nus=np.linspace(0.0, _TWO_PI * (1 - 1e-12), 5)):
     rho = 0.35
     closed = 1.0 - math.sin(2.0 * rho)
+    recs = _branch_records([TeleportInstance(rho, float(mu), float(nu))
+                            for mu in mus for nu in nus])
     worst = 0.0
     base = None
-    for mu in mus:
-        for nu in nus:
-            inst = TeleportInstance(rho, float(mu), float(nu))
-            tot = 0.0
-            for b in (0, 1):
-                rec = branch_to_ussd(inst, b)
-                tot += rec.probability * rec.success_probability
-            base = tot if base is None else base
-            worst = max(worst, abs(tot - base), abs(tot - closed))
+    for plus, minus in zip(recs[::2], recs[1::2]):
+        tot = plus.probability * plus.success_probability \
+            + minus.probability * minus.success_probability
+        base = tot if base is None else base
+        worst = max(worst, abs(tot - base), abs(tot - closed))
     return worst, "total success ignores the sent state and equals 1 - sin(2 rho)"
 
 
@@ -506,21 +519,17 @@ def _teleport_failure_leak():
 
 def _teleport_branch_priors():
     worst = 0.0
-    for rho in (0.15, 0.45, 0.75):
-        for mu in (0.5, 1.7, 2.9):
-            inst = TeleportInstance(rho, mu, 0.9)
-            for b in (0, 1):
-                rec = branch_to_ussd(inst, b)
-                ui = rec.ussd_instance
-                expected = 1.0 / (4.0 * rec.probability)
-                worst = max(worst, abs(ui.r_plus - expected),
-                            abs(ui.r_minus - expected))
+    for rec in _branch_records([TeleportInstance(rho, mu, 0.9)
+                                for rho in (0.15, 0.45, 0.75) for mu in (0.5, 1.7, 2.9)]):
+        ui = rec.ussd_instance
+        expected = 1.0 / (4.0 * rec.probability)
+        worst = max(worst, abs(ui.r_plus - expected), abs(ui.r_minus - expected))
     return worst, "branch posterior weights are 1/(4 x branch probability)"
 
 
 def _teleport_branch_ledger(rhos=(0.2, 0.45, 0.7)):
-    uis = [branch_to_ussd(TeleportInstance(float(rho), mu, 0.4), b).ussd_instance
-           for rho in rhos for mu in (0.5, 1.6, 2.7) for b in (0, 1)]
+    uis = [rec.ussd_instance for rec in _branch_records(
+        [TeleportInstance(float(rho), mu, 0.4) for rho in rhos for mu in (0.5, 1.6, 2.7)])]
     worst = 0.0
     for (ct, ca, cg), led in zip(*_separable_triples(
             [(ui.p_plus, ui.alpha, ui.alpha_c) for ui in uis])):
@@ -562,7 +571,7 @@ def _coupling_unitarity():
     rng = np.random.default_rng(22)
     insts = [_random_instance(rng) for _ in range(5)]
     worst = 0.0
-    for u in coupling_unitary(insts, [separable_strategy(i) for i in insts]):
+    for u in coupling_unitary(insts, separable_strategy(insts)):
         m = u.matrix
         worst = max(worst, float(np.max(np.abs(m.conj().T @ m - np.eye(4)))))
     return worst, "completed coupling is unitary"

@@ -44,8 +44,10 @@ from .ussd import (
     _chi_rows,
     _coupling,
     _eta,
+    _p_suc,
+    _polar,
+    _weights,
     make_instance,
-    p_suc_max,
     separable_points,
 )
 from .coherence import closed_form_coherences
@@ -69,12 +71,28 @@ def _check_angle(channel_angle, name: str = "channel_angle") -> None:
         raise RangeError(f"{name} must lie in [0, pi/4], got {channel_angle!r}")
 
 
-def _sign(b_outcome) -> float:
+def _sign(b_outcome, suffix: str = "") -> float:
     """+1 for carrier outcome 0, -1 for outcome 1; any other outcome
-    raises RangeError."""
+    raises RangeError, its message ending in suffix."""
     if b_outcome not in (0, 1):
-        raise RangeError(f"b_outcome must be 0 or 1, got {b_outcome!r}")
+        raise RangeError(f"b_outcome must be 0 or 1, got {b_outcome!r}{suffix}")
     return 1.0 if b_outcome == 0 else -1.0
+
+
+def _angles(channel_angle) -> tuple:
+    """One channel angle, or a 1-D stack of them, each checked and named
+    by its index: (True for one angle, the angles as a list of floats)."""
+    if np.ndim(channel_angle) == 0:
+        _check_angle(channel_angle)
+        return True, [float(channel_angle)]
+    angles = np.asarray(channel_angle, dtype=float)
+    if angles.ndim != 1:
+        raise ShapeError("channel_angle must be one angle or a 1-D stack, "
+                         f"got shape {angles.shape}")
+    angles = angles.tolist()
+    for i, angle in enumerate(angles):
+        _check_angle(angle, f"channel_angle[{i}]")
+    return False, angles
 
 
 def _nodes(nodes) -> int:
@@ -242,42 +260,64 @@ class BranchRecord:
     success_probability: float
 
 
-def branch_to_ussd(inst: TeleportInstance, b_outcome: int) -> BranchRecord:
+def branch_to_ussd(inst, b_outcome):
     """Reduce a carrier outcome to its discrimination instance.
 
     Equal priors always; the overlap signs make the minus branch carry a
     relative phase of pi. Raises DegenerateOverlap at channel_angle =
     pi/4 where the sub-states coincide.
+
+    One instance and outcome give a BranchRecord. Equal-length sequences
+    of instances and outcomes give a tuple of them from one pass: the
+    outcome and degeneracy checks, then _branch_terms over the stack,
+    make_instance on each entry and the success probabilities of
+    p_suc_max from one _weights and _p_suc pass, each check naming the
+    entry at fault; each record equals a call on that pair alone.
     """
-    sign = _sign(b_outcome)
-    if inst.degenerate:
-        raise DegenerateOverlap(
-            "channel_angle pi/4 gives |overlap| = 1; discrimination degenerate"
-        )
-    prob, alpha, alpha_c = _branch_terms(sign, math.sin(2.0 * inst.channel_angle),
-                                         math.cos(inst.mu))
-    ui = make_instance(0.5, alpha, alpha_c)
-    return BranchRecord(b_outcome=b_outcome, probability=prob, ussd_instance=ui,
-                        success_probability=p_suc_max(ui))
+    single = isinstance(inst, TeleportInstance)
+    insts, outs = ([inst], [b_outcome]) if single else (list(inst), list(b_outcome))
+    if len(insts) != len(outs):
+        raise ShapeError(f"{len(insts)} instances but {len(outs)} carrier outcomes")
+    if not insts:
+        return ()
+    where = _nowhere if single else (lambda i: f" (inst[{i}])")
+    signs = [_sign(b, where(i)) for i, b in enumerate(outs)]
+    _check(np.array([i.degenerate for i in insts]), DegenerateOverlap,
+           lambda i: f"channel_angle pi/4 gives |overlap| = 1; discrimination degenerate{where(i)}")
+    prob, alpha, alpha_c = _branch_terms(
+        np.array(signs), np.array([math.sin(2.0 * i.channel_angle) for i in insts]),
+        np.array([math.cos(i.mu) for i in insts]))
+    uis = [make_instance(0.5, a, ac) for a, ac in zip(alpha.tolist(), alpha_c.tolist())]
+    (aa, ga), (acm, gc) = _polar(alpha), _polar(alpha_c)
+    rp, rm, _, interior = _weights(0.5, aa, ga, acm, gc)
+    records = tuple(BranchRecord(b_outcome=b, probability=pb, ussd_instance=ui,
+                                 success_probability=ps)
+                    for b, pb, ui, ps in zip(outs, prob.tolist(), uis,
+                                             _p_suc(rp, rm, aa, interior).tolist()))
+    return records[0] if single else records
 
 
-def total_success_probability(channel_angle: float) -> float:
+def total_success_probability(channel_angle):
     """Probability that the whole pipeline delivers the state, averaged
     over carrier outcomes. Independent of the sent state: the branch
     weights and the per-branch success probabilities conspire so that mu
     and nu drop out.
+
+    channel_angle is one angle, which gives a float, or a 1-D stack,
+    which gives a tuple of them from one branch_to_ussd call over both
+    branches of every angle; each equals a call on that angle alone.
     """
-    _check_angle(channel_angle)
-    if _degenerate(channel_angle):
-        return 0.0
+    single, angles = _angles(channel_angle)
+    out = [0.0] * len(angles)
+    live = [i for i, angle in enumerate(angles) if not _degenerate(angle)]
     # evaluated at mu = pi/2 where the branches are symmetric; tests sweep
     # the full (mu, nu) grid to confirm the value never moves
-    probe = TeleportInstance(channel_angle, math.pi / 2.0, 0.0)
-    total = 0.0
-    for b in (0, 1):
-        rec = branch_to_ussd(probe, b)
-        total += rec.probability * rec.success_probability
-    return float(total)
+    probes = [TeleportInstance(angles[i], math.pi / 2.0, 0.0) for i in live for _ in (0, 1)]
+    recs = branch_to_ussd(probes, [0, 1] * len(live))
+    for i, plus, minus in zip(live, recs[::2], recs[1::2]):
+        out[i] = (plus.probability * plus.success_probability
+                  + minus.probability * minus.success_probability)
+    return out[0] if single else tuple(out)
 
 
 @dataclass(frozen=True)
@@ -488,22 +528,13 @@ def square_mean_root(channel_angle, nodes: int = 64) -> tuple:
     weighted terms are summed node by node in node order, so each
     triple equals a call on that angle alone.
     """
-    if np.ndim(channel_angle) == 0:
-        _check_angle(channel_angle)
-        return square_mean_root(np.array([channel_angle], dtype=float), nodes)[0]
-    angles = np.asarray(channel_angle, dtype=float)
-    if angles.ndim != 1:
-        raise ShapeError("channel_angle must be one angle or a 1-D stack, "
-                         f"got shape {angles.shape}")
-    angles = angles.tolist()
-    for i, angle in enumerate(angles):
-        _check_angle(angle, f"channel_angle[{i}]")
+    single, angles = _angles(channel_angle)
     nodes = _nodes(nodes)
     # a degenerate channel carries no coherence on either branch
     live = [i for i, angle in enumerate(angles) if not _degenerate(angle)]
     out = [(0.0, 0.0, 0.0)] * len(angles)
     if not live:
-        return tuple(out)
+        return out[0] if single else tuple(out)
     x, w = _gauss_legendre(nodes)
     mus = 0.5 * math.pi * (x + 1.0)
     s2 = np.array([math.sin(2.0 * angles[i]) for i in live])
@@ -523,7 +554,7 @@ def square_mean_root(channel_angle, nodes: int = 64) -> tuple:
     acc *= 0.5 * math.pi
     for i, triple in zip(live, (acc * acc).tolist()):
         out[i] = tuple(triple)
-    return tuple(out)
+    return out[0] if single else tuple(out)
 
 
 @dataclass(frozen=True)
@@ -594,8 +625,8 @@ def sample_teleport(inst: TeleportInstance, n: int, seed: int) -> SampleReport:
     if inst.degenerate:
         succ = 0
     else:
-        p_succ = np.array([branch_to_ussd(inst, b).success_probability
-                           for b in (0, 1)])
+        p_succ = np.array([rec.success_probability
+                           for rec in branch_to_ussd([inst, inst], [0, 1])])
         branches = (rng.random(n) < p_minus).astype(int)
         succ = int(np.count_nonzero(rng.random(n) < p_succ[branches]))
     analytic = total_success_probability(inst.channel_angle)

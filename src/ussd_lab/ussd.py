@@ -83,11 +83,18 @@ def _pymax(a, b):
     return np.where(b > a, b, a)
 
 
+def _denominator(p, aa, ga, acm, gc):
+    """The r+- denominator 1 + 2 sqrt(pq) |alpha| |alpha_c| cos(gamma) of
+    canonical instances, from _polar of both overlaps. It is positive
+    wherever |alpha_c| <= 1; above 1 it can reach 0 or below."""
+    return 1.0 + 2.0 * np.sqrt(p * (1.0 - p)) * aa * acm * np.cos(ga + gc)
+
+
 def _weights(p, aa, ga, acm, gc) -> tuple:
     """Branch weights r+-, the prior-ratio threshold tilde_alpha and the
     interior-regime flag of canonical instances (p <= 1/2), from _overlaps."""
     q = 1.0 - p
-    den = 1.0 + 2.0 * np.sqrt(p * q) * aa * acm * np.cos(ga + gc)
+    den = _denominator(p, aa, ga, acm, gc)
     tilde = np.sqrt(p / q)
     return p / den, q / den, tilde, aa < tilde
 
@@ -159,6 +166,11 @@ class UssdInstance:
             raise DegenerateOverlap(f"|alpha| = {aa!r} leaves nothing to discriminate")
         if acm > 1.0 + 1e-15:
             raise RangeError(f"|alpha_c| = {acm!r} exceeds 1")
+        if acm > 1.0 and not _denominator(self.p_plus, *_polar(self.alpha),
+                                          *_polar(self.alpha_c)) > 0.0:
+            raise RangeError(f"|alpha_c| = {acm!r} exceeds 1 and leaves no positive r+- "
+                             f"denominator with p_plus = {self.p_plus!r}, "
+                             f"alpha = {self.alpha!r}, alpha_c = {self.alpha_c!r}")
 
     @property
     def gamma(self) -> float:
@@ -287,12 +299,22 @@ def _chi_rows(r_plus, r_minus, xi, xi_bar, phi, phi_bar) -> np.ndarray:
 
 def build_chi(inst: UssdInstance, embedding: Optional[Embedding] = None) -> PureState:
     """Joint system-environment preparation on register (S, C):
-    _check_embeddings and _chi_rows on a stack of one."""
-    a, ac = np.array([inst.alpha]), np.array([inst.alpha_c])
-    vecs = _canonical_rows(a, ac) if embedding is None else embedding.rows()
-    _check_embeddings(*vecs, a, ac)
-    return PureState(("S", "C"), _chi_rows(np.array([inst.r_plus]), np.array([inst.r_minus]),
-                                           *vecs)[0])
+    _preparations on a stack of one."""
+    return PureState(("S", "C"), _preparations(
+        [inst], None if embedding is None else embedding.rows())[1][0])
+
+
+def _preparations(insts, vecs=None, where=_nowhere) -> tuple:
+    """The embeddings of a sequence of instances, the canonical ones
+    unless vecs gives them as four (N, 2) stacks, checked by
+    _check_embeddings, and the (N, 4) preparations _chi_rows builds on
+    them, their norms unchecked."""
+    a = np.array([i.alpha for i in insts], dtype=complex)
+    ac = np.array([i.alpha_c for i in insts], dtype=complex)
+    vecs = _canonical_rows(a, ac) if vecs is None else vecs
+    _check_embeddings(*vecs, a, ac, where)
+    return vecs, _chi_rows(np.array([i.r_plus for i in insts]),
+                           np.array([i.r_minus for i in insts]), *vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +379,7 @@ def check_pair(inst: UssdInstance, strat: UssdStrategy) -> None:
         )
 
 
-def optimal_strategy(inst: UssdInstance, beta: float = 0.0, delta: float = 0.0,
-                     ancilla_init=None) -> UssdStrategy:
+def optimal_strategy(inst, beta=0.0, delta=0.0, ancilla_init=None):
     """Failure overlaps minimizing the failure probability: the radii of
     separable_strategy, with beta and delta passed through untouched
     (they do not affect the success probability).
@@ -368,8 +389,12 @@ def optimal_strategy(inst: UssdInstance, beta: float = 0.0, delta: float = 0.0,
     pins at 1 and the alternative carries all of |alpha|. The overall
     phase is placed on the reference side, leaving the alternative
     overlap real and nonnegative.
+
+    One instance gives a UssdStrategy. A sequence of instances gives a
+    tuple of them from one stack, with beta and delta one angle each or
+    one per instance; each equals a call on that instance alone.
     """
-    return replace(separable_strategy(inst, ancilla_init), beta=beta, delta=delta)
+    return _strategies(inst, ancilla_init, (beta, delta))
 
 
 def success_probability(inst: UssdInstance, strat: UssdStrategy) -> float:
@@ -652,12 +677,33 @@ def separability_params(inst: UssdInstance, strat: UssdStrategy) -> Separability
     )
 
 
-def separable_strategy(inst: UssdInstance, ancilla_init=None) -> UssdStrategy:
+def separable_strategy(inst, ancilla_init=None):
     """Optimal strategy with the failure angles set to the separable point:
-    the kernel of separable_points on a stack of one, taking the
-    canonical instance as it is."""
-    return _separable(np.array([inst.p_plus]), np.array([inst.alpha], dtype=complex),
-                      np.array([inst.alpha_c], dtype=complex)).strategy(0, ancilla_init)
+    the kernel of separable_points, taking each canonical instance as it
+    is. One instance gives a UssdStrategy (a stack of one), a sequence of
+    them a tuple from one stack."""
+    return _strategies(inst, ancilla_init)
+
+
+def _strategies(inst, ancilla_init, angles=None):
+    """The strategies of one _separable pass over one instance or a
+    sequence of them, at the separable angles or at angles = (beta,
+    delta), each one value or one per instance."""
+    single = isinstance(inst, UssdInstance)
+    insts = (inst,) if single else tuple(inst)
+    pts = _separable(np.array([i.p_plus for i in insts], dtype=float),
+                     np.array([i.alpha for i in insts], dtype=complex),
+                     np.array([i.alpha_c for i in insts], dtype=complex))
+    if angles is not None:
+        try:
+            beta, delta = (np.broadcast_to(np.asarray(x, dtype=float), (len(insts),))
+                           for x in angles)
+        except ValueError:
+            raise ShapeError(f"{len(insts)} instances need one beta and delta each, "
+                             f"or one for all") from None
+        pts = replace(pts, beta=beta, delta=delta)
+    strats = tuple(pts.strategy(i, ancilla_init) for i in range(len(insts)))
+    return strats[0] if single else strats
 
 
 # ---------------------------------------------------------------------------
@@ -742,9 +788,14 @@ def _overlaps(p, a, ac) -> tuple:
     """_polar of alpha, then of alpha_c, of canonical instances with
     priors p. A modulus is inf or NaN where its overlap is not finite, so
     one test passes every admissible array; where it fails, UssdInstance
-    rejects the first entry that fails it."""
+    rejects the first entry that fails it. Only entries with |alpha_c|
+    above 1 can leave no positive _denominator, and only those entries
+    are tested for it."""
     (aa, ga), (acm, gc) = _polar(a), _polar(ac)
     ok = (aa < 1.0) & (acm <= 1.0 + 1e-15)
+    over = ok & (acm > 1.0)
+    if np.count_nonzero(over):
+        ok[over] = _denominator(p[over], aa[over], ga[over], acm[over], gc[over]) > 0.0
     if np.count_nonzero(ok) < aa.size:
         i = int(np.argmin(ok))
         UssdInstance(float(p[i]), complex(a[i]), complex(ac[i]))
@@ -843,7 +894,7 @@ def _environment_tangles(chi, coupled, register=("S", "A", "C")) -> np.ndarray:
     return _tangles(np.concatenate([prep, coupled]), register, "C").reshape(2, n)
 
 
-def bargmann_loop(psi1, psi2, psi3) -> float:
+def bargmann_loop(psi1, psi2, psi3):
     """Geometric phase of the loop through three states, with the middle
     state expanded in the dual frame of the outer two.
 
@@ -852,35 +903,76 @@ def bargmann_loop(psi1, psi2, psi3) -> float:
     phases, and the closing edge is the direct overlap from third to
     first. The combination is invariant under independent phase changes
     of all three inputs. A zero overlap contributes zero phase.
+
+    Each argument is one state (a PureState or a vector), which gives a
+    float, or an (N, d) stack of vectors, which gives an array of N
+    phases; one loop is a stack of one. Outer states that are linearly
+    dependent raise UndefinedPhase, naming the first such row of a
+    stack.
     """
-    vecs = []
-    for p in (psi1, psi2, psi3):
-        v = p.amplitudes if isinstance(p, PureState) else np.asarray(p, dtype=complex)
-        vecs.append(v.reshape(-1))
-    v1, v2, v3 = vecs
-    if not (v1.size == v2.size == v3.size):
+    vecs = [p.amplitudes if isinstance(p, PureState) else np.asarray(p, dtype=complex)
+            for p in (psi1, psi2, psi3)]
+    single = all(v.ndim == 1 for v in vecs)
+    if not (single or all(v.ndim == 2 for v in vecs)):
+        raise ShapeError("loop states must be three vectors or three (N, d) stacks")
+    if not vecs[0].shape == vecs[1].shape == vecs[2].shape:
         raise ShapeError("loop states must share a dimension")
-    gram = np.array([[np.vdot(v1, v1), np.vdot(v1, v3)],
-                     [np.vdot(v3, v1), np.vdot(v3, v3)]])
-    rhs = np.array([np.vdot(v1, v2), np.vdot(v3, v2)])
+    phase = _loop_rows(*(v[None] if single else v for v in vecs),
+                       _nowhere if single else (lambda i: f" (row {i})"))
+    return float(phase[0]) if single else phase
+
+
+def _loop_rows(v1, v2, v3, where) -> np.ndarray:
+    """bargmann_loop of each row of three (N, d) stacks: the Gram matrix of
+    v1, v3 and the right-hand side <v1|v2>, <v3|v2> from one vdot_rows
+    call, one batched solve and the three edge phases, each row as
+    np.vdot and np.linalg.solve give it alone."""
+    n = len(v1)
+    dots = vdot_rows(np.concatenate((v1, v1, v3, v3, v1, v3)),
+                     np.concatenate((v1, v3, v1, v3, v2, v2))).reshape(6, n)
+    gram = dots[:4].T.reshape(n, 2, 2)
+    rhs = dots[4:].T[:, :, None]
     try:
-        coeff = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise UndefinedPhase("outer loop states are linearly dependent") from exc
-    phase = (np.angle(coeff[0]) - np.angle(coeff[1]) + np.angle(np.vdot(v3, v1)))
-    return float((phase + math.pi) % _TWO_PI - math.pi)
+        coeff = np.linalg.solve(gram, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        for i in range(n):
+            try:
+                np.linalg.solve(gram[i], rhs[i])
+            except np.linalg.LinAlgError as exc:
+                raise UndefinedPhase(f"outer loop states are linearly dependent{where(i)}") from exc
+        raise
+    phase = np.angle(coeff[:, 0]) - np.angle(coeff[:, 1]) + np.angle(dots[2])
+    return (phase + math.pi) % _TWO_PI - math.pi
 
 
-def bargmann_phase(inst: UssdInstance) -> float:
+def bargmann_phase(inst):
     """Geometric phase of the preparation against its two extreme-prior
     siblings (all weight on one sub-state or the other).
 
     Equals the total relative phase of the two overlaps, wrapped to
     (-pi, pi]. Undefined when the instance itself sits at an extreme
     prior.
+
+    One instance gives a float. A sequence of instances gives a tuple
+    of them from one stack: the prior test, _loop_states and one
+    _loop_rows pass, each check naming the instance at fault; each phase
+    equals a call on that instance alone.
     """
-    if inst.p_plus <= 0.0 or inst.p_plus >= 1.0:
-        raise UndefinedPhase("extreme prior collapses the loop")
-    xi, xi_bar, phi, phi_bar = _canonical_rows(np.array([inst.alpha]), np.array([inst.alpha_c]))
-    return bargmann_loop(_kron_rows(xi, phi)[0], build_chi(inst).amplitudes,
-                         _kron_rows(xi_bar, phi_bar)[0])
+    single = isinstance(inst, UssdInstance)
+    insts = (inst,) if single else tuple(inst)
+    if not insts:
+        return ()
+    where = _nowhere if single else (lambda i: f" (inst[{i}])")
+    _check(np.array([not 0.0 < i.p_plus < 1.0 for i in insts]), UndefinedPhase,
+           lambda i: f"extreme prior collapses the loop{where(i)}")
+    phase = _loop_rows(*_loop_states(insts, where), where)
+    return float(phase[0]) if single else tuple(phase.tolist())
+
+
+def _loop_states(insts, where=_nowhere) -> tuple:
+    """The three (N, 4) stacks of bargmann_phase's loops on (S, C): xi phi,
+    the preparation, with run_protocol's norm check, and xi_bar phi_bar,
+    on each instance's canonical embedding."""
+    (xi, xi_bar, phi, phi_bar), chi = _preparations(insts, where=where)
+    unit_rows(chi, True, where)
+    return _kron_rows(xi, phi), chi, _kron_rows(xi_bar, phi_bar)

@@ -48,8 +48,9 @@ class Mutant:
 
 # 1e-7 and 1e-5 relative errors in the instance arithmetic and the averages
 _R = [
-    Mutant("R1", "ussd.py", "den = 1.0 + 2.0 * np.sqrt(p * q) * aa * acm * np.cos(ga + gc)",
-           "den = (1.0 + 2.0 * np.sqrt(p * q) * aa * acm * np.cos(ga + gc)) * (1.0 + 1e-7)",
+    Mutant("R1", "ussd.py", "return 1.0 + 2.0 * np.sqrt(p * (1.0 - p)) * aa * acm * np.cos(ga + gc)",
+           "return (1.0 + 2.0 * np.sqrt(p * (1.0 - p)) * aa * acm * np.cos(ga + gc)) "
+           "* (1.0 + 1e-7)",
            "branch-weight denominator off by 1e-7"),
     Mutant("R2", "ussd.py", "tilde = np.sqrt(p / q)", "tilde = np.sqrt(p / q) * (1.0 + 1e-7)",
            "prior-ratio threshold off by 1e-7"),
@@ -185,9 +186,24 @@ _N = [
     Mutant("N7", "ussd.py", "ok = (0.0 <= p) & (p <= 1.0)", "ok = 0.0 <= p",
            "a stack admits priors above 1",
            tier1=("tests/test_array_chain.py::TestChain::test_stack_checks_name_the_entry",)),
+    Mutant("N8", "ussd.py", "*_polar(self.alpha_c)) > 0.0:", "*_polar(self.alpha_c)) > -1.0:",
+           "make_instance admits a negative r+- denominator",
+           tier1=("tests/test_ussd.py::TestInstance::test_nonpositive_denominator_is_refused",)),
+    Mutant("N9", "ussd.py", "acm[over], gc[over]) > 0.0", "acm[over], gc[over]) > -1.0",
+           "a stack admits a negative r+- denominator that make_instance refuses",
+           tier1=("tests/test_ussd.py::TestInstance::test_nonpositive_denominator_is_refused",)),
 ]
 
-MUTANTS = _R + _C + _P + _M + _N
+# the loop-phase row kernel
+_L = [
+    Mutant("L1", "ussd.py", "gram = dots[:4].T.reshape(n, 2, 2)",
+           "gram = dots[[0, 2, 1, 3]].T.reshape(n, 2, 2)",
+           "loop Gram matrix with its off-diagonal entries swapped"),
+    Mutant("L2", "ussd.py", "+ np.angle(dots[2])", "+ np.angle(dots[2].conj())",
+           "loop closing edge conjugated"),
+]
+
+MUTANTS = _R + _C + _P + _M + _N + _L
 
 
 def _copy(src: Path, dest: Path) -> None:

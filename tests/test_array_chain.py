@@ -29,7 +29,11 @@ to them: with == except the coupled images, partner vectors and what is
 built from them, which may move in the last bit (LAST_BIT). The CLI prints round-off digits (fig3's band_system_split
 columns), so "close" would still change its output. Floats are compared
 with ==, and the signs of zeros are compared too, since a zero's sign
-steers np.angle.
+steers np.angle. The loop phase's row kernel is held to the one-loop
+bargmann_loop and bargmann_phase kept here as references, and the
+sequence forms of optimal_strategy, separable_strategy, branch_to_ussd
+(with reference_branch_record, its one-branch body) and
+total_success_probability to one call per entry.
 """
 
 import contextlib
@@ -65,19 +69,27 @@ from ussd_lab.errors import (
     NumericalError,
     RangeError,
     ShapeError,
+    UndefinedPhase,
     UssdLabError,
 )
 from ussd_lab.qcore import PureState, factor_rows, measure_rows
 from ussd_lab.teleport import (
+    BranchRecord,
     TeleportInstance,
     branch_probability,
+    branch_to_ussd,
     fig4_sweep,
     square_mean_root,
+    total_success_probability,
 )
 from ussd_lab.ussd import (
     SeparabilityParams,
     SeparablePoints,
+    _kron_rows,
     _zeta,
+    bargmann_loop,
+    bargmann_phase,
+    build_chi,
     canonical_embedding,
     coupled_amplitudes,
     coupled_state,
@@ -259,6 +271,11 @@ class TestChain:
          DegenerateOverlap, "|alpha| = 1.0 leaves nothing to discriminate"),
         (lambda: separable_points(0.2, 0.3, [0.4, 1.0, 1.25j, 2.0]),
          RangeError, "|alpha_c| = 1.25 exceeds 1"),
+        (lambda: separable_points(0.5, [0.3, 0.3, -math.nextafter(1.0, 0.0), 0.2],
+                                  [0.2, 1.0 + 1e-15, 1.0 + 1e-15, 1.5]),
+         RangeError, "|alpha_c| = 1.000000000000001 exceeds 1 and leaves no positive r+- "
+                     "denominator with p_plus = 0.5, alpha = (-0.9999999999999999+0j), "
+                     "alpha_c = (1.000000000000001+0j)"),
         (lambda: _band_share(0.3, np.array([[0.2], [0.5], [0.7]]),
                              np.array([[0.1], [-1.0], [1.0]]), np.linspace(0.0, 3.0, 4)),
          DegenerateOverlap, "|alpha_c| = -1.0: identical environment states carry no "
@@ -275,7 +292,7 @@ class TestChain:
         (lambda: coherence_band(0.3, [0.2, -1.0, 2.0], 0.4, 16),
          DegenerateOverlap, "abs_alpha[1] = -1.0 leaves nothing to discriminate"),
     ], ids=["p_plus_high", "p_plus_low", "alpha_finite", "alpha_c_finite", "abs_alpha_beyond_1",
-            "abs_alpha_1", "abs_alpha_c", "band_alpha_c_stack", "band_alpha_c_scalar",
+            "abs_alpha_1", "abs_alpha_c", "denominator", "band_alpha_c_stack", "band_alpha_c_scalar",
             "band_vanished", "band_not_finite", "band_abs_alpha"])
     def test_stack_checks_name_the_entry(self, call, error, message):
         """The first bad entry of a stack, never its first entry, is the
@@ -1061,7 +1078,21 @@ class TestClosedForm:
         ("_lu_invariance", selftest, "ledger"),
         ("_separability_zero", selftest, "wootters_concurrence"),
         ("_fig2_monotone", ussd, "_p_suc"),
-        ("_fig4_share_profile", teleport, "square_mean_root")])
+        ("_fig4_share_profile", teleport, "square_mean_root"),
+        ("_success_born_rule", selftest, "optimal_strategy"),
+        ("_success_strategy_independent", selftest, "optimal_strategy"),
+        ("_conservation", selftest, "optimal_strategy"),
+        ("_separability_zero", selftest, "separable_strategy"),
+        ("_decomposition_residuals", selftest, "separable_strategy"),
+        ("_coupling_unitarity", selftest, "separable_strategy"),
+        ("_bargmann_equality", selftest, "bargmann_phase"),
+        ("_bargmann_gauge", selftest, "bargmann_loop"),
+        ("_bargmann_teleport_branches", selftest, "bargmann_phase"),
+        ("_bargmann_teleport_branches", selftest, "branch_to_ussd"),
+        ("_teleport_state_independent", selftest, "branch_to_ussd"),
+        ("_teleport_branch_priors", selftest, "branch_to_ussd"),
+        ("_teleport_branch_ledger", selftest, "branch_to_ussd"),
+        ("_teleport_total_closed", selftest, "total_success_probability")])
     def test_restacked_checks_make_one_kernel_call(self, check, module, kernel, monkeypatch):
         calls = []
 
@@ -1363,3 +1394,186 @@ class TestBuiltByConstruction:
                 for out in (post[k], rest):
                     flat = out.reshape(len(t), -1)[live[k]]
                     assert np.abs(np.linalg.norm(flat, axis=1) ** 2 - 1.0).max(initial=0.0) <= 1e-14
+
+
+def reference_bargmann_loop(psi1, psi2, psi3):
+    """bargmann_loop as it read before the row kernel: one loop, six
+    np.vdot calls, a 2 x 2 np.linalg.solve and the three edge phases."""
+    v1, v2, v3 = (np.asarray(p, dtype=complex).reshape(-1) for p in (psi1, psi2, psi3))
+    gram = np.array([[np.vdot(v1, v1), np.vdot(v1, v3)],
+                     [np.vdot(v3, v1), np.vdot(v3, v3)]])
+    rhs = np.array([np.vdot(v1, v2), np.vdot(v3, v2)])
+    try:
+        coeff = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise UndefinedPhase("outer loop states are linearly dependent") from exc
+    phase = (np.angle(coeff[0]) - np.angle(coeff[1]) + np.angle(np.vdot(v3, v1)))
+    return float((phase + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+def reference_bargmann_phase(inst):
+    """bargmann_phase as it read before the row kernel: the loop through
+    the canonical embedding's product states and build_chi."""
+    if inst.p_plus <= 0.0 or inst.p_plus >= 1.0:
+        raise UndefinedPhase("extreme prior collapses the loop")
+    emb = canonical_embedding(inst)
+    return reference_bargmann_loop(np.kron(emb.xi, emb.phi), build_chi(inst).amplitudes,
+                                   np.kron(emb.xi_bar, emb.phi_bar))
+
+
+def loop_draws(seed=26, n=2000):
+    """Instances: priors above 1/2 (swapped) and below, |alpha| within
+    1e-9 of 1 or inside, |alpha_c| at 0 and 1 or inside, random phases;
+    every eighth a carrier-branch instance of a teleport channel."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for k in range(n):
+        if k % 8 == 7:
+            ti = TeleportInstance(rng.uniform(0.0, 0.78), rng.uniform(0.0, math.pi), 0.0)
+            draws.append(branch_to_ussd(ti, k % 2).ussd_instance)
+            continue
+        p = rng.uniform(0.5, 1.0) if k % 2 else rng.uniform(1e-6, 0.5)
+        aa = 1.0 - rng.uniform(0.0, 1e-9) if k % 3 == 0 else rng.uniform(0.0, 1.0)
+        acm = (0.0, 1.0)[k % 2] if k % 5 == 0 else rng.uniform(0.0, 1.0)
+        draws.append(make_instance(p, aa * np.exp(1j * rng.uniform(0.0, 7.0)),
+                                   acm * np.exp(1j * rng.uniform(0.0, 7.0))))
+    return draws
+
+
+def verdict(call):
+    """A call's value, or the type and message of the UssdLabError it raised."""
+    try:
+        return call()
+    except UssdLabError as exc:
+        return type(exc), str(exc)
+
+
+class TestLoopKernel:
+    """bargmann_loop and bargmann_phase are the row kernel on a stack of
+    one, and a stack gives each row the bits of the loop kept here as a
+    reference."""
+
+    def test_phases_are_the_reference_loops(self):
+        draws = loop_draws()
+        assert {i.swapped for i in draws} == {False, True}
+        assert {abs(i.alpha_c) for i in draws} >= {0.0, 1.0}
+        assert min(1.0 - abs(i.alpha) for i in draws) < 1e-9
+        want = [verdict(lambda i=i: reference_bargmann_phase(i)) for i in draws]
+        assert [verdict(lambda i=i: bargmann_phase(i)) for i in draws] == want
+        ok = [k for k, w in enumerate(want) if isinstance(w, float)]
+        assert len(ok) > 1900
+        assert bargmann_phase([draws[k] for k in ok]) == tuple(want[k] for k in ok)
+
+    def test_rephased_stacks_are_the_reference_loops(self):
+        rng = np.random.default_rng(27)
+        for d in (2, 4, 8):
+            v = rng.standard_normal((3, 50, d)) + 1j * rng.standard_normal((3, 50, d))
+            turned = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (3, 50, 1))) * v
+            for stack in (v, turned):
+                got = bargmann_loop(*stack)
+                assert got.shape == (50,)
+                assert got.tolist() == [reference_bargmann_loop(*row)
+                                        for row in stack.swapaxes(0, 1)]
+                assert bargmann_loop(*stack[:, 7]) == got[7]
+            dist = np.abs(bargmann_loop(*v) - bargmann_loop(*turned)) % (2.0 * math.pi)
+            assert np.minimum(dist, 2.0 * math.pi - dist).max() < 1e-10
+
+    def test_errors_name_the_entry(self):
+        inner = make_instance(0.3, 0.5 * np.exp(0.7j), 0.6 * np.exp(1.9j))
+        for edge in (0.0, 1.0):
+            with pytest.raises(UndefinedPhase) as info:
+                bargmann_phase([inner, inner, make_instance(edge, 0.3, 0.2), inner])
+            assert str(info.value) == "extreme prior collapses the loop (inst[2])"
+        v = np.array([[1.0, 0.0], [0.6, 0.8j], [0.0, 1.0]], dtype=complex)
+        loop = np.array([v, v[[1, 2, 0]], v[[2, 0, 1]]])
+        loop[2, 1] = 2j * loop[0, 1]
+        with pytest.raises(UndefinedPhase) as info:
+            bargmann_loop(*loop)
+        assert str(info.value) == "outer loop states are linearly dependent (row 1)"
+        with pytest.raises(UndefinedPhase) as info:
+            bargmann_loop(*loop[:, 1])
+        assert str(info.value) == "outer loop states are linearly dependent"
+
+    def test_shapes(self):
+        v = np.ones((2, 4), dtype=complex)
+        assert bargmann_phase([]) == ()
+        for args in ((v, v, v[0]), (v, v, v[:, :2]), (v[None], v[None], v[None])):
+            with pytest.raises(ShapeError):
+                bargmann_loop(*args)
+
+
+def reference_branch_record(inst, b):
+    """branch_to_ussd as it read on one carrier branch before its
+    sequence form: Python-float branch terms and p_suc_max."""
+    sign = 1.0 if b == 0 else -1.0
+    alpha = sign * math.sin(2.0 * inst.channel_angle)
+    alpha_c = math.cos(inst.mu)
+    ui = make_instance(0.5, alpha, alpha_c)
+    return BranchRecord(b, 0.5 * (1.0 + alpha * alpha_c), ui, p_suc_max(ui))
+
+
+class TestSequenceEntries:
+    """optimal_strategy, separable_strategy, branch_to_ussd and
+    total_success_probability take sequences; each entry equals a call
+    on it alone, and the one-entry form equals the scalar code kept here
+    as a reference."""
+
+    def test_strategies(self):
+        def fields(strats):
+            return [(s.alpha_plus, s.alpha_minus, s.beta, s.delta, s.ancilla_init.tolist())
+                    for s in strats]
+
+        rng = np.random.default_rng(28)
+        insts = [inst for inst, _ in formula_draws(seed=28, n=300)]
+        betas = rng.uniform(0.0, math.pi / 2, len(insts)).tolist()
+        deltas = rng.uniform(0.0, 2.0 * math.pi, len(insts)).tolist()
+        anc = np.array([math.cos(0.4), math.sin(0.4) * np.exp(0.9j)])
+        assert fields(separable_strategy(insts, anc)) == fields(
+            separable_strategy(i, anc) for i in insts)
+        assert fields(optimal_strategy(insts, betas, deltas, anc)) == fields(
+            optimal_strategy(i, b, d, anc) for i, b, d in zip(insts, betas, deltas))
+        assert fields(optimal_strategy(insts, 0.3)) == fields(
+            optimal_strategy(i, 0.3) for i in insts)
+        assert fields(optimal_strategy(i, b, d) for i, b, d in zip(insts, betas, deltas)) \
+            == fields(dataclasses.replace(separable_strategy(i), beta=b, delta=d)
+                      for i, b, d in zip(insts, betas, deltas))
+        assert separable_strategy([]) == optimal_strategy([]) == ()
+        with pytest.raises(ShapeError, match="3 instances"):
+            optimal_strategy(insts[:3], betas[:2])
+
+    def test_branch_records(self):
+        insts = [TeleportInstance(rho, mu, 0.4) for rho in (0.0, 0.2, 0.5, 0.785)
+                 for mu in (0.0, 0.9, math.pi / 2, 2.6, math.pi)]
+        outs = [k % 2 for k in range(len(insts))]
+        want = [reference_branch_record(i, b) for i, b in zip(insts, outs)]
+        assert branch_to_ussd(insts, outs) == tuple(want)
+        assert [branch_to_ussd(i, b) for i, b in zip(insts, outs)] == want
+        assert branch_to_ussd([], []) == ()
+        for call, error, message in (
+                (lambda: branch_to_ussd(insts[:3], [0, 1]), ShapeError,
+                 "3 instances but 2 carrier outcomes"),
+                (lambda: branch_to_ussd(insts[:3], [0, 1, 2]), RangeError,
+                 "b_outcome must be 0 or 1, got 2 (inst[2])"),
+                (lambda: branch_to_ussd(insts[:2] + [TeleportInstance(math.pi / 4, 1.0, 0.0)],
+                                        [0, 1, 0]), DegenerateOverlap,
+                 "channel_angle pi/4 gives |overlap| = 1; discrimination degenerate (inst[2])")):
+            with pytest.raises(error) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_total_success_probability(self):
+        angles = np.linspace(0.0, math.pi / 4, 40)
+        want = []
+        for angle in angles.tolist():
+            total = 0.0
+            if math.sin(2.0 * angle) < 1.0:
+                for b in (0, 1):
+                    rec = reference_branch_record(TeleportInstance(angle, math.pi / 2, 0.0), b)
+                    total += rec.probability * rec.success_probability
+            want.append(float(total))
+        assert total_success_probability(angles) == tuple(want)
+        assert [total_success_probability(a) for a in angles.tolist()] == want
+        with pytest.raises(RangeError, match=r"channel_angle\[1\]"):
+            total_success_probability(np.array([0.1, 1.0]))
+        with pytest.raises(ShapeError):
+            total_success_probability(np.zeros((2, 2)))

@@ -115,6 +115,21 @@ class TestEval:
         plus = run_cli([a.replace("-0.0", "0.0") for a in argv], tmp_path, "plus")
         assert (code, text) == plus and code == 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_nonpositive_denominator_is_exit_2(self, capsys):
+        assert main(["eval", "--p-plus", "0.5", "--alpha", "0.9999999999999999",
+                     "--alpha-phase", "3.141592653589793",
+                     "--alpha-c", "1.000000000000001"]) == 2
+        assert capsys.readouterr().err == (
+            "error: |alpha_c| = 1.000000000000001 exceeds 1 and leaves no positive r+- "
+            "denominator with p_plus = 0.5, alpha = (-0.9999999999999999+1.224646799147353e-16j), "
+            "alpha_c = (1.000000000000001+0j)\n")
+
+    def test_extreme_prior_leaves_the_loop_phase_undefined(self, tmp_path):
+        for p in ("0", "1"):
+            code, text = run_cli(["eval", "--p-plus", p], tmp_path)
+            assert code == 0 and dict(parse_csv(text)[2])["loop_phase"] == "undefined"
+
     def test_invalid_prior_is_exit_2(self, tmp_path, capsys):
         assert main(["eval", "--p-plus", "1.5"]) == 2
         assert "p" in capsys.readouterr().err

@@ -91,6 +91,26 @@ class TestInstance:
                 with pytest.raises(RangeError, match=rf"^\|alpha_c\| = {beyond!r} exceeds 1$"):
                     call()
 
+    @pytest.mark.filterwarnings("error")
+    def test_nonpositive_denominator_is_refused(self):
+        """Within the 1e-15 slack above |alpha_c| = 1, the r+- denominator
+        1 + 2 sqrt(pq) |alpha| |alpha_c| cos(gamma) can reach 0 or go
+        negative; that instance is refused naming alpha_c, on its own and
+        as a stack entry, and the slack stays wherever it is positive."""
+        below, one_up = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+        for p, alpha, alpha_c in ((0.5, -below, 1.0 + 1e-15), (0.5, -below, one_up),
+                                  (math.nextafter(0.5, 1.0), -below, 1.0 + 1e-15)):
+            with pytest.raises(RangeError, match=r"^\|alpha_c\| = \S+ exceeds 1 and leaves "
+                                                 r"no positive r\+- denominator") as one:
+                make_instance(p, alpha, alpha_c)
+            with pytest.raises(RangeError) as stack:
+                separable_points(p, [0.3, alpha], [0.2, alpha_c])
+            assert str(stack.value) == str(one.value)
+        for p, alpha, alpha_c in ((0.5, below, 1.0 + 1e-15), (0.5, -below, 1.0),
+                                  (0.4, -below, 1.0 + 1e-15), (0.5, -0.5, 1.0 + 1e-15)):
+            assert make_instance(p, alpha, alpha_c).r_plus > 0.0
+            assert separable_points(p, [0.3, alpha], [0.2, alpha_c]).r_plus[1] > 0.0
+
     def test_overflowing_modulus_is_out_of_range(self):
         """abs() of a finite complex can overflow; the instance then
         reports the modulus inf, as a stack's np.hypot does."""
