@@ -269,10 +269,9 @@ def branch_to_ussd(inst, b_outcome):
 
     One instance and outcome give a BranchRecord. Equal-length sequences
     of instances and outcomes give a tuple of them from one pass: the
-    outcome and degeneracy checks, then _branch_terms over the stack,
-    make_instance on each entry and the success probabilities of
-    p_suc_max from one _weights and _p_suc pass, each check naming the
-    entry at fault; each record equals a call on that pair alone.
+    outcome and degeneracy checks, one _branch_success pass over the
+    stack and make_instance on each entry, each check naming the entry
+    at fault; each record equals a call on that pair alone.
     """
     single = isinstance(inst, TeleportInstance)
     insts, outs = ([inst], [b_outcome]) if single else (list(inst), list(b_outcome))
@@ -284,17 +283,24 @@ def branch_to_ussd(inst, b_outcome):
     signs = [_sign(b, where(i)) for i, b in enumerate(outs)]
     _check(np.array([i.degenerate for i in insts]), DegenerateOverlap,
            lambda i: f"channel_angle pi/4 gives |overlap| = 1; discrimination degenerate{where(i)}")
-    prob, alpha, alpha_c = _branch_terms(
+    prob, alpha, alpha_c, p_suc = _branch_success(
         np.array(signs), np.array([math.sin(2.0 * i.channel_angle) for i in insts]),
         np.array([math.cos(i.mu) for i in insts]))
-    uis = [make_instance(0.5, a, ac) for a, ac in zip(alpha.tolist(), alpha_c.tolist())]
+    records = tuple(BranchRecord(b_outcome=b, probability=pb,
+                                 ussd_instance=make_instance(0.5, a, ac), success_probability=ps)
+                    for b, pb, a, ac, ps in zip(outs, prob.tolist(), alpha.tolist(),
+                                                alpha_c.tolist(), p_suc.tolist()))
+    return records[0] if single else records
+
+
+def _branch_success(sign, s2, cos_mu) -> tuple:
+    """_branch_terms of carrier branches of non-degenerate channels (so
+    that every branch instance is admissible) and each branch's
+    p_suc_max, from one _weights and _p_suc pass; arrays broadcast."""
+    prob, alpha, alpha_c = _branch_terms(sign, s2, cos_mu)
     (aa, ga), (acm, gc) = _polar(alpha), _polar(alpha_c)
     rp, rm, _, interior = _weights(0.5, aa, ga, acm, gc)
-    records = tuple(BranchRecord(b_outcome=b, probability=pb, ussd_instance=ui,
-                                 success_probability=ps)
-                    for b, pb, ui, ps in zip(outs, prob.tolist(), uis,
-                                             _p_suc(rp, rm, aa, interior).tolist()))
-    return records[0] if single else records
+    return prob, alpha, alpha_c, _p_suc(rp, rm, aa, interior)
 
 
 def total_success_probability(channel_angle):
@@ -304,7 +310,7 @@ def total_success_probability(channel_angle):
     and nu drop out.
 
     channel_angle is one angle, which gives a float, or a 1-D stack,
-    which gives a tuple of them from one branch_to_ussd call over both
+    which gives a tuple of them from one _branch_success pass over both
     branches of every angle; each equals a call on that angle alone.
     """
     single, angles = _angles(channel_angle)
@@ -312,11 +318,12 @@ def total_success_probability(channel_angle):
     live = [i for i, angle in enumerate(angles) if not _degenerate(angle)]
     # evaluated at mu = pi/2 where the branches are symmetric; tests sweep
     # the full (mu, nu) grid to confirm the value never moves
-    probes = [TeleportInstance(angles[i], math.pi / 2.0, 0.0) for i in live for _ in (0, 1)]
-    recs = branch_to_ussd(probes, [0, 1] * len(live))
-    for i, plus, minus in zip(live, recs[::2], recs[1::2]):
-        out[i] = (plus.probability * plus.success_probability
-                  + minus.probability * minus.success_probability)
+    prob, _, _, p_suc = _branch_success(
+        np.array([1.0, -1.0]), np.array([math.sin(2.0 * angles[i]) for i in live])[:, None],
+        math.cos(math.pi / 2.0))
+    terms = prob * p_suc
+    for i, total in zip(live, (terms[:, 0] + terms[:, 1]).tolist()):
+        out[i] = total
     return out[0] if single else tuple(out)
 
 
@@ -625,8 +632,8 @@ def sample_teleport(inst: TeleportInstance, n: int, seed: int) -> SampleReport:
     if inst.degenerate:
         succ = 0
     else:
-        p_succ = np.array([rec.success_probability
-                           for rec in branch_to_ussd([inst, inst], [0, 1])])
+        p_succ = _branch_success(np.array([1.0, -1.0]), math.sin(2.0 * inst.channel_angle),
+                                 math.cos(inst.mu))[3]
         branches = (rng.random(n) < p_minus).astype(int)
         succ = int(np.count_nonzero(rng.random(n) < p_succ[branches]))
     analytic = total_success_probability(inst.channel_angle)
