@@ -695,13 +695,11 @@ def _strategies(inst, ancilla_init, angles=None):
                      np.array([i.alpha for i in insts], dtype=complex),
                      np.array([i.alpha_c for i in insts], dtype=complex))
     if angles is not None:
-        try:
-            beta, delta = (np.broadcast_to(np.asarray(x, dtype=float), (len(insts),))
-                           for x in angles)
-        except ValueError:
-            raise ShapeError(f"{len(insts)} instances need one beta and delta each, "
-                             f"or one for all") from None
-        pts = replace(pts, beta=beta, delta=delta)
+        n = len(insts)
+        beta, delta = (np.asarray(x, dtype=float) for x in angles)
+        if not {beta.shape, delta.shape} <= {(), (n,)}:
+            raise ShapeError(f"{n} instances need one beta and delta each, or one for all")
+        pts = replace(pts, beta=np.broadcast_to(beta, (n,)), delta=np.broadcast_to(delta, (n,)))
     strats = tuple(pts.strategy(i, ancilla_init) for i in range(len(insts)))
     return strats[0] if single else strats
 
