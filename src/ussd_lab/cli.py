@@ -8,8 +8,10 @@ or a JSON document with the same content; both are deterministic byte
 for byte, use 12 significant digits, and never include timestamps.
 
 Exit codes: 0 on success, 1 when the selftest battery fails, 2 for
-invalid input (the message names the offending field) and for an
-internal numeric failure.
+invalid input (the message names the offending field), among it a
+count beyond numpy's index range (--steps, --band-points, --sample),
+for an --out path that cannot be written and for an internal numeric
+failure.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import UndefinedPhase, UssdLabError
+from .errors import RangeError, UndefinedPhase, UssdLabError, _count
 from .coherence import (
     closed_form_coherences,
     coherence_band,
@@ -90,10 +92,17 @@ def _emit(args, meta: dict, columns: list, rows: list) -> None:
     _write(args.out, text)
 
 
+class _OutError(UssdLabError):
+    """An --out path that cannot be written: main reports it, exit 2."""
+
+
 def _write(out, text: str) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _OutError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -374,6 +383,14 @@ def main(argv=None) -> int:
     if getattr(args, "sample", None) is not None and args.sample < 1:
         print("error: --sample must be a positive count", file=sys.stderr)
         return 2
+    # a count beyond numpy's index range would fail in the allocation
+    for dest in ("steps", "band_points", "sample"):
+        if getattr(args, dest, None) is not None:
+            try:
+                _count(getattr(args, dest), f"--{dest.replace('_', '-')}")
+            except RangeError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
     for dest, value in vars(args).items():
         if isinstance(value, float) and not math.isfinite(value):
             print(f"error: {dest} must be finite, got {value!r}", file=sys.stderr)

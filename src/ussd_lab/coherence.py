@@ -312,9 +312,10 @@ def coherence_band(p_plus: float, abs_alpha, abs_alpha_c: float,
     every entry: the scan_points // 2 + 1 phases of each go through
     separable_points, coupled_amplitudes and an (N, 4, 2) factor
     wootters_concurrence together. The peaks are then refined
-    by one golden-section search over all entries in lockstep, two steps
-    per call, each call the same pass on up to three phases per entry
-    still searching, so the reported argmax rests on the numeric ledger
+    by one golden-section search over all entries in lockstep, each call
+    the same pass, without the input checks the scan has made, on every
+    phase the next steps of each entry still searching could need
+    (_golden_min), so the reported argmax rests on the numeric ledger
     route and not on any closed-form expectation.
 
     The share is undefined where the total coherence vanishes: at an
@@ -353,10 +354,24 @@ def coherence_band(p_plus: float, abs_alpha, abs_alpha_c: float,
 
     live = np.flatnonzero(~flat)
     if live.size:
+        # the scan pass has checked every input, so each refinement pass
+        # takes the instances in _canonical's form without its checks
+        swap = p_plus > 0.5
+        p, ac = float(p_plus), complex(abs_alpha_c)
+        if swap:
+            p, ac = 1.0 - p, ac.conjugate()
+
+        def neg_share(rows, g):
+            aa_rows = aa[live[rows]]
+            alpha = aa_rows * np.exp(1j * g)
+            return -_band_core(np.full(g.size, p), alpha.conj() if swap else alpha,
+                               np.full(g.size, ac), lambda i: (
+                                   float(p_plus), float(aa_rows[i]), float(abs_alpha_c),
+                                   float(g[i])))
+
         k = np.argmax(vals[live], axis=1)
-        peak, neg_peak = _golden_min(
-            lambda rows, g: -_band_share(p_plus, aa[live[rows]], abs_alpha_c, g),
-            gammas[np.maximum(k - 1, 0)], gammas[np.minimum(k + 1, half - 1)])
+        peak, neg_peak = _golden_min(neg_share, gammas[np.maximum(k - 1, 0)],
+                                     gammas[np.minimum(k + 1, half - 1)])
         arg[live] = peak
         vmax[live] = np.where(-neg_peak > vmax[live], -neg_peak, vmax[live])
 
@@ -372,24 +387,37 @@ def coherence_band(p_plus: float, abs_alpha, abs_alpha_c: float,
 
 def _band_share(p_plus, abs_alpha, abs_alpha_c, gammas) -> np.ndarray:
     """Environment-ancilla share at each phase, on the numeric route;
-    p_plus, abs_alpha, abs_alpha_c and gammas broadcast together, and the
-    entry that fails is named by its inputs."""
-    from .ussd import coupled_amplitudes, separable_points
+    p_plus, abs_alpha, abs_alpha_c and gammas broadcast together. The
+    inputs are checked as separable_points checks them, and |alpha_c|
+    below 1, before _band_core; the entry that fails is named by its
+    inputs."""
+    from .ussd import _canonical, _overlaps
 
     alpha = abs_alpha * np.exp(1j * np.asarray(gammas, dtype=float))
-    pts = separable_points(p_plus, alpha, abs_alpha_c)
     shape = np.broadcast(p_plus, alpha, abs_alpha_c).shape
 
     def at(i) -> tuple:
         return tuple(float(np.broadcast_to(x, shape).flat[i])
                      for x in (p_plus, abs_alpha, abs_alpha_c, gammas))
 
+    p, a, ac = _canonical(p_plus, alpha, abs_alpha_c)
+    _overlaps(p, a, ac)
     unit = np.abs(abs_alpha_c) >= 1.0
     if np.count_nonzero(unit):
         raise DegenerateOverlap(
             f"|alpha_c| = {at(int(np.argmax(np.broadcast_to(unit, shape))))[2]!r}: "
             "identical environment states carry no coherence, so the band share is undefined")
-    amps = coupled_amplitudes(pts)
+    return _band_core(p, a, ac, at).reshape(shape)
+
+
+def _band_core(p, a, ac, at) -> np.ndarray:
+    """The share of each canonical instance, p, a and ac flat arrays as
+    _canonical returns them, on inputs the caller has checked. The checks
+    on computed values stay: unit_rows on the coupled amplitudes, and a
+    vanished total, whose entry at(i) names by its inputs."""
+    from .ussd import _polar, _separable, coupled_amplitudes
+
+    amps = coupled_amplitudes(_separable(p, a, ac, *_polar(a), *_polar(ac)))
     total = _tangles(amps, _SAC, "C")
     vanished = total < 1e-30
     if np.count_nonzero(vanished):
@@ -401,7 +429,12 @@ def _band_share(p_plus, abs_alpha, abs_alpha_c, gammas) -> np.ndarray:
     share = c_ca * c_ca / total
     # at most 1 by the pivot sum, so a larger value is noise; c_ca >= 0
     # and total > 0, so share >= 0
-    return np.where(1.0 < share, 1.0, share).reshape(shape)
+    return np.where(1.0 < share, 1.0, share)
+
+
+# rows per call of _golden_min's objective: four steps of one bracket,
+# three of two, two (the least) of three or more
+_ROW_BUDGET = 16
 
 
 def _golden_min(f, lo, hi, tol: float = 1e-10) -> tuple:
@@ -409,18 +442,25 @@ def _golden_min(f, lo, hi, tol: float = 1e-10) -> tuple:
 
     lo and hi are 1-D stacks of brackets, and f(rows, x) returns, for
     each j, the value at x[j] of the function of bracket rows[j]. All
-    brackets step in lockstep, two steps per call of f, and each stops
+    brackets step in lockstep, k steps per call of f, and each stops
     once its own b - a <= tol, so brackets finish at different steps and
     each makes exactly the decisions of a search on it alone, and
     returns the same point and value. Returns the stacks of midpoints of
     the final brackets and of f there.
 
     A step's comparison is known before its call, so its new point is
-    fixed; the next step's point waits on the value there, so f takes
-    both of its candidates in the same call, three rows per bracket.
-    Those speculative points lie inside the current bracket, and an
-    error f raises at the one the search does not take still propagates.
-    A bracket is kept as a list [a, b, c, d, f(c), f(d)] of floats.
+    fixed; each later step's point waits on the value before it, so f
+    takes, in the same call, every point the next k - 1 steps could
+    need: a tree of up to 2**k - 1 rows per bracket, the known step's
+    point and the two candidates below each node (first the one taken
+    where f(c) < f(d)), with none below a node whose bracket has reached
+    tol. k is the most steps that keep a call within _ROW_BUDGET rows,
+    and at least 2. Each candidate is computed by the expression of its
+    step, and the walk down each tree takes the steps again on the
+    values f returned, so every decision rests on computed values. The
+    speculative points lie inside the current bracket, and an error f
+    raises at one the search does not take still propagates. A bracket
+    is kept as a list [a, b, c, d, f(c), f(d)] of floats.
     """
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
@@ -439,21 +479,49 @@ def _golden_min(f, lo, hi, tol: float = 1e-10) -> tuple:
         t[0], t[2], t[3], t[4] = c, d, c + inv * (b - c), fd
         return 5
 
-    rows = [i for i, t in enumerate(br) if t[1] - t[0] > tol]
-    while rows:
-        slots = [step(br[i]) for i in rows]
-        two = [i for i in rows if br[i][1] - br[i][0] > tol]
-        # the points the first step took, then both candidates of the next
-        fx = f(np.array(rows + two + two),
-               np.array([br[i][s - 2] for i, s in zip(rows, slots)]
-                        + [br[i][3] - inv * (br[i][3] - br[i][0]) for i in two]
-                        + [br[i][2] + inv * (br[i][1] - br[i][2]) for i in two])).tolist()
-        for i, s, v in zip(rows, slots, fx):
-            br[i][s] = v
-        for i, v in zip(two, zip(fx[len(rows):], fx[len(rows) + len(two):])):
-            s = step(br[i])
-            br[i][s] = v[s - 4]
-        rows = [i for i in two if br[i][1] - br[i][0] > tol]
+    live = [i for i, t in enumerate(br) if t[1] - t[0] > tol]
+    while live:
+        n, k = len(live), 2
+        while n * (2 ** (k + 1) - 1) <= _ROW_BUDGET:
+            k += 1
+        # level j of the trees holds 2**j nodes per bracket, the children
+        # of the node at position p of level j - 1 at 2p and 2p + 1
+        starts = [n * (2 ** j - 1) for j in range(1, k)]
+        owner = np.concatenate([np.repeat(live, 2 ** j) for j in range(k)])
+        while len(live) == n:
+            slots = [step(br[i]) for i in live]
+            pts = [br[i][s - 2] for i, s in zip(live, slots)]
+            # each node as [a, b, c, d] after its step; None, and no
+            # point, below a node whose bracket has reached tol
+            level = [br[i] for i in live]
+            for j in range(1, k):
+                new = [x for t in level for x in (
+                    (t[3] - inv * (t[3] - t[0]), t[2] + inv * (t[1] - t[2]))
+                    if t is not None and t[1] - t[0] > tol else (None, None))]
+                pts += new
+                if j < k - 1:
+                    level = [x for t, lc, rd in zip(level, new[::2], new[1::2]) for x in (
+                        ((t[0], t[3], lc, t[2]), (t[2], t[1], t[3], rd))
+                        if lc is not None else (None, None))]
+            if None in pts:
+                rows = [p for p, x in enumerate(pts) if x is not None]
+                fx = [None] * len(pts)
+                for p, v in zip(rows, f(owner[rows], np.array([pts[p] for p in rows])).tolist()):
+                    fx[p] = v
+            else:
+                fx = f(owner, np.array(pts)).tolist()
+            # each bracket's walk down its tree takes the steps again, on
+            # the values f returned; a step recomputes its point bit for bit
+            for i, s, v, p in zip(live, slots, fx, range(n)):
+                t = br[i]
+                t[s] = v
+                for start in starts:
+                    if t[1] - t[0] <= tol:
+                        break
+                    s = step(t)
+                    p = 2 * p + s - 4
+                    t[s] = fx[start + p]
+            live = [i for i in live if br[i][1] - br[i][0] > tol]
     a, b = np.array([t[:2] for t in br], dtype=float).reshape(-1, 2).T
     x = 0.5 * (a + b)
     return x, f(every, x)

@@ -45,15 +45,24 @@ class NumericalError(UssdLabError):
     """Internal cross-check failed beyond its tolerance."""
 
 
-def _count(value, name: str) -> int:
-    """An integer count, or RangeError naming it (int() would cut 2.5,
-    and operator.index would take True as 1)."""
+def _integer(value, name: str) -> int:
+    """An integer, or RangeError naming it (int() would cut 2.5, and
+    operator.index would take True as 1)."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)
         except TypeError:
             pass
     raise RangeError(f"{name} must be an integer, got {value!r}")
+
+
+def _count(value, name: str) -> int:
+    """An integer count that numpy can size an array with: at most
+    np.iinfo(np.intp).max, or RangeError naming it before any allocation."""
+    n = _integer(value, name)
+    if n > np.iinfo(np.intp).max:
+        raise RangeError(f"{name} must be at most {np.iinfo(np.intp).max}, got {n!r}")
+    return n
 
 
 def _check(bad, error, message) -> None:

@@ -136,7 +136,10 @@ def grid_optimize_success(inst, grid: Optional[GridSpec] = None):
 def _zeta_rows(alpha_plus: complex, alpha_minus: complex,
                betas: np.ndarray, deltas: np.ndarray) -> tuple:
     """Coupled sub-states on the system-ancilla pair, assembled directly,
-    one row per failure direction (betas[k], deltas[k]).
+    one row per failure direction (beta, delta) of betas and deltas
+    broadcast together, in C order: a grid of them from a column of
+    betas and a row of deltas takes each angle's cos, sin or e^{i delta}
+    once.
 
     Basis order is (system, ancilla) with the system qubit most
     significant; the failure direction is cos(beta), sin(beta) e^{i
@@ -151,31 +154,31 @@ def _zeta_rows(alpha_plus: complex, alpha_minus: complex,
     ap, am = complex(alpha_plus), complex(alpha_minus)
     bp = math.sqrt(max(0.0, 1.0 - abs(ap) ** 2))
     bm = math.sqrt(max(0.0, 1.0 - abs(am) ** 2))
-    betas = betas.tolist()
-    e0 = np.array([math.cos(b) for b in betas])
-    s = np.array([math.sin(b) for b in betas])
+    flat = betas.reshape(-1).tolist()
+    e0 = np.array([math.cos(b) for b in flat]).reshape(betas.shape)
+    s = np.array([math.sin(b) for b in flat]).reshape(betas.shape)
     ph = np.exp(1j * deltas)
     e1r = s * ph.real - 0.0 * ph.imag
     e1i = s * ph.imag + 0.0 * ph.real
-    zp = np.zeros((deltas.size, 4), dtype=complex)
+    zp = np.zeros(e1r.shape + (4,), dtype=complex)
     zm = np.zeros_like(zp)
-    zp[:, 0], zm[:, 2] = bp, bm
+    zp[..., 0], zm[..., 2] = bp, bm
     for z, c in ((zp, ap), (zm, am)):
-        z.real[:, 1] = c.real * e0 - c.imag * 0.0
-        z.imag[:, 1] = c.real * 0.0 + c.imag * e0
-        z.real[:, 3] = c.real * e1r - c.imag * e1i
-        z.imag[:, 3] = c.real * e1i + c.imag * e1r
-    return zp, zm
+        z.real[..., 1] = c.real * e0 - c.imag * 0.0
+        z.imag[..., 1] = c.real * 0.0 + c.imag * e0
+        z.real[..., 3] = c.real * e1r - c.imag * e1i
+        z.imag[..., 3] = c.real * e1i + c.imag * e1r
+    return zp.reshape(-1, 4), zm.reshape(-1, 4)
 
 
 def _rho_sa_row(inst, strat, betas: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """The (len(deltas), 4, 2) stack of factors V of the system-ancilla
-    states rho_SA = V V^dag, one per failure direction (betas[k],
-    deltas[k]): the columns sqrt(r+) zeta+ + sqrt(r-) conj(alpha_c) zeta-
-    and sqrt(r-) sqrt(1 - |alpha_c|^2) zeta-, with 1 - |alpha_c|^2 as
-    (1 - |alpha_c|)(1 + |alpha_c|). Each column is a real or complex
-    scalar times a named row stack, plus such a product, so every row
-    rounds as it would on its own."""
+    """The (N, 4, 2) stack of factors V of the system-ancilla states
+    rho_SA = V V^dag, one per failure direction of betas and deltas
+    broadcast together (_zeta_rows): the columns sqrt(r+) zeta+ +
+    sqrt(r-) conj(alpha_c) zeta- and sqrt(r-) sqrt(1 - |alpha_c|^2)
+    zeta-, with 1 - |alpha_c|^2 as (1 - |alpha_c|)(1 + |alpha_c|). Each
+    column is a real or complex scalar times a named row stack, plus
+    such a product, so every row rounds as it would on its own."""
     zp, zm = _zeta_rows(strat.alpha_plus, strat.alpha_minus, betas, deltas)
     rp, rm = float(inst.r_plus), float(inst.r_minus)
     ac = complex(inst.alpha_c)
@@ -200,12 +203,12 @@ def grid_min_concurrence(inst, strat_base, beta_grid: GridSpec,
     Coarse grid over both angles as one stacked concurrence call, then
     alternating golden-section sweeps in each coordinate around the
     winner, each evaluation of a sweep one stacked concurrence call on
-    up to three points. Oracle for the closed-form direction that
-    renders the pair separable.
+    every point the search's next steps could need (up to 15 points,
+    four steps, in coherence's _golden_min). Oracle for the closed-form
+    direction that renders the pair separable.
     """
     betas, deltas = beta_grid.points(), delta_grid.points()
-    cells = wootters_concurrence(_rho_sa_row(
-        inst, strat_base, np.repeat(betas, deltas.size), np.tile(deltas, betas.size)))
+    cells = wootters_concurrence(_rho_sa_row(inst, strat_base, betas[:, None], deltas))
     # first minimum in row-major order, as a point-by-point scan finds it
     i, j = divmod(int(np.argmin(cells)), deltas.size)
     value, beta, delta = float(cells[i * deltas.size + j]), float(betas[i]), float(deltas[j])

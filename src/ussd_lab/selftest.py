@@ -39,7 +39,9 @@ from .ussd import (
     _environment_tangles,
     _fig2_cells,
     _loop_states,
+    _polar,
     _preparations,
+    _weights,
     bargmann_loop,
     bargmann_phase,
     check_pair,
@@ -84,15 +86,30 @@ def _circ_dist(a: float, b: float) -> float:
     return min(d, _TWO_PI - d)
 
 
+# the ranges of an instance's prior, |alpha|, |alpha_c| and the two phases
+_DRAW = ((0.05, 0.5), (0.05, 0.95), (0.0, 0.98), (0.0, _TWO_PI), (0.0, _TWO_PI))
+
+
+def _random_instances(rng, count: int, extra=()) -> tuple:
+    """count admissible instances with uniform-ish parameters, from one
+    rng.uniform block: row k holds instance k's five draws, then one
+    draw per (low, high) range of extra. The block is filled in C order,
+    so it holds the values, and leaves the generator in the state, of a
+    loop of scalar draws in that order. Returns the instances and the
+    (count, len(extra)) block of extra draws."""
+    lo, hi = np.array(_DRAW + tuple(extra), dtype=float).T
+    u = rng.uniform(lo, hi, (count, lo.size))
+    p, aa, ac, gs, gc = u[:, :5].T
+    alpha, alpha_c = aa * np.exp(1j * gs), ac * np.exp(1j * gc)
+    return [make_instance(*x) for x in zip(p.tolist(), alpha.tolist(), alpha_c.tolist())], u[:, 5:]
+
+
 def _random_instance(rng, saturated: Optional[bool] = None):
-    """Admissible instance with uniform-ish parameters; saturated picks
-    the optimizer case when not None."""
+    """One instance drawn as _random_instances draws it, by scalar draws,
+    and drawn again until its optimizer case is the one saturated picks,
+    when not None."""
     for _ in range(200):
-        p = rng.uniform(0.05, 0.5)
-        aa = rng.uniform(0.05, 0.95)
-        ac = rng.uniform(0.0, 0.98)
-        gs = rng.uniform(0.0, _TWO_PI)
-        gc = rng.uniform(0.0, _TWO_PI)
+        p, aa, ac, gs, gc = (rng.uniform(lo, hi) for lo, hi in _DRAW)
         inst = make_instance(p, aa * np.exp(1j * gs), ac * np.exp(1j * gc))
         if saturated is None or (inst.case == "saturated") == saturated:
             return inst
@@ -132,12 +149,15 @@ def _spot_optimal_amplitudes():
 
 
 def _normalization_identity():
-    rng = np.random.default_rng(11)
+    """r+- of the 50 instances from one _weights pass over their stack,
+    each resummed in scalar arithmetic."""
+    insts = _random_instances(np.random.default_rng(11), 50)[0]
+    p, a, ac = (np.array([getattr(i, name) for i in insts])
+                for name in ("p_plus", "alpha", "alpha_c"))
+    r_plus, r_minus = _weights(p, *_polar(a), *_polar(ac))[:2]
     worst = 0.0
-    for _ in range(50):
-        inst = _random_instance(rng)
-        s = (inst.r_plus + inst.r_minus
-             + 2.0 * math.sqrt(inst.r_plus * inst.r_minus)
+    for inst, rp, rm in zip(insts, r_plus.tolist(), r_minus.tolist()):
+        s = (rp + rm + 2.0 * math.sqrt(rp * rm)
              * abs(inst.alpha) * abs(inst.alpha_c) * math.cos(inst.gamma))
         worst = max(worst, abs(s - 1.0))
     return worst, "posterior weights resum to 1 on 50 random instances"
@@ -156,7 +176,10 @@ def _success_born_rule(seed=13, count=6, saturation=(None,)):
     """saturation[k % len(saturation)] picks the optimizer case of the
     k-th instance (None for either)."""
     rng = np.random.default_rng(seed)
-    insts = [_random_instance(rng, saturation[k % len(saturation)]) for k in range(count)]
+    if set(saturation) == {None}:
+        insts = _random_instances(rng, count)[0]
+    else:
+        insts = [_random_instance(rng, saturation[k % len(saturation)]) for k in range(count)]
     worst = 0.0
     for inst, r in zip(insts, run_protocol(insts, optimal_strategy(insts))):
         worst = max(worst, abs(r.success_probability - p_suc_max(inst)))
@@ -166,12 +189,8 @@ def _success_born_rule(seed=13, count=6, saturation=(None,)):
 def _drawn_strategies(rng, count, ancilla_init=None) -> tuple:
     """count instances, each drawn with its failure angles beta, delta,
     and their optimal strategies from one stack."""
-    insts, betas, deltas = [], [], []
-    for _ in range(count):
-        insts.append(_random_instance(rng))
-        betas.append(rng.uniform(0, math.pi / 2))
-        deltas.append(rng.uniform(0, _TWO_PI))
-    return insts, optimal_strategy(insts, betas, deltas, ancilla_init)
+    insts, angles = _random_instances(rng, count, ((0.0, math.pi / 2), (0.0, _TWO_PI)))
+    return insts, optimal_strategy(insts, angles[:, 0], angles[:, 1], ancilla_init)
 
 
 def _success_strategy_independent():
@@ -233,8 +252,7 @@ def _separability_argmin(seeds=(None,)):
 
 
 def _decomposition_residuals():
-    rng = np.random.default_rng(16)
-    insts = [_random_instance(rng) for _ in range(6)]
+    insts = _random_instances(np.random.default_rng(16), 6)[0]
     strats = separable_strategy(insts)
     worst = 0.0
     for inst, strat, factor in zip(insts, strats, _sa_factors(insts, strats)):
@@ -351,8 +369,7 @@ def _lu_invariance():
 
 
 def _bargmann_equality(seed=20, count=20):
-    rng = np.random.default_rng(seed)
-    insts = [_random_instance(rng) for _ in range(count)]
+    insts = _random_instances(np.random.default_rng(seed), count)[0]
     worst = 0.0
     for inst, ph in zip(insts, bargmann_phase(insts)):
         worst = max(worst, _circ_dist(ph, _wrap(inst.gamma)))
@@ -363,13 +380,9 @@ def _bargmann_gauge(seed=21, count=20):
     """Each instance's loop, as bargmann_phase builds it, and again with
     the three states rephased by angles drawn after the instance: one
     bargmann_loop call over both stacks."""
-    rng = np.random.default_rng(seed)
-    insts, th = [], []
-    for _ in range(count):
-        insts.append(_random_instance(rng))
-        th.append(rng.uniform(0, _TWO_PI, size=3))
+    insts, th = _random_instances(np.random.default_rng(seed), count, ((0.0, _TWO_PI),) * 3)
     loop = np.array(_loop_states(insts))
-    turned = np.exp(1j * np.array(th).T)[:, :, None] * loop
+    turned = np.exp(1j * th.T)[:, :, None] * loop
     base, redone = bargmann_loop(*np.concatenate([loop, turned], axis=1)).reshape(2, -1).tolist()
     worst = 0.0
     for a, b in zip(base, redone):
@@ -568,8 +581,7 @@ def _quadrature_table():
 
 
 def _coupling_unitarity():
-    rng = np.random.default_rng(22)
-    insts = [_random_instance(rng) for _ in range(5)]
+    insts = _random_instances(np.random.default_rng(22), 5)[0]
     worst = 0.0
     for u in coupling_unitary(insts, separable_strategy(insts)):
         m = u.matrix
@@ -578,8 +590,7 @@ def _coupling_unitarity():
 
 
 def _born_sums():
-    rng = np.random.default_rng(23)
-    inst = _random_instance(rng)
+    inst = _random_instances(np.random.default_rng(23), 1)[0][0]
     res = run_protocol(inst, optimal_strategy(inst))
     s1 = abs(sum(o.probability for o in res.outcomes) - 1.0)
     runs = enumerate_runs(TeleportInstance(0.4, 1.2, 0.8))

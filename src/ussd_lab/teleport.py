@@ -19,7 +19,15 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateOverlap, NumericalError, RangeError, ShapeError, _check, _count
+from .errors import (
+    DegenerateOverlap,
+    NumericalError,
+    RangeError,
+    ShapeError,
+    _check,
+    _count,
+    _integer,
+)
 from .qcore import (
     CNOT,
     HADAMARD,
@@ -624,7 +632,7 @@ def sample_teleport(inst: TeleportInstance, n: int, seed: int) -> SampleReport:
     n = _count(n, "n")
     if n < 1:
         raise RangeError(f"sample count must be positive, got {n!r}")
-    seed = _count(seed, "seed")
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise RangeError(f"seed must be non-negative, got {seed!r}")
     rng = np.random.default_rng(seed)

@@ -691,9 +691,10 @@ def _strategies(inst, ancilla_init, angles=None):
     delta), each one value or one per instance."""
     single = isinstance(inst, UssdInstance)
     insts = (inst,) if single else tuple(inst)
-    pts = _separable(np.array([i.p_plus for i in insts], dtype=float),
-                     np.array([i.alpha for i in insts], dtype=complex),
-                     np.array([i.alpha_c for i in insts], dtype=complex))
+    p = np.array([i.p_plus for i in insts], dtype=float)
+    a = np.array([i.alpha for i in insts], dtype=complex)
+    ac = np.array([i.alpha_c for i in insts], dtype=complex)
+    pts = _separable(p, a, ac, *_overlaps(p, a, ac))
     if angles is not None:
         n = len(insts)
         beta, delta = (np.asarray(x, dtype=float) for x in angles)
@@ -760,7 +761,8 @@ def separable_points(p_plus, alpha, alpha_c) -> SeparablePoints:
     alpha, beta in [0, pi/2] (an arctan2 of two nonnegative numbers) and
     delta in [0, 2 pi] (np.remainder) hold by construction, and
     strategy(i) still hands out a validated UssdStrategy."""
-    return _separable(*_canonical(p_plus, alpha, alpha_c))
+    p, a, ac = _canonical(p_plus, alpha, alpha_c)
+    return _separable(p, a, ac, *_overlaps(p, a, ac))
 
 
 def _canonical(p_plus, alpha, alpha_c) -> tuple:
@@ -810,10 +812,10 @@ def _fig2_cells(p_plus, alpha, alpha_c) -> tuple:
     return _total(rp, rm, aa, acm)[1], _p_suc(rp, rm, aa, interior)
 
 
-def _separable(p, a, ac) -> SeparablePoints:
+def _separable(p, a, ac, aa, ga, acm, gc) -> SeparablePoints:
     """The separable point of each canonical instance (p <= 1/2 up to the
-    1e-15 UssdInstance allows), without the swap."""
-    aa, ga, acm, gc = _overlaps(p, a, ac)
+    1e-15 UssdInstance allows), without the swap, from _polar of its
+    overlaps: _overlaps where they still need checking."""
     rp, rm, tilde, interior = _weights(p, aa, ga, acm, gc)
     # optimal_strategy, with the phase of alpha on the reference side
     mp = np.where(interior, np.sqrt(aa / np.where(interior, tilde, 1.0)), 1.0)

@@ -203,7 +203,22 @@ _L = [
            "loop closing edge conjugated"),
 ]
 
-MUTANTS = _R + _C + _P + _M + _N + _L
+# the multi-step golden-section search and the stacked instance draws
+_G = [
+    Mutant("G1", "coherence.py", "if fc < fd:", "if fc <= fd:",
+           "golden-section tie takes the left child",
+           tier1=("tests/test_array_chain.py::TestGoldenSection::"
+                  "test_every_step_count_repeats_the_reference",)),
+    Mutant("G2", "coherence.py", "t[2] + inv * (t[1] - t[2])", "t[1] - inv * (t[1] - t[2])",
+           "speculative point computed as b - inv (b - c), not c + inv (b - c)",
+           tier1=("tests/test_array_chain.py::TestGoldenSection",)),
+    Mutant("D1", "selftest.py", "u = rng.uniform(lo, hi, (count, lo.size))",
+           "u = rng.uniform(lo[:, None], hi[:, None], (lo.size, count)).T",
+           "instance draw block read in Fortran order",
+           tier1=("tests/test_array_chain.py::TestStackedDraws",)),
+]
+
+MUTANTS = _R + _C + _P + _M + _N + _L + _G
 
 
 def _copy(src: Path, dest: Path) -> None:

@@ -13,7 +13,7 @@ against loops over single entries. coherence_band over a stack of
 overlaps, and its
 lockstep golden-section search, are held to one call per entry and to
 the one-bracket loop kept here as a reference, whose every decision the
-search, two steps per call, must repeat. fig2's array pass is held to
+search, several steps per call, must repeat at every step count. fig2's array pass is held to
 the row-by-row loop it replaced, kept here as reference_fig2_rows. The
 tangle ledger of a stack is held to its rows with ==, and to the
 eigendecomposition-route ledger kept here as a reference at a stated
@@ -470,22 +470,49 @@ def grouping(f, n):
     return g, groups
 
 
-def assert_reference_visits(groups, want):
+def steps_per_call(live):
+    """The steps one call of f takes for each of live brackets: the most
+    whose trees of 2**k - 1 rows fit the row budget, and at least 2."""
+    k = 2
+    while live * (2 ** (k + 1) - 1) <= coherence._ROW_BUDGET:
+        k += 1
+    return k
+
+
+def schedule(steps):
+    """The steps each bracket takes in each round of a search whose
+    references take steps[i] steps, a list per round: every bracket
+    still searching takes up to steps_per_call of its steps. The search
+    calls f once per round, once before for the start points and once
+    after for the midpoints."""
+    left, rounds = list(steps), []
+    while any(left):
+        k = steps_per_call(sum(map(bool, left)))
+        rounds.append([min(k, s) for s in left])
+        left = [s - t for s, t in zip(left, rounds[-1])]
+    return rounds
+
+
+def assert_reference_visits(groups, want, takes):
     """groups holds the points one bracket's search sent to f, a list per
-    call; want is the reference's points, in order. A call brings one
-    point per step: the first step's, then the two candidates of the
-    second. The candidate the search took is want's next point, so want
-    is an ordered subsequence of the visits, and every extra visit is a
-    second-step candidate the search did not take."""
-    kept = []
-    for g in filter(None, groups):
-        if len(g) == 3:
-            took = want[len(kept) + 1]
-            assert took in g[1:]
-            kept += [g[0], took]
-        else:
-            kept += g
-    assert kept == want
+    call; want is the reference's points, in order, and takes the steps
+    the bracket takes in each round of schedule. A call brings the first
+    step's point, then the candidates of each later step of the call, a
+    level at a time: two below each node of the level before whose
+    bracket is still above tol. The candidate the search took at each
+    level is want's next point, so each call opens with want's next point
+    and holds the points of its steps in order; every other visit is a
+    candidate the search did not take."""
+    spans = [2] + [t for t in takes if t] + [1]
+    calls = list(filter(None, groups))
+    assert len(calls) == len(spans)
+    pos = 0
+    for g, m in zip(calls, spans):
+        path, rest = want[pos:pos + m], iter(g)
+        assert g[0] == path[0]
+        assert all(any(x == v for x in rest) for v in path)
+        pos += m
+    assert pos == len(want)
 
 
 def fig3_rows(steps):
@@ -589,12 +616,15 @@ class TestGoldenSection:
         f, groups = grouping(lambda idx, g: -_band_share(p_plus, rows[idx], abs_alpha_c, g),
                              rows.size)
         x, fx = _golden_min(f, lo, hi)
+        wants = []
         for i, a in enumerate(rows.tolist()):
-            want = []
+            wants.append([])
             share = recording(
-                lambda g: -float(_band_share(p_plus, a, abs_alpha_c, [g])[0]), want)
+                lambda g: -float(_band_share(p_plus, a, abs_alpha_c, [g])[0]), wants[-1])
             assert (x[i], fx[i]) == reference_golden_min(share, float(lo[i]), float(hi[i]))
-            assert_reference_visits(groups[i], want)
+        rounds = schedule([len(w) - 3 for w in wants])
+        for i, want in enumerate(wants):
+            assert_reference_visits(groups[i], want, [r[i] for r in rounds])
         assert len({sum(map(len, g)) for g in groups}) > 1
 
     def test_oracle_searches_visit_the_reference_points(self, monkeypatch):
@@ -619,22 +649,28 @@ class TestGoldenSection:
         assert len(tols) == 6 and set(tols) == {1e-12}
 
     def test_fig3_band_makes_25_share_calls(self, monkeypatch):
-        share, calls = coherence._band_share, []
+        entry, core, calls = coherence._band_share, coherence._band_core, []
 
-        def counting(*args):
-            calls.append(args)
-            return share(*args)
+        def counting(name, fn):
+            def g(*args):
+                calls.append(name)
+                return fn(*args)
+            return g
 
-        monkeypatch.setattr(coherence, "_band_share", counting)
+        monkeypatch.setattr(coherence, "_band_share", counting("checked", entry))
+        monkeypatch.setattr(coherence, "_band_core", counting("core", core))
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["fig3", "--steps", "11"]) == 0
-        # the scan, the start points, 22 calls of two steps and the midpoints
-        assert len(calls) == 25
+        # the scan through the checked entry; then, on the core alone, the
+        # start points, 22 calls of two steps for nine brackets and the midpoints
+        assert calls == ["checked", "core"] + ["core"] * 24
 
     @pytest.mark.parametrize("seed", range(4))
     def test_calls_per_search_are_bounded(self, seed):
-        """At most ceil(s / 2) + 2 calls of f, where s is the number of
-        steps the reference takes, and every point inside the search's
+        """Exactly the calls of f scheduled_calls counts from the steps s
+        the reference takes on each bracket, each bracket in at most
+        ceil(s / 2) + 2 of them, no call above the row budget or three
+        rows per bracket searching, and every point inside the search's
         own bracket, speculative ones included."""
         rng = np.random.default_rng(seed)
         n = 6
@@ -645,27 +681,79 @@ class TestGoldenSection:
         calls = []
 
         def f(rows, x):
-            calls.append(rows.size)
+            calls.append((rows.size, np.unique(rows).size))
             return (x - top[rows]) * (x - top[rows])
         stacked, groups = grouping(f, n)
         x, fx = _golden_min(stacked, lo, hi, tol)
-        bounds = []
+        wants = []
         for i in range(n):
-            want = []
-            one = recording(lambda v: (v - top[i]) * (v - top[i]), want)
+            wants.append([])
+            one = recording(lambda v: (v - top[i]) * (v - top[i]), wants[-1])
             assert (x[i], fx[i]) == reference_golden_min(one, lo[i], hi[i], tol)
-            assert_reference_visits(groups[i], want)
             assert all(lo[i] <= v <= hi[i] for g in groups[i] for v in g)
-            # two start points, one per step, the midpoint
-            bounds.append(math.ceil((len(want) - 3) / 2) + 2)
-            assert sum(map(bool, groups[i])) <= bounds[-1]
-        assert len(calls) <= max(bounds)
-        assert max(calls) <= 3 * n
+        # two start points, one per step, the midpoint
+        steps = [len(w) - 3 for w in wants]
+        rounds = schedule(steps)
+        for i, want in enumerate(wants):
+            assert_reference_visits(groups[i], want, [r[i] for r in rounds])
+            assert sum(map(bool, groups[i])) <= math.ceil(steps[i] / 2) + 2
+        assert len(calls) == len(rounds) + 2
+        assert all(rows <= max(coherence._ROW_BUDGET, 3 * live) for rows, live in calls[1:-1])
+
+    @pytest.mark.parametrize("budget", [3, 7, 15, 31, 63])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_every_step_count_repeats_the_reference(self, monkeypatch, budget, n):
+        """With the row budget of one bracket's k = 2 to 6 steps per
+        call, and so fewer for more brackets, every bracket's point and
+        value are the reference's, bit for bit: random brackets, some
+        at ties (a function flat on a stretch, as the band share clipped
+        at 1), tolerances that stop brackets mid-tree and at different
+        steps, and each call within its row budget."""
+        monkeypatch.setattr(coherence, "_ROW_BUDGET", budget)
+        rng = np.random.default_rng(budget * 10 + n)
+        mixed = tied = pruned = False
+        for draw in range(6):
+            lo = rng.uniform(-2.0, 1.0, n)
+            hi = lo + 10.0 ** rng.uniform(-6.0, 0.5, n)
+            top = rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo))
+            flat = (draw % 2) * rng.uniform(0.1, 0.4, n) * (hi - lo)
+            tol = float(10.0 ** rng.uniform(-12.0, -5.0))
+
+            def one(i, v):
+                # zero within flat[i] of top[i]: every comparison there a tie
+                return max(abs(v - top[i]) - flat[i], 0.0) ** 2
+
+            calls = []
+
+            def f(rows, x):
+                calls.append((rows.size, np.unique(rows).size))
+                return np.array([one(i, v) for i, v in zip(rows.tolist(), x.tolist())])
+
+            stacked, groups = grouping(f, n)
+            x, fx = _golden_min(stacked, lo, hi, tol)
+            wants = []
+            for i in range(n):
+                wants.append([])
+                ref = reference_golden_min(recording(lambda v: one(i, v), wants[-1]),
+                                           float(lo[i]), float(hi[i]), tol)
+                assert (x[i].hex(), fx[i].hex()) == (ref[0].hex(), ref[1].hex())
+            steps = [len(w) - 3 for w in wants]
+            rounds = schedule(steps)
+            for i, want in enumerate(wants):
+                assert_reference_visits(groups[i], want, [r[i] for r in rounds])
+            assert len(calls) == len(rounds) + 2
+            assert all(rows <= live * (2 ** steps_per_call(live) - 1)
+                       for rows, live in calls[1:-1])
+            mixed |= len(set(steps)) > 1
+            tied |= bool(np.any(fx == 0.0))        # ended on the flat stretch
+            pruned |= any(0 < len(g[c]) < 2 ** steps_per_call(calls[c][1]) - 1
+                          for g in groups for c in range(1, len(calls) - 1))
+        assert (mixed or n == 1) and tied and pruned
 
     def test_error_at_an_untaken_candidate_propagates(self):
-        """The search evaluates both second-step candidates, so f's error
-        at the one it does not take still reaches the caller, although
-        the one-point reference never calls f there."""
+        """The search evaluates both candidates of each later step of a
+        call, so f's error at one it does not take still reaches the
+        caller, although the one-point reference never calls f there."""
         def f(_, x):
             return (x - 3.0) * (x - 3.0)
 
@@ -1577,3 +1665,66 @@ class TestSequenceEntries:
             total_success_probability(np.array([0.1, 1.0]))
         with pytest.raises(ShapeError):
             total_success_probability(np.zeros((2, 2)))
+
+
+def reference_random_instance(rng):
+    """The battery's instance draw as a loop of scalar draws: five
+    rng.uniform calls, then make_instance."""
+    p = rng.uniform(0.05, 0.5)
+    aa = rng.uniform(0.05, 0.95)
+    ac = rng.uniform(0.0, 0.98)
+    gs = rng.uniform(0.0, 2.0 * math.pi)
+    gc = rng.uniform(0.0, 2.0 * math.pi)
+    return make_instance(p, aa * np.exp(1j * gs), ac * np.exp(1j * gc))
+
+
+def instance_bits(inst):
+    return (inst.p_plus.hex(), inst.alpha.real.hex(), inst.alpha.imag.hex(),
+            inst.alpha_c.real.hex(), inst.alpha_c.imag.hex(), inst.swapped)
+
+
+class TestStackedDraws:
+    EXTRAS = [(), ((0.0, math.pi / 2), (0.0, 2.0 * math.pi)), ((0.0, 2.0 * math.pi),) * 3]
+
+    @pytest.mark.parametrize("extra", EXTRAS, ids=["none", "angles", "rephasings"])
+    @pytest.mark.parametrize("seed, count", [(11, 50), (13, 6), (20, 20), (23, 1),
+                                             (110, 100), (7, 0)])
+    def test_block_is_the_scalar_loop(self, seed, count, extra):
+        """One rng.uniform block gives the instances and extra draws of a
+        loop of scalar draws, bit for bit, and leaves the generator where
+        the loop leaves it."""
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        insts, more = selftest._random_instances(rng, count, extra)
+        want, want_more = [], []
+        for _ in range(count):
+            want.append(reference_random_instance(ref))
+            want_more.append([ref.uniform(lo, hi) for lo, hi in extra])
+        assert [instance_bits(i) for i in insts] == [instance_bits(i) for i in want]
+        assert more.shape == (count, len(extra))
+        assert [[x.hex() for x in row] for row in more.tolist()] \
+            == [[x.hex() for x in row] for row in want_more]
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.uniform() == ref.uniform()
+
+    @pytest.mark.parametrize("saturated", [None, True, False])
+    def test_filtered_draw_is_the_scalar_loop(self, saturated):
+        rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+        for _ in range(8):
+            inst = selftest._random_instance(rng, saturated)
+            want = reference_random_instance(ref)
+            while saturated is not None and (want.case == "saturated") != saturated:
+                want = reference_random_instance(ref)
+            assert instance_bits(inst) == instance_bits(want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_normalization_identity_is_the_scalar_check(self):
+        """The weights of one _weights pass are each instance's r+-."""
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(50):
+            inst = reference_random_instance(rng)
+            s = (inst.r_plus + inst.r_minus
+                 + 2.0 * math.sqrt(inst.r_plus * inst.r_minus)
+                 * abs(inst.alpha) * abs(inst.alpha_c) * math.cos(inst.gamma))
+            worst = max(worst, abs(s - 1.0))
+        assert selftest._normalization_identity()[0].hex() == worst.hex()

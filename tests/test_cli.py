@@ -336,6 +336,35 @@ class TestSelftest:
             assert "tolerance" in capsys.readouterr().err
 
 
+class TestOversizeCounts:
+    """A count beyond numpy's index range is refused with exit 2 and the
+    option's name, before any allocation (only counts that cannot be
+    indexed are tried here: one that can would be allocated)."""
+
+    @pytest.mark.parametrize("value", [str(10 ** 20), str(2 ** 63)])
+    @pytest.mark.parametrize("argv, name", [
+        (["fig2", "--steps"], "--steps"),
+        (["fig3", "--steps"], "--steps"),
+        (["fig4", "--steps"], "--steps"),
+        (["fig3", "--band-points"], "--band-points"),
+        (["teleport", "--sample"], "--sample"),
+    ])
+    def test_exit_2_names_the_option(self, capsys, argv, name, value):
+        assert main([*argv, value]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {name} must be at most {np.iinfo(np.intp).max}, got {value}\n"
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("argv", [["eval"], ["selftest", "--only", "spot"]])
+    def test_exit_2_names_the_path(self, tmp_path, capsys, argv):
+        path = tmp_path / "missing" / "out.csv"
+        assert main([*argv, "--out", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write --out {path}: No such file or directory\n"
+        assert not path.parent.exists()
+
+
 class TestOutputHygiene:
     def test_no_timestamps_in_meta(self, tmp_path):
         for args in (["eval"], ["fig4", "--steps", "3"]):

@@ -228,6 +228,12 @@ class TestBand:
         with pytest.raises(RangeError, match=r"^scan_points must be an integer"):
             coherence_band(0.4, 0.5, 0.8, scan_points=scan_points)
 
+    @pytest.mark.parametrize("scan_points", [10 ** 20, 2 ** 63])
+    def test_scan_points_beyond_the_index_range(self, scan_points):
+        with pytest.raises(RangeError, match=rf"^scan_points must be at most "
+                                             rf"{np.iinfo(np.intp).max}, got {scan_points}$"):
+            coherence_band(0.4, 0.5, 0.8, scan_points=scan_points)
+
     @pytest.mark.parametrize("p_plus", [0.0, 1.0, -0.1, 1.5])
     def test_extreme_prior_is_named(self, p_plus):
         # no total coherence at an extreme prior, so no share to scan

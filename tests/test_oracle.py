@@ -78,6 +78,12 @@ class TestGridSpec:
         with pytest.raises(RangeError, match=f"GridSpec.{field} "):
             GridSpec(*args)
 
+    @pytest.mark.parametrize("count", [10 ** 20, 2 ** 63])
+    def test_rejects_counts_beyond_the_index_range(self, count):
+        with pytest.raises(RangeError, match=rf"^GridSpec.count must be at most "
+                                             rf"{np.iinfo(np.intp).max}, got {count}$"):
+            GridSpec(0.0, 1.0, count)
+
     def test_accepts_numpy_scalars(self):
         g = GridSpec(np.float64(0.0), np.float64(1.0), np.int64(3), np.int64(0))
         assert g.points().tolist() == [0.0, 0.5, 1.0]
@@ -354,6 +360,11 @@ class TestCoarseScans:
         betas, deltas = coarse_pairs()
         got = oracle.wootters_concurrence(oracle._rho_sa_row(inst, strat, betas, deltas))
         assert np.array_equal(got, cells.reshape(-1))
+        # the grid form, a column of betas against a row of deltas, as
+        # grid_min_concurrence builds it: the same rows, bit for bit
+        assert_same_bits(oracle._rho_sa_row(inst, strat, BETA_GRID.points()[:, None],
+                                            DELTA_GRID.points()),
+                         oracle._rho_sa_row(inst, strat, betas, deltas))
         res = grid_min_concurrence(inst, strat, BETA_GRID, DELTA_GRID)
         assert (res.beta, res.delta, res.value) == want
 
@@ -399,9 +410,10 @@ class TestCoarseScans:
         inst = SCAN_DRAWS[-1]
         grid_min_concurrence(inst, separable_strategy(inst), BETA_GRID, DELTA_GRID)
         assert shapes[0] == (25 * 49, 4, 2)
-        # the refinement: up to three points per call of its searches
-        assert len(shapes) > 1
-        assert all(len(s) == 3 and 1 <= s[0] <= 3 for s in shapes[1:])
+        # the refinement: four one-bracket searches, each call of which
+        # carries up to the 15 points of four steps
+        assert 1 < len(shapes) <= 1 + 60
+        assert all(len(s) == 3 and 1 <= s[0] <= 15 for s in shapes[1:])
 
     @pytest.mark.parametrize("inst", SCAN_DRAWS + [make_instance(0.3, 0.0, 0.0)])
     def test_success_search_is_the_point_loop(self, inst):

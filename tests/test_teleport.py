@@ -983,6 +983,10 @@ class TestSampling:
         for n in (2.5, 100.0, True, np.True_):
             with pytest.raises(RangeError, match=r"^n must be an integer"):
                 sample_teleport(TeleportInstance(0.3, 1.0, 1.0), n, seed=0)
+        # beyond numpy's index range, refused before any allocation
+        for n in (10 ** 20, 2 ** 63):
+            with pytest.raises(RangeError, match=rf"^n must be at most {np.iinfo(np.intp).max}, "):
+                sample_teleport(TeleportInstance(0.3, 1.0, 1.0), n, seed=0)
 
     @pytest.mark.parametrize("seed,message", [
         (2.5, r"^seed must be an integer"), ("7", r"^seed must be an integer"),
@@ -996,3 +1000,8 @@ class TestSampling:
     def test_integer_types_are_seeds(self):
         inst = TeleportInstance(0.3, 1.2, 0.5)
         assert sample_teleport(inst, 300, seed=np.int64(5)) == sample_teleport(inst, 300, seed=5)
+
+    def test_a_seed_is_not_a_count(self):
+        """A seed sizes nothing, so it has no upper bound."""
+        rep = sample_teleport(TeleportInstance(0.3, 1.2, 0.5), 300, seed=10 ** 20)
+        assert rep.seed == 10 ** 20
