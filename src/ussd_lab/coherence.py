@@ -503,13 +503,15 @@ def _golden_min(f, lo, hi, tol: float = 1e-10) -> tuple:
                     level = [x for t, lc, rd in zip(level, new[::2], new[1::2]) for x in (
                         ((t[0], t[3], lc, t[2]), (t[2], t[1], t[3], rd))
                         if lc is not None else (None, None))]
-            if None in pts:
+            # all() is the cheap test for a None; a point at 0.0 takes the
+            # filtering branch too, which serves every list
+            if all(pts):
+                fx = f(owner, np.array(pts)).tolist()
+            else:
                 rows = [p for p, x in enumerate(pts) if x is not None]
                 fx = [None] * len(pts)
                 for p, v in zip(rows, f(owner[rows], np.array([pts[p] for p in rows])).tolist()):
                     fx[p] = v
-            else:
-                fx = f(owner, np.array(pts)).tolist()
             # each bracket's walk down its tree takes the steps again, on
             # the values f returned; a step recomputes its point bit for bit
             for i, s, v, p in zip(live, slots, fx, range(n)):
