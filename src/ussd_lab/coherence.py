@@ -513,7 +513,8 @@ def _golden_min(f, lo, hi, tol: float = 1e-10) -> tuple:
                 for p, v in zip(rows, f(owner[rows], np.array([pts[p] for p in rows])).tolist()):
                     fx[p] = v
             # each bracket's walk down its tree takes the steps again, on
-            # the values f returned; a step recomputes its point bit for bit
+            # the values f returned: a step whose new point is c goes to
+            # position 2p of the next level, one whose new point is d to 2p + 1
             for i, s, v, p in zip(live, slots, fx, range(n)):
                 t = br[i]
                 t[s] = v
