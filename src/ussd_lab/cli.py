@@ -93,7 +93,8 @@ def _emit(args, meta: dict, columns: list, rows: list) -> None:
 
 
 class _OutError(UssdLabError):
-    """An --out path that cannot be written: main reports it, exit 2."""
+    """An --out path that cannot be written; main reports it, exit 2. Its
+    own class, as the package raises the base class nowhere."""
 
 
 def _write(out, text: str) -> None:

@@ -313,10 +313,10 @@ def coherence_band(p_plus: float, abs_alpha, abs_alpha_c: float,
     separable_points, coupled_amplitudes and an (N, 4, 2) factor
     wootters_concurrence together. The peaks are then refined
     by one golden-section search over all entries in lockstep, each call
-    the same pass, without the input checks the scan has made, on every
-    phase the next steps of each entry still searching could need
-    (_golden_min), so the reported argmax rests on the numeric ledger
-    route and not on any closed-form expectation.
+    the same pass, without the checks on p_plus and |alpha_c| the scan
+    has made, on every phase the next steps of each entry still
+    searching could need (_golden_min), so the reported argmax rests on
+    the numeric ledger route and not on any closed-form expectation.
 
     The share is undefined where the total coherence vanishes: at an
     extreme prior (p_plus not in (0, 1), RangeError) and at
@@ -354,20 +354,17 @@ def coherence_band(p_plus: float, abs_alpha, abs_alpha_c: float,
 
     live = np.flatnonzero(~flat)
     if live.size:
-        # the scan pass has checked every input, so each refinement pass
-        # takes the instances in _canonical's form without its checks
-        swap = p_plus > 0.5
+        # p_plus and abs_alpha_c are the scan's, which has checked them;
+        # the overlaps change with gamma, so _overlaps checks them again
+        from .ussd import _overlaps, _swap
+
         p, ac = float(p_plus), complex(abs_alpha_c)
-        if swap:
-            p, ac = 1.0 - p, ac.conjugate()
 
         def neg_share(rows, g):
             aa_rows = aa[live[rows]]
-            alpha = aa_rows * np.exp(1j * g)
-            return -_band_core(np.full(g.size, p), alpha.conj() if swap else alpha,
-                               np.full(g.size, ac), lambda i: (
-                                   float(p_plus), float(aa_rows[i]), float(abs_alpha_c),
-                                   float(g[i])))
+            canon = _swap(np.full(g.size, p), aa_rows * np.exp(1j * g), np.full(g.size, ac))
+            return -_band_core(*canon, _overlaps(*canon), lambda i: (
+                p, float(aa_rows[i]), float(abs_alpha_c), float(g[i])))
 
         k = np.argmax(vals[live], axis=1)
         peak, neg_peak = _golden_min(neg_share, gammas[np.maximum(k - 1, 0)],
@@ -401,23 +398,24 @@ def _band_share(p_plus, abs_alpha, abs_alpha_c, gammas) -> np.ndarray:
                      for x in (p_plus, abs_alpha, abs_alpha_c, gammas))
 
     p, a, ac = _canonical(p_plus, alpha, abs_alpha_c)
-    _overlaps(p, a, ac)
+    polar = _overlaps(p, a, ac)
     unit = np.abs(abs_alpha_c) >= 1.0
     if np.count_nonzero(unit):
         raise DegenerateOverlap(
             f"|alpha_c| = {at(int(np.argmax(np.broadcast_to(unit, shape))))[2]!r}: "
             "identical environment states carry no coherence, so the band share is undefined")
-    return _band_core(p, a, ac, at).reshape(shape)
+    return _band_core(p, a, ac, polar, at).reshape(shape)
 
 
-def _band_core(p, a, ac, at) -> np.ndarray:
+def _band_core(p, a, ac, polar, at) -> np.ndarray:
     """The share of each canonical instance, p, a and ac flat arrays as
-    _canonical returns them, on inputs the caller has checked. The checks
-    on computed values stay: unit_rows on the coupled amplitudes, and a
-    vanished total, whose entry at(i) names by its inputs."""
-    from .ussd import _polar, _separable, coupled_amplitudes
+    _canonical returns them and polar their _overlaps, without the checks
+    on p and on |alpha_c| below 1. The checks on computed values stay:
+    unit_rows on the coupled amplitudes, and a vanished total, whose
+    entry at(i) names by its inputs."""
+    from .ussd import _separable, coupled_amplitudes
 
-    amps = coupled_amplitudes(_separable(p, a, ac, *_polar(a), *_polar(ac)))
+    amps = coupled_amplitudes(_separable(p, a, ac, *polar))
     total = _tangles(amps, _SAC, "C")
     vanished = total < 1e-30
     if np.count_nonzero(vanished):

@@ -176,10 +176,7 @@ def _success_born_rule(seed=13, count=6, saturation=(None,)):
     """saturation[k % len(saturation)] picks the optimizer case of the
     k-th instance (None for either)."""
     rng = np.random.default_rng(seed)
-    if set(saturation) == {None}:
-        insts = _random_instances(rng, count)[0]
-    else:
-        insts = [_random_instance(rng, saturation[k % len(saturation)]) for k in range(count)]
+    insts = [_random_instance(rng, saturation[k % len(saturation)]) for k in range(count)]
     worst = 0.0
     for inst, r in zip(insts, run_protocol(insts, optimal_strategy(insts))):
         worst = max(worst, abs(r.success_probability - p_suc_max(inst)))

@@ -777,6 +777,13 @@ def _canonical(p_plus, alpha, alpha_c) -> tuple:
     if np.count_nonzero(ok) < p.size:
         i = int(np.argmin(ok))
         make_instance(p[i], a[i], ac[i])
+    return _swap(p, a, ac)
+
+
+def _swap(p, a, ac) -> tuple:
+    """make_instance's swap on flat arrays of checked priors and
+    overlaps: where p > 1/2, the prior 1 - p and both overlaps
+    conjugated. The arrays themselves when no prior exceeds 1/2."""
     swapped = p > 0.5
     if not np.count_nonzero(swapped):
         return p, a, ac

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ussd_lab import coherence
 from ussd_lab.qcore import PureState, apply_rows
 from ussd_lab.coherence import (
     BandScan,
@@ -233,6 +234,26 @@ class TestBand:
         with pytest.raises(RangeError, match=rf"^scan_points must be at most "
                                              rf"{np.iinfo(np.intp).max}, got {scan_points}$"):
             coherence_band(0.4, 0.5, 0.8, scan_points=scan_points)
+
+    @pytest.mark.parametrize("p_plus", [0.3, 0.7])
+    def test_refinement_checks_each_overlap(self, monkeypatch, p_plus):
+        """|alpha| one ulp below 1 passes coherence_band's check, but at
+        a phase the scan does not try the computed modulus rounds to 1:
+        the refinement's share refuses it there, as make_instance does."""
+        aa = np.array([math.nextafter(1.0, 0.0)])
+        g = np.array([float.fromhex("0x1.aea32923daa6dp+0")])
+        alpha = aa * np.exp(1j * g)
+        assert np.hypot(alpha.real, alpha.imag)[0] == 1.0
+        seen = []
+
+        def probe(f, lo, hi, tol=1e-10):
+            seen.append(True)
+            f(np.array([0]), g)
+
+        monkeypatch.setattr(coherence, "_golden_min", probe)
+        with pytest.raises(DegenerateOverlap, match=r"^\|alpha\| = 1\.0 leaves nothing"):
+            coherence_band(p_plus, aa[0], 0.5)
+        assert seen
 
     @pytest.mark.parametrize("p_plus", [0.0, 1.0, -0.1, 1.5])
     def test_extreme_prior_is_named(self, p_plus):

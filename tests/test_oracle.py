@@ -30,7 +30,7 @@ from ussd_lab.ussd import (
 from ussd_lab import oracle
 from ussd_lab.errors import NumericalError, RangeError
 from ussd_lab.qcore import Unitary
-from test_array_chain import reference_golden_min
+from test_array_chain import recording, reference_golden_min, schedule
 
 
 def test_oracle_imports_no_closed_form():
@@ -400,19 +400,32 @@ class TestCoarseScans:
                                         in zip(betas.tolist(), deltas.tolist())]))
 
     def test_coarse_pass_is_one_stacked_call(self, monkeypatch):
-        shapes, conc = [], oracle.wootters_concurrence
+        shapes, conc, search, steps = [], oracle.wootters_concurrence, oracle._golden_min, []
 
         def counting(fac):
             shapes.append(np.shape(fac))
             return conc(fac)
 
+        def searching(f, lo, hi, tol):
+            # the steps of the one-point reference on the same bracket,
+            # whose calls are not counted
+            visits, n = [], len(shapes)
+            reference_golden_min(recording(lambda v: float(f(None, np.array([v]))[0]), visits),
+                                 float(lo[0]), float(hi[0]), tol)
+            del shapes[n:]
+            steps.append(len(visits) - 3)
+            return search(f, lo, hi, tol)
+
         monkeypatch.setattr(oracle, "wootters_concurrence", counting)
+        monkeypatch.setattr(oracle, "_golden_min", searching)
         inst = SCAN_DRAWS[-1]
         grid_min_concurrence(inst, separable_strategy(inst), BETA_GRID, DELTA_GRID)
         assert shapes[0] == (25 * 49, 4, 2)
-        # the refinement: four one-bracket searches, each call of which
-        # carries up to the 15 points of four steps
-        assert 1 < len(shapes) <= 1 + 60
+        # the refinement: one call per round of each one-bracket search,
+        # up to the 15 points of its four steps, and two more per search
+        # (its start points and its midpoint)
+        assert len(steps) == 2 * max(BETA_GRID.refine, DELTA_GRID.refine)
+        assert len(shapes) == 1 + sum(len(schedule([s])) + 2 for s in steps)
         assert all(len(s) == 3 and 1 <= s[0] <= 15 for s in shapes[1:])
 
     @pytest.mark.parametrize("inst", SCAN_DRAWS + [make_instance(0.3, 0.0, 0.0)])
