@@ -195,7 +195,7 @@ def ledger(psi):
         raise ShapeError("ledger needs a three-qubit PureState or an (N, 8) stack, "
                          f"got {amps.dtype} of shape {amps.shape}")
     amps = amps.astype(complex)
-    unit_rows(amps, True, lambda i: f" at stack index {i}")
+    unit_rows(amps, lambda i: f" at stack index {i}")
     tau = np.array([_tangles(amps, reg, q) for q in reg])
     pairs = list(combinations(reg, 2))
     c = wootters_concurrence(np.concatenate([_factor(amps, reg, p) for p in pairs]))

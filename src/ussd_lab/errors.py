@@ -69,3 +69,19 @@ def _check(bad, error, message) -> None:
     """Raise error(message(i)) at the first entry i flagged in bad."""
     if np.count_nonzero(bad):
         raise error(message(int(np.flatnonzero(bad)[0])))
+
+
+def _nowhere(i) -> str:
+    return ""
+
+
+def _entries(value, *paired) -> tuple:
+    """The one-or-many rule of every stacked entry point: an iterable
+    value is a sequence of entries, anything else one entry. Returns
+    (single, entries, *paired, where): value and each paired argument as
+    a list (of one item for one entry), and where(i) the suffix that
+    names entry i in a message, " (inst[i])" for a sequence and none
+    for one entry."""
+    if not np.iterable(value):
+        return (True, [value], *([v] for v in paired), _nowhere)
+    return (False, list(value), *(list(v) for v in paired), lambda i: f" (inst[{i}])")

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericalError, RangeError, _count
+from .errors import NumericalError, RangeError, _check, _count, _entries
 from .coherence import _golden_min, wootters_concurrence
 
 
@@ -91,16 +91,15 @@ def grid_optimize_success(inst, grid: Optional[GridSpec] = None):
     constraint), then golden-sections around the grid winner. Used as the
     oracle for the closed-form optimum.
 
-    inst is one instance, which gives a SuccessSearchResult, or a
-    sequence of them, which gives a tuple of results. The coarse scan is
+    inst is one instance, which gives a SuccessSearchResult, or any
+    iterable of them, which gives a tuple of results. The coarse scan is
     one array pass over every instance's grid, and each refinement round
     one lockstep golden-section search over one bracket per instance, so
     each result equals a call on that instance alone.
     """
     if grid is None:
         grid = GridSpec(0.0, 1.0, 10000, 2)
-    single = not isinstance(inst, Sequence)
-    insts = [inst] if single else list(inst)
+    single, insts, where = _entries(inst)
     if not insts:
         return ()
     rp = np.array([float(i.r_plus) for i in insts])
@@ -108,10 +107,8 @@ def grid_optimize_success(inst, grid: Optional[GridSpec] = None):
     a = np.array([abs(i.alpha) for i in insts])
     lo = np.where(a > grid.lower, a, grid.lower)
     hi = np.full(a.size, min(grid.upper, 1.0))
-    empty = np.flatnonzero(~(hi > lo))
-    if empty.size:
-        raise RangeError("search interval is empty for this instance"
-                         + ("" if single else f" (inst[{int(empty[0])}])"))
+    _check(~(hi > lo), RangeError,
+           lambda i: f"search interval is empty for this instance{where(i)}")
 
     pts = np.array([np.linspace(l, h, grid.count) for l, h in zip(lo.tolist(), hi.tolist())])
     vals = _success_objective(rp[:, None], rm[:, None], a[:, None], pts)

@@ -21,6 +21,7 @@ from .errors import (
     ShapeError,
     UnknownQubit,
     _check,
+    _nowhere,
 )
 
 KNOWN_LABELS = ("S", "C", "A", "B")
@@ -61,9 +62,7 @@ class PureState:
             raise ShapeError(
                 f"register {reg} needs {2 ** len(reg)} amplitudes, got {amp.size}"
             )
-        nrm2 = float(np.vdot(amp, amp).real)
-        if not abs(nrm2 - 1.0) <= _STATE_NORM:     # NaN fails too
-            raise ShapeError(f"state vector not normalized: ||psi||^2 = {nrm2!r}")
+        unit_rows(amp[None])
         object.__setattr__(self, "amplitudes", _frozen_array(amp, amp.size))
 
     @property
@@ -93,7 +92,7 @@ class Unitary:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (d, d):
             raise ShapeError(f"register {reg} needs a {d}x{d} matrix, got {m.shape}")
-        unitary_rows(m[None], np.ones(1, dtype=bool))
+        unitary_rows(m[None])
         object.__setattr__(self, "matrix", _frozen_array(m, (d, d)))
 
 
@@ -122,14 +121,10 @@ CNOT = np.array(
 # ---------------------------------------------------------------------------
 # computational-basis measurement, on stacks of states
 
-def _nowhere(i) -> str:
-    return ""
-
-
 def vdot_rows(a, b) -> np.ndarray:
-    """np.vdot of each row pair of two (n, d) stacks, from one batched
-    matmul: numpy hands each (1, d) @ (d, 1) product to the BLAS dot that
-    np.vdot calls, so entry i equals np.vdot(a[i], b[i]) bit for bit
+    """numpy's vdot of each row pair of two (n, d) stacks, from one
+    batched matmul: numpy hands each (1, d) @ (d, 1) product to the BLAS
+    dot that vdot calls, so entry i equals vdot(a[i], b[i]) bit for bit
     (numpy 2.4.6 with OpenBLAS; a sum in another order would not)."""
     return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
 
@@ -144,13 +139,14 @@ def norm_rows(x) -> np.ndarray:
                    + (im[:, None, :] @ im[:, :, None])[:, 0, 0])
 
 
-def unit_rows(stack, mask, where=_nowhere) -> None:
-    """PureState's norm check on the rows of a stack that mask, one flag
-    per row or True for all, selects. The first row to fail is named by
-    where(i), a suffix to the message (none by default)."""
+def unit_rows(stack, where=_nowhere) -> None:
+    """The norm check of a state vector, on every row of a stack (PureState
+    runs it on a stack of one): ||psi||^2 within _STATE_NORM of 1, which
+    NaN fails. The first row to fail is named by where(i), a suffix to
+    the message (none by default)."""
     flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
     nrm2 = np.einsum("ij,ij->i", flat.conj(), flat).real
-    _check(mask & ~(np.abs(nrm2 - 1.0) <= _STATE_NORM), ShapeError,
+    _check(~(np.abs(nrm2 - 1.0) <= _STATE_NORM), ShapeError,
            lambda i: f"state vector not normalized{where(i)}: "
                      f"||psi||^2 = {float(nrm2[i])!r}")
 
@@ -167,13 +163,13 @@ def apply_rows(u, t, axes, where=_nowhere) -> np.ndarray:
     shape = m.shape
     m = (u @ m.reshape(len(t), 2 ** k, -1)).reshape(shape)
     out = np.moveaxis(m, range(1, k + 1), axes)
-    unit_rows(out, np.ones(len(t), dtype=bool), where)
+    unit_rows(out, where)
     return out
 
 
-def unitary_rows(stack, mask, where=_nowhere) -> None:
-    """Unitary's check on the (n, d, d) matrices of a stack that mask
-    selects: max |U^dag U - 1| within 1e-12. Entries of a unitary
+def unitary_rows(stack, where=_nowhere) -> None:
+    """Unitary's check on every (d, d) matrix of an (n, d, d) stack:
+    max |U^dag U - 1| within 1e-12. Entries of a unitary
     lie in the unit disc; that bound is tested first, and a row that
     fails it (NaN included) is left out of the product, which keeps NaN
     and overflow out of it. where(i) names a failing row as in
@@ -181,7 +177,7 @@ def unitary_rows(stack, mask, where=_nowhere) -> None:
     inside = np.abs(stack).max(axis=(1, 2), initial=0.0) <= 1.0 + 1e-12
     m = stack if inside.all() else np.where(inside[:, None, None], stack, 0.0)
     dev = np.abs(m.conj().swapaxes(1, 2) @ m - np.eye(stack.shape[-1])).max(axis=(1, 2), initial=0.0)
-    _check(mask & ~(inside & (dev <= 1e-12)), ShapeError,
+    _check(~(inside & (dev <= 1e-12)), ShapeError,
            lambda i: f"matrix is not unitary{where(i)}")
 
 

@@ -105,12 +105,10 @@ def _random_instances(rng, count: int, extra=()) -> tuple:
 
 
 def _random_instance(rng, saturated: Optional[bool] = None):
-    """One instance drawn as _random_instances draws it, by scalar draws,
-    and drawn again until its optimizer case is the one saturated picks,
-    when not None."""
+    """One instance of _random_instances, drawn again until its optimizer
+    case is the one saturated picks, when not None."""
     for _ in range(200):
-        p, aa, ac, gs, gc = (rng.uniform(lo, hi) for lo, hi in _DRAW)
-        inst = make_instance(p, aa * np.exp(1j * gs), ac * np.exp(1j * gc))
+        inst = _random_instances(rng, 1)[0][0]
         if saturated is None or (inst.case == "saturated") == saturated:
             return inst
     raise RangeError("failed to draw a matching instance")  # pragma: no cover
@@ -277,7 +275,7 @@ def _conservation(seed=17, count=20):
     rng = np.random.default_rng(seed)
     insts, strats = _drawn_strategies(rng, count)
     chi = _preparations(insts)[1]
-    unit_rows(chi, True)
+    unit_rows(chi)
     before, after = _environment_tangles(chi, _coupled(insts, strats))
     worst = 0.0
     for residual in np.abs(before - after).tolist():
@@ -348,7 +346,7 @@ def _lu_invariance():
         states.append(_random_pure(rng).amplitudes)
         us.append([_haar_unitary(rng) for _ in range(3)])
     us = np.array(us)
-    unitary_rows(us.reshape(30, 2, 2), np.ones(30, dtype=bool))
+    unitary_rows(us.reshape(30, 2, 2))
     psi = np.array(states).reshape(10, 2, 2, 2)
     rotated = psi
     for axis, u in enumerate(us.swapaxes(0, 1), start=1):

@@ -26,7 +26,9 @@ from .errors import (
     ShapeError,
     _check,
     _count,
+    _entries,
     _integer,
+    _nowhere,
 )
 from .qcore import (
     CNOT,
@@ -34,7 +36,6 @@ from .qcore import (
     PAULI,
     PureState,
     Unitary,
-    _nowhere,
     apply_rows,
     factor_rows,
     measure_rows,
@@ -174,7 +175,7 @@ def _channel_rows(angles, u_b, u_c, where) -> np.ndarray:
     ch = np.zeros((angles.size, 2, 2), dtype=complex)
     ch[:, 0, 0] = (c + s) / math.sqrt(2.0)
     ch[:, 1, 1] = (c - s) / math.sqrt(2.0)
-    unit_rows(ch, np.ones(angles.size, dtype=bool), where)
+    unit_rows(ch, where)
     for axis, u in ((1, u_b), (2, u_c)):
         if u is not None:
             ch = apply_rows(u, ch, (axis,), where)
@@ -209,7 +210,7 @@ def _alice(insts, channel_lu, where) -> np.ndarray:
     n = len(insts)
     ch = _channel_rows(np.array([i.channel_angle for i in insts]), u_b, u_c, where)
     psi = (_inputs(insts)[:, :, None] * ch.reshape(n, 1, 4)).reshape(n, 2, 2, 2)
-    unit_rows(psi, np.ones(n, dtype=bool), where)
+    unit_rows(psi, where)
     if u_b is not None:
         psi = apply_rows(u_b.conj().T, psi, (2,), where)
     psi = apply_rows(CNOT, psi, (1, 2), where)
@@ -281,13 +282,11 @@ def branch_to_ussd(inst, b_outcome):
     stack and make_instance on each entry, each check naming the entry
     at fault; each record equals a call on that pair alone.
     """
-    single = isinstance(inst, TeleportInstance)
-    insts, outs = ([inst], [b_outcome]) if single else (list(inst), list(b_outcome))
+    single, insts, outs, where = _entries(inst, b_outcome)
     if len(insts) != len(outs):
         raise ShapeError(f"{len(insts)} instances but {len(outs)} carrier outcomes")
     if not insts:
         return ()
-    where = _nowhere if single else (lambda i: f" (inst[{i}])")
     signs = [_sign(b, where(i)) for i, b in enumerate(outs)]
     _check(np.array([i.degenerate for i in insts]), DegenerateOverlap,
            lambda i: f"channel_angle pi/4 gives |overlap| = 1; discrimination degenerate{where(i)}")
@@ -348,7 +347,7 @@ class TeleportRun:
     fidelity: float
 
 
-def _branch_runs(insts, branches, channel_lu=None, single=True) -> list:
+def _branch_runs(insts, branches, channel_lu=None, tag=_nowhere) -> list:
     """Every outcome path of the given carrier branches of each instance,
     as one list per instance in enumeration order, from one pass over the
     (instances x branches) stack.
@@ -357,16 +356,10 @@ def _branch_runs(insts, branches, channel_lu=None, single=True) -> list:
     instances; the live carrier branches of all of them then evolve
     together in _live_runs. A degenerate channel has only failure paths;
     a dead branch or outcome gives zero-probability runs. A failed check
-    names its carrier branch, and its instance when insts came as a
-    sequence (single False)."""
-    n = len(insts)
-
-    def tag(j):
-        return "" if single else f" (inst[{j}])"
-
-    p_b, live_b, post_b = measure_rows(_alice(insts, channel_lu, tag), 2,
-                                       np.ones(n, dtype=bool), tag)
-    rows = [(j, b) for j in range(n) for b in branches if live_b[b, j]]
+    names its carrier branch, and its instance j by the suffix tag(j)
+    (none by default)."""
+    p_b, live_b, post_b = measure_rows(_alice(insts, channel_lu, tag), 2, True, tag)
+    rows = [(j, b) for j in range(len(insts)) for b in branches if live_b[b, j]]
     runs = _live_runs(insts, rows, p_b, post_b, channel_lu, tag) if rows else {}
     return [[runs.get((j, b, s), TeleportRun(b, s, 0.0, False, None, None, 0.0))
              for b in branches for s in ((None,) if inst.degenerate else (None, 0, 1))]
@@ -412,7 +405,7 @@ def _live_runs(insts, rows, p_b, post_b, channel_lu, tag) -> dict:
                 None if names is None else names[r], float(fid[r]))
 
     # (n, 2, 2) on (S, C): each row's slice of its own carrier outcome
-    psi_sc = factor_rows(post_b[bb, jj][np.arange(n), :, bb, :], np.ones(n, dtype=bool), "B", where)
+    psi_sc = factor_rows(post_b[bb, jj][np.arange(n), :, bb, :], True, "B", where)
     prob_b = p_b[bb, jj]
     degenerate = np.array([insts[j].degenerate for j in jj.tolist()])
     # product branch state: C never became entangled with S; rho_C of
@@ -428,7 +421,6 @@ def _live_runs(insts, rows, p_b, post_b, channel_lu, tag) -> dict:
         return runs
     jj, bb, psi_sc, prob_b = jj[live], bb[live], psi_sc[live], prob_b[live]
     n = live.size
-    every = np.ones(n, dtype=bool)
 
     rho = np.array([insts[j].channel_angle for j in jj.tolist()])
     sign = np.where(bb == 0, 1.0, -1.0)
@@ -449,13 +441,13 @@ def _live_runs(insts, rows, p_b, post_b, channel_lu, tag) -> dict:
             raise NumericalError(f"branch state disagrees with its closed form{where(i)} "
                                  f"(|overlap| = {agreement[i]!r})")
         _check_mapping(miss[i:i + 1], lambda _: tag(jj[i]))
-    unitary_rows(us, every, where)
+    unitary_rows(us, where)
 
     psi3 = np.zeros((n, 2, 2, 2), dtype=complex)      # (S, A, C), ancilla in |0>
     psi3[:, :, 0] = psi_sc
     psi3 = (us @ psi3.reshape(n, 4, 2)).reshape(n, 2, 2, 2)
-    unit_rows(psi3, every, where)
-    p_a, ok_a, (post_suc, post_fail) = measure_rows(psi3, 2, every, where)
+    unit_rows(psi3, where)
+    p_a, ok_a, (post_suc, post_fail) = measure_rows(psi3, 2, True, where)
 
     # failure: drop the ancilla, then the system along the failure direction
     rest = factor_rows(post_fail[:, :, 1], ok_a[1], "A", where)
@@ -514,10 +506,11 @@ def enumerate_runs(inst):
     sequence of them, which gives a tuple of such lists from one pass
     over the (instances x branches) stack; each list equals a call on
     that instance alone."""
-    if isinstance(inst, TeleportInstance):
-        return _branch_runs([inst], (0, 1))[0]
-    insts = list(inst)
-    return tuple(_branch_runs(insts, (0, 1), single=False)) if insts else ()
+    single, insts, where = _entries(inst)
+    if not insts:
+        return ()
+    runs = _branch_runs(insts, (0, 1), tag=where)
+    return runs[0] if single else tuple(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -636,13 +629,13 @@ def sample_teleport(inst: TeleportInstance, n: int, seed: int) -> SampleReport:
     if seed < 0:
         raise RangeError(f"seed must be non-negative, got {seed!r}")
     rng = np.random.default_rng(seed)
-    p_minus = branch_probability(inst, 1)
     if inst.degenerate:
         succ = 0
     else:
-        p_succ = _branch_success(np.array([1.0, -1.0]), math.sin(2.0 * inst.channel_angle),
-                                 math.cos(inst.mu))[3]
-        branches = (rng.random(n) < p_minus).astype(int)
+        prob, _, _, p_succ = _branch_success(np.array([1.0, -1.0]),
+                                             math.sin(2.0 * inst.channel_angle),
+                                             math.cos(inst.mu))
+        branches = (rng.random(n) < prob[1]).astype(int)
         succ = int(np.count_nonzero(rng.random(n) < p_succ[branches]))
     analytic = total_success_probability(inst.channel_angle)
     sigma = math.sqrt(max(analytic * (1.0 - analytic) / n, 0.0))

@@ -34,11 +34,12 @@ from .errors import (
     ShapeError,
     UndefinedPhase,
     _check,
+    _entries,
+    _nowhere,
 )
 from .qcore import (
     PureState,
     Unitary,
-    _nowhere,
     measure_rows,
     norm_rows,
     unit_rows,
@@ -358,7 +359,7 @@ class UssdStrategy:
             if k.size != 2:
                 raise ShapeError("ancilla_init must be a single-qubit vector")
             try:
-                unit_rows(k[None], True)        # run_protocol's check on k
+                unit_rows(k[None])      # run_protocol's check on k
             except ShapeError:
                 raise RangeError("ancilla_init must be normalized") from None
         arr = np.array(k, dtype=complex)
@@ -510,20 +511,18 @@ def _pairs(inst, strat, embedding) -> tuple:
     or equal-length sequences of instances and strategies, which take
     the canonical embeddings: (single, instances, strategies, the
     embeddings as four (N, 2) stacks, where), where(i) naming entry i of
-    a sequence. Every pair meets check_pair."""
-    single = isinstance(inst, UssdInstance)
-    insts, strats = ([inst], [strat]) if single else (list(inst), list(strat))
+    a sequence (_entries). Every pair meets check_pair."""
+    single, insts, strats, where = _entries(inst, strat)
     if len(insts) != len(strats):
         raise ShapeError(f"{len(insts)} instances but {len(strats)} strategies")
     if not single and embedding is not None:
         raise ShapeError("a sequence of instances takes the canonical embeddings")
     for i, st in zip(insts, strats):
         check_pair(i, st)
-    if embedding is not None:
-        return single, insts, strats, embedding.rows(), _nowhere
-    vecs = _canonical_rows(np.array([i.alpha for i in insts], dtype=complex),
-                           np.array([i.alpha_c for i in insts], dtype=complex))
-    return single, insts, strats, vecs, (_nowhere if single else (lambda i: f" (inst[{i}])"))
+    vecs = embedding.rows() if embedding is not None else _canonical_rows(
+        np.array([i.alpha for i in insts], dtype=complex),
+        np.array([i.alpha_c for i in insts], dtype=complex))
+    return single, insts, strats, vecs, where
 
 
 def coupling_unitary(inst, strat, embedding=None):
@@ -587,21 +586,20 @@ def run_protocol(inst, strat, embedding=None):
     if not insts:
         return ()
     n = len(insts)
-    every = np.ones(n, dtype=bool)
     pts = SeparablePoints.of(insts, strats)
     _check_embeddings(xi, xi_bar, phi, phi_bar, pts.alpha, pts.alpha_c, where)
     chi = _chi_rows(pts.r_plus, pts.r_minus, xi, xi_bar, phi, phi_bar)
     k = np.array([st.ancilla_init for st in strats])
     for stack in (chi, k):
-        unit_rows(stack, every, where)
+        unit_rows(stack, where)
     # (S, A, C) = chi (x) k with the ancilla moved between S and C
     psi0 = (chi[:, :, None] * k[:, None, :]).reshape(n, 2, 2, 2).transpose(0, 1, 3, 2)
-    unit_rows(psi0, every, where)
+    unit_rows(psi0, where)
     u, miss = _coupling(pts, xi, xi_bar, k)
     _check_mapping(miss, where)
     psi = (u @ psi0.reshape(n, 4, 2)).reshape(n, 2, 2, 2)
-    unit_rows(psi, every, where)
-    probs, live, post = measure_rows(psi, 2, every, where)
+    unit_rows(psi, where)
+    probs, live, post = measure_rows(psi, 2, True, where)
     sac = ("S", "A", "C")
     results = tuple(ProtocolResult(
         instance=insts[i], strategy=strats[i], unitary=Unitary(("S", "A"), u[i]),
@@ -689,8 +687,7 @@ def _strategies(inst, ancilla_init, angles=None):
     """The strategies of one _separable pass over one instance or a
     sequence of them, at the separable angles or at angles = (beta,
     delta), each one value or one per instance."""
-    single = isinstance(inst, UssdInstance)
-    insts = (inst,) if single else tuple(inst)
+    single, insts, _ = _entries(inst)
     p = np.array([i.p_plus for i in insts], dtype=float)
     a = np.array([i.alpha for i in insts], dtype=complex)
     ac = np.array([i.alpha_c for i in insts], dtype=complex)
@@ -737,7 +734,7 @@ class SeparablePoints:
     def of(cls, inst, strat) -> "SeparablePoints":
         """Instances with their strategies as given: one pair, a stack of
         one, or equal-length sequences of each, one entry per pair."""
-        insts, strats = ((inst,), (strat,)) if isinstance(inst, UssdInstance) else (inst, strat)
+        _, insts, strats, _ = _entries(inst, strat)
         return cls(*(np.array(v, dtype=t) for v, t in (
             ([i.alpha for i in insts], complex), ([i.alpha_c for i in insts], complex),
             ([i.r_plus for i in insts], float), ([i.r_minus for i in insts], float),
@@ -853,7 +850,7 @@ def coupled_amplitudes(pts: SeparablePoints) -> np.ndarray:
     phi_bar = _partner(pts.alpha_c)
     vec = (np.sqrt(pts.r_plus)[:, None] * (zp[:, :, None] * _E0).reshape(n, 8)
            + np.sqrt(pts.r_minus)[:, None] * (zm[:, :, None] * phi_bar[:, None, :]).reshape(n, 8))
-    unit_rows(vec, True)
+    unit_rows(vec)
     return vec
 
 
@@ -965,11 +962,9 @@ def bargmann_phase(inst):
     _loop_rows pass, each check naming the instance at fault; each phase
     equals a call on that instance alone.
     """
-    single = isinstance(inst, UssdInstance)
-    insts = (inst,) if single else tuple(inst)
+    single, insts, where = _entries(inst)
     if not insts:
         return ()
-    where = _nowhere if single else (lambda i: f" (inst[{i}])")
     _check(np.array([not 0.0 < i.p_plus < 1.0 for i in insts]), UndefinedPhase,
            lambda i: f"extreme prior collapses the loop{where(i)}")
     phase = _loop_rows(*_loop_states(insts, where), where)
@@ -981,5 +976,5 @@ def _loop_states(insts, where=_nowhere) -> tuple:
     the preparation, with run_protocol's norm check, and xi_bar phi_bar,
     on each instance's canonical embedding."""
     (xi, xi_bar, phi, phi_bar), chi = _preparations(insts, where=where)
-    unit_rows(chi, True, where)
+    unit_rows(chi, where)
     return _kron_rows(xi, phi), chi, _kron_rows(xi_bar, phi_bar)

@@ -134,11 +134,11 @@ _P = [
 _M = [
     Mutant("M1", "teleport.py", '(0, 1): ("pauli_z", PAULI["Z"]),',
            '(0, 1): ("pauli_z", PAULI["X"]),', "wrong Pauli correction on path (0, 1)"),
-    Mutant("M2", "teleport.py", "(post_suc, post_fail) = measure_rows(psi3, 2, every, where)",
-           "(post_fail, post_suc) = measure_rows(psi3, 2, every, where)",
+    Mutant("M2", "teleport.py", "(post_suc, post_fail) = measure_rows(psi3, 2, True, where)",
+           "(post_fail, post_suc) = measure_rows(psi3, 2, True, where)",
            "teleport takes the wrong ancilla outcome as success"),
-    Mutant("M3", "ussd.py", "probs, live, post = measure_rows(psi, 2, every, where)",
-           "probs, live, post = measure_rows(psi, 1, every, where)",
+    Mutant("M3", "ussd.py", "probs, live, post = measure_rows(psi, 2, True, where)",
+           "probs, live, post = measure_rows(psi, 1, True, where)",
            "run_protocol measures the system, not the ancilla"),
     Mutant("M4", "ussd.py", "u = outs @ ins.conj().swapaxes(1, 2)", "u = outs @ ins.conj()",
            "coupling built with the input frame transposed"),
@@ -161,7 +161,8 @@ _M = [
 ]
 
 # the caller-input checks written once: UssdInstance's overlap rule, the
-# stack's one array test, the state-norm bound and the ready-state check
+# stack's one array test, the state-norm bound, the ready-state check and
+# the name of a sequence's entry
 _N = [
     Mutant("N1", "ussd.py", "if aa >= 1.0:", "if aa > 1.0:",
            "|alpha| = 1 admitted by make_instance and by stacks",
@@ -177,9 +178,9 @@ _N = [
            "a stack admits |alpha_c| that make_instance refuses",
            tier1=("tests/test_ussd.py::TestInstance::test_overlap_bounds_are_exact",)),
     Mutant("N5", "qcore.py", "<= _STATE_NORM), ShapeError", "<= 10 * _STATE_NORM), ShapeError",
-           "stacked norm check ten times looser than PureState's",
+           "the one state-norm check, PureState's and the stacks', ten times looser",
            tier1=("tests/test_qcore.py::TestPureState::test_unit_rows_has_the_state_bound",)),
-    Mutant("N6", "ussd.py", "unit_rows(k[None], True)", "pass  # ",
+    Mutant("N6", "ussd.py", "unit_rows(k[None])", "pass  # ",
            "ancilla ready state not checked at construction",
            tier1=("tests/test_ussd.py::TestStrategy::"
                   "test_ready_state_checked_as_run_protocol_checks_it",)),
@@ -192,6 +193,14 @@ _N = [
     Mutant("N9", "ussd.py", "acm[over], gc[over]) > 0.0", "acm[over], gc[over]) > -1.0",
            "a stack admits a negative r+- denominator that make_instance refuses",
            tier1=("tests/test_ussd.py::TestInstance::test_nonpositive_denominator_is_refused",)),
+    Mutant("N10", "errors.py", 'lambda i: f" (inst[{i}])"', 'lambda i: f" (inst[{i + 1}])"',
+           "a failing entry of a sequence named off by one",
+           tier1=("tests/test_ussd.py::TestStacks::test_sequences_name_the_entry",
+                  "tests/test_teleport.py::TestStacks::test_empty_and_named",
+                  "tests/test_oracle.py::TestSuccessStack::test_sequences_and_errors",
+                  "tests/test_array_chain.py::TestLoopKernel::test_errors_name_the_entry",
+                  "tests/test_array_chain.py::TestSequenceEntries::test_branch_records",
+                  "tests/test_oracle.py::TestSuccessStack::test_any_iterable_is_a_sequence")),
 ]
 
 # the loop-phase row kernel

@@ -479,6 +479,19 @@ class TestSuccessStack:
         with pytest.raises(RangeError, match=re.escape("empty for this instance (inst[1])")):
             grid_optimize_success([inst, beyond, beyond], grid)
 
+    def test_any_iterable_is_a_sequence(self):
+        """A generator and an object array of instances are sequences, as
+        for every other stacked entry point, and give the list's results."""
+        grid = GridSpec(0.0, 1.0, 501, 2)
+        want = grid_optimize_success(self.INSTANCES, grid)
+        objs = np.empty(len(self.INSTANCES), dtype=object)
+        objs[:] = self.INSTANCES
+        for got in (grid_optimize_success((i for i in self.INSTANCES), grid),
+                    grid_optimize_success(objs, grid)):
+            assert [dataclasses.astuple(r) for r in got] == [dataclasses.astuple(r) for r in want]
+        with pytest.raises(RangeError, match=re.escape("empty for this instance (inst[0])")):
+            grid_optimize_success(iter([make_instance(0.2, 0.6, 0.0)]), GridSpec(0.0, 0.5, 201, 1))
+
 
 class TestNodeCache:
     def test_tables_are_read_only(self):

@@ -103,12 +103,35 @@ class TestPureState:
     def test_unit_rows_has_the_state_bound(self, excess, passes):
         """PureState and the stacked check both hold ||psi||^2 to 1 within 1e-12."""
         v = np.array([math.sqrt(1.0 + excess), 0.0], dtype=complex)
-        for check in (lambda: PureState(("S",), v), lambda: unit_rows(v[None], True)):
+        for check in (lambda: PureState(("S",), v), lambda: unit_rows(v[None])):
             if passes:
                 check()
             else:
                 with pytest.raises(ShapeError, match="not normalized"):
                     check()
+
+    def test_one_norm_rule_at_the_bound(self):
+        """PureState's check is unit_rows on a stack of one: vectors scaled
+        to within 1e-15 of the 1e-12 bound, where two ways of summing
+        ||psi||^2 can round to opposite verdicts, get one verdict and one
+        message from both."""
+        rng = np.random.default_rng(28)
+        v = rng.normal(size=(2000, 8)) + 1j * rng.normal(size=(2000, 8))
+        target = 1.0 + rng.choice([-1e-12, 1e-12], 2000) + rng.uniform(-1e-15, 1e-15, 2000)
+        v *= np.sqrt(target / np.einsum("ij,ij->i", v.conj(), v).real)[:, None]
+        passed = 0
+        for row in v:
+            verdicts = []
+            for check in (lambda: PureState(("S", "A", "C"), row), lambda: unit_rows(row[None])):
+                try:
+                    check()
+                except ShapeError as exc:
+                    verdicts.append(str(exc))
+                else:
+                    verdicts.append(None)
+            assert verdicts[0] == verdicts[1]
+            passed += verdicts[0] is None
+        assert 0 < passed < len(v)
 
     def test_axis_lookup(self):
         psi = bell()

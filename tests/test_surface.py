@@ -113,3 +113,27 @@ def test_born_route_never_reads_the_coupled_amplitudes():
     assert "coupled_amplitudes" not in route
     # the walk does find it where it is named
     assert "coupled_amplitudes" in reachable(["coupled_state"])
+
+
+def test_one_stack_contract():
+    """The one-or-many rule and the name of a sequence's entry are written
+    once, in errors._entries: no other module tests isinstance against
+    Sequence or an instance class, or writes a " (inst[" literal. The row
+    checks unit_rows and unitary_rows take no mask: every row is checked."""
+    one = {"Sequence", "UssdInstance", "TeleportInstance"}
+    for f in SRC.glob("*.py"):
+        if f.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(f.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                named = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+                assert not named & one, (f.name, node.lineno)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert " (inst[" not in node.value, (f.name, node.lineno)
+    defs = {node.name: node for node in ast.parse((SRC / "qcore.py").read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+    for name in ("unit_rows", "unitary_rows"):
+        params = defs[name].args
+        assert [a.arg for a in params.posonlyargs + params.args + params.kwonlyargs] \
+            == ["stack", "where"], name

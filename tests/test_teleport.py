@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from ussd_lab import teleport
 from ussd_lab.coherence import closed_form_coherences, ledger, wootters_concurrence
-from ussd_lab.errors import NumericalError, ShapeError, UssdLabError
+from ussd_lab.errors import NumericalError, ShapeError, UssdLabError, _entries
 from ussd_lab.qcore import (
     CNOT,
     HADAMARD,
@@ -589,11 +589,12 @@ class TestStacks:
         rng = np.random.default_rng(seed)
         lu = (haar(rng), haar(rng))
         alone = [outcome_of(teleport._branch_runs, [i], (0, 1), lu) for i in insts]
+        where = _entries(insts)[-1]
         if any(isinstance(r, tuple) for r in alone):
             with pytest.raises(UssdLabError):
-                teleport._branch_runs(insts, (0, 1), lu, single=False)
+                teleport._branch_runs(insts, (0, 1), lu, tag=where)
             return
-        for runs, inst in zip(teleport._branch_runs(insts, (0, 1), lu, single=False), insts):
+        for runs, inst in zip(teleport._branch_runs(insts, (0, 1), lu, tag=where), insts):
             paths = (None,) if inst.degenerate else (None, 0, 1)
             assert len(runs) == 2 * len(paths)
             for r in runs:
@@ -831,7 +832,7 @@ class TestMeasurementKernel:
         assert probs.shape == live.shape == (2, 0)
         assert post.shape == (2, 0, 2, 2)
         assert factor_rows(np.zeros((0, 2, 2), dtype=complex), none, "A").shape == (0, 2, 2)
-        unit_rows(np.zeros((0, 8), dtype=complex), none)
+        unit_rows(np.zeros((0, 8), dtype=complex))
 
     def test_messages(self):
         # no suffix: PureState's own message; a suffix names the row
@@ -840,13 +841,13 @@ class TestMeasurementKernel:
         stack[1, 1] = stack[2, 1] = 0.5
         with pytest.raises(ShapeError, match=re.escape(
                 "state vector not normalized: ||psi||^2 = 1.25")) as exc:
-            unit_rows(stack, np.ones(3, dtype=bool))
+            unit_rows(stack)
         with pytest.raises(ShapeError) as ref:
             PureState(("S", "A"), stack[1])
         assert str(exc.value) == str(ref.value)
         with pytest.raises(ShapeError, match=re.escape(
-                "state vector not normalized on row 2: ||psi||^2 = 1.25")):
-            unit_rows(stack, np.array([True, False, True]), lambda i: f" on row {i}")
+                "state vector not normalized on row 1: ||psi||^2 = 1.25")):
+            unit_rows(stack, lambda i: f" on row {i}")
         with pytest.raises(NumericalError, match=re.escape(
                 "outcome probabilities sum to 1.25 on row 1")):
             measure_rows(stack.reshape(3, 2, 2), 1, np.ones(3, dtype=bool),
