@@ -26,24 +26,25 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import RangeError, UndefinedPhase, UssdLabError, _count
+from .errors import RangeError, UndefinedPhase, UssdLabError, _count, _nowhere
 from .coherence import (
+    _SAC,
+    _factor,
     closed_form_coherences,
     coherence_band,
     ledger,
     wootters_concurrence,
 )
 from .ussd import (
+    _environment_tangles,
     _fig2_cells,
-    bargmann_phase,
+    _loop_rows,
+    _loop_states,
+    check_pair,
     coupled_amplitudes,
-    coupled_state,
     make_instance,
     p_suc_max,
     separable_points,
-    separable_strategy,
-    system_ancilla_factor,
-    total_coherence_conservation,
 )
 from .teleport import (
     TeleportInstance,
@@ -118,25 +119,37 @@ def _meta(command: str, **params) -> dict:
 # subcommands
 
 def cmd_eval(args) -> int:
+    # One pass per route, on the stacked kernels the public chain wraps
+    # (separable_strategy, coupled_state, ledger, closed_form_coherences,
+    # total_coherence_conservation, system_ancilla_factor, bargmann_phase),
+    # with every check run in that chain's order, so a failing input fails
+    # at the same first check with the same message. Only second runs of
+    # one rule on the same bits are left out: PureState's norm check of the
+    # row coupled_amplitudes has checked, and the loop phase's _preparations.
     alpha = args.alpha * np.exp(1j * args.alpha_phase)
     alpha_c = args.alpha_c * np.exp(1j * args.alpha_c_phase)
     inst = make_instance(args.p_plus, alpha, alpha_c)
-    strat = separable_strategy(inst)
-    psi = coupled_state(inst, strat)
-    led = ledger(psi)
-    ct, ca, cg = closed_form_coherences(inst, strat)
+    pts = separable_points(inst.p_plus, inst.alpha, inst.alpha_c)
+    strat = pts.strategy(0)
+    check_pair(inst, strat)
+    psi = coupled_amplitudes(pts)
+    led = ledger(psi)[0]
+    ct, ca, cg = (float(c[0]) for c in closed_form_coherences(pts))
     led_total = led.c_total
     led_conv = led.bipartite_of("A")
     led_gen = led.c_genuine
     led_ret = led.pair("S", "C")
     dev = max(abs(ct - led_total), abs(ca - led_conv), abs(cg - led_gen),
               abs((ct - ca) - led_ret))
-    cons = total_coherence_conservation(inst, psi)
-    sep = wootters_concurrence(system_ancilla_factor(psi))
-    try:
-        loop = bargmann_phase(inst)
-    except UndefinedPhase:
-        loop = "undefined"
+    loops = _loop_states([inst])
+    before, after = _environment_tangles(loops[1], psi)[:, 0].tolist()
+    sep = wootters_concurrence(_factor(psi, _SAC, ("S", "A"))[0])
+    loop = "undefined"
+    if 0.0 < inst.p_plus < 1.0:
+        try:
+            loop = float(_loop_rows(*loops, _nowhere)[0])
+        except UndefinedPhase:
+            pass
     rows = [
         ("r_plus", inst.r_plus),
         ("r_minus", inst.r_minus),
@@ -157,7 +170,7 @@ def cmd_eval(args) -> int:
         ("c_genuine_ledger", led_gen),
         ("c_env_ancilla_ledger", led.pair("C", "A")),
         ("max_ledger_deviation", dev),
-        ("conservation_residual", cons.residual),
+        ("conservation_residual", abs(before - after)),
         ("separability_concurrence", sep),
         ("loop_phase", loop),
     ]

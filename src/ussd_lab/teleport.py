@@ -89,12 +89,14 @@ def _sign(b_outcome, suffix: str = "") -> float:
 
 
 def _angles(channel_angle) -> tuple:
-    """One channel angle, or a 1-D stack of them, each checked and named
-    by its index: (True for one angle, the angles as a list of floats)."""
-    if np.ndim(channel_angle) == 0:
+    """One channel angle, or a 1-D stack of them (any iterable, by
+    _entries' rule), each checked and named by its index: (True for one
+    angle, the angles as a list of floats)."""
+    single, angles, _ = _entries(channel_angle)
+    if single:
         _check_angle(channel_angle)
         return True, [float(channel_angle)]
-    angles = np.asarray(channel_angle, dtype=float)
+    angles = np.asarray(angles, dtype=float)
     if angles.ndim != 1:
         raise ShapeError("channel_angle must be one angle or a 1-D stack, "
                          f"got shape {angles.shape}")

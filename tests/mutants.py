@@ -227,7 +227,21 @@ _G = [
            tier1=("tests/test_array_chain.py::TestStackedDraws",)),
 ]
 
-MUTANTS = _R + _C + _P + _M + _N + _L + _G
+# eval's one-pass composition, which the battery never runs
+_E = [
+    Mutant("E1", "cli.py", '_factor(psi, _SAC, ("S", "A"))', '_factor(psi, _SAC, ("S", "C"))',
+           "eval's separability concurrence of the system-environment pair",
+           tier1=("tests/test_cli.py::TestEvalParity",)),
+    Mutant("E2", "cli.py", "_environment_tangles(loops[1], psi)",
+           "_environment_tangles(loops[2], psi)",
+           "eval's conservation reads the loop's product vertex, not the preparation",
+           tier1=("tests/test_cli.py::TestEvalParity",)),
+    Mutant("E3", "cli.py", "if 0.0 < inst.p_plus < 1.0:", "if 0.0 <= inst.p_plus <= 1.0:",
+           "eval's loop phase skips the extreme-prior test",
+           tier1=("tests/test_cli.py::TestEvalParity",)),
+]
+
+MUTANTS = _R + _C + _P + _M + _N + _L + _G + _E
 
 
 def _copy(src: Path, dest: Path) -> None:

@@ -8,13 +8,28 @@ import json
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
-from ussd_lab import __version__
-from ussd_lab.cli import _csv_cell, _r12, build_parser, main
+from ussd_lab import __version__, cli
+from ussd_lab.cli import _csv_cell, _emit, _meta, _r12, build_parser, main
+from ussd_lab.coherence import closed_form_coherences, ledger, wootters_concurrence
+from ussd_lab.errors import UndefinedPhase
+from ussd_lab.selftest import _edge_box
+from ussd_lab.ussd import (
+    bargmann_phase,
+    coupled_state,
+    make_instance,
+    p_suc_max,
+    separable_strategy,
+    system_ancilla_factor,
+    total_coherence_conservation,
+)
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -159,6 +174,133 @@ def test_eval_workload_ops_exit_zero(seed):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(list(argv))
             assert code == 0, (argv, err.getvalue())
+
+
+def reference_eval(args) -> int:
+    """cmd_eval as the chain of public calls, each a stack of one that
+    rebuilds what the one before it built: the separable point three
+    times, the preparation twice. The reference of TestEvalParity."""
+    alpha = args.alpha * np.exp(1j * args.alpha_phase)
+    alpha_c = args.alpha_c * np.exp(1j * args.alpha_c_phase)
+    inst = make_instance(args.p_plus, alpha, alpha_c)
+    strat = separable_strategy(inst)
+    psi = coupled_state(inst, strat)
+    led = ledger(psi)
+    ct, ca, cg = closed_form_coherences(inst, strat)
+    led_total = led.c_total
+    led_conv = led.bipartite_of("A")
+    led_gen = led.c_genuine
+    led_ret = led.pair("S", "C")
+    dev = max(abs(ct - led_total), abs(ca - led_conv), abs(cg - led_gen),
+              abs((ct - ca) - led_ret))
+    cons = total_coherence_conservation(inst, psi)
+    sep = wootters_concurrence(system_ancilla_factor(psi))
+    try:
+        loop = bargmann_phase(inst)
+    except UndefinedPhase:
+        loop = "undefined"
+    rows = [
+        ("r_plus", inst.r_plus),
+        ("r_minus", inst.r_minus),
+        ("gamma", inst.gamma),
+        ("case", inst.case),
+        ("abs_alpha_plus_opt", abs(strat.alpha_plus)),
+        ("abs_alpha_minus_opt", abs(strat.alpha_minus)),
+        ("p_suc_max", p_suc_max(inst)),
+        ("beta_star", strat.beta),
+        ("delta_star", strat.delta),
+        ("c_total_closed", ct),
+        ("c_total_ledger", led_total),
+        ("c_converted_closed", ca),
+        ("c_converted_ledger", led_conv),
+        ("c_retained_closed", ct - ca),
+        ("c_retained_ledger", led_ret),
+        ("c_genuine_closed", cg),
+        ("c_genuine_ledger", led_gen),
+        ("c_env_ancilla_ledger", led.pair("C", "A")),
+        ("max_ledger_deviation", dev),
+        ("conservation_residual", cons.residual),
+        ("separability_concurrence", sep),
+        ("loop_phase", loop),
+    ]
+    meta = _meta("eval", p_plus=args.p_plus, abs_alpha=args.alpha,
+                 alpha_phase=args.alpha_phase, abs_alpha_c=args.alpha_c,
+                 alpha_c_phase=args.alpha_c_phase)
+    _emit(args, meta, ["quantity", "value"], rows)
+    return 0
+
+
+def _reference_parser():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.choices)
+    sub.choices["eval"].set_defaults(fn=reference_eval)
+    return parser
+
+
+_REFERENCE_PARSER = _reference_parser()
+
+
+def eval_run(p_plus, abs_alpha, alpha_phase, abs_alpha_c, alpha_c_phase, reference=False):
+    """(exit code, stdout, stderr) of main on one eval argv, through
+    cmd_eval or, with reference, through reference_eval."""
+    argv = ["eval", "--p-plus", repr(p_plus), "--alpha", repr(abs_alpha),
+            "--alpha-phase", repr(alpha_phase), "--alpha-c", repr(abs_alpha_c),
+            "--alpha-c-phase", repr(alpha_c_phase)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        if reference:
+            stack.enter_context(mock.patch.object(cli, "_parser", lambda: _REFERENCE_PARSER))
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _edge_point(seed: int) -> tuple:
+    """One selftest._edge_box draw, its gamma on the system overlap."""
+    p, aa, ac, g = (float(x[0]) for x in _edge_box(np.random.default_rng(seed), 1))
+    return p, aa, g, ac, 0.0
+
+
+_PHASES = st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi]) | st.floats(-10.0, 10.0)
+_EVAL_INPUTS = st.tuples(
+    st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True)
+    | st.floats(-12.0, -1.0).map(lambda e: 1.0 - 10.0 ** e),
+    _PHASES,
+    st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    _PHASES,
+) | st.integers(0, 2 ** 32 - 1).map(_edge_point)
+
+
+class TestEvalParity:
+    """cmd_eval runs one pass per route on the stacked kernels; the chain
+    of public calls it replaces, kept here as reference_eval, must give
+    the same exit code, stdout and stderr, so also the same first
+    failing check and message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_EVAL_INPUTS)
+    def test_admissible_domain(self, point):
+        assert eval_run(*point) == eval_run(*point, reference=True)
+
+    def test_near_cancellation_slice(self):
+        """The first 100 draws of the near-cancellation box (p = 1/2,
+        |alpha_c| = 1, |alpha| = 1 - 10^U(-9,-2), gamma = pi -
+        10^U(-6,-1), seed 0). Its exit counts are those of the norm
+        defect ROADMAP item 2 describes: 49 exit 0, and 51 exit 2 with
+        "state vector not normalized", 48 of them from the coupled row
+        and 3 (draws 15, 24 and 82) from the preparation."""
+        rng = np.random.default_rng(0)
+        aa = 1.0 - 10.0 ** rng.uniform(-9.0, -2.0, 2000)
+        gamma = np.pi - 10.0 ** rng.uniform(-6.0, -1.0, 2000)
+        codes = []
+        for a, g in zip(aa[:100].tolist(), gamma[:100].tolist()):
+            run = eval_run(0.5, a, g, 1.0, 0.0)
+            assert run == eval_run(0.5, a, g, 1.0, 0.0, reference=True), (a, g)
+            assert run[0] == 0 or "state vector not normalized" in run[2]
+            codes.append(run[0])
+        assert (codes.count(0), codes.count(2)) == (49, 51)
 
 
 class TestSweeps:

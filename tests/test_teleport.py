@@ -899,6 +899,22 @@ class TestAverages:
     def test_integer_types_are_counts(self):
         assert square_mean_root(0.3, nodes=np.int64(32)) == square_mean_root(0.3, nodes=32)
 
+    def test_any_iterable_is_a_stack_of_angles(self):
+        """The channel-angle entry points read one-or-many by _entries'
+        rule, as the instance entry points do: a generator gives the
+        list's results, a 2-D stack stays a ShapeError, and a bad entry
+        is still named channel_angle[i]."""
+        angles = [0.1, 0.2, QP]
+        for fn in (total_success_probability, square_mean_root):
+            assert fn(a for a in angles) == fn(angles)
+            assert fn(iter([])) == ()
+            with pytest.raises(ShapeError, match=re.escape(
+                    "channel_angle must be one angle or a 1-D stack, got shape (2, 1)")):
+                fn(iter([[0.1], [0.2]]))
+            with pytest.raises(RangeError, match=re.escape(
+                    "channel_angle[1] must lie in [0, pi/4], got 1.0")):
+                fn(a for a in [0.1, 1.0, -1.0])
+
     def test_quadrature_already_converged(self):
         a = square_mean_root(0.3, nodes=48)
         b = square_mean_root(0.3, nodes=96)
