@@ -247,11 +247,9 @@ def eval_run(p_plus, abs_alpha, alpha_phase, abs_alpha_c, alpha_c_phase, referen
             "--alpha-phase", repr(alpha_phase), "--alpha-c", repr(abs_alpha_c),
             "--alpha-c-phase", repr(alpha_c_phase)]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.ExitStack() as stack:
-        if reference:
-            stack.enter_context(mock.patch.object(cli, "_parser", lambda: _REFERENCE_PARSER))
-        stack.enter_context(contextlib.redirect_stdout(out))
-        stack.enter_context(contextlib.redirect_stderr(err))
+    parser = (mock.patch.object(cli, "_parser", lambda: _REFERENCE_PARSER) if reference
+              else contextlib.nullcontext())
+    with parser, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
