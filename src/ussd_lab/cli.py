@@ -28,12 +28,10 @@ import numpy as np
 from . import __version__
 from .errors import RangeError, UndefinedPhase, UssdLabError, _count, _nowhere
 from .coherence import (
-    _SAC,
-    _factor,
+    _ledger_pass,
     closed_form_coherences,
     coherence_band,
     ledger,
-    wootters_concurrence,
 )
 from .ussd import (
     _environment_tangles,
@@ -125,7 +123,9 @@ def cmd_eval(args) -> int:
     # with every check run in that chain's order, so a failing input fails
     # at the same first check with the same message. Only second runs of
     # one rule on the same bits are left out: PureState's norm check of the
-    # row coupled_amplitudes has checked, and the loop phase's _preparations.
+    # row coupled_amplitudes has checked, the loop phase's _preparations,
+    # and the concurrence of the (S, A) factor, which the ledger's stacked
+    # wootters_concurrence call has made.
     alpha = args.alpha * np.exp(1j * args.alpha_phase)
     alpha_c = args.alpha_c * np.exp(1j * args.alpha_c_phase)
     inst = make_instance(args.p_plus, alpha, alpha_c)
@@ -133,7 +133,7 @@ def cmd_eval(args) -> int:
     strat = pts.strategy(0)
     check_pair(inst, strat)
     psi = coupled_amplitudes(pts)
-    led = ledger(psi)[0]
+    (led,), conc = _ledger_pass(psi)
     ct, ca, cg = (float(c[0]) for c in closed_form_coherences(pts))
     led_total = led.c_total
     led_conv = led.bipartite_of("A")
@@ -143,7 +143,7 @@ def cmd_eval(args) -> int:
               abs((ct - ca) - led_ret))
     loops = _loop_states([inst])
     before, after = _environment_tangles(loops[1], psi)[:, 0].tolist()
-    sep = wootters_concurrence(_factor(psi, _SAC, ("S", "A"))[0])
+    sep = float(conc[0])    # the ledger's first pair, (S, A)
     loop = "undefined"
     if 0.0 < inst.p_plus < 1.0:
         try:

@@ -56,8 +56,10 @@ def wootters_concurrence(factor):
     return c if v.ndim > 2 else float(c)
 
 
-def _hyperdet_tangle(v: np.ndarray) -> float:
-    """Residual tripartite tangle via the degree-4 polynomial invariant."""
+def _hyperdet_tangle(v) -> float:
+    """Residual tripartite tangle via the degree-4 polynomial invariant
+    of the eight amplitudes v, which ledger passes as Python complex
+    numbers (cheaper to multiply than numpy scalars, with the same bits)."""
     a000, a001, a010, a011, a100, a101, a110, a111 = v
     d1 = (a000 ** 2 * a111 ** 2 + a001 ** 2 * a110 ** 2
           + a010 ** 2 * a101 ** 2 + a100 ** 2 * a011 ** 2)
@@ -104,26 +106,32 @@ def _factor(amplitudes, register, keep) -> np.ndarray:
 
 
 @functools.cache
-def _minor_entries(register, q: str) -> np.ndarray:
-    """Flat positions of W0j, W1k, W0k, W1j (rows) over j < k, W the factor
-    of qubit q in a state vector on register; built once, read-only."""
-    w = _factor(np.arange(2 ** len(register))[None], register, [q])[0]
-    j, k = np.triu_indices(w.shape[-1], 1)
-    entries = np.stack([w[0, j], w[1, k], w[0, k], w[1, j]])
-    entries.flags.writeable = False
-    return entries
+def _minor_index(register, qubits) -> np.ndarray:
+    """Flat positions of W0j, W1k, W0k, W1j (rows) for each of qubits
+    (columns) over j < k, W the factor of that qubit in a state vector
+    on register: one (4, len(qubits), C(2**(n-1), 2)) index, built once
+    per register and qubits, read-only."""
+    flat = np.arange(2 ** len(register))[None]
+    rows = []
+    for q in qubits:
+        w = _factor(flat, register, [q])[0]
+        j, k = np.triu_indices(w.shape[-1], 1)
+        rows.append(np.stack([w[0, j], w[1, k], w[0, k], w[1, j]]))
+    index = np.stack(rows, axis=1)
+    index.flags.writeable = False
+    return index
 
 
-def _tangles(amplitudes, register, q: str) -> np.ndarray:
-    """One-vs-rest tangle of qubit q, 4 det of its reduced state, in each
-    row of an (N, 2**n) stack of state vectors on register. With W the
-    2 x 2**(n-1) factor of that state, det(W W^dag) is the sum of
+def _tangles(amplitudes, register, qubits) -> np.ndarray:
+    """One-vs-rest tangle of each of qubits, 4 det of its reduced state,
+    in each row of an (N, 2**n) stack of state vectors on register, as a
+    (len(qubits), N) array from one gather of every qubit's minors. With
+    W the 2 x 2**(n-1) factor of that state, det(W W^dag) is the sum of
     |W0j W1k - W0k W1j|^2 over j < k (Cauchy-Binet), so it cannot go
     negative."""
-    w0j, w1k, w0k, w1j = _minor_entries(tuple(register), q)
-    a = amplitudes
-    minor = a[:, w0j] * a[:, w1k] - a[:, w0k] * a[:, w1j]
-    return 4.0 * (minor.real * minor.real + minor.imag * minor.imag).sum(axis=-1)
+    g = amplitudes[:, _minor_index(tuple(register), tuple(qubits))]
+    minor = g[:, 0] * g[:, 1] - g[:, 2] * g[:, 3]
+    return 4.0 * (minor.real * minor.real + minor.imag * minor.imag).sum(axis=-1).T
 
 
 @dataclass(frozen=True)
@@ -148,17 +156,18 @@ class CoherenceLedger:
     monogamy_residual: float
 
     def pair(self, x: str, y: str) -> float:
-        for key, val in self.c_pairwise.items():
-            a, b = key.split(":")
-            if {a, b} == {x, y}:
-                return val
-        raise KeyError(f"no pair {x},{y} in {tuple(self.c_pairwise)}")
+        """The pair tangle of x and y, in either order."""
+        val = self.c_pairwise.get(f"{x}:{y}", self.c_pairwise.get(f"{y}:{x}"))
+        if val is None:
+            raise KeyError(f"no pair {x},{y} in {tuple(self.c_pairwise)}")
+        return val
 
     def bipartite_of(self, pivot: str) -> float:
-        for key, val in self.c_bipartite.items():
-            if key.split(":")[0] == pivot:
-                return val
-        raise KeyError(f"no pivot {pivot} in {tuple(self.c_bipartite)}")
+        rest = "".join(q for q in self.register if q != pivot)
+        val = self.c_bipartite.get(f"{pivot}:{rest}")
+        if val is None:
+            raise KeyError(f"no pivot {pivot} in {tuple(self.c_bipartite)}")
+        return val
 
     def __post_init__(self):
         lo, hi = -1e-10, 1.0 + 1e-10
@@ -187,6 +196,13 @@ def ledger(psi):
     polynomial invariant of each row. A row that is not finite or not
     normalized is named by its stack index.
     """
+    return _ledger_pass(psi)[0]
+
+
+def _ledger_pass(psi) -> tuple:
+    """ledger(psi), and the (3N,) concurrences of its one stacked
+    wootters_concurrence call: the pair combinations(register, 2)[k] of
+    row i at k N + i."""
     if isinstance(psi, PureState):
         reg, amps = psi.register, psi.amplitudes.reshape(1, -1)
     else:
@@ -196,13 +212,14 @@ def ledger(psi):
                          f"got {amps.dtype} of shape {amps.shape}")
     amps = amps.astype(complex)
     unit_rows(amps, lambda i: f" at stack index {i}")
-    tau = np.array([_tangles(amps, reg, q) for q in reg])
+    tau = _tangles(amps, reg, reg)
     pairs = list(combinations(reg, 2))
     c = wootters_concurrence(np.concatenate([_factor(amps, reg, p) for p in pairs]))
     c2 = (c * c).reshape(3, -1)
     # the pair left over by pivot reg[i] is pairs[2 - i]
     sums = tau + c2[::-1]
-    total = np.mean(sums, axis=0)
+    # np.mean's order of summation over the pivots, without its overhead
+    total = (sums[0] + sums[1] + sums[2]) / 3.0
     residual = sums.max(axis=0) - sums.min(axis=0)
     bipartite_keys = [f"{q}:{''.join(x for x in reg if x != q)}" for q in reg]
     pairwise_keys = [f"{x}:{y}" for x, y in pairs]
@@ -215,9 +232,9 @@ def ledger(psi):
             c_genuine=_hyperdet_tangle(v),
             monogamy_residual=r,
         )
-        for v, t, b, p, r in zip(amps, total.tolist(), tau.T.tolist(),
+        for v, t, b, p, r in zip(amps.tolist(), total.tolist(), tau.T.tolist(),
                                  c2.T.tolist(), residual.tolist()))
-    return leds[0] if isinstance(psi, PureState) else leds
+    return (leds[0] if isinstance(psi, PureState) else leds), c
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +433,7 @@ def _band_core(p, a, ac, polar, at) -> np.ndarray:
     from .ussd import _separable, coupled_amplitudes
 
     amps = coupled_amplitudes(_separable(p, a, ac, *polar))
-    total = _tangles(amps, _SAC, "C")
+    total = _tangles(amps, _SAC, ("C",))[0]
     vanished = total < 1e-30
     if np.count_nonzero(vanished):
         p, aa, ac, g = at(int(np.argmax(vanished)))

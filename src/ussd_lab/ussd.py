@@ -895,7 +895,7 @@ def _environment_tangles(chi, coupled, register=("S", "A", "C")) -> np.ndarray:
     prep = np.zeros((n, 2, 2, 2), dtype=complex)      # (S, A, C)
     prep[:, :, 0] = chi.reshape(n, 2, 2)
     prep = prep.transpose([0] + [1 + "SAC".index(q) for q in register]).reshape(n, 8)
-    return _tangles(np.concatenate([prep, coupled]), register, "C").reshape(2, n)
+    return _tangles(np.concatenate([prep, coupled]), register, ("C",)).reshape(2, n)
 
 
 def bargmann_loop(psi1, psi2, psi3):

@@ -106,6 +106,9 @@ _C = [
            "psi_sc[deg] @ psi_sc[deg].conj().swapaxes(1, 2)",
            "degenerate failure path delivers rho_S's eigenvector, not rho_C's",
            tier1=("tests/test_teleport.py::TestDegenerateBranch",)),
+    Mutant("C7", "coherence.py", "for q in qubits:", "for q in qubits[1::-1] + qubits[2:]:",
+           "the tangle gather index holds the first two qubits' rows swapped",
+           tier1=("tests/test_array_chain.py::TestLedgerArithmetic",)),
 ]
 
 # the protocol's states and the ledger
@@ -229,7 +232,7 @@ _G = [
 
 # eval's one-pass composition, which the battery never runs
 _E = [
-    Mutant("E1", "cli.py", '_factor(psi, _SAC, ("S", "A"))', '_factor(psi, _SAC, ("S", "C"))',
+    Mutant("E1", "cli.py", "sep = float(conc[0])", "sep = float(conc[1])",
            "eval's separability concurrence of the system-environment pair",
            tier1=("tests/test_cli.py::TestEvalParity",)),
     Mutant("E2", "cli.py", "_environment_tangles(loops[1], psi)",

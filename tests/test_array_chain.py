@@ -17,7 +17,10 @@ search, several steps per call, must repeat at every step count. fig2's array pa
 the row-by-row loop it replaced, kept here as reference_fig2_rows. The
 tangle ledger of a stack is held to its rows with ==, and to the
 eigendecomposition-route ledger kept here as a reference at a stated
-tolerance, row by row.
+tolerance, row by row. Its arithmetic before the one gather of every
+qubit's minors (one qubit at a time, np.mean, the polynomial invariant
+on numpy scalars) is kept here as frozen_ledgers, which every field of
+a stack and of each row must repeat with ==.
 The closed-form triple of a stack is held to the scalar triple kept
 here as a reference, and optimal_strategy's radii to the scalar regime
 split. The instance arithmetic is written once, in helpers the kernel
@@ -420,7 +423,8 @@ class TestStacks:
         empty = np.empty((0, 8), dtype=complex)
         assert _factor(empty, SAC, ["C"]).shape == (0, 2, 4)
         assert _factor(empty, SAC, ["C", "A"]).shape == (0, 4, 2)
-        assert _tangles(empty, SAC, "C").shape == (0,)
+        assert _tangles(empty, SAC, ("C",)).shape == (1, 0)
+        assert _tangles(empty, SAC, SAC).shape == (3, 0)
         assert wootters_concurrence(_factor(empty, SAC, ["C", "A"])).shape == (0,)
         assert ledger(empty) == ()
         assert ledger(coupled_amplitudes(separable_points(0.4, [], 0.8))) == ()
@@ -528,7 +532,7 @@ def reference_band(p_plus, abs_alpha, abs_alpha_c, scan_points):
     def share(gamma):
         inst = make_instance(p_plus, abs_alpha * np.exp(1j * gamma), abs_alpha_c)
         psi = coupled_state(inst, separable_strategy(inst))
-        total = float(_tangles(psi.amplitudes[None], SAC, "C")[0])
+        total = float(_tangles(psi.amplitudes[None], SAC, ("C",))[0, 0])
         c_ca = wootters_concurrence(reference_factor(psi, ["C", "A"]))
         return min(max(float(c_ca * c_ca / total), 0.0), 1.0)
 
@@ -1003,6 +1007,126 @@ class TestLedger:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["fig3", "--steps", "11", "--band-points", "16"]) == 0
         assert calls == [(11, 8)]
+
+
+
+def frozen_tangle(amps, reg, q):
+    """The one-vs-rest tangle of qubit q in each row, as the ledger took
+    it before its single gather: one qubit's minors at a time, from that
+    qubit's own index of W0j, W1k, W0k, W1j."""
+    w = _factor(np.arange(8)[None], reg, [q])[0]
+    j, k = np.triu_indices(w.shape[-1], 1)
+    minor = amps[:, w[0, j]] * amps[:, w[1, k]] - amps[:, w[0, k]] * amps[:, w[1, j]]
+    return 4.0 * (minor.real * minor.real + minor.imag * minor.imag).sum(axis=-1)
+
+
+def frozen_hyperdet(v):
+    """The polynomial invariant on the eight numpy scalars of a row."""
+    a000, a001, a010, a011, a100, a101, a110, a111 = v
+    d1 = (a000 ** 2 * a111 ** 2 + a001 ** 2 * a110 ** 2
+          + a010 ** 2 * a101 ** 2 + a100 ** 2 * a011 ** 2)
+    d2 = (a000 * a111 * a011 * a100 + a000 * a111 * a101 * a010
+          + a000 * a111 * a110 * a001 + a011 * a100 * a101 * a010
+          + a011 * a100 * a110 * a001 + a101 * a010 * a110 * a001)
+    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
+    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
+
+
+def frozen_ledgers(reg, amps):
+    """The ledger arithmetic of an (N, 8) stack on reg as it was before
+    the single gather: three frozen_tangle passes, the monogamy sums
+    averaged by np.mean and frozen_hyperdet on numpy scalars. The pair
+    concurrences are the one stacked wootters_concurrence call, which
+    TestLedgerArithmetic holds to one matrix at a time."""
+    tau = np.array([frozen_tangle(amps, reg, q) for q in reg])
+    pairs = list(itertools.combinations(reg, 2))
+    c = wootters_concurrence(np.concatenate([_factor(amps, reg, p) for p in pairs]))
+    c2 = (c * c).reshape(3, -1)
+    sums = tau + c2[::-1]
+    total = np.mean(sums, axis=0)
+    residual = sums.max(axis=0) - sums.min(axis=0)
+    return tuple(
+        CoherenceLedger(
+            register=reg,
+            c_total=t,
+            c_bipartite={f"{q}:{''.join(x for x in reg if x != q)}": v
+                         for q, v in zip(reg, b)},
+            c_pairwise={f"{x}:{y}": v for (x, y), v in zip(pairs, pc)},
+            c_genuine=frozen_hyperdet(v),
+            monogamy_residual=r,
+        )
+        for v, t, b, pc, r in zip(amps, total.tolist(), tau.T.tolist(),
+                                  c2.T.tolist(), residual.tolist()))
+
+
+def zeroed_states(seed, count):
+    """random_states, every other row with up to four entries set to an
+    exact zero before it is normalized."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(count, 8)) + 1j * rng.normal(size=(count, 8))
+    for row in amps[::2]:
+        row[rng.choice(8, rng.integers(1, 5), replace=False)] = 0.0
+    return amps / np.linalg.norm(amps, axis=1)[:, None]
+
+
+def edge_box_states(seed, count):
+    """Coupled rows at the separable points of one selftest._edge_box stack."""
+    p, aa, ac, g = selftest._edge_box(np.random.default_rng(seed), count)
+    return coupled_amplitudes(separable_points(p, aa * np.exp(1j * g), ac))
+
+
+class TestLedgerArithmetic:
+    """The ledger gathers every qubit's minors at once, sums the pivots
+    in np.mean's order, and reads each row's amplitudes as Python
+    complex numbers; frozen_ledgers keeps the arithmetic it replaced,
+    and every field must keep its bits, signs of zeros included, for a
+    stack and for each of its rows alone. cmd_eval prints the (S, A)
+    entry of the ledger's stacked concurrences as the separability
+    concurrence, so those must be the concurrences of one matrix."""
+
+    @staticmethod
+    def assert_frozen(reg, amps):
+        """Each row as a PureState on reg and, on ("S", "A", "C"), the
+        stack and each row as a stack of one, against frozen_ledgers."""
+        def fields(leds):
+            return [ledger_fields(x) for x in leds]
+
+        for a in amps:
+            assert fields([ledger(PureState(reg, a))]) == fields(frozen_ledgers(reg, a[None]))
+            if reg == SAC:
+                assert fields(ledger(a[None])) == fields(frozen_ledgers(reg, a[None]))
+        if reg == SAC:
+            assert fields(ledger(amps)) == fields(frozen_ledgers(reg, amps))
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 60])
+    def test_random_rows(self, count):
+        self.assert_frozen(SAC, zeroed_states(41 + count, count))
+
+    def test_edge_box_rows(self):
+        self.assert_frozen(SAC, edge_box_states(43, 200))
+
+    def test_permuted_register(self):
+        self.assert_frozen(("A", "C", "S"), zeroed_states(44, 6))
+
+    @pytest.mark.parametrize("amps", [zeroed_states(45, 30), edge_box_states(46, 30)],
+                             ids=["random", "edge_box"])
+    def test_pair_concurrences_are_one_matrix_each(self, amps):
+        leds, conc = coherence._ledger_pass(amps)
+        assert conc.shape == (3 * len(amps),)
+        for k, (x, y) in enumerate(itertools.combinations(SAC, 2)):
+            for i, a in enumerate(amps):
+                one = wootters_concurrence(_factor(a[None], SAC, (x, y))[0])
+                assert conc[k * len(amps) + i] == one
+                assert leds[i].c_pairwise[f"{x}:{y}"] == one * one
+
+    def test_one_gather_for_every_qubit(self):
+        amps = zeroed_states(48, 5)
+        got = _tangles(amps, SAC, SAC)
+        assert got.shape == (3, 5)
+        for row, q in zip(got, SAC):
+            assert row.tolist() == frozen_tangle(amps, SAC, q).tolist()
+            assert _tangles(amps, SAC, (q,))[0].tolist() == row.tolist()
+        assert _tangles(amps, SAC, ("C", "S")).tolist() == got[[2, 0]].tolist()
 
 
 def reference_closed_form(inst, strat):

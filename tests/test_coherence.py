@@ -121,6 +121,28 @@ class TestLedger:
         with pytest.raises(KeyError):
             led.pair("S", "B")
 
+    @pytest.mark.parametrize("register", [("S", "A", "C"), ("C", "S", "A")])
+    def test_accessors_look_keys_up(self, register):
+        """pair takes its qubits in either order, bipartite_of its pivot;
+        an absent pair or pivot names the keys there are."""
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        led = ledger(PureState(register, v / np.linalg.norm(v)))
+        for key, val in led.c_pairwise.items():
+            x, y = key.split(":")
+            assert led.pair(x, y) == led.pair(y, x) == val
+        for key, val in led.c_bipartite.items():
+            assert led.bipartite_of(key.split(":")[0]) == val
+        pairs, cuts = tuple(led.c_pairwise), tuple(led.c_bipartite)
+        for x, y in (("S", "B"), ("B", "S"), ("S", "S"), ("SA", "C")):
+            with pytest.raises(KeyError) as err:
+                led.pair(x, y)
+            assert err.value.args == (f"no pair {x},{y} in {pairs}",)
+        for pivot in ("B", "SA", ""):
+            with pytest.raises(KeyError) as err:
+                led.bipartite_of(pivot)
+            assert err.value.args == (f"no pivot {pivot} in {cuts}",)
+
     def test_ghz_numbers(self):
         led = ledger(ghz())
         assert abs(led.c_total - 1.0) < 1e-12
