@@ -26,24 +26,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import RangeError, UndefinedPhase, UssdLabError, _count, _nowhere
-from .coherence import (
-    _ledger_pass,
-    closed_form_coherences,
-    coherence_band,
-    ledger,
-)
-from .ussd import (
-    _environment_tangles,
-    _fig2_cells,
-    _loop_rows,
-    _loop_states,
-    check_pair,
-    coupled_amplitudes,
-    make_instance,
-    p_suc_max,
-    separable_points,
-)
+from .errors import RangeError, UssdLabError, _count
+from .coherence import coherence_band, ledger
+from .ussd import coupled_amplitudes, eval_report, fig2_cells, separable_points
 from .teleport import (
     TeleportInstance,
     enumerate_runs,
@@ -117,63 +102,10 @@ def _meta(command: str, **params) -> dict:
 # subcommands
 
 def cmd_eval(args) -> int:
-    # One pass per route, on the stacked kernels the public chain wraps
-    # (separable_strategy, coupled_state, ledger, closed_form_coherences,
-    # total_coherence_conservation, system_ancilla_factor, bargmann_phase),
-    # with every check run in that chain's order, so a failing input fails
-    # at the same first check with the same message. Only second runs of
-    # one rule on the same bits are left out: PureState's norm check of the
-    # row coupled_amplitudes has checked, the loop phase's _preparations,
-    # and the concurrence of the (S, A) factor, which the ledger's stacked
-    # wootters_concurrence call has made.
     alpha = args.alpha * np.exp(1j * args.alpha_phase)
     alpha_c = args.alpha_c * np.exp(1j * args.alpha_c_phase)
-    inst = make_instance(args.p_plus, alpha, alpha_c)
-    pts = separable_points(inst.p_plus, inst.alpha, inst.alpha_c)
-    strat = pts.strategy(0)
-    check_pair(inst, strat)
-    psi = coupled_amplitudes(pts)
-    (led,), conc = _ledger_pass(psi)
-    ct, ca, cg = (float(c[0]) for c in closed_form_coherences(pts))
-    led_total = led.c_total
-    led_conv = led.bipartite_of("A")
-    led_gen = led.c_genuine
-    led_ret = led.pair("S", "C")
-    dev = max(abs(ct - led_total), abs(ca - led_conv), abs(cg - led_gen),
-              abs((ct - ca) - led_ret))
-    loops = _loop_states([inst])
-    before, after = _environment_tangles(loops[1], psi)[:, 0].tolist()
-    sep = float(conc[0])    # the ledger's first pair, (S, A)
-    loop = "undefined"
-    if 0.0 < inst.p_plus < 1.0:
-        try:
-            loop = float(_loop_rows(*loops, _nowhere)[0])
-        except UndefinedPhase:
-            pass
-    rows = [
-        ("r_plus", inst.r_plus),
-        ("r_minus", inst.r_minus),
-        ("gamma", inst.gamma),
-        ("case", inst.case),
-        ("abs_alpha_plus_opt", abs(strat.alpha_plus)),
-        ("abs_alpha_minus_opt", abs(strat.alpha_minus)),
-        ("p_suc_max", p_suc_max(inst)),
-        ("beta_star", strat.beta),
-        ("delta_star", strat.delta),
-        ("c_total_closed", ct),
-        ("c_total_ledger", led_total),
-        ("c_converted_closed", ca),
-        ("c_converted_ledger", led_conv),
-        ("c_retained_closed", ct - ca),
-        ("c_retained_ledger", led_ret),
-        ("c_genuine_closed", cg),
-        ("c_genuine_ledger", led_gen),
-        ("c_env_ancilla_ledger", led.pair("C", "A")),
-        ("max_ledger_deviation", dev),
-        ("conservation_residual", abs(before - after)),
-        ("separability_concurrence", sep),
-        ("loop_phase", loop),
-    ]
+    report = eval_report(separable_points(args.p_plus, alpha, alpha_c))
+    rows = [(k, "undefined" if v is None else v) for k, (v,) in report.items()]
     meta = _meta("eval", p_plus=args.p_plus, abs_alpha=args.alpha,
                  alpha_phase=args.alpha_phase, abs_alpha_c=args.alpha_c,
                  alpha_c_phase=args.alpha_c_phase)
@@ -186,7 +118,7 @@ def cmd_fig2(args) -> int:
     # one instance per |alpha_c| (row) and phase (column), flattened row
     # by row: a failing check names the instance a loop over rows meets first
     alpha = args.alpha * np.exp(1j * np.array([0.0, math.pi / 2, math.pi]))
-    c_total, p_suc = _fig2_cells(args.p_plus, alpha, pts[:, None])
+    c_total, p_suc = fig2_cells(args.p_plus, alpha, pts[:, None])
     cells = (pts[:, None], c_total.reshape(-1, 3), p_suc.reshape(-1, 3))
     columns = ["abs_alpha_c",
                "c_total_gamma_0", "c_total_gamma_half_pi", "c_total_gamma_pi",

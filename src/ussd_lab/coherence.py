@@ -196,13 +196,6 @@ def ledger(psi):
     polynomial invariant of each row. A row that is not finite or not
     normalized is named by its stack index.
     """
-    return _ledger_pass(psi)[0]
-
-
-def _ledger_pass(psi) -> tuple:
-    """ledger(psi), and the (3N,) concurrences of its one stacked
-    wootters_concurrence call: the pair combinations(register, 2)[k] of
-    row i at k N + i."""
     if isinstance(psi, PureState):
         reg, amps = psi.register, psi.amplitudes.reshape(1, -1)
     else:
@@ -212,6 +205,16 @@ def _ledger_pass(psi) -> tuple:
                          f"got {amps.dtype} of shape {amps.shape}")
     amps = amps.astype(complex)
     unit_rows(amps, lambda i: f" at stack index {i}")
+    leds = _ledger_pass(amps, reg)[0]
+    return leds[0] if isinstance(psi, PureState) else leds
+
+
+def _ledger_pass(amps, reg=_SAC) -> tuple:
+    """The ledgers of the rows of an (N, 8) complex stack on reg, as a
+    tuple, without ledger's shape and norm checks (the checks on the
+    computed entries stay), and the (3N,) concurrences of its one stacked
+    wootters_concurrence call: the pair combinations(reg, 2)[k] of row i
+    at k N + i."""
     tau = _tangles(amps, reg, reg)
     pairs = list(combinations(reg, 2))
     c = wootters_concurrence(np.concatenate([_factor(amps, reg, p) for p in pairs]))
@@ -234,7 +237,7 @@ def _ledger_pass(psi) -> tuple:
         )
         for v, t, b, p, r in zip(amps.tolist(), total.tolist(), tau.T.tolist(),
                                  c2.T.tolist(), residual.tolist()))
-    return (leds[0] if isinstance(psi, PureState) else leds), c
+    return leds, c
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import RangeError
-from .qcore import PureState, apply_rows, unit_rows, unitary_rows
+from .qcore import PureState, apply_rows, unitary_rows
 from .coherence import (
     _band_share,
     _factor,
@@ -32,22 +32,19 @@ from .coherence import (
     coherence_band,
     ledger,
     three_tangle,
-    wootters_concurrence,
 )
 from .ussd import (
     SeparablePoints,
-    _environment_tangles,
-    _fig2_cells,
     _loop_states,
     _polar,
-    _preparations,
     _weights,
     bargmann_loop,
     bargmann_phase,
-    check_pair,
     coupled_amplitudes,
     coupled_state,
     coupling_unitary,
+    eval_report,
+    fig2_cells,
     make_instance,
     optimal_strategy,
     p_suc_max,
@@ -198,25 +195,27 @@ def _success_strategy_independent():
     return worst, "failure direction and ancilla ready state do not move P"
 
 
-def _coupled(insts, strats) -> np.ndarray:
-    """coupled_state of each pair, as one (N, 8) stack on (S, A, C):
-    check_pair on every pair, then one coupled_amplitudes call."""
-    for inst, strat in zip(insts, strats):
-        check_pair(inst, strat)
-    return coupled_amplitudes(SeparablePoints.of(insts, strats))
+def _report(points) -> dict:
+    """eval_report at the separable point of each (p_plus, alpha,
+    alpha_c), from one separable_points stack."""
+    return eval_report(separable_points(*(np.array(col) for col in zip(*points))))
 
 
-def _sa_factors(insts, strats) -> np.ndarray:
-    """system_ancilla_factor of each pair's coupled state, as one
-    (N, 4, 2) stack."""
-    return _factor(_coupled(insts, strats), ("S", "A", "C"), ("S", "A"))
+def _worst_gap(report, *coherences) -> float:
+    """The largest |c_<x>_closed - c_<x>_ledger| of an eval_report over
+    its entries and the named coherences x."""
+    worst = 0.0
+    for x in coherences:
+        for closed, led in zip(report[f"c_{x}_closed"], report[f"c_{x}_ledger"]):
+            worst = max(worst, abs(closed - led))
+    return worst
 
 
 def _separability_zero(seed=15, count=6):
     rng = np.random.default_rng(seed)
     insts = [_random_instance(rng, saturated=bool(k % 3 == 0)) for k in range(count)]
     worst = 0.0
-    for c in wootters_concurrence(_sa_factors(insts, separable_strategy(insts))).tolist():
+    for c in _report([(i.p_plus, i.alpha, i.alpha_c) for i in insts])["separability_concurrence"]:
         worst = max(worst, c)
     return worst, "system-ancilla concurrence at the tuned failure direction"
 
@@ -249,8 +248,10 @@ def _separability_argmin(seeds=(None,)):
 def _decomposition_residuals():
     insts = _random_instances(np.random.default_rng(16), 6)[0]
     strats = separable_strategy(insts)
+    factors = _factor(coupled_amplitudes(SeparablePoints.of(insts, strats)),
+                      ("S", "A", "C"), ("S", "A"))
     worst = 0.0
-    for inst, strat, factor in zip(insts, strats, _sa_factors(insts, strats)):
+    for inst, strat, factor in zip(insts, strats, factors):
         rep = decomposition_check(factor, separability_params(inst, strat), inst, strat)
         worst = max(worst, rep.worst)
     return worst, "rank-two split rebuilt from scalars matches the state"
@@ -269,39 +270,21 @@ def _decomposition_sensitivity():
 
 
 def _conservation(seed=17, count=20):
-    """total_coherence_conservation over one stack: the environment's
-    tangle in each preparation and in the coupled_amplitudes stack of
-    the (instance, strategy) pairs, from one _environment_tangles call."""
+    """total_coherence_conservation over one stack, as eval_report gives
+    it for the drawn (instance, strategy) pairs."""
     rng = np.random.default_rng(seed)
-    insts, strats = _drawn_strategies(rng, count)
-    chi = _preparations(insts)[1]
-    unit_rows(chi)
-    before, after = _environment_tangles(chi, _coupled(insts, strats))
     worst = 0.0
-    for residual in np.abs(before - after).tolist():
+    for residual in eval_report(SeparablePoints.of(*_drawn_strategies(rng, count)))[
+            "conservation_residual"]:
         worst = max(worst, residual)
     return worst, "environment tangle untouched by the system-ancilla coupling"
-
-
-def _separable_triples(points) -> tuple:
-    """The closed-form triples and the ledgers at the separable point of
-    each (p_plus, alpha, alpha_c), as two lists from one stack."""
-    p, a, ac = (np.array(col) for col in zip(*points))
-    pts = separable_points(p, a, ac)
-    triples = zip(*(c.tolist() for c in closed_form_coherences(pts)))
-    return list(triples), ledger(coupled_amplitudes(pts))
 
 
 def _closed_form_ledger_grid(ps=(0.18, 0.33, 0.5), aas=(0.12, 0.45, 0.8),
                              acs=(0.0, 0.55, 0.9), gs=(0.0, 1.1, math.pi)):
     grid = [(float(p), aa * np.exp(1j * 0.6 * g), ac * np.exp(1j * 0.4 * g))
             for p in ps for aa in aas for ac in acs for g in gs]
-    worst = 0.0
-    for (ct, ca, cg), led in zip(*_separable_triples(grid)):
-        worst = max(worst,
-                    abs(ct - led.c_total),
-                    abs(ca - led.bipartite_of("A")),
-                    abs(cg - led.c_genuine))
+    worst = _worst_gap(_report(grid), "total", "converted", "genuine")
     shape = "x".join(str(len(axis)) for axis in (ps, aas, acs, gs))
     return worst, f"closed-form coherence triple vs numeric ledger on a {shape} grid"
 
@@ -309,10 +292,7 @@ def _closed_form_ledger_grid(ps=(0.18, 0.33, 0.5), aas=(0.12, 0.45, 0.8),
 def _retained_pair_identity():
     grid = [(p, aa * np.exp(0.7j), ac)
             for p in (0.2, 0.42) for aa in (0.15, 0.6, 0.85) for ac in (0.1, 0.75)]
-    worst = 0.0
-    for (ct, ca, _), led in zip(*_separable_triples(grid)):
-        worst = max(worst, abs((ct - ca) - led.pair("S", "C")))
-    return worst, "total minus converted equals the retained pair tangle"
+    return _worst_gap(_report(grid), "retained"), "total minus converted equals the retained pair tangle"
 
 
 def _monogamy_random(seed=18, count=60):
@@ -396,7 +376,7 @@ def _bargmann_teleport_branches(mus=(0.7, 2.4)):
 def _fig2_monotone():
     # fig2's array pass: one row per |alpha_c|, columns gamma = 0 and pi
     acs = np.linspace(0.0, 1.0 - 1e-9, 101)
-    p0, ppi = _fig2_cells(0.2, np.array([0.4, -0.4]), acs[:, None])[1].reshape(-1, 2).T.tolist()
+    p0, ppi = fig2_cells(0.2, np.array([0.4, -0.4]), acs[:, None])[1].reshape(-1, 2).T.tolist()
     worst = 0.0
     for a, b in zip(p0, p0[1:]):
         worst = max(worst, b - a)          # must not increase
@@ -538,15 +518,9 @@ def _teleport_branch_priors():
 def _teleport_branch_ledger(rhos=(0.2, 0.45, 0.7)):
     uis = [rec.ussd_instance for rec in _branch_records(
         [TeleportInstance(float(rho), mu, 0.4) for rho in rhos for mu in (0.5, 1.6, 2.7)])]
-    worst = 0.0
-    for (ct, ca, cg), led in zip(*_separable_triples(
-            [(ui.p_plus, ui.alpha, ui.alpha_c) for ui in uis])):
-        worst = max(worst,
-                    abs(ct - led.c_total),
-                    abs(ca - led.bipartite_of("A")),
-                    abs(cg - led.c_genuine),
-                    led.pair("C", "A"),
-                    abs((ct - ca) - led.pair("S", "C")))
+    report = _report([(ui.p_plus, ui.alpha, ui.alpha_c) for ui in uis])
+    worst = max(_worst_gap(report, "total", "converted", "genuine", "retained"),
+                *report["c_env_ancilla_ledger"])
     return worst, "branch coherence formulas vs ledgers, incl. vanishing C-A pair"
 
 

@@ -45,7 +45,7 @@ from .qcore import (
     unit_rows,
     vdot_rows,
 )
-from .coherence import _factor, _tangles, _total
+from .coherence import _factor, _ledger_pass, _tangles, _total, closed_form_coherences
 
 _TWO_PI = 2.0 * math.pi
 
@@ -373,11 +373,15 @@ class UssdStrategy:
 
 def check_pair(inst: UssdInstance, strat: UssdStrategy) -> None:
     """The two failure overlaps must multiply back to the instance overlap."""
-    prod = strat.alpha_plus * np.conj(strat.alpha_minus)
-    if not abs(prod - inst.alpha) <= 1e-12:
-        raise RangeError(
-            f"strategy overlaps give {prod!r}, instance needs {inst.alpha!r}"
-        )
+    _check_product(strat.alpha_plus, strat.alpha_minus, inst.alpha)
+
+
+def _check_product(alpha_plus, alpha_minus, alpha) -> None:
+    """check_pair on the three overlaps of one pair, as scalars: a complex
+    array product may round another way (numpy fuses its multiply-adds)."""
+    prod = alpha_plus * np.conj(alpha_minus)
+    if not abs(prod - alpha) <= 1e-12:
+        raise RangeError(f"strategy overlaps give {prod!r}, instance needs {alpha!r}")
 
 
 def optimal_strategy(inst, beta=0.0, delta=0.0, ancilla_init=None):
@@ -714,17 +718,20 @@ def _flat(value, shape, dtype) -> np.ndarray:
 @dataclass(frozen=True)
 class SeparablePoints:
     """Canonical instances with a strategy each, one array entry per
-    instance: what coupled_amplitudes and closed_form_coherences read.
-    alpha and alpha_c are the canonical overlaps, r_plus/r_minus the
-    branch weights, alpha_plus/alpha_minus the failure overlaps and
-    beta/delta the failure angles. separable_points fills it with the
-    optimal radii and separable angles; of() holds one instance with any
-    strategy."""
+    instance: what coupled_amplitudes, closed_form_coherences and
+    eval_report read. p_plus is the canonical prior, alpha and alpha_c
+    the canonical overlaps, r_plus/r_minus the branch weights, interior
+    the optimal-strategy regime (UssdInstance.case == "interior"),
+    alpha_plus/alpha_minus the failure overlaps and beta/delta the
+    failure angles. separable_points fills it with the optimal radii and
+    separable angles; of() holds one instance with any strategy."""
 
+    p_plus: np.ndarray
     alpha: np.ndarray
     alpha_c: np.ndarray
     r_plus: np.ndarray
     r_minus: np.ndarray
+    interior: np.ndarray
     alpha_plus: np.ndarray
     alpha_minus: np.ndarray
     beta: np.ndarray
@@ -736,8 +743,10 @@ class SeparablePoints:
         one, or equal-length sequences of each, one entry per pair."""
         _, insts, strats, _ = _entries(inst, strat)
         return cls(*(np.array(v, dtype=t) for v, t in (
+            ([i.p_plus for i in insts], float),
             ([i.alpha for i in insts], complex), ([i.alpha_c for i in insts], complex),
             ([i.r_plus for i in insts], float), ([i.r_minus for i in insts], float),
+            ([i.case == "interior" for i in insts], bool),
             ([s.alpha_plus for s in strats], complex), ([s.alpha_minus for s in strats], complex),
             ([s.beta for s in strats], float), ([s.delta for s in strats], float))))
 
@@ -806,7 +815,7 @@ def _overlaps(p, a, ac) -> tuple:
     return aa, ga, acm, gc
 
 
-def _fig2_cells(p_plus, alpha, alpha_c) -> tuple:
+def fig2_cells(p_plus, alpha, alpha_c) -> tuple:
     """make_instance over broadcast arrays, then the total coherence and
     the optimal success probability of each instance, flat in C order:
     the pass that fig2 prints and the battery's fig2 check reads."""
@@ -838,8 +847,9 @@ def _separable(p, a, ac, aa, ga, acm, gc) -> SeparablePoints:
     flat = fail < 1e-15
     if np.count_nonzero(flat):
         beta, delta = np.where(flat, 0.0, beta), np.where(flat, 0.0, delta)
-    return SeparablePoints(alpha=a, alpha_c=ac, r_plus=rp, r_minus=rm,
-                           alpha_plus=ap, alpha_minus=am, beta=beta, delta=delta)
+    return SeparablePoints(p_plus=p, alpha=a, alpha_c=ac, r_plus=rp, r_minus=rm,
+                           interior=interior, alpha_plus=ap, alpha_minus=am,
+                           beta=beta, delta=delta)
 
 
 def coupled_amplitudes(pts: SeparablePoints) -> np.ndarray:
@@ -978,3 +988,70 @@ def _loop_states(insts, where=_nowhere) -> tuple:
     (xi, xi_bar, phi, phi_bar), chi = _preparations(insts, where=where)
     unit_rows(chi, where)
     return _kron_rows(xi, phi), chi, _kron_rows(xi_bar, phi_bar)
+
+
+# ---------------------------------------------------------------------------
+# eval's report
+
+EVAL_QUANTITIES = (
+    "r_plus", "r_minus", "gamma", "case", "abs_alpha_plus_opt", "abs_alpha_minus_opt",
+    "p_suc_max", "beta_star", "delta_star", "c_total_closed", "c_total_ledger",
+    "c_converted_closed", "c_converted_ledger", "c_retained_closed", "c_retained_ledger",
+    "c_genuine_closed", "c_genuine_ledger", "c_env_ancilla_ledger", "max_ledger_deviation",
+    "conservation_residual", "separability_concurrence", "loop_phase")
+
+
+def eval_report(pts: SeparablePoints) -> dict:
+    """Every quantity ussd-lab eval prints, for each entry of the stack: a
+    dict from EVAL_QUANTITIES, in that order, to lists of one value per
+    entry. The loop phase is None where it is undefined: at an extreme
+    prior, and where the outer loop states are linearly dependent.
+
+    One pass per route, on the stacked kernels that the chain of public
+    calls wraps (check_pair, coupled_state, ledger, closed_form_coherences,
+    total_coherence_conservation, system_ancilla_factor and
+    bargmann_phase), every check in that chain's order, so a failing entry
+    fails at the same first check with the same message. Left out are only
+    second runs of one rule on the same bits: the norm checks of PureState
+    and ledger on the rows coupled_amplitudes has checked, each instance's
+    branch weights, which the stack holds, the loop phase's second
+    preparation, and the (S, A) concurrence, which the ledger's stacked
+    wootters_concurrence call has made."""
+    n = pts.beta.size
+    for ap, am, a in zip(pts.alpha_plus.tolist(), pts.alpha_minus.tolist(), pts.alpha.tolist()):
+        _check_product(ap, am, a)
+    psi = coupled_amplitudes(pts)
+    leds, conc = _ledger_pass(psi)
+    ct, ca, cg = closed_form_coherences(pts)
+    xi, xi_bar, phi, phi_bar = vecs = _canonical_rows(pts.alpha, pts.alpha_c)
+    _check_embeddings(*vecs, pts.alpha, pts.alpha_c)
+    chi = _chi_rows(pts.r_plus, pts.r_minus, *vecs)
+    unit_rows(chi)
+    before, after = _environment_tangles(chi, psi)
+    loop = [None] * n
+    live = np.flatnonzero((0.0 < pts.p_plus) & (pts.p_plus < 1.0))
+    if live.size:
+        for i, phase in zip(live.tolist(), _phases(
+                (_kron_rows(xi, phi), chi, _kron_rows(xi_bar, phi_bar)), live)):
+            loop[i] = phase
+    lt, lc, lg, lr, le = np.array([
+        (x.c_total, x.c_bipartite["A:SC"], x.c_genuine, x.c_pairwise["S:C"], x.c_pairwise["A:C"])
+        for x in leds], dtype=float).reshape(n, 5).T
+    dev = np.maximum.reduce([np.abs(ct - lt), np.abs(ca - lc), np.abs(cg - lg),
+                             np.abs((ct - ca) - lr)])
+    columns = (pts.r_plus, pts.r_minus, np.angle(pts.alpha) + np.angle(pts.alpha_c),
+               np.where(pts.interior, "interior", "saturated"), _abs(pts.alpha_plus),
+               _abs(pts.alpha_minus), _p_suc(pts.r_plus, pts.r_minus, _abs(pts.alpha), pts.interior),
+               pts.beta, pts.delta, ct, lt, ca, lc, ct - ca, lr, cg, lg, le, dev,
+               np.abs(before - after), conc[:n])
+    return dict(zip(EVAL_QUANTITIES, [*(c.tolist() for c in columns), loop]))
+
+
+def _phases(loops, rows) -> list:
+    """_loop_rows of the given rows of the three loop stacks, None for a
+    row whose outer states are linearly dependent: one pass, or one per
+    row where a row of the pass is."""
+    try:
+        return _loop_rows(*(v[rows] for v in loops), _nowhere).tolist()
+    except UndefinedPhase:
+        return [p for i in rows for p in _phases(loops, [i])] if len(rows) > 1 else [None]

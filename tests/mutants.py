@@ -230,16 +230,18 @@ _G = [
            tier1=("tests/test_array_chain.py::TestStackedDraws",)),
 ]
 
-# eval's one-pass composition, which the battery never runs
+# eval's one-pass composition, ussd.eval_report, which the battery's
+# ledger, separability and conservation checks also read
 _E = [
-    Mutant("E1", "cli.py", "sep = float(conc[0])", "sep = float(conc[1])",
+    Mutant("E1", "ussd.py", "conc[:n])", "conc[n:2 * n])",
            "eval's separability concurrence of the system-environment pair",
            tier1=("tests/test_cli.py::TestEvalParity",)),
-    Mutant("E2", "cli.py", "_environment_tangles(loops[1], psi)",
-           "_environment_tangles(loops[2], psi)",
+    Mutant("E2", "ussd.py", "_environment_tangles(chi, psi)",
+           "_environment_tangles(_kron_rows(xi_bar, phi_bar), psi)",
            "eval's conservation reads the loop's product vertex, not the preparation",
            tier1=("tests/test_cli.py::TestEvalParity",)),
-    Mutant("E3", "cli.py", "if 0.0 < inst.p_plus < 1.0:", "if 0.0 <= inst.p_plus <= 1.0:",
+    Mutant("E3", "ussd.py", "(0.0 < pts.p_plus) & (pts.p_plus < 1.0)",
+           "(0.0 <= pts.p_plus) & (pts.p_plus <= 1.0)",
            "eval's loop phase skips the extreme-prior test",
            tier1=("tests/test_cli.py::TestEvalParity",)),
 ]

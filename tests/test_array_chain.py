@@ -1275,12 +1275,15 @@ class TestClosedForm:
         "_closed_form_ledger_grid", "_retained_pair_identity", "_teleport_branch_ledger",
         "_fig3_share_monotone_interior", "_fig3_share_saturated"])
     def test_checks_read_one_stack(self, check, monkeypatch):
+        """One separable_points call and one closed_form_coherences call,
+        the ledger checks' inside ussd.eval_report."""
         calls = {"separable_points": [], "closed_form_coherences": []}
         for name, calls_of in calls.items():
             def counting(*args, _f=getattr(selftest, name), _calls=calls_of):
                 _calls.append(len(args))
                 return _f(*args)
-            monkeypatch.setattr(selftest, name, counting)
+            for module in (selftest, ussd):
+                monkeypatch.setattr(module, name, counting)
         value, _ = getattr(selftest, check)()
         assert math.isfinite(value)
         assert calls == {"separable_points": [3], "closed_form_coherences": [1]}
@@ -1288,13 +1291,13 @@ class TestClosedForm:
     @pytest.mark.parametrize("check, module, kernel", [
         ("_success_grid_oracle", selftest, "grid_optimize_success"),
         ("_lu_invariance", selftest, "ledger"),
-        ("_separability_zero", selftest, "wootters_concurrence"),
+        ("_separability_zero", coherence, "wootters_concurrence"),
         ("_fig2_monotone", ussd, "_p_suc"),
         ("_fig4_share_profile", teleport, "square_mean_root"),
         ("_success_born_rule", selftest, "optimal_strategy"),
         ("_success_strategy_independent", selftest, "optimal_strategy"),
         ("_conservation", selftest, "optimal_strategy"),
-        ("_separability_zero", selftest, "separable_strategy"),
+        ("_separability_zero", selftest, "separable_points"),
         ("_decomposition_residuals", selftest, "separable_strategy"),
         ("_coupling_unitarity", selftest, "separable_strategy"),
         ("_bargmann_equality", selftest, "bargmann_phase"),

@@ -17,10 +17,12 @@ import io
 import json
 import pathlib
 import tempfile
+from unittest import mock
 
 import pytest
 
 from ussd_lab.cli import main
+from ussd_lab.ussd import UssdInstance
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 STATUS = GOLDEN / "status.json"
@@ -102,6 +104,19 @@ def test_cli_bytes_match_golden(name):
     assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
     file = GOLDEN / f"{name}.file"
     assert written == (file.read_bytes() if file.exists() else None)
+
+
+def _never(self):
+    raise AssertionError("UssdInstance._branch_weights was filled")
+
+
+@pytest.mark.parametrize("name", [n for n in CASES if n.startswith("eval")])
+def test_eval_reads_its_branch_weights_from_the_stack(name):
+    """eval takes r+-, the regime, p_suc_max and the preparation from the
+    separable_points stack and never fills an instance's branch weights:
+    with UssdInstance._branch_weights raising, every eval golden holds."""
+    with mock.patch.object(UssdInstance, "_branch_weights", property(_never)):
+        test_cli_bytes_match_golden(name)
 
 
 def regenerate():

@@ -137,3 +137,15 @@ def test_one_stack_contract():
         params = defs[name].args
         assert [a.arg for a in params.posonlyargs + params.args + params.kwonlyargs] \
             == ["stack", "where"], name
+
+
+def test_cli_imports_no_private_kernel():
+    """The CLI formats and the library computes: cli.py imports no
+    underscore name from .coherence or .ussd. eval's composition is
+    ussd.eval_report, which the battery also runs."""
+    names = [(node.module, alias.name)
+             for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             and node.module in ("coherence", "ussd") for alias in node.names]
+    assert [n for n in names if n[1].startswith("_")] == []
+    assert ("ussd", "eval_report") in names

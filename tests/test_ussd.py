@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ussd_lab.coherence import initial_coherence, wootters_concurrence
 from ussd_lab.ussd import (
+    EVAL_QUANTITIES,
     UssdInstance,
     UssdStrategy,
     bargmann_loop,
@@ -21,6 +22,7 @@ from ussd_lab.ussd import (
     check_pair,
     coupled_state,
     coupling_unitary,
+    eval_report,
     make_instance,
     optimal_strategy,
     p_suc_max,
@@ -42,6 +44,7 @@ from ussd_lab.errors import (
     UndefinedPhase,
     UssdLabError,
 )
+from ussd_lab.selftest import _edge_box
 from test_array_chain import reference_partial_trace
 from test_qcore import reduce_one
 
@@ -551,3 +554,31 @@ class TestLoopPhase:
         # phase is not recoverable from this loop
         inst = make_instance(0.3, 0.5 * np.exp(0.7j), 0.0)
         assert bargmann_phase(inst) == 0.0
+
+
+class TestEvalReport:
+    """ussd.eval_report, eval's composition, on a stack."""
+
+    # canonical instances whose outer loop states are linearly dependent
+    DEPENDENT = [(0.048957202029340396, 0.5089852856342428 + 0.8607752197919198j,
+                  -0.3755632983931541 + 0.9267967462718333j),
+                 (0.24607516653834108, 0.3505155842466413 - 0.9365568990724672j,
+                  0.7727656756672951 - 0.6346914293658542j)]
+
+    def test_stack_is_its_entries(self):
+        """Each entry of a stack's report is the report of that entry
+        alone, bit for bit, the undefined loop phases included: at an
+        extreme prior, and on a row whose loop pass fails amid others."""
+        p, aa, ac, g = _edge_box(np.random.default_rng(5), 30)
+        points = [*zip(p.tolist(), (aa * np.exp(1j * g)).tolist(), ac.tolist()),
+                  self.DEPENDENT[0], (0.0, 0.4, 0.3), (1.0, 0.4j, 0.3), self.DEPENDENT[1],
+                  (0.7, 0.3 * np.exp(2.1j), 0.9 * np.exp(1.3j))]
+        stack = eval_report(separable_points(*(np.array(c) for c in zip(*points))))
+        assert tuple(stack) == EVAL_QUANTITIES
+        assert all(len(v) == len(points) for v in stack.values())
+        for i, point in enumerate(points):
+            alone = eval_report(separable_points(*point))
+            assert repr({k: v[i] for k, v in stack.items()}) == repr(
+                {k: v[0] for k, v in alone.items()}), point
+        loop = stack["loop_phase"]
+        assert [k for k, v in enumerate(loop) if v is None] == [30, 31, 32, 33]
