@@ -7,6 +7,10 @@ verification battery). Output is CSV with a commented metadata header
 or a JSON document with the same content; both are deterministic byte
 for byte, use 12 significant digits, and never include timestamps.
 
+This module parses and formats; the library computes. Each subcommand
+calls public library functions (eval prints ussd.eval_report, which the
+battery also reads) and imports no private kernel.
+
 Exit codes: 0 on success, 1 when the selftest battery fails, 2 for
 invalid input (the message names the offending field), among it a
 count beyond numpy's index range (--steps, --band-points, --sample),

@@ -1034,6 +1034,8 @@ def eval_report(pts: SeparablePoints) -> dict:
         for i, phase in zip(live.tolist(), _phases(
                 (_kron_rows(xi, phi), chi, _kron_rows(xi_bar, phi_bar)), live)):
             loop[i] = phase
+    # the ledgers' total, converted (A:SC), genuine, retained (S:C) and
+    # environment-ancilla (A:C) entries
     lt, lc, lg, lr, le = np.array([
         (x.c_total, x.c_bipartite["A:SC"], x.c_genuine, x.c_pairwise["S:C"], x.c_pairwise["A:C"])
         for x in leds], dtype=float).reshape(n, 5).T

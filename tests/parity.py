@@ -18,12 +18,13 @@ box      the 2000 draws of the near-cancellation box: p = 1/2,
          each written into argv with repr,
          repr((exit code, stdout, stderr)) per draw.
 
-    PYTHONPATH=src python tests/parity.py [battery] [eval] [box]
+    PYTHONPATH=src python tests/parity.py [--check] [battery] [eval] [box]
 
 prints one line per digest: its name, the hex digest and the counts of
 its items (failed ops, or exit 0 and exit 2 draws). The digests recorded
 at the last change, with the numpy version and the host, are in
-tests/PARITY.md; tests/test_parity.py holds the cheap ones to them.
+tests/PARITY.md; with --check the script exits 1 when a digest differs
+from that record. tests/test_parity.py holds the cheap ones to it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -39,6 +41,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ("battery", "eval", "box")
+RECORD = Path(__file__).with_name("PARITY.md")
 
 
 def _main_run(argv) -> tuple:
@@ -105,14 +108,28 @@ def digest(name: str) -> tuple:
     return sha256(items), note
 
 
+def recorded() -> dict:
+    """The digests of the table in PARITY.md, by name."""
+    return dict(re.findall(r"^\| (\w+) \| `([0-9a-f]{64})` \|", RECORD.read_text(), re.M))
+
+
 def main(argv=None) -> int:
-    names = (sys.argv[1:] if argv is None else argv) or DIGESTS
+    args = sys.argv[1:] if argv is None else list(argv)
+    check = "--check" in args
+    names = [a for a in args if a != "--check"] or DIGESTS
+    unknown = sorted(set(names) - set(DIGESTS))
+    if unknown:
+        print(f"unknown digests {unknown}; choose from {DIGESTS}", file=sys.stderr)
+        return 2
+    differ = []
     for name in names:
-        if name not in DIGESTS:
-            print(f"unknown digest {name!r}; choose from {DIGESTS}", file=sys.stderr)
-            return 2
         hexdigest, note = digest(name)
         print(f"{name:8s} {hexdigest}  {note}", flush=True)
+        if hexdigest != recorded()[name]:
+            differ.append(name)
+    if check and differ:
+        print(f"differ from {RECORD.name}: {', '.join(differ)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -2,24 +2,15 @@
 recorded in tests/PARITY.md: the battery's every check value and the
 benchmark's eval round, each to the last bit."""
 
-import pathlib
-import re
-
 import pytest
 
 import parity
 
-TABLE = pathlib.Path(__file__).with_name("PARITY.md")
-
-
-def recorded() -> dict:
-    return dict(re.findall(r"^\| (\w+) \| `([0-9a-f]{64})` \|", TABLE.read_text(), re.M))
-
 
 def test_table_names_every_digest():
-    assert sorted(recorded()) == sorted(parity.DIGESTS)
+    assert sorted(parity.recorded()) == sorted(parity.DIGESTS)
 
 
 @pytest.mark.parametrize("name", ["battery", "eval"])
 def test_digest_is_recorded(name):
-    assert parity.digest(name)[0] == recorded()[name]
+    assert parity.digest(name)[0] == parity.recorded()[name]
