@@ -431,18 +431,19 @@ def _band_core(p, a, ac, polar, at) -> np.ndarray:
     """The share of each canonical instance, p, a and ac flat arrays as
     _canonical returns them and polar their _overlaps, without the checks
     on p and on |alpha_c| below 1. The checks on computed values stay:
-    unit_rows on the coupled amplitudes, and a vanished total, whose
-    entry at(i) names by its inputs."""
+    unit_rows on the coupled amplitudes, and a vanished total, each
+    naming the entry at(i) by its inputs."""
     from .ussd import _separable, coupled_amplitudes
 
-    amps = coupled_amplitudes(_separable(p, a, ac, *polar))
+    def named(i) -> str:
+        return " at p_plus = {!r}, |alpha| = {!r}, |alpha_c| = {!r}, gamma = {!r}".format(*at(i))
+
+    amps = coupled_amplitudes(_separable(p, a, ac, *polar), named)
     total = _tangles(amps, _SAC, ("C",))[0]
     vanished = total < 1e-30
     if np.count_nonzero(vanished):
-        p, aa, ac, g = at(int(np.argmax(vanished)))
         raise NumericalError(
-            f"total coherence vanished at p_plus = {p!r}, |alpha| = {aa!r}, "
-            f"|alpha_c| = {ac!r}, gamma = {g!r}; share undefined")
+            f"total coherence vanished{named(int(np.argmax(vanished)))}; share undefined")
     c_ca = wootters_concurrence(_factor(amps, _SAC, ["C", "A"]))
     share = c_ca * c_ca / total
     # at most 1 by the pivot sum, so a larger value is noise; c_ca >= 0

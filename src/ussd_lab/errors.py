@@ -83,5 +83,10 @@ def _entries(value, *paired) -> tuple:
     names entry i in a message, " (inst[i])" for a sequence and none
     for one entry."""
     if not np.iterable(value):
-        return (True, [value], *([v] for v in paired), _nowhere)
-    return (False, list(value), *(list(v) for v in paired), lambda i: f" (inst[{i}])")
+        return (True, [value], *([v] for v in paired), _naming(True))
+    return (False, list(value), *(list(v) for v in paired), _naming(False))
+
+
+def _naming(single: bool):
+    """_entries' where for one entry, or for a sequence of them."""
+    return _nowhere if single else lambda i: f" (inst[{i}])"

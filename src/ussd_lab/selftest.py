@@ -36,8 +36,6 @@ from .coherence import (
 from .ussd import (
     SeparablePoints,
     _loop_states,
-    _polar,
-    _weights,
     bargmann_loop,
     bargmann_phase,
     coupled_amplitudes,
@@ -144,14 +142,12 @@ def _spot_optimal_amplitudes():
 
 
 def _normalization_identity():
-    """r+- of the 50 instances from one _weights pass over their stack,
-    each resummed in scalar arithmetic."""
+    """r+- of the 50 instances from their SeparablePoints stack, each
+    resummed in scalar arithmetic."""
     insts = _random_instances(np.random.default_rng(11), 50)[0]
-    p, a, ac = (np.array([getattr(i, name) for i in insts])
-                for name in ("p_plus", "alpha", "alpha_c"))
-    r_plus, r_minus = _weights(p, *_polar(a), *_polar(ac))[:2]
+    pts = SeparablePoints.of(insts)
     worst = 0.0
-    for inst, rp, rm in zip(insts, r_plus.tolist(), r_minus.tolist()):
+    for inst, rp, rm in zip(insts, pts.r_plus.tolist(), pts.r_minus.tolist()):
         s = (rp + rm + 2.0 * math.sqrt(rp * rm)
              * abs(inst.alpha) * abs(inst.alpha_c) * math.cos(inst.gamma))
         worst = max(worst, abs(s - 1.0))
@@ -356,7 +352,7 @@ def _bargmann_gauge(seed=21, count=20):
     the three states rephased by angles drawn after the instance: one
     bargmann_loop call over both stacks."""
     insts, th = _random_instances(np.random.default_rng(seed), count, ((0.0, _TWO_PI),) * 3)
-    loop = np.array(_loop_states(insts))
+    loop = np.array(_loop_states(SeparablePoints.of(insts)))
     turned = np.exp(1j * th.T)[:, :, None] * loop
     base, redone = bargmann_loop(*np.concatenate([loop, turned], axis=1)).reshape(2, -1).tolist()
     worst = 0.0

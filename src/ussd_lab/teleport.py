@@ -48,13 +48,12 @@ from .ussd import (
     UssdInstance,
     _E0,
     _abs,
-    _check_embeddings,
     _check_mapping,
-    _chi_rows,
     _coupling,
     _eta,
     _p_suc,
     _polar,
+    _preparations,
     _weights,
     make_instance,
     separable_points,
@@ -432,8 +431,7 @@ def _live_runs(insts, rows, p_b, post_b, channel_lu, tag) -> dict:
     xi, xi_bar, phi_c, phi_bar = _branch_vectors(rho, sign, phi[jj])
     if u_c is not None:
         phi_c, phi_bar = _matvec(u_c, phi_c), _matvec(u_c, phi_bar)
-    _check_embeddings(xi, xi_bar, phi_c, phi_bar, pts.alpha, pts.alpha_c, where)
-    chi = _chi_rows(pts.r_plus, pts.r_minus, xi, xi_bar, phi_c, phi_bar)
+    _, chi = _preparations(pts, (xi, xi_bar, phi_c, phi_bar), where)
     agreement = _abs(vdot_rows(chi, psi_sc.reshape(n, 4)))
     us, miss = _coupling(pts, xi, xi_bar, np.broadcast_to(_E0, (n, 2)))
     # each row's checks in the order the per-branch chain meets them

@@ -35,6 +35,7 @@ from .errors import (
     UndefinedPhase,
     _check,
     _entries,
+    _naming,
     _nowhere,
 )
 from .qcore import (
@@ -93,7 +94,7 @@ def _denominator(p, aa, ga, acm, gc):
 
 def _weights(p, aa, ga, acm, gc) -> tuple:
     """Branch weights r+-, the prior-ratio threshold tilde_alpha and the
-    interior-regime flag of canonical instances (p <= 1/2), from _overlaps."""
+    interior-regime flag of canonical instances (p <= 1/2), from _read or _overlaps."""
     q = 1.0 - p
     den = _denominator(p, aa, ga, acm, gc)
     tilde = np.sqrt(p / q)
@@ -237,7 +238,7 @@ class Embedding:
 
     def validate(self, inst: UssdInstance) -> None:
         """_check_embeddings on a stack of one."""
-        _check_embeddings(*self.rows(), np.array([inst.alpha]), np.array([inst.alpha_c]))
+        _check_embeddings(*self.rows(), *_read([inst])[1:3])
 
     def rows(self) -> tuple:
         """(xi, xi_bar, phi, phi_bar) as stacks of one, the (1, 2) rows
@@ -272,8 +273,7 @@ def canonical_embedding(inst: UssdInstance) -> Embedding:
     """Reference embedding: each plain vector is |0> and its partner
     carries the overlap in the |0> component with a real, nonnegative
     |1> component: _canonical_rows on a stack of one."""
-    return Embedding(*(v[0] for v in _canonical_rows(np.array([inst.alpha]),
-                                                     np.array([inst.alpha_c]))))
+    return Embedding(*(v[0] for v in _canonical_rows(*_read([inst])[1:3])))
 
 
 def _canonical_rows(alpha, alpha_c) -> tuple:
@@ -302,20 +302,17 @@ def build_chi(inst: UssdInstance, embedding: Optional[Embedding] = None) -> Pure
     """Joint system-environment preparation on register (S, C):
     _preparations on a stack of one."""
     return PureState(("S", "C"), _preparations(
-        [inst], None if embedding is None else embedding.rows())[1][0])
+        SeparablePoints.of(inst), None if embedding is None else embedding.rows())[1][0])
 
 
-def _preparations(insts, vecs=None, where=_nowhere) -> tuple:
-    """The embeddings of a sequence of instances, the canonical ones
-    unless vecs gives them as four (N, 2) stacks, checked by
-    _check_embeddings, and the (N, 4) preparations _chi_rows builds on
+def _preparations(pts, vecs=None, where=_nowhere) -> tuple:
+    """The embeddings of the entries of a SeparablePoints stack, the
+    canonical ones unless vecs gives them as four (N, 2) stacks, checked
+    by _check_embeddings, and the (N, 4) preparations _chi_rows builds on
     them, their norms unchecked."""
-    a = np.array([i.alpha for i in insts], dtype=complex)
-    ac = np.array([i.alpha_c for i in insts], dtype=complex)
-    vecs = _canonical_rows(a, ac) if vecs is None else vecs
-    _check_embeddings(*vecs, a, ac, where)
-    return vecs, _chi_rows(np.array([i.r_plus for i in insts]),
-                           np.array([i.r_minus for i in insts]), *vecs)
+    vecs = _canonical_rows(pts.alpha, pts.alpha_c) if vecs is None else vecs
+    _check_embeddings(*vecs, pts.alpha, pts.alpha_c, where)
+    return vecs, _chi_rows(pts.r_plus, pts.r_minus, *vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -513,9 +510,9 @@ def _check_mapping(miss, where=_nowhere) -> None:
 def _pairs(inst, strat, embedding) -> tuple:
     """One instance, strategy and embedding (None for the canonical one),
     or equal-length sequences of instances and strategies, which take
-    the canonical embeddings: (single, instances, strategies, the
-    embeddings as four (N, 2) stacks, where), where(i) naming entry i of
-    a sequence (_entries). Every pair meets check_pair."""
+    the canonical embeddings: (single, instances, strategies, their
+    SeparablePoints stack, _preparations of it, where), where(i) naming
+    entry i of a sequence (_entries). Every pair meets check_pair."""
     single, insts, strats, where = _entries(inst, strat)
     if len(insts) != len(strats):
         raise ShapeError(f"{len(insts)} instances but {len(strats)} strategies")
@@ -523,10 +520,9 @@ def _pairs(inst, strat, embedding) -> tuple:
         raise ShapeError("a sequence of instances takes the canonical embeddings")
     for i, st in zip(insts, strats):
         check_pair(i, st)
-    vecs = embedding.rows() if embedding is not None else _canonical_rows(
-        np.array([i.alpha for i in insts], dtype=complex),
-        np.array([i.alpha_c for i in insts], dtype=complex))
-    return single, insts, strats, vecs, where
+    pts = SeparablePoints.of(insts, strats)
+    return (single, insts, strats, pts,
+            _preparations(pts, None if embedding is None else embedding.rows(), where), where)
 
 
 def coupling_unitary(inst, strat, embedding=None):
@@ -538,11 +534,9 @@ def coupling_unitary(inst, strat, embedding=None):
     One instance and strategy give a Unitary; equal-length sequences
     (with the canonical embeddings) give a tuple of them from one stack,
     each equal to a call on that pair alone."""
-    single, insts, strats, (xi, xi_bar, phi, phi_bar), where = _pairs(inst, strat, embedding)
+    single, insts, strats, pts, ((xi, xi_bar, _, _), _), where = _pairs(inst, strat, embedding)
     if not insts:
         return ()
-    pts = SeparablePoints.of(insts, strats)
-    _check_embeddings(xi, xi_bar, phi, phi_bar, pts.alpha, pts.alpha_c, where)
     u, miss = _coupling(pts, xi, xi_bar, np.array([st.ancilla_init for st in strats]))
     _check_mapping(miss, where)
     us = tuple(Unitary(("S", "A"), m) for m in u)
@@ -586,13 +580,10 @@ def run_protocol(inst, strat, embedding=None):
     check naming the entry at fault; each result equals a call on that
     pair alone. The Born statistics never read coupled_amplitudes.
     """
-    single, insts, strats, (xi, xi_bar, phi, phi_bar), where = _pairs(inst, strat, embedding)
+    single, insts, strats, pts, ((xi, xi_bar, _, _), chi), where = _pairs(inst, strat, embedding)
     if not insts:
         return ()
     n = len(insts)
-    pts = SeparablePoints.of(insts, strats)
-    _check_embeddings(xi, xi_bar, phi, phi_bar, pts.alpha, pts.alpha_c, where)
-    chi = _chi_rows(pts.r_plus, pts.r_minus, xi, xi_bar, phi, phi_bar)
     k = np.array([st.ancilla_init for st in strats])
     for stack in (chi, k):
         unit_rows(stack, where)
@@ -692,10 +683,7 @@ def _strategies(inst, ancilla_init, angles=None):
     sequence of them, at the separable angles or at angles = (beta,
     delta), each one value or one per instance."""
     single, insts, _ = _entries(inst)
-    p = np.array([i.p_plus for i in insts], dtype=float)
-    a = np.array([i.alpha for i in insts], dtype=complex)
-    ac = np.array([i.alpha_c for i in insts], dtype=complex)
-    pts = _separable(p, a, ac, *_overlaps(p, a, ac))
+    pts = SeparablePoints.of(insts)
     if angles is not None:
         n = len(insts)
         beta, delta = (np.asarray(x, dtype=float) for x in angles)
@@ -724,7 +712,7 @@ class SeparablePoints:
     the optimal-strategy regime (UssdInstance.case == "interior"),
     alpha_plus/alpha_minus the failure overlaps and beta/delta the
     failure angles. separable_points fills it with the optimal radii and
-    separable angles; of() holds one instance with any strategy."""
+    separable angles; of() holds instances with any strategy."""
 
     p_plus: np.ndarray
     alpha: np.ndarray
@@ -738,15 +726,17 @@ class SeparablePoints:
     delta: np.ndarray
 
     @classmethod
-    def of(cls, inst, strat) -> "SeparablePoints":
+    def of(cls, inst, strat=None) -> "SeparablePoints":
         """Instances with their strategies as given: one pair, a stack of
-        one, or equal-length sequences of each, one entry per pair."""
-        _, insts, strats, _ = _entries(inst, strat)
-        return cls(*(np.array(v, dtype=t) for v, t in (
-            ([i.p_plus for i in insts], float),
-            ([i.alpha for i in insts], complex), ([i.alpha_c for i in insts], complex),
-            ([i.r_plus for i in insts], float), ([i.r_minus for i in insts], float),
-            ([i.case == "interior" for i in insts], bool),
+        one, or equal-length sequences of each, one entry per pair; with
+        strat None, at their separable strategies (_separable)."""
+        single, insts, _ = _entries(inst)
+        p, a, ac, *polar = _read(insts)
+        if strat is None:
+            return _separable(p, a, ac, *polar)
+        strats = [strat] if single else list(strat)
+        rp, rm, _, interior = _weights(p, *polar)
+        return cls(p, a, ac, rp, rm, interior, *(np.array(v, dtype=t) for v, t in (
             ([s.alpha_plus for s in strats], complex), ([s.alpha_minus for s in strats], complex),
             ([s.beta for s in strats], float), ([s.delta for s in strats], float))))
 
@@ -795,6 +785,15 @@ def _swap(p, a, ac) -> tuple:
         return p, a, ac
     return (np.where(swapped, 1.0 - p, p), np.where(swapped, a.conj(), a),
             np.where(swapped, ac.conj(), ac))
+
+
+def _read(insts) -> tuple:
+    """p_plus, alpha and alpha_c of a sequence of instances as arrays, then
+    _polar of each overlap, unchecked: UssdInstance has checked them."""
+    p = np.array([i.p_plus for i in insts], dtype=float)
+    a = np.array([i.alpha for i in insts], dtype=complex)
+    ac = np.array([i.alpha_c for i in insts], dtype=complex)
+    return (p, a, ac, *_polar(a), *_polar(ac))
 
 
 def _overlaps(p, a, ac) -> tuple:
@@ -852,15 +851,16 @@ def _separable(p, a, ac, aa, ga, acm, gc) -> SeparablePoints:
                            beta=beta, delta=delta)
 
 
-def coupled_amplitudes(pts: SeparablePoints) -> np.ndarray:
+def coupled_amplitudes(pts: SeparablePoints, where=_nowhere) -> np.ndarray:
     """The (N, 8) amplitudes on (S, A, C) after the coupling, one row per
-    stack entry, checked for unit norm as PureState checks them."""
+    stack entry, checked for unit norm as PureState checks them; the
+    first row to fail is named by where(i)."""
     n = pts.beta.size
     zp, zm = _zeta(pts.alpha_plus, pts.alpha_minus, pts.beta, pts.delta)
     phi_bar = _partner(pts.alpha_c)
     vec = (np.sqrt(pts.r_plus)[:, None] * (zp[:, :, None] * _E0).reshape(n, 8)
            + np.sqrt(pts.r_minus)[:, None] * (zm[:, :, None] * phi_bar[:, None, :]).reshape(n, 8))
-    unit_rows(vec)
+    unit_rows(vec, where)
     return vec
 
 
@@ -975,17 +975,18 @@ def bargmann_phase(inst):
     single, insts, where = _entries(inst)
     if not insts:
         return ()
-    _check(np.array([not 0.0 < i.p_plus < 1.0 for i in insts]), UndefinedPhase,
+    pts = SeparablePoints.of(insts)
+    _check((pts.p_plus <= 0.0) | (1.0 <= pts.p_plus), UndefinedPhase,
            lambda i: f"extreme prior collapses the loop{where(i)}")
-    phase = _loop_rows(*_loop_states(insts, where), where)
+    phase = _loop_rows(*_loop_states(pts, where), where)
     return float(phase[0]) if single else tuple(phase.tolist())
 
 
-def _loop_states(insts, where=_nowhere) -> tuple:
+def _loop_states(pts, where=_nowhere) -> tuple:
     """The three (N, 4) stacks of bargmann_phase's loops on (S, C): xi phi,
     the preparation, with run_protocol's norm check, and xi_bar phi_bar,
-    on each instance's canonical embedding."""
-    (xi, xi_bar, phi, phi_bar), chi = _preparations(insts, where=where)
+    on the canonical embedding of each entry of a SeparablePoints stack."""
+    (xi, xi_bar, phi, phi_bar), chi = _preparations(pts, where=where)
     unit_rows(chi, where)
     return _kron_rows(xi, phi), chi, _kron_rows(xi_bar, phi_bar)
 
@@ -1011,33 +1012,31 @@ def eval_report(pts: SeparablePoints) -> dict:
     calls wraps (check_pair, coupled_state, ledger, closed_form_coherences,
     total_coherence_conservation, system_ancilla_factor and
     bargmann_phase), every check in that chain's order, so a failing entry
-    fails at the same first check with the same message. Left out are only
-    second runs of one rule on the same bits: the norm checks of PureState
-    and ledger on the rows coupled_amplitudes has checked, each instance's
-    branch weights, which the stack holds, the loop phase's second
-    preparation, and the (S, A) concurrence, which the ledger's stacked
-    wootters_concurrence call has made."""
+    fails at the same first check with the same message, named as
+    _entries names it. Left out are only second runs of one rule on the
+    same bits: the norm checks of PureState and ledger on the rows
+    coupled_amplitudes has checked, each instance's branch weights, which
+    the stack holds, the loop phase's second preparation, and the (S, A)
+    concurrence, which the ledger's stacked wootters_concurrence call has
+    made."""
     n = pts.beta.size
+    where = _naming(n == 1)
     for ap, am, a in zip(pts.alpha_plus.tolist(), pts.alpha_minus.tolist(), pts.alpha.tolist()):
         _check_product(ap, am, a)
-    psi = coupled_amplitudes(pts)
+    psi = coupled_amplitudes(pts, where)
     leds, conc = _ledger_pass(psi)
     ct, ca, cg = closed_form_coherences(pts)
-    xi, xi_bar, phi, phi_bar = vecs = _canonical_rows(pts.alpha, pts.alpha_c)
-    _check_embeddings(*vecs, pts.alpha, pts.alpha_c)
-    chi = _chi_rows(pts.r_plus, pts.r_minus, *vecs)
-    unit_rows(chi)
-    before, after = _environment_tangles(chi, psi)
+    loops = _loop_states(pts, where)
+    before, after = _environment_tangles(loops[1], psi)
     loop = [None] * n
     live = np.flatnonzero((0.0 < pts.p_plus) & (pts.p_plus < 1.0))
     if live.size:
-        for i, phase in zip(live.tolist(), _phases(
-                (_kron_rows(xi, phi), chi, _kron_rows(xi_bar, phi_bar)), live)):
+        for i, phase in zip(live.tolist(), _phases(loops, live)):
             loop[i] = phase
     # the ledgers' total, converted (A:SC), genuine, retained (S:C) and
     # environment-ancilla (A:C) entries
     lt, lc, lg, lr, le = np.array([
-        (x.c_total, x.c_bipartite["A:SC"], x.c_genuine, x.c_pairwise["S:C"], x.c_pairwise["A:C"])
+        (x.c_total, x.bipartite_of("A"), x.c_genuine, x.pair("S", "C"), x.pair("A", "C"))
         for x in leds], dtype=float).reshape(n, 5).T
     dev = np.maximum.reduce([np.abs(ct - lt), np.abs(ca - lc), np.abs(cg - lg),
                              np.abs((ct - ca) - lr)])

@@ -236,8 +236,8 @@ _E = [
     Mutant("E1", "ussd.py", "conc[:n])", "conc[n:2 * n])",
            "eval's separability concurrence of the system-environment pair",
            tier1=("tests/test_cli.py::TestEvalParity",)),
-    Mutant("E2", "ussd.py", "_environment_tangles(chi, psi)",
-           "_environment_tangles(_kron_rows(xi_bar, phi_bar), psi)",
+    Mutant("E2", "ussd.py", "_environment_tangles(loops[1], psi)",
+           "_environment_tangles(loops[2], psi)",
            "eval's conservation reads the loop's product vertex, not the preparation",
            tier1=("tests/test_cli.py::TestEvalParity",)),
     Mutant("E3", "ussd.py", "(0.0 < pts.p_plus) & (pts.p_plus < 1.0)",
@@ -246,7 +246,14 @@ _E = [
            tier1=("tests/test_cli.py::TestEvalParity",)),
 ]
 
-MUTANTS = _R + _C + _P + _M + _N + _L + _G + _E
+# the one reader from instances to stacks, SeparablePoints.of
+_B = [
+    Mutant("B1", "ussd.py", "strats = [strat] if single else list(strat)",
+           "strats = [strat] if single else list(strat)[1:] + list(strat)[:1]",
+           "a stack pairs each instance with the next instance's strategy"),
+]
+
+MUTANTS = _R + _C + _P + _M + _N + _L + _G + _E + _B
 
 
 def _copy(src: Path, dest: Path) -> None:

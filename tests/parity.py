@@ -16,12 +16,18 @@ box      the 2000 draws of the near-cancellation box: p = 1/2,
          10^U(-6,-1) on the system overlap, drawn from
          np.random.default_rng(0) as TestEvalParity's slice draws them,
          each written into argv with repr,
-         repr((exit code, stdout, stderr)) per draw.
+         repr((exit code, stdout, stderr)) per draw;
+teleport the near-pole sweep: enumerate_runs(TeleportInstance(pi/4 - d,
+         mu, 0)) at 400 log-spaced d in [1e-10, 10^-1.5], at mu = 0 and
+         at mu = pi, repr of the tuple of each run's fields in order,
+         final_c as .tolist() (an array's repr keeps 8 digits), or of
+         (error type name, message), per instance.
 
-    PYTHONPATH=src python tests/parity.py [--check] [battery] [eval] [box]
+    PYTHONPATH=src python tests/parity.py [--check] [battery] [eval] [box] [teleport]
 
 prints one line per digest: its name, the hex digest and the counts of
-its items (failed ops, or exit 0 and exit 2 draws). The digests recorded
+its items (failed ops, exit 0 and exit 2 draws, or instances that
+raised). The digests recorded
 at the last change, with the numpy version and the host, are in
 tests/PARITY.md; with --check the script exits 1 when a digest differs
 from that record. tests/test_parity.py holds the cheap ones to it.
@@ -40,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-DIGESTS = ("battery", "eval", "box")
+DIGESTS = ("battery", "eval", "box", "teleport")
 RECORD = Path(__file__).with_name("PARITY.md")
 
 
@@ -88,6 +94,24 @@ def box_items() -> list:
     return [_main_run(argv) for argv in box_argvs()]
 
 
+def teleport_items() -> list:
+    from ussd_lab.errors import UssdLabError
+    from ussd_lab.teleport import TeleportInstance, enumerate_runs
+
+    items = []
+    for mu in (0.0, np.pi):
+        for d in np.logspace(-10, -1.5, 400).tolist():
+            try:
+                runs = enumerate_runs(TeleportInstance(np.pi / 4 - d, mu, 0.0))
+            except UssdLabError as exc:
+                items.append((type(exc).__name__, str(exc)))
+                continue
+            items.append(tuple((r.b_outcome, r.s_outcome, r.probability, r.success,
+                                None if r.final_c is None else r.final_c.tolist(),
+                                r.correction, r.fidelity) for r in runs))
+    return items
+
+
 def sha256(items) -> str:
     h = hashlib.sha256()
     for item in items:
@@ -97,14 +121,18 @@ def sha256(items) -> str:
 
 def digest(name: str) -> tuple:
     """The hex digest of one of DIGESTS, and a note on its items."""
-    items = {"battery": battery_items, "eval": eval_items, "box": box_items}[name]()
+    items = {"battery": battery_items, "eval": eval_items, "box": box_items,
+             "teleport": teleport_items}[name]()
     if name == "battery":
         note = f"{len(items)} checks"
     elif name == "eval":
         note = f"{len(items)} ops, {sum(code != 0 for _, code, _, _ in items)} failed"
-    else:
+    elif name == "box":
         codes = [code for code, _, _ in items]
         note = f"{len(items)} draws, {codes.count(0)} exit 0, {codes.count(2)} exit 2"
+    else:
+        raised = sum(isinstance(item[0], str) for item in items)
+        note = f"{len(items)} instances, {raised} raised"
     return sha256(items), note
 
 

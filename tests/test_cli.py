@@ -355,6 +355,16 @@ class TestSweeps:
             "error: total coherence vanished at p_plus = 1e-25, |alpha| = 0.999999999, "
             "|alpha_c| = 0.5, gamma = 0.0; share undefined\n")
 
+    def test_unnormalized_band_row_names_the_row(self, capsys):
+        # the band scan's coupled row of |alpha| = 1 - 1e-9 at gamma = pi
+        # misses the state-norm bound; the message names that row
+        assert main(["fig3", "--p-plus", "0.5", "--alpha-c", "0.999999999999",
+                     "--steps", "3", "--band-points", "8"]) == 2
+        assert capsys.readouterr().err == (
+            "error: state vector not normalized at p_plus = 0.5, |alpha| = 0.999999999, "
+            "|alpha_c| = 0.999999999999, gamma = 3.141592653589793: "
+            "||psi||^2 = 1.000000110910398\n")
+
     def test_small_prior_keeps_its_total(self, tmp_path):
         # at a prior of 1e-9 the last row's total, 6e-18, is far above the
         # cut; the ledger total is the closed form 4p(1-p)(1-|a_c|^2)(1-|a|^2)

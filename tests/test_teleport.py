@@ -352,6 +352,7 @@ class TestInstanceAndChannel:
             assert abs(np.linalg.norm(ch.amplitudes) - 1) < 1e-12
             tangle = wootters_concurrence(ch.amplitudes[:, None]) ** 2
             assert abs(tangle - math.cos(2 * rho) ** 2) < 1e-12
+            assert abs(TeleportInstance(rho, 0.5, 0.5).channel_tangle - tangle) < 1e-12
 
     def test_local_dressing_keeps_the_tangle(self):
         rng = np.random.default_rng(31)

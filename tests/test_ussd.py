@@ -3,6 +3,7 @@ conservation, and the loop phase."""
 
 import dataclasses
 import math
+import re
 import types
 
 import numpy as np
@@ -582,3 +583,15 @@ class TestEvalReport:
                 {k: v[0] for k, v in alone.items()}), point
         loop = stack["loop_phase"]
         assert [k for k, v in enumerate(loop) if v is None] == [30, 31, 32, 33]
+
+    def test_stack_names_the_failing_entry(self):
+        """A computed row that fails its check is named as _entries names
+        an entry of a sequence; a stack of one keeps the plain message."""
+        args = [np.array([0.3, 0.5, 0.2]), np.array([0.4, 0.999999 * np.exp(1j * np.pi), 0.1]),
+                np.array([0.2, 1.0, 0.5])]
+        norm = "||psi||^2 = 0.9999999998889777"
+        with pytest.raises(ShapeError, match=re.escape(
+                f"state vector not normalized (inst[1]): {norm}")):
+            eval_report(separable_points(*args))
+        with pytest.raises(ShapeError, match=re.escape(f"state vector not normalized: {norm}")):
+            eval_report(separable_points(*(a[1] for a in args)))
