@@ -9,7 +9,10 @@ for byte, use 12 significant digits, and never include timestamps.
 
 This module parses and formats; the library computes. Each subcommand
 calls public library functions (eval prints ussd.eval_report, which the
-battery also reads) and imports no private kernel.
+battery also reads) and imports no private kernel. An argv that starts
+with a subcommand is parsed once, by that subcommand's parser (_parse);
+any other argv, and one the top-level parser would refuse, goes through
+the top-level parser, which hands the subcommand's tokens on.
 
 Exit codes: 0 on success, 1 when the selftest battery fails, 2 for
 invalid input (the message names the offending field), among it a
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -322,8 +326,30 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _parse(parser, argv) -> argparse.Namespace:
+    """parser.parse_args(argv), with one pass over the tokens where argv
+    starts with a subcommand: that subcommand's parser reads the rest
+    into a namespace that already holds command, as the nested route
+    sets it. The nested route, which every other argv takes, reads each
+    token at the top level before it hands the tokens on. It fails there
+    only on an abbreviation that matches two top-level options; of
+    --help and --version that is a token, before any "--", that starts
+    with "--=". An argv with such a token takes the nested route, and so
+    does one with tokens left over, which the top level reports as
+    unrecognized arguments."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if argv and argv[0] in sub.choices and not any(
+            t.startswith("--=") for t in itertools.takewhile(lambda t: t != "--", argv[1:])):
+        args, rest = sub.choices[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(_parser(), argv)
     if getattr(args, "steps", None) is not None and args.steps < 2:
         print("error: --steps must be at least 2", file=sys.stderr)
         return 2

@@ -209,14 +209,26 @@ def ledger(psi):
     return leds[0] if isinstance(psi, PureState) else leds
 
 
+@functools.cache
+def _keys(reg) -> tuple:
+    """The pairs combinations(reg, 2), the ledger's "X:YZ" keys of the
+    pivots of reg and its "X:Y" keys of those pairs, built once per
+    register."""
+    pairs = tuple(combinations(reg, 2))
+    return (pairs, tuple(f"{q}:{''.join(x for x in reg if x != q)}" for q in reg),
+            tuple(f"{x}:{y}" for x, y in pairs))
+
+
 def _ledger_pass(amps, reg=_SAC) -> tuple:
     """The ledgers of the rows of an (N, 8) complex stack on reg, as a
     tuple, without ledger's shape and norm checks (the checks on the
-    computed entries stay), and the (3N,) concurrences of its one stacked
-    wootters_concurrence call: the pair combinations(reg, 2)[k] of row i
-    at k N + i."""
+    computed entries stay); the (3N,) concurrences of its one stacked
+    wootters_concurrence call, the pair combinations(reg, 2)[k] of row i
+    at k N + i; and the arrays the ledgers hold: the (N,) totals, the
+    (3, N) one-vs-rest tangles of the pivots of reg and the (3, N) pair
+    tangles, pair k in row k."""
     tau = _tangles(amps, reg, reg)
-    pairs = list(combinations(reg, 2))
+    pairs, bipartite_keys, pairwise_keys = _keys(tuple(reg))
     c = wootters_concurrence(np.concatenate([_factor(amps, reg, p) for p in pairs]))
     c2 = (c * c).reshape(3, -1)
     # the pair left over by pivot reg[i] is pairs[2 - i]
@@ -224,8 +236,6 @@ def _ledger_pass(amps, reg=_SAC) -> tuple:
     # np.mean's order of summation over the pivots, without its overhead
     total = (sums[0] + sums[1] + sums[2]) / 3.0
     residual = sums.max(axis=0) - sums.min(axis=0)
-    bipartite_keys = [f"{q}:{''.join(x for x in reg if x != q)}" for q in reg]
-    pairwise_keys = [f"{x}:{y}" for x, y in pairs]
     leds = tuple(
         CoherenceLedger(
             register=reg,
@@ -237,7 +247,7 @@ def _ledger_pass(amps, reg=_SAC) -> tuple:
         )
         for v, t, b, p, r in zip(amps.tolist(), total.tolist(), tau.T.tolist(),
                                  c2.T.tolist(), residual.tolist()))
-    return leds, c
+    return leds, c, total, tau, c2
 
 
 # ---------------------------------------------------------------------------
@@ -278,17 +288,13 @@ def closed_form_coherences(inst, strat=None) -> tuple:
         return tuple(float(c[0]) for c in
                      closed_form_coherences(SeparablePoints.of(inst, strat)))
     pts = inst
-    aa = np.hypot(pts.alpha.real, pts.alpha.imag)
-    ac = np.hypot(pts.alpha_c.real, pts.alpha_c.imag)
-    mp = np.hypot(pts.alpha_plus.real, pts.alpha_plus.imag)
-    mm = np.hypot(pts.alpha_minus.real, pts.alpha_minus.imag)
-    pref, c_total = _total(pts.r_plus, pts.r_minus, aa, ac)
+    aa, mp, mm = pts.abs_alpha, pts.abs_plus, pts.abs_minus
+    pref, c_total = _total(pts.r_plus, pts.r_minus, aa, pts.abs_alpha_c)
     # rewritten, as c_total is, to avoid cancellation as |alpha| -> 1,
     # with the pair constraint |a+||a-| = |alpha|
     c_ancilla = pref * ((mp - mm) ** 2 + 2.0 * aa * (1.0 - aa))
-    bp, bm = (np.sqrt(np.where(0.0 > x, 0.0, x)) for x in (1.0 - mp * mp, 1.0 - mm * mm))
-    amp = (bp * pts.alpha_minus * np.sin(pts.beta) * np.exp(1j * pts.delta)
-           + bm * pts.alpha_plus * np.cos(pts.beta))
+    amp = (pts.b_plus * pts.alpha_minus * np.sin(pts.beta) * np.exp(1j * pts.delta)
+           + pts.b_minus * pts.alpha_plus * np.cos(pts.beta))
     # float_power is pow(): the square of one instance's formula, to the bit
     c_genuine = pref * np.float_power(np.hypot(amp.real, amp.imag), 2)
     return c_total, c_ancilla, c_genuine

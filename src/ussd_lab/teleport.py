@@ -431,7 +431,7 @@ def _live_runs(insts, rows, p_b, post_b, channel_lu, tag) -> dict:
     xi, xi_bar, phi_c, phi_bar = _branch_vectors(rho, sign, phi[jj])
     if u_c is not None:
         phi_c, phi_bar = _matvec(u_c, phi_c), _matvec(u_c, phi_bar)
-    _, chi = _preparations(pts, (xi, xi_bar, phi_c, phi_bar), where)
+    _, (_, chi, _) = _preparations(pts, (xi, xi_bar, phi_c, phi_bar), where)
     agreement = _abs(vdot_rows(chi, psi_sc.reshape(n, 4)))
     us, miss = _coupling(pts, xi, xi_bar, np.broadcast_to(_E0, (n, 2)))
     # each row's checks in the order the per-branch chain meets them

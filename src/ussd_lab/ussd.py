@@ -116,26 +116,32 @@ def _eta(beta, delta) -> np.ndarray:
     return eta
 
 
-def _zeta(ap, am, beta, delta) -> tuple:
+def _zeta(pts) -> tuple:
     """(N, 4) stacks of the images of the two sub-states (with ancilla
-    attached) under the coupling, on register (S, A). Success lands the
-    ancilla on |0> with the system pointing at its flag state; failure
-    funnels both sub-states onto the shared failure direction with the
-    ancilla on |1>."""
-    n = beta.size
-    eta = _eta(beta, delta)
-    ap, am = ap[:, None], am[:, None]
-    bp, bm = np.sqrt(_pymax(0.0, 1.0 - _abs(np.concatenate([ap, am])) ** 2)).reshape(2, n, 1)
+    attached) under the coupling, on register (S, A), one per entry of
+    a SeparablePoints stack. Success lands the ancilla on |0> with the
+    system pointing at its flag state; failure funnels both sub-states
+    onto the shared failure direction with the ancilla on |1>."""
+    n = pts.beta.size
+    eta = _eta(pts.beta, pts.delta)
+    ap, am = pts.alpha_plus[:, None], pts.alpha_minus[:, None]
+    bp, bm = pts.b_plus[:, None], pts.b_minus[:, None]
     eta_a1 = (eta[:, :, None] * _E1).reshape(n, 4)       # np.kron(eta, e1)
     return bp * _E00 + ap * eta_a1, bm * _E10 + am * eta_a1
 
 
-def _partner(ov) -> np.ndarray:
-    """(N, 2) stack of the partner vectors v with <v|0> = ov: ov
-    conjugated on |0>, a real nonnegative |1> component."""
-    out = np.empty((ov.size, 2), dtype=complex)
-    out[:, 0] = ov.conj()
-    out[:, 1] = np.sqrt(_pymax(0.0, 1.0 - _abs(ov) ** 2))
+def _gap(mod) -> np.ndarray:
+    """sqrt(max(0, 1 - mod^2)) of moduli, Python's max elementwise."""
+    return np.sqrt(_pymax(0.0, 1.0 - mod ** 2))
+
+
+def _partner(ov, gap) -> np.ndarray:
+    """The partner vectors v with <v|0> = ov, one per entry of ov, on a
+    last axis of 2: ov conjugated on |0>, and gap, the _gap of |ov|, on
+    |1>, real and nonnegative."""
+    out = np.empty(ov.shape + (2,), dtype=complex)
+    out[..., 0] = ov.conj()
+    out[..., 1] = gap
     return out
 
 
@@ -273,17 +279,17 @@ def canonical_embedding(inst: UssdInstance) -> Embedding:
     """Reference embedding: each plain vector is |0> and its partner
     carries the overlap in the |0> component with a real, nonnegative
     |1> component: _canonical_rows on a stack of one."""
-    return Embedding(*(v[0] for v in _canonical_rows(*_read([inst])[1:3])))
+    _, a, ac, aa, _, acm, _ = _read([inst])
+    xi_bar, phi_bar = _partner(np.array([a, ac]), _gap(np.array([aa, acm])))
+    return Embedding(*(v[0] for v in _canonical_rows(xi_bar, phi_bar)))
 
 
-def _canonical_rows(alpha, alpha_c) -> tuple:
+def _canonical_rows(xi_bar, phi_bar) -> tuple:
     """canonical_embedding's (xi, xi_bar, phi, phi_bar) as (N, 2) stacks,
-    one row per pair of overlaps."""
-    n = alpha.size
-    e0 = np.zeros((2 * n, 2), dtype=complex)
-    e0[:, 0] = 1.0
-    bars = _partner(np.concatenate([alpha, alpha_c]))
-    return e0[:n], bars[:n], e0[n:], bars[n:]
+    one row per pair of partner rows."""
+    e0 = np.zeros((2, len(xi_bar), 2), dtype=complex)
+    e0[:, :, 0] = 1.0
+    return e0[0], xi_bar, e0[1], phi_bar
 
 
 def _kron_rows(a, b) -> np.ndarray:
@@ -291,26 +297,30 @@ def _kron_rows(a, b) -> np.ndarray:
     return (a[:, :, None] * b[:, None, :]).reshape(len(a), a.shape[1] * b.shape[1])
 
 
-def _chi_rows(r_plus, r_minus, xi, xi_bar, phi, phi_bar) -> np.ndarray:
+def _chi_rows(r_plus, r_minus, xi, xi_bar, phi, phi_bar) -> tuple:
     """(N, 4) preparations on (S, C), one per row of the (N, 2) vector
-    stacks: sqrt(r+) xi phi + sqrt(r-) xi_bar phi_bar, unchecked."""
-    return (np.sqrt(r_plus)[:, None] * _kron_rows(xi, phi)
-            + np.sqrt(r_minus)[:, None] * _kron_rows(xi_bar, phi_bar))
+    stacks, sqrt(r+) xi phi + sqrt(r-) xi_bar phi_bar, unchecked, between
+    the two products they weigh: (xi phi, preparations, xi_bar phi_bar),
+    the three vertices of bargmann_phase's loop."""
+    ends = _kron_rows(xi, phi), _kron_rows(xi_bar, phi_bar)
+    chi = np.sqrt(r_plus)[:, None] * ends[0] + np.sqrt(r_minus)[:, None] * ends[1]
+    return ends[0], chi, ends[1]
 
 
 def build_chi(inst: UssdInstance, embedding: Optional[Embedding] = None) -> PureState:
     """Joint system-environment preparation on register (S, C):
     _preparations on a stack of one."""
     return PureState(("S", "C"), _preparations(
-        SeparablePoints.of(inst), None if embedding is None else embedding.rows())[1][0])
+        SeparablePoints.of(inst), None if embedding is None else embedding.rows())[1][1][0])
 
 
 def _preparations(pts, vecs=None, where=_nowhere) -> tuple:
     """The embeddings of the entries of a SeparablePoints stack, the
-    canonical ones unless vecs gives them as four (N, 2) stacks, checked
-    by _check_embeddings, and the (N, 4) preparations _chi_rows builds on
-    them, their norms unchecked."""
-    vecs = _canonical_rows(pts.alpha, pts.alpha_c) if vecs is None else vecs
+    canonical ones on its partner rows unless vecs gives them as four
+    (N, 2) stacks, checked by _check_embeddings, and the three (N, 4)
+    stacks _chi_rows builds on them, the preparations in the middle,
+    their norms unchecked."""
+    vecs = _canonical_rows(pts.xi_bar, pts.phi_bar) if vecs is None else vecs
     _check_embeddings(*vecs, pts.alpha, pts.alpha_c, where)
     return vecs, _chi_rows(pts.r_plus, pts.r_minus, *vecs)
 
@@ -373,12 +383,22 @@ def check_pair(inst: UssdInstance, strat: UssdStrategy) -> None:
     _check_product(strat.alpha_plus, strat.alpha_minus, inst.alpha)
 
 
-def _check_product(alpha_plus, alpha_minus, alpha) -> None:
+def _check_product(alpha_plus, alpha_minus, alpha, named="") -> None:
     """check_pair on the three overlaps of one pair, as scalars: a complex
-    array product may round another way (numpy fuses its multiply-adds)."""
+    array product may round another way (numpy fuses its multiply-adds).
+    named is the suffix that names the entry of a stack."""
     prod = alpha_plus * np.conj(alpha_minus)
     if not abs(prod - alpha) <= 1e-12:
-        raise RangeError(f"strategy overlaps give {prod!r}, instance needs {alpha!r}")
+        raise RangeError(f"strategy overlaps give {complex(prod)!r}, "
+                         f"instance needs {complex(alpha)!r}{named}")
+
+
+def _check_pairs(pts, where) -> None:
+    """check_pair on each entry of a SeparablePoints stack in turn, the
+    first to fail named by where(i)."""
+    for i, (ap, am, a) in enumerate(zip(pts.alpha_plus.tolist(), pts.alpha_minus.tolist(),
+                                        pts.alpha.tolist())):
+        _check_product(ap, am, a, where(i))
 
 
 def optimal_strategy(inst, beta=0.0, delta=0.0, ancilla_init=None):
@@ -465,9 +485,8 @@ def _coupling(pts, xi, xi_bar, k) -> tuple:
     rounds a complex array product with fused multiply-adds, a product of
     complex scalars without."""
     n = pts.beta.size
-    ap, am = pts.alpha_plus, pts.alpha_minus
-    zp, zm = _zeta(ap, am, pts.beta, pts.delta)
-    bp, bm = zp[:, 0].real, zm[:, 2].real
+    ap, am, bp, bm = pts.alpha_plus, pts.alpha_minus, pts.b_plus, pts.b_minus
+    zp, zm = _zeta(pts)
     eta = _eta(pts.beta, pts.delta)
     # x' = _flip(x / |x|); xi and k are normalized first, so their primes
     # divide by the norm of the normalized vector
@@ -514,13 +533,10 @@ def _pairs(inst, strat, embedding) -> tuple:
     SeparablePoints stack, _preparations of it, where), where(i) naming
     entry i of a sequence (_entries). Every pair meets check_pair."""
     single, insts, strats, where = _entries(inst, strat)
-    if len(insts) != len(strats):
-        raise ShapeError(f"{len(insts)} instances but {len(strats)} strategies")
+    pts = SeparablePoints.of(insts, strats)
     if not single and embedding is not None:
         raise ShapeError("a sequence of instances takes the canonical embeddings")
-    for i, st in zip(insts, strats):
-        check_pair(i, st)
-    pts = SeparablePoints.of(insts, strats)
+    _check_pairs(pts, where)
     return (single, insts, strats, pts,
             _preparations(pts, None if embedding is None else embedding.rows(), where), where)
 
@@ -580,7 +596,8 @@ def run_protocol(inst, strat, embedding=None):
     check naming the entry at fault; each result equals a call on that
     pair alone. The Born statistics never read coupled_amplitudes.
     """
-    single, insts, strats, pts, ((xi, xi_bar, _, _), chi), where = _pairs(inst, strat, embedding)
+    single, insts, strats, pts, ((xi, xi_bar, _, _), (_, chi, _)), where = _pairs(
+        inst, strat, embedding)
     if not insts:
         return ()
     n = len(insts)
@@ -712,7 +729,14 @@ class SeparablePoints:
     the optimal-strategy regime (UssdInstance.case == "interior"),
     alpha_plus/alpha_minus the failure overlaps and beta/delta the
     failure angles. separable_points fills it with the optimal radii and
-    separable angles; of() holds instances with any strategy."""
+    separable angles; of() holds instances with any strategy.
+
+    The stack also carries what its builders compute on the way, so that
+    no reader takes it again: abs_/arg_alpha and abs_/arg_alpha_c, the
+    _polar of both overlaps; abs_plus/abs_minus, the moduli |alpha_+-|,
+    and b_plus/b_minus, their _gap, the success components of the
+    coupled images (_zeta); and xi_bar/phi_bar, the (N, 2) _partner rows
+    of alpha and alpha_c, the canonical embedding's partner vectors."""
 
     p_plus: np.ndarray
     alpha: np.ndarray
@@ -724,21 +748,38 @@ class SeparablePoints:
     alpha_minus: np.ndarray
     beta: np.ndarray
     delta: np.ndarray
+    abs_alpha: np.ndarray
+    arg_alpha: np.ndarray
+    abs_alpha_c: np.ndarray
+    arg_alpha_c: np.ndarray
+    abs_plus: np.ndarray
+    abs_minus: np.ndarray
+    b_plus: np.ndarray
+    b_minus: np.ndarray
+    xi_bar: np.ndarray
+    phi_bar: np.ndarray
 
     @classmethod
     def of(cls, inst, strat=None) -> "SeparablePoints":
         """Instances with their strategies as given: one pair, a stack of
         one, or equal-length sequences of each, one entry per pair; with
-        strat None, at their separable strategies (_separable)."""
+        strat None, at their separable strategies (_separable). Sequences
+        of unequal length raise ShapeError."""
         single, insts, _ = _entries(inst)
-        p, a, ac, *polar = _read(insts)
+        if strat is not None:
+            strats = [strat] if single else list(strat)
+            if len(insts) != len(strats):
+                raise ShapeError(f"{len(insts)} instances but {len(strats)} strategies")
+        p, a, ac, aa, ga, acm, gc = _read(insts)
         if strat is None:
-            return _separable(p, a, ac, *polar)
-        strats = [strat] if single else list(strat)
-        rp, rm, _, interior = _weights(p, *polar)
-        return cls(p, a, ac, rp, rm, interior, *(np.array(v, dtype=t) for v, t in (
-            ([s.alpha_plus for s in strats], complex), ([s.alpha_minus for s in strats], complex),
-            ([s.beta for s in strats], float), ([s.delta for s in strats], float))))
+            return _separable(p, a, ac, aa, ga, acm, gc)
+        rp, rm, _, interior = _weights(p, aa, ga, acm, gc)
+        ap, am, beta, delta = (np.array([getattr(s, k) for s in strats], dtype=t) for k, t in (
+            ("alpha_plus", complex), ("alpha_minus", complex), ("beta", float), ("delta", float)))
+        mp, mm = _abs(ap), _abs(am)
+        b = _gap(np.array([aa, acm, mp, mm]))
+        return cls(p, a, ac, rp, rm, interior, ap, am, beta, delta, aa, ga, acm, gc,
+                   mp, mm, *b[2:], *_partner(np.array([a, ac]), b[:2]))
 
     def strategy(self, i: int, ancilla_init=None) -> UssdStrategy:
         """The strategy of entry i, as a UssdStrategy."""
@@ -837,7 +878,11 @@ def _separable(p, a, ac, aa, ga, acm, gc) -> SeparablePoints:
     # the angles that make the system-ancilla pair separable (both 0
     # where no failure branch is left); |alpha_-| is mm, real and >= 0
     (abs_p, wp), (abs_m, wm) = (_polar(x) for x in _combination(rp, rm, ap, am, acm, gc))
-    gp, gm = 1.0 - _abs(ap) ** 2, 1.0 - mm ** 2
+    # 1 - m^2 of |alpha|, |alpha_c|, |alpha_+| and |alpha_-|, which is mm:
+    # the modulus of a real, nonnegative complex is its real part
+    mp = _abs(ap)
+    sq = 1.0 - np.array([aa, acm, mp, mm]) ** 2
+    gp, gm = sq[2], sq[3]
     fail = 1.0 - (rp * gp + rm * gm)
     num = np.sqrt(_pymax(rm * abs_m ** 2 * gm, 0.0))
     dnm = np.sqrt(_pymax(rp * abs_p ** 2 * gp, 0.0))
@@ -846,9 +891,13 @@ def _separable(p, a, ac, aa, ga, acm, gc) -> SeparablePoints:
     flat = fail < 1e-15
     if np.count_nonzero(flat):
         beta, delta = np.where(flat, 0.0, beta), np.where(flat, 0.0, delta)
+    b = np.sqrt(_pymax(0.0, sq))      # _gap of the four moduli
+    xi_bar, phi_bar = _partner(np.array([a, ac]), b[:2])
     return SeparablePoints(p_plus=p, alpha=a, alpha_c=ac, r_plus=rp, r_minus=rm,
                            interior=interior, alpha_plus=ap, alpha_minus=am,
-                           beta=beta, delta=delta)
+                           beta=beta, delta=delta, abs_alpha=aa, arg_alpha=ga,
+                           abs_alpha_c=acm, arg_alpha_c=gc, abs_plus=mp, abs_minus=mm,
+                           b_plus=b[2], b_minus=b[3], xi_bar=xi_bar, phi_bar=phi_bar)
 
 
 def coupled_amplitudes(pts: SeparablePoints, where=_nowhere) -> np.ndarray:
@@ -856,10 +905,10 @@ def coupled_amplitudes(pts: SeparablePoints, where=_nowhere) -> np.ndarray:
     stack entry, checked for unit norm as PureState checks them; the
     first row to fail is named by where(i)."""
     n = pts.beta.size
-    zp, zm = _zeta(pts.alpha_plus, pts.alpha_minus, pts.beta, pts.delta)
-    phi_bar = _partner(pts.alpha_c)
+    zp, zm = _zeta(pts)
     vec = (np.sqrt(pts.r_plus)[:, None] * (zp[:, :, None] * _E0).reshape(n, 8)
-           + np.sqrt(pts.r_minus)[:, None] * (zm[:, :, None] * phi_bar[:, None, :]).reshape(n, 8))
+           + np.sqrt(pts.r_minus)[:, None]
+           * (zm[:, :, None] * pts.phi_bar[:, None, :]).reshape(n, 8))
     unit_rows(vec, where)
     return vec
 
@@ -985,10 +1034,11 @@ def bargmann_phase(inst):
 def _loop_states(pts, where=_nowhere) -> tuple:
     """The three (N, 4) stacks of bargmann_phase's loops on (S, C): xi phi,
     the preparation, with run_protocol's norm check, and xi_bar phi_bar,
-    on the canonical embedding of each entry of a SeparablePoints stack."""
-    (xi, xi_bar, phi, phi_bar), chi = _preparations(pts, where=where)
-    unit_rows(chi, where)
-    return _kron_rows(xi, phi), chi, _kron_rows(xi_bar, phi_bar)
+    on the canonical embedding of each entry of a SeparablePoints stack:
+    the stacks _chi_rows has built."""
+    loop = _preparations(pts, where=where)[1]
+    unit_rows(loop[1], where)
+    return loop
 
 
 # ---------------------------------------------------------------------------
@@ -1018,13 +1068,14 @@ def eval_report(pts: SeparablePoints) -> dict:
     coupled_amplitudes has checked, each instance's branch weights, which
     the stack holds, the loop phase's second preparation, and the (S, A)
     concurrence, which the ledger's stacked wootters_concurrence call has
-    made."""
+    made. The moduli and phases are those the stack carries, and the
+    ledger entries come from the arrays _ledger_pass returns beside the
+    ledgers, not through bipartite_of and pair."""
     n = pts.beta.size
     where = _naming(n == 1)
-    for ap, am, a in zip(pts.alpha_plus.tolist(), pts.alpha_minus.tolist(), pts.alpha.tolist()):
-        _check_product(ap, am, a)
+    _check_pairs(pts, where)
     psi = coupled_amplitudes(pts, where)
-    leds, conc = _ledger_pass(psi)
+    leds, conc, lt, tau, c2 = _ledger_pass(psi)
     ct, ca, cg = closed_form_coherences(pts)
     loops = _loop_states(pts, where)
     before, after = _environment_tangles(loops[1], psi)
@@ -1033,16 +1084,16 @@ def eval_report(pts: SeparablePoints) -> dict:
     if live.size:
         for i, phase in zip(live.tolist(), _phases(loops, live)):
             loop[i] = phase
-    # the ledgers' total, converted (A:SC), genuine, retained (S:C) and
-    # environment-ancilla (A:C) entries
-    lt, lc, lg, lr, le = np.array([
-        (x.c_total, x.bipartite_of("A"), x.c_genuine, x.pair("S", "C"), x.pair("A", "C"))
-        for x in leds], dtype=float).reshape(n, 5).T
+    # the ledgers' converted (A:SC), retained (S:C), environment-ancilla
+    # (A:C) and genuine entries: tau holds the pivots S, A, C and c2 the
+    # pairs S:A, S:C, A:C, on the register of psi
+    lc, lr, le = tau[1], c2[1], c2[2]
+    lg = np.array([x.c_genuine for x in leds], dtype=float)
     dev = np.maximum.reduce([np.abs(ct - lt), np.abs(ca - lc), np.abs(cg - lg),
                              np.abs((ct - ca) - lr)])
-    columns = (pts.r_plus, pts.r_minus, np.angle(pts.alpha) + np.angle(pts.alpha_c),
-               np.where(pts.interior, "interior", "saturated"), _abs(pts.alpha_plus),
-               _abs(pts.alpha_minus), _p_suc(pts.r_plus, pts.r_minus, _abs(pts.alpha), pts.interior),
+    columns = (pts.r_plus, pts.r_minus, pts.arg_alpha + pts.arg_alpha_c,
+               np.where(pts.interior, "interior", "saturated"), pts.abs_plus, pts.abs_minus,
+               _p_suc(pts.r_plus, pts.r_minus, pts.abs_alpha, pts.interior),
                pts.beta, pts.delta, ct, lt, ca, lc, ct - ca, lr, cg, lg, le, dev,
                np.abs(before - after), conc[:n])
     return dict(zip(EVAL_QUANTITIES, [*(c.tolist() for c in columns), loop]))

@@ -60,8 +60,7 @@ _R = [
     Mutant("R4", "ussd.py", "return bp * _E00 + ap * eta_a1, bm * _E10 + am * eta_a1",
            "return bp * (1.0 + 1e-7) * _E00 + ap * eta_a1, bm * _E10 + am * eta_a1",
            "success component b+ of zeta+ off by 1e-7"),
-    Mutant("R5", "ussd.py", "out[:, 1] = np.sqrt(_pymax(0.0, 1.0 - _abs(ov) ** 2))",
-           "out[:, 1] = np.sqrt(_pymax(0.0, 1.0 - _abs(ov) ** 2)) * (1.0 + 1e-7)",
+    Mutant("R5", "ussd.py", "out[..., 1] = gap", "out[..., 1] = gap * (1.0 + 1e-7)",
            "partner vector's |1> component off by 1e-7"),
     Mutant("R6", "coherence.py", "pref = 4.0 * rp * rm * (1.0 - ac * ac)",
            "pref = 4.0 * rp * rm * (1.0 - ac * ac) * (1.0 + 1e-7)",
@@ -113,15 +112,15 @@ _C = [
 
 # the protocol's states and the ledger
 _P = [
-    Mutant("P1", "ussd.py", "phi_bar = _partner(pts.alpha_c)",
-           "phi_bar = _partner(pts.alpha_c.conj())",
+    Mutant("P1", "ussd.py", "(zm[:, :, None] * pts.phi_bar[:, None, :])",
+           "(zm[:, :, None] * pts.phi_bar.conj()[:, None, :])",
            "coupled state takes the conjugate environment partner"),
     Mutant("P2", "ussd.py", "eta[:, 1] = np.sin(beta) * np.exp(1j * delta)",
            "eta[:, 1] = np.sin(beta) * np.exp(-1j * delta)",
            "failure direction with the conjugate phase"),
-    Mutant("P3", "ussd.py", "_abs(np.concatenate([ap, am]))", "_abs(np.concatenate([ap, ap]))",
-           "b- of zeta- from |alpha+|"),
-    Mutant("P4", "ussd.py", "out[:, 0] = ov.conj()", "out[:, 0] = ov",
+    Mutant("P3", "ussd.py", "b_minus=b[3]", "b_minus=b[2]",
+           "b- of zeta- from |alpha+| at the separable point"),
+    Mutant("P4", "ussd.py", "out[..., 0] = ov.conj()", "out[..., 0] = ov",
            "partner vector without the conjugate overlap"),
     Mutant("P5", "coherence.py", "sums = tau + c2[::-1]", "sums = tau + c2",
            "monogamy sums pair each pivot with the wrong pair tangle"),
@@ -253,7 +252,20 @@ _B = [
            "a stack pairs each instance with the next instance's strategy"),
 ]
 
-MUTANTS = _R + _C + _P + _M + _N + _L + _G + _E + _B
+# one pass per eval op: the subcommand's parser called directly, and the
+# moduli the stacks carry
+_K = [
+    Mutant("K1", "cli.py", "if not rest:", "if True:",
+           "a subcommand's leftover tokens are dropped, not reported",
+           tier1=("tests/test_cli.py::TestParseParity",)),
+    Mutant("K2", "ussd.py", "mp, mm, *b[2:],", "mp, mm, b[2], b[2],",
+           "b- of zeta- from |alpha+| in a stack of given strategies"),
+    Mutant("K3", "ussd.py", "pts.arg_alpha + pts.arg_alpha_c,", "pts.arg_alpha,",
+           "eval's gamma from the phase of alpha alone",
+           tier1=("tests/test_cli.py::TestEvalParity",)),
+]
+
+MUTANTS = _R + _C + _P + _M + _N + _L + _G + _E + _B + _K
 
 
 def _copy(src: Path, dest: Path) -> None:

@@ -1111,7 +1111,7 @@ class TestLedgerArithmetic:
     @pytest.mark.parametrize("amps", [zeroed_states(45, 30), edge_box_states(46, 30)],
                              ids=["random", "edge_box"])
     def test_pair_concurrences_are_one_matrix_each(self, amps):
-        leds, conc = coherence._ledger_pass(amps)
+        leds, conc = coherence._ledger_pass(amps)[:2]
         assert conc.shape == (3 * len(amps),)
         for k, (x, y) in enumerate(itertools.combinations(SAC, 2)):
             for i, a in enumerate(amps):
@@ -1450,7 +1450,7 @@ class TestOneFormula:
     def test_zeta_and_embedding(self, draws):
         for inst, strat in draws:
             pts = SeparablePoints.of(inst, strat)
-            got = _zeta(pts.alpha_plus, pts.alpha_minus, pts.beta, pts.delta)
+            got = _zeta(pts)
             for (z,), want in zip(got, reference_zeta_vectors(strat)):
                 assert_close(z, want)
             emb = canonical_embedding(inst)
@@ -1855,3 +1855,99 @@ class TestStackedDraws:
                  * abs(inst.alpha) * abs(inst.alpha_c) * math.cos(inst.gamma))
             worst = max(worst, abs(s - 1.0))
         assert selftest._normalization_identity()[0].hex() == worst.hex()
+
+
+def reference_zeta(ap, am, beta, delta):
+    """_zeta as it read the failure overlaps alone, b+- taken from their
+    moduli in one pass, kept as the reference of the carried b+-."""
+    n = beta.size
+    eta = ussd._eta(beta, delta)
+    ap, am = ap[:, None], am[:, None]
+    bp, bm = np.sqrt(ussd._pymax(0.0, 1.0 - ussd._abs(np.concatenate([ap, am])) ** 2)).reshape(2, n, 1)
+    eta_a1 = (eta[:, :, None] * ussd._E1).reshape(n, 4)
+    return bp * ussd._E00 + ap * eta_a1, bm * ussd._E10 + am * eta_a1
+
+
+def reference_partner(ov):
+    """_partner as it read the overlaps alone, its |1> component from
+    their moduli, kept as the reference of the carried partner rows."""
+    out = np.empty((ov.size, 2), dtype=complex)
+    out[:, 0] = ov.conj()
+    out[:, 1] = np.sqrt(ussd._pymax(0.0, 1.0 - ussd._abs(ov) ** 2))
+    return out
+
+
+def assert_carried(pts):
+    """Every array a SeparablePoints stack carries is its recomputation
+    from the stack's overlaps, with == and the signs of zeros."""
+    for mod, arg, ov in ((pts.abs_alpha, pts.arg_alpha, pts.alpha),
+                         (pts.abs_alpha_c, pts.arg_alpha_c, pts.alpha_c)):
+        assert_same(mod, ussd._abs(ov))
+        assert_same(arg, np.angle(ov))
+    assert_same(pts.abs_plus, ussd._abs(pts.alpha_plus))
+    assert_same(pts.abs_minus, ussd._abs(pts.alpha_minus))
+    n = pts.beta.size
+    ap, am = pts.alpha_plus[:, None], pts.alpha_minus[:, None]
+    bp, bm = np.sqrt(ussd._pymax(0.0, 1.0 - ussd._abs(np.concatenate([ap, am])) ** 2)).reshape(2, n)
+    assert_same(pts.b_plus, bp)
+    assert_same(pts.b_minus, bm)
+    # closed_form_coherences' form, np.where(0.0 > x, 0.0, x), differs
+    # from _pymax only at NaN and -0.0, which 1 - m^2 never gives
+    mp, mm = (np.hypot(x.real, x.imag) for x in (pts.alpha_plus, pts.alpha_minus))
+    for got, x in ((pts.b_plus, 1.0 - mp * mp), (pts.b_minus, 1.0 - mm * mm)):
+        assert_same(got, np.sqrt(np.where(0.0 > x, 0.0, x)))
+    assert_same(pts.xi_bar, reference_partner(pts.alpha))
+    assert_same(pts.phi_bar, reference_partner(pts.alpha_c))
+    for got, want in zip(_zeta(pts), reference_zeta(pts.alpha_plus, pts.alpha_minus,
+                                                     pts.beta, pts.delta)):
+        assert_same(got, want)
+
+
+def drawn_pairs(seed, count):
+    """count _random_instances with strategies of any radii in [0, 1 +
+    5e-13], at 0 and at the top (inside UssdStrategy's 1 + 1e-12 after
+    rounding) a quarter of the time each, any phases and failure angles:
+    pairs SeparablePoints.of takes unchecked."""
+    rng = np.random.default_rng(seed)
+    insts, _ = selftest._random_instances(rng, count)
+    pick = rng.integers(0, 4, (2, count))
+    mods = np.where(pick == 0, 0.0, np.where(pick == 1, 1.0 + 5e-13, rng.uniform(0.0, 1.0, (2, count))))
+    ov = mods * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (2, count)))
+    angles = rng.uniform((0.0, 0.0), (math.pi / 2, 2.0 * math.pi), (count, 2))
+    strats = [ussd.UssdStrategy(alpha_plus=complex(p), alpha_minus=complex(m), beta=float(b),
+                                delta=float(d))
+              for p, m, (b, d) in zip(ov[0].tolist(), ov[1].tolist(), angles.tolist())]
+    return insts, strats
+
+
+class TestCarriedArrays:
+    """SeparablePoints carries the moduli, phases, b+- and partner rows
+    its builders compute; each must be bit for bit what a reader would
+    compute again from the stack's overlaps."""
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60))
+    def test_separable_points_of_edge_box(self, seed, count):
+        p, aa, ac, g = selftest._edge_box(np.random.default_rng(seed), count)
+        for alpha, alpha_c in ((aa * np.exp(1j * g), ac), (aa, ac * np.exp(1j * g))):
+            assert_carried(separable_points(p, alpha, alpha_c))
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40))
+    def test_of_drawn_strategies(self, seed, count):
+        insts, strats = drawn_pairs(seed, count)
+        assert_carried(SeparablePoints.of(insts, strats))
+        assert_carried(SeparablePoints.of(insts))
+        assert_carried(SeparablePoints.of(insts[0], strats[0]))
+
+    def test_edges(self):
+        """Zero overlaps, unit |alpha_c|, extreme priors and strategy
+        radii at 0 and above 1, where _gap clips."""
+        insts = [make_instance(p, a, ac) for p, a, ac in (
+            (0.0, 0.0, 0.0), (1.0, 0.4j, 1.0), (0.5, -0.0, -1.0), (0.3, 0.999999999, 1j))]
+        strats = [ussd.UssdStrategy(alpha_plus=ap, alpha_minus=am) for ap, am in (
+            (0.0, 0.0), (1.0 + 1e-12, -0.0), (1j, 1.0), (complex(-0.0, 0.5), 1e-300))]
+        assert_carried(SeparablePoints.of(insts, strats))
+        assert_carried(SeparablePoints.of(insts))
+        assert_carried(separable_points(*(np.array(c) for c in zip(
+            *[(i.p_plus, i.alpha, i.alpha_c) for i in insts]))))

@@ -301,6 +301,90 @@ class TestEvalParity:
         assert (codes.count(0), codes.count(2)) == (49, 51)
 
 
+# argvs that reach each subcommand, the top level, help and version at
+# either level, "--", abbreviations, "=" values, leftover tokens and bad values
+PARSE_ARGVS = [
+    [], ["-h"], ["--version"], ["--version", "eval"], ["evl"], ["ev"], ["--", "eval"],
+    ["--bogus", "eval"],
+    ["eval"], ["eval", "-h"], ["eval", "--help"], ["eval", "--version"],
+    ["eval", "--p-plus", "0.3", "--alpha", "0.45", "--alpha-phase", "0.8",
+     "--alpha-c", "0.6", "--alpha-c-phase", "0.4"],
+    ["eval", "--p-plus=0.3"], ["eval", "--p-pl", "0.3"], ["eval", "--alph", "0.3"],
+    ["eval", "--alpha-c-ph", "1"], ["eval", "--alpha", "-1e-300"], ["eval", "--alpha=-.5e1"],
+    ["eval", "--alpha", "x"], ["eval", "--alpha"], ["eval", "--alpha", "--alpha-c", "0.2"],
+    ["eval", "--p-plus", "nan"], ["eval", "--p-plus", "0.3", "--p-plus", "0.6"],
+    ["eval", "--bogus", "1"], ["eval", "extra"], ["eval", "--", "--alpha", "0.3"],
+    ["eval", "--"], ["eval", "--=0.3"], ["eval", "--", "--=0.3"], ["eval", "--format", "json"],
+    ["eval", "--format", "xml"], ["eval", "-x"], ["eval", "-"],
+    ["fig2", "--steps", "3"], ["fig2", "--steps", "1"], ["fig2", "--ste", "3", "--alpha=0.2"],
+    ["fig2", "--steps", "3.5"], ["fig2", "--steps", "3", "--version"],
+    ["fig3", "--steps", "3", "--band-points", "8"], ["fig3", "--steps", "3", "--band-points", "4"],
+    ["fig3", "-h"],
+    ["fig4", "--steps", "3"], ["fig4", "--steps=3", "--format", "json"], ["fig4", "--steps", "0"],
+    ["fig4", "--st", "3", "extra"],
+    ["teleport", "--rho", "0.2", "--sample", "10", "--seed", "3"], ["teleport", "--sample", "0"],
+    ["teleport", "--rho=0.2", "--mu", "-inf"], ["teleport", "--seed", "x"],
+    ["selftest", "--only", "spot_success"], ["selftest", "--tolerance", "x"],
+    ["selftest", "--only"], ["selftest", "-h"],
+]
+
+
+def _nested_parse(parser, argv):
+    return parser.parse_args(argv)
+
+
+def _outcome(fn, *args) -> tuple:
+    """(exit code or None, stdout, stderr, result) of fn(*args), a
+    SystemExit's code taken as its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got, code = fn(*args), None
+        except SystemExit as exc:
+            got, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), got
+
+
+class TestParseParity:
+    """main parses an argv that starts with a subcommand with that
+    subcommand's parser alone; the nested route, the top-level parser's
+    parse_args, kept here as the reference, must give the same
+    namespace, attributes in order, and main the same exit code, stdout
+    and stderr."""
+
+    @pytest.mark.parametrize("argv", PARSE_ARGVS, ids=" ".join)
+    def test_namespace(self, argv):
+        code, out, err, got = _outcome(cli._parse, build_parser(), argv)
+        want = _outcome(build_parser().parse_args, argv)
+        assert (code, out, err) == want[:3]
+        assert (got is None) == (want[3] is None)
+        if got is not None:
+            # repr, as a NaN value is not equal to itself
+            assert repr(list(vars(got).items())) == repr(list(vars(want[3]).items()))
+
+    @pytest.mark.parametrize("argv", PARSE_ARGVS, ids=" ".join)
+    def test_main(self, argv):
+        got = _outcome(main, argv)
+        with mock.patch.object(cli, "_parse", _nested_parse):
+            want = _outcome(main, argv)
+        assert got == want
+
+    def test_top_level_options_share_only_the_double_dash(self):
+        """_parse sends a token starting with "--=" to the nested route,
+        as the only token the top-level parser's abbreviation rule finds
+        ambiguous; that holds while no two of its options share more of
+        a prefix than "--"."""
+        parser = build_parser()
+        names = [o for a in parser._actions for o in a.option_strings if o.startswith("--")]
+        assert len(names) >= 2
+        for x, y in itertools.combinations(names, 2):
+            assert x[2] != y[2], (x, y)
+
+    def test_no_argv_reads_sys_argv(self):
+        with mock.patch("sys.argv", ["ussd-lab", "fig4", "--steps", "3"]):
+            assert _outcome(main) == _outcome(main, ["fig4", "--steps", "3"])
+
+
 class TestSweeps:
     def test_fig2_landmark_row(self, tmp_path):
         code, text = run_cli(["fig2", "--steps", "5"], tmp_path)

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ussd_lab.coherence import initial_coherence, wootters_concurrence
+from ussd_lab.coherence import closed_form_coherences, initial_coherence, wootters_concurrence
 from ussd_lab.ussd import (
     EVAL_QUANTITIES,
+    SeparablePoints,
     UssdInstance,
     UssdStrategy,
     bargmann_loop,
@@ -595,3 +596,36 @@ class TestEvalReport:
             eval_report(separable_points(*args))
         with pytest.raises(ShapeError, match=re.escape(f"state vector not normalized: {norm}")):
             eval_report(separable_points(*(a[1] for a in args)))
+
+
+class TestPairedStacks:
+    """SeparablePoints.of holds the length check of a paired stack, and a
+    pair whose overlaps do not multiply back fails check_pair named by its
+    entry, with the product as a plain complex."""
+
+    I1 = make_instance(0.3, 0.4, 0.2)
+    I2 = make_instance(0.2, 0.6j, 0.5)
+    S1 = separable_strategy(I1)
+
+    def test_unequal_lengths_are_refused(self):
+        with pytest.raises(ShapeError, match=r"^2 instances but 1 strategies$"):
+            closed_form_coherences(SeparablePoints.of([self.I1, self.I2], [self.S1]))
+        with pytest.raises(ShapeError, match=r"^1 instances but 2 strategies$"):
+            SeparablePoints.of([self.I1], [self.S1, self.S1])
+
+    MESSAGE = "strategy overlaps give (0.39999999999999997+0j), instance needs 0.6j"
+
+    def test_run_protocol_names_the_pair(self):
+        with pytest.raises(RangeError, match=re.escape(self.MESSAGE + " (inst[1])") + "$"):
+            run_protocol([self.I1, self.I2], [self.S1, self.S1])
+
+    def test_eval_report_names_the_pair(self):
+        with pytest.raises(RangeError, match=re.escape(self.MESSAGE + " (inst[1])") + "$"):
+            eval_report(SeparablePoints.of([self.I1, self.I2], [self.S1, self.S1]))
+
+    def test_one_pair_names_no_entry(self):
+        for call in (lambda: check_pair(self.I2, self.S1),
+                     lambda: run_protocol(self.I2, self.S1),
+                     lambda: eval_report(SeparablePoints.of(self.I2, self.S1))):
+            with pytest.raises(RangeError, match=re.escape(self.MESSAGE) + "$"):
+                call()
