@@ -273,7 +273,8 @@ def closed_form_coherences(inst, strat=None) -> tuple:
 
     inst is a UssdInstance with its strategy, which gives three floats,
     or a SeparablePoints stack (strat omitted), which gives three arrays,
-    one entry per row; one instance is a stack of one.
+    one entry per row, read unchecked; one pair is SeparablePoints.of
+    it, which runs check_pair.
 
     The genuine (three-way) entry is an identity over the whole strategy
     family. The total and the ancilla-vs-rest entries reproduce the

@@ -77,14 +77,25 @@ def _nowhere(i) -> str:
 
 def _entries(value, *paired) -> tuple:
     """The one-or-many rule of every stacked entry point: an iterable
-    value is a sequence of entries, anything else one entry. Returns
-    (single, entries, *paired, where): value and each paired argument as
-    a list (of one item for one entry), and where(i) the suffix that
-    names entry i in a message, " (inst[i])" for a sequence and none
-    for one entry."""
-    if not np.iterable(value):
-        return (True, [value], *([v] for v in paired), _naming(True))
-    return (False, list(value), *(list(v) for v in paired), _naming(False))
+    value is a sequence of entries, anything else one entry. Each paired
+    (value, name), such as (strat, "strategies"), must have as many
+    entries under that rule, else ShapeError naming both. Returns
+    (single, entries, *paired, where): value and each paired value as a
+    list (of one item for one entry), and where(i) the suffix that names
+    entry i in a message, " (inst[i])" for a sequence, none for one."""
+    single = not np.iterable(value)
+    entries = [value] if single else list(value)
+    lists = []
+    for other, name in paired:
+        many = np.iterable(other)
+        items = list(other) if many else [other]
+        if many == single:
+            raise ShapeError(f"one instance but a sequence of {len(items)} {name}" if single
+                             else f"{len(entries)} instances but no sequence of {name}")
+        if len(items) != len(entries):
+            raise ShapeError(f"{len(entries)} instances but {len(items)} {name}")
+        lists.append(items)
+    return (single, entries, *lists, _naming(single))
 
 
 def _naming(single: bool):

@@ -283,9 +283,7 @@ def branch_to_ussd(inst, b_outcome):
     stack and make_instance on each entry, each check naming the entry
     at fault; each record equals a call on that pair alone.
     """
-    single, insts, outs, where = _entries(inst, b_outcome)
-    if len(insts) != len(outs):
-        raise ShapeError(f"{len(insts)} instances but {len(outs)} carrier outcomes")
+    single, insts, outs, where = _entries(inst, (b_outcome, "carrier outcomes"))
     if not insts:
         return ()
     signs = [_sign(b, where(i)) for i, b in enumerate(outs)]

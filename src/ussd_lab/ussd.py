@@ -315,13 +315,15 @@ def build_chi(inst: UssdInstance, embedding: Optional[Embedding] = None) -> Pure
 
 
 def _preparations(pts, vecs=None, where=_nowhere) -> tuple:
-    """The embeddings of the entries of a SeparablePoints stack, the
-    canonical ones on its partner rows unless vecs gives them as four
-    (N, 2) stacks, checked by _check_embeddings, and the three (N, 4)
-    stacks _chi_rows builds on them, the preparations in the middle,
-    their norms unchecked."""
-    vecs = _canonical_rows(pts.xi_bar, pts.phi_bar) if vecs is None else vecs
-    _check_embeddings(*vecs, pts.alpha, pts.alpha_c, where)
+    """The embeddings of the entries of a SeparablePoints stack and the
+    three (N, 4) stacks _chi_rows builds on them, the preparations in the
+    middle, their norms unchecked. Given vecs, four (N, 2) stacks, pass
+    _check_embeddings; the canonical rows are not checked, since |0> and
+    (conj(ov), _gap(|ov|)) give <v|0> = ov exactly and unit norm."""
+    if vecs is None:
+        vecs = _canonical_rows(pts.xi_bar, pts.phi_bar)
+    else:
+        _check_embeddings(*vecs, pts.alpha, pts.alpha_c, where)
     return vecs, _chi_rows(pts.r_plus, pts.r_minus, *vecs)
 
 
@@ -366,7 +368,7 @@ class UssdStrategy:
             if k.size != 2:
                 raise ShapeError("ancilla_init must be a single-qubit vector")
             try:
-                unit_rows(k[None])      # run_protocol's check on k
+                unit_rows(k[None])      # the state-norm rule of every stack
             except ShapeError:
                 raise RangeError("ancilla_init must be normalized") from None
         arr = np.array(k, dtype=complex)
@@ -391,14 +393,6 @@ def _check_product(alpha_plus, alpha_minus, alpha, named="") -> None:
     if not abs(prod - alpha) <= 1e-12:
         raise RangeError(f"strategy overlaps give {complex(prod)!r}, "
                          f"instance needs {complex(alpha)!r}{named}")
-
-
-def _check_pairs(pts, where) -> None:
-    """check_pair on each entry of a SeparablePoints stack in turn, the
-    first to fail named by where(i)."""
-    for i, (ap, am, a) in enumerate(zip(pts.alpha_plus.tolist(), pts.alpha_minus.tolist(),
-                                        pts.alpha.tolist())):
-        _check_product(ap, am, a, where(i))
 
 
 def optimal_strategy(inst, beta=0.0, delta=0.0, ancilla_init=None):
@@ -448,9 +442,8 @@ def coupled_state(inst: UssdInstance, strat: UssdStrategy) -> PureState:
     This is the closed-form image of the preparation: each sub-state
     branch maps to its coupled image while the environment partner
     states ride along unchanged (canonical embedding). It is
-    coupled_amplitudes on a stack of one, for any strategy.
+    coupled_amplitudes on SeparablePoints.of the pair, for any strategy.
     """
-    check_pair(inst, strat)
     return PureState(("S", "A", "C"), coupled_amplitudes(SeparablePoints.of(inst, strat))[0])
 
 
@@ -530,21 +523,19 @@ def _pairs(inst, strat, embedding) -> tuple:
     """One instance, strategy and embedding (None for the canonical one),
     or equal-length sequences of instances and strategies, which take
     the canonical embeddings: (single, instances, strategies, their
-    SeparablePoints stack, _preparations of it, where), where(i) naming
-    entry i of a sequence (_entries). Every pair meets check_pair."""
-    single, insts, strats, where = _entries(inst, strat)
-    pts = SeparablePoints.of(insts, strats)
+    _given stack, _preparations of it, where) by _entries' rule."""
+    single, insts, strats, where = _entries(inst, (strat, "strategies"))
     if not single and embedding is not None:
         raise ShapeError("a sequence of instances takes the canonical embeddings")
-    _check_pairs(pts, where)
+    pts = _given(insts, strats, where)
     return (single, insts, strats, pts,
             _preparations(pts, None if embedding is None else embedding.rows(), where), where)
 
 
 def coupling_unitary(inst, strat, embedding=None):
     """Two-qubit coupling on (S, A) that maps xi (x) k to zeta+ and
-    xi_bar (x) k to zeta-, k the ancilla's initial state: _coupling after
-    check_pair and the embedding checks. A miss of either constraint
+    xi_bar (x) k to zeta-, k the ancilla's initial state: _coupling on
+    the stack and embeddings _pairs checks. A miss of either constraint
     beyond the mapping tolerance raises NumericalError.
 
     One instance and strategy give a Unitary; equal-length sequences
@@ -591,10 +582,11 @@ def run_protocol(inst, strat, embedding=None):
     inst and strat are one instance and its strategy, which gives a
     ProtocolResult, or equal-length sequences of them, which give a tuple
     of results with the canonical embeddings. The stack runs in
-    one pass: every embedding check, the preparations (_chi_rows), the
-    couplings (_coupling), one batched matmul and one measure_rows, each
-    check naming the entry at fault; each result equals a call on that
-    pair alone. The Born statistics never read coupled_amplitudes.
+    one pass: the checks of _pairs, the preparations (_chi_rows), the
+    couplings (_coupling) on the ready states UssdStrategy has checked,
+    one batched matmul and one measure_rows, each check naming the entry
+    at fault; each result equals a call on that pair alone. The Born
+    statistics never read coupled_amplitudes.
     """
     single, insts, strats, pts, ((xi, xi_bar, _, _), (_, chi, _)), where = _pairs(
         inst, strat, embedding)
@@ -602,8 +594,7 @@ def run_protocol(inst, strat, embedding=None):
         return ()
     n = len(insts)
     k = np.array([st.ancilla_init for st in strats])
-    for stack in (chi, k):
-        unit_rows(stack, where)
+    unit_rows(chi, where)
     # (S, A, C) = chi (x) k with the ancilla moved between S and C
     psi0 = (chi[:, :, None] * k[:, None, :]).reshape(n, 2, 2, 2).transpose(0, 1, 3, 2)
     unit_rows(psi0, where)
@@ -728,15 +719,15 @@ class SeparablePoints:
     the canonical overlaps, r_plus/r_minus the branch weights, interior
     the optimal-strategy regime (UssdInstance.case == "interior"),
     alpha_plus/alpha_minus the failure overlaps and beta/delta the
-    failure angles. separable_points fills it with the optimal radii and
-    separable angles; of() holds instances with any strategy.
+    failure angles. A stack is valid where it is built, by
+    separable_points or of(), so its readers check no caller input again.
 
-    The stack also carries what its builders compute on the way, so that
-    no reader takes it again: abs_/arg_alpha and abs_/arg_alpha_c, the
-    _polar of both overlaps; abs_plus/abs_minus, the moduli |alpha_+-|,
-    and b_plus/b_minus, their _gap, the success components of the
-    coupled images (_zeta); and xi_bar/phi_bar, the (N, 2) _partner rows
-    of alpha and alpha_c, the canonical embedding's partner vectors."""
+    _stack fills what the readers would otherwise compute again:
+    abs_/arg_alpha and abs_/arg_alpha_c, the _polar of both overlaps;
+    abs_plus/abs_minus, the moduli |alpha_+-|, and b_plus/b_minus, their
+    _gap, the success components of the coupled images (_zeta); and
+    xi_bar/phi_bar, the (N, 2) _partner rows of alpha and alpha_c, the
+    canonical embedding's partner vectors."""
 
     p_plus: np.ndarray
     alpha: np.ndarray
@@ -759,27 +750,15 @@ class SeparablePoints:
     xi_bar: np.ndarray
     phi_bar: np.ndarray
 
-    @classmethod
-    def of(cls, inst, strat=None) -> "SeparablePoints":
-        """Instances with their strategies as given: one pair, a stack of
-        one, or equal-length sequences of each, one entry per pair; with
-        strat None, at their separable strategies (_separable). Sequences
-        of unequal length raise ShapeError."""
-        single, insts, _ = _entries(inst)
-        if strat is not None:
-            strats = [strat] if single else list(strat)
-            if len(insts) != len(strats):
-                raise ShapeError(f"{len(insts)} instances but {len(strats)} strategies")
-        p, a, ac, aa, ga, acm, gc = _read(insts)
+    @staticmethod
+    def of(inst, strat=None) -> "SeparablePoints":
+        """Instances with their strategies as given: one pair, which is a
+        stack of one, or equal-length sequences of each, one entry per
+        pair, by _entries' rule, each pair checked by check_pair (_given);
+        with strat None, at their separable strategies (_separable)."""
         if strat is None:
-            return _separable(p, a, ac, aa, ga, acm, gc)
-        rp, rm, _, interior = _weights(p, aa, ga, acm, gc)
-        ap, am, beta, delta = (np.array([getattr(s, k) for s in strats], dtype=t) for k, t in (
-            ("alpha_plus", complex), ("alpha_minus", complex), ("beta", float), ("delta", float)))
-        mp, mm = _abs(ap), _abs(am)
-        b = _gap(np.array([aa, acm, mp, mm]))
-        return cls(p, a, ac, rp, rm, interior, ap, am, beta, delta, aa, ga, acm, gc,
-                   mp, mm, *b[2:], *_partner(np.array([a, ac]), b[:2]))
+            return _separable(*_read(_entries(inst)[1]))
+        return _given(*_entries(inst, (strat, "strategies"))[1:])
 
     def strategy(self, i: int, ancilla_init=None) -> UssdStrategy:
         """The strategy of entry i, as a UssdStrategy."""
@@ -865,6 +844,29 @@ def fig2_cells(p_plus, alpha, alpha_c) -> tuple:
     return _total(rp, rm, aa, acm)[1], _p_suc(rp, rm, aa, interior)
 
 
+def _given(insts, strats, where) -> SeparablePoints:
+    """The stack of equal-length lists of instances and strategies: the
+    one place that runs check_pair on a stack, each pair in turn, the
+    first to fail named by where(i)."""
+    p, a, ac, *polar = _read(insts)
+    ap, am, beta, delta = (np.array([getattr(s, k) for s in strats], dtype=t) for k, t in (
+        ("alpha_plus", complex), ("alpha_minus", complex), ("beta", float), ("delta", float)))
+    for i, pair in enumerate(zip(ap.tolist(), am.tolist(), a.tolist())):
+        _check_product(*pair, where(i))
+    return _stack(p, a, ac, polar, _weights(p, *polar), ap, am, _abs(ap), _abs(am), beta, delta)
+
+
+def _stack(p, a, ac, polar, weights, ap, am, mp, mm, beta, delta) -> SeparablePoints:
+    """The SeparablePoints record of canonical instances p, a, ac, with
+    polar (aa, ga, acm, gc), the _polar of both overlaps, and weights,
+    their _weights, at failure overlaps ap, am of moduli mp, mm and
+    angles beta, delta: the one place that fills the carried moduli,
+    their _gap b+- and the _partner rows of alpha and alpha_c."""
+    b = _gap(np.array([polar[0], polar[2], mp, mm]))
+    return SeparablePoints(p, a, ac, *weights[:2], weights[3], ap, am, beta, delta, *polar,
+                           mp, mm, b[2], b[3], *_partner(np.array([a, ac]), b[:2]))
+
+
 def _separable(p, a, ac, aa, ga, acm, gc) -> SeparablePoints:
     """The separable point of each canonical instance (p <= 1/2 up to the
     1e-15 UssdInstance allows), without the swap, from _polar of its
@@ -878,11 +880,8 @@ def _separable(p, a, ac, aa, ga, acm, gc) -> SeparablePoints:
     # the angles that make the system-ancilla pair separable (both 0
     # where no failure branch is left); |alpha_-| is mm, real and >= 0
     (abs_p, wp), (abs_m, wm) = (_polar(x) for x in _combination(rp, rm, ap, am, acm, gc))
-    # 1 - m^2 of |alpha|, |alpha_c|, |alpha_+| and |alpha_-|, which is mm:
-    # the modulus of a real, nonnegative complex is its real part
     mp = _abs(ap)
-    sq = 1.0 - np.array([aa, acm, mp, mm]) ** 2
-    gp, gm = sq[2], sq[3]
+    gp, gm = 1.0 - np.array([mp, mm]) ** 2
     fail = 1.0 - (rp * gp + rm * gm)
     num = np.sqrt(_pymax(rm * abs_m ** 2 * gm, 0.0))
     dnm = np.sqrt(_pymax(rp * abs_p ** 2 * gp, 0.0))
@@ -891,13 +890,8 @@ def _separable(p, a, ac, aa, ga, acm, gc) -> SeparablePoints:
     flat = fail < 1e-15
     if np.count_nonzero(flat):
         beta, delta = np.where(flat, 0.0, beta), np.where(flat, 0.0, delta)
-    b = np.sqrt(_pymax(0.0, sq))      # _gap of the four moduli
-    xi_bar, phi_bar = _partner(np.array([a, ac]), b[:2])
-    return SeparablePoints(p_plus=p, alpha=a, alpha_c=ac, r_plus=rp, r_minus=rm,
-                           interior=interior, alpha_plus=ap, alpha_minus=am,
-                           beta=beta, delta=delta, abs_alpha=aa, arg_alpha=ga,
-                           abs_alpha_c=acm, arg_alpha_c=gc, abs_plus=mp, abs_minus=mm,
-                           b_plus=b[2], b_minus=b[3], xi_bar=xi_bar, phi_bar=phi_bar)
+    return _stack(p, a, ac, (aa, ga, acm, gc), (rp, rm, tilde, interior), ap, am, mp, mm,
+                  beta, delta)
 
 
 def coupled_amplitudes(pts: SeparablePoints, where=_nowhere) -> np.ndarray:
@@ -937,24 +931,22 @@ def total_coherence_conservation(inst: UssdInstance,
     """The environment's tangle with everything else cannot change under
     a coupling that never touches the environment. coupled is the
     (S, A, C) state after a coupling of inst, such as coupled_state's."""
-    before, after = _environment_tangles(build_chi(inst).amplitudes[None],
-                                         coupled.amplitudes[None], coupled.register)[:, 0].tolist()
+    before = float(_environment_tangles(build_chi(inst).amplitudes[None])[0])
+    after = float(_tangles(coupled.amplitudes[None], coupled.register, ("C",))[0, 0])
     return ConservationReport(before=before, after=after,
                               residual=float(abs(before - after)))
 
 
-def _environment_tangles(chi, coupled, register=("S", "A", "C")) -> np.ndarray:
+def _environment_tangles(chi) -> np.ndarray:
     """The environment's one-vs-rest tangle in each row of an (N, 4)
-    stack of preparations on (S, C) and of an (N, 8) stack of coupled
-    states on register, as a (2, N) array from one _tangles call. Each
-    preparation enters with the ancilla attached in |0>, which adds only
-    exact zeros to its Cauchy-Binet sum, so its tangle is the two-qubit
-    one bit for bit."""
+    stack of preparations on (S, C), as an (N,) array from one _tangles
+    call. Each preparation enters with the ancilla attached in |0>, which
+    adds only exact zeros to its Cauchy-Binet sum, so its tangle is the
+    two-qubit one bit for bit."""
     n = len(chi)
     prep = np.zeros((n, 2, 2, 2), dtype=complex)      # (S, A, C)
     prep[:, :, 0] = chi.reshape(n, 2, 2)
-    prep = prep.transpose([0] + [1 + "SAC".index(q) for q in register]).reshape(n, 8)
-    return _tangles(np.concatenate([prep, coupled]), register, ("C",)).reshape(2, n)
+    return _tangles(prep.reshape(n, 8), ("S", "A", "C"), ("C",))[0]
 
 
 def bargmann_loop(psi1, psi2, psi3):
@@ -1058,27 +1050,24 @@ def eval_report(pts: SeparablePoints) -> dict:
     entry. The loop phase is None where it is undefined: at an extreme
     prior, and where the outer loop states are linearly dependent.
 
-    One pass per route, on the stacked kernels that the chain of public
-    calls wraps (check_pair, coupled_state, ledger, closed_form_coherences,
-    total_coherence_conservation, system_ancilla_factor and
-    bargmann_phase), every check in that chain's order, so a failing entry
-    fails at the same first check with the same message, named as
-    _entries names it. Left out are only second runs of one rule on the
-    same bits: the norm checks of PureState and ledger on the rows
-    coupled_amplitudes has checked, each instance's branch weights, which
-    the stack holds, the loop phase's second preparation, and the (S, A)
-    concurrence, which the ledger's stacked wootters_concurrence call has
-    made. The moduli and phases are those the stack carries, and the
-    ledger entries come from the arrays _ledger_pass returns beside the
-    ledgers, not through bipartite_of and pair."""
+    One pass per route over a stack whose pairs passed check_pair where
+    it was built, on the stacked kernels that the chain of public calls
+    wraps (coupled_state, ledger, closed_form_coherences,
+    total_coherence_conservation, system_ancilla_factor, bargmann_phase),
+    every check in that chain's order and named as _entries names it.
+    Left out are only second runs of one rule on the same bits: the norm
+    checks of PureState and ledger on the rows coupled_amplitudes has
+    checked, the branch weights, the loop's second preparation, the
+    environment's tangle of the coupled state (the ledger's pivot C) and
+    the (S, A) concurrence (the ledger's wootters_concurrence call).
+    Moduli and phases are the stack's; ledger entries _ledger_pass's."""
     n = pts.beta.size
     where = _naming(n == 1)
-    _check_pairs(pts, where)
     psi = coupled_amplitudes(pts, where)
     leds, conc, lt, tau, c2 = _ledger_pass(psi)
     ct, ca, cg = closed_form_coherences(pts)
     loops = _loop_states(pts, where)
-    before, after = _environment_tangles(loops[1], psi)
+    before = _environment_tangles(loops[1])
     loop = [None] * n
     live = np.flatnonzero((0.0 < pts.p_plus) & (pts.p_plus < 1.0))
     if live.size:
@@ -1095,7 +1084,7 @@ def eval_report(pts: SeparablePoints) -> dict:
                np.where(pts.interior, "interior", "saturated"), pts.abs_plus, pts.abs_minus,
                _p_suc(pts.r_plus, pts.r_minus, pts.abs_alpha, pts.interior),
                pts.beta, pts.delta, ct, lt, ca, lc, ct - ca, lr, cg, lg, le, dev,
-               np.abs(before - after), conc[:n])
+               np.abs(before - tau[2]), conc[:n])
     return dict(zip(EVAL_QUANTITIES, [*(c.tolist() for c in columns), loop]))
 
 

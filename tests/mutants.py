@@ -118,8 +118,8 @@ _P = [
     Mutant("P2", "ussd.py", "eta[:, 1] = np.sin(beta) * np.exp(1j * delta)",
            "eta[:, 1] = np.sin(beta) * np.exp(-1j * delta)",
            "failure direction with the conjugate phase"),
-    Mutant("P3", "ussd.py", "b_minus=b[3]", "b_minus=b[2]",
-           "b- of zeta- from |alpha+| at the separable point"),
+    Mutant("P3", "ussd.py", "mp, mm, b[2], b[3],", "mp, mm, b[2], b[2],",
+           "b- of zeta- from |alpha+| in every stack (_stack)"),
     Mutant("P4", "ussd.py", "out[..., 0] = ov.conj()", "out[..., 0] = ov",
            "partner vector without the conjugate overlap"),
     Mutant("P5", "coherence.py", "sums = tau + c2[::-1]", "sums = tau + c2",
@@ -203,6 +203,10 @@ _N = [
                   "tests/test_array_chain.py::TestLoopKernel::test_errors_name_the_entry",
                   "tests/test_array_chain.py::TestSequenceEntries::test_branch_records",
                   "tests/test_oracle.py::TestSuccessStack::test_any_iterable_is_a_sequence")),
+    Mutant("N11", "errors.py", "if many == single:", "if False:",
+           "a paired argument of the other one-or-many shape is not refused as such",
+           tier1=("tests/test_ussd.py::TestPairedStacks::test_unequal_lengths_are_refused",
+                  "tests/test_array_chain.py::TestSequenceEntries::test_branch_records")),
 ]
 
 # the loop-phase row kernel
@@ -235,8 +239,7 @@ _E = [
     Mutant("E1", "ussd.py", "conc[:n])", "conc[n:2 * n])",
            "eval's separability concurrence of the system-environment pair",
            tier1=("tests/test_cli.py::TestEvalParity",)),
-    Mutant("E2", "ussd.py", "_environment_tangles(loops[1], psi)",
-           "_environment_tangles(loops[2], psi)",
+    Mutant("E2", "ussd.py", "_environment_tangles(loops[1])", "_environment_tangles(loops[2])",
            "eval's conservation reads the loop's product vertex, not the preparation",
            tier1=("tests/test_cli.py::TestEvalParity",)),
     Mutant("E3", "ussd.py", "(0.0 < pts.p_plus) & (pts.p_plus < 1.0)",
@@ -245,21 +248,20 @@ _E = [
            tier1=("tests/test_cli.py::TestEvalParity",)),
 ]
 
-# the one reader from instances to stacks, SeparablePoints.of
+# the one builder of stacks of given strategies, _given, after its pair check
 _B = [
-    Mutant("B1", "ussd.py", "strats = [strat] if single else list(strat)",
-           "strats = [strat] if single else list(strat)[1:] + list(strat)[:1]",
+    Mutant("B1", "ussd.py", "    return _stack(p, a, ac, polar, _weights(p, *polar),",
+           "    ap, am, beta, delta = (np.roll(x, -1) for x in (ap, am, beta, delta))\n"
+           "    return _stack(p, a, ac, polar, _weights(p, *polar),",
            "a stack pairs each instance with the next instance's strategy"),
 ]
 
 # one pass per eval op: the subcommand's parser called directly, and the
-# moduli the stacks carry
+# eval report's phase
 _K = [
     Mutant("K1", "cli.py", "if not rest:", "if True:",
            "a subcommand's leftover tokens are dropped, not reported",
            tier1=("tests/test_cli.py::TestParseParity",)),
-    Mutant("K2", "ussd.py", "mp, mm, *b[2:],", "mp, mm, b[2], b[2],",
-           "b- of zeta- from |alpha+| in a stack of given strategies"),
     Mutant("K3", "ussd.py", "pts.arg_alpha + pts.arg_alpha_c,", "pts.arg_alpha,",
            "eval's gamma from the phase of alpha alone",
            tier1=("tests/test_cli.py::TestEvalParity",)),

@@ -1767,6 +1767,11 @@ class TestSequenceEntries:
         for call, error, message in (
                 (lambda: branch_to_ussd(insts[:3], [0, 1]), ShapeError,
                  "3 instances but 2 carrier outcomes"),
+                # a list of outcomes is not read as one bad outcome
+                (lambda: branch_to_ussd(insts[0], [0, 1]), ShapeError,
+                 "one instance but a sequence of 2 carrier outcomes"),
+                (lambda: branch_to_ussd(insts[:2], 0), ShapeError,
+                 "2 instances but no sequence of carrier outcomes"),
                 (lambda: branch_to_ussd(insts[:3], [0, 1, 2]), RangeError,
                  "b_outcome must be 0 or 1, got 2 (inst[2])"),
                 (lambda: branch_to_ussd(insts[:2] + [TeleportInstance(math.pi / 4, 1.0, 0.0)],
@@ -1904,20 +1909,34 @@ def assert_carried(pts):
 
 
 def drawn_pairs(seed, count):
-    """count _random_instances with strategies of any radii in [0, 1 +
-    5e-13], at 0 and at the top (inside UssdStrategy's 1 + 1e-12 after
-    rounding) a quarter of the time each, any phases and failure angles:
-    pairs SeparablePoints.of takes unchecked."""
+    """count strategies of any radii in [0, 1 + 5e-13], at 0 and at the
+    top (inside UssdStrategy's 1 + 1e-12 after rounding) a quarter of the
+    time each, any phases and failure angles, each with the instance
+    whose alpha is its product alpha_+ conj(alpha_-), so that the pair
+    passes check_pair, at the prior and alpha_c of a _random_instances
+    draw. Both radii at the top would give |alpha| > 1, which no
+    instance admits: there alpha_- takes its uniform radius."""
     rng = np.random.default_rng(seed)
-    insts, _ = selftest._random_instances(rng, count)
+    drawn, _ = selftest._random_instances(rng, count)
     pick = rng.integers(0, 4, (2, count))
+    pick[1, (pick[0] == 1) & (pick[1] == 1)] = 2
     mods = np.where(pick == 0, 0.0, np.where(pick == 1, 1.0 + 5e-13, rng.uniform(0.0, 1.0, (2, count))))
     ov = mods * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (2, count)))
     angles = rng.uniform((0.0, 0.0), (math.pi / 2, 2.0 * math.pi), (count, 2))
     strats = [ussd.UssdStrategy(alpha_plus=complex(p), alpha_minus=complex(m), beta=float(b),
                                 delta=float(d))
               for p, m, (b, d) in zip(ov[0].tolist(), ov[1].tolist(), angles.tolist())]
+    insts = [ussd.UssdInstance(i.p_plus, s.alpha_plus * s.alpha_minus.conjugate(), i.alpha_c)
+             for i, s in zip(drawn, strats)]
     return insts, strats
+
+
+def paired_instance(p_plus, alpha_c, strat):
+    """make_instance at p_plus and alpha_c whose canonical alpha is the
+    product alpha_+ conj(alpha_-) of strat (make_instance conjugates it
+    above p_plus = 1/2)."""
+    prod = strat.alpha_plus * strat.alpha_minus.conjugate()
+    return make_instance(p_plus, prod.conjugate() if p_plus > 0.5 else prod, alpha_c)
 
 
 class TestCarriedArrays:
@@ -1942,11 +1961,16 @@ class TestCarriedArrays:
 
     def test_edges(self):
         """Zero overlaps, unit |alpha_c|, extreme priors and strategy
-        radii at 0 and above 1, where _gap clips."""
-        insts = [make_instance(p, a, ac) for p, a, ac in (
-            (0.0, 0.0, 0.0), (1.0, 0.4j, 1.0), (0.5, -0.0, -1.0), (0.3, 0.999999999, 1j))]
+        radii at 0, 1e-300, exactly 1 and above 1 (1 + 5e-13 and
+        1 + 1e-12, where _gap clips), with -0.0 parts, each strategy with
+        the instance of its product. The pair of radii (1, 1) is left
+        out: its |alpha| = 1 is admitted by no instance."""
         strats = [ussd.UssdStrategy(alpha_plus=ap, alpha_minus=am) for ap, am in (
-            (0.0, 0.0), (1.0 + 1e-12, -0.0), (1j, 1.0), (complex(-0.0, 0.5), 1e-300))]
+            (0.0, 0.0), (1.0 + 1e-12, -0.0), (1j, 0.4), (complex(-0.0, 0.5), 1e-300),
+            (1.0 + 5e-13, 0.999999999))]
+        insts = [paired_instance(p, ac, st) for (p, ac), st in zip(
+            ((0.0, 0.0), (1.0, 1.0), (0.5, -1.0), (0.3, 1j), (0.2, 0.3)), strats)]
+        assert insts[1].swapped
         assert_carried(SeparablePoints.of(insts, strats))
         assert_carried(SeparablePoints.of(insts))
         assert_carried(separable_points(*(np.array(c) for c in zip(

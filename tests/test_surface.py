@@ -139,6 +139,52 @@ def test_one_stack_contract():
             == ["stack", "where"], name
 
 
+def callers(tree, callee) -> set:
+    """Names of the top-level functions and methods (as Class.method) of
+    tree whose bodies call callee by name."""
+    scopes = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    scopes += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef)]
+    return {name for name, node in scopes for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == callee}
+
+
+def test_one_owner_per_stack_rule():
+    """A stack is checked where it is built, and each rule has one owner.
+    errors._entries alone writes the paired shape and length message
+    ("N instances but ..."). check_pair's kernel _check_product has two
+    callers: check_pair and _given, the one builder of stacks of given
+    strategies; eval_report, _pairs and coupled_state name no pair check.
+    _stack alone builds the record and fills its carried arrays.
+    _preparations checks only the embedding vectors it is given, and
+    run_protocol runs unit_rows on no ancilla row."""
+    for f in SRC.glob("*.py"):
+        if f.name != "errors.py":
+            for node in ast.walk(ast.parse(f.read_text())):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    assert "instances but" not in node.value, (f.name, node.lineno)
+    tree = ast.parse((SRC / "ussd.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_check_pairs" not in defs
+    assert callers(tree, "_check_product") == {"check_pair", "_given"}
+    for name in ("eval_report", "_pairs", "coupled_state"):
+        named = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+        assert not named & {"check_pair", "_check_product"}, name
+    assert callers(tree, "SeparablePoints") == {"_stack"}
+    def checks(nodes) -> int:
+        return sum(isinstance(c, ast.Call) and ast.unparse(c.func) == "_check_embeddings"
+                   for n in nodes for c in ast.walk(n))
+
+    prep = defs["_preparations"]
+    given = [n for n in ast.walk(prep) if isinstance(n, ast.If)
+             and ast.unparse(n.test) == "vecs is None"]
+    assert len(given) == 1 and checks(given[0].orelse) == checks([prep]) == 1
+    rows = {ast.unparse(c.args[0]) for c in ast.walk(defs["run_protocol"])
+            if isinstance(c, ast.Call) and ast.unparse(c.func) == "unit_rows"}
+    assert rows == {"chi", "psi0", "psi"}
+
 def test_cli_imports_no_private_kernel():
     """The CLI formats and the library computes: cli.py imports no
     underscore name from .coherence or .ussd. eval's composition is

@@ -599,19 +599,32 @@ class TestEvalReport:
 
 
 class TestPairedStacks:
-    """SeparablePoints.of holds the length check of a paired stack, and a
-    pair whose overlaps do not multiply back fails check_pair named by its
-    entry, with the product as a plain complex."""
+    """A paired stack is checked where it is built: errors._entries holds
+    the shape and length rule of the strategies, and a pair whose
+    overlaps do not multiply back fails check_pair named by its entry,
+    with the product as a plain complex."""
 
     I1 = make_instance(0.3, 0.4, 0.2)
     I2 = make_instance(0.2, 0.6j, 0.5)
     S1 = separable_strategy(I1)
 
     def test_unequal_lengths_are_refused(self):
-        with pytest.raises(ShapeError, match=r"^2 instances but 1 strategies$"):
-            closed_form_coherences(SeparablePoints.of([self.I1, self.I2], [self.S1]))
-        with pytest.raises(ShapeError, match=r"^1 instances but 2 strategies$"):
-            SeparablePoints.of([self.I1], [self.S1, self.S1])
+        """Unequal lengths, and one entry against a sequence either way."""
+        i1, i2, s1 = self.I1, self.I2, self.S1
+        for call, message in (
+                (lambda: closed_form_coherences(SeparablePoints.of([i1, i2], [s1])),
+                 "2 instances but 1 strategies"),
+                (lambda: SeparablePoints.of([i1], [s1, s1]), "1 instances but 2 strategies"),
+                (lambda: SeparablePoints.of(i1, [s1, s1]),
+                 "one instance but a sequence of 2 strategies"),
+                (lambda: SeparablePoints.of(i1, [s1]), "one instance but a sequence of 1 strategies"),
+                (lambda: run_protocol(i1, [s1, s1]), "one instance but a sequence of 2 strategies"),
+                (lambda: SeparablePoints.of([i1, i1], s1), "2 instances but no sequence of strategies"),
+                (lambda: coupling_unitary([i1], s1), "1 instances but no sequence of strategies"),
+                (lambda: closed_form_coherences([i1, i1], s1),
+                 "2 instances but no sequence of strategies")):
+            with pytest.raises(ShapeError, match="^" + re.escape(message) + "$"):
+                call()
 
     MESSAGE = "strategy overlaps give (0.39999999999999997+0j), instance needs 0.6j"
 
@@ -624,8 +637,11 @@ class TestPairedStacks:
             eval_report(SeparablePoints.of([self.I1, self.I2], [self.S1, self.S1]))
 
     def test_one_pair_names_no_entry(self):
+        """closed_form_coherences refuses the pair coupled_state refuses."""
         for call in (lambda: check_pair(self.I2, self.S1),
                      lambda: run_protocol(self.I2, self.S1),
-                     lambda: eval_report(SeparablePoints.of(self.I2, self.S1))):
+                     lambda: eval_report(SeparablePoints.of(self.I2, self.S1)),
+                     lambda: coupled_state(self.I2, self.S1),
+                     lambda: closed_form_coherences(self.I2, self.S1)):
             with pytest.raises(RangeError, match=re.escape(self.MESSAGE) + "$"):
                 call()
