@@ -254,6 +254,8 @@ _B = [
            "    ap, am, beta, delta = (np.roll(x, -1) for x in (ap, am, beta, delta))\n"
            "    return _stack(p, a, ac, polar, _weights(p, *polar),",
            "a stack pairs each instance with the next instance's strategy"),
+    Mutant("K2", "ussd.py", "_abs(ap), _abs(am), beta, delta)", "_abs(ap), _abs(ap), beta, delta)",
+           "|alpha-| and b- of given strategies from alpha+ (_given)"),
 ]
 
 # one pass per eval op: the subcommand's parser called directly, and the
