@@ -72,7 +72,7 @@ def _emit(args, meta: dict, columns: list, rows: list) -> None:
     if args.format == "csv":
         lines = [f"# {k}: {_csv_cell(v)}" for k, v in sorted(meta.items())]
         lines.append(",".join(columns))
-        lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
+        lines.extend([",".join([_csv_cell(c) for c in row]) for row in rows])
         text = "\n".join(lines) + "\n"
     else:
         doc = {

@@ -122,6 +122,17 @@ def _minor_index(register, qubits) -> np.ndarray:
     return index
 
 
+@functools.cache
+def _pair_index(register) -> np.ndarray:
+    """Flat positions of the (kept pair) x (traced qubit) factor of each
+    pair of combinations(register, 2), for a three-qubit register: one
+    (3, 4, 2) index, built once per register, read-only."""
+    flat = np.arange(2 ** len(register))[None]
+    index = np.stack([_factor(flat, register, p)[0] for p in _keys(register)[0]])
+    index.flags.writeable = False
+    return index
+
+
 def _tangles(amplitudes, register, qubits) -> np.ndarray:
     """One-vs-rest tangle of each of qubits, 4 det of its reduced state,
     in each row of an (N, 2**n) stack of state vectors on register, as a
@@ -226,12 +237,15 @@ def _ledger_pass(amps, reg=_SAC) -> tuple:
     wootters_concurrence call, the pair combinations(reg, 2)[k] of row i
     at k N + i; and the arrays the ledgers hold: the (N,) totals, the
     (3, N) one-vs-rest tangles of the pivots of reg and the (3, N) pair
-    tangles, pair k in row k."""
+    tangles, pair k in row k. The three pairs' factors come from one
+    gather through _pair_index, pair-major: the _factor of each pair,
+    concatenated."""
+    reg = tuple(reg)
     tau = _tangles(amps, reg, reg)
-    pairs, bipartite_keys, pairwise_keys = _keys(tuple(reg))
-    c = wootters_concurrence(np.concatenate([_factor(amps, reg, p) for p in pairs]))
+    _, bipartite_keys, pairwise_keys = _keys(reg)
+    c = wootters_concurrence(amps[:, _pair_index(reg)].swapaxes(0, 1).reshape(-1, 4, 2))
     c2 = (c * c).reshape(3, -1)
-    # the pair left over by pivot reg[i] is pairs[2 - i]
+    # the pair left over by pivot reg[i] is combinations(reg, 2)[2 - i]
     sums = tau + c2[::-1]
     # np.mean's order of summation over the pivots, without its overhead
     total = (sums[0] + sums[1] + sums[2]) / 3.0

@@ -870,7 +870,10 @@ def _stack(p, a, ac, polar, weights, ap, am, mp, mm, beta, delta) -> SeparablePo
 def _separable(p, a, ac, aa, ga, acm, gc) -> SeparablePoints:
     """The separable point of each canonical instance (p <= 1/2 up to the
     1e-15 UssdInstance allows), without the swap, from _polar of its
-    overlaps: _overlaps where they still need checking."""
+    overlaps: _overlaps where they still need checking. The + and -
+    combination amplitudes go through one _polar call and one pass of
+    the angle arithmetic as the rows of (2, N) stacks, each row's bits
+    those of a pass on that side alone."""
     rp, rm, tilde, interior = _weights(p, aa, ga, acm, gc)
     # optimal_strategy, with the phase of alpha on the reference side
     mp = np.where(interior, np.sqrt(aa / np.where(interior, tilde, 1.0)), 1.0)
@@ -878,15 +881,16 @@ def _separable(p, a, ac, aa, ga, acm, gc) -> SeparablePoints:
     ap, am = mp * np.exp(1j * ga), mm.astype(complex)
 
     # the angles that make the system-ancilla pair separable (both 0
-    # where no failure branch is left); |alpha_-| is mm, real and >= 0
-    (abs_p, wp), (abs_m, wm) = (_polar(x) for x in _combination(rp, rm, ap, am, acm, gc))
+    # where no failure branch is left); |alpha_-| is mm, real and >= 0;
+    # row 0 of each (2, N) stack is the + side, row 1 the - side
+    mod, arg = _polar(np.array(_combination(rp, rm, ap, am, acm, gc)))
     mp = _abs(ap)
-    gp, gm = 1.0 - np.array([mp, mm]) ** 2
-    fail = 1.0 - (rp * gp + rm * gm)
-    num = np.sqrt(_pymax(rm * abs_m ** 2 * gm, 0.0))
-    dnm = np.sqrt(_pymax(rp * abs_p ** 2 * gp, 0.0))
+    r, g = np.array([rp, rm]), 1.0 - np.array([mp, mm]) ** 2
+    rg = r * g
+    fail = 1.0 - (rg[0] + rg[1])
+    dnm, num = np.sqrt(_pymax(r * mod ** 2 * g, 0.0))
     beta = np.arctan2(num, dnm)
-    delta = np.remainder(wp - wm, _TWO_PI)
+    delta = np.remainder(arg[0] - arg[1], _TWO_PI)
     flat = fail < 1e-15
     if np.count_nonzero(flat):
         beta, delta = np.where(flat, 0.0, beta), np.where(flat, 0.0, delta)
@@ -940,13 +944,11 @@ def total_coherence_conservation(inst: UssdInstance,
 def _environment_tangles(chi) -> np.ndarray:
     """The environment's one-vs-rest tangle in each row of an (N, 4)
     stack of preparations on (S, C), as an (N,) array from one _tangles
-    call. Each preparation enters with the ancilla attached in |0>, which
-    adds only exact zeros to its Cauchy-Binet sum, so its tangle is the
-    two-qubit one bit for bit."""
-    n = len(chi)
-    prep = np.zeros((n, 2, 2, 2), dtype=complex)      # (S, A, C)
-    prep[:, :, 0] = chi.reshape(n, 2, 2)
-    return _tangles(prep.reshape(n, 8), ("S", "A", "C"), ("C",))[0]
+    call on the two-qubit minors: 4 |chi_00 chi_11 - chi_10 chi_01|^2.
+    It is the C pivot of the preparation with an ancilla in |0> attached
+    bit for bit, since the ancilla adds only exact zeros to the
+    Cauchy-Binet sum."""
+    return _tangles(chi, ("S", "C"), ("C",))[0]
 
 
 def bargmann_loop(psi1, psi2, psi3):
@@ -1078,8 +1080,8 @@ def eval_report(pts: SeparablePoints) -> dict:
     # pairs S:A, S:C, A:C, on the register of psi
     lc, lr, le = tau[1], c2[1], c2[2]
     lg = np.array([x.c_genuine for x in leds], dtype=float)
-    dev = np.maximum.reduce([np.abs(ct - lt), np.abs(ca - lc), np.abs(cg - lg),
-                             np.abs((ct - ca) - lr)])
+    dev = np.maximum(np.maximum(np.maximum(np.abs(ct - lt), np.abs(ca - lc)), np.abs(cg - lg)),
+                     np.abs((ct - ca) - lr))
     columns = (pts.r_plus, pts.r_minus, pts.arg_alpha + pts.arg_alpha_c,
                np.where(pts.interior, "interior", "saturated"), pts.abs_plus, pts.abs_minus,
                _p_suc(pts.r_plus, pts.r_minus, pts.abs_alpha, pts.interior),

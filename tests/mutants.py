@@ -269,7 +269,29 @@ _K = [
            tier1=("tests/test_cli.py::TestEvalParity",)),
 ]
 
-MUTANTS = _R + _C + _P + _M + _N + _L + _G + _E + _B + _K
+# the one-pass forms of eval's stacked kernels: the ledger's pair gather,
+# the environment's two-qubit minors, _separable's (2, N) rows and the
+# chained deviation
+_A = [
+    Mutant("A1", "coherence.py", "amps[:, _pair_index(reg)].swapaxes(0, 1).reshape(-1, 4, 2)",
+           "amps[:, _pair_index(reg)].reshape(-1, 4, 2)",
+           "the ledger's pair factors gathered row-major, not pair-major",
+           tier1=("tests/test_array_chain.py::TestStackedPasses::test_pair_gather",)),
+    Mutant("A2", "ussd.py", 'return _tangles(chi, ("S", "C"), ("C",))[0]',
+           'return _tangles(chi, ("S", "C"), ("S",))[0]',
+           "the preparation's tangle taken on pivot S, not the environment",
+           tier1=("tests/test_array_chain.py::TestStackedPasses::test_environment_tangles",)),
+    Mutant("A3", "ussd.py", "dnm, num = np.sqrt(", "num, dnm = np.sqrt(",
+           "the separable angle's numerator and denominator swapped",
+           tier1=("tests/test_array_chain.py::TestStackedPasses::test_separable_angles",)),
+    Mutant("A4", "ussd.py",
+           "np.abs(cg - lg)),\n                     np.abs((ct - ca) - lr))",
+           "np.abs(cg - lg)), 0.0)",
+           "eval's ledger deviation leaves out the retained entry",
+           tier1=("tests/test_ussd.py::TestEvalReport::test_deviation_is_the_largest_gap",)),
+]
+
+MUTANTS = _R + _C + _P + _M + _N + _L + _G + _E + _B + _K + _A
 
 
 def _copy(src: Path, dest: Path) -> None:

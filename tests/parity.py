@@ -21,13 +21,21 @@ teleport the near-pole sweep: enumerate_runs(TeleportInstance(pi/4 - d,
          mu, 0)) at 400 log-spaced d in [1e-10, 10^-1.5], at mu = 0 and
          at mu = pi, repr of the tuple of each run's fields in order,
          final_c as .tolist() (an array's repr keeps 8 digits), or of
-         (error type name, message), per instance.
+         (error type name, message), per instance;
+band     the full-precision values behind fig3, fig2 and fig4, at the
+         inputs their subcommands build from argv: for each fig3 argv of
+         FIG3_ARGVS (the defaults, the benchmark's --steps 11 and ROADMAP
+         item 2's near-cancellation draw), the ledgers of fig3's stack and
+         then its coherence_band scans, repr of each CoherenceLedger and
+         of each BandScan field, or of (error type name, message) where
+         the step raises; then fig2_cells and fig4_sweep at their CLI
+         defaults, repr of each array's .tolist() and of each Fig4Row.
 
-    PYTHONPATH=src python tests/parity.py [--check] [battery] [eval] [box] [teleport]
+    PYTHONPATH=src python tests/parity.py [--check] [battery] [eval] [box] [teleport] [band]
 
 prints one line per digest: its name, the hex digest and the counts of
-its items (failed ops, exit 0 and exit 2 draws, or instances that
-raised). The digests recorded
+its items (failed ops, exit 0 and exit 2 draws, instances or fig3 steps
+that raised). The digests recorded
 at the last change, with the numpy version and the host, are in
 tests/PARITY.md; with --check the script exits 1 when a digest differs
 from that record. tests/test_parity.py holds the cheap ones to it.
@@ -46,7 +54,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-DIGESTS = ("battery", "eval", "box", "teleport")
+DIGESTS = ("battery", "eval", "box", "teleport", "band")
+FIG3_ARGVS = (["fig3"], ["fig3", "--steps", "11"],
+              ["fig3", "--p-plus", "0.5", "--alpha-c", "0.999999999999", "--steps", "3",
+               "--band-points", "8"])
 RECORD = Path(__file__).with_name("PARITY.md")
 
 
@@ -112,6 +123,41 @@ def teleport_items() -> list:
     return items
 
 
+def _caught(step) -> tuple:
+    """("ok", step()) or, where it raises, (error type name, message)."""
+    from ussd_lab.errors import UssdLabError
+
+    try:
+        return "ok", step()
+    except UssdLabError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def band_items() -> list:
+    from ussd_lab.cli import _CLIP, build_parser
+    from ussd_lab.coherence import coherence_band, ledger
+    from ussd_lab.teleport import fig4_sweep
+    from ussd_lab.ussd import coupled_amplitudes, fig2_cells, separable_points
+
+    parse = build_parser().parse_args
+    items = []
+    for argv in FIG3_ARGVS:
+        args = parse(argv)
+        pts = np.minimum(np.linspace(0.0, 1.0, args.steps), _CLIP)
+        items.append(_caught(lambda: [repr(x) for x in ledger(coupled_amplitudes(
+            separable_points(args.p_plus, pts * np.exp(1j * np.pi / 2), args.alpha_c)))]))
+        items.append(_caught(lambda: [
+            (s.minimum, s.maximum, s.argmin, s.argmax, s.scan_points)
+            for s in coherence_band(args.p_plus, pts, args.alpha_c,
+                                    scan_points=args.band_points)]))
+    args = parse(["fig2"])
+    alpha = args.alpha * np.exp(1j * np.array([0.0, np.pi / 2, np.pi]))
+    pts = np.minimum(np.linspace(0.0, 1.0, args.steps), _CLIP)
+    items.append(tuple(x.tolist() for x in fig2_cells(args.p_plus, alpha, pts[:, None])))
+    items.extend(fig4_sweep(np.linspace(0.0, 1.0, parse(["fig4"]).steps)))
+    return items
+
+
 def sha256(items) -> str:
     h = hashlib.sha256()
     for item in items:
@@ -122,7 +168,7 @@ def sha256(items) -> str:
 def digest(name: str) -> tuple:
     """The hex digest of one of DIGESTS, and a note on its items."""
     items = {"battery": battery_items, "eval": eval_items, "box": box_items,
-             "teleport": teleport_items}[name]()
+             "teleport": teleport_items, "band": band_items}[name]()
     if name == "battery":
         note = f"{len(items)} checks"
     elif name == "eval":
@@ -130,9 +176,13 @@ def digest(name: str) -> tuple:
     elif name == "box":
         codes = [code for code, _, _ in items]
         note = f"{len(items)} draws, {codes.count(0)} exit 0, {codes.count(2)} exit 2"
-    else:
+    elif name == "teleport":
         raised = sum(isinstance(item[0], str) for item in items)
         note = f"{len(items)} instances, {raised} raised"
+    else:
+        steps = items[:2 * len(FIG3_ARGVS)]
+        raised = sum(tag != "ok" for tag, _ in steps)
+        note = f"{len(steps)} fig3 steps, {raised} raised, {len(items) - len(steps)} fig2/fig4 items"
     return sha256(items), note
 
 
@@ -153,7 +203,7 @@ def main(argv=None) -> int:
     for name in names:
         hexdigest, note = digest(name)
         print(f"{name:8s} {hexdigest}  {note}", flush=True)
-        if hexdigest != recorded()[name]:
+        if hexdigest != recorded().get(name):
             differ.append(name)
     if check and differ:
         print(f"differ from {RECORD.name}: {', '.join(differ)}", file=sys.stderr)

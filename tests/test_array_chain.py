@@ -20,7 +20,10 @@ eigendecomposition-route ledger kept here as a reference at a stated
 tolerance, row by row. Its arithmetic before the one gather of every
 qubit's minors (one qubit at a time, np.mean, the polynomial invariant
 on numpy scalars) is kept here as frozen_ledgers, which every field of
-a stack and of each row must repeat with ==.
+a stack and of each row must repeat with ==. The one-pass forms in eval's
+kernels (the ledger's pair gather, the environment's two-qubit minors,
+_separable's (2, N) rows) are held to the forms they replaced, kept here,
+at stack sizes 1, 671 and 1225.
 The closed-form triple of a stack is held to the scalar triple kept
 here as a reference, and optimal_strategy's radii to the scalar regime
 split. The instance arithmetic is written once, in helpers the kernel
@@ -1127,6 +1130,101 @@ class TestLedgerArithmetic:
             assert row.tolist() == frozen_tangle(amps, SAC, q).tolist()
             assert _tangles(amps, SAC, (q,))[0].tolist() == row.tolist()
         assert _tangles(amps, SAC, ("C", "S")).tolist() == got[[2, 0]].tolist()
+
+
+# one row, fig3's default scan (sixty-one magnitudes at eleven phases) and
+# separability_argmin's grid: rows in numpy's vector bodies and in its tails
+STACK_SIZES = (1, 671, 1225)
+
+
+def frozen_environment_tangles(chi):
+    """_environment_tangles as it was before it read the two-qubit
+    minors: each (S, C) preparation padded with the ancilla in |0> and
+    the C pivot of the (S, A, C) rows."""
+    n = len(chi)
+    prep = np.zeros((n, 2, 2, 2), dtype=complex)
+    prep[:, :, 0] = chi.reshape(n, 2, 2)
+    return _tangles(prep.reshape(n, 8), SAC, ("C",))[0]
+
+
+def separable_inputs(seed, count, on_env):
+    """One selftest._edge_box stack as _separable reads it, gamma on
+    alpha or on alpha_c: canonical p, alpha, alpha_c and their
+    _overlaps."""
+    p, aa, ac, g = selftest._edge_box(np.random.default_rng(seed), count)
+    alpha, alpha_c = (aa, ac * np.exp(1j * g)) if on_env else (aa * np.exp(1j * g), ac)
+    p, a, ac = ussd._canonical(p, alpha, alpha_c)
+    return (p, a, ac, *ussd._overlaps(p, a, ac))
+
+
+def frozen_separable_angles(p, a, ac, aa, ga, acm, gc):
+    """beta and delta of _separable as it took them before its stacked
+    passes: one _polar per combination amplitude, and the + and - sides'
+    arithmetic each on its own."""
+    rp, rm, tilde, interior = ussd._weights(p, aa, ga, acm, gc)
+    mp = np.where(interior, np.sqrt(aa / np.where(interior, tilde, 1.0)), 1.0)
+    mm = np.where(interior, np.sqrt(aa * tilde), aa)
+    ap, am = mp * np.exp(1j * ga), mm.astype(complex)
+    (abs_p, wp), (abs_m, wm) = (ussd._polar(x)
+                                for x in ussd._combination(rp, rm, ap, am, acm, gc))
+    mp = ussd._abs(ap)
+    gp, gm = 1.0 - np.array([mp, mm]) ** 2
+    fail = 1.0 - (rp * gp + rm * gm)
+    num = np.sqrt(ussd._pymax(rm * abs_m ** 2 * gm, 0.0))
+    dnm = np.sqrt(ussd._pymax(rp * abs_p ** 2 * gp, 0.0))
+    beta = np.arctan2(num, dnm)
+    delta = np.remainder(wp - wm, 2.0 * math.pi)
+    flat = fail < 1e-15
+    return np.where(flat, 0.0, beta), np.where(flat, 0.0, delta)
+
+
+class TestStackedPasses:
+    """eval's kernels on stacks: the ledger's three pair factors from one
+    gather, the environment tangle of a preparation from its two-qubit
+    minors and _separable's + and - sides in one pass each. Each must
+    give the bits, signs of zeros included, of the form it replaced,
+    kept here, at every stack size of STACK_SIZES."""
+
+    @pytest.mark.parametrize("count", STACK_SIZES)
+    @pytest.mark.parametrize("draw", [zeroed_states, edge_box_states])
+    def test_pair_gather(self, count, draw, monkeypatch):
+        """The factors _ledger_pass hands wootters_concurrence are the
+        _factor of each pair, concatenated, on its register and on a
+        permuted one, and so are the concurrences it returns."""
+        amps = draw(50 + count, count)
+        seen = []
+
+        def recording(factor):
+            seen.append(factor)
+            return wootters_concurrence(factor)
+
+        monkeypatch.setattr(coherence, "wootters_concurrence", recording)
+        for reg in (SAC, ("A", "C", "S")):
+            seen.clear()
+            conc = coherence._ledger_pass(amps, reg)[1]
+            want = np.concatenate([_factor(amps, reg, p) for p in itertools.combinations(reg, 2)])
+            assert len(seen) == 1
+            assert_same(seen[0], want)
+            assert_same(conc, wootters_concurrence(want))
+        index = coherence._pair_index(SAC)
+        assert index is coherence._pair_index(SAC) and not index.flags.writeable
+
+    @pytest.mark.parametrize("count", STACK_SIZES)
+    def test_environment_tangles(self, count):
+        """Canonical preparations of an edge box, and random rows with
+        exact zeros."""
+        pts = separable_points(*separable_inputs(52 + count, count, False)[:3])
+        for chi in (ussd._preparations(pts)[1][1], zeroed_states(53 + count, count)[:, ::2]):
+            assert_same(ussd._environment_tangles(chi), frozen_environment_tangles(chi))
+
+    @pytest.mark.parametrize("count", STACK_SIZES)
+    @pytest.mark.parametrize("on_env", [False, True], ids=["gamma_on_alpha", "gamma_on_alpha_c"])
+    def test_separable_angles(self, count, on_env):
+        args = separable_inputs(54 + count, count, on_env)
+        pts = ussd._separable(*args)
+        beta, delta = frozen_separable_angles(*args)
+        assert_same(pts.beta, beta)
+        assert_same(pts.delta, delta)
 
 
 def reference_closed_form(inst, strat):

@@ -585,6 +585,18 @@ class TestEvalReport:
         loop = stack["loop_phase"]
         assert [k for k, v in enumerate(loop) if v is None] == [30, 31, 32, 33]
 
+    def test_deviation_is_the_largest_gap(self):
+        """max_ledger_deviation of each entry is the largest of its four
+        |closed - ledger| gaps (total, converted, retained, genuine), as
+        the report prints them, to the bit."""
+        p, aa, ac, g = _edge_box(np.random.default_rng(6), 671)
+        rep = eval_report(separable_points(p, aa * np.exp(1j * g), ac))
+        gaps = [[abs(c - led) for c, led in zip(rep[f"c_{x}_closed"], rep[f"c_{x}_ledger"])]
+                for x in ("total", "converted", "retained", "genuine")]
+        assert rep["max_ledger_deviation"] == [max(col) for col in zip(*gaps)]
+        # each gap is the largest somewhere, so none can drop out unseen
+        assert {col.index(max(col)) for col in zip(*gaps)} == {0, 1, 2, 3}
+
     def test_stack_names_the_failing_entry(self):
         """A computed row that fails its check is named as _entries names
         an entry of a sequence; a stack of one keeps the plain message."""
